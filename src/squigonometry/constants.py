@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, build_context, cq, horner_sparse, sq
 from .factors import pi_from_factors
 from .series import EPS_DEFAULT, estimate_terms, maclaurin
@@ -61,14 +61,9 @@ def _factorial_terms(epsilon: float) -> int:
     return j + 2
 
 
-def _validate_p_eps(p: int, epsilon: float) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-
-
-@lru_cache(maxsize=None)
+# typed: a float degree such as 4.0 must miss the cache and fail validation
+# rather than return the record cached for the int 4.
+@lru_cache(maxsize=None, typed=True)
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     """Quarter-period Newton solve for pi_p, with self-sized tables.
 
@@ -87,7 +82,8 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
         round; J_used is the stabilized table length, which for p >= 3 is
         the fixed point of estimate_terms at the computed pi_p.
     """
-    _validate_p_eps(p, epsilon)
+    check_int("p", p, 2)
+    check_tolerance("epsilon", epsilon)
     if p == 2:
         J = _factorial_terms(epsilon)
     else:
@@ -136,8 +132,7 @@ def pi_gamma(p: int) -> float:
 
     Independent oracle for compute_pi; exact up to math.gamma rounding.
     """
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
+    check_int("p", p, 2)
     return 2.0 * math.gamma(1.0 / p) ** 2 / (p * math.gamma(2.0 / p))
 
 
@@ -149,9 +144,9 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     by p.  The two-table sum is accumulated with exact summation, so the
     result is bitwise symmetric in m and n.  Requires m, n >= 0.
     """
-    _validate_p_eps(p, epsilon)
-    if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
-        raise ParameterError(f"beta_value needs int m, n >= 0, got m={m!r}, n={n!r}")
+    check_int("p", p, 2)
+    check_powers(m, n)
+    check_tolerance("epsilon", epsilon)
     record = compute_pi(p, epsilon)
     J = record.J_used
     x = record.value / 4.0
@@ -168,9 +163,9 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
 
 
 def beta_gamma(p: int, m: int, n: int) -> float:
-    """Gamma-function form of the same Beta value; oracle for beta_value."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
+    """Gamma-function form of the same Beta value, on its domain; oracle for beta_value."""
+    check_int("p", p, 2)
+    check_powers(m, n)
     a = (m + 1) / p
     b = (n + 1) / p
     return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
@@ -182,8 +177,8 @@ def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
     Slow route used to cross-check beta_value; goes through the full
     evaluation context rather than raw tables.
     """
-    if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
-        raise ParameterError(f"quadrature oracle needs int m, n >= 0, got m={m!r}, n={n!r}")
+    check_powers(m, n)
+    check_tolerance("tol", tol)
     ctx = build_context(p)
 
     def integrand(t: float) -> float:

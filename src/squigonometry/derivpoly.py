@@ -29,10 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import DomainError, ParameterError, RootCountError
+from .errors import check_finite, check_int, check_powers
 from .evalcore import EvalContext, cq, sq
-from .triangle import CoeffTriangle, SquigParams, band_limits, build_triangle, ceil_div
+from .triangle import CoeffTriangle, SquigParams, _rows, band_limits, build_triangle
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,7 @@ class RootSet:
 
 def q_polynomial(tri: CoeffTriangle, k: int) -> DerivPolynomial:
     """Dense polynomial view of triangle row k."""
-    if not 0 <= k <= tri.K:
-        raise ParameterError(f"k must be in [0, {tri.K}], got {k}")
+    check_int("k", k, 0, tri.K)
     row = tri.rows[k]
     return DerivPolynomial(
         params=tri.params,
@@ -69,21 +70,12 @@ def polynomial_step(q: DerivPolynomial) -> DerivPolynomial:
     """Advance one level by the first-order recurrence in exact integers.
 
     Implements Q_(k+1) = (n - k + (m + k(p-1)) u) Q_k + p u (1 - u) Q_k';
-    coefficient-by-coefficient this reproduces the two-term triangle
-    recursion, so stepping a triangle row reproduces the next row.
+    coefficient-by-coefficient this is the two-term triangle recursion, so
+    the step runs the triangle's row generator once.
     """
-    p, m, n = q.params.p, q.params.m, q.params.n
-    k = q.k
-    out = [0] * (k + 2)
-    for j, c in enumerate(q.coeffs):
-        if c == 0:
-            continue
-        out[j] += (n - k) * c
-        out[j + 1] += (m + k * (p - 1)) * c
-        # p u (1 - u) d/du[u^j] = p j u^j - p j u^(j+1)
-        out[j] += p * j * c
-        out[j + 1] -= p * j * c
-    return DerivPolynomial(params=q.params, k=k + 1, coeffs=tuple(out))
+    _, out = islice(_rows(q.params, dict(enumerate(q.coeffs)), q.k), 2)
+    coeffs = tuple(out.get(j, 0) for j in range(q.k + 2))
+    return DerivPolynomial(params=q.params, k=q.k + 1, coeffs=coeffs)
 
 
 def kth_derivative_value(ctx: EvalContext, tri: CoeffTriangle, k: int, t: float) -> float:
@@ -96,8 +88,8 @@ def kth_derivative_value(ctx: EvalContext, tri: CoeffTriangle, k: int, t: float)
     """
     if ctx.p != tri.params.p:
         raise ParameterError(f"context is for p={ctx.p}, triangle for p={tri.params.p}")
-    if not 0 <= k <= tri.K:
-        raise ParameterError(f"k must be in [0, {tri.K}], got {k}")
+    check_int("k", k, 0, tri.K)
+    check_finite("t", t)
     if not 0.0 < t < 2.0 * ctx.quarter:
         raise DomainError(f"t={t!r} outside the open first quadrant")
     p, m, n = tri.params.p, tri.params.m, tri.params.n
@@ -176,10 +168,10 @@ def root_ladder(params: SquigParams, k_max: int) -> list[RootSet]:
     bound and 0.  All sign decisions are exact, so the forced per-level root
     count either comes out right or raises RootCountError.
     """
-    if params.m < 0 or params.n < 0:
-        raise ParameterError("root ladders need m, n >= 0")
-    if not isinstance(k_max, int) or k_max < 0:
-        raise ParameterError(f"k_max must be an int >= 0, got {k_max!r}")
+    check_powers(params.m, params.n)
+    if params.m == 0 and params.n == 0:
+        raise ParameterError("the constant function (m = n = 0) has no derivative roots")
+    check_int("k_max", k_max, 0)
     tri = build_triangle(params, k_max)
     ladder: list[RootSet] = []
     prev_roots: list[float] = []
@@ -236,8 +228,8 @@ def algebraic_values(u: float, p: int) -> tuple[float, float]:
     Inverts u = sq^p / (cq^p - 1) on the first quadrant:
     cq = (1 - u)^(-1/p), sq = (u / (u - 1))^(1/p).  Returns (cq, sq).
     """
-    if not isinstance(p, int) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
+    check_finite("u", u)
+    check_int("p", p, 2)
     if not u <= 0.0:
         raise DomainError(f"roots live on u <= 0, got {u!r}")
     cq_val = (1.0 - u) ** (-1.0 / p)
@@ -253,7 +245,6 @@ def critical_value(params: SquigParams) -> float:
     the maximum equals (m^m n^n / (m + n)^(m + n))^(1/p).  Requires
     m, n >= 1.
     """
-    if params.m < 1 or params.n < 1:
-        raise ParameterError("critical_value needs m, n >= 1")
+    check_powers(params.m, params.n, 1)
     p, m, n = params.p, params.m, params.n
     return float(Fraction(m ** m * n ** n, (m + n) ** (m + n))) ** (1.0 / p)

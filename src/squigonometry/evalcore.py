@@ -28,8 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, ParameterError
+from .errors import ConvergenceError, DomainError
+from .errors import check_finite, check_int, check_powers, check_tolerance
 from .series import EPS_DEFAULT, MacLaurinTable, maclaurin
 from .triangle import SquigParams
 
@@ -49,8 +51,7 @@ class EvalContext:
         return 4.0 * self.quarter
 
 
-@dataclass(frozen=True)
-class QuadrantReduction:
+class QuadrantReduction(NamedTuple):
     """Result of folding t onto the first half-quadrant.
 
     value(t) = sign * table(t_reduced) where table is the sq table when
@@ -71,16 +72,14 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT, J: int | None = None) ->
     (imported lazily; constants itself evaluates through contexts it builds
     by hand during bootstrap).  J overrides the table length when given.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_int("p", p, 2)
+    check_tolerance("epsilon", epsilon)
+    if J is not None:
+        check_int("J", J, 1)
     from .constants import compute_pi
 
     record = compute_pi(p, epsilon)
     length = record.J_used if J is None else J
-    if not isinstance(length, int) or length < 1:
-        raise ParameterError(f"table length must be an int >= 1, got {length!r}")
     return EvalContext(
         p=p,
         quarter=record.value / 4.0,
@@ -99,13 +98,14 @@ def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
     pi_p / 4 swapping the roles of the two tables.  Arguments that are exact
     binary64 sums t0 + 2 k pi_p reduce to bit-identical t_reduced.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"argument must be finite, got {t!r}")
-    pi_p = ctx.pi_p
-    half = ctx.quarter * 2.0
-    s = math.fmod(t, 2.0 * pi_p)
+    check_finite("argument", t)
+    quarter = ctx.quarter
+    pi_p = 4.0 * quarter
+    half = 2.0 * quarter
+    period = 2.0 * pi_p
+    s = math.fmod(t, period)
     if s < 0.0:
-        s += 2.0 * pi_p
+        s += period
     sign_sq = 1
     sign_cq = 1
     if s >= pi_p:
@@ -115,10 +115,10 @@ def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
     if s > half:
         s = pi_p - s
         sign_cq = -sign_cq
-    use_co = s > ctx.quarter
+    use_co = s > quarter
     if use_co:
         s = half - s
-    return QuadrantReduction(t_reduced=s, use_co=use_co, sign_sq=sign_sq, sign_cq=sign_cq)
+    return QuadrantReduction(s, use_co, sign_sq, sign_cq)
 
 
 def horner_sparse(table: MacLaurinTable, t: float) -> float:
@@ -136,16 +136,14 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
 
 def sq(ctx: EvalContext, t: float) -> float:
     """Squine of t: y-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
-    red = reduce_argument(ctx, t)
-    table = ctx.cq_table if red.use_co else ctx.sq_table
-    return red.sign_sq * horner_sparse(table, red.t_reduced)
+    s, use_co, sign_sq, _ = reduce_argument(ctx, t)
+    return sign_sq * horner_sparse(ctx.cq_table if use_co else ctx.sq_table, s)
 
 
 def cq(ctx: EvalContext, t: float) -> float:
     """Cosquine of t: x-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
-    red = reduce_argument(ctx, t)
-    table = ctx.sq_table if red.use_co else ctx.cq_table
-    return red.sign_cq * horner_sparse(table, red.t_reduced)
+    s, use_co, _, sign_cq = reduce_argument(ctx, t)
+    return sign_cq * horner_sparse(ctx.sq_table if use_co else ctx.cq_table, s)
 
 
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
@@ -157,15 +155,14 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     factors are positive; the endpoints are poles or reflection boundaries
     and raise DomainError.
     """
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise ParameterError(f"powers must be ints, got m={m!r}, n={n!r}")
-    if m >= 0 and n >= 0 and ctx.p % 2 == 0:
-        return cq(ctx, t) ** m * sq(ctx, t) ** n
-    if not 0.0 < t < 2.0 * ctx.quarter:
-        raise DomainError(
-            f"t={t!r} outside the open first quadrant (0, {2.0 * ctx.quarter}) "
-            "required for negative powers or odd p"
-        )
+    check_powers(m, n, low=None)
+    if m < 0 or n < 0 or ctx.p % 2 == 1:
+        check_finite("t", t)
+        if not 0.0 < t < 2.0 * ctx.quarter:
+            raise DomainError(
+                f"t={t!r} outside the open first quadrant (0, {2.0 * ctx.quarter}) "
+                "required for negative powers or odd p"
+            )
     return cq(ctx, t) ** m * sq(ctx, t) ** n
 
 
@@ -291,10 +288,9 @@ def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
     remainder, each to half the tolerance.  Accepts 0 <= x <= 1; x = 1
     returns the quarter-period integral in full.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
-    if not tol > 0.0:
-        raise ParameterError(f"tol must be positive, got {tol!r}")
+    check_finite("x", x)
+    check_int("p", p, 2)
+    check_tolerance("tol", tol)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"arcsq needs 0 <= x <= 1, got {x!r}")
     if x == 0.0:

@@ -29,13 +29,19 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import CostGuardError, ParameterError
+from .errors import CostGuardError, ParameterError, check_int, check_powers
 from .triangle import SquigParams
 
 #: Hard ceilings keeping the exponential routes at desk scale.
 MAX_EXPLICIT_ORDER = 22
 MAX_ENUMERATION_ORDER = 26
 MAX_COROLLARY_CHOICES = 400_000
+
+
+def _check_order(params: SquigParams, k: int, j: int) -> None:
+    check_powers(params.m, params.n)
+    check_int("k", k, 0)
+    check_int("j", j, 0)
 
 
 def _product_for_placement(params: SquigParams, k: int, ones: tuple[int, ...]) -> int:
@@ -61,10 +67,7 @@ def explicit_coefficient(params: SquigParams, k: int, j: int) -> int:
     MAX_EXPLICIT_ORDER.  Independent of the recursion: no other rows are
     consulted.
     """
-    if params.m < 0 or params.n < 0:
-        raise ParameterError("explicit coefficients need m, n >= 0")
-    if not isinstance(k, int) or not isinstance(j, int) or k < 0 or j < 0:
-        raise ParameterError(f"k, j must be ints >= 0, got k={k!r}, j={j!r}")
+    _check_order(params, k, j)
     if k > MAX_EXPLICIT_ORDER:
         raise CostGuardError(f"k={k} exceeds the explicit-sum cap {MAX_EXPLICIT_ORDER}")
     if j > k:
@@ -81,8 +84,7 @@ def filter_nonzero_brute(params: SquigParams, k: int, j: int) -> list[tuple[int,
     The oracle enumerate_nonzero is checked against; same cost cap as the
     enumeration so the two stay comparable.
     """
-    if params.m < 0 or params.n < 0:
-        raise ParameterError("placement filtering needs m, n >= 0")
+    _check_order(params, k, j)
     if k > MAX_ENUMERATION_ORDER:
         raise CostGuardError(f"k={k} exceeds the enumeration cap {MAX_ENUMERATION_ORDER}")
     return [
@@ -106,10 +108,7 @@ def enumerate_nonzero(params: SquigParams, k: int, j: int) -> list[tuple[int, ..
     Returns placements in lexicographic order; equals filter_nonzero_brute
     as a set.
     """
-    if params.m < 0 or params.n < 0:
-        raise ParameterError("enumeration needs m, n >= 0")
-    if not isinstance(k, int) or not isinstance(j, int) or k < 0 or j < 0:
-        raise ParameterError(f"k, j must be ints >= 0, got k={k!r}, j={j!r}")
+    _check_order(params, k, j)
     if k != params.n + params.p * j:
         raise ParameterError(
             f"enumeration applies at series orders k = n + p j; "
@@ -147,12 +146,9 @@ def count_lower_bound(n: int, p: int, j: int) -> int:
     Counts the placements reachable by always marking within the first
     admissible window; the true count grows much faster.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
-    if not isinstance(n, int) or n < 0:
-        raise ParameterError(f"n must be an int >= 0, got {n!r}")
-    if not isinstance(j, int) or j < 1:
-        raise ParameterError(f"j must be an int >= 1, got {j!r}")
+    check_int("p", p, 2)
+    check_int("n", n, 0)
+    check_int("j", j, 1)
     return (n + 1) * (p - 1) ** (j - 1)
 
 
@@ -164,10 +160,8 @@ def corollary_coefficient(params: SquigParams, j: int) -> float:
     final binary64 conversion.  Valid for negative m as well (the quotient
     series such as the tangent analog), where the recursion does not apply.
     """
-    if not isinstance(j, int) or j < 0:
-        raise ParameterError(f"j must be an int >= 0, got {j!r}")
-    if params.n < 0:
-        raise ParameterError("corollary coefficients need n >= 0")
+    check_int("j", j, 0)
+    check_int("n", params.n, 0)
     k = params.n + params.p * j
     if math.comb(k, j) > MAX_COROLLARY_CHOICES:
         raise CostGuardError(
@@ -190,10 +184,8 @@ def matrix_factorial_row(params: SquigParams, k: int, size: int) -> list[int]:
     l = 0..k-1 to the first basis vector.  The result vector has q[k][j] in
     slot j; size must be at least k + 1 so no entry is truncated.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"k must be an int >= 0, got {k!r}")
-    if not isinstance(size, int) or size < k + 1:
-        raise ParameterError(f"size must be an int >= k + 1 = {k + 1}, got {size!r}")
+    check_int("k", k, 0)
+    check_int("size", size, k + 1)
     p, m, n = params.p, params.m, params.n
     a_mat = [[0] * size for _ in range(size)]
     b_mat = [[0] * size for _ in range(size)]

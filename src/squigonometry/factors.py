@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, ParameterError, ZeroDenominatorError
+from .errors import check_finite, check_int, check_powers, check_tolerance
 from .triangle import SquigParams, falling_factorial
 
 
@@ -71,8 +72,9 @@ def factor_sequence(numerators: tuple[int, ...], params: SquigParams) -> FactorS
     >>> [str(a) for a in fs.exact]
     ['1', '1/4', '9/40', '149/540']
     """
-    if params.m < 0 or params.n < 0:
-        raise ParameterError("factor sequences need m, n >= 0")
+    check_powers(params.m, params.n)
+    if params.m == 0 and params.n == 0:
+        raise ParameterError("the constant function (m = n = 0) has no term-to-term factors")
     if not numerators:
         raise ParameterError("need at least F_0")
     p, n = params.p, params.n
@@ -96,8 +98,8 @@ def eval_factor_expansion(fs: FactorSequence, t: float, epsilon: float) -> tuple
     t = 0 uses exactly one term.  Raises ConvergenceError if the available
     factors run out before an update falls below epsilon.
     """
-    if not epsilon > 0.0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon!r}")
+    check_finite("t", t)
+    check_tolerance("epsilon", epsilon)
     term = float(t) ** fs.params.n
     total = term
     used = 1
@@ -119,8 +121,8 @@ def continued_fraction(fs: FactorSequence, t: float, depth: int) -> float:
     depth = 0 returns t^n.  Denominators are folded bottom-up; a vanishing
     denominator raises ZeroDenominatorError naming the level.
     """
-    if not isinstance(depth, int) or depth < 0 or depth > fs.J:
-        raise ParameterError(f"depth must be an int in [0, {fs.J}], got {depth!r}")
+    check_finite("t", t)
+    check_int("depth", depth, 0, fs.J)
     tn = float(t) ** fs.params.n
     if depth == 0:
         return tn
@@ -156,8 +158,7 @@ def integer_cf_terms(
     For p = 2, m = 0, n = 1 every F_j is 1 and the levels collapse to the
     classical fraction t / (1 + t^2 / (6 - t^2 + 6 t^2 / (20 - t^2 + ...))).
     """
-    if params.m < 0 or params.n < 0:
-        raise ParameterError("integer continued fractions need m, n >= 0")
+    check_powers(params.m, params.n)
     if not numerators:
         raise ParameterError("need at least F_0")
     p, n = params.p, params.n
@@ -186,8 +187,8 @@ def evaluate_integer_cf(
     the modest depths where the integer form is of interest; levels beyond
     binary64 range raise OverflowError from the conversion.
     """
-    if not isinstance(depth, int) or depth < 0 or depth > len(levels):
-        raise ParameterError(f"depth must be an int in [0, {len(levels)}], got {depth!r}")
+    check_finite("t", t)
+    check_int("depth", depth, 0, len(levels))
     tn = float(t) ** params.n
     if depth == 0:
         return lead[0] * tn / lead[1]
@@ -216,8 +217,8 @@ def pi_from_factors(a_tail: float | Fraction, p: int) -> float:
     The identity degenerates at p = 2 (cos(pi/2) = 0 against a divergent
     power), where the estimate collapses to 0 and is unusable.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
+    check_int("p", p, 2)
+    check_finite("a_tail", a_tail)
     a = float(a_tail)
     if not a > 0.0:
         raise ParameterError(f"tail factor must be positive, got {a_tail!r}")

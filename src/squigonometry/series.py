@@ -10,8 +10,10 @@ n + pj.  maclaurin produces the a_j directly in binary64 by running the
 coefficient recursion on scaled columns f_j = (k!) a_j inside the band, one
 division per update, so each a_j is computed with a minimal number of
 roundings (many small cases are exact, e.g. the degree-5 squine coefficient
-of t^5/5! for p = 4 is exactly -0.15).  integer_maclaurin produces the exact
-integer numerators F_j instead.
+of t^5/5! for p = 4 is exactly -0.15).  It is the package's one binary64
+copy of the recursion.  integer_maclaurin produces the exact integer
+numerators F_j instead, reading them from the exact row generator in
+triangle, the one place the integer recursion is written.
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -24,17 +26,19 @@ cq = sq = 2^(-1/p).  The k-th Taylor coefficient is
 
     f_k = 2^(-h_k / p) / k! * sum_j (-1)^j q[k][j],   h_k = n + m + k(p - 2),
 
-so the same coefficient recursion applies, run densely in binary64 with the
-1/k! folded in as the rows advance.
+so taylor_quarter sums the exact integer rows from the triangle row
+generator and rounds each quotient by k! once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
 
-from .errors import ParameterError
-from .triangle import SquigParams, ceil_div
+from .errors import ParameterError, check_finite, check_int, check_powers, check_tolerance
+from .triangle import SquigParams, _rows, ceil_div
 
 #: Unit roundoff of binary64; default tolerance target for table sizing.
 EPS_DEFAULT = 2.0 ** -53
@@ -63,15 +67,6 @@ class MacLaurinTable:
         return self.floats[j] if j % 2 == 0 else -self.floats[j]
 
 
-def _require_series_params(params: SquigParams, J: int) -> None:
-    if params.m < 0 or params.n < 0:
-        raise ParameterError(
-            f"series tables need m, n >= 0, got m={params.m}, n={params.n}"
-        )
-    if not isinstance(J, int) or J < 0:
-        raise ParameterError(f"J must be an int >= 0, got {J!r}")
-
-
 def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> MacLaurinTable:
     """Scaled MacLaurin coefficients a_0..a_J of cq^m * sq^n in binary64.
 
@@ -98,7 +93,8 @@ def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> Mac
     >>> t.floats[1] * math.factorial(5)
     18.0
     """
-    _require_series_params(params, J)
+    check_powers(params.m, params.n)
+    check_int("J", J, 0)
     p, m, n = params.p, params.m, params.n
     f = [0.0] * (J + 1)
     f[0] = 1.0
@@ -124,30 +120,16 @@ def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> Mac
 def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:
     """Exact integer numerators F_0..F_J with F_j = q[n + pj][j].
 
-    Runs the sparse integer recursion to order n + p*J and reads one entry
-    per target order.  F_j / (n + pj)! reproduces maclaurin floats up to one
-    rounding.
+    Runs the exact row generator to order n + p*J, holding one row at a
+    time, and reads one entry per target order.  F_j / (n + pj)! reproduces
+    maclaurin floats up to one rounding.  The constant function (m = n = 0)
+    gives (1, 0, ..., 0).
     """
-    _require_series_params(params, J)
-    p, m, n = params.p, params.m, params.n
-    out: list[int] = []
-    row: dict[int, int] = {0: 1}
-    if n == 0:
-        out.append(row[0])
-    for k in range(n + p * J):
-        nxt: dict[int, int] = {}
-        for j, v in row.items():
-            c_keep = n - k + p * j
-            if c_keep:
-                nxt[j] = nxt.get(j, 0) + c_keep * v
-            c_shift = m + k * (p - 1) - p * j
-            if c_shift:
-                nxt[j + 1] = nxt.get(j + 1, 0) + c_shift * v
-        row = {j: v for j, v in nxt.items() if v}
-        order = k + 1
-        if order >= n and (order - n) % p == 0:
-            out.append(row[(order - n) // p])
-    return tuple(out)
+    check_powers(params.m, params.n)
+    check_int("J", J, 0)
+    p, n = params.p, params.n
+    orders = islice(_rows(params, {0: 1}, 0), n, n + p * J + 1, p)
+    return tuple(row.get(j, 0) for j, row in enumerate(orders))
 
 
 def radius(p: int, pi_p: float) -> float:
@@ -156,8 +138,8 @@ def radius(p: int, pi_p: float) -> float:
     R > 1 for p >= 3.  For p = 2 the secant pole makes R infinite, matching
     the entire function there (terms decay factorially).
     """
-    if not isinstance(p, int) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
+    check_int("p", p, 2)
+    check_finite("pi_p", pi_p)
     if p == 2:
         return math.inf
     return (pi_p / 4.0) / math.cos(math.pi / p)
@@ -172,10 +154,9 @@ def estimate_terms(p: int, pi_p: float, epsilon: float) -> int:
     Returns the sentinel 0 for p = 2, where decay is factorial and no finite
     geometric rate applies; callers choose a factorial-based count instead.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ParameterError(f"p must be an int >= 2, got {p!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_int("p", p, 2)
+    check_finite("pi_p", pi_p)
+    check_tolerance("epsilon", epsilon)
     if p == 2:
         return 0
     r = radius(p, pi_p)
@@ -198,25 +179,17 @@ def taylor_quarter(params: SquigParams, K: int) -> TaylorTable:
 
     At the quarter period cq = sq = 2^(-1/p), so every term of row k of the
     derivative expansion evaluates to the common power 2^(-h_k / p) with
-    h_k = n + m + k(p - 2), leaving the alternating row sum.  Rows are
-    advanced densely in binary64 with 1/k! absorbed into the entries.
+    h_k = n + m + k(p - 2), leaving the alternating row sum.  Each row sum is
+    exact; its quotient by k! is rounded once and scaled by the power, split
+    as 2^(-(h_k mod p)/p) times an exact power of two.
     """
-    _require_series_params(params, K)
+    check_powers(params.m, params.n)
+    check_int("K", K, 0)
     p, m, n = params.p, params.m, params.n
-    row = [1.0]
     coeffs: list[float] = []
-    for k in range(K + 1):
+    for k, row in enumerate(islice(_rows(params, {0: 1}, 0), K + 1)):
         h = n + m + k * (p - 2)
-        alternating = 0.0
-        for j, v in enumerate(row):
-            alternating += v if j % 2 == 0 else -v
-        coeffs.append(2.0 ** (-h / p) * alternating)
-        if k == K:
-            break
-        nxt = [0.0] * (k + 2)
-        for j in range(k + 2):
-            keep = row[j] if j <= k else 0.0
-            shift = row[j - 1] if j >= 1 else 0.0
-            nxt[j] = ((n - k + p * j) * keep + (m + k * (p - 1) - p * (j - 1)) * shift) / (k + 1)
-        row = nxt
+        alternating = sum(v if j % 2 == 0 else -v for j, v in row.items())
+        power = math.ldexp(2.0 ** (-(h % p) / p), -(h // p))
+        coeffs.append(power * float(Fraction(alternating, math.factorial(k))))
     return TaylorTable(params=params, K=K, coeffs=tuple(coeffs))

@@ -21,14 +21,20 @@ integer and rows are banded: q[k][j] = 0 unless
 
 Rows are stored sparsely as {column: value} dicts over Python ints, so entries
 never overflow and equality checks are exact.
+
+The private row generator _rows is the one place this recursion is written;
+build_triangle, integer_maclaurin, polynomial_step and taylor_quarter all
+read their rows from it.  The routes in explicit stay independent oracles.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int, check_powers
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -38,8 +44,7 @@ def ceil_div(a: int, b: int) -> int:
 
 def falling_factorial(x: int, k: int) -> int:
     """Falling factorial x * (x - 1) * ... * (x - k + 1); the empty product is 1."""
-    if k < 0:
-        raise ParameterError(f"falling factorial needs k >= 0, got {k}")
+    check_int("k", k, 0)
     out = 1
     for i in range(k):
         out *= x - i
@@ -59,12 +64,8 @@ class SquigParams:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("p", "m", "n"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParameterError(f"{name} must be an int, got {value!r}")
-        if self.p < 2:
-            raise ParameterError(f"p must be >= 2, got {self.p}")
+        check_int("p", self.p, 2)
+        check_powers(self.m, self.n, low=None)
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,28 @@ def band_limits(params: SquigParams, k: int) -> tuple[int, int]:
     j_lo = max(ceil_div(k - params.n, params.p), 0)
     j_hi = k - max(ceil_div(k - params.m, params.p), 0)
     return j_lo, j_hi
+
+
+def _rows(params: SquigParams, row: dict[int, int], k: int) -> Iterator[dict[int, int]]:
+    """Yield the given row of order k, then rows k + 1, k + 2, ... forever.
+
+    Exact integers; rows after the start hold no zeros.  Only the current
+    row is kept, so a consumer reading one entry per row stays flat in memory.
+    Start from q[0] = {0: 1} at k = 0 for the triangle itself.
+    """
+    p, m, n = params.p, params.m, params.n
+    while True:
+        yield row
+        nxt: dict[int, int] = {}
+        for j, v in row.items():
+            c_keep = n - k + p * j
+            if c_keep:
+                nxt[j] = nxt.get(j, 0) + c_keep * v
+            c_shift = m + k * (p - 1) - p * j
+            if c_shift:
+                nxt[j + 1] = nxt.get(j + 1, 0) + c_shift * v
+        row = {j: v for j, v in nxt.items() if v}
+        k += 1
 
 
 def build_triangle(params: SquigParams, K: int) -> CoeffTriangle:
@@ -110,30 +133,15 @@ def build_triangle(params: SquigParams, K: int) -> CoeffTriangle:
     >>> tri.rows[4]
     {1: 6, 2: 81, 3: 18}
     """
-    if params.m < 0 or params.n < 0:
-        raise ParameterError(f"triangle needs m, n >= 0, got m={params.m}, n={params.n}")
-    if not isinstance(K, int) or K < 0:
-        raise ParameterError(f"K must be an int >= 0, got {K!r}")
-    p, m, n = params.p, params.m, params.n
-    rows: list[dict[int, int]] = [{0: 1}]
-    for k in range(K):
-        cur = rows[k]
-        nxt: dict[int, int] = {}
-        for j, v in cur.items():
-            c_keep = n - k + p * j
-            if c_keep:
-                nxt[j] = nxt.get(j, 0) + c_keep * v
-            c_shift = m + k * (p - 1) - p * j
-            if c_shift:
-                nxt[j + 1] = nxt.get(j + 1, 0) + c_shift * v
-        rows.append({j: v for j, v in nxt.items() if v})
-    return CoeffTriangle(params=params, K=K, rows=tuple(rows))
+    check_powers(params.m, params.n)
+    check_int("K", K, 0)
+    return CoeffTriangle(params=params, K=K, rows=tuple(islice(_rows(params, {0: 1}, 0), K + 1)))
 
 
 def coefficient(tri: CoeffTriangle, k: int, j: int) -> int:
     """Exact q[k][j]; zero for any (k, j) outside the stored band."""
-    if not 0 <= k <= tri.K:
-        raise ParameterError(f"k must be in [0, {tri.K}], got {k}")
+    check_int("k", k, 0, tri.K)
+    check_int("j", j)
     return tri.rows[k].get(j, 0)
 
 

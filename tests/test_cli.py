@@ -250,3 +250,21 @@ def test_deterministic_output(capsys):
     _, t1 = run(capsys, "table1", "--terms", "12")
     _, t2 = run(capsys, "table1", "--terms", "12")
     assert t1 == t2
+
+
+def test_maclaurin_exact_constant_function(capsys):
+    code, lines = run(capsys, "maclaurin", "--p", "4", "--m", "0", "--n", "0",
+                      "--J", "2", "--exact")
+    assert code == 0
+    rows = [ln.split(",") for ln in lines[1:]]
+    assert [float(r[2]) for r in rows] == [1.0, 0.0, 0.0]
+    assert [int(r[3]) for r in rows] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("factors", "--p", "4", "--m", "0", "--n", "0"),
+    ("roots", "--p", "4", "--m", "0", "--n", "0", "--k-max", "3"),
+])
+def test_constant_function_is_invalid_argument(capsys, argv):
+    code, _ = run(capsys, *argv)
+    assert code == 2

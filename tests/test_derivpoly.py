@@ -205,3 +205,8 @@ def test_root_ladder_validation():
         sg.root_ladder(SquigParams(p=4, m=-1, n=1), 4)
     with pytest.raises(ParameterError):
         sg.root_ladder(COSQUINE4, -1)
+
+
+def test_constant_function_has_no_root_ladder():
+    with pytest.raises(ParameterError):
+        sg.root_ladder(SquigParams(p=4, m=0, n=0), 3)

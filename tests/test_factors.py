@@ -214,3 +214,10 @@ def test_factor_sequence_validation():
     params = SquigParams(p=4, m=1, n=0)
     with pytest.raises(ParameterError):
         sg.integer_cf_terms((), params)
+
+
+def test_constant_function_has_no_factors():
+    # cq^0 sq^0 = 1 has numerators (1, 0, 0, ...): no term ratio exists.
+    params = SquigParams(p=4, m=0, n=0)
+    with pytest.raises(ParameterError):
+        sg.factor_sequence(sg.integer_maclaurin(params, 3), params)

@@ -1,0 +1,107 @@
+"""Bad-input contract: every public entry point rejects malformed values alike.
+
+Structural parameters (degrees, powers, orders, sizes, tolerances) raise
+ParameterError; numeric arguments (evaluation points, pi_p, polynomial
+roots) raise DomainError.  Both derive from SquigError.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+import squigonometry as sg
+from squigonometry import DomainError, ParameterError, SquigParams
+
+BAD_VALUES = (True, math.nan, math.inf, "x", None)
+
+P = SquigParams(p=4, m=1, n=0)
+
+
+def _fs():
+    return sg.factor_sequence(sg.integer_maclaurin(P, 6), P)
+
+
+# name -> (call taking (ctx4, ctx3, bad value), expected error).  Each call
+# is valid except for the one parameter fed the bad value.
+CASES = {
+    "compute_pi.p": (lambda c4, c3, v: sg.compute_pi(v), ParameterError),
+    "compute_pi.epsilon": (lambda c4, c3, v: sg.compute_pi(4, v), ParameterError),
+    "build_context.p": (lambda c4, c3, v: sg.build_context(v), ParameterError),
+    "build_context.epsilon": (lambda c4, c3, v: sg.build_context(4, v), ParameterError),
+    "build_context.J": (lambda c4, c3, v: sg.build_context(4, J=v), ParameterError),
+    "sq.t": (lambda c4, c3, v: sg.sq(c4, v), DomainError),
+    "cq.t": (lambda c4, c3, v: sg.cq(c4, v), DomainError),
+    "reduce_argument.t": (lambda c4, c3, v: sg.reduce_argument(c4, v), DomainError),
+    "pow_general.m": (lambda c4, c3, v: sg.pow_general(c4, v, 1, 0.5), ParameterError),
+    "pow_general.n": (lambda c4, c3, v: sg.pow_general(c4, 2, v, 0.5), ParameterError),
+    "pow_general.t": (lambda c4, c3, v: sg.pow_general(c4, 2, 1, v), DomainError),
+    "pow_general.t_odd_p": (lambda c4, c3, v: sg.pow_general(c3, -1, 1, v), DomainError),
+    "beta_value.p": (lambda c4, c3, v: sg.beta_value(v, 1, 0), ParameterError),
+    "beta_value.m": (lambda c4, c3, v: sg.beta_value(4, v, 0), ParameterError),
+    "beta_value.n": (lambda c4, c3, v: sg.beta_value(4, 1, v), ParameterError),
+    "beta_value.epsilon": (lambda c4, c3, v: sg.beta_value(4, 1, 0, v), ParameterError),
+    "beta_gamma.p": (lambda c4, c3, v: sg.beta_gamma(v, 1, 0), ParameterError),
+    "beta_gamma.m": (lambda c4, c3, v: sg.beta_gamma(4, v, 0), ParameterError),
+    "beta_gamma.n": (lambda c4, c3, v: sg.beta_gamma(4, 1, v), ParameterError),
+    "pi_gamma.p": (lambda c4, c3, v: sg.pi_gamma(v), ParameterError),
+    "estimate_terms.p": (lambda c4, c3, v: sg.estimate_terms(v, 3.7, 1e-10), ParameterError),
+    "estimate_terms.pi_p": (lambda c4, c3, v: sg.estimate_terms(4, v, 1e-10), DomainError),
+    "estimate_terms.epsilon": (lambda c4, c3, v: sg.estimate_terms(4, 3.7, v), ParameterError),
+    "radius.p": (lambda c4, c3, v: sg.radius(v, 3.7), ParameterError),
+    "radius.pi_p": (lambda c4, c3, v: sg.radius(4, v), DomainError),
+    "maclaurin.J": (lambda c4, c3, v: sg.maclaurin(P, v), ParameterError),
+    "integer_maclaurin.J": (lambda c4, c3, v: sg.integer_maclaurin(P, v), ParameterError),
+    "taylor_quarter.K": (lambda c4, c3, v: sg.taylor_quarter(P, v), ParameterError),
+    "build_triangle.K": (lambda c4, c3, v: sg.build_triangle(P, v), ParameterError),
+    "root_ladder.k_max": (lambda c4, c3, v: sg.root_ladder(P, v), ParameterError),
+    "explicit_coefficient.k": (lambda c4, c3, v: sg.explicit_coefficient(P, v, 1), ParameterError),
+    "explicit_coefficient.j": (lambda c4, c3, v: sg.explicit_coefficient(P, 4, v), ParameterError),
+    "matrix_factorial_row.k": (lambda c4, c3, v: sg.matrix_factorial_row(P, v, 8), ParameterError),
+    "matrix_factorial_row.size": (
+        lambda c4, c3, v: sg.matrix_factorial_row(P, 4, v), ParameterError,
+    ),
+    "corollary_coefficient.j": (lambda c4, c3, v: sg.corollary_coefficient(P, v), ParameterError),
+    "continued_fraction.t": (lambda c4, c3, v: sg.continued_fraction(_fs(), v, 3), DomainError),
+    "continued_fraction.depth": (
+        lambda c4, c3, v: sg.continued_fraction(_fs(), 0.5, v), ParameterError,
+    ),
+    "arcsq_oracle.x": (lambda c4, c3, v: sg.arcsq_oracle(v, 4), DomainError),
+    "arcsq_oracle.p": (lambda c4, c3, v: sg.arcsq_oracle(0.5, v), ParameterError),
+    "arcsq_oracle.tol": (lambda c4, c3, v: sg.arcsq_oracle(0.5, 4, v), ParameterError),
+    "algebraic_values.u": (lambda c4, c3, v: sg.algebraic_values(v, 4), DomainError),
+    "algebraic_values.p": (lambda c4, c3, v: sg.algebraic_values(-1.0, v), ParameterError),
+    "coefficient.k": (
+        lambda c4, c3, v: sg.coefficient(sg.build_triangle(P, 6), v, 1), ParameterError,
+    ),
+    "coefficient.j": (
+        lambda c4, c3, v: sg.coefficient(sg.build_triangle(P, 6), 4, v), ParameterError,
+    ),
+    "q_polynomial.k": (
+        lambda c4, c3, v: sg.q_polynomial(sg.build_triangle(P, 6), v), ParameterError,
+    ),
+}
+
+
+# J=None is build_context's documented default (size the table from epsilon).
+PAIRS = [
+    (case, bad)
+    for case in sorted(CASES)
+    for bad in BAD_VALUES
+    if not (case == "build_context.J" and bad is None)
+]
+
+
+@pytest.mark.parametrize("case,bad", PAIRS, ids=[f"{c}={b!r}" for c, b in PAIRS])
+def test_bad_input_raises_typed_error(case, bad, ctx4, ctx3):
+    call, expected = CASES[case]
+    with pytest.raises(expected):
+        call(ctx4, ctx3, bad)
+
+
+def test_compute_pi_cache_rejects_float_degree():
+    # The memo must not hand the int-4 record to a float degree.
+    sg.compute_pi(4)
+    with pytest.raises(ParameterError):
+        sg.compute_pi(4.0)
