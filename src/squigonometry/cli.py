@@ -44,30 +44,41 @@ def _entry_key(p: int, m: int, n: int, epsilon: float) -> str:
     return f"{p}|{m}|{n}|{float(epsilon).hex()}"
 
 
+def _read_cache(path: str) -> dict:
+    # Any unreadable or misshapen file is bad input (exit 2), not a crash.
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read cache file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ParameterError(f"cache file {path} is not valid JSON: {exc}") from None
+    if doc.__class__ is not dict or doc.get("format") != CACHE_FORMAT:
+        raise ParameterError(f"cache file {path} is not a format-{CACHE_FORMAT} cache document")
+    if doc.get("entries").__class__ is not dict:
+        raise ParameterError(f"cache file {path} has no entries object")
+    return doc
+
+
 def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
     """Write (or merge into) a cache file the sq and cq tables for one p.
 
-    Stores floats verbatim and exact numerators as decimal strings, plus the
-    pi_p the tables were sized against.  Returns the full document.
+    Stores the tables compute_pi solved on, floats verbatim and exact
+    numerators as decimal strings, plus that pi_p.  Returns the full document.
     """
-    record = constants.compute_pi(p, epsilon)
-    doc: dict = {"format": CACHE_FORMAT, "entries": {}}
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if doc.get("format") != CACHE_FORMAT:
-            raise ParameterError(f"cache file {path} has unsupported format {doc.get('format')!r}")
-    for m, n in ((0, 1), (1, 0)):
-        table = series.maclaurin(SquigParams(p=p, m=m, n=n), record.J_used, with_numerators=True)
-        doc["entries"][_entry_key(p, m, n, epsilon)] = {
+    record = constants._record(p, epsilon)
+    doc = _read_cache(path) if os.path.exists(path) else {"format": CACHE_FORMAT, "entries": {}}
+    for table in (record.sq_table, record.cq_table):
+        params = table.params
+        doc["entries"][_entry_key(p, params.m, params.n, epsilon)] = {
             "p": p,
-            "m": m,
-            "n": n,
+            "m": params.m,
+            "n": params.n,
             "J": table.J,
             "epsilon": epsilon,
             "pi_p": record.value,
             "floats": list(table.floats),
-            "numerators": [str(v) for v in table.numerators],
+            "numerators": [str(v) for v in series.integer_maclaurin(params, table.J)],
         }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -75,40 +86,52 @@ def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
     return doc
 
 
-def _load_entry(doc: dict, p: int, m: int, n: int, epsilon: float) -> series.MacLaurinTable:
+def _finite_number(value) -> bool:
+    return value.__class__ in (int, float) and math.isfinite(value)
+
+
+def _load_entry(
+    doc: dict, p: int, m: int, n: int, epsilon: float
+) -> tuple[series.MacLaurinTable, float]:
+    # Returns the table and the pi_p stored with it, after checking that the
+    # entry is complete and consistent with its key.
     key = _entry_key(p, m, n, epsilon)
-    if key not in doc.get("entries", {}):
+    entry = doc["entries"].get(key)
+    if entry is None:
         raise ParameterError(f"cache has no entry for p={p}, m={m}, n={n}, epsilon={epsilon}")
-    entry = doc["entries"][key]
-    return series.MacLaurinTable(
-        params=SquigParams(p=entry["p"], m=entry["m"], n=entry["n"]),
-        J=entry["J"],
-        floats=tuple(entry["floats"]),
-        numerators=tuple(int(v) for v in entry["numerators"]),
-    )
+    try:
+        J, floats, pi_p = entry["J"], tuple(entry["floats"]), entry["pi_p"]
+        numerators = tuple(map(triangle._json_int, entry["numerators"]))
+        key_matches = (entry["p"], entry["m"], entry["n"]) == (p, m, n)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"cache entry {key} is incomplete: {exc!r}") from None
+    if not (
+        key_matches
+        and J.__class__ is int
+        and len(floats) == len(numerators) == J + 1 > 0
+        and all(map(_finite_number, floats + (pi_p,)))
+        and pi_p > 0.0
+    ):
+        raise ParameterError(
+            f"cache entry {key} is inconsistent: p/m/n must match the key, floats and "
+            "numerators must hold J + 1 values, floats must be finite and pi_p "
+            "finite and positive"
+        )
+    table = series.MacLaurinTable(SquigParams(p=p, m=m, n=n), J, floats, numerators)
+    return table, pi_p
 
 
 def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.EvalContext:
     """Rebuild an evaluation context from a cache file, bit-identically.
 
     The returned context evaluates exactly as one built fresh with the same
-    (p, epsilon): floats pass through JSON unchanged.
+    (p, epsilon): floats pass through JSON unchanged.  A missing, unreadable
+    or malformed cache file raises ParameterError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CACHE_FORMAT:
-        raise ParameterError(f"cache file {path} has unsupported format {doc.get('format')!r}")
-    sq_table = _load_entry(doc, p, 0, 1, epsilon)
-    cq_table = _load_entry(doc, p, 1, 0, epsilon)
-    key = _entry_key(p, 0, 1, epsilon)
-    pi_p = doc["entries"][key]["pi_p"]
-    return evalcore.EvalContext(
-        p=p,
-        quarter=pi_p / 4.0,
-        sq_table=sq_table,
-        cq_table=cq_table,
-        epsilon=epsilon,
-    )
+    doc = _read_cache(path)
+    sq_table, pi_p = _load_entry(doc, p, 0, 1, epsilon)
+    cq_table, _ = _load_entry(doc, p, 1, 0, epsilon)
+    return evalcore.EvalContext(p, pi_p / 4.0, sq_table, cq_table, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +158,7 @@ def _cmd_pi(args: argparse.Namespace) -> int:
         raise ParameterError(f"empty p range {lo}..{hi}")
     print("p,pi_p,terms,iterations")
     for p in range(lo, hi + 1):
-        rec = constants.compute_pi(p, args.eps)
+        rec = constants._record(p, args.eps)
         print(f"{p},{rec.value!r},{rec.J_used},{rec.iterations}")
     return 0
 
@@ -212,7 +235,7 @@ def _cmd_maclaurin(args: argparse.Namespace) -> int:
     if args.J is not None:
         J = args.J
     else:
-        rec = constants.compute_pi(args.p, args.eps)
+        rec = constants._record(args.p, args.eps)
         J = rec.J_used
     table = series.maclaurin(params, J, with_numerators=args.exact)
     if args.exact:
@@ -259,7 +282,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          not problems, lines)
 
     for p in range(2, 11):
-        got = constants.compute_pi(p, args.eps).value
+        got = constants._record(p, args.eps).value
         want = constants.pi_gamma(p)
         all_ok &= _check("pi-gamma-oracle", f"p={p}",
                          abs(got - want) <= 1e-13 * want, lines)

@@ -14,7 +14,10 @@ fixed point (two or three rounds in practice).  The Newton seed comes from a
 deep factor-sequence ratio via pi_from_factors, except at p = 2 where that
 identity degenerates and the seed t = 1 is used.
 
-Results are cached per (p, epsilon); repeated calls return the same record.
+Results are cached per (p, epsilon); repeated calls return the same record,
+which also carries the sq and cq tables of the final sizing round.  Those
+tables are the ones evaluation contexts use, so each (p, epsilon) pair is
+built once.
 
 beta_value evaluates the Euler Beta function at arguments on the 1/p grid
 through the arclength integral of cq^m sq^n over the first quadrant,
@@ -31,25 +34,28 @@ with the series path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import ConvergenceError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, build_context, cq, horner_sparse, sq
 from .factors import pi_from_factors
-from .series import EPS_DEFAULT, estimate_terms, maclaurin
+from .series import EPS_DEFAULT, MacLaurinTable, estimate_terms, maclaurin
 from .triangle import SquigParams
 
 
 @dataclass(frozen=True)
 class PiRecord:
-    """One computed pi_p: the value, Newton cost, table length, tolerance."""
+    """One computed pi_p: the value, Newton cost, table length, tolerance,
+    and the sq and cq tables of length J_used that the Newton solve ran on."""
 
     p: int
     value: float
     iterations: int
     J_used: int
     epsilon: float
+    sq_table: MacLaurinTable = field(repr=False, compare=False)
+    cq_table: MacLaurinTable = field(repr=False, compare=False)
 
 
 def _factorial_terms(epsilon: float) -> int:
@@ -80,7 +86,9 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     PiRecord
         value holds pi_p; iterations counts Newton steps in the final sizing
         round; J_used is the stabilized table length, which for p >= 3 is
-        the fixed point of estimate_terms at the computed pi_p.
+        the fixed point of estimate_terms at the computed pi_p; sq_table
+        and cq_table are the tables at that length which the Newton solve
+        ran on, shared by every context build_context returns.
     """
     check_int("p", p, 2)
     check_tolerance("epsilon", epsilon)
@@ -122,9 +130,17 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
         else:
             J_next = estimate_terms(p, 4.0 * t, epsilon)
         if J_next == J:
-            return PiRecord(p=p, value=4.0 * t, iterations=iterations, J_used=J, epsilon=epsilon)
+            return PiRecord(p, 4.0 * t, iterations, J, epsilon, sq_table, cq_table)
         J = J_next
     raise ConvergenceError(f"table length for pi_{p} did not stabilize")
+
+
+def _record(p: int, epsilon: float) -> PiRecord:
+    # compute_pi(p) and compute_pi(p, EPS_DEFAULT) are separate memo keys;
+    # callers in the package ask for the default in the short form, so a
+    # plain compute_pi(p) and every context for (p, EPS_DEFAULT) share one
+    # record and one table pair.
+    return compute_pi(p) if epsilon == EPS_DEFAULT else compute_pi(p, epsilon)
 
 
 def pi_gamma(p: int) -> float:
@@ -147,7 +163,7 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("epsilon", epsilon)
-    record = compute_pi(p, epsilon)
+    record = _record(p, epsilon)
     J = record.J_used
     x = record.value / 4.0
     lower = maclaurin(SquigParams(p=p, m=m, n=n), J)

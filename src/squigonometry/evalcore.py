@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .errors import check_finite, check_int, check_powers, check_tolerance
-from .series import EPS_DEFAULT, MacLaurinTable, maclaurin
-from .triangle import SquigParams
+from .series import EPS_DEFAULT, MacLaurinTable
 
 
 @dataclass(frozen=True)
@@ -65,28 +64,21 @@ class QuadrantReduction(NamedTuple):
     sign_cq: int
 
 
-def build_context(p: int, epsilon: float = EPS_DEFAULT, J: int | None = None) -> EvalContext:
+def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     """Build the evaluation context for circle degree p.
 
-    The quarter period and the table length come from the constants module
-    (imported lazily; constants itself evaluates through contexts it builds
-    by hand during bootstrap).  J overrides the table length when given.
+    The quarter period and both tables come from the compute_pi record for
+    (p, epsilon), imported lazily because constants imports this module:
+    the context shares the tables the quarter period was solved on.
     """
+    # Validate before the memo hashes its arguments, so an unhashable value
+    # raises ParameterError rather than TypeError.
     check_int("p", p, 2)
     check_tolerance("epsilon", epsilon)
-    if J is not None:
-        check_int("J", J, 1)
-    from .constants import compute_pi
+    from .constants import _record
 
-    record = compute_pi(p, epsilon)
-    length = record.J_used if J is None else J
-    return EvalContext(
-        p=p,
-        quarter=record.value / 4.0,
-        sq_table=maclaurin(SquigParams(p=p, m=0, n=1), length),
-        cq_table=maclaurin(SquigParams(p=p, m=1, n=0), length),
-        epsilon=epsilon,
-    )
+    record = _record(p, epsilon)
+    return EvalContext(p, record.value / 4.0, record.sq_table, record.cq_table, epsilon)
 
 
 def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
@@ -127,6 +119,7 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
     Folds coefficients from the deep end, b <- a_j - b t^p, so the alternating
     signs come out of the single subtraction, then scales by t^n.
     """
+    check_finite("t", t)
     tp = float(t) ** table.params.p
     b = table.floats[table.J]
     for j in range(table.J - 1, -1, -1):

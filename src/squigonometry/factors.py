@@ -118,26 +118,12 @@ def eval_factor_expansion(fs: FactorSequence, t: float, epsilon: float) -> tuple
 def continued_fraction(fs: FactorSequence, t: float, depth: int) -> float:
     """Evaluate the depth-D continued fraction; equals the partial sum 0..D.
 
-    depth = 0 returns t^n.  Denominators are folded bottom-up; a vanishing
-    denominator raises ZeroDenominatorError naming the level.
+    depth = 0 returns t^n.  The float fraction is the integer form with unit
+    lead and levels (a_j, 1, a_j), so evaluate_integer_cf folds it; a
+    vanishing denominator raises ZeroDenominatorError naming the level.
     """
-    check_finite("t", t)
-    check_int("depth", depth, 0, fs.J)
-    tn = float(t) ** fs.params.n
-    if depth == 0:
-        return tn
-    tp = float(t) ** fs.params.p
-    v = 1.0 - fs.floats[depth] * tp
-    for j in range(depth - 1, 0, -1):
-        if v == 0.0:
-            raise ZeroDenominatorError(f"denominator vanished at level {j + 1}, t={t}")
-        v = 1.0 - fs.floats[j] * tp + fs.floats[j + 1] * tp / v
-    if v == 0.0:
-        raise ZeroDenominatorError(f"denominator vanished at level 1, t={t}")
-    w = 1.0 + fs.floats[1] * tp / v
-    if w == 0.0:
-        raise ZeroDenominatorError(f"denominator vanished at level 0, t={t}")
-    return tn / w
+    levels = [(a, 1.0, a) for a in fs.floats[1:]]
+    return evaluate_integer_cf((1, 1), levels, fs.params, t, depth)
 
 
 def integer_cf_terms(

@@ -205,11 +205,30 @@ def triangle_to_json(tri: CoeffTriangle) -> str:
     return json.dumps(doc)
 
 
+def _json_int(value) -> int:
+    # Entries are ints or decimal strings; int() alone would also truncate
+    # 1.5 and accept a JSON true.
+    if value.__class__ not in (int, str):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def triangle_from_json(text: str) -> CoeffTriangle:
-    """Inverse of triangle_to_json; round-trips exactly."""
-    doc = json.loads(text)
-    params = SquigParams(p=doc["p"], m=doc["m"], n=doc["n"])
-    rows = tuple({int(j): int(v) for j, v in row} for row in doc["rows"])
-    if len(rows) != doc["K"] + 1:
+    """Inverse of triangle_to_json; round-trips exactly.
+
+    Invalid JSON, a missing key, a row that is not a list or an entry that
+    is not an integer raises ParameterError.
+    """
+    try:
+        doc = json.loads(text)
+        params = SquigParams(p=doc["p"], m=doc["m"], n=doc["n"])
+        K = doc["K"]
+        if not all(row.__class__ is list for row in doc["rows"]):
+            raise TypeError("every row must be a list of [column, value] pairs")
+        rows = tuple({_json_int(j): _json_int(v) for j, v in row} for row in doc["rows"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed serialized triangle: {exc}") from None
+    check_int("K", K, 0)
+    if len(rows) != K + 1:
         raise ParameterError("serialized triangle has wrong row count")
-    return CoeffTriangle(params=params, K=doc["K"], rows=rows)
+    return CoeffTriangle(params=params, K=K, rows=rows)

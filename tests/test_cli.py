@@ -231,6 +231,62 @@ def test_cache_missing_entry(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
+_KEY = "4|0|1|0x1.0000000000000p-53"
+_ENTRY = {"p": 4, "m": 0, "n": 1, "J": 1, "pi_p": 3.7, "floats": [1.0, 0.05],
+          "numerators": ["1", "6"]}
+
+
+def _doc(entry) -> str:
+    return json.dumps({"format": 1, "entries": {_KEY: entry}})
+
+
+_BAD_DOCUMENTS = ["{not json", "[1, 2]", '"tables"', '{"format": 1}',
+                  '{"format": 1, "entries": []}']
+_BAD_ENTRIES = [
+    {"p": 4},
+    [1, 2],
+    *({k: v for k, v in _ENTRY.items() if k != missing}
+      for missing in ("p", "m", "n", "J", "floats", "numerators", "pi_p")),
+    *({**_ENTRY, **change} for change in (
+        {"J": 2}, {"J": 0}, {"J": "1"}, {"numerators": ["1"]}, {"numerators": ["1", "x"]},
+        {"numerators": ["1", 1.5]}, {"numerators": ["1", True]},
+        {"floats": [1.0, "x"]}, {"floats": [1.0, math.inf]}, {"floats": [1.0, math.nan]},
+        {"pi_p": math.inf}, {"pi_p": math.nan}, {"pi_p": None},
+        {"p": 5}, {"m": 1}, {"n": 0},
+    )),
+]
+
+
+@pytest.mark.parametrize("text", [None, *_BAD_DOCUMENTS, *map(_doc, _BAD_ENTRIES)])
+def test_bad_cache_file_exits_2(capsys, tmp_path, monkeypatch, text):
+    # None: no file at all.  Every case is bad input, never a traceback.
+    monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    if text is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    code, _ = run(capsys, "cache", "load", "--p", "4")
+    assert code == 2
+    with pytest.raises(sg.ParameterError):
+        cli.load_context(path, 4)
+    if text in _BAD_DOCUMENTS:
+        # save merges into the file, so it refuses one that is not a cache document.
+        code, _ = run(capsys, "cache", "save", "--p", "4")
+        assert code == 2
+
+
+def test_cache_file_checks_accept_a_good_entry(tmp_path):
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format": 1, "entries": {
+            _KEY: _ENTRY,
+            _KEY.replace("4|0|1", "4|1|0"): {**_ENTRY, "m": 1, "n": 0},
+        }}, fh)
+    ctx = cli.load_context(path, 4)
+    assert ctx.sq_table.floats == (1.0, 0.05)
+    assert ctx.pi_p == 3.7
+
+
 def test_cache_merges_entries(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
     run(capsys, "cache", "save", "--p", "3")

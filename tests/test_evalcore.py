@@ -25,10 +25,25 @@ def test_context_table_size_matches_estimate(ctx4):
     assert ctx4.cq_table.J == want
 
 
-def test_context_j_override():
-    ctx = sg.build_context(4, J=40)
-    assert ctx.sq_table.J == 40
-    assert sg.sq(ctx, 0.5) == pytest.approx(sg.sq(sg.build_context(4), 0.5), abs=1e-16)
+def test_context_shares_the_tables_pi_was_solved_on():
+    record = sg.compute_pi(4)
+    ctx = sg.build_context(4)
+    assert ctx.sq_table is record.sq_table
+    assert ctx.cq_table is record.cq_table
+    assert "sq_table" not in repr(record)
+
+
+def test_context_has_no_table_length_override():
+    with pytest.raises(TypeError):
+        sg.build_context(4, J=40)
+
+
+def test_build_context_validates_before_the_memo():
+    # The memo hashes its arguments, so an unhashable value must be caught first.
+    with pytest.raises(ParameterError):
+        sg.build_context(4, [1])
+    with pytest.raises(ParameterError):
+        sg.build_context([4])
 
 
 def test_reduction_identity_on_first_octant(ctx4):

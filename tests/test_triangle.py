@@ -156,6 +156,24 @@ def test_json_uses_decimal_strings_for_values():
     assert doc["rows"][6][0] == [2, "1134"]
 
 
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2]",
+    "{}",
+    '{"p": 4, "m": 1, "n": 0, "rows": [[[0, "1"]]]}',
+    '{"p": 4, "m": 1, "n": 0, "K": 0, "rows": ["0 1"]}',
+    '{"p": 4, "m": 1, "n": 0, "K": 0, "rows": [{"0": "1"}]}',
+    '{"p": 4, "m": 1, "n": 0, "K": 0, "rows": [[[0, "x"]]]}',
+    '{"p": 4, "m": 1, "n": 0, "K": 0, "rows": [[[0, 1.5]]]}',
+    '{"p": 4, "m": 1, "n": 0, "K": 0, "rows": [[[0, true]]]}',
+    '{"p": 4, "m": 1, "n": 0, "K": "0", "rows": [[[0, "1"]]]}',
+    '{"p": 4, "m": 1, "n": 0, "K": 1, "rows": [[[0, "1"]]]}',
+])
+def test_json_malformed_document_is_parameter_error(text):
+    with pytest.raises(ParameterError):
+        sg.triangle_from_json(text)
+
+
 def test_validation_errors():
     with pytest.raises(ParameterError):
         SquigParams(p=1, m=0, n=1)

@@ -30,10 +30,10 @@ CASES = {
     "compute_pi.epsilon": (lambda c4, c3, v: sg.compute_pi(4, v), ParameterError),
     "build_context.p": (lambda c4, c3, v: sg.build_context(v), ParameterError),
     "build_context.epsilon": (lambda c4, c3, v: sg.build_context(4, v), ParameterError),
-    "build_context.J": (lambda c4, c3, v: sg.build_context(4, J=v), ParameterError),
     "sq.t": (lambda c4, c3, v: sg.sq(c4, v), DomainError),
     "cq.t": (lambda c4, c3, v: sg.cq(c4, v), DomainError),
     "reduce_argument.t": (lambda c4, c3, v: sg.reduce_argument(c4, v), DomainError),
+    "horner_sparse.t": (lambda c4, c3, v: sg.horner_sparse(c4.sq_table, v), DomainError),
     "pow_general.m": (lambda c4, c3, v: sg.pow_general(c4, v, 1, 0.5), ParameterError),
     "pow_general.n": (lambda c4, c3, v: sg.pow_general(c4, 2, v, 0.5), ParameterError),
     "pow_general.t": (lambda c4, c3, v: sg.pow_general(c4, 2, 1, v), DomainError),
@@ -84,13 +84,7 @@ CASES = {
 }
 
 
-# J=None is build_context's documented default (size the table from epsilon).
-PAIRS = [
-    (case, bad)
-    for case in sorted(CASES)
-    for bad in BAD_VALUES
-    if not (case == "build_context.J" and bad is None)
-]
+PAIRS = [(case, bad) for case in sorted(CASES) for bad in BAD_VALUES]
 
 
 @pytest.mark.parametrize("case,bad", PAIRS, ids=[f"{c}={b!r}" for c, b in PAIRS])
