@@ -66,7 +66,7 @@ def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
     Stores the tables compute_pi solved on, floats verbatim and exact
     numerators as decimal strings, plus that pi_p.  Returns the full document.
     """
-    record = constants._record(p, epsilon)
+    record = constants.compute_pi(p, epsilon)
     doc = _read_cache(path) if os.path.exists(path) else {"format": CACHE_FORMAT, "entries": {}}
     for table in (record.sq_table, record.cq_table):
         params = table.params
@@ -158,7 +158,7 @@ def _cmd_pi(args: argparse.Namespace) -> int:
         raise ParameterError(f"empty p range {lo}..{hi}")
     print("p,pi_p,terms,iterations")
     for p in range(lo, hi + 1):
-        rec = constants._record(p, args.eps)
+        rec = constants.compute_pi(p, args.eps)
         print(f"{p},{rec.value!r},{rec.J_used},{rec.iterations}")
     return 0
 
@@ -235,7 +235,7 @@ def _cmd_maclaurin(args: argparse.Namespace) -> int:
     if args.J is not None:
         J = args.J
     else:
-        rec = constants._record(args.p, args.eps)
+        rec = constants.compute_pi(args.p, args.eps)
         J = rec.J_used
     table = series.maclaurin(params, J, with_numerators=args.exact)
     if args.exact:
@@ -282,7 +282,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          not problems, lines)
 
     for p in range(2, 11):
-        got = constants._record(p, args.eps).value
+        got = constants.compute_pi(p, args.eps).value
         want = constants.pi_gamma(p)
         all_ok &= _check("pi-gamma-oracle", f"p={p}",
                          abs(got - want) <= 1e-13 * want, lines)

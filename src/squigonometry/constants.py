@@ -67,9 +67,6 @@ def _factorial_terms(epsilon: float) -> int:
     return j + 2
 
 
-# typed: a float degree such as 4.0 must miss the cache and fail validation
-# rather than return the record cached for the int 4.
-@lru_cache(maxsize=None, typed=True)
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     """Quarter-period Newton solve for pi_p, with self-sized tables.
 
@@ -90,8 +87,17 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
         and cq_table are the tables at that length which the Newton solve
         ran on, shared by every context build_context returns.
     """
+    # Validate before the memo sees the arguments, so a float degree such as
+    # 4.0 fails rather than hit the record of the int 4, and key the memo on
+    # the values alone, so compute_pi(4), compute_pi(4, EPS_DEFAULT) and
+    # compute_pi(4, epsilon=EPS_DEFAULT) share one solve.
     check_int("p", p, 2)
     check_tolerance("epsilon", epsilon)
+    return _solve_pi(p, epsilon)
+
+
+@lru_cache(maxsize=None)
+def _solve_pi(p: int, epsilon: float) -> PiRecord:
     if p == 2:
         J = _factorial_terms(epsilon)
     else:
@@ -135,12 +141,9 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     raise ConvergenceError(f"table length for pi_{p} did not stabilize")
 
 
-def _record(p: int, epsilon: float) -> PiRecord:
-    # compute_pi(p) and compute_pi(p, EPS_DEFAULT) are separate memo keys;
-    # callers in the package ask for the default in the short form, so a
-    # plain compute_pi(p) and every context for (p, EPS_DEFAULT) share one
-    # record and one table pair.
-    return compute_pi(p) if epsilon == EPS_DEFAULT else compute_pi(p, epsilon)
+# The memo is inspected and cleared through the public name.
+compute_pi.cache_info = _solve_pi.cache_info
+compute_pi.cache_clear = _solve_pi.cache_clear
 
 
 def pi_gamma(p: int) -> float:
@@ -163,7 +166,7 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("epsilon", epsilon)
-    record = _record(p, epsilon)
+    record = compute_pi(p, epsilon)
     J = record.J_used
     x = record.value / 4.0
     lower = maclaurin(SquigParams(p=p, m=m, n=n), J)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 
 from .errors import DomainError, ParameterError, RootCountError
@@ -106,19 +105,24 @@ def kth_derivative_value(ctx: EvalContext, tri: CoeffTriangle, k: int, t: float)
 # Exact sign evaluation and root isolation.
 
 def _sign_at_dyadic(coeffs: list[int], value: float) -> int:
-    # Sign of sum coeffs[i] * value^i, exactly: binary64 values are dyadic
-    # rationals, so the Horner accumulation stays in Fraction without error.
-    x = Fraction(value)
-    acc = Fraction(0)
+    # Sign of sum coeffs[i] * value^i, exactly.  A binary64 value is
+    # num / 2^s, so scaling by 2^(s*d) for degree d leaves the integer
+    # sum coeffs[i] * num^i * 2^(s*(d - i)), one Horner pass with no gcd.
+    num, den = value.as_integer_ratio()
+    s = den.bit_length() - 1
+    acc = 0
+    shift = 0
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * num + (c << shift)
+        shift += s
     return (acc > 0) - (acc < 0)
 
 
 def _cauchy_bound(coeffs: list[int]) -> float:
     lead = coeffs[-1]
     top = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
-    return 1.0 + float(Fraction(top, abs(lead)))
+    # int / int true division is correctly rounded.
+    return 1.0 + top / abs(lead)
 
 
 def _bisect(coeffs: list[int], lo: float, hi: float, sign_lo: int) -> float:
@@ -247,4 +251,4 @@ def critical_value(params: SquigParams) -> float:
     """
     check_powers(params.m, params.n, 1)
     p, m, n = params.p, params.m, params.n
-    return float(Fraction(m ** m * n ** n, (m + n) ** (m + n))) ** (1.0 / p)
+    return ((m ** m * n ** n) / (m + n) ** (m + n)) ** (1.0 / p)

@@ -71,13 +71,9 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     (p, epsilon), imported lazily because constants imports this module:
     the context shares the tables the quarter period was solved on.
     """
-    # Validate before the memo hashes its arguments, so an unhashable value
-    # raises ParameterError rather than TypeError.
-    check_int("p", p, 2)
-    check_tolerance("epsilon", epsilon)
-    from .constants import _record
+    from .constants import compute_pi
 
-    record = _record(p, epsilon)
+    record = compute_pi(p, epsilon)
     return EvalContext(p, record.value / 4.0, record.sq_table, record.cq_table, epsilon)
 
 
@@ -120,23 +116,29 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
     signs come out of the single subtraction, then scales by t^n.
     """
     check_finite("t", t)
-    tp = float(t) ** table.params.p
+    return _horner(table, float(t))
+
+
+def _horner(table: MacLaurinTable, t: float) -> float:
+    # horner_sparse without the check, for arguments reduce_argument has
+    # already checked and reduced.
+    tp = t ** table.params.p
     b = table.floats[table.J]
     for j in range(table.J - 1, -1, -1):
         b = table.floats[j] - b * tp
-    return float(t) ** table.params.n * b
+    return t ** table.params.n * b
 
 
 def sq(ctx: EvalContext, t: float) -> float:
     """Squine of t: y-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     s, use_co, sign_sq, _ = reduce_argument(ctx, t)
-    return sign_sq * horner_sparse(ctx.cq_table if use_co else ctx.sq_table, s)
+    return sign_sq * _horner(ctx.cq_table if use_co else ctx.sq_table, s)
 
 
 def cq(ctx: EvalContext, t: float) -> float:
     """Cosquine of t: x-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     s, use_co, _, sign_cq = reduce_argument(ctx, t)
-    return sign_cq * horner_sparse(ctx.sq_table if use_co else ctx.cq_table, s)
+    return sign_cq * _horner(ctx.sq_table if use_co else ctx.cq_table, s)
 
 
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:

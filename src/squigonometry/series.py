@@ -121,14 +121,14 @@ def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:
     """Exact integer numerators F_0..F_J with F_j = q[n + pj][j].
 
     Runs the exact row generator to order n + p*J, holding one row at a
-    time, and reads one entry per target order.  F_j / (n + pj)! reproduces
-    maclaurin floats up to one rounding.  The constant function (m = n = 0)
-    gives (1, 0, ..., 0).
+    time and no column above J, and reads one entry per target order.
+    F_j / (n + pj)! reproduces maclaurin floats up to one rounding.  The
+    constant function (m = n = 0) gives (1, 0, ..., 0).
     """
     check_powers(params.m, params.n)
     check_int("J", J, 0)
     p, n = params.p, params.n
-    orders = islice(_rows(params, {0: 1}, 0), n, n + p * J + 1, p)
+    orders = islice(_rows(params, {0: 1}, 0, J), n, n + p * J + 1, p)
     return tuple(row.get(j, 0) for j, row in enumerate(orders))
 
 

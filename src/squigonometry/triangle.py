@@ -30,6 +30,7 @@ read their rows from it.  The routes in explicit stay independent oracles.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -88,12 +89,17 @@ def band_limits(params: SquigParams, k: int) -> tuple[int, int]:
     return j_lo, j_hi
 
 
-def _rows(params: SquigParams, row: dict[int, int], k: int) -> Iterator[dict[int, int]]:
+def _rows(
+    params: SquigParams, row: dict[int, int], k: int, j_max: float = math.inf
+) -> Iterator[dict[int, int]]:
     """Yield the given row of order k, then rows k + 1, k + 2, ... forever.
 
     Exact integers; rows after the start hold no zeros.  Only the current
     row is kept, so a consumer reading one entry per row stays flat in memory.
-    Start from q[0] = {0: 1} at k = 0 for the triangle itself.
+    Start from q[0] = {0: 1} at k = 0 for the triangle itself.  Column
+    indices never decrease along the recursion, so a consumer that reads no
+    column above j_max passes it to skip the shift out of column j_max;
+    every entry at a column <= j_max is unchanged.
     """
     p, m, n = params.p, params.m, params.n
     while True:
@@ -104,7 +110,7 @@ def _rows(params: SquigParams, row: dict[int, int], k: int) -> Iterator[dict[int
             if c_keep:
                 nxt[j] = nxt.get(j, 0) + c_keep * v
             c_shift = m + k * (p - 1) - p * j
-            if c_shift:
+            if c_shift and j < j_max:
                 nxt[j + 1] = nxt.get(j + 1, 0) + c_shift * v
         row = {j: v for j, v in nxt.items() if v}
         k += 1

@@ -69,6 +69,15 @@ def test_memoized_identity():
     assert sg.compute_pi(5) is not sg.compute_pi(5, epsilon=2.0 ** -40)
 
 
+def test_memo_keyed_on_values_not_call_form():
+    sg.compute_pi.cache_clear()
+    short = sg.compute_pi(4)
+    assert sg.compute_pi(4, sg.EPS_DEFAULT) is short
+    assert sg.compute_pi(4, epsilon=sg.EPS_DEFAULT) is short
+    assert sg.compute_pi.cache_info().misses == 1
+    assert sg.build_context(4).sq_table is short.sq_table
+
+
 def test_smaller_epsilon_consistent():
     loose = sg.compute_pi(4, epsilon=2.0 ** -30)
     tight = sg.compute_pi(4)

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squigonometry as sg
 from squigonometry import (
@@ -12,9 +17,21 @@ from squigonometry import (
     SquigParams,
     band_limits,
 )
+from squigonometry.derivpoly import _sign_at_dyadic
 
 COSQUINE4 = SquigParams(p=4, m=1, n=0)
 SQUINE6 = SquigParams(p=6, m=0, n=1)
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def fraction_sign(coeffs: list[int], value: float) -> int:
+    # Reference for the integer sign kernel: the same Horner sum carried in
+    # exact rationals, normalised at every step.
+    x = Fraction(value)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
 
 
 def test_q_polynomial_dense_view():
@@ -210,3 +227,55 @@ def test_root_ladder_validation():
 def test_constant_function_has_no_root_ladder():
     with pytest.raises(ParameterError):
         sg.root_ladder(SquigParams(p=4, m=0, n=0), 3)
+
+
+PROBES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.builds(math.ldexp, st.sampled_from([1.0, -1.0]), st.integers(-1074, 1023)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(2 ** 300), 2 ** 300), min_size=1, max_size=41),
+    value=PROBES,
+)
+def test_sign_at_dyadic_matches_fraction_oracle(coeffs, value):
+    assert _sign_at_dyadic(coeffs, value) == fraction_sign(coeffs, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    root=PROBES,
+    cofactor=st.lists(st.integers(-(2 ** 60), 2 ** 60), min_size=1, max_size=20),
+)
+def test_sign_at_dyadic_around_a_dyadic_root(root, cofactor):
+    # (den u - num) * cofactor vanishes exactly at root = num / den; the
+    # sign one float either side is the finest decision bisection makes.
+    num, den = root.as_integer_ratio()
+    coeffs = [0] * (len(cofactor) + 1)
+    for i, c in enumerate(cofactor):
+        coeffs[i] -= num * c
+        coeffs[i + 1] += den * c
+    assert _sign_at_dyadic(coeffs, root) == 0
+    for x in (math.nextafter(root, -math.inf), math.nextafter(root, math.inf)):
+        if math.isfinite(x):
+            assert _sign_at_dyadic(coeffs, x) == fraction_sign(coeffs, x)
+
+
+def test_sign_at_dyadic_exact_roots_and_zero_polynomial():
+    # (4u + 3)(u - 2^-40) vanishes exactly at both dyadic roots.
+    coeffs = [-3, 3 * 2 ** 40 - 4, 4 * 2 ** 40]
+    for root in (-0.75, 2.0 ** -40):
+        assert _sign_at_dyadic(coeffs, root) == 0
+    assert _sign_at_dyadic(coeffs, -0.75 - 2.0 ** -52) == 1
+    assert _sign_at_dyadic([0, 0, 0], 1e300) == 0
+
+
+def test_root_ladder_golden_bits():
+    # Every root of the 6-cosquine ladder to level 30, pinned bit for bit as
+    # computed by the Fraction sign evaluation this kernel replaced.
+    want = json.loads((GOLDEN / "root_ladder_p6_m1_n0_k30.json").read_text())
+    ladder = sg.root_ladder(SquigParams(p=6, m=1, n=0), 30)
+    assert [[r.hex() for r in level.negative_roots] for level in ladder] == want
