@@ -10,9 +10,12 @@ so nothing here depends on already knowing pi_p).
 Sizing the tables needs pi_p, which is what is being computed, so the length
 is bootstrapped: seed from the bound pi_p < 4, Newton to convergence, re-ask
 the term estimate with the computed value, and repeat until the length is a
-fixed point (two or three rounds in practice).  The Newton seed comes from a
-deep factor-sequence ratio via pi_from_factors, except at p = 2 where that
-identity degenerates and the seed t = 1 is used.
+fixed point (two or three rounds in practice).  One column generator per
+table lives through all the rounds: a longer round pulls only the columns
+it adds and a shorter one slices, so each coefficient is computed once per
+solve.  The Newton seed comes from a deep factor-sequence ratio via
+pi_from_factors, except at p = 2 where that identity degenerates and the
+seed t = 1 is used.
 
 Results are cached per (p, epsilon); repeated calls return the same record,
 which also carries the sq and cq tables of the final sizing round.  Those
@@ -26,21 +29,25 @@ through the arclength integral of cq^m sq^n over the first quadrant,
 
 split at the quarter period: the upper half reflects onto the lower half
 with m and n exchanged, and both halves integrate term by term from their
-MacLaurin tables.  pi_gamma and beta_gamma give the classical gamma-function
-forms of the same quantities for cross-checking; they share no machinery
-with the series path.
+MacLaurin tables.  The sq and cq halves read the record's tables; other
+halves pull their own columns, past the record's length when m and n need
+more terms for the requested epsilon.  pi_gamma and beta_gamma give the
+classical gamma-function forms of the same quantities for cross-checking;
+they share no machinery with the series path.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 
 from .errors import ConvergenceError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, build_context, cq, horner_sparse, sq
 from .factors import pi_from_factors
-from .series import EPS_DEFAULT, MacLaurinTable, estimate_terms, maclaurin
+from .series import EPS_DEFAULT, MacLaurinTable, _columns, estimate_terms
 from .triangle import SquigParams
 
 
@@ -104,9 +111,17 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
         # Seed from pi_p < 4; underestimates J slightly, fixed by iteration.
         J = max(estimate_terms(p, 4.0, epsilon), 4)
     target = 2.0 ** (-1.0 / p)
+    sq_params = SquigParams(p=p, m=0, n=1)
+    cq_params = SquigParams(p=p, m=1, n=0)
+    sq_columns, cq_columns = _columns(sq_params), _columns(cq_params)
+    sq_floats: list[float] = []
+    cq_floats: list[float] = []
     for _ in range(8):
-        sq_table = maclaurin(SquigParams(p=p, m=0, n=1), J)
-        cq_table = maclaurin(SquigParams(p=p, m=1, n=0), J)
+        # A longer round pulls only the columns it adds; a shorter one slices.
+        for floats, columns in ((sq_floats, sq_columns), (cq_floats, cq_columns)):
+            floats.extend(islice(columns, max(J + 1 - len(floats), 0)))
+        sq_table = MacLaurinTable(sq_params, J, tuple(sq_floats[: J + 1]))
+        cq_table = MacLaurinTable(cq_params, J, tuple(cq_floats[: J + 1]))
         if not all(map(math.isfinite, sq_table.floats + cq_table.floats)):
             # Transit values of the coefficient recursion grow roughly
             # geometrically in j with a rate that worsens as p grows; past
@@ -160,25 +175,78 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
 
     Integrates cq^m sq^n term by term over [0, pi_p/4] twice, once as given
     and once with m and n exchanged for the reflected upper half, then scales
-    by p.  The two-table sum is accumulated with exact summation, so the
-    result is bitwise symmetric in m and n.  Requires m, n >= 0.
+    by p.  Each half takes the record's J_used + 1 terms and more while the
+    next one exceeds epsilon / 2 relative to the sum, since J_used sizes the
+    sq and cq tables and ignores m and n.  The sq and cq halves read the
+    record's tables, and m = n builds one table for both halves.  The
+    two-half sum is accumulated with exact summation, so the result is
+    bitwise symmetric in m and n.  Requires m, n >= 0.
     """
     check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("epsilon", epsilon)
     record = compute_pi(p, epsilon)
-    J = record.J_used
     x = record.value / 4.0
-    lower = maclaurin(SquigParams(p=p, m=m, n=n), J)
-    upper = maclaurin(SquigParams(p=p, m=n, n=m), J)
-    terms: list[float] = []
-    for j in range(J + 1):
-        sign = 1.0 if j % 2 == 0 else -1.0
-        power_lower = n + p * j + 1
-        power_upper = m + p * j + 1
-        terms.append(sign * lower.floats[j] / power_lower * x ** power_lower)
-        terms.append(sign * upper.floats[j] / power_upper * x ** power_upper)
-    return p * math.fsum(terms)
+    if not x < 1.0:
+        # pi_p < 4 for every p; past it the series diverge and a further
+        # term would overflow instead of shrinking.
+        raise ConvergenceError(
+            f"pi_{p} solved at epsilon={epsilon!r} is {record.value!r}, not below 4"
+        )
+    lower_params = SquigParams(p=p, m=m, n=n)
+    upper_params = SquigParams(p=p, m=n, n=m)
+    halves = {params: _half(record, params, x) for params in {lower_params, upper_params}}
+    lower, upper = halves[lower_params][0], halves[upper_params][0]
+    # Each half's dropped tail alternates with shrinking terms, so it is at
+    # most its first term; half of epsilon each keeps the total within it.
+    bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
+    for params, (terms, columns) in halves.items():
+        _extend_half(terms, params, columns, x, bound)
+    return p * math.fsum(lower + upper)
+
+
+def _half(
+    record: PiRecord, params: SquigParams, x: float
+) -> tuple[list[float], Iterator[float] | None]:
+    # Signed terms (-1)^j a_j x^power / power, power = n + pj + 1, of one
+    # half for j <= J_used, and the live column generator past them (None
+    # for a half read from the record's tables).
+    held = {table.params: table.floats for table in (record.sq_table, record.cq_table)}
+    floats = held.get(params)
+    columns = None
+    if floats is None:
+        columns = _columns(params)
+        floats = islice(columns, record.J_used + 1)
+    p, n = params.p, params.n
+    terms = []
+    for j, a in enumerate(floats):
+        power = n + p * j + 1
+        terms.append((1.0 if j % 2 == 0 else -1.0) * a / power * x ** power)
+    return terms, columns
+
+
+def _extend_half(
+    terms: list[float], params: SquigParams, columns: Iterator[float] | None, x: float, bound: float
+) -> None:
+    # Append the terms past the table while the next one exceeds bound.
+    if columns is None:
+        # The sq and cq terms shrink strictly on [0, pi_p/4] (by a ratio
+        # below 0.61 for p <= 10), so once the last kept term is within
+        # bound no later one exceeds it and no column is recomputed.
+        if abs(terms[-1]) <= bound:
+            return
+        columns = islice(_columns(params), len(terms), None)
+    p, n = params.p, params.n
+    for j, a in enumerate(columns, len(terms)):
+        power = n + p * j + 1
+        term = a / power * x ** power
+        if not math.isfinite(term):
+            raise ConvergenceError(
+                f"MacLaurin recursion overflows binary64 at p={p}, j={j} in beta_value"
+            )
+        if term <= bound:
+            return
+        terms.append(term if j % 2 == 0 else -term)
 
 
 def beta_gamma(p: int, m: int, n: int) -> float:

@@ -26,7 +26,7 @@ cross-check the series path, so it shares no tables or constants with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -37,17 +37,27 @@ from .series import EPS_DEFAULT, MacLaurinTable
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation bundle for one circle degree: tables, quarter period, tolerance."""
+    """Evaluation bundle for one circle degree: tables, quarter period, tolerance.
+
+    pi_p, half (pi_p / 2) and period (2 pi_p) are formed from quarter once,
+    when the context is made, with the roundings reduce_argument has always
+    used.
+    """
 
     p: int
     quarter: float
     sq_table: MacLaurinTable
     cq_table: MacLaurinTable
     epsilon: float
+    pi_p: float = field(init=False, compare=False, repr=False)
+    half: float = field(init=False, compare=False, repr=False)
+    period: float = field(init=False, compare=False, repr=False)
 
-    @property
-    def pi_p(self) -> float:
-        return 4.0 * self.quarter
+    def __post_init__(self) -> None:
+        pi_p = 4.0 * self.quarter
+        object.__setattr__(self, "pi_p", pi_p)
+        object.__setattr__(self, "half", 2.0 * self.quarter)
+        object.__setattr__(self, "period", 2.0 * pi_p)
 
 
 class QuadrantReduction(NamedTuple):
@@ -87,26 +97,28 @@ def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
     binary64 sums t0 + 2 k pi_p reduce to bit-identical t_reduced.
     """
     check_finite("argument", t)
-    quarter = ctx.quarter
-    pi_p = 4.0 * quarter
-    half = 2.0 * quarter
-    period = 2.0 * pi_p
-    s = math.fmod(t, period)
+    return QuadrantReduction(*_reduce(ctx, t))
+
+
+def _reduce(ctx: EvalContext, t: float) -> tuple[float, bool, int, int]:
+    # reduce_argument on an already checked t, as a plain tuple.
+    pi_p, half = ctx.pi_p, ctx.half
+    s = math.fmod(t, ctx.period)
     if s < 0.0:
-        s += period
+        s += ctx.period
     sign_sq = 1
     sign_cq = 1
     if s >= pi_p:
         s -= pi_p
-        sign_sq = -sign_sq
-        sign_cq = -sign_cq
+        sign_sq = -1
+        sign_cq = -1
     if s > half:
         s = pi_p - s
         sign_cq = -sign_cq
-    use_co = s > quarter
+    use_co = s > ctx.quarter
     if use_co:
         s = half - s
-    return QuadrantReduction(s, use_co, sign_sq, sign_cq)
+    return s, use_co, sign_sq, sign_cq
 
 
 def horner_sparse(table: MacLaurinTable, t: float) -> float:
@@ -120,24 +132,28 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
 
 
 def _horner(table: MacLaurinTable, t: float) -> float:
-    # horner_sparse without the check, for arguments reduce_argument has
-    # already checked and reduced.
-    tp = t ** table.params.p
-    b = table.floats[table.J]
-    for j in range(table.J - 1, -1, -1):
-        b = table.floats[j] - b * tp
-    return t ** table.params.n * b
+    # horner_sparse without the check, for arguments already checked and
+    # reduced.
+    params = table.params
+    tp = t ** params.p
+    coeffs = reversed(table.floats)
+    b = next(coeffs)
+    for a in coeffs:
+        b = a - b * tp
+    return t ** params.n * b
 
 
 def sq(ctx: EvalContext, t: float) -> float:
     """Squine of t: y-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
-    s, use_co, sign_sq, _ = reduce_argument(ctx, t)
+    check_finite("argument", t)
+    s, use_co, sign_sq, _ = _reduce(ctx, t)
     return sign_sq * _horner(ctx.cq_table if use_co else ctx.sq_table, s)
 
 
 def cq(ctx: EvalContext, t: float) -> float:
     """Cosquine of t: x-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
-    s, use_co, _, sign_cq = reduce_argument(ctx, t)
+    check_finite("argument", t)
+    s, use_co, _, sign_cq = _reduce(ctx, t)
     return sign_cq * _horner(ctx.sq_table if use_co else ctx.cq_table, s)
 
 
@@ -148,17 +164,18 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     any finite t is accepted.  Negative powers (tangent-type quotients) and
     odd p restrict t to the open first quadrant (0, pi_p / 2), where both
     factors are positive; the endpoints are poles or reflection boundaries
-    and raise DomainError.
+    and raise DomainError.  t is reduced once for both factors.
     """
     check_powers(m, n, low=None)
-    if m < 0 or n < 0 or ctx.p % 2 == 1:
-        check_finite("t", t)
-        if not 0.0 < t < 2.0 * ctx.quarter:
-            raise DomainError(
-                f"t={t!r} outside the open first quadrant (0, {2.0 * ctx.quarter}) "
-                "required for negative powers or odd p"
-            )
-    return cq(ctx, t) ** m * sq(ctx, t) ** n
+    check_finite("t", t)
+    if (m < 0 or n < 0 or ctx.p % 2 == 1) and not 0.0 < t < ctx.half:
+        raise DomainError(
+            f"t={t!r} outside the open first quadrant (0, {ctx.half}) "
+            "required for negative powers or odd p"
+        )
+    s, use_co, sign_sq, sign_cq = _reduce(ctx, t)
+    sq_table, cq_table = (ctx.cq_table, ctx.sq_table) if use_co else (ctx.sq_table, ctx.cq_table)
+    return (sign_cq * _horner(cq_table, s)) ** m * (sign_sq * _horner(sq_table, s)) ** n
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ The MacLaurin series of cq^m * sq^n collapses onto powers t^(n + pj),
     a_j = F_j / (n + pj)!  > 0,
 
 where F_j = q[n + pj][j] is the single surviving triangle entry at order
-n + pj.  maclaurin produces the a_j directly in binary64 by running the
-coefficient recursion on scaled columns f_j = (k!) a_j inside the band, one
+n + pj.  The column generator _columns produces a_0, a_1, ... directly in
+binary64 by running the coefficient recursion on scaled columns, one
 division per update, so each a_j is computed with a minimal number of
 roundings (many small cases are exact, e.g. the degree-5 squine coefficient
 of t^5/5! for p = 4 is exactly -0.15).  It is the package's one binary64
-copy of the recursion.  integer_maclaurin produces the exact integer
+copy of the recursion, and it never recomputes a column: maclaurin takes
+its first J + 1 columns, and a caller that finds it needs more terms pulls
+only the new ones.  integer_maclaurin produces the exact integer
 numerators F_j instead, reading them from the exact row generator in
 triangle, the one place the integer recursion is written.
 
@@ -33,9 +35,10 @@ generator and rounds each quotient by k! once.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from .errors import ParameterError, check_finite, check_int, check_powers, check_tolerance
 from .triangle import SquigParams, _rows, ceil_div
@@ -70,12 +73,8 @@ class MacLaurinTable:
 def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> MacLaurinTable:
     """Scaled MacLaurin coefficients a_0..a_J of cq^m * sq^n in binary64.
 
-    Runs the coefficient recursion in place on an array of J + 1 scaled
-    columns.  Column j freezes once the recursion passes order n + pj and
-    from then on holds a_j exactly as computed.  Updates walk the banded
-    column range top-down so each row is formed from the previous row only,
-    and each update performs the two integer scalings before a single divide
-    by k + 1.
+    The first J + 1 columns of the column generator _columns; see there
+    for how each coefficient is formed.
 
     Parameters
     ----------
@@ -95,26 +94,61 @@ def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> Mac
     """
     check_powers(params.m, params.n)
     check_int("J", J, 0)
-    p, m, n = params.p, params.m, params.n
-    f = [0.0] * (J + 1)
-    f[0] = 1.0
-    for k in range(n + p * J):
-        j_lo = max(ceil_div(k + 1 - n, p), 0)
-        j_hi = min(k + 1 - ceil_div(k + 1 - m, p), J)
-        for j in range(j_hi, j_lo, -1):
-            f[j] = ((n - k + p * j) * f[j] + (m + k * (p - 1) - p * (j - 1)) * f[j - 1]) / (k + 1)
-        # At the bottom of the band the subdiagonal neighbor j_lo - 1 froze at
-        # an earlier order; include it only when it froze at exactly order k,
-        # otherwise its stored value belongs to a lower row and must not leak in.
-        if (k - n) % p > 0 or j_lo == 0:
-            f[j_lo] = ((n - k + p * j_lo) * f[j_lo]) / (k + 1)
-        else:
-            f[j_lo] = (
-                (n - k + p * j_lo) * f[j_lo]
-                + (m + k * (p - 1) - p * (j_lo - 1)) * f[j_lo - 1]
-            ) / (k + 1)
+    floats = tuple(islice(_columns(params), J + 1))
     numerators = integer_maclaurin(params, J) if with_numerators else None
-    return MacLaurinTable(params=params, J=J, floats=tuple(f), numerators=numerators)
+    return MacLaurinTable(params=params, J=J, floats=floats, numerators=numerators)
+
+
+def _columns(params: SquigParams) -> Iterator[float]:
+    """Yield a_0, a_1, a_2, ... of cq^m * sq^n in binary64, without end.
+
+    The package's one binary64 copy of the coefficient recursion.  Column j
+    carries one scaled value per order k: 0.0 until the top edge of the
+    band reaches it, then the update
+
+        c <- ((n - k + pj) c + (m + k(p - 1) - p(j - 1)) c_prev[k]) / (k + 1)
+
+    with c_prev[k] the value of column j - 1 at order k: two exact integer
+    scalings and one divide, so many small coefficients come out exact.
+    Column j - 1 freezes at order n + p(j - 1), holding a_{j-1}; on the
+    later orders up to n + pj, where column j freezes at a_j, only the
+    diagonal term is kept.  Each column is computed in full from the stored
+    orders of the column before it, so one history of O(pj) floats is alive
+    at a time and every coefficient is computed once.  Requires m, n >= 0.
+    """
+    p, m, n = params.p, params.m, params.n
+    # Column 0 is the diagonal alone, to order n.
+    c = 1.0
+    history = [c]
+    for k in range(n):
+        c = ((n - k) * c) / (k + 1)
+        history.append(c)
+    yield c
+    k_enter = 0  # first step k at which the band's top edge reaches column j
+    for j in count(1):
+        while k_enter + 1 - ceil_div(k_enter + 1 - m, p) < j:
+            k_enter += 1
+        freeze_prev = n + p * (j - 1)
+        top = freeze_prev + p
+        start = min(k_enter, freeze_prev)
+        c = 0.0
+        column = [c] * (start + 1)
+        append = column.append
+        # Steps start..freeze_prev take both terms, with the integer weights
+        # n - k + pj, m + k(p - 1) - p(j - 1) and k + 1 of each step k.
+        for keep, shift, prev, div in zip(
+            range(top - start, p - 1, -1),
+            count(m + start * (p - 1) - p * (j - 1), p - 1),
+            islice(history, start, None),
+            range(start + 1, freeze_prev + 2),
+        ):
+            c = (keep * c + shift * prev) / div
+            append(c)
+        for keep, div in zip(range(p - 1, 0, -1), range(freeze_prev + 2, top + 1)):
+            c = (keep * c) / div
+            append(c)
+        yield c
+        history = column
 
 
 def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:

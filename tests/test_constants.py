@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 import squigonometry as sg
-from squigonometry import ParameterError
+from squigonometry import ParameterError, SquigParams, constants
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Quarter-period constants as column values, frozen to 16 digits.
 PI_P_PRINTED = {
@@ -165,3 +170,86 @@ def test_beta_validation():
         sg.beta_value(1, 0, 0)
     with pytest.raises(ParameterError):
         sg.beta_value(4, -1, 0)
+
+
+def test_compute_pi_golden_records():
+    # Records of p = 2..10 at six tolerances, pinned bit for bit as computed
+    # when every sizing round rebuilt both tables from scratch.
+    for want in json.loads((GOLDEN / "compute_pi_records.json").read_text()):
+        rec = sg.compute_pi(want["p"], float.fromhex(want["epsilon"]))
+        got = {
+            "p": rec.p,
+            "epsilon": rec.epsilon.hex(),
+            "value": rec.value.hex(),
+            "J_used": rec.J_used,
+            "iterations": rec.iterations,
+            "sq_table": [v.hex() for v in rec.sq_table.floats],
+            "cq_table": [v.hex() for v in rec.cq_table.floats],
+        }
+        assert got == want
+        assert rec.sq_table.J == rec.cq_table.J == rec.J_used
+
+
+@pytest.mark.parametrize("p,eps", [(3, 0.05), (3, 0.015)])
+def test_compute_pi_tables_after_a_shorter_round(p, eps):
+    # The seed length 4 overshoots the fixed point at these tolerances, so
+    # the last sizing round is shorter and slices the columns pulled so far.
+    rec = sg.compute_pi(p, eps)
+    assert rec.J_used < 4
+    for table in (rec.sq_table, rec.cq_table):
+        assert table.J == rec.J_used
+        assert table.floats == sg.maclaurin(table.params, rec.J_used).floats
+
+
+@pytest.mark.parametrize(
+    "p,m,n,eps",
+    [(2, 3, 2, 1.2e-11), (3, 3, 2, 2.0 ** -22), (2, 3, 2, float.fromhex("0x1.8d0861a094eb1p-28"))],
+)
+def test_beta_value_meets_epsilon_when_m_n_need_more_terms(p, m, n, eps):
+    # J_used ignores m and n; the first two fell 15.8x and 1.45x short of
+    # eps.  The third misses by 1.09x when each half may drop a first term
+    # of eps rather than eps / 2 relative to the sum.
+    want = sg.beta_gamma(p, m, n)
+    assert abs(sg.beta_value(p, m, n, eps) - want) <= eps * want
+    assert sg.beta_value(p, n, m, eps) == sg.beta_value(p, m, n, eps)
+
+
+def test_beta_value_rejects_a_quarter_period_past_one(monkeypatch):
+    # compute_pi(6, 0.57) lands on pi_6 = 178 (J_used = 1); the Beta series
+    # at x = 44.5 diverge, so there is no value to return.
+    from squigonometry import ConvergenceError
+
+    bad = dataclasses.replace(sg.compute_pi(6), value=178.0824068843037)
+    monkeypatch.setattr(constants, "compute_pi", lambda p, epsilon: bad)
+    with pytest.raises(ConvergenceError, match="not below 4"):
+        sg.beta_value(6, 1, 0, 0.57)
+
+
+@pytest.mark.parametrize("mn,builds", [((1, 0), 0), ((0, 1), 0), ((2, 2), 1), ((2, 1), 2)])
+def test_beta_value_builds_only_the_tables_the_record_lacks(monkeypatch, mn, builds):
+    # The sq and cq halves read the record's tables; m = n builds one table
+    # for both halves.  Each build is one column generator.
+    sg.compute_pi(4)
+    calls = []
+
+    def counting(params):
+        calls.append(params)
+        return real(params)
+
+    real = constants._columns
+    monkeypatch.setattr(constants, "_columns", counting)
+    sg.beta_value(4, *mn)
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_sq_cq_beta_terms_shrink_past_the_table(p):
+    # beta_value pulls no column for a record table whose last term is
+    # within its bound, which holds because these terms shrink strictly.
+    for eps in (2.0 ** -53, 2.0 ** -36, 2.0 ** -20):
+        rec = sg.compute_pi(p, eps)
+        x = rec.value / 4.0
+        for params in (SquigParams(p=p, m=0, n=1), SquigParams(p=p, m=1, n=0)):
+            floats = sg.maclaurin(params, rec.J_used + 2).floats
+            terms = [a * x ** (params.n + p * j + 1) / (params.n + p * j + 1) for j, a in enumerate(floats)]
+            assert all(0.0 < b < a for a, b in zip(terms, terms[1:])), (p, eps, params)

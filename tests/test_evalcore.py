@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
-from squigonometry import DomainError, ParameterError
+from squigonometry import DomainError, ParameterError, evalcore
 
 
 def test_context_fields(ctx4, pi4):
@@ -17,6 +18,21 @@ def test_context_fields(ctx4, pi4):
     assert ctx4.sq_table.params.n == 1 and ctx4.sq_table.params.m == 0
     assert ctx4.cq_table.params.n == 0 and ctx4.cq_table.params.m == 1
     assert ctx4.epsilon == 2.0 ** -53
+
+
+def test_context_precomputes_the_reduction_constants(ctx4):
+    assert ctx4.pi_p == 4.0 * ctx4.quarter
+    assert ctx4.half == 2.0 * ctx4.quarter
+    assert ctx4.period == 2.0 * ctx4.pi_p
+    # Derived from quarter: not constructor arguments, not part of equality,
+    # and recomputed by dataclasses.replace.
+    same = sg.EvalContext(4, ctx4.quarter, ctx4.sq_table, ctx4.cq_table, ctx4.epsilon)
+    assert same == ctx4
+    assert "period" not in repr(ctx4)
+    moved = dataclasses.replace(ctx4, quarter=1.0)
+    assert (moved.pi_p, moved.half, moved.period) == (4.0, 2.0, 8.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx4.period = 1.0
 
 
 def test_context_table_size_matches_estimate(ctx4):
@@ -150,6 +166,22 @@ def test_pow_general_even_p_full_line(ctx4):
     for t in (-2.0, 0.0, 1.3, 5.0):
         want = sg.cq(ctx4, t) ** 2 * sg.sq(ctx4, t)
         assert sg.pow_general(ctx4, 2, 1, t) == want
+
+
+def test_pow_general_reduces_once(ctx4, monkeypatch):
+    calls = []
+
+    def counting(ctx, t):
+        calls.append(t)
+        return real(ctx, t)
+
+    real = evalcore._reduce
+    monkeypatch.setattr(evalcore, "_reduce", counting)
+    for t in (-2.0, 0.0, 1.3, 5.0):
+        want = sg.cq(ctx4, t) ** 2 * sg.sq(ctx4, t)
+        calls.clear()
+        assert sg.pow_general(ctx4, 2, 1, t) == want
+        assert calls == [t]
 
 
 def test_pow_general_tangent_vs_libm(ctx2):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from squigonometry import ParameterError, SquigParams
+from squigonometry.triangle import ceil_div
 
 # Integer numerators of the p=4 series, frozen: F_j = q[n+4j][j].
 SQUINE_P4_NUMERATORS = (1, 18, 14364, 70203672)
@@ -17,6 +18,54 @@ COSQUINE_P4_NUMERATORS = (1, 6, 2268, 7434504)
 
 # Term-count column for p = 3..10 at epsilon = 2^-53, frozen.
 TERM_COUNTS = {3: 22, 4: 34, 5: 46, 6: 58, 7: 69, 8: 81, 9: 92, 10: 103}
+
+
+def banded_oracle(params: SquigParams, J: int) -> list[float]:
+    # The row-major banded loop that maclaurin ran before the column
+    # generator: all J + 1 columns in place, updated top-down order by order.
+    p, m, n = params.p, params.m, params.n
+    f = [0.0] * (J + 1)
+    f[0] = 1.0
+    for k in range(n + p * J):
+        j_lo = max(ceil_div(k + 1 - n, p), 0)
+        j_hi = min(k + 1 - ceil_div(k + 1 - m, p), J)
+        for j in range(j_hi, j_lo, -1):
+            f[j] = ((n - k + p * j) * f[j] + (m + k * (p - 1) - p * (j - 1)) * f[j - 1]) / (k + 1)
+        # The subdiagonal neighbour j_lo - 1 enters only when it froze at
+        # exactly order k.
+        if (k - n) % p > 0 or j_lo == 0:
+            f[j_lo] = ((n - k + p * j_lo) * f[j_lo]) / (k + 1)
+        else:
+            f[j_lo] = (
+                (n - k + p * j_lo) * f[j_lo]
+                + (m + k * (p - 1) - p * (j_lo - 1)) * f[j_lo - 1]
+            ) / (k + 1)
+    return f
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_columns_match_banded_oracle_bit_for_bit(p):
+    # Every coefficient, -0.0/0.0 and the inf/nan pattern past the binary64
+    # ceiling at p >= 11 included.  The oracle runs once at the largest J:
+    # its columns at or below J never read a column above J, so a shorter
+    # run is a prefix of it.
+    js = (0, 1, 2, 3, 5, 12, 34, 60, 103)
+    for m in range(6):
+        for n in range(6):
+            params = SquigParams(p=p, m=m, n=n)
+            want = [v.hex() for v in banded_oracle(params, js[-1])]
+            for J in js:
+                got = [v.hex() for v in sg.maclaurin(params, J).floats]
+                assert got == want[: J + 1], (p, m, n, J)
+
+
+def test_banded_oracle_prefix_property():
+    # The premise of the test above, on the oracle itself.
+    for p, m, n in ((2, 5, 3), (5, 0, 0), (12, 3, 1)):
+        params = SquigParams(p=p, m=m, n=n)
+        full = [v.hex() for v in banded_oracle(params, 60)]
+        for J in (0, 1, 5, 12, 34):
+            assert [v.hex() for v in banded_oracle(params, J)] == full[: J + 1]
 
 
 def exact_coefficient(params: SquigParams, j: int) -> Fraction:
