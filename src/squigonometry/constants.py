@@ -9,11 +9,11 @@ so nothing here depends on already knowing pi_p).
 
 Sizing the tables needs pi_p, which is what is being computed, so the length
 is bootstrapped: seed from the bound pi_p < 4, Newton to convergence, re-ask
-the term estimate with the computed value, and repeat until the length is a
-fixed point (two or three rounds in practice).  One column generator per
-table lives through all the rounds: a longer round pulls only the columns
-it adds and a shorter one slices, so each coefficient is computed once per
-solve.  The Newton seed comes from a deep factor-sequence ratio via
+the term estimate with the computed value (never below three terms), and
+repeat until the length is a fixed point (two or three rounds in practice).
+One column generator per table lives through all the rounds: a longer round
+pulls only the columns it adds and a shorter one slices, so each
+coefficient is computed once per solve.  The Newton seed comes from a deep factor-sequence ratio via
 pi_from_factors, except at p = 2 where that identity degenerates and the
 seed t = 1 is used.
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
@@ -68,8 +69,12 @@ class PiRecord:
 def _factorial_terms(epsilon: float) -> int:
     # p = 2 fallback: geometric decay estimate does not apply, take the least
     # J with 1 / (2J)! below epsilon plus a safety margin of two terms.
+    # Below 2^-1024 the rounded 1 / epsilon is inf, so take it exactly.
+    limit = 1.0 / epsilon
+    if limit == math.inf:
+        limit = 1 / Fraction(epsilon)
     j = 1
-    while math.factorial(2 * j) <= 1.0 / epsilon:
+    while math.factorial(2 * j) <= limit:
         j += 1
     return j + 2
 
@@ -119,22 +124,32 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     for _ in range(8):
         # A longer round pulls only the columns it adds; a shorter one slices.
         for floats, columns in ((sq_floats, sq_columns), (cq_floats, cq_columns)):
-            floats.extend(islice(columns, max(J + 1 - len(floats), 0)))
+            for a in islice(columns, max(J + 1 - len(floats), 0)):
+                if not math.isfinite(a):
+                    # Transit values of the coefficient recursion grow
+                    # roughly geometrically in j with a rate that worsens as
+                    # p grows; past the binary64 ceiling the deep table
+                    # entries come out inf.  Stop at the first one rather
+                    # than pull the columns left.
+                    raise ConvergenceError(
+                        f"MacLaurin recursion overflows binary64 at p={p}, J={J}; "
+                        "a looser epsilon keeps the table short enough"
+                    )
+                floats.append(a)
         sq_table = MacLaurinTable(sq_params, J, tuple(sq_floats[: J + 1]))
         cq_table = MacLaurinTable(cq_params, J, tuple(cq_floats[: J + 1]))
-        if not all(map(math.isfinite, sq_table.floats + cq_table.floats)):
-            # Transit values of the coefficient recursion grow roughly
-            # geometrically in j with a rate that worsens as p grows; past
-            # the binary64 ceiling the deep table entries come out inf.
-            raise ConvergenceError(
-                f"MacLaurin recursion overflows binary64 at p={p}, J={J}; "
-                "a looser epsilon keeps the table short enough"
-            )
         if p == 2:
             t = 1.0
         else:
-            tail_ratio = cq_table.floats[J] / cq_table.floats[J - 1]
-            t = pi_from_factors(tail_ratio, p) / 4.0
+            tail = cq_table.floats[J]
+            if not tail > 0.0:
+                # The seed needs a deep factor, and an epsilon near the
+                # bottom of binary64 sizes the table past where it rounds to 0.
+                raise ConvergenceError(
+                    f"MacLaurin table underflows binary64 at p={p}, J={J}; "
+                    "a looser epsilon keeps the table short enough"
+                )
+            t = pi_from_factors(tail / cq_table.floats[J - 1], p) / 4.0
         iterations = 0
         while True:
             residual = horner_sparse(cq_table, t) - target
@@ -149,7 +164,10 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
         if p == 2:
             J_next = J
         else:
-            J_next = estimate_terms(p, 4.0 * t, epsilon)
+            # Three terms at least: at loose epsilon the estimate drops to
+            # one or two, and Newton on such tables lands far from pi_p (or
+            # on a value the next estimate refuses).
+            J_next = max(estimate_terms(p, 4.0 * t, epsilon), 3)
         if J_next == J:
             return PiRecord(p, 4.0 * t, iterations, J, epsilon, sq_table, cq_table)
         J = J_next

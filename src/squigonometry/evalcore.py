@@ -1,9 +1,13 @@
 """Floating-point evaluation of squigonometric functions on the real line.
 
 An EvalContext bundles everything evaluation needs for one circle degree p:
-the quarter period pi_p / 4, MacLaurin tables for sq (m=0, n=1) and cq
-(m=1, n=0) sized so the dropped tail is below the context tolerance on the
-reduced interval, and the tolerance itself.
+the quarter period pi_p / 4, the MacLaurin tables for sq (m=0, n=1) and cq
+(m=1, n=0) that compute_pi solved pi_p on, and the tolerance itself.  Those
+tables are sized for the tail at t = 1; on the reduced interval [0, pi_p/4]
+the terms fall faster, so evaluation runs each table's prefix whose dropped
+tail is at most epsilon / 64 of the leading term there, cut once when the
+context is made.  horner_sparse(ctx.sq_table, s) sums the full table and may
+therefore differ from sq(ctx, s) in the last bit.
 
 Evaluation at arbitrary t proceeds by range reduction.  sq and cq are
 2 pi_p periodic, odd and even respectively, satisfy the half-period flips
@@ -26,13 +30,18 @@ cross-check the series path, so it shares no tables or constants with it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, PoleError
 from .errors import check_finite, check_int, check_powers, check_tolerance
 from .series import EPS_DEFAULT, MacLaurinTable
+
+# Evaluation drops a table's tail while its largest term on [0, quarter] is
+# within this share of epsilon times the leading coefficient.
+_TRIM = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,10 @@ class EvalContext:
 
     pi_p, half (pi_p / 2) and period (2 pi_p) are formed from quarter once,
     when the context is made, with the roundings reduce_argument has always
-    used.
+    used.  So are the coefficients sq, cq and pow_general run: a prefix of
+    each table, cut where the terms past it stay within epsilon / 64 of the
+    leading one on [0, pi_p / 4].  sq_table and cq_table themselves are kept
+    whole, so horner_sparse on them may differ from sq and cq in the last bit.
     """
 
     p: int
@@ -52,12 +64,34 @@ class EvalContext:
     pi_p: float = field(init=False, compare=False, repr=False)
     half: float = field(init=False, compare=False, repr=False)
     period: float = field(init=False, compare=False, repr=False)
+    _sq_coeffs: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _cq_coeffs: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pi_p = 4.0 * self.quarter
         object.__setattr__(self, "pi_p", pi_p)
         object.__setattr__(self, "half", 2.0 * self.quarter)
         object.__setattr__(self, "period", 2.0 * pi_p)
+        for name, table in (("_sq_coeffs", self.sq_table), ("_cq_coeffs", self.cq_table)):
+            object.__setattr__(self, name, _trimmed(table, self.quarter, self.epsilon))
+
+
+def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> tuple[float, ...]:
+    # The table's coefficients deep end first, less the tail whose terms at
+    # the top of [0, quarter] are within _TRIM * epsilon of a_0.  The scan
+    # starts at the deep end and stops at the first term it keeps, so only
+    # a tail is ever cut, and a_0 always stays.
+    floats = table.floats
+    x = math.nextafter(quarter, math.inf)
+    bound = _TRIM * epsilon * floats[0]
+    p = table.params.p
+    keep = len(floats)
+    try:
+        while keep > 1 and floats[keep - 1] * x ** (p * (keep - 1)) <= bound:
+            keep -= 1
+    except OverflowError:
+        pass  # a term past binary64 is no tail to drop
+    return floats[keep - 1 :: -1]
 
 
 class QuadrantReduction(NamedTuple):
@@ -124,37 +158,41 @@ def _reduce(ctx: EvalContext, t: float) -> tuple[float, bool, int, int]:
 def horner_sparse(table: MacLaurinTable, t: float) -> float:
     """Evaluate a MacLaurin table at t by Horner steps in t^p.
 
-    Folds coefficients from the deep end, b <- a_j - b t^p, so the alternating
-    signs come out of the single subtraction, then scales by t^n.
+    Folds all of the table's coefficients from the deep end, b <- a_j - b t^p,
+    so the alternating signs come out of the single subtraction, then scales
+    by t^n.  sq and cq fold only the prefix their context keeps.
     """
     check_finite("t", t)
-    return _horner(table, float(t))
-
-
-def _horner(table: MacLaurinTable, t: float) -> float:
-    # horner_sparse without the check, for arguments already checked and
-    # reduced.
     params = table.params
-    tp = t ** params.p
-    coeffs = reversed(table.floats)
+    return _horner(reversed(table.floats), params.p, params.n, float(t))
+
+
+def _horner(coeffs: Iterable[float], p: int, n: int, t: float) -> float:
+    # The one Horner kernel: coeffs deep end first, t already checked.
+    tp = t ** p
+    coeffs = iter(coeffs)
     b = next(coeffs)
     for a in coeffs:
         b = a - b * tp
-    return t ** params.n * b
+    return t ** n * b
 
 
 def sq(ctx: EvalContext, t: float) -> float:
     """Squine of t: y-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     check_finite("argument", t)
     s, use_co, sign_sq, _ = _reduce(ctx, t)
-    return sign_sq * _horner(ctx.cq_table if use_co else ctx.sq_table, s)
+    if use_co:
+        return sign_sq * _horner(ctx._cq_coeffs, ctx.p, 0, s)
+    return sign_sq * _horner(ctx._sq_coeffs, ctx.p, 1, s)
 
 
 def cq(ctx: EvalContext, t: float) -> float:
     """Cosquine of t: x-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     check_finite("argument", t)
     s, use_co, _, sign_cq = _reduce(ctx, t)
-    return sign_cq * _horner(ctx.sq_table if use_co else ctx.cq_table, s)
+    if use_co:
+        return sign_cq * _horner(ctx._sq_coeffs, ctx.p, 1, s)
+    return sign_cq * _horner(ctx._cq_coeffs, ctx.p, 0, s)
 
 
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
@@ -163,19 +201,27 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     For m, n >= 0 and even p the product is entire in the reduced sense and
     any finite t is accepted.  Negative powers (tangent-type quotients) and
     odd p restrict t to the open first quadrant (0, pi_p / 2), where both
-    factors are positive; the endpoints are poles or reflection boundaries
-    and raise DomainError.  t is reduced once for both factors.
+    factors are positive.  The endpoints are poles when the power of the
+    factor vanishing there is negative (t = 0 with n < 0, t = pi_p / 2 with
+    m < 0), which raises PoleError; every other t outside raises DomainError.
+    t is reduced once for both factors.
     """
     check_powers(m, n, low=None)
     check_finite("t", t)
     if (m < 0 or n < 0 or ctx.p % 2 == 1) and not 0.0 < t < ctx.half:
+        if (t == 0.0 and n < 0) or (t == ctx.half and m < 0):
+            raise PoleError(f"cq^{m} sq^{n} has a pole at t={t!r}")
         raise DomainError(
             f"t={t!r} outside the open first quadrant (0, {ctx.half}) "
             "required for negative powers or odd p"
         )
     s, use_co, sign_sq, sign_cq = _reduce(ctx, t)
-    sq_table, cq_table = (ctx.cq_table, ctx.sq_table) if use_co else (ctx.sq_table, ctx.cq_table)
-    return (sign_cq * _horner(cq_table, s)) ** m * (sign_sq * _horner(sq_table, s)) ** n
+    p = ctx.p
+    if use_co:
+        cq_value, sq_value = _horner(ctx._sq_coeffs, p, 1, s), _horner(ctx._cq_coeffs, p, 0, s)
+    else:
+        cq_value, sq_value = _horner(ctx._cq_coeffs, p, 0, s), _horner(ctx._sq_coeffs, p, 1, s)
+    return (sign_cq * cq_value) ** m * (sign_sq * sq_value) ** n
 
 
 # ---------------------------------------------------------------------------

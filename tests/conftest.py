@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import squigonometry as sg
+
+# Selected with --hypothesis-profile=ci: the same examples on every run, and
+# a failure prints the blob that replays it.
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

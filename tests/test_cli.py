@@ -285,6 +285,12 @@ def test_cache_file_checks_accept_a_good_entry(tmp_path):
     ctx = cli.load_context(path, 4)
     assert ctx.sq_table.floats == (1.0, 0.05)
     assert ctx.pi_p == 3.7
+    # J = 1 has no tail to drop at this quarter period: evaluation runs the
+    # whole entry, deep end first, and matches horner_sparse on it.
+    assert ctx._sq_coeffs == ctx._cq_coeffs == (0.05, 1.0)
+    for t in (0.0, 0.4, 0.9):
+        assert sg.sq(ctx, t) == sg.horner_sparse(ctx.sq_table, t)
+        assert sg.cq(ctx, t) == sg.horner_sparse(ctx.cq_table, t)
 
 
 def test_cache_merges_entries(capsys, tmp_path, monkeypatch):

@@ -6,9 +6,11 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squigonometry as sg
-from squigonometry import ParameterError, SquigParams, constants
+from squigonometry import ConvergenceError, ParameterError, SquigParams, constants
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,6 +120,65 @@ def test_compute_pi_overflow_envelope():
         sg.compute_pi(20)
 
 
+def _meets_epsilon(p: int, eps: float) -> bool:
+    # The benchmark's rule, with the floor at 8 ulp of the gamma form.
+    want = sg.pi_gamma(p)
+    got = sg.compute_pi(p, eps).value
+    return abs(got - want) / want <= max(eps, 8.0 * math.ulp(want) / want)
+
+
+@pytest.mark.parametrize("p,eps", [(6, 0.57), (7, 0.69), (8, 0.69), (6, 0.5225)])
+def test_compute_pi_at_a_loose_epsilon(p, eps):
+    # Later sizing rounds once sized these to J = 1 (pi_6 = 178.08, pi_7 =
+    # 30.36) or refused the computed pi_8 as implausible.
+    assert _meets_epsilon(p, eps)
+    assert sg.compute_pi(p, eps).J_used >= 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.integers(min_value=2, max_value=10),
+    eps=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_compute_pi_meets_epsilon_or_says_it_cannot(p, eps):
+    try:
+        ok = _meets_epsilon(p, eps)
+    except ConvergenceError:
+        return
+    assert ok
+
+
+def test_compute_pi_at_the_bottom_of_binary64():
+    # 1 / epsilon overflows to inf below 2^-1024; the factorial count at
+    # p = 2 must still stop.
+    assert sg.compute_pi(2, 5e-324).value == sg.compute_pi(2).value
+    assert sg.compute_pi(2, 5e-324).J_used == 91
+    # At p = 3 the sized table ends in entries that round to 0, which leave
+    # no factor to seed Newton from.
+    with pytest.raises(ConvergenceError, match="underflows binary64"):
+        sg.compute_pi(3, 5e-324)
+    assert _meets_epsilon(3, 1e-320)
+
+
+def test_compute_pi_overflow_stops_at_the_first_infinite_entry(monkeypatch):
+    # p = 10 at epsilon 1e-300 sizes J = 1377 from pi_p < 4; the recursion
+    # overflows near j = 110, and no column past the first infinite entry is
+    # pulled.
+    pulled = []
+
+    def counting(params):
+        for a in real(params):
+            pulled.append(a)
+            yield a
+
+    real = constants._columns
+    monkeypatch.setattr(constants, "_columns", counting)
+    with pytest.raises(ConvergenceError, match="overflows binary64"):
+        sg.compute_pi(10, 1e-300)
+    assert len(pulled) < 400
+    assert not math.isfinite(pulled[-1])
+
+
 def test_compute_pi_validation():
     with pytest.raises(ParameterError):
         sg.compute_pi(1)
@@ -215,8 +276,9 @@ def test_beta_value_meets_epsilon_when_m_n_need_more_terms(p, m, n, eps):
 
 
 def test_beta_value_rejects_a_quarter_period_past_one(monkeypatch):
-    # compute_pi(6, 0.57) lands on pi_6 = 178 (J_used = 1); the Beta series
-    # at x = 44.5 diverge, so there is no value to return.
+    # A record whose pi_6 is 178 (quarter period 44.5): the Beta series
+    # diverge there, so there is no value to return.  The record is made by
+    # hand; compute_pi itself no longer lands on such a value.
     from squigonometry import ConvergenceError
 
     bad = dataclasses.replace(sg.compute_pi(6), value=178.0824068843037)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,146 @@ def test_build_context_validation():
         sg.build_context(1)
     with pytest.raises(ParameterError):
         sg.build_context(4, epsilon=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation runs a prefix of each record table, trimmed at epsilon / 64 on
+# [0, pi_p / 4].
+
+EVAL_P = [2, 3, 4, 6, 10]
+
+
+def _kept(ctx):
+    # The evaluation coefficients in table order, one tuple per table.
+    return ((ctx.sq_table, ctx._sq_coeffs[::-1]), (ctx.cq_table, ctx._cq_coeffs[::-1]))
+
+
+@pytest.mark.parametrize("p", EVAL_P)
+def test_evaluation_tables_are_prefixes_of_the_record_tables(p):
+    ctx = sg.build_context(p)
+    for table, kept in _kept(ctx):
+        assert 1 <= len(kept) < len(table.floats)
+        assert kept == table.floats[: len(kept)]
+
+
+@pytest.mark.parametrize("p", EVAL_P)
+def test_evaluation_tables_drop_only_terms_below_epsilon_over_64(p):
+    ctx = sg.build_context(p)
+    x = math.nextafter(ctx.quarter, math.inf)
+    for table, kept in _kept(ctx):
+        bound = ctx.epsilon / 64.0 * table.floats[0]
+        j = len(kept)
+        # The first dropped term is within the bound, the last kept one is not.
+        assert table.floats[j] * x ** (p * j) <= bound
+        assert table.floats[j - 1] * x ** (p * (j - 1)) > bound
+
+
+def test_evaluation_table_lengths():
+    contexts = {p: sg.build_context(p) for p in EVAL_P}
+    got = {p: [len(ctx._sq_coeffs), len(ctx._cq_coeffs)] for p, ctx in contexts.items()}
+    assert got == {2: [9, 10], 3: [20, 20], 4: [28, 29], 6: [43, 43], 10: [71, 71]}
+
+
+def _ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(b)
+
+
+@pytest.mark.parametrize("p", EVAL_P)
+def test_sq_cq_within_an_ulp_of_the_full_table(p):
+    ctx = sg.build_context(p)
+    rng = random.Random(p)
+    for _ in range(400):
+        t = rng.uniform(0.0, ctx.quarter)
+        assert _ulps(sg.sq(ctx, t), sg.horner_sparse(ctx.sq_table, t)) <= 1.0
+        assert _ulps(sg.cq(ctx, t), sg.horner_sparse(ctx.cq_table, t)) <= 1.0
+
+
+# The worst point seen for p = 4 over 1500 seeded points per table: both the
+# trimmed and the full table land 1.0019 ulp from the exact sum there, so one
+# ulp bounds neither Horner path and the check allows 1.25.
+_WORST_P4_SQ = 0.8725822845495224
+
+
+@pytest.mark.parametrize("p", [3, 4, 10])
+def test_sq_cq_against_the_exact_numerator_sum(p):
+    ctx = sg.build_context(p)
+    rng = random.Random(100 + p)
+    points = [ctx.quarter, _WORST_P4_SQ if p == 4 else 0.5 * ctx.quarter]
+    points += [rng.uniform(0.0, ctx.quarter) for _ in range(298)]
+    with localcontext() as dec:
+        dec.prec = 40
+        for func, table in ((sg.sq, ctx.sq_table), (sg.cq, ctx.cq_table)):
+            params = table.params
+            J = table.J + 10
+            coeffs = [
+                Decimal(F) / math.factorial(params.n + p * j)
+                for j, F in enumerate(sg.integer_maclaurin(params, J))
+            ]
+            worst_trimmed = worst_full = 0.0
+            for t in points:
+                x = Decimal(t)
+                xp = x ** p
+                acc = Decimal(0)
+                for a in reversed(coeffs):
+                    acc = a - acc * xp
+                exact = acc * x ** params.n
+                ulp = Decimal(math.ulp(float(exact)))
+                worst_trimmed = max(worst_trimmed, float(abs(Decimal(func(ctx, t)) - exact) / ulp))
+                worst_full = max(
+                    worst_full, float(abs(Decimal(sg.horner_sparse(table, t)) - exact) / ulp)
+                )
+            assert worst_trimmed <= 1.25
+            assert worst_trimmed <= worst_full
+
+
+def test_replace_rebuilds_the_evaluation_tables(ctx4):
+    looser = dataclasses.replace(ctx4, epsilon=1e-6)
+    assert looser.sq_table is ctx4.sq_table
+    assert len(looser._sq_coeffs) < len(ctx4._sq_coeffs)
+    assert looser._sq_coeffs == ctx4.sq_table.floats[len(looser._sq_coeffs) - 1 :: -1]
+    assert looser._cq_coeffs == evalcore._trimmed(ctx4.cq_table, ctx4.quarter, 1e-6)
+    # A shorter quarter period drops more of the tail.
+    shorter = dataclasses.replace(ctx4, quarter=0.5)
+    assert len(shorter._cq_coeffs) < len(ctx4._cq_coeffs)
+    # Equality and repr ignore the derived tuples.
+    assert dataclasses.replace(ctx4) == ctx4
+    assert "_sq_coeffs" not in repr(ctx4)
+
+
+def test_trim_keeps_a_table_whose_terms_overflow():
+    # A quarter period far past 1 makes x^(pj) overflow binary64: such a
+    # term is no tail, and the table stays whole.
+    table = sg.MacLaurinTable(sg.SquigParams(p=4, m=0, n=1), 2, (1.0, 0.5, 1e-300))
+    assert evalcore._trimmed(table, 1e100, 2.0 ** -53) == (1e-300, 0.5, 1.0)
+    assert evalcore._trimmed(table, 0.5, 2.0 ** -53) == (0.5, 1.0)
+
+
+def test_pow_general_raises_pole_error_at_the_poles(ctx2, ctx4):
+    # sq vanishes at 0 and cq at pi_p / 2: a negative power of the
+    # vanishing factor is a pole.
+    for ctx in (ctx2, ctx4, sg.build_context(3)):
+        with pytest.raises(sg.PoleError):
+            sg.pow_general(ctx, 1, -1, 0.0)
+        with pytest.raises(sg.PoleError):
+            sg.pow_general(ctx, 1, -2, -0.0)
+        with pytest.raises(sg.PoleError):
+            sg.pow_general(ctx, -1, 1, ctx.half)
+        with pytest.raises(sg.PoleError):
+            sg.pow_general(ctx, -2, -1, ctx.half)
+
+
+def test_pow_general_off_pole_boundaries_stay_domain_errors(ctx2):
+    # The other factor's power is negative, or the point is outside the
+    # quadrant: no pole, so a plain DomainError.
+    ctx3 = sg.build_context(3)
+    for ctx, m, n, t in (
+        (ctx2, -1, 1, 0.0),
+        (ctx2, 1, -1, ctx2.half),
+        (ctx2, -1, 1, -0.3),
+        (ctx2, 1, -1, ctx2.half + 0.1),
+        (ctx3, 1, 1, 0.0),
+        (ctx3, 1, 1, ctx3.half),
+    ):
+        with pytest.raises(DomainError) as info:
+            sg.pow_general(ctx, m, n, t)
+        assert type(info.value) is DomainError
