@@ -69,10 +69,8 @@ class PiRecord:
 def _factorial_terms(epsilon: float) -> int:
     # p = 2 fallback: geometric decay estimate does not apply, take the least
     # J with 1 / (2J)! below epsilon plus a safety margin of two terms.
-    # Below 2^-1024 the rounded 1 / epsilon is inf, so take it exactly.
-    limit = 1.0 / epsilon
-    if limit == math.inf:
-        limit = 1 / Fraction(epsilon)
+    # 1 / epsilon is taken exactly: below 2^-1024 its rounding is inf.
+    limit = 1 / Fraction(epsilon)
     j = 1
     while math.factorial(2 * j) <= limit:
         j += 1

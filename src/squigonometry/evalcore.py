@@ -30,7 +30,6 @@ cross-check the series path, so it shares no tables or constants with it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -64,34 +63,37 @@ class EvalContext:
     pi_p: float = field(init=False, compare=False, repr=False)
     half: float = field(init=False, compare=False, repr=False)
     period: float = field(init=False, compare=False, repr=False)
-    _sq_coeffs: tuple[float, ...] = field(init=False, compare=False, repr=False)
-    _cq_coeffs: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    _sq_eval: MacLaurinTable = field(init=False, compare=False, repr=False)
+    _cq_eval: MacLaurinTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pi_p = 4.0 * self.quarter
         object.__setattr__(self, "pi_p", pi_p)
         object.__setattr__(self, "half", 2.0 * self.quarter)
         object.__setattr__(self, "period", 2.0 * pi_p)
-        for name, table in (("_sq_coeffs", self.sq_table), ("_cq_coeffs", self.cq_table)):
+        for name, table in (("_sq_eval", self.sq_table), ("_cq_eval", self.cq_table)):
             object.__setattr__(self, name, _trimmed(table, self.quarter, self.epsilon))
 
 
-def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> tuple[float, ...]:
-    # The table's coefficients deep end first, less the tail whose terms at
-    # the top of [0, quarter] are within _TRIM * epsilon of a_0.  The scan
-    # starts at the deep end and stops at the first term it keeps, so only
-    # a tail is ever cut, and a_0 always stays.
+def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> MacLaurinTable:
+    # The table less the tail whose terms at the top of [0, quarter] are
+    # within _TRIM * epsilon of a_0 in magnitude.  The scan starts at the
+    # deep end and stops at the first term it keeps, so only a tail is ever
+    # cut, and a_0 always stays.  Magnitudes, because a table read from a
+    # cache file need not hold the unsigned values maclaurin gives.
     floats = table.floats
     x = math.nextafter(quarter, math.inf)
-    bound = _TRIM * epsilon * floats[0]
+    bound = _TRIM * epsilon * abs(floats[0])
     p = table.params.p
     keep = len(floats)
     try:
-        while keep > 1 and floats[keep - 1] * x ** (p * (keep - 1)) <= bound:
+        while keep > 1 and abs(floats[keep - 1]) * x ** (p * (keep - 1)) <= bound:
             keep -= 1
     except OverflowError:
         pass  # a term past binary64 is no tail to drop
-    return floats[keep - 1 :: -1]
+    if keep == len(floats):
+        return table
+    return MacLaurinTable(table.params, keep - 1, floats[:keep])
 
 
 class QuadrantReduction(NamedTuple):
@@ -163,36 +165,33 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
     by t^n.  sq and cq fold only the prefix their context keeps.
     """
     check_finite("t", t)
+    return _horner(table, float(t))
+
+
+def _horner(table: MacLaurinTable, t: float) -> float:
+    # horner_sparse without the check, for arguments already checked and
+    # reduced.
     params = table.params
-    return _horner(reversed(table.floats), params.p, params.n, float(t))
-
-
-def _horner(coeffs: Iterable[float], p: int, n: int, t: float) -> float:
-    # The one Horner kernel: coeffs deep end first, t already checked.
-    tp = t ** p
-    coeffs = iter(coeffs)
+    tp = t ** params.p
+    coeffs = reversed(table.floats)
     b = next(coeffs)
     for a in coeffs:
         b = a - b * tp
-    return t ** n * b
+    return t ** params.n * b
 
 
 def sq(ctx: EvalContext, t: float) -> float:
     """Squine of t: y-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     check_finite("argument", t)
     s, use_co, sign_sq, _ = _reduce(ctx, t)
-    if use_co:
-        return sign_sq * _horner(ctx._cq_coeffs, ctx.p, 0, s)
-    return sign_sq * _horner(ctx._sq_coeffs, ctx.p, 1, s)
+    return sign_sq * _horner(ctx._cq_eval if use_co else ctx._sq_eval, s)
 
 
 def cq(ctx: EvalContext, t: float) -> float:
     """Cosquine of t: x-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     check_finite("argument", t)
     s, use_co, _, sign_cq = _reduce(ctx, t)
-    if use_co:
-        return sign_cq * _horner(ctx._sq_coeffs, ctx.p, 1, s)
-    return sign_cq * _horner(ctx._cq_coeffs, ctx.p, 0, s)
+    return sign_cq * _horner(ctx._sq_eval if use_co else ctx._cq_eval, s)
 
 
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
@@ -216,12 +215,8 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
             "required for negative powers or odd p"
         )
     s, use_co, sign_sq, sign_cq = _reduce(ctx, t)
-    p = ctx.p
-    if use_co:
-        cq_value, sq_value = _horner(ctx._sq_coeffs, p, 1, s), _horner(ctx._cq_coeffs, p, 0, s)
-    else:
-        cq_value, sq_value = _horner(ctx._cq_coeffs, p, 0, s), _horner(ctx._sq_coeffs, p, 1, s)
-    return (sign_cq * cq_value) ** m * (sign_sq * sq_value) ** n
+    sq_table, cq_table = (ctx._cq_eval, ctx._sq_eval) if use_co else (ctx._sq_eval, ctx._cq_eval)
+    return (sign_cq * _horner(cq_table, s)) ** m * (sign_sq * _horner(sq_table, s)) ** n
 
 
 # ---------------------------------------------------------------------------

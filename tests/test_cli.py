@@ -275,20 +275,37 @@ def test_bad_cache_file_exits_2(capsys, tmp_path, monkeypatch, text):
         assert code == 2
 
 
-def test_cache_file_checks_accept_a_good_entry(tmp_path):
+def _load_pair(tmp_path, entry):
+    # A cache file holding entry as both the sq and the cq table, loaded.
     path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"format": 1, "entries": {
-            _KEY: _ENTRY,
-            _KEY.replace("4|0|1", "4|1|0"): {**_ENTRY, "m": 1, "n": 0},
+            _KEY: entry,
+            _KEY.replace("4|0|1", "4|1|0"): {**entry, "m": 1, "n": 0},
         }}, fh)
-    ctx = cli.load_context(path, 4)
+    return cli.load_context(path, 4)
+
+
+def test_cache_file_checks_accept_a_good_entry(tmp_path):
+    ctx = _load_pair(tmp_path, _ENTRY)
     assert ctx.sq_table.floats == (1.0, 0.05)
     assert ctx.pi_p == 3.7
     # J = 1 has no tail to drop at this quarter period: evaluation runs the
-    # whole entry, deep end first, and matches horner_sparse on it.
-    assert ctx._sq_coeffs == ctx._cq_coeffs == (0.05, 1.0)
+    # whole entry and matches horner_sparse on it.
+    assert ctx._sq_eval is ctx.sq_table
+    assert ctx._cq_eval is ctx.cq_table
     for t in (0.0, 0.4, 0.9):
+        assert sg.sq(ctx, t) == sg.horner_sparse(ctx.sq_table, t)
+        assert sg.cq(ctx, t) == sg.horner_sparse(ctx.cq_table, t)
+
+
+def test_cache_entry_with_a_negative_coefficient_keeps_it(tmp_path):
+    # The trim compares magnitudes: a deep coefficient of -0.5 is no
+    # negligible tail, whatever its sign.
+    ctx = _load_pair(tmp_path, {**_ENTRY, "floats": [1.0, -0.5]})
+    assert ctx._sq_eval is ctx.sq_table
+    assert ctx._cq_eval is ctx.cq_table
+    for t in (0.4, 0.9):
         assert sg.sq(ctx, t) == sg.horner_sparse(ctx.sq_table, t)
         assert sg.cq(ctx, t) == sg.horner_sparse(ctx.cq_table, t)
 

@@ -254,7 +254,7 @@ EVAL_P = [2, 3, 4, 6, 10]
 
 def _kept(ctx):
     # The evaluation coefficients in table order, one tuple per table.
-    return ((ctx.sq_table, ctx._sq_coeffs[::-1]), (ctx.cq_table, ctx._cq_coeffs[::-1]))
+    return ((ctx.sq_table, ctx._sq_eval.floats), (ctx.cq_table, ctx._cq_eval.floats))
 
 
 @pytest.mark.parametrize("p", EVAL_P)
@@ -279,7 +279,7 @@ def test_evaluation_tables_drop_only_terms_below_epsilon_over_64(p):
 
 def test_evaluation_table_lengths():
     contexts = {p: sg.build_context(p) for p in EVAL_P}
-    got = {p: [len(ctx._sq_coeffs), len(ctx._cq_coeffs)] for p, ctx in contexts.items()}
+    got = {p: [len(ctx._sq_eval.floats), len(ctx._cq_eval.floats)] for p, ctx in contexts.items()}
     assert got == {2: [9, 10], 3: [20, 20], 4: [28, 29], 6: [43, 43], 10: [71, 71]}
 
 
@@ -338,23 +338,45 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
 def test_replace_rebuilds_the_evaluation_tables(ctx4):
     looser = dataclasses.replace(ctx4, epsilon=1e-6)
     assert looser.sq_table is ctx4.sq_table
-    assert len(looser._sq_coeffs) < len(ctx4._sq_coeffs)
-    assert looser._sq_coeffs == ctx4.sq_table.floats[len(looser._sq_coeffs) - 1 :: -1]
-    assert looser._cq_coeffs == evalcore._trimmed(ctx4.cq_table, ctx4.quarter, 1e-6)
+    kept = looser._sq_eval.floats
+    assert len(kept) < len(ctx4._sq_eval.floats)
+    assert kept == ctx4.sq_table.floats[: len(kept)]
+    assert looser._sq_eval.J == len(kept) - 1
+    assert looser._cq_eval == evalcore._trimmed(ctx4.cq_table, ctx4.quarter, 1e-6)
     # A shorter quarter period drops more of the tail.
     shorter = dataclasses.replace(ctx4, quarter=0.5)
-    assert len(shorter._cq_coeffs) < len(ctx4._cq_coeffs)
-    # Equality and repr ignore the derived tuples.
+    assert len(shorter._cq_eval.floats) < len(ctx4._cq_eval.floats)
+    # Equality and repr ignore the derived tables.
     assert dataclasses.replace(ctx4) == ctx4
-    assert "_sq_coeffs" not in repr(ctx4)
+    assert "_sq_eval" not in repr(ctx4)
+
+
+def test_every_branch_folds_the_trimmed_tables(ctx4):
+    # At epsilon 1e-3 the full tables differ from the prefixes well past the
+    # last bit, so each side of the quarter-period reflection must fold the
+    # context's own prefix.
+    loose = dataclasses.replace(ctx4, epsilon=1e-3)
+    assert len(loose._sq_eval.floats) < len(loose.sq_table.floats)
+    assert len(loose._cq_eval.floats) < len(loose.cq_table.floats)
+    half = loose.half
+    for t in (0.3 * loose.quarter, 0.9 * loose.quarter):
+        assert sg.sq(loose, t) == sg.horner_sparse(loose._sq_eval, t)
+        assert sg.cq(loose, t) == sg.horner_sparse(loose._cq_eval, t)
+        u = half - t  # past the quarter period: the tables swap roles
+        s = half - u
+        assert sg.sq(loose, u) == sg.horner_sparse(loose._cq_eval, s)
+        assert sg.cq(loose, u) == sg.horner_sparse(loose._sq_eval, s)
+        assert sg.pow_general(loose, 1, 1, u) == (
+            sg.horner_sparse(loose._sq_eval, s) * sg.horner_sparse(loose._cq_eval, s)
+        )
 
 
 def test_trim_keeps_a_table_whose_terms_overflow():
     # A quarter period far past 1 makes x^(pj) overflow binary64: such a
     # term is no tail, and the table stays whole.
     table = sg.MacLaurinTable(sg.SquigParams(p=4, m=0, n=1), 2, (1.0, 0.5, 1e-300))
-    assert evalcore._trimmed(table, 1e100, 2.0 ** -53) == (1e-300, 0.5, 1.0)
-    assert evalcore._trimmed(table, 0.5, 2.0 ** -53) == (0.5, 1.0)
+    assert evalcore._trimmed(table, 1e100, 2.0 ** -53) is table
+    assert evalcore._trimmed(table, 0.5, 2.0 ** -53).floats == (1.0, 0.5)
 
 
 def test_pow_general_raises_pole_error_at_the_poles(ctx2, ctx4):
