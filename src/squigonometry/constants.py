@@ -7,20 +7,16 @@ quarter period by Newton iteration on g(t) = cq(t) - 2^(-1/p), evaluating cq
 and its derivative -sq^(p-1) from raw MacLaurin tables (no range reduction,
 so nothing here depends on already knowing pi_p).
 
-Sizing the tables needs pi_p, which is what is being computed, so the length
-is bootstrapped: seed from the bound pi_p < 4, Newton to convergence, re-ask
-the term estimate with the computed value (never below three terms), and
-repeat until the length is a fixed point (two or three rounds in practice).
-One column generator per table lives through all the rounds: a longer round
-pulls only the columns it adds and a shorter one slices, so each
-coefficient is computed once per solve.  The Newton seed comes from a deep factor-sequence ratio via
-pi_from_factors, except at p = 2 where that identity degenerates and the
-seed t = 1 is used.
+Sizing the tables needs pi_p, which is what is being computed, so the
+length J comes once from an independent binary64 pi_p: the binomial series
+of the incomplete Beta integral (DLMF 8.17), which needs no table.  J is
+never below three, and each table pulls its J + 1 columns once.  The Newton
+seed comes from a deep factor-sequence ratio via pi_from_factors, except at
+p = 2 where that identity degenerates and the seed t = 1 is used.
 
 Results are cached per (p, epsilon); repeated calls return the same record,
-which also carries the sq and cq tables of the final sizing round.  Those
-tables are the ones evaluation contexts use, so each (p, epsilon) pair is
-built once.
+which also carries the sq and cq tables Newton ran on.  Those tables are
+the ones evaluation contexts use, so each (p, epsilon) pair is built once.
 
 beta_value evaluates the Euler Beta function at arguments on the 1/p grid
 through the arclength integral of cq^m sq^n over the first quadrant,
@@ -77,8 +73,22 @@ def _factorial_terms(epsilon: float) -> int:
     return j + 2
 
 
+def _pi_series(p: int) -> float:
+    # The binomial series of the incomplete Beta integral (DLMF 8.17),
+    # pi_p / 4 = 2^(-1/p) sum_k ((1 - 1/p)_k / k!) 2^-k / (pk + 1), in
+    # binary64.  Its terms shrink at least as fast as 2^-k, so 52 of them
+    # reach binary64 rounding.  It needs no table, so it sizes the tables.
+    a = 1.0 - 1.0 / p
+    coeff = 1.0
+    terms = [1.0]
+    for k in range(1, 53):
+        coeff *= (a + k - 1) / (2 * k)
+        terms.append(coeff / (p * k + 1))
+    return 4.0 * 2.0 ** (-1.0 / p) * math.fsum(terms)
+
+
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
-    """Quarter-period Newton solve for pi_p, with self-sized tables.
+    """Quarter-period Newton solve for pi_p on tables sized for epsilon.
 
     Parameters
     ----------
@@ -91,11 +101,11 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     Returns
     -------
     PiRecord
-        value holds pi_p; iterations counts Newton steps in the final sizing
-        round; J_used is the stabilized table length, which for p >= 3 is
-        the fixed point of estimate_terms at the computed pi_p; sq_table
-        and cq_table are the tables at that length which the Newton solve
-        ran on, shared by every context build_context returns.
+        value holds pi_p; iterations counts Newton steps; J_used is the
+        table length, for p >= 3 estimate_terms at the series pi_p and at
+        least 3; sq_table and cq_table are the tables at that length which
+        the Newton solve ran on, shared by every context build_context
+        returns.
     """
     # Validate before the memo sees the arguments, so a float degree such as
     # 4.0 fails rather than hit the record of the int 4, and key the memo on
@@ -111,65 +121,49 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     if p == 2:
         J = _factorial_terms(epsilon)
     else:
-        # Seed from pi_p < 4; underestimates J slightly, fixed by iteration.
-        J = max(estimate_terms(p, 4.0, epsilon), 4)
-    target = 2.0 ** (-1.0 / p)
-    sq_params = SquigParams(p=p, m=0, n=1)
-    cq_params = SquigParams(p=p, m=1, n=0)
-    sq_columns, cq_columns = _columns(sq_params), _columns(cq_params)
-    sq_floats: list[float] = []
-    cq_floats: list[float] = []
-    for _ in range(8):
-        # A longer round pulls only the columns it adds; a shorter one slices.
-        for floats, columns in ((sq_floats, sq_columns), (cq_floats, cq_columns)):
-            for a in islice(columns, max(J + 1 - len(floats), 0)):
-                if not math.isfinite(a):
-                    # Transit values of the coefficient recursion grow
-                    # roughly geometrically in j with a rate that worsens as
-                    # p grows; past the binary64 ceiling the deep table
-                    # entries come out inf.  Stop at the first one rather
-                    # than pull the columns left.
-                    raise ConvergenceError(
-                        f"MacLaurin recursion overflows binary64 at p={p}, J={J}; "
-                        "a looser epsilon keeps the table short enough"
-                    )
-                floats.append(a)
-        sq_table = MacLaurinTable(sq_params, J, tuple(sq_floats[: J + 1]))
-        cq_table = MacLaurinTable(cq_params, J, tuple(cq_floats[: J + 1]))
-        if p == 2:
-            t = 1.0
-        else:
-            tail = cq_table.floats[J]
-            if not tail > 0.0:
-                # The seed needs a deep factor, and an epsilon near the
-                # bottom of binary64 sizes the table past where it rounds to 0.
+        # Three terms at least: at loose epsilon the estimate drops to one
+        # or two, and Newton on such tables lands far from pi_p.
+        J = max(estimate_terms(p, _pi_series(p), epsilon), 3)
+    tables: list[MacLaurinTable] = []
+    for params in (SquigParams(p=p, m=0, n=1), SquigParams(p=p, m=1, n=0)):
+        floats: list[float] = []
+        for a in islice(_columns(params), J + 1):
+            if not math.isfinite(a):
+                # Transit values of the coefficient recursion grow roughly
+                # geometrically in j with a rate that worsens as p grows;
+                # past the binary64 ceiling the deep table entries come out
+                # inf.  Stop at the first one rather than pull the columns left.
                 raise ConvergenceError(
-                    f"MacLaurin table underflows binary64 at p={p}, J={J}; "
+                    f"MacLaurin recursion overflows binary64 at p={p}, J={J}; "
                     "a looser epsilon keeps the table short enough"
                 )
-            t = pi_from_factors(tail / cq_table.floats[J - 1], p) / 4.0
-        iterations = 0
-        while True:
-            residual = horner_sparse(cq_table, t) - target
-            slope = -horner_sparse(sq_table, t) ** (p - 1)
-            step = residual / slope
-            t -= step
-            iterations += 1
-            if abs(step) <= 8.0 * math.ulp(t):
-                break
-            if iterations >= 20:
-                raise ConvergenceError(f"Newton for pi_{p} still moving after 20 steps")
-        if p == 2:
-            J_next = J
-        else:
-            # Three terms at least: at loose epsilon the estimate drops to
-            # one or two, and Newton on such tables lands far from pi_p (or
-            # on a value the next estimate refuses).
-            J_next = max(estimate_terms(p, 4.0 * t, epsilon), 3)
-        if J_next == J:
+            floats.append(a)
+        tables.append(MacLaurinTable(params, J, tuple(floats)))
+    sq_table, cq_table = tables
+    if p == 2:
+        t = 1.0
+    else:
+        tail = cq_table.floats[J]
+        if not tail > 0.0:
+            # The seed needs a deep factor, and an epsilon near the bottom
+            # of binary64 sizes the table past where it rounds to 0.
+            raise ConvergenceError(
+                f"MacLaurin table underflows binary64 at p={p}, J={J}; "
+                "a looser epsilon keeps the table short enough"
+            )
+        t = pi_from_factors(tail / cq_table.floats[J - 1], p) / 4.0
+    target = 2.0 ** (-1.0 / p)
+    iterations = 0
+    while True:
+        residual = horner_sparse(cq_table, t) - target
+        slope = -horner_sparse(sq_table, t) ** (p - 1)
+        step = residual / slope
+        t -= step
+        iterations += 1
+        if abs(step) <= 8.0 * math.ulp(t):
             return PiRecord(p, 4.0 * t, iterations, J, epsilon, sq_table, cq_table)
-        J = J_next
-    raise ConvergenceError(f"table length for pi_{p} did not stabilize")
+        if iterations >= 20:
+            raise ConvergenceError(f"Newton for pi_{p} still moving after 20 steps")
 
 
 # The memo is inspected and cleared through the public name.

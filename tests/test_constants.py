@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -127,10 +128,18 @@ def _meets_epsilon(p: int, eps: float) -> bool:
     return abs(got - want) / want <= max(eps, 8.0 * math.ulp(want) / want)
 
 
-@pytest.mark.parametrize("p,eps", [(6, 0.57), (7, 0.69), (8, 0.69), (6, 0.5225)])
+@pytest.mark.parametrize(
+    "p,eps",
+    [
+        (6, 0.57), (7, 0.69), (8, 0.69), (6, 0.5225),
+        (5, 0.09), (6, 0.1425), (8, 0.04), (10, 0.04), (9, 0.2725), (10, 0.135),
+    ],
+)
 def test_compute_pi_at_a_loose_epsilon(p, eps):
-    # Later sizing rounds once sized these to J = 1 (pi_6 = 178.08, pi_7 =
-    # 30.36) or refused the computed pi_8 as implausible.
+    # Sizing from the Newton value once cut the first four to J = 1 (pi_6 =
+    # 178.08, pi_7 = 30.36) or refused pi_8 as implausible; re-sizing until
+    # the length stopped changing then never settled on the next four and
+    # left Newton still moving after 20 steps on the last two.
     assert _meets_epsilon(p, eps)
     assert sg.compute_pi(p, eps).J_used >= 3
 
@@ -148,6 +157,29 @@ def test_compute_pi_meets_epsilon_or_says_it_cannot(p, eps):
     assert ok
 
 
+def _pi_series_reference(p: int) -> Decimal:
+    # pi_p / 4 = 2^(-1/p) sum_k ((1 - 1/p)_k / k!) 2^-k / (pk + 1), summed
+    # in 40-digit decimal until the coefficients fall below 10^-45.
+    with localcontext() as dec:
+        dec.prec = 40
+        one = Decimal(1)
+        rising = one - one / p
+        coeff = total = one
+        k = 0
+        while coeff > Decimal(10) ** -45:
+            k += 1
+            coeff *= (rising + k - 1) / (2 * k)
+            total += coeff / (p * k + 1)
+        return 4 * total * Decimal(2) ** (-one / p)
+
+
+def test_pi_series_within_2_ulp():
+    for p in range(2, 65):
+        want = _pi_series_reference(p)
+        ulps = abs(Decimal(constants._pi_series(p)) - want) / Decimal(math.ulp(float(want)))
+        assert ulps <= 2, (p, float(ulps))
+
+
 def test_compute_pi_at_the_bottom_of_binary64():
     # 1 / epsilon overflows to inf below 2^-1024; the factorial count at
     # p = 2 must still stop.
@@ -161,7 +193,7 @@ def test_compute_pi_at_the_bottom_of_binary64():
 
 
 def test_compute_pi_overflow_stops_at_the_first_infinite_entry(monkeypatch):
-    # p = 10 at epsilon 1e-300 sizes J = 1377 from pi_p < 4; the recursion
+    # p = 10 at epsilon 1e-300 sizes J = 1929 from the series pi_p; the recursion
     # overflows near j = 110, and no column past the first infinite entry is
     # pulled.
     pulled = []
@@ -253,8 +285,8 @@ def test_compute_pi_golden_records():
 
 @pytest.mark.parametrize("p,eps", [(3, 0.05), (3, 0.015)])
 def test_compute_pi_tables_after_a_shorter_round(p, eps):
-    # The seed length 4 overshoots the fixed point at these tolerances, so
-    # the last sizing round is shorter and slices the columns pulled so far.
+    # The series pi_p sizes these below the three-term floor, so the tables
+    # hold J = 3 columns, which Newton and maclaurin must agree on.
     rec = sg.compute_pi(p, eps)
     assert rec.J_used < 4
     for table in (rec.sq_table, rec.cq_table):
