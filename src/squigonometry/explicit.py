@@ -5,7 +5,10 @@ markers on the steps 0..k-1.  Reading the steps in order with r ones already
 placed before step l, a marked step contributes the factor m + l(p-1) - pr
 and an unmarked step contributes n + pr - l; the product of the k factors,
 summed over all placements, is q[k][j].  This closed form needs no lower
-rows, at exponential cost in j.
+rows.  It is summed over the placement tree with the running prefix product,
+pruned at zero factors and where too few steps remain for the markers, so it
+costs the pruned tree's node count, not C(k, j) k multiplications.  Merging
+no subtrees keeps it independent of the recursion.
 
 When k = n + pj (the orders that survive in the MacLaurin series of
 cq^m sq^n) the placements with nonzero product admit a local description:
@@ -60,22 +63,38 @@ def _product_for_placement(params: SquigParams, k: int, ones: tuple[int, ...]) -
     return prod
 
 
+def _placement_sum(params: SquigParams, k: int, j: int) -> int:
+    # Depth first: a stack entry (step, markers placed, prefix product) is a
+    # marked branch still to walk; the unmarked branch is walked in place.
+    p, m, n = params.p, params.m, params.n
+    total = 0
+    stack = [(0, 0, 1)] if j <= k else []
+    while stack:
+        l, r, prod = stack.pop()
+        while l < k:
+            if r < j and (factor := m + l * (p - 1) - p * r):
+                stack.append((l + 1, r + 1, prod * factor))
+            factor = n + p * r - l
+            if not factor or k - l <= j - r:  # zero, or no room left for j - r markers
+                break
+            prod *= factor
+            l += 1
+        else:
+            total += prod
+    return total
+
+
 def explicit_coefficient(params: SquigParams, k: int, j: int) -> int:
-    """q[k][j] summed directly over all C(k, j) marker placements.
+    """q[k][j] summed directly over the pruned tree of marker placements.
 
     Exact integers throughout; exponential in j, so orders are capped at
     MAX_EXPLICIT_ORDER.  Independent of the recursion: no other rows are
-    consulted.
+    consulted and no two placements are merged.
     """
     _check_order(params, k, j)
     if k > MAX_EXPLICIT_ORDER:
         raise CostGuardError(f"k={k} exceeds the explicit-sum cap {MAX_EXPLICIT_ORDER}")
-    if j > k:
-        return 0
-    total = 0
-    for ones in combinations(range(k), j):
-        total += _product_for_placement(params, k, ones)
-    return total
+    return _placement_sum(params, k, j)
 
 
 def filter_nonzero_brute(params: SquigParams, k: int, j: int) -> list[tuple[int, ...]]:
@@ -155,10 +174,11 @@ def count_lower_bound(n: int, p: int, j: int) -> int:
 def corollary_coefficient(params: SquigParams, j: int) -> float:
     """Signed MacLaurin coefficient of t^(n + pj) in cq^m sq^n, closed form.
 
-    Sums the placement products at order k = n + pj and divides by k!,
-    attaching the sign (-1)^j; the arithmetic is exact rationals until the
-    final binary64 conversion.  Valid for negative m as well (the quotient
-    series such as the tangent analog), where the recursion does not apply.
+    Sums the placement products at order k = n + pj over the pruned tree of
+    explicit_coefficient, divides by k! and attaches the sign (-1)^j, exact
+    until the final binary64 conversion.  Valid for negative m as well (the
+    quotient series such as the tangent analog), where the recursion does
+    not apply.
     """
     check_int("j", j, 0)
     check_int("n", params.n, 0)
@@ -167,13 +187,8 @@ def corollary_coefficient(params: SquigParams, j: int) -> float:
         raise CostGuardError(
             f"C({k}, {j}) placements exceed the corollary cap {MAX_COROLLARY_CHOICES}"
         )
-    total = 0
-    for ones in combinations(range(k), j):
-        total += _product_for_placement(params, k, ones)
-    signed = Fraction(total, math.factorial(k))
-    if j % 2 == 1:
-        signed = -signed
-    return float(signed)
+    total = _placement_sum(params, k, j)
+    return float(Fraction(-total if j % 2 else total, math.factorial(k)))
 
 
 def matrix_factorial_row(params: SquigParams, k: int, size: int) -> list[int]:

@@ -38,7 +38,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
 
 from .errors import ParameterError, check_finite, check_int, check_powers, check_tolerance
 from .triangle import SquigParams, _rows, ceil_div
@@ -124,6 +124,8 @@ def _columns(params: SquigParams) -> Iterator[float]:
         c = ((n - k) * c) / (k + 1)
         history.append(c)
     yield c
+    if m == n == 0:  # cq^0 sq^0 = 1: every later column is +0.0, without end
+        yield from repeat(0.0)
     k_enter = 0  # first step k at which the band's top edge reaches column j
     for j in count(1):
         while k_enter + 1 - ceil_div(k_enter + 1 - m, p) < j:

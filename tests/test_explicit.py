@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from squigonometry import CostGuardError, ParameterError, SquigParams
-from squigonometry.explicit import _product_for_placement
+from squigonometry.explicit import _placement_sum, _product_for_placement
 
 COSQUINE4 = SquigParams(p=4, m=1, n=0)
 
@@ -42,6 +43,47 @@ def test_explicit_matches_triangle_hypothesis(p, m, n, k):
     tri = sg.build_triangle(params, k)
     for j in range(k + 1):
         assert sg.explicit_coefficient(params, k, j) == sg.coefficient(tri, k, j)
+
+
+def brute_placement_sum(params, k, j):
+    """The placement sum over all C(k, j) placements, one full product each.
+
+    Oracle for the pruned walk explicit._placement_sum: no pruning, no
+    shared prefixes.
+    """
+    return sum(_product_for_placement(params, k, ones) for ones in combinations(range(k), j))
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_placement_walk_equals_brute_sum(p):
+    # Negative m is corollary_coefficient's tangent-type domain; j = k + 1
+    # and k = 0 are the edges of the placement tree.
+    for m in range(-2, 4):
+        for n in range(4):
+            params = SquigParams(p=p, m=m, n=n)
+            for k in range(13):
+                for j in range(k + 2):
+                    assert _placement_sum(params, k, j) == brute_placement_sum(params, k, j), (
+                        params, k, j)
+
+
+def test_corollary_negative_m_matches_brute_sum():
+    for p in range(2, 6):
+        for m in (-3, -2, -1):
+            for n in range(4):
+                params = SquigParams(p=p, m=m, n=n)
+                for j in range(4):
+                    k = n + p * j
+                    want = float(Fraction((-1) ** j * brute_placement_sum(params, k, j),
+                                          math.factorial(k)))
+                    assert sg.corollary_coefficient(params, j) == want, (params, j)
+
+
+def test_explicit_row_18_matches_triangle():
+    # Past the orders the brute sum checks quickly; the triangle is the oracle.
+    tri = sg.build_triangle(COSQUINE4, 18)
+    row = [sg.explicit_coefficient(COSQUINE4, 18, j) for j in range(19)]
+    assert row == [sg.coefficient(tri, 18, j) for j in range(19)]
 
 
 def test_explicit_out_of_range_zero():
