@@ -94,7 +94,7 @@ def _load_entry(
     doc: dict, p: int, m: int, n: int, epsilon: float
 ) -> tuple[series.MacLaurinTable, float]:
     # Returns the table and the pi_p stored with it, after checking that the
-    # entry is complete and consistent with its key.
+    # entry is complete and consistent with its key (J and numerators too).
     key = _entry_key(p, m, n, epsilon)
     entry = doc["entries"].get(key)
     if entry is None:
@@ -117,8 +117,7 @@ def _load_entry(
             "numerators must hold J + 1 values, floats must be finite and pi_p "
             "finite and positive"
         )
-    table = series.MacLaurinTable(SquigParams(p=p, m=m, n=n), J, floats, numerators)
-    return table, pi_p
+    return series.MacLaurinTable(SquigParams(p=p, m=m, n=n), floats), pi_p
 
 
 def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.EvalContext:
@@ -221,8 +220,7 @@ def _cmd_roots(args: argparse.Namespace) -> int:
 
 def _cmd_factors(args: argparse.Namespace) -> int:
     params = SquigParams(p=args.p, m=args.m, n=args.n)
-    J = args.J if args.J is not None else 8
-    nums = series.integer_maclaurin(params, J)
+    nums = series.integer_maclaurin(params, args.J)
     fs = factors.factor_sequence(nums, params)
     print("j,a_exact,a_float")
     for j, (exact, approx) in enumerate(zip(fs.exact, fs.floats)):
@@ -232,20 +230,13 @@ def _cmd_factors(args: argparse.Namespace) -> int:
 
 def _cmd_maclaurin(args: argparse.Namespace) -> int:
     params = SquigParams(p=args.p, m=args.m, n=args.n)
-    if args.J is not None:
-        J = args.J
-    else:
-        rec = constants.compute_pi(args.p, args.eps)
-        J = rec.J_used
-    table = series.maclaurin(params, J, with_numerators=args.exact)
-    if args.exact:
-        print("j,power,coefficient,numerator")
-        for j in range(J + 1):
-            print(f"{j},{table.power(j)},{table.signed(j)!r},{table.numerators[j]}")
-    else:
-        print("j,power,coefficient")
-        for j in range(J + 1):
-            print(f"{j},{table.power(j)},{table.signed(j)!r}")
+    J = args.J if args.J is not None else constants.compute_pi(args.p, args.eps).J_used
+    table = series.maclaurin(params, J)
+    numerators = series.integer_maclaurin(params, J) if args.exact else None
+    print("j,power,coefficient" + (",numerator" if args.exact else ""))
+    for j in range(J + 1):
+        line = f"{j},{table.power(j)},{table.signed(j)!r}"
+        print(line if numerators is None else f"{line},{numerators[j]}")
     return 0
 
 
@@ -416,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("factors", help="term-to-term factor sequence a_j")
     _add_pmn(sub)
-    sub.add_argument("--J", type=int, default=None, help="last factor index (default: 8)")
+    sub.add_argument("--J", type=int, default=8, help="last factor index (default: 8)")
     sub.set_defaults(handler=_cmd_factors)
 
     sub = subs.add_parser("maclaurin", help="MacLaurin table for cq^m sq^n")

@@ -138,7 +138,7 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
                     "a looser epsilon keeps the table short enough"
                 )
             floats.append(a)
-        tables.append(MacLaurinTable(params, J, tuple(floats)))
+        tables.append(MacLaurinTable(params, tuple(floats)))
     sq_table, cq_table = tables
     if p == 2:
         t = 1.0

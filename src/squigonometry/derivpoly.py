@@ -35,6 +35,8 @@ from .errors import check_finite, check_int, check_powers
 from .evalcore import EvalContext, cq, sq
 from .triangle import CoeffTriangle, SquigParams, _rows, band_limits, build_triangle
 
+_MIN_GAP = 1e-10
+
 
 @dataclass(frozen=True)
 class DerivPolynomial:
@@ -203,13 +205,13 @@ def real_roots(q: DerivPolynomial) -> RootSet:
     return root_ladder(q.params, q.k)[q.k]
 
 
-def interlacing_check(lower: RootSet, upper: RootSet, min_gap: float = 1e-10) -> bool:
+def interlacing_check(lower: RootSet, upper: RootSet) -> bool:
     """Whether two consecutive levels' roots strictly interlace.
 
     Merged in increasing order, roots must alternate between the two levels
-    (counts differing by at most one), all lie strictly below 0, and no pair
-    may sit closer than min_gap.  Both orientations are accepted: depending
-    on which band edge moves, either level may own the leftmost root.
+    (counts differing by at most one), sit at least _MIN_GAP = 1e-10 apart
+    and lie below -_MIN_GAP.  Both orientations are accepted: depending on
+    which band edge moves, either level may own the leftmost root.
     """
     u = upper.negative_roots
     v = lower.negative_roots
@@ -217,13 +219,9 @@ def interlacing_check(lower: RootSet, upper: RootSet, min_gap: float = 1e-10) ->
         return False
     merged = sorted([(x, 0) for x in v] + [(x, 1) for x in u])
     for (a, side_a), (b, side_b) in zip(merged, merged[1:]):
-        if side_a == side_b:
+        if side_a == side_b or b - a < _MIN_GAP:
             return False
-        if b - a < min_gap:
-            return False
-    if merged and merged[-1][0] >= -min_gap:
-        return False
-    return True
+    return not (merged and merged[-1][0] >= -_MIN_GAP)
 
 
 def algebraic_values(u: float, p: int) -> tuple[float, float]:

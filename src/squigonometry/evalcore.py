@@ -93,7 +93,7 @@ def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> MacLaurin
         pass  # a term past binary64 is no tail to drop
     if keep == len(floats):
         return table
-    return MacLaurinTable(table.params, keep - 1, floats[:keep])
+    return MacLaurinTable(table.params, floats[:keep])
 
 
 class QuadrantReduction(NamedTuple):

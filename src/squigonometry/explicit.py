@@ -39,6 +39,7 @@ from .triangle import SquigParams
 MAX_EXPLICIT_ORDER = 22
 MAX_ENUMERATION_ORDER = 26
 MAX_COROLLARY_CHOICES = 400_000
+MAX_COROLLARY_ORDER = 200
 
 
 def _check_order(params: SquigParams, k: int, j: int) -> None:
@@ -178,11 +179,14 @@ def corollary_coefficient(params: SquigParams, j: int) -> float:
     explicit_coefficient, divides by k! and attaches the sign (-1)^j, exact
     until the final binary64 conversion.  Valid for negative m as well (the
     quotient series such as the tangent analog), where the recursion does
-    not apply.
+    not apply.  Orders k above MAX_COROLLARY_ORDER and more than
+    MAX_COROLLARY_CHOICES placements raise CostGuardError.
     """
     check_int("j", j, 0)
     check_int("n", params.n, 0)
     k = params.n + params.p * j
+    if k > MAX_COROLLARY_ORDER:
+        raise CostGuardError(f"order k={k} exceeds the corollary cap {MAX_COROLLARY_ORDER}")
     if math.comb(k, j) > MAX_COROLLARY_CHOICES:
         raise CostGuardError(
             f"C({k}, {j}) placements exceed the corollary cap {MAX_COROLLARY_CHOICES}"

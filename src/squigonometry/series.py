@@ -49,17 +49,20 @@ EPS_DEFAULT = 2.0 ** -53
 
 @dataclass(frozen=True)
 class MacLaurinTable:
-    """Unsigned scaled MacLaurin coefficients a_j of cq^m * sq^n.
+    """Unsigned scaled MacLaurin coefficients a_0..a_J of cq^m * sq^n.
 
     floats[j] holds a_j = F_j / (n + pj)! as a binary64 value; the series is
-    sum_j (-1)^j floats[j] t^(n + pj).  numerators, when present, carries the
-    exact integers F_j alongside.
+    sum_j (-1)^j floats[j] t^(n + pj).  J is len(floats) - 1, and the exact
+    integers F_j come from integer_maclaurin.
     """
 
     params: SquigParams
-    J: int
     floats: tuple[float, ...]
-    numerators: tuple[int, ...] | None = None
+
+    @property
+    def J(self) -> int:
+        """Index of the last coefficient, len(floats) - 1."""
+        return len(self.floats) - 1
 
     def power(self, j: int) -> int:
         """Exponent of t multiplying the j-th coefficient."""
@@ -70,11 +73,12 @@ class MacLaurinTable:
         return self.floats[j] if j % 2 == 0 else -self.floats[j]
 
 
-def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> MacLaurinTable:
+def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
     """Scaled MacLaurin coefficients a_0..a_J of cq^m * sq^n in binary64.
 
     The first J + 1 columns of the column generator _columns; see there
-    for how each coefficient is formed.
+    for how each coefficient is formed.  The exact integer numerators F_j
+    of the same coefficients come from integer_maclaurin.
 
     Parameters
     ----------
@@ -82,9 +86,6 @@ def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> Mac
         Requires m, n >= 0.
     J : int
         Last coefficient index; the recursion runs to order n + p*J.
-    with_numerators : bool
-        Also compute the exact integer numerators F_j (slower; the float
-        path never touches big integers).
 
     Examples
     --------
@@ -94,9 +95,7 @@ def maclaurin(params: SquigParams, J: int, with_numerators: bool = False) -> Mac
     """
     check_powers(params.m, params.n)
     check_int("J", J, 0)
-    floats = tuple(islice(_columns(params), J + 1))
-    numerators = integer_maclaurin(params, J) if with_numerators else None
-    return MacLaurinTable(params=params, J=J, floats=floats, numerators=numerators)
+    return MacLaurinTable(params, tuple(islice(_columns(params), J + 1)))
 
 
 def _columns(params: SquigParams) -> Iterator[float]:

@@ -45,6 +45,7 @@ def ceil_div(a: int, b: int) -> int:
 
 def falling_factorial(x: int, k: int) -> int:
     """Falling factorial x * (x - 1) * ... * (x - k + 1); the empty product is 1."""
+    check_int("x", x)
     check_int("k", k, 0)
     out = 1
     for i in range(k):
@@ -84,6 +85,7 @@ def band_limits(params: SquigParams, k: int) -> tuple[int, int]:
     Returns the pair (j_lo, j_hi); the band is empty when j_lo > j_hi, which
     cannot happen for m, n >= 0.
     """
+    check_int("k", k, 0)
     j_lo = max(ceil_div(k - params.n, params.p), 0)
     j_hi = k - max(ceil_div(k - params.m, params.p), 0)
     return j_lo, j_hi

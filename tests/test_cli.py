@@ -220,6 +220,15 @@ def test_cache_save_load_bit_identical(capsys, tmp_path, monkeypatch):
         assert sg.cq(cached, t) == sg.cq(fresh, t)
 
 
+@pytest.mark.parametrize("p", [2, 4, 10])
+def test_loaded_context_equals_fresh(tmp_path, p):
+    # A table is its params and floats, so the cached numerators and J do
+    # not make the loaded context differ from a fresh one.
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    cli.save_tables(path, p)
+    assert cli.load_context(path, p) == sg.build_context(p)
+
+
 def test_cache_missing_entry(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
     code, _ = run(capsys, "cache", "save", "--p", "4")

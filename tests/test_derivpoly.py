@@ -147,7 +147,7 @@ def test_interlacing_rejects_bad_sets():
     # Nonnegative root.
     d = RootSet(k=5, zero_multiplicity=1, negative_roots=(-2.0, 0.0))
     assert not sg.interlacing_check(a, d)
-    # Closer than min_gap.
+    # Closer than the 1e-10 gap.
     e = RootSet(k=5, zero_multiplicity=1, negative_roots=(-3.0 + 1e-13, -0.5))
     assert not sg.interlacing_check(a, e)
     # A valid interlace passes.

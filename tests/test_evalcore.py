@@ -374,7 +374,7 @@ def test_every_branch_folds_the_trimmed_tables(ctx4):
 def test_trim_keeps_a_table_whose_terms_overflow():
     # A quarter period far past 1 makes x^(pj) overflow binary64: such a
     # term is no tail, and the table stays whole.
-    table = sg.MacLaurinTable(sg.SquigParams(p=4, m=0, n=1), 2, (1.0, 0.5, 1e-300))
+    table = sg.MacLaurinTable(sg.SquigParams(p=4, m=0, n=1), (1.0, 0.5, 1e-300))
     assert evalcore._trimmed(table, 1e100, 2.0 ** -53) is table
     assert evalcore._trimmed(table, 0.5, 2.0 ** -53).floats == (1.0, 0.5)
 

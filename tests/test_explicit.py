@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -162,6 +163,18 @@ def test_cost_guards():
         sg.filter_nonzero_brute(COSQUINE4, 28, 7)
     with pytest.raises(CostGuardError):
         sg.corollary_coefficient(SquigParams(p=4, m=1, n=0), 12)
+
+
+def test_corollary_order_cap():
+    # At j = 0 the C(k, j) cap never binds; the order cap stops n! over
+    # 20 000 factors before any of it is multiplied.
+    assert sg.corollary_coefficient(SquigParams(p=2, m=0, n=sg.MAX_COROLLARY_ORDER), 0) > 0.0
+    start = time.perf_counter()
+    with pytest.raises(CostGuardError):
+        sg.corollary_coefficient(SquigParams(p=2, m=0, n=20_000), 0)
+    with pytest.raises(CostGuardError):
+        sg.corollary_coefficient(SquigParams(p=2, m=0, n=sg.MAX_COROLLARY_ORDER + 1), 0)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_lower_bound_values_and_validity():

@@ -112,15 +112,25 @@ def test_float_exactness_pins():
 @pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (2, 1)])
 def test_float_path_matches_exact_rationals(p, m, n):
     params = SquigParams(p=p, m=m, n=n)
-    table = sg.maclaurin(params, 12, with_numerators=True)
+    table = sg.maclaurin(params, 12)
+    numerators = sg.integer_maclaurin(params, 12)
     for j in range(13):
-        exact = Fraction(table.numerators[j], math.factorial(n + p * j))
+        exact = Fraction(numerators[j], math.factorial(n + p * j))
         assert abs(table.floats[j] - exact) <= 5e-14 * exact
 
 
-def test_with_numerators_carries_exact_integers():
-    table = sg.maclaurin(SquigParams(p=4, m=0, n=1), 3, with_numerators=True)
-    assert table.numerators == SQUINE_P4_NUMERATORS
+def test_table_and_interlacing_take_no_extra_arguments():
+    # Exact numerators come from integer_maclaurin, J from the floats, and
+    # interlacing_check's gap is fixed.
+    params = SquigParams(p=4, m=0, n=1)
+    with pytest.raises(TypeError):
+        sg.maclaurin(params, 3, with_numerators=True)
+    with pytest.raises(TypeError):
+        sg.MacLaurinTable(params, 3, (1.0, 0.15, 0.1, 0.05))
+    a = sg.RootSet(k=4, zero_multiplicity=1, negative_roots=(-3.0, -1.0))
+    f = sg.RootSet(k=5, zero_multiplicity=1, negative_roots=(-4.0, -2.0, -0.5))
+    with pytest.raises(TypeError):
+        sg.interlacing_check(a, f, min_gap=1e-10)
 
 
 def test_power_and_signed():
@@ -131,10 +141,10 @@ def test_power_and_signed():
 
 
 def test_p2_series_are_classical():
-    sine = sg.maclaurin(SquigParams(p=2, m=0, n=1), 8, with_numerators=True)
-    cosine = sg.maclaurin(SquigParams(p=2, m=1, n=0), 8, with_numerators=True)
-    assert all(v == 1 for v in sine.numerators)
-    assert all(v == 1 for v in cosine.numerators)
+    sine = sg.maclaurin(SquigParams(p=2, m=0, n=1), 8)
+    cosine = sg.maclaurin(SquigParams(p=2, m=1, n=0), 8)
+    assert all(v == 1 for v in sg.integer_maclaurin(sine.params, 8))
+    assert all(v == 1 for v in sg.integer_maclaurin(cosine.params, 8))
     for j in range(9):
         assert abs(sine.floats[j] * math.factorial(2 * j + 1) - 1.0) <= 1e-13
         assert abs(cosine.floats[j] * math.factorial(2 * j) - 1.0) <= 1e-13
@@ -237,9 +247,7 @@ def test_constant_function_numerators():
     # cq^0 sq^0 = 1: F_0 = 1 and every later derivative vanishes.
     params = SquigParams(p=4, m=0, n=0)
     assert sg.integer_maclaurin(params, 2) == (1, 0, 0)
-    table = sg.maclaurin(params, 2, with_numerators=True)
-    assert table.numerators == (1, 0, 0)
-    assert table.floats == (1.0, 0.0, 0.0)
+    assert sg.maclaurin(params, 2).floats == (1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("p", range(2, 13))

@@ -185,6 +185,11 @@ def test_validation_errors():
         sg.build_triangle(SquigParams(p=4, m=1, n=0), -1)
     with pytest.raises(ParameterError):
         sg.falling_factorial(3, -1)
+    with pytest.raises(ParameterError):
+        sg.falling_factorial(2.0, 2)  # type: ignore[arg-type]
+    for k in (-3, 1.5):
+        with pytest.raises(ParameterError):
+            sg.band_limits(SquigParams(p=4, m=1, n=0), k)  # type: ignore[arg-type]
 
 
 def test_falling_factorial_values():

@@ -23,6 +23,10 @@ def _fs():
     return sg.factor_sequence(sg.integer_maclaurin(P, 6), P)
 
 
+def _icf():
+    return sg.integer_cf_terms(sg.integer_maclaurin(P, 6), P)
+
+
 # name -> (call taking (ctx4, ctx3, bad value), expected error).  Each call
 # is valid except for the one parameter fed the bad value.
 CASES = {
@@ -80,6 +84,54 @@ CASES = {
     ),
     "q_polynomial.k": (
         lambda c4, c3, v: sg.q_polynomial(sg.build_triangle(P, 6), v), ParameterError,
+    ),
+    "band_limits.k": (lambda c4, c3, v: sg.band_limits(P, v), ParameterError),
+    "falling_factorial.x": (lambda c4, c3, v: sg.falling_factorial(v, 2), ParameterError),
+    "falling_factorial.k": (lambda c4, c3, v: sg.falling_factorial(5, v), ParameterError),
+    "beta_quadrature_oracle.p": (
+        lambda c4, c3, v: sg.beta_quadrature_oracle(v, 1, 0), ParameterError,
+    ),
+    "beta_quadrature_oracle.m": (
+        lambda c4, c3, v: sg.beta_quadrature_oracle(4, v, 0), ParameterError,
+    ),
+    "beta_quadrature_oracle.n": (
+        lambda c4, c3, v: sg.beta_quadrature_oracle(4, 1, v), ParameterError,
+    ),
+    "beta_quadrature_oracle.tol": (
+        lambda c4, c3, v: sg.beta_quadrature_oracle(4, 1, 0, v), ParameterError,
+    ),
+    "kth_derivative_value.k": (
+        lambda c4, c3, v: sg.kth_derivative_value(c4, sg.build_triangle(P, 6), v, 0.5),
+        ParameterError,
+    ),
+    "kth_derivative_value.t": (
+        lambda c4, c3, v: sg.kth_derivative_value(c4, sg.build_triangle(P, 6), 2, v),
+        DomainError,
+    ),
+    "eval_factor_expansion.t": (
+        lambda c4, c3, v: sg.eval_factor_expansion(_fs(), v, 1e-10), DomainError,
+    ),
+    "eval_factor_expansion.epsilon": (
+        lambda c4, c3, v: sg.eval_factor_expansion(_fs(), 0.5, v), ParameterError,
+    ),
+    "enumerate_nonzero.k": (lambda c4, c3, v: sg.enumerate_nonzero(P, v, 1), ParameterError),
+    "enumerate_nonzero.j": (lambda c4, c3, v: sg.enumerate_nonzero(P, 4, v), ParameterError),
+    "filter_nonzero_brute.k": (
+        lambda c4, c3, v: sg.filter_nonzero_brute(P, v, 1), ParameterError,
+    ),
+    "filter_nonzero_brute.j": (
+        lambda c4, c3, v: sg.filter_nonzero_brute(P, 4, v), ParameterError,
+    ),
+    "count_lower_bound.n": (lambda c4, c3, v: sg.count_lower_bound(v, 4, 2), ParameterError),
+    "count_lower_bound.p": (lambda c4, c3, v: sg.count_lower_bound(0, v, 2), ParameterError),
+    "count_lower_bound.j": (lambda c4, c3, v: sg.count_lower_bound(0, 4, v), ParameterError),
+    "pi_from_factors.a_tail": (lambda c4, c3, v: sg.pi_from_factors(v, 4), DomainError),
+    "pi_from_factors.p": (lambda c4, c3, v: sg.pi_from_factors(0.1, v), ParameterError),
+    "evaluate_integer_cf.t": (
+        lambda c4, c3, v: sg.evaluate_integer_cf(*_icf(), P, v, 3), DomainError,
+    ),
+    "evaluate_integer_cf.depth": (
+        lambda c4, c3, v: sg.evaluate_integer_cf(*_icf(), P, 0.5, v), ParameterError,
     ),
 }
 
