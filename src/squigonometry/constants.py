@@ -25,11 +25,13 @@ through the arclength integral of cq^m sq^n over the first quadrant,
 
 split at the quarter period: the upper half reflects onto the lower half
 with m and n exchanged, and both halves integrate term by term from their
-MacLaurin tables.  The sq and cq halves read the record's tables; other
-halves pull their own columns, past the record's length when m and n need
-more terms for the requested epsilon.  pi_gamma and beta_gamma give the
-classical gamma-function forms of the same quantities for cross-checking;
-they share no machinery with the series path.
+MacLaurin tables.  Each half reads one stream of coefficients: the
+record's floats for the sq and cq halves, then columns computed past them
+while m and n need more terms for the requested epsilon.  compute_pi and
+beta_value read coefficients through the same checked stream, which raises
+ConvergenceError at the first one that overflows binary64.  pi_gamma and
+beta_gamma give the classical gamma-function forms of the same quantities
+for cross-checking; they share no machinery with the series path.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, takewhile
 
 from .errors import ConvergenceError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, build_context, cq, horner_sparse, sq
@@ -87,6 +89,22 @@ def _pi_series(p: int) -> float:
     return 4.0 * 2.0 ** (-1.0 / p) * math.fsum(terms)
 
 
+def _coefficients(params: SquigParams, held: tuple[float, ...] = ()) -> Iterator[float]:
+    # a_0, a_1, ... of params: the held floats, then the columns past them,
+    # which are computed only once the held floats run out.  Transit values
+    # of the coefficient recursion grow roughly geometrically in j with a
+    # rate that worsens as p grows; past the binary64 ceiling the deep
+    # entries come out inf.  Stop at the first one rather than pull more.
+    yield from held
+    for j, a in enumerate(islice(_columns(params), len(held), None), len(held)):
+        if not math.isfinite(a):
+            raise ConvergenceError(
+                f"MacLaurin recursion overflows binary64 at p={params.p}, j={j}; "
+                "a looser epsilon needs fewer terms"
+            )
+        yield a
+
+
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     """Quarter-period Newton solve for pi_p on tables sized for epsilon.
 
@@ -124,22 +142,10 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
         # Three terms at least: at loose epsilon the estimate drops to one
         # or two, and Newton on such tables lands far from pi_p.
         J = max(estimate_terms(p, _pi_series(p), epsilon), 3)
-    tables: list[MacLaurinTable] = []
-    for params in (SquigParams(p=p, m=0, n=1), SquigParams(p=p, m=1, n=0)):
-        floats: list[float] = []
-        for a in islice(_columns(params), J + 1):
-            if not math.isfinite(a):
-                # Transit values of the coefficient recursion grow roughly
-                # geometrically in j with a rate that worsens as p grows;
-                # past the binary64 ceiling the deep table entries come out
-                # inf.  Stop at the first one rather than pull the columns left.
-                raise ConvergenceError(
-                    f"MacLaurin recursion overflows binary64 at p={p}, J={J}; "
-                    "a looser epsilon keeps the table short enough"
-                )
-            floats.append(a)
-        tables.append(MacLaurinTable(params, tuple(floats)))
-    sq_table, cq_table = tables
+    sq_table, cq_table = (
+        MacLaurinTable(params, tuple(islice(_coefficients(params), J + 1)))
+        for params in (SquigParams(p=p, m=0, n=1), SquigParams(p=p, m=1, n=0))
+    )
     if p == 2:
         t = 1.0
     else:
@@ -185,12 +191,16 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
 
     Integrates cq^m sq^n term by term over [0, pi_p/4] twice, once as given
     and once with m and n exchanged for the reflected upper half, then scales
-    by p.  Each half takes the record's J_used + 1 terms and more while the
-    next one exceeds epsilon / 2 relative to the sum, since J_used sizes the
-    sq and cq tables and ignores m and n.  The sq and cq halves read the
-    record's tables, and m = n builds one table for both halves.  The
-    two-half sum is accumulated with exact summation, so the result is
-    bitwise symmetric in m and n.  Requires m, n >= 0.
+    by p.  Each half is one lazy stream of signed terms: it takes the
+    record's J_used + 1 terms and continues while the next one exceeds
+    epsilon / 2 relative to the sum, since J_used sizes the sq and cq tables
+    and ignores m and n.  The sq and cq halves start from the record's
+    floats and compute columns only past them; m = n shares one stream for
+    both halves.  The two-half sum is accumulated with exact summation, so
+    the result is bitwise symmetric in m and n.  Requires m, n >= 0.
+
+    Raises ConvergenceError when a coefficient the sum needs overflows
+    binary64, which large m and n reach at p near 10.
     """
     check_int("p", p, 2)
     check_powers(m, n)
@@ -203,60 +213,32 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
         raise ConvergenceError(
             f"pi_{p} solved at epsilon={epsilon!r} is {record.value!r}, not below 4"
         )
+    held = {table.params: table.floats for table in (record.sq_table, record.cq_table)}
+
+    def signed_terms(params: SquigParams) -> Iterator[float]:
+        # (-1)^j a_j x^power / power with power = n + pj + 1: term j of the
+        # half integrated term by term.
+        for j, a in enumerate(_coefficients(params, held.get(params, ()))):
+            power = params.n + p * j + 1
+            term = a / power * x ** power
+            yield term if j % 2 == 0 else -term
+
     lower_params = SquigParams(p=p, m=m, n=n)
     upper_params = SquigParams(p=p, m=n, n=m)
-    halves = {params: _half(record, params, x) for params in {lower_params, upper_params}}
-    lower, upper = halves[lower_params][0], halves[upper_params][0]
+    streams = {params: signed_terms(params) for params in {lower_params, upper_params}}
+    halves = {params: list(islice(terms, record.J_used + 1)) for params, terms in streams.items()}
+    lower, upper = halves[lower_params], halves[upper_params]
     # Each half's dropped tail alternates with shrinking terms, so it is at
     # most its first term; half of epsilon each keeps the total within it.
     bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
-    for params, (terms, columns) in halves.items():
-        _extend_half(terms, params, columns, x, bound)
-    return p * math.fsum(lower + upper)
-
-
-def _half(
-    record: PiRecord, params: SquigParams, x: float
-) -> tuple[list[float], Iterator[float] | None]:
-    # Signed terms (-1)^j a_j x^power / power, power = n + pj + 1, of one
-    # half for j <= J_used, and the live column generator past them (None
-    # for a half read from the record's tables).
-    held = {table.params: table.floats for table in (record.sq_table, record.cq_table)}
-    floats = held.get(params)
-    columns = None
-    if floats is None:
-        columns = _columns(params)
-        floats = islice(columns, record.J_used + 1)
-    p, n = params.p, params.n
-    terms = []
-    for j, a in enumerate(floats):
-        power = n + p * j + 1
-        terms.append((1.0 if j % 2 == 0 else -1.0) * a / power * x ** power)
-    return terms, columns
-
-
-def _extend_half(
-    terms: list[float], params: SquigParams, columns: Iterator[float] | None, x: float, bound: float
-) -> None:
-    # Append the terms past the table while the next one exceeds bound.
-    if columns is None:
+    for params, kept in halves.items():
         # The sq and cq terms shrink strictly on [0, pi_p/4] (by a ratio
-        # below 0.61 for p <= 10), so once the last kept term is within
+        # below 0.61 for p <= 10), so once the last held term is within
         # bound no later one exceeds it and no column is recomputed.
-        if abs(terms[-1]) <= bound:
-            return
-        columns = islice(_columns(params), len(terms), None)
-    p, n = params.p, params.n
-    for j, a in enumerate(columns, len(terms)):
-        power = n + p * j + 1
-        term = a / power * x ** power
-        if not math.isfinite(term):
-            raise ConvergenceError(
-                f"MacLaurin recursion overflows binary64 at p={p}, j={j} in beta_value"
-            )
-        if term <= bound:
-            return
-        terms.append(term if j % 2 == 0 else -term)
+        if params in held and abs(kept[-1]) <= bound:
+            continue
+        kept.extend(takewhile(lambda term: abs(term) > bound, streams[params]))
+    return p * math.fsum(lower + upper)
 
 
 def beta_gamma(p: int, m: int, n: int) -> float:

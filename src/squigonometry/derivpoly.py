@@ -210,18 +210,20 @@ def interlacing_check(lower: RootSet, upper: RootSet) -> bool:
 
     Merged in increasing order, roots must alternate between the two levels
     (counts differing by at most one), sit at least _MIN_GAP = 1e-10 apart
-    and lie below -_MIN_GAP.  Both orientations are accepted: depending on
-    which band edge moves, either level may own the leftmost root.
+    and lie in (-inf, -_MIN_GAP); a NaN root fails.  Both orientations are
+    accepted: depending on which band edge moves, either level may own the
+    leftmost root.
     """
     u = upper.negative_roots
     v = lower.negative_roots
     if abs(len(u) - len(v)) > 1:
         return False
     merged = sorted([(x, 0) for x in v] + [(x, 1) for x in u])
+    # Every comparison is written to hold, so that NaN fails it.
     for (a, side_a), (b, side_b) in zip(merged, merged[1:]):
-        if side_a == side_b or b - a < _MIN_GAP:
+        if side_a == side_b or not b - a >= _MIN_GAP:
             return False
-    return not (merged and merged[-1][0] >= -_MIN_GAP)
+    return not merged or -math.inf < merged[0][0] and merged[-1][0] < -_MIN_GAP
 
 
 def algebraic_values(u: float, p: int) -> tuple[float, float]:

@@ -54,13 +54,22 @@ class FactorSequence:
     floats: tuple[float, ...]
 
 
+def _check_numerators(numerators: tuple[int, ...]) -> None:
+    # Each F_j divides a later factor or level.  integer_maclaurin yields
+    # F_j >= 1 whenever m and n are not both 0.
+    if not numerators:
+        raise ParameterError("need at least F_0")
+    for j, f in enumerate(numerators):
+        check_int(f"numerators[{j}]", f, 1)
+
+
 def factor_sequence(numerators: tuple[int, ...], params: SquigParams) -> FactorSequence:
     """Exact factor sequence from integer MacLaurin numerators.
 
     Parameters
     ----------
     numerators : tuple[int, ...]
-        F_0..F_J as produced by integer_maclaurin.
+        F_0..F_J as produced by integer_maclaurin, each an int >= 1.
     params : SquigParams
         The triple the numerators belong to; m, n >= 0.
 
@@ -75,8 +84,7 @@ def factor_sequence(numerators: tuple[int, ...], params: SquigParams) -> FactorS
     check_powers(params.m, params.n)
     if params.m == 0 and params.n == 0:
         raise ParameterError("the constant function (m = n = 0) has no term-to-term factors")
-    if not numerators:
-        raise ParameterError("need at least F_0")
+    _check_numerators(numerators)
     p, n = params.p, params.n
     exact = [Fraction(numerators[0], math.factorial(n))]
     for j in range(1, len(numerators)):
@@ -140,13 +148,13 @@ def integer_cf_terms(
     C_j = F_(j-1) ff(n + pj, p), ff the falling factorial.  Returns
     ((F_0, n!), levels) with levels[j-1] = (N_j, C_j, F_j); the value of the
     depth-D fraction matches continued_fraction at the same depth.
+    Each F_j must be an int >= 1, as integer_maclaurin returns them.
 
     For p = 2, m = 0, n = 1 every F_j is 1 and the levels collapse to the
     classical fraction t / (1 + t^2 / (6 - t^2 + 6 t^2 / (20 - t^2 + ...))).
     """
     check_powers(params.m, params.n)
-    if not numerators:
-        raise ParameterError("need at least F_0")
+    _check_numerators(numerators)
     p, n = params.p, params.n
     lead = (numerators[0], math.factorial(n))
     levels: list[tuple[int, int, int]] = []

@@ -98,6 +98,15 @@ def test_eval_domain_error_exit_code(capsys):
     assert code == 2
 
 
+def test_beta_overflow_exit_code(capsys):
+    # The coefficients these powers need overflow binary64 at p = 10.
+    code = cli.main(["beta", "--p", "10", "--m", "30", "--n", "30"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "overflows binary64" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_bad_arguments_exit_code(capsys):
     code, _ = run(capsys, "eval", "--p", "4")  # missing --t
     assert code == 2

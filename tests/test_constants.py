@@ -319,6 +319,16 @@ def test_beta_value_rejects_a_quarter_period_past_one(monkeypatch):
         sg.beta_value(6, 1, 0, 0.57)
 
 
+@pytest.mark.parametrize(
+    "p,m,n", [(10, 30, 30), (10, 60, 0), (10, 0, 60), (10, 30, 0), (10, 0, 30), (9, 40, 40)]
+)
+def test_beta_value_overflow_is_a_convergence_error(p, m, n):
+    # Large powers at p near 10 need coefficients past the binary64 ceiling,
+    # in the first J_used + 1 terms of a half or in its continuation.
+    with pytest.raises(ConvergenceError, match="overflows binary64"):
+        sg.beta_value(p, m, n)
+
+
 @pytest.mark.parametrize("mn,builds", [((1, 0), 0), ((0, 1), 0), ((2, 2), 1), ((2, 1), 2)])
 def test_beta_value_builds_only_the_tables_the_record_lacks(monkeypatch, mn, builds):
     # The sq and cq halves read the record's tables; m = n builds one table

@@ -153,6 +153,15 @@ def test_interlacing_rejects_bad_sets():
     # A valid interlace passes.
     f = RootSet(k=5, zero_multiplicity=1, negative_roots=(-4.0, -2.0, -0.5))
     assert sg.interlacing_check(a, f)
+    # A NaN or infinite root fails, on either level.
+    nan_level = RootSet(k=2, zero_multiplicity=0, negative_roots=(math.nan,))
+    empty = RootSet(k=1, zero_multiplicity=0, negative_roots=())
+    assert not sg.interlacing_check(empty, nan_level)
+    assert not sg.interlacing_check(nan_level, empty)
+    inf_level = RootSet(k=2, zero_multiplicity=0, negative_roots=(-math.inf, -1.0))
+    one = RootSet(k=1, zero_multiplicity=0, negative_roots=(-2.0,))
+    assert not sg.interlacing_check(one, inf_level)
+    assert not sg.interlacing_check(inf_level, one)
 
 
 def test_real_roots_single_level():

@@ -216,6 +216,16 @@ def test_factor_sequence_validation():
         sg.integer_cf_terms((), params)
 
 
+@pytest.mark.parametrize("bad", [0, -5])
+def test_numerators_must_be_positive(bad):
+    # F_j divides later factors and levels; a zero or negative one names
+    # its index instead of dividing by zero or flipping signs.
+    params = SquigParams(p=4, m=1, n=0)
+    for build in (sg.factor_sequence, sg.integer_cf_terms):
+        with pytest.raises(ParameterError, match=r"numerators\[1\]"):
+            build((1, bad, 2268), params)
+
+
 def test_constant_function_has_no_factors():
     # cq^0 sq^0 = 1 has numerators (1, 0, 0, ...): no term ratio exists.
     params = SquigParams(p=4, m=0, n=0)

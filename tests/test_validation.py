@@ -127,6 +127,12 @@ CASES = {
     "count_lower_bound.j": (lambda c4, c3, v: sg.count_lower_bound(0, 4, v), ParameterError),
     "pi_from_factors.a_tail": (lambda c4, c3, v: sg.pi_from_factors(v, 4), DomainError),
     "pi_from_factors.p": (lambda c4, c3, v: sg.pi_from_factors(0.1, v), ParameterError),
+    "factor_sequence.numerators": (
+        lambda c4, c3, v: sg.factor_sequence((1, v, 2268), P), ParameterError,
+    ),
+    "integer_cf_terms.numerators": (
+        lambda c4, c3, v: sg.integer_cf_terms((1, v, 2268), P), ParameterError,
+    ),
     "evaluate_integer_cf.t": (
         lambda c4, c3, v: sg.evaluate_integer_cf(*_icf(), P, v, 3), DomainError,
     ),
