@@ -5,10 +5,11 @@ row; floats are printed in shortest round-trip form, so parsing a value back
 gives the identical binary64.  Exit codes: 0 on success, 2 on invalid
 arguments or domain errors, 3 when a computation or verification fails.
 
-The cache subcommands persist MacLaurin tables plus the matching pi_p to a
-JSON file so later runs can rebuild evaluation contexts bit-identically.
-Entries are keyed by (p, m, n, epsilon); floats are stored as JSON numbers
-(round-trip exact) and integer numerators as decimal strings.  The cache
+The cache subcommands persist what an evaluation context needs, pi_p and
+the binary64 sq and cq MacLaurin tables, to a JSON file so later runs can
+rebuild contexts bit-identically.  A format-2 document holds one entry per
+(p, epsilon), keyed "<p>|<epsilon.hex()>", with exactly the keys pi_p, sq and
+cq; floats are stored as JSON numbers, which round-trip exactly.  The cache
 directory defaults to $SQUIG_CACHE_DIR, falling back to ~/.cache/squigonometry.
 """
 
@@ -26,7 +27,7 @@ from .errors import DomainError, ParameterError, SquigError
 from .series import EPS_DEFAULT
 from .triangle import SquigParams
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 CACHE_BASENAME = "tables.json"
 
 
@@ -40,8 +41,8 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "squigonometry")
 
 
-def _entry_key(p: int, m: int, n: int, epsilon: float) -> str:
-    return f"{p}|{m}|{n}|{float(epsilon).hex()}"
+def _entry_key(p: int, epsilon: float) -> str:
+    return f"{p}|{float(epsilon).hex()}"
 
 
 def _read_cache(path: str) -> dict:
@@ -53,33 +54,31 @@ def _read_cache(path: str) -> dict:
         raise ParameterError(f"cannot read cache file {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise ParameterError(f"cache file {path} is not valid JSON: {exc}") from None
-    if doc.__class__ is not dict or doc.get("format") != CACHE_FORMAT:
-        raise ParameterError(f"cache file {path} is not a format-{CACHE_FORMAT} cache document")
+    if doc.__class__ is not dict:
+        raise ParameterError(f"cache file {path} is not a cache document")
+    if doc.get("format") != CACHE_FORMAT:
+        raise ParameterError(
+            f"cache file {path} has format {doc.get('format')!r}, not {CACHE_FORMAT}; "
+            "delete it and save the tables again"
+        )
     if doc.get("entries").__class__ is not dict:
         raise ParameterError(f"cache file {path} has no entries object")
     return doc
 
 
 def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
-    """Write (or merge into) a cache file the sq and cq tables for one p.
+    """Write (or merge into) a cache file the pi_p entry for (p, epsilon).
 
-    Stores the tables compute_pi solved on, floats verbatim and exact
-    numerators as decimal strings, plus that pi_p.  Returns the full document.
+    Stores compute_pi's value and the floats of the sq and cq tables it was
+    solved on.  Returns the full document.
     """
     record = constants.compute_pi(p, epsilon)
     doc = _read_cache(path) if os.path.exists(path) else {"format": CACHE_FORMAT, "entries": {}}
-    for table in (record.sq_table, record.cq_table):
-        params = table.params
-        doc["entries"][_entry_key(p, params.m, params.n, epsilon)] = {
-            "p": p,
-            "m": params.m,
-            "n": params.n,
-            "J": table.J,
-            "epsilon": epsilon,
-            "pi_p": record.value,
-            "floats": list(table.floats),
-            "numerators": [str(v) for v in series.integer_maclaurin(params, table.J)],
-        }
+    doc["entries"][_entry_key(p, epsilon)] = {
+        "pi_p": record.value,
+        "sq": list(record.sq_table.floats),
+        "cq": list(record.cq_table.floats),
+    }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -90,46 +89,30 @@ def _finite_number(value) -> bool:
     return value.__class__ in (int, float) and math.isfinite(value)
 
 
-def _load_entry(
-    doc: dict, p: int, m: int, n: int, epsilon: float
-) -> tuple[series.MacLaurinTable, float]:
-    # Returns the table and the pi_p stored with it, after checking that the
-    # entry is complete and consistent with its key (J and numerators too).
-    key = _entry_key(p, m, n, epsilon)
-    entry = doc["entries"].get(key)
-    if entry is None:
-        raise ParameterError(f"cache has no entry for p={p}, m={m}, n={n}, epsilon={epsilon}")
-    try:
-        J, floats, pi_p = entry["J"], tuple(entry["floats"]), entry["pi_p"]
-        numerators = tuple(map(triangle._json_int, entry["numerators"]))
-        key_matches = (entry["p"], entry["m"], entry["n"]) == (p, m, n)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParameterError(f"cache entry {key} is incomplete: {exc!r}") from None
-    if not (
-        key_matches
-        and J.__class__ is int
-        and len(floats) == len(numerators) == J + 1 > 0
-        and all(map(_finite_number, floats + (pi_p,)))
-        and pi_p > 0.0
-    ):
-        raise ParameterError(
-            f"cache entry {key} is inconsistent: p/m/n must match the key, floats and "
-            "numerators must hold J + 1 values, floats must be finite and pi_p "
-            "finite and positive"
-        )
-    return series.MacLaurinTable(SquigParams(p=p, m=m, n=n), floats), pi_p
-
-
 def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.EvalContext:
     """Rebuild an evaluation context from a cache file, bit-identically.
 
-    The returned context evaluates exactly as one built fresh with the same
-    (p, epsilon): floats pass through JSON unchanged.  A missing, unreadable
-    or malformed cache file raises ParameterError.
+    The returned context equals one built fresh with the same (p, epsilon):
+    floats pass through JSON unchanged.  A missing, unreadable or malformed
+    cache file, or one in another format, raises ParameterError.
     """
-    doc = _read_cache(path)
-    sq_table, pi_p = _load_entry(doc, p, 0, 1, epsilon)
-    cq_table, _ = _load_entry(doc, p, 1, 0, epsilon)
+    key = _entry_key(p, epsilon)
+    entry = _read_cache(path)["entries"].get(key)
+    if entry is None:
+        raise ParameterError(f"cache has no entry for p={p}, epsilon={epsilon}")
+    try:
+        pi_p = entry["pi_p"]
+        sq_table, cq_table = (
+            series.MacLaurinTable(SquigParams(p=p, m=m, n=n), tuple(entry[name]))
+            for name, m, n in (("sq", 0, 1), ("cq", 1, 0))
+        )
+    except (KeyError, TypeError, ParameterError) as exc:  # ParameterError: an empty table
+        raise ParameterError(f"cache entry {key} is incomplete: {exc!r}") from None
+    if not (all(map(_finite_number, sq_table.floats + cq_table.floats + (pi_p,))) and pi_p > 0.0):
+        raise ParameterError(
+            f"cache entry {key} is invalid: sq and cq floats must be finite numbers "
+            "and pi_p finite and positive"
+        )
     return evalcore.EvalContext(p, pi_p / 4.0, sq_table, cq_table, epsilon)
 
 

@@ -168,8 +168,11 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
         iterations += 1
         if abs(step) <= 8.0 * math.ulp(t):
             return PiRecord(p, 4.0 * t, iterations, J, epsilon, sq_table, cq_table)
-        if iterations >= 20:
-            raise ConvergenceError(f"Newton for pi_{p} still moving after 20 steps")
+        # The slope is cq's derivative, not the truncated table's, so at loose
+        # tolerances on p = 9, 10 (J = 3, 4) each step shrinks only by 0.20-0.25
+        # and Newton takes up to 25 steps; up to 2^-20 it takes at most 5.
+        if iterations >= 32:
+            raise ConvergenceError(f"Newton for pi_{p} still moving after {iterations} steps")
 
 
 # The memo is inspected and cleared through the public name.

@@ -202,8 +202,9 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     odd p restrict t to the open first quadrant (0, pi_p / 2), where both
     factors are positive.  The endpoints are poles when the power of the
     factor vanishing there is negative (t = 0 with n < 0, t = pi_p / 2 with
-    m < 0), which raises PoleError; every other t outside raises DomainError.
-    t is reduced once for both factors.
+    m < 0), which raises PoleError; every other t outside raises DomainError,
+    as does a product that overflows binary64 near a pole.  t is reduced once
+    for both factors.
     """
     check_powers(m, n, low=None)
     check_finite("t", t)
@@ -216,7 +217,13 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
         )
     s, use_co, sign_sq, sign_cq = _reduce(ctx, t)
     sq_table, cq_table = (ctx._cq_eval, ctx._sq_eval) if use_co else (ctx._sq_eval, ctx._cq_eval)
-    return (sign_cq * _horner(cq_table, s)) ** m * (sign_sq * _horner(sq_table, s)) ** n
+    try:
+        value = (sign_cq * _horner(cq_table, s)) ** m * (sign_sq * _horner(sq_table, s)) ** n
+    except OverflowError:  # ** raises past binary64; * of two large powers gives inf
+        value = math.inf
+    if math.isinf(value):
+        raise DomainError(f"cq^{m} sq^{n} at t={t!r} overflows binary64")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,15 @@ class MacLaurinTable:
 
     floats[j] holds a_j = F_j / (n + pj)! as a binary64 value; the series is
     sum_j (-1)^j floats[j] t^(n + pj).  J is len(floats) - 1, and the exact
-    integers F_j come from integer_maclaurin.
+    integers F_j come from integer_maclaurin.  floats must not be empty.
     """
 
     params: SquigParams
     floats: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.floats:
+            raise ParameterError("a MacLaurinTable needs at least the coefficient a_0")
 
     @property
     def J(self) -> int:

@@ -107,6 +107,16 @@ def test_beta_overflow_exit_code(capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_pow_overflow_exit_code(capsys):
+    # cq^0 sq^-2 at t = 1e-200 is 1e400, past binary64.
+    code = cli.main(["eval", "--p", "4", "--func", "pow", "--m", "0", "--n", "-2",
+                     "--t", "1e-200"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "overflows binary64" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_bad_arguments_exit_code(capsys):
     code, _ = run(capsys, "eval", "--p", "4")  # missing --t
     assert code == 2
@@ -249,28 +259,38 @@ def test_cache_missing_entry(capsys, tmp_path, monkeypatch):
     assert code == 2
 
 
-_KEY = "4|0|1|0x1.0000000000000p-53"
-_ENTRY = {"p": 4, "m": 0, "n": 1, "J": 1, "pi_p": 3.7, "floats": [1.0, 0.05],
-          "numerators": ["1", "6"]}
+_KEY = "4|0x1.0000000000000p-53"
+_ENTRY = {"pi_p": 3.7, "sq": [1.0, 0.05], "cq": [1.0, 0.05]}
+# A document as format 1 wrote it: one entry per table, with J and numerators.
+_FORMAT_1 = json.dumps({"format": 1, "entries": {
+    f"4|{m}|{n}|0x1.0000000000000p-53": {
+        "p": 4, "m": m, "n": n, "J": 1, "epsilon": 2.0 ** -53, "pi_p": 3.7,
+        "floats": [1.0, 0.05], "numerators": ["1", "6"]}
+    for m, n in ((0, 1), (1, 0))
+}})
 
 
 def _doc(entry) -> str:
-    return json.dumps({"format": 1, "entries": {_KEY: entry}})
+    return json.dumps({"format": 2, "entries": {_KEY: entry}})
 
 
 _BAD_DOCUMENTS = ["{not json", "[1, 2]", '"tables"', '{"format": 1}',
-                  '{"format": 1, "entries": []}']
+                  '{"format": 1, "entries": []}', _FORMAT_1, '{"format": 2}',
+                  '{"format": 2, "entries": []}']
 _BAD_ENTRIES = [
-    {"p": 4},
+    {"pi_p": 3.7},
     [1, 2],
-    *({k: v for k, v in _ENTRY.items() if k != missing}
-      for missing in ("p", "m", "n", "J", "floats", "numerators", "pi_p")),
+    "tables",
+    None,
+    *({k: v for k, v in _ENTRY.items() if k != missing} for missing in ("pi_p", "sq", "cq")),
     *({**_ENTRY, **change} for change in (
-        {"J": 2}, {"J": 0}, {"J": "1"}, {"numerators": ["1"]}, {"numerators": ["1", "x"]},
-        {"numerators": ["1", 1.5]}, {"numerators": ["1", True]},
-        {"floats": [1.0, "x"]}, {"floats": [1.0, math.inf]}, {"floats": [1.0, math.nan]},
-        {"pi_p": math.inf}, {"pi_p": math.nan}, {"pi_p": None},
-        {"p": 5}, {"m": 1}, {"n": 0},
+        {"sq": 1.0}, {"sq": None}, {"sq": {"1.0": 1}}, {"cq": "1.0"},
+        {"sq": []}, {"cq": []},
+        {"sq": [1.0, "x"]}, {"sq": [1.0, math.inf]}, {"sq": [1.0, math.nan]},
+        {"sq": [1.0, True]}, {"cq": [1.0, "x"]}, {"cq": [1.0, -math.inf]},
+        {"cq": [math.nan]}, {"cq": [True]},
+        {"pi_p": math.inf}, {"pi_p": math.nan}, {"pi_p": None}, {"pi_p": True},
+        {"pi_p": "3.7"}, {"pi_p": 0.0}, {"pi_p": -3.7},
     )),
 ]
 
@@ -293,14 +313,39 @@ def test_bad_cache_file_exits_2(capsys, tmp_path, monkeypatch, text):
         assert code == 2
 
 
-def _load_pair(tmp_path, entry):
-    # A cache file holding entry as both the sq and the cq table, loaded.
+@pytest.mark.parametrize("action", ["load", "save"])
+def test_format_1_cache_file_names_its_format(capsys, tmp_path, action):
     path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": 1, "entries": {
-            _KEY: entry,
-            _KEY.replace("4|0|1", "4|1|0"): {**entry, "m": 1, "n": 0},
-        }}, fh)
+        fh.write(_FORMAT_1)
+    code = cli.main(["cache", action, "--p", "4", "--dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "has format 1, not 2" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cache_entry_holds_pi_p_and_the_two_tables(tmp_path):
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    doc = cli.save_tables(path, 4)
+    record = sg.compute_pi(4)
+    assert doc == {"format": 2, "entries": {_KEY: {
+        "pi_p": record.value,
+        "sq": list(record.sq_table.floats),
+        "cq": list(record.cq_table.floats),
+    }}}
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == doc
+
+
+def _load_pair(tmp_path, entry):
+    # A cache file holding entry, loaded; "floats", if given, stand for both
+    # the sq and the cq table.
+    if "floats" in entry:
+        entry = {"pi_p": entry["pi_p"], "sq": entry["floats"], "cq": entry["floats"]}
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_doc(entry))
     return cli.load_context(path, 4)
 
 
@@ -335,7 +380,7 @@ def test_cache_merges_entries(capsys, tmp_path, monkeypatch):
     path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    assert len(doc["entries"]) == 4  # two tables per p
+    assert len(doc["entries"]) == 2  # one entry per (p, epsilon)
     code, _ = run(capsys, "cache", "load", "--p", "3")
     assert code == 0
 

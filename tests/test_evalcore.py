@@ -408,3 +408,17 @@ def test_pow_general_off_pole_boundaries_stay_domain_errors(ctx2):
         with pytest.raises(DomainError) as info:
             sg.pow_general(ctx, m, n, t)
         assert type(info.value) is DomainError
+
+
+def test_pow_general_overflow_is_a_domain_error(ctx2, ctx4):
+    # Near a pole a negative power leaves binary64: ** raises past it, and
+    # the product of two large powers turns inf without raising.
+    for ctx, m, n, t in (
+        (ctx4, 0, -2, 1e-200),
+        (ctx4, -200, 0, ctx4.half * (1 - 1e-15)),
+        (ctx2, -1000, -1000, 0.6),
+    ):
+        with pytest.raises(DomainError, match="overflows binary64") as info:
+            sg.pow_general(ctx, m, n, t)
+        assert type(info.value) is DomainError
+    assert sg.pow_general(ctx2, -1000, -1000, 0.7) < math.inf
