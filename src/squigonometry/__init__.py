@@ -2,7 +2,7 @@
 
 The squine and cosquine generalize sine and cosine to |x|^p + |y|^p = 1.
 This package computes their derivative coefficient triangles exactly, builds
-and evaluates their MacLaurin and Taylor series, locates the interior zeros
+and evaluates their MacLaurin series, locates the interior zeros
 of their derivatives with algebraic values attached, and produces the
 constants pi_p and Beta values, all behind a CSV-emitting command line tool.
 """
@@ -74,12 +74,10 @@ from .factors import (
 from .series import (
     EPS_DEFAULT,
     MacLaurinTable,
-    TaylorTable,
     estimate_terms,
     integer_maclaurin,
     maclaurin,
     radius,
-    taylor_quarter,
 )
 from .triangle import (
     CoeffTriangle,
@@ -117,7 +115,6 @@ __all__ = [
     "RootSet",
     "SquigError",
     "SquigParams",
-    "TaylorTable",
     "ZeroDenominatorError",
     "algebraic_values",
     "arcsq_oracle",
@@ -159,7 +156,6 @@ __all__ = [
     "reduce_argument",
     "root_ladder",
     "sq",
-    "taylor_quarter",
     "triangle_from_json",
     "triangle_to_json",
     "verify_structure",

@@ -1,4 +1,4 @@
-"""MacLaurin tables and quarter-period Taylor tables for cq^m * sq^n.
+"""MacLaurin tables for cq^m * sq^n.
 
 The MacLaurin series of cq^m * sq^n collapses onto powers t^(n + pj),
 
@@ -22,14 +22,6 @@ geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
 with R = (pi_p / 4) * sec(pi / p), which exceeds 1 for every p >= 3.  For
 p = 2 the decay is factorial, not geometric, and the estimate returns the
 sentinel 0 (callers pick the factorial rule instead).
-
-taylor_quarter expands about the quarter period t = pi_p / 4, where
-cq = sq = 2^(-1/p).  The k-th Taylor coefficient is
-
-    f_k = 2^(-h_k / p) / k! * sum_j (-1)^j q[k][j],   h_k = n + m + k(p - 2),
-
-so taylor_quarter sums the exact integer rows from the triangle row
-generator and rounds each quotient by k! once.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count, islice, repeat
 
 from .errors import ParameterError, check_finite, check_int, check_powers, check_tolerance
@@ -202,33 +193,3 @@ def estimate_terms(p: int, pi_p: float, epsilon: float) -> int:
     if r <= 1.0:
         raise ParameterError(f"decay rate {r} <= 1; pi_p value {pi_p} is not plausible")
     return math.ceil(-math.log(epsilon) / (p * math.log(r)))
-
-
-@dataclass(frozen=True)
-class TaylorTable:
-    """Taylor coefficients f_0..f_K of cq^m * sq^n about the quarter period."""
-
-    params: SquigParams
-    K: int
-    coeffs: tuple[float, ...]
-
-
-def taylor_quarter(params: SquigParams, K: int) -> TaylorTable:
-    """Taylor table of cq^m * sq^n about t = pi_p / 4, orders 0..K.
-
-    At the quarter period cq = sq = 2^(-1/p), so every term of row k of the
-    derivative expansion evaluates to the common power 2^(-h_k / p) with
-    h_k = n + m + k(p - 2), leaving the alternating row sum.  Each row sum is
-    exact; its quotient by k! is rounded once and scaled by the power, split
-    as 2^(-(h_k mod p)/p) times an exact power of two.
-    """
-    check_powers(params.m, params.n)
-    check_int("K", K, 0)
-    p, m, n = params.p, params.m, params.n
-    coeffs: list[float] = []
-    for k, row in enumerate(islice(_rows(params, {0: 1}, 0), K + 1)):
-        h = n + m + k * (p - 2)
-        alternating = sum(v if j % 2 == 0 else -v for j, v in row.items())
-        power = math.ldexp(2.0 ** (-(h % p) / p), -(h // p))
-        coeffs.append(power * float(Fraction(alternating, math.factorial(k))))
-    return TaylorTable(params=params, K=K, coeffs=tuple(coeffs))

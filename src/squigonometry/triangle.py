@@ -23,8 +23,8 @@ Rows are stored sparsely as {column: value} dicts over Python ints, so entries
 never overflow and equality checks are exact.
 
 The private row generator _rows is the one place this recursion is written;
-build_triangle, integer_maclaurin, polynomial_step and taylor_quarter all
-read their rows from it.  The routes in explicit stay independent oracles.
+build_triangle, integer_maclaurin and polynomial_step all read their rows
+from it.  The routes in explicit stay independent oracles.
 """
 
 from __future__ import annotations

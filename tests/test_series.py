@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -225,55 +224,8 @@ def test_maclaurin_validation():
         sg.integer_maclaurin(SquigParams(p=4, m=1, n=-2), 4)
 
 
-def test_taylor_quarter_cosine_p2(ctx2):
-    table = sg.taylor_quarter(SquigParams(p=2, m=1, n=0), 16)
-    base = math.pi / 4.0
-    assert table.coeffs[0] == pytest.approx(math.cos(base), abs=1e-15)
-    for dt in (0.05, -0.1, 0.2):
-        total = sum(c * dt ** k for k, c in enumerate(table.coeffs))
-        assert total == pytest.approx(math.cos(base + dt), abs=1e-14)
-
-
-def test_taylor_quarter_matches_direct_evaluation(ctx4, pi4):
-    table = sg.taylor_quarter(SquigParams(p=4, m=1, n=0), 20)
-    assert table.coeffs[0] == pytest.approx(2.0 ** -0.25, abs=1e-16)
-    base = pi4.value / 4.0
-    for dt in (0.05, 0.1, -0.1, 0.2):
-        total = sum(c * dt ** k for k, c in enumerate(table.coeffs))
-        assert total == pytest.approx(sg.cq(ctx4, base + dt), abs=5e-14)
-
-
-def test_taylor_quarter_product_function(ctx4, pi4):
-    # cq^2 sq about the quarter period.
-    table = sg.taylor_quarter(SquigParams(p=4, m=2, n=1), 20)
-    assert table.coeffs[0] == pytest.approx(2.0 ** (-3.0 / 4.0), abs=1e-15)
-    base = pi4.value / 4.0
-    for dt in (0.1, -0.2):
-        total = sum(c * dt ** k for k, c in enumerate(table.coeffs))
-        want = sg.cq(ctx4, base + dt) ** 2 * sg.sq(ctx4, base + dt)
-        assert total == pytest.approx(want, abs=5e-14)
-
-
 def test_constant_function_numerators():
     # cq^0 sq^0 = 1: F_0 = 1 and every later derivative vanishes.
     params = SquigParams(p=4, m=0, n=0)
     assert sg.integer_maclaurin(params, 2) == (1, 0, 0)
     assert sg.maclaurin(params, 2).floats == (1.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("p", range(2, 13))
-def test_taylor_quarter_within_4_ulp(p):
-    # 60-digit reference for f_k = 2^(-h_k/p) sum_j (-1)^j q[k][j] / k!.
-    K = 60
-    for m, n in ((1, 0), (0, 1), (2, 1)):
-        params = SquigParams(p=p, m=m, n=n)
-        got = sg.taylor_quarter(params, K).coeffs
-        rows = sg.build_triangle(params, K).rows
-        with localcontext() as dec:
-            dec.prec = 60
-            for k, row in enumerate(rows):
-                h = n + m + k * (p - 2)
-                alternating = sum(v if j % 2 == 0 else -v for j, v in row.items())
-                want = Decimal(2) ** (Decimal(-h) / p) * alternating / math.factorial(k)
-                ulps = abs(Decimal(got[k]) - want) / Decimal(math.ulp(float(want)))
-                assert ulps <= 4, (p, m, n, k, float(ulps))

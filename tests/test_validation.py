@@ -57,7 +57,6 @@ CASES = {
     "radius.pi_p": (lambda c4, c3, v: sg.radius(4, v), DomainError),
     "maclaurin.J": (lambda c4, c3, v: sg.maclaurin(P, v), ParameterError),
     "integer_maclaurin.J": (lambda c4, c3, v: sg.integer_maclaurin(P, v), ParameterError),
-    "taylor_quarter.K": (lambda c4, c3, v: sg.taylor_quarter(P, v), ParameterError),
     "build_triangle.K": (lambda c4, c3, v: sg.build_triangle(P, v), ParameterError),
     "root_ladder.k_max": (lambda c4, c3, v: sg.root_ladder(P, v), ParameterError),
     "explicit_coefficient.k": (lambda c4, c3, v: sg.explicit_coefficient(P, v, 1), ParameterError),
