@@ -4,6 +4,8 @@ Output conventions: every data command writes CSV to stdout with a header
 row; floats are printed in shortest round-trip form, so parsing a value back
 gives the identical binary64.  Exit codes: 0 on success, 2 on invalid
 arguments or domain errors, 3 when a computation or verification fails.
+A command computes all its rows before it prints any, so one that fails
+leaves stdout empty.
 
 The cache subcommands persist what an evaluation context needs, pi_p and
 the binary64 sq and cq MacLaurin tables, to a JSON file so later runs can
@@ -138,10 +140,10 @@ def _cmd_pi(args: argparse.Namespace) -> int:
     lo, hi = args.p_min, args.p_max
     if lo > hi:
         raise ParameterError(f"empty p range {lo}..{hi}")
+    records = [constants.compute_pi(p, args.eps) for p in range(lo, hi + 1)]
     print("p,pi_p,terms,iterations")
-    for p in range(lo, hi + 1):
-        rec = constants.compute_pi(p, args.eps)
-        print(f"{p},{rec.value!r},{rec.J_used},{rec.iterations}")
+    for rec in records:
+        print(f"{rec.p},{rec.value!r},{rec.J_used},{rec.iterations}")
     return 0
 
 
@@ -154,14 +156,13 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     ctx = evalcore.build_context(args.p, args.eps)
+    if args.func == "pow":
+        values = [evalcore.pow_general(ctx, args.m, args.n, t) for t in args.t]
+    else:
+        func = evalcore.sq if args.func == "sq" else evalcore.cq
+        values = [func(ctx, t) for t in args.t]
     print("t,value")
-    for t in args.t:
-        if args.func == "sq":
-            value = evalcore.sq(ctx, t)
-        elif args.func == "cq":
-            value = evalcore.cq(ctx, t)
-        else:
-            value = evalcore.pow_general(ctx, args.m, args.n, t)
+    for t, value in zip(args.t, values):
         print(f"{t!r},{value!r}")
     return 0
 
@@ -171,10 +172,15 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     tmax = args.tmax if args.tmax is not None else 2.0 * ctx.pi_p
     if args.points < 2:
         raise ParameterError(f"need at least 2 points, got {args.points}")
+    # t = tmax * i / (points - 1), with tmax scaled by 2^-e (e >= 0) first and
+    # the quotient scaled back: the same bits, but no overflow before the division.
+    e = max(math.frexp(tmax)[1], 0)
+    grid = [math.ldexp(math.ldexp(tmax, -e) * i / (args.points - 1), e)
+            for i in range(args.points)]
+    rows = [(t, evalcore.sq(ctx, t), evalcore.cq(ctx, t)) for t in grid]
     print("t,sq,cq")
-    for i in range(args.points):
-        t = tmax * i / (args.points - 1)
-        print(f"{t!r},{evalcore.sq(ctx, t)!r},{evalcore.cq(ctx, t)!r}")
+    for t, sq_val, cq_val in rows:
+        print(f"{t!r},{sq_val!r},{cq_val!r}")
     return 0
 
 

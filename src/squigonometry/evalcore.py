@@ -162,10 +162,14 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
 
     Folds all of the table's coefficients from the deep end, b <- a_j - b t^p,
     so the alternating signs come out of the single subtraction, then scales
-    by t^n.  sq and cq fold only the prefix their context keeps.
+    by t^n.  sq and cq fold only the prefix their context keeps.  A t whose
+    power t^p or t^n overflows binary64 raises DomainError.
     """
     check_finite("t", t)
-    return _horner(table, float(t))
+    try:
+        return _horner(table, float(t))
+    except OverflowError:
+        raise DomainError(f"t={t!r}: a power of t overflows binary64") from None
 
 
 def _horner(table: MacLaurinTable, t: float) -> float:
@@ -345,8 +349,10 @@ def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
 
     Built as an independent cross-check of the series evaluators: adaptive
     Gauss-Legendre panels handle [0, min(x, 7/8)] and a tanh-sinh rule the
-    remainder, each to half the tolerance.  Accepts 0 <= x <= 1; x = 1
-    returns the quarter-period integral in full.
+    remainder, each to half the tolerance.  Accepts 0 <= x <= 1.  At the
+    default tolerance it answers every x < 1 tried (p up to 300), and x = 1,
+    the quarter-period integral in full, for p <= 25; from p = 26 the
+    endpoint rule overflows there and raises ConvergenceError.
     """
     check_finite("x", x)
     check_int("p", p, 2)
@@ -362,5 +368,8 @@ def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
 
     total = _integrate_smooth(integrand, 0.0, split, 0.5 * tol)
     if x > split:
-        total += _integrate_endpoint(p, split, x, 0.5 * tol)
+        try:
+            total += _integrate_endpoint(p, split, x, 0.5 * tol)
+        except OverflowError:
+            raise ConvergenceError(f"tanh-sinh rule overflows binary64 at p={p}") from None
     return total

@@ -35,7 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConvergenceError, ParameterError, ZeroDenominatorError
+from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError
+from .errors import ZeroDenominatorError
 from .errors import check_finite, check_int, check_powers, check_tolerance
 from .triangle import SquigParams, falling_factorial
 
@@ -104,14 +105,15 @@ def eval_factor_expansion(fs: FactorSequence, t: float, epsilon: float) -> tuple
     Terms are accumulated while updates stay at or above epsilon in absolute
     value; the first update below epsilon is dropped and iteration stops, so
     t = 0 uses exactly one term.  Raises ConvergenceError if the available
-    factors run out before an update falls below epsilon.
+    factors run out before an update falls below epsilon, and DomainError if
+    t^n or t^p overflows binary64.
     """
     check_finite("t", t)
     check_tolerance("epsilon", epsilon)
-    term = float(t) ** fs.params.n
+    term = _power(t, fs.params.n)
     total = term
     used = 1
-    tp = float(t) ** fs.params.p
+    tp = _power(t, fs.params.p)
     for j in range(1, fs.J + 1):
         term = -fs.floats[j] * tp * term
         if abs(term) < epsilon:
@@ -121,6 +123,14 @@ def eval_factor_expansion(fs: FactorSequence, t: float, epsilon: float) -> tuple
     raise ConvergenceError(
         f"factor expansion still above epsilon={epsilon} after {fs.J + 1} terms at t={t}"
     )
+
+
+def _power(t: float, k: int) -> float:
+    # t^k in binary64; a power past its range makes t a bad argument.
+    try:
+        return float(t) ** k
+    except OverflowError:
+        raise DomainError(f"t={t!r}: t^{k} overflows binary64") from None
 
 
 def continued_fraction(fs: FactorSequence, t: float, depth: int) -> float:
@@ -178,29 +188,36 @@ def evaluate_integer_cf(
     """Evaluate the integer-coefficient fraction truncated at a given depth.
 
     Coefficients grow factorially with level, so this evaluator is meant for
-    the modest depths where the integer form is of interest; levels beyond
-    binary64 range raise OverflowError from the conversion.
+    the modest depths where the integer form is of interest: a coefficient
+    past binary64 range (from depth 27 at p = 4, m = 1, n = 0) raises
+    CostGuardError, and a t whose power t^n or t^p overflows raises
+    DomainError.
     """
     check_finite("t", t)
     check_int("depth", depth, 0, len(levels))
-    tn = float(t) ** params.n
-    if depth == 0:
-        return lead[0] * tn / lead[1]
-    tp = float(t) ** params.p
-    numer_d, const_d, sub_d = levels[depth - 1]
-    v = const_d - sub_d * tp
-    for j in range(depth - 1, 0, -1):
+    # _power raises DomainError, so the only OverflowError left comes from an
+    # int coefficient too large for binary64, converted where it meets a float.
+    try:
+        tn = _power(t, params.n)
+        if depth == 0:
+            return lead[0] * tn / lead[1]
+        tp = _power(t, params.p)
+        numer_d, const_d, sub_d = levels[depth - 1]
+        v = const_d - sub_d * tp
+        for j in range(depth - 1, 0, -1):
+            if v == 0.0:
+                raise ZeroDenominatorError(f"denominator vanished at level {j + 1}, t={t}")
+            numer_next = levels[j][0]
+            numer_j, const_j, sub_j = levels[j - 1]
+            v = const_j - sub_j * tp + numer_next * tp / v
         if v == 0.0:
-            raise ZeroDenominatorError(f"denominator vanished at level {j + 1}, t={t}")
-        numer_next = levels[j][0]
-        numer_j, const_j, sub_j = levels[j - 1]
-        v = const_j - sub_j * tp + numer_next * tp / v
-    if v == 0.0:
-        raise ZeroDenominatorError(f"denominator vanished at level 1, t={t}")
-    w = lead[1] + levels[0][0] * tp / v
-    if w == 0.0:
-        raise ZeroDenominatorError(f"denominator vanished at level 0, t={t}")
-    return lead[0] * tn / w
+            raise ZeroDenominatorError(f"denominator vanished at level 1, t={t}")
+        w = lead[1] + levels[0][0] * tp / v
+        if w == 0.0:
+            raise ZeroDenominatorError(f"denominator vanished at level 0, t={t}")
+        return lead[0] * tn / w
+    except OverflowError:
+        raise CostGuardError(f"a depth-{depth} coefficient overflows binary64") from None
 
 
 def pi_from_factors(a_tail: float | Fraction, p: int) -> float:

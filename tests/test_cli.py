@@ -126,6 +126,27 @@ def test_bad_arguments_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("eval", "--p", "4", "--func", "pow", "--m", "0", "--n", "-2", "--t", "0.5", "1e-200"), 2),
+    (("pi", "--p-min", "9", "--p-max", "12"), 3),
+    (("plotdata", "--p", "4", "--points", "3", "--tmax", "nan"), 2),
+])
+def test_failing_command_writes_no_rows(capsys, argv, want):
+    # Rows that succeed before the failing point or degree are not printed.
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == want
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_plotdata_grid_reaches_largest_tmax(capsys):
+    # tmax * i would overflow before the division at this tmax.
+    code, lines = run(capsys, "plotdata", "--p", "4", "--points", "3", "--tmax", "1e308")
+    assert code == 0
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 5e307, 1e308]
+
+
 def test_plotdata(capsys):
     code, lines = run(capsys, "plotdata", "--p", "4", "--points", "5", "--tmax", "1.0")
     assert code == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +220,19 @@ def test_critical_value_matches_grid_maximum(ctx4):
     )
     assert grid <= want + 1e-12
     assert grid == pytest.approx(want, abs=1e-5)
+
+
+@pytest.mark.parametrize("p, m, n", [(4, 600, 600), (2, 600, 700), (3, 1000, 2000)])
+def test_critical_value_below_normal_ratio(p, m, n):
+    # m^m n^n / (m + n)^(m + n) is below 2^-1022 here, so it must not round
+    # to 0 before the root: at p = 4, m = n = 600 the answer is 2^-300.
+    got = sg.critical_value(SquigParams(p=p, m=m, n=n))
+    with localcontext() as dec:
+        dec.prec = 40
+        want = (Decimal(m ** m * n ** n) / Decimal((m + n) ** (m + n))) ** (Decimal(1) / p)
+        assert abs(Decimal(got) - want) <= 2 * Decimal(math.ulp(got))
+    if m == n:
+        assert got == 2.0 ** (-2 * m / p)
 
 
 def test_critical_value_validation():

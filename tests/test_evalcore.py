@@ -226,6 +226,11 @@ def test_arcsq_endpoints(ctx4, pi4):
     assert sg.arcsq_oracle(1.0, 4) == pytest.approx(pi4.value / 2.0, abs=1e-10)
 
 
+def test_arcsq_answers_at_one_through_p25():
+    # The documented range at x = 1; from p = 26 it raises ConvergenceError.
+    assert sg.arcsq_oracle(1.0, 25) == pytest.approx(sg.pi_gamma(25) / 2.0, abs=1e-12)
+
+
 def test_arcsq_p2_is_asin():
     for x in (0.1, 0.5, 0.9):
         assert sg.arcsq_oracle(x, 2) == pytest.approx(math.asin(x), abs=1e-10)

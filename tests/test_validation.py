@@ -12,11 +12,13 @@ import math
 import pytest
 
 import squigonometry as sg
-from squigonometry import DomainError, ParameterError, SquigParams
+from squigonometry import ConvergenceError, CostGuardError, DomainError, ParameterError
+from squigonometry import SquigParams
 
 BAD_VALUES = (True, math.nan, math.inf, "x", None)
 
 P = SquigParams(p=4, m=1, n=0)
+Q = SquigParams(p=4, m=0, n=2)
 
 
 def _fs():
@@ -149,6 +151,42 @@ def test_bad_input_raises_typed_error(case, bad, ctx4, ctx3):
     call, expected = CASES[case]
     with pytest.raises(expected):
         call(ctx4, ctx3, bad)
+
+
+# Finite arguments whose powers, coefficients or quadrature nodes overflow
+# binary64: a typed SquigError, never a bare OverflowError.
+OVERFLOWS = {
+    "horner_sparse.t^p": (lambda c4: sg.horner_sparse(c4.sq_table, 1e78), DomainError),
+    "eval_factor_expansion.t^p": (
+        lambda c4: sg.eval_factor_expansion(_fs(), 1e200, 1e-10), DomainError,
+    ),
+    "continued_fraction.t^p": (lambda c4: sg.continued_fraction(_fs(), 1e200, 3), DomainError),
+    "evaluate_integer_cf.t^p": (
+        lambda c4: sg.evaluate_integer_cf(*_icf(), P, 1e200, 3), DomainError,
+    ),
+    "evaluate_integer_cf.t^n": (
+        lambda c4: sg.evaluate_integer_cf(
+            *sg.integer_cf_terms(sg.integer_maclaurin(Q, 1), Q), Q, 1e200, 0,
+        ),
+        DomainError,
+    ),
+    "evaluate_integer_cf.depth": (
+        lambda c4: sg.evaluate_integer_cf(
+            *sg.integer_cf_terms(sg.integer_maclaurin(P, 27), P), P, 0.5, 27,
+        ),
+        CostGuardError,
+    ),
+    "arcsq_oracle.p=26": (lambda c4: sg.arcsq_oracle(1.0, 26), ConvergenceError),
+    "arcsq_oracle.p=29": (lambda c4: sg.arcsq_oracle(1.0, 29), ConvergenceError),
+    "arcsq_oracle.p=64": (lambda c4: sg.arcsq_oracle(1.0, 64), ConvergenceError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_overflow_raises_typed_error(case, ctx4):
+    call, expected = OVERFLOWS[case]
+    with pytest.raises(expected):
+        call(ctx4)
 
 
 def test_compute_pi_cache_rejects_float_degree():
