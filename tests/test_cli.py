@@ -147,6 +147,15 @@ def test_plotdata_grid_reaches_largest_tmax(capsys):
     assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 5e307, 1e308]
 
 
+@pytest.mark.parametrize("tmax", [1.0, -3.5, 5e-324, 1e300])
+def test_plotdata_grid_matches_plain_formula(capsys, tmax):
+    # Where tmax * i / (points - 1) is finite, the grid has exactly its bits.
+    code, lines = run(capsys, "plotdata", "--p", "4", "--points", "7", "--tmax", repr(tmax))
+    assert code == 0
+    got = [float(line.split(",")[0]) for line in lines[1:]]
+    assert got == [tmax * i / 6 for i in range(7)]
+
+
 def test_plotdata(capsys):
     code, lines = run(capsys, "plotdata", "--p", "4", "--points", "5", "--tmax", "1.0")
     assert code == 0

@@ -235,6 +235,14 @@ def test_critical_value_below_normal_ratio(p, m, n):
         assert got == 2.0 ** (-2 * m / p)
 
 
+@pytest.mark.parametrize("p, m, n", [(4, 1, 1), (3, 300, 400), (5, 250, 700), (4, 511, 511)])
+def test_critical_value_normal_ratio_keeps_bits(p, m, n):
+    # A ratio at or above 2^-1022 takes the plain expression, bit for bit;
+    # at m = n = 511 the ratio is exactly 2^-1022.
+    got = sg.critical_value(SquigParams(p=p, m=m, n=n))
+    assert got == ((m ** m * n ** n) / (m + n) ** (m + n)) ** (1.0 / p)
+
+
 def test_critical_value_validation():
     with pytest.raises(ParameterError):
         sg.critical_value(SquigParams(p=4, m=0, n=1))
