@@ -4,8 +4,8 @@ Output conventions: every data command writes CSV to stdout with a header
 row; floats are printed in shortest round-trip form, so parsing a value back
 gives the identical binary64.  Exit codes: 0 on success, 2 on invalid
 arguments or domain errors, 3 when a computation or verification fails.
-A command computes all its rows before it prints any, so one that fails
-leaves stdout empty.
+A command checks or computes everything that can fail before it prints its
+header, so one that fails leaves stdout empty.
 
 The cache subcommands persist what an evaluation context needs, pi_p and
 the binary64 sq and cq MacLaurin tables, to a JSON file so later runs can
@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
-from .errors import DomainError, ParameterError, SquigError
+from .errors import DomainError, ParameterError, SquigError, check_finite
 from .series import EPS_DEFAULT
 from .triangle import SquigParams
 
@@ -172,15 +172,16 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     tmax = args.tmax if args.tmax is not None else 2.0 * ctx.pi_p
     if args.points < 2:
         raise ParameterError(f"need at least 2 points, got {args.points}")
+    # sq and cq answer every finite t, so a finite tmax is the only check
+    # needed before the first row.
+    check_finite("tmax", tmax)
     # t = tmax * i / (points - 1), with tmax scaled by 2^-e (e >= 0) first and
     # the quotient scaled back: the same bits, but no overflow before the division.
     e = max(math.frexp(tmax)[1], 0)
-    grid = [math.ldexp(math.ldexp(tmax, -e) * i / (args.points - 1), e)
-            for i in range(args.points)]
-    rows = [(t, evalcore.sq(ctx, t), evalcore.cq(ctx, t)) for t in grid]
     print("t,sq,cq")
-    for t, sq_val, cq_val in rows:
-        print(f"{t!r},{sq_val!r},{cq_val!r}")
+    for i in range(args.points):
+        t = math.ldexp(math.ldexp(tmax, -e) * i / (args.points - 1), e)
+        print(f"{t!r},{evalcore.sq(ctx, t)!r},{evalcore.cq(ctx, t)!r}")
     return 0
 
 

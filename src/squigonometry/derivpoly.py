@@ -33,7 +33,7 @@ from itertools import islice
 from .errors import DomainError, ParameterError, RootCountError
 from .errors import check_finite, check_int, check_powers
 from .evalcore import EvalContext, cq, sq
-from .triangle import CoeffTriangle, SquigParams, _rows, band_limits, build_triangle, ceil_div
+from .triangle import CoeffTriangle, SquigParams, _rows, band_limits, build_triangle
 
 _MIN_GAP = 1e-10
 
@@ -247,14 +247,14 @@ def critical_value(params: SquigParams) -> float:
     The derivative factors as cq^(m-1) sq^(n-1) (n cq^p - m sq^p), so the
     interior critical point has sq^p = n / (m + n), cq^p = m / (m + n) and
     the maximum equals (m^m n^n / (m + n)^(m + n))^(1/p).  Requires
-    m, n >= 1.  A ratio below the normal binary64 range is scaled by 2^(ps)
-    before the root and the root by 2^(-s), so it does not round to 0 first.
+    m, n >= 1.  The ratio is split exactly as y 2^(-d), y in (1/2, 2), and
+    2^(-d/p) as 2^(-r/p) 2^(-q) with d = qp + r, so no power overflows or
+    underflows before the root and the rounding of 1/p is never multiplied
+    by a large logarithm.
     """
     check_powers(params.m, params.n, 1)
     p, m, n = params.p, params.m, params.n
     num, den = m ** m * n ** n, (m + n) ** (m + n)
-    ratio = num / den
-    if ratio >= 2.0 ** -1022:
-        return ratio ** (1.0 / p)
-    s = ceil_div(den.bit_length() - num.bit_length(), p)
-    return math.ldexp(((num << (p * s)) / den) ** (1.0 / p), -s)
+    d = den.bit_length() - num.bit_length()
+    q, r = divmod(d, p)
+    return math.ldexp(((num << d) / den) ** (1.0 / p) * 2.0 ** (-r / p), -q)

@@ -78,3 +78,11 @@ def check_finite(name: str, value) -> None:
     except (TypeError, OverflowError):
         pass
     raise DomainError(f"{name} must be a finite real, got {value!r}")
+
+
+def checked_power(t, k: int) -> float:
+    """t^k in binary64; DomainError when the power overflows."""
+    try:
+        return float(t) ** k
+    except OverflowError:
+        raise DomainError(f"t={t!r}: t^{k} overflows binary64") from None

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .errors import check_finite, check_int, check_powers, check_tolerance
+from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
 from .series import EPS_DEFAULT, MacLaurinTable
 
 # Evaluation drops a table's tail while its largest term on [0, quarter] is
@@ -166,10 +166,9 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
     power t^p or t^n overflows binary64 raises DomainError.
     """
     check_finite("t", t)
-    try:
-        return _horner(table, float(t))
-    except OverflowError:
-        raise DomainError(f"t={t!r}: a power of t overflows binary64") from None
+    checked_power(t, table.params.p)
+    checked_power(t, table.params.n)
+    return _horner(table, float(t))
 
 
 def _horner(table: MacLaurinTable, t: float) -> float:

@@ -35,9 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError
-from .errors import ZeroDenominatorError
-from .errors import check_finite, check_int, check_powers, check_tolerance
+from .errors import ConvergenceError, CostGuardError, ParameterError, ZeroDenominatorError
+from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
 from .triangle import SquigParams, falling_factorial
 
 
@@ -110,10 +109,10 @@ def eval_factor_expansion(fs: FactorSequence, t: float, epsilon: float) -> tuple
     """
     check_finite("t", t)
     check_tolerance("epsilon", epsilon)
-    term = _power(t, fs.params.n)
+    term = checked_power(t, fs.params.n)
     total = term
     used = 1
-    tp = _power(t, fs.params.p)
+    tp = checked_power(t, fs.params.p)
     for j in range(1, fs.J + 1):
         term = -fs.floats[j] * tp * term
         if abs(term) < epsilon:
@@ -123,14 +122,6 @@ def eval_factor_expansion(fs: FactorSequence, t: float, epsilon: float) -> tuple
     raise ConvergenceError(
         f"factor expansion still above epsilon={epsilon} after {fs.J + 1} terms at t={t}"
     )
-
-
-def _power(t: float, k: int) -> float:
-    # t^k in binary64; a power past its range makes t a bad argument.
-    try:
-        return float(t) ** k
-    except OverflowError:
-        raise DomainError(f"t={t!r}: t^{k} overflows binary64") from None
 
 
 def continued_fraction(fs: FactorSequence, t: float, depth: int) -> float:
@@ -195,29 +186,29 @@ def evaluate_integer_cf(
     """
     check_finite("t", t)
     check_int("depth", depth, 0, len(levels))
-    # _power raises DomainError, so the only OverflowError left comes from an
-    # int coefficient too large for binary64, converted where it meets a float.
+    tn = checked_power(t, params.n)
     try:
-        tn = _power(t, params.n)
-        if depth == 0:
-            return lead[0] * tn / lead[1]
-        tp = _power(t, params.p)
-        numer_d, const_d, sub_d = levels[depth - 1]
-        v = const_d - sub_d * tp
-        for j in range(depth - 1, 0, -1):
-            if v == 0.0:
-                raise ZeroDenominatorError(f"denominator vanished at level {j + 1}, t={t}")
-            numer_next = levels[j][0]
-            numer_j, const_j, sub_j = levels[j - 1]
-            v = const_j - sub_j * tp + numer_next * tp / v
-        if v == 0.0:
-            raise ZeroDenominatorError(f"denominator vanished at level 1, t={t}")
-        w = lead[1] + levels[0][0] * tp / v
-        if w == 0.0:
-            raise ZeroDenominatorError(f"denominator vanished at level 0, t={t}")
-        return lead[0] * tn / w
+        lead = (float(lead[0]), float(lead[1]))
+        levels = [tuple(map(float, level)) for level in levels[:depth]]
     except OverflowError:
         raise CostGuardError(f"a depth-{depth} coefficient overflows binary64") from None
+    if depth == 0:
+        return lead[0] * tn / lead[1]
+    tp = checked_power(t, params.p)
+    numer_d, const_d, sub_d = levels[depth - 1]
+    v = const_d - sub_d * tp
+    for j in range(depth - 1, 0, -1):
+        if v == 0.0:
+            raise ZeroDenominatorError(f"denominator vanished at level {j + 1}, t={t}")
+        numer_next = levels[j][0]
+        numer_j, const_j, sub_j = levels[j - 1]
+        v = const_j - sub_j * tp + numer_next * tp / v
+    if v == 0.0:
+        raise ZeroDenominatorError(f"denominator vanished at level 1, t={t}")
+    w = lead[1] + levels[0][0] * tp / v
+    if w == 0.0:
+        raise ZeroDenominatorError(f"denominator vanished at level 0, t={t}")
+    return lead[0] * tn / w
 
 
 def pi_from_factors(a_tail: float | Fraction, p: int) -> float:

@@ -222,25 +222,22 @@ def test_critical_value_matches_grid_maximum(ctx4):
     assert grid == pytest.approx(want, abs=1e-5)
 
 
-@pytest.mark.parametrize("p, m, n", [(4, 600, 600), (2, 600, 700), (3, 1000, 2000)])
-def test_critical_value_below_normal_ratio(p, m, n):
-    # m^m n^n / (m + n)^(m + n) is below 2^-1022 here, so it must not round
-    # to 0 before the root: at p = 4, m = n = 600 the answer is 2^-300.
+@pytest.mark.parametrize("p, m, n", [
+    (4, 1, 1), (3, 300, 400), (5, 250, 700), (4, 511, 511),
+    (4, 600, 600), (2, 600, 700), (3, 1000, 2000), (2000, 1, 1), (5000, 600, 700),
+])
+def test_critical_value_matches_decimal_reference(p, m, n):
+    # Within 2 ulp of a 60-digit reference: at (3, 300, 400) and (5, 250, 700)
+    # the plain ratio ** (1 / p) is off by tens of ulp, from (4, 600, 600) on
+    # the ratio m^m n^n / (m + n)^(m + n) is below 2^-1022, and at p = 2000
+    # scaling the ratio by 2^p would overflow.
     got = sg.critical_value(SquigParams(p=p, m=m, n=n))
     with localcontext() as dec:
-        dec.prec = 40
+        dec.prec = 60
         want = (Decimal(m ** m * n ** n) / Decimal((m + n) ** (m + n))) ** (Decimal(1) / p)
         assert abs(Decimal(got) - want) <= 2 * Decimal(math.ulp(got))
-    if m == n:
-        assert got == 2.0 ** (-2 * m / p)
-
-
-@pytest.mark.parametrize("p, m, n", [(4, 1, 1), (3, 300, 400), (5, 250, 700), (4, 511, 511)])
-def test_critical_value_normal_ratio_keeps_bits(p, m, n):
-    # A ratio at or above 2^-1022 takes the plain expression, bit for bit;
-    # at m = n = 511 the ratio is exactly 2^-1022.
-    got = sg.critical_value(SquigParams(p=p, m=m, n=n))
-    assert got == ((m ** m * n ** n) / (m + n) ** (m + n)) ** (1.0 / p)
+    if m == n and 2 * m % p == 0:
+        assert got == 2.0 ** (-2 * m // p)
 
 
 def test_critical_value_validation():
