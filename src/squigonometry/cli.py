@@ -7,12 +7,13 @@ arguments or domain errors, 3 when a computation or verification fails.
 A command checks or computes everything that can fail before it prints its
 header, so one that fails leaves stdout empty.
 
-The cache subcommands persist what an evaluation context needs, pi_p and
-the binary64 sq and cq MacLaurin tables, to a JSON file so later runs can
-rebuild contexts bit-identically.  A format-2 document holds one entry per
-(p, epsilon), keyed "<p>|<epsilon.hex()>", with exactly the keys pi_p, sq and
-cq; floats are stored as JSON numbers, which round-trip exactly.  The cache
-directory defaults to $SQUIG_CACHE_DIR, falling back to ~/.cache/squigonometry.
+The cache subcommands persist what an evaluation context holds, pi_p and
+the binary64 sq and cq tables build_context cut, to a JSON file so later
+runs can rebuild contexts bit-identically.  A format-3 document holds one
+entry per (p, epsilon), keyed "<p>|<epsilon.hex()>", with exactly the keys
+pi_p, sq and cq; floats are stored as JSON numbers, which round-trip
+exactly.  The cache directory defaults to $SQUIG_CACHE_DIR, falling back to
+~/.cache/squigonometry.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import sys
 from fractions import Fraction
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
-from .errors import DomainError, ParameterError, SquigError, check_finite
+from .errors import DomainError, ParameterError, SquigError
+from .errors import check_finite, check_int, check_tolerance
 from .series import EPS_DEFAULT
 from .triangle import SquigParams
 
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 CACHE_BASENAME = "tables.json"
 
 
@@ -69,17 +71,17 @@ def _read_cache(path: str) -> dict:
 
 
 def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
-    """Write (or merge into) a cache file the pi_p entry for (p, epsilon).
+    """Write (or merge into) a cache file the context entry for (p, epsilon).
 
-    Stores compute_pi's value and the floats of the sq and cq tables it was
-    solved on.  Returns the full document.
+    Stores build_context's pi_p and the floats of the sq and cq tables it
+    evaluates.  Returns the full document.
     """
-    record = constants.compute_pi(p, epsilon)
+    ctx = evalcore.build_context(p, epsilon)
     doc = _read_cache(path) if os.path.exists(path) else {"format": CACHE_FORMAT, "entries": {}}
     doc["entries"][_entry_key(p, epsilon)] = {
-        "pi_p": record.value,
-        "sq": list(record.sq_table.floats),
-        "cq": list(record.cq_table.floats),
+        "pi_p": ctx.pi_p,
+        "sq": list(ctx.sq_table.floats),
+        "cq": list(ctx.cq_table.floats),
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -95,9 +97,12 @@ def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.Ev
     """Rebuild an evaluation context from a cache file, bit-identically.
 
     The returned context equals one built fresh with the same (p, epsilon):
-    floats pass through JSON unchanged.  A missing, unreadable or malformed
-    cache file, or one in another format, raises ParameterError.
+    floats pass through JSON unchanged.  A bad p or epsilon, a missing,
+    unreadable or malformed cache file, or one in another format, raises
+    ParameterError.
     """
+    check_int("p", p, 2)
+    check_tolerance("epsilon", epsilon)
     key = _entry_key(p, epsilon)
     entry = _read_cache(path)["entries"].get(key)
     if entry is None:

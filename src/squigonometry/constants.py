@@ -15,8 +15,8 @@ seed comes from a deep factor-sequence ratio via pi_from_factors, except at
 p = 2 where that identity degenerates and the seed t = 1 is used.
 
 Results are cached per (p, epsilon); repeated calls return the same record,
-which also carries the sq and cq tables Newton ran on.  Those tables are
-the ones evaluation contexts use, so each (p, epsilon) pair is built once.
+which also carries the sq and cq tables Newton ran on.  build_context cuts
+its evaluation tables from them, so each (p, epsilon) pair is built once.
 
 beta_value evaluates the Euler Beta function at arguments on the 1/p grid
 through the arclength integral of cq^m sq^n over the first quadrant,
@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, takewhile
 
@@ -62,17 +61,6 @@ class PiRecord:
     epsilon: float
     sq_table: MacLaurinTable = field(repr=False, compare=False)
     cq_table: MacLaurinTable = field(repr=False, compare=False)
-
-
-def _factorial_terms(epsilon: float) -> int:
-    # p = 2 fallback: geometric decay estimate does not apply, take the least
-    # J with 1 / (2J)! below epsilon plus a safety margin of two terms.
-    # 1 / epsilon is taken exactly: below 2^-1024 its rounding is inf.
-    limit = 1 / Fraction(epsilon)
-    j = 1
-    while math.factorial(2 * j) <= limit:
-        j += 1
-    return j + 2
 
 
 def _pi_series(p: int) -> float:
@@ -120,10 +108,10 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     -------
     PiRecord
         value holds pi_p; iterations counts Newton steps; J_used is the
-        table length, for p >= 3 estimate_terms at the series pi_p and at
-        least 3; sq_table and cq_table are the tables at that length which
-        the Newton solve ran on, shared by every context build_context
-        returns.
+        table length, estimate_terms at the series pi_p and at least 3;
+        sq_table and cq_table are the tables at that length which
+        the Newton solve ran on, and which build_context cuts its
+        evaluation tables from.
     """
     # Validate before the memo sees the arguments, so a float degree such as
     # 4.0 fails rather than hit the record of the int 4, and key the memo on
@@ -136,12 +124,9 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
 
 @lru_cache(maxsize=None)
 def _solve_pi(p: int, epsilon: float) -> PiRecord:
-    if p == 2:
-        J = _factorial_terms(epsilon)
-    else:
-        # Three terms at least: at loose epsilon the estimate drops to one
-        # or two, and Newton on such tables lands far from pi_p.
-        J = max(estimate_terms(p, _pi_series(p), epsilon), 3)
+    # Three terms at least: at loose epsilon the estimate drops to one or
+    # two, and Newton on such tables lands far from pi_p.
+    J = max(estimate_terms(p, _pi_series(p), epsilon), 3)
     sq_table, cq_table = (
         MacLaurinTable(params, tuple(islice(_coefficients(params), J + 1)))
         for params in (SquigParams(p=p, m=0, n=1), SquigParams(p=p, m=1, n=0))

@@ -2,12 +2,11 @@
 
 An EvalContext bundles everything evaluation needs for one circle degree p:
 the quarter period pi_p / 4, the MacLaurin tables for sq (m=0, n=1) and cq
-(m=1, n=0) that compute_pi solved pi_p on, and the tolerance itself.  Those
-tables are sized for the tail at t = 1; on the reduced interval [0, pi_p/4]
-the terms fall faster, so evaluation runs each table's prefix whose dropped
-tail is at most epsilon / 64 of the leading term there, cut once when the
-context is made.  horner_sparse(ctx.sq_table, s) sums the full table and may
-therefore differ from sq(ctx, s) in the last bit.
+(m=1, n=0), and the tolerance they were cut for.  compute_pi sizes its
+tables for the tail at t = 1; on the reduced interval [0, pi_p/4] the terms
+fall faster, so build_context keeps the prefix of each whose dropped tail is
+at most epsilon / 64 of the leading term there.  sq, cq and pow_general fold
+exactly the tables a context holds.
 
 Evaluation at arbitrary t proceeds by range reduction.  sq and cq are
 2 pi_p periodic, odd and even respectively, satisfy the half-period flips
@@ -38,8 +37,8 @@ from .errors import ConvergenceError, DomainError, PoleError
 from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
 from .series import EPS_DEFAULT, MacLaurinTable
 
-# Evaluation drops a table's tail while its largest term on [0, quarter] is
-# within this share of epsilon times the leading coefficient.
+# build_context drops a table's tail while its largest term on [0, quarter]
+# is within this share of epsilon times the leading coefficient.
 _TRIM = 1.0 / 64.0
 
 
@@ -47,12 +46,12 @@ _TRIM = 1.0 / 64.0
 class EvalContext:
     """Evaluation bundle for one circle degree: tables, quarter period, tolerance.
 
-    pi_p, half (pi_p / 2) and period (2 pi_p) are formed from quarter once,
-    when the context is made, with the roundings reduce_argument has always
-    used.  So are the coefficients sq, cq and pow_general run: a prefix of
-    each table, cut where the terms past it stay within epsilon / 64 of the
-    leading one on [0, pi_p / 4].  sq_table and cq_table themselves are kept
-    whole, so horner_sparse on them may differ from sq and cq in the last bit.
+    sq, cq and pow_general fold sq_table and cq_table as they are, so
+    horner_sparse(ctx.sq_table, s) == sq(ctx, s) on [0, pi_p / 4].
+    build_context gives the prefixes cut for epsilon; a context made by hand
+    or by dataclasses.replace folds whatever tables it is given.  pi_p, half
+    (pi_p / 2) and period (2 pi_p) are formed from quarter once, when the
+    context is made, with the roundings reduce_argument has always used.
     """
 
     p: int
@@ -63,36 +62,27 @@ class EvalContext:
     pi_p: float = field(init=False, compare=False, repr=False)
     half: float = field(init=False, compare=False, repr=False)
     period: float = field(init=False, compare=False, repr=False)
-    _sq_eval: MacLaurinTable = field(init=False, compare=False, repr=False)
-    _cq_eval: MacLaurinTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pi_p = 4.0 * self.quarter
         object.__setattr__(self, "pi_p", pi_p)
         object.__setattr__(self, "half", 2.0 * self.quarter)
         object.__setattr__(self, "period", 2.0 * pi_p)
-        for name, table in (("_sq_eval", self.sq_table), ("_cq_eval", self.cq_table)):
-            object.__setattr__(self, name, _trimmed(table, self.quarter, self.epsilon))
 
 
 def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> MacLaurinTable:
     # The table less the tail whose terms at the top of [0, quarter] are
-    # within _TRIM * epsilon of a_0 in magnitude.  The scan starts at the
-    # deep end and stops at the first term it keeps, so only a tail is ever
-    # cut, and a_0 always stays.  Magnitudes, because a table read from a
-    # cache file need not hold the unsigned values maclaurin gives.
+    # within _TRIM * epsilon of a_0.  The scan starts at the deep end and
+    # stops at the first term it keeps, so only a tail is ever cut, and a_0
+    # always stays.  compute_pi's quarter periods lie below 1, so no term
+    # here overflows.
     floats = table.floats
     x = math.nextafter(quarter, math.inf)
-    bound = _TRIM * epsilon * abs(floats[0])
+    bound = _TRIM * epsilon * floats[0]
     p = table.params.p
     keep = len(floats)
-    try:
-        while keep > 1 and abs(floats[keep - 1]) * x ** (p * (keep - 1)) <= bound:
-            keep -= 1
-    except OverflowError:
-        pass  # a term past binary64 is no tail to drop
-    if keep == len(floats):
-        return table
+    while keep > 1 and floats[keep - 1] * x ** (p * (keep - 1)) <= bound:
+        keep -= 1
     return MacLaurinTable(table.params, floats[:keep])
 
 
@@ -113,14 +103,18 @@ class QuadrantReduction(NamedTuple):
 def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     """Build the evaluation context for circle degree p.
 
-    The quarter period and both tables come from the compute_pi record for
-    (p, epsilon), imported lazily because constants imports this module:
-    the context shares the tables the quarter period was solved on.
+    The quarter period comes from the compute_pi record for (p, epsilon),
+    imported lazily because constants imports this module, and each table is
+    the prefix of the record's table that evaluation on [0, pi_p / 4] needs.
     """
     from .constants import compute_pi
 
     record = compute_pi(p, epsilon)
-    return EvalContext(p, record.value / 4.0, record.sq_table, record.cq_table, epsilon)
+    quarter = record.value / 4.0
+    sq_table, cq_table = (
+        _trimmed(table, quarter, epsilon) for table in (record.sq_table, record.cq_table)
+    )
+    return EvalContext(p, quarter, sq_table, cq_table, epsilon)
 
 
 def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
@@ -162,13 +156,16 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
 
     Folds all of the table's coefficients from the deep end, b <- a_j - b t^p,
     so the alternating signs come out of the single subtraction, then scales
-    by t^n.  sq and cq fold only the prefix their context keeps.  A t whose
-    power t^p or t^n overflows binary64 raises DomainError.
+    by t^n.  A t whose power t^p or t^n, or whose folded value, overflows
+    binary64 raises DomainError.
     """
     check_finite("t", t)
     checked_power(t, table.params.p)
     checked_power(t, table.params.n)
-    return _horner(table, float(t))
+    value = _horner(table, float(t))
+    if not math.isfinite(value):
+        raise DomainError(f"t={t!r}: the folded sum {value!r} is not a finite binary64")
+    return value
 
 
 def _horner(table: MacLaurinTable, t: float) -> float:
@@ -187,14 +184,14 @@ def sq(ctx: EvalContext, t: float) -> float:
     """Squine of t: y-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     check_finite("argument", t)
     s, use_co, sign_sq, _ = _reduce(ctx, t)
-    return sign_sq * _horner(ctx._cq_eval if use_co else ctx._sq_eval, s)
+    return sign_sq * _horner(ctx.cq_table if use_co else ctx.sq_table, s)
 
 
 def cq(ctx: EvalContext, t: float) -> float:
     """Cosquine of t: x-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
     check_finite("argument", t)
     s, use_co, _, sign_cq = _reduce(ctx, t)
-    return sign_cq * _horner(ctx._sq_eval if use_co else ctx._cq_eval, s)
+    return sign_cq * _horner(ctx.sq_table if use_co else ctx.cq_table, s)
 
 
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
@@ -219,7 +216,7 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
             "required for negative powers or odd p"
         )
     s, use_co, sign_sq, sign_cq = _reduce(ctx, t)
-    sq_table, cq_table = (ctx._cq_eval, ctx._sq_eval) if use_co else (ctx._sq_eval, ctx._cq_eval)
+    sq_table, cq_table = (ctx.cq_table, ctx.sq_table) if use_co else (ctx.sq_table, ctx.cq_table)
     try:
         value = (sign_cq * _horner(cq_table, s)) ** m * (sign_sq * _horner(sq_table, s)) ** n
     except OverflowError:  # ** raises past binary64; * of two large powers gives inf

@@ -20,8 +20,8 @@ triangle, the one place the integer recursion is written.
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
 with R = (pi_p / 4) * sec(pi / p), which exceeds 1 for every p >= 3.  For
-p = 2 the decay is factorial, not geometric, and the estimate returns the
-sentinel 0 (callers pick the factorial rule instead).
+p = 2 the decay is factorial, not geometric, and the estimate counts
+factorials instead.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count, islice, repeat
 
 from .errors import ParameterError, check_finite, check_int, check_powers, check_tolerance
@@ -181,14 +182,20 @@ def estimate_terms(p: int, pi_p: float, epsilon: float) -> int:
     Term j of the scaled series decays like R^(-pj); the estimate is the
     least J with R^(-pJ) < epsilon, i.e. ceil(-ln(epsilon) / (p ln R)).
 
-    Returns the sentinel 0 for p = 2, where decay is factorial and no finite
-    geometric rate applies; callers choose a factorial-based count instead.
+    For p = 2 the decay is factorial and no finite geometric rate applies:
+    the estimate is then the least J with 1 / (2J)! below epsilon, plus a
+    safety margin of two terms, and pi_p is not used.
     """
     check_int("p", p, 2)
     check_finite("pi_p", pi_p)
     check_tolerance("epsilon", epsilon)
     if p == 2:
-        return 0
+        # 1 / epsilon is taken exactly: below 2^-1024 its rounding is inf.
+        limit = 1 / Fraction(epsilon)
+        j = 1
+        while math.factorial(2 * j) <= limit:
+            j += 1
+        return j + 2
     r = radius(p, pi_p)
     if r <= 1.0:
         raise ParameterError(f"decay rate {r} <= 1; pi_p value {pi_p} is not plausible")

@@ -278,6 +278,16 @@ def test_loaded_context_equals_fresh(tmp_path, p):
     assert cli.load_context(path, p) == sg.build_context(p)
 
 
+def test_load_context_checks_its_arguments_first(tmp_path):
+    # A bad p or epsilon is named as such, not reported as a missing entry.
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    cli.save_tables(path, 4)
+    with pytest.raises(sg.ParameterError, match="p must be an int"):
+        cli.load_context(path, 4.0)
+    with pytest.raises(sg.ParameterError, match="epsilon must be a real"):
+        cli.load_context(path, 4, 1.5)
+
+
 def test_cache_missing_entry(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
     code, _ = run(capsys, "cache", "save", "--p", "4")
@@ -300,13 +310,17 @@ _FORMAT_1 = json.dumps({"format": 1, "entries": {
 }})
 
 
+# A document as format 2 wrote it: the full compute_pi tables, not the cut ones.
+_FORMAT_2 = json.dumps({"format": 2, "entries": {_KEY: _ENTRY}})
+
+
 def _doc(entry) -> str:
-    return json.dumps({"format": 2, "entries": {_KEY: entry}})
+    return json.dumps({"format": 3, "entries": {_KEY: entry}})
 
 
 _BAD_DOCUMENTS = ["{not json", "[1, 2]", '"tables"', '{"format": 1}',
-                  '{"format": 1, "entries": []}', _FORMAT_1, '{"format": 2}',
-                  '{"format": 2, "entries": []}']
+                  '{"format": 1, "entries": []}', _FORMAT_1, _FORMAT_2, '{"format": 3}',
+                  '{"format": 3, "entries": []}']
 _BAD_ENTRIES = [
     {"pi_p": 3.7},
     [1, 2],
@@ -344,61 +358,43 @@ def test_bad_cache_file_exits_2(capsys, tmp_path, monkeypatch, text):
 
 
 @pytest.mark.parametrize("action", ["load", "save"])
-def test_format_1_cache_file_names_its_format(capsys, tmp_path, action):
+@pytest.mark.parametrize("old", [1, 2])
+def test_old_cache_file_names_its_format(capsys, tmp_path, action, old):
     path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_FORMAT_1)
+        fh.write({1: _FORMAT_1, 2: _FORMAT_2}[old])
     code = cli.main(["cache", action, "--p", "4", "--dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "has format 1, not 2" in err
+    assert err.startswith("error: ") and f"has format {old}, not 3" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cache_entry_holds_pi_p_and_the_two_tables(tmp_path):
+    # The tables build_context cut, which are shorter than the record's.
     path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
     doc = cli.save_tables(path, 4)
-    record = sg.compute_pi(4)
-    assert doc == {"format": 2, "entries": {_KEY: {
-        "pi_p": record.value,
-        "sq": list(record.sq_table.floats),
-        "cq": list(record.cq_table.floats),
+    ctx = sg.build_context(4)
+    assert doc == {"format": 3, "entries": {_KEY: {
+        "pi_p": ctx.pi_p,
+        "sq": list(ctx.sq_table.floats),
+        "cq": list(ctx.cq_table.floats),
     }}}
+    assert (len(doc["entries"][_KEY]["sq"]), len(doc["entries"][_KEY]["cq"])) == (28, 29)
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh) == doc
 
 
-def _load_pair(tmp_path, entry):
-    # A cache file holding entry, loaded; "floats", if given, stand for both
-    # the sq and the cq table.
-    if "floats" in entry:
-        entry = {"pi_p": entry["pi_p"], "sq": entry["floats"], "cq": entry["floats"]}
+def test_cache_file_checks_accept_a_good_entry(tmp_path):
     path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_doc(entry))
-    return cli.load_context(path, 4)
-
-
-def test_cache_file_checks_accept_a_good_entry(tmp_path):
-    ctx = _load_pair(tmp_path, _ENTRY)
+        fh.write(_doc(_ENTRY))
+    ctx = cli.load_context(path, 4)
     assert ctx.sq_table.floats == (1.0, 0.05)
     assert ctx.pi_p == 3.7
-    # J = 1 has no tail to drop at this quarter period: evaluation runs the
-    # whole entry and matches horner_sparse on it.
-    assert ctx._sq_eval is ctx.sq_table
-    assert ctx._cq_eval is ctx.cq_table
+    # The entry passes through uncut: evaluation folds it whole and matches
+    # horner_sparse on it.
     for t in (0.0, 0.4, 0.9):
-        assert sg.sq(ctx, t) == sg.horner_sparse(ctx.sq_table, t)
-        assert sg.cq(ctx, t) == sg.horner_sparse(ctx.cq_table, t)
-
-
-def test_cache_entry_with_a_negative_coefficient_keeps_it(tmp_path):
-    # The trim compares magnitudes: a deep coefficient of -0.5 is no
-    # negligible tail, whatever its sign.
-    ctx = _load_pair(tmp_path, {**_ENTRY, "floats": [1.0, -0.5]})
-    assert ctx._sq_eval is ctx.sq_table
-    assert ctx._cq_eval is ctx.cq_table
-    for t in (0.4, 0.9):
         assert sg.sq(ctx, t) == sg.horner_sparse(ctx.sq_table, t)
         assert sg.cq(ctx, t) == sg.horner_sparse(ctx.cq_table, t)
 

@@ -37,17 +37,18 @@ def test_context_precomputes_the_reduction_constants(ctx4):
         ctx4.period = 1.0
 
 
-def test_context_table_size_matches_estimate(ctx4):
+def test_context_table_size_matches_estimate(ctx4, pi4):
+    # The context's tables are cut from the record's, which are sized for t = 1.
     want = sg.estimate_terms(4, ctx4.pi_p, ctx4.epsilon)
-    assert ctx4.sq_table.J == want == 34
-    assert ctx4.cq_table.J == want
+    assert pi4.sq_table.J == want == 34
+    assert pi4.cq_table.J == want
 
 
-def test_context_shares_the_tables_pi_was_solved_on():
+def test_context_holds_the_cut_of_the_tables_pi_was_solved_on():
     record = sg.compute_pi(4)
     ctx = sg.build_context(4)
-    assert ctx.sq_table is record.sq_table
-    assert ctx.cq_table is record.cq_table
+    assert ctx.sq_table == evalcore._trimmed(record.sq_table, ctx.quarter, ctx.epsilon)
+    assert ctx.cq_table == evalcore._trimmed(record.cq_table, ctx.quarter, ctx.epsilon)
     assert "sq_table" not in repr(record)
 
 
@@ -251,15 +252,22 @@ def test_build_context_validation():
 
 
 # ---------------------------------------------------------------------------
-# Evaluation runs a prefix of each record table, trimmed at epsilon / 64 on
-# [0, pi_p / 4].
+# build_context holds a prefix of each record table, trimmed at epsilon / 64
+# on [0, pi_p / 4], and evaluation folds it.
 
 EVAL_P = [2, 3, 4, 6, 10]
 
 
+def _full(ctx):
+    # The record tables the context's tables were cut from.
+    record = sg.compute_pi(ctx.p, ctx.epsilon)
+    return record.sq_table, record.cq_table
+
+
 def _kept(ctx):
-    # The evaluation coefficients in table order, one tuple per table.
-    return ((ctx.sq_table, ctx._sq_eval.floats), (ctx.cq_table, ctx._cq_eval.floats))
+    # Each record table with the coefficients the context kept of it.
+    full_sq, full_cq = _full(ctx)
+    return ((full_sq, ctx.sq_table.floats), (full_cq, ctx.cq_table.floats))
 
 
 @pytest.mark.parametrize("p", EVAL_P)
@@ -284,7 +292,7 @@ def test_evaluation_tables_drop_only_terms_below_epsilon_over_64(p):
 
 def test_evaluation_table_lengths():
     contexts = {p: sg.build_context(p) for p in EVAL_P}
-    got = {p: [len(ctx._sq_eval.floats), len(ctx._cq_eval.floats)] for p, ctx in contexts.items()}
+    got = {p: [len(ctx.sq_table.floats), len(ctx.cq_table.floats)] for p, ctx in contexts.items()}
     assert got == {2: [9, 10], 3: [20, 20], 4: [28, 29], 6: [43, 43], 10: [71, 71]}
 
 
@@ -295,11 +303,28 @@ def _ulps(a: float, b: float) -> float:
 @pytest.mark.parametrize("p", EVAL_P)
 def test_sq_cq_within_an_ulp_of_the_full_table(p):
     ctx = sg.build_context(p)
+    full_sq, full_cq = _full(ctx)
     rng = random.Random(p)
     for _ in range(400):
         t = rng.uniform(0.0, ctx.quarter)
-        assert _ulps(sg.sq(ctx, t), sg.horner_sparse(ctx.sq_table, t)) <= 1.0
-        assert _ulps(sg.cq(ctx, t), sg.horner_sparse(ctx.cq_table, t)) <= 1.0
+        assert _ulps(sg.sq(ctx, t), sg.horner_sparse(full_sq, t)) <= 1.0
+        assert _ulps(sg.cq(ctx, t), sg.horner_sparse(full_cq, t)) <= 1.0
+
+
+@pytest.mark.parametrize("p", EVAL_P)
+def test_sq_cq_fold_exactly_the_context_tables(p):
+    # Bit for bit on [0, pi_p / 4], and past it, where the quarter
+    # reflection swaps the tables' roles.
+    ctx = sg.build_context(p)
+    rng = random.Random(200 + p)
+    for s in [0.0, ctx.quarter] + [rng.uniform(0.0, ctx.quarter) for _ in range(300)]:
+        assert sg.sq(ctx, s) == sg.horner_sparse(ctx.sq_table, s)
+        assert sg.cq(ctx, s) == sg.horner_sparse(ctx.cq_table, s)
+        u = ctx.half - s
+        if u > ctx.quarter:
+            r = ctx.half - u
+            assert sg.sq(ctx, u) == sg.horner_sparse(ctx.cq_table, r)
+            assert sg.cq(ctx, u) == sg.horner_sparse(ctx.sq_table, r)
 
 
 # The worst point seen for p = 4 over 1500 seeded points per table: both the
@@ -316,7 +341,7 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
     points += [rng.uniform(0.0, ctx.quarter) for _ in range(298)]
     with localcontext() as dec:
         dec.prec = 40
-        for func, table in ((sg.sq, ctx.sq_table), (sg.cq, ctx.cq_table)):
+        for func, table in zip((sg.sq, sg.cq), _full(ctx)):
             params = table.params
             J = table.J + 10
             coeffs = [
@@ -340,48 +365,42 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
             assert worst_trimmed <= worst_full
 
 
-def test_replace_rebuilds_the_evaluation_tables(ctx4):
+def test_replaced_context_folds_the_tables_it_holds(ctx4, pi4):
+    # replace cuts nothing: a looser epsilon keeps the tables, and a context
+    # given the record's full tables folds all of them.
     looser = dataclasses.replace(ctx4, epsilon=1e-6)
-    assert looser.sq_table is ctx4.sq_table
-    kept = looser._sq_eval.floats
-    assert len(kept) < len(ctx4._sq_eval.floats)
-    assert kept == ctx4.sq_table.floats[: len(kept)]
-    assert looser._sq_eval.J == len(kept) - 1
-    assert looser._cq_eval == evalcore._trimmed(ctx4.cq_table, ctx4.quarter, 1e-6)
-    # A shorter quarter period drops more of the tail.
-    shorter = dataclasses.replace(ctx4, quarter=0.5)
-    assert len(shorter._cq_eval.floats) < len(ctx4._cq_eval.floats)
-    # Equality and repr ignore the derived tables.
+    assert looser.sq_table is ctx4.sq_table and looser.cq_table is ctx4.cq_table
+    full = dataclasses.replace(ctx4, sq_table=pi4.sq_table, cq_table=pi4.cq_table)
+    for t in (0.3, 0.9, 2.5, -7.0):
+        assert sg.sq(looser, t) == sg.sq(ctx4, t)
+        s, use_co, sign_sq, sign_cq = sg.reduce_argument(full, t)
+        sq_table, cq_table = (pi4.cq_table, pi4.sq_table) if use_co else (pi4.sq_table, pi4.cq_table)
+        assert sg.sq(full, t) == sign_sq * sg.horner_sparse(sq_table, s)
+        assert sg.cq(full, t) == sign_cq * sg.horner_sparse(cq_table, s)
     assert dataclasses.replace(ctx4) == ctx4
-    assert "_sq_eval" not in repr(ctx4)
 
 
-def test_every_branch_folds_the_trimmed_tables(ctx4):
-    # At epsilon 1e-3 the full tables differ from the prefixes well past the
-    # last bit, so each side of the quarter-period reflection must fold the
-    # context's own prefix.
-    loose = dataclasses.replace(ctx4, epsilon=1e-3)
-    assert len(loose._sq_eval.floats) < len(loose.sq_table.floats)
-    assert len(loose._cq_eval.floats) < len(loose.cq_table.floats)
+def test_every_branch_folds_the_trimmed_tables(ctx4, pi4):
+    # Cut at epsilon 1e-3, the full tables differ from the prefixes well
+    # past the last bit, so each side of the quarter-period reflection must
+    # fold the context's own prefix.
+    full_sq, full_cq = pi4.sq_table, pi4.cq_table
+    loose = sg.EvalContext(
+        4, ctx4.quarter, *(evalcore._trimmed(t, ctx4.quarter, 1e-3) for t in (full_sq, full_cq)), 1e-3
+    )
+    assert len(loose.sq_table.floats) < len(full_sq.floats)
+    assert len(loose.cq_table.floats) < len(full_cq.floats)
     half = loose.half
     for t in (0.3 * loose.quarter, 0.9 * loose.quarter):
-        assert sg.sq(loose, t) == sg.horner_sparse(loose._sq_eval, t)
-        assert sg.cq(loose, t) == sg.horner_sparse(loose._cq_eval, t)
+        assert sg.sq(loose, t) == sg.horner_sparse(loose.sq_table, t)
+        assert sg.cq(loose, t) == sg.horner_sparse(loose.cq_table, t)
         u = half - t  # past the quarter period: the tables swap roles
         s = half - u
-        assert sg.sq(loose, u) == sg.horner_sparse(loose._cq_eval, s)
-        assert sg.cq(loose, u) == sg.horner_sparse(loose._sq_eval, s)
+        assert sg.sq(loose, u) == sg.horner_sparse(loose.cq_table, s)
+        assert sg.cq(loose, u) == sg.horner_sparse(loose.sq_table, s)
         assert sg.pow_general(loose, 1, 1, u) == (
-            sg.horner_sparse(loose._sq_eval, s) * sg.horner_sparse(loose._cq_eval, s)
+            sg.horner_sparse(loose.sq_table, s) * sg.horner_sparse(loose.cq_table, s)
         )
-
-
-def test_trim_keeps_a_table_whose_terms_overflow():
-    # A quarter period far past 1 makes x^(pj) overflow binary64: such a
-    # term is no tail, and the table stays whole.
-    table = sg.MacLaurinTable(sg.SquigParams(p=4, m=0, n=1), (1.0, 0.5, 1e-300))
-    assert evalcore._trimmed(table, 1e100, 2.0 ** -53) is table
-    assert evalcore._trimmed(table, 0.5, 2.0 ** -53).floats == (1.0, 0.5)
 
 
 def test_pow_general_raises_pole_error_at_the_poles(ctx2, ctx4):

@@ -57,10 +57,12 @@ def test_partial_products_rebuild_numerators(p, m, n, J):
         assert prod * math.factorial(n + p * j) == nums[j]
 
 
-def test_factor_expansion_matches_horner(ctx4):
+def test_factor_expansion_matches_horner(pi4):
+    # The full table: t = 1.0 lies past the quarter period the context's
+    # prefix is cut for.
     params = SquigParams(p=4, m=1, n=0)
     seq = make_sequence(params, 50)
-    table = ctx4.cq_table
+    table = pi4.cq_table
     for t in (0.3, 0.7, 1.0):
         value, used = sg.eval_factor_expansion(seq, t, 2.0 ** -53)
         direct = sg.horner_sparse(table, t)

@@ -154,8 +154,9 @@ def test_estimate_terms_frozen_row():
         assert sg.estimate_terms(p, sg.pi_gamma(p), 2.0 ** -53) == want
 
 
-def test_estimate_terms_p2_sentinel():
-    assert sg.estimate_terms(2, math.pi, 2.0 ** -53) == 0
+def test_estimate_terms_p2_counts_factorials():
+    # The golden p = 2 J_used: 1 / 20! is the first below 2^-53, plus two.
+    assert sg.estimate_terms(2, math.pi, 2.0 ** -53) == 12
 
 
 def test_estimate_terms_validation():
@@ -205,7 +206,7 @@ def test_scaled_terms_decay_at_rate_r():
 
 
 def test_empty_table_is_refused(ctx4):
-    # Horner and the context's trim both read a_0, so a table without it
+    # Horner and build_context's trim both read a_0, so a table without it
     # fails where it is made.
     with pytest.raises(ParameterError, match="a_0"):
         sg.MacLaurinTable(SquigParams(p=4, m=0, n=1), ())

@@ -8,12 +8,14 @@ roots) raise DomainError.  Both derive from SquigError.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 
 import pytest
 
 import squigonometry as sg
 from squigonometry import ConvergenceError, CostGuardError, DomainError, ParameterError
-from squigonometry import SquigParams
+from squigonometry import SquigParams, cli
 
 BAD_VALUES = (True, math.nan, math.inf, "x", None)
 
@@ -29,6 +31,15 @@ def _icf():
     return sg.integer_cf_terms(sg.integer_maclaurin(P, 6), P)
 
 
+def _load(p, epsilon):
+    # load_context on a file that holds a good p = 4 entry, so only the
+    # argument itself can be at fault.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, cli.CACHE_BASENAME)
+        cli.save_tables(path, 4)
+        return cli.load_context(path, p, epsilon)
+
+
 # name -> (call taking (ctx4, ctx3, bad value), expected error).  Each call
 # is valid except for the one parameter fed the bad value.
 CASES = {
@@ -36,6 +47,8 @@ CASES = {
     "compute_pi.epsilon": (lambda c4, c3, v: sg.compute_pi(4, v), ParameterError),
     "build_context.p": (lambda c4, c3, v: sg.build_context(v), ParameterError),
     "build_context.epsilon": (lambda c4, c3, v: sg.build_context(4, v), ParameterError),
+    "load_context.p": (lambda c4, c3, v: _load(v, sg.EPS_DEFAULT), ParameterError),
+    "load_context.epsilon": (lambda c4, c3, v: _load(4, v), ParameterError),
     "sq.t": (lambda c4, c3, v: sg.sq(c4, v), DomainError),
     "cq.t": (lambda c4, c3, v: sg.cq(c4, v), DomainError),
     "reduce_argument.t": (lambda c4, c3, v: sg.reduce_argument(c4, v), DomainError),
@@ -157,6 +170,9 @@ def test_bad_input_raises_typed_error(case, bad, ctx4, ctx3):
 # binary64: a typed SquigError, never a bare OverflowError.
 OVERFLOWS = {
     "horner_sparse.t^p": (lambda c4: sg.horner_sparse(c4.sq_table, 1e78), DomainError),
+    "horner_sparse.sum": (
+        lambda c4: sg.horner_sparse(sg.compute_pi(4).sq_table, 1e20), DomainError,
+    ),
     "eval_factor_expansion.t^p": (
         lambda c4: sg.eval_factor_expansion(_fs(), 1e200, 1e-10), DomainError,
     ),
