@@ -11,10 +11,14 @@ Zeros of the k-th derivative in the open quadrant correspond one-to-one to
 negative real roots of Q_k after deflating the power u^z carried by the band
 offset z = max(0, ceil((k-n)/p)).  Consecutive levels strictly interlace,
 which drives the root finder: roots of the next level are bracketed by roots
-of the current one (plus an outer Cauchy bound and 0), detected by exact
-integer sign evaluation at dyadic probe points, and pinned down by bisection
-that never misattributes a sign.  The count per level is forced by the band
-width; a mismatch raises RootCountError rather than returning a guess.
+of the current one (plus an outer Cauchy bound and 0), detected by sign
+changes at binary64 probe points, and pinned down by bisection.  Each sign
+is a filtered exact predicate: a binary64 Horner sum answers when it exceeds
+a rigorous bound on its own rounding error, and the exact integer sum
+decides everything else, so no sign is ever misattributed and the roots are
+those of exact sign evaluation, bit for bit.  The count per level is forced
+by the band width; a mismatch raises RootCountError rather than returning a
+guess.
 
 Given a root u < 0, the defining relations invert to exact function values
 
@@ -27,7 +31,9 @@ cosquine values there.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 from .errors import DomainError, ParameterError, RootCountError
@@ -74,8 +80,8 @@ def polynomial_step(q: DerivPolynomial) -> DerivPolynomial:
     coefficient-by-coefficient this is the two-term triangle recursion, so
     the step runs the triangle's row generator once.
     """
-    _, out = islice(_rows(q.params, dict(enumerate(q.coeffs)), q.k), 2)
-    coeffs = tuple(out.get(j, 0) for j in range(q.k + 2))
+    _, (lo, row) = islice(_rows(q.params, (0, list(q.coeffs)), q.k), 2)
+    coeffs = ((0,) * lo + tuple(row) + (0,) * (q.k + 2))[: q.k + 2]
     return DerivPolynomial(params=q.params, k=q.k + 1, coeffs=coeffs)
 
 
@@ -120,6 +126,52 @@ def _sign_at_dyadic(coeffs: list[int], value: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
+#: Degrees up to this keep the float filter's error bound rigorous.
+_FILTER_MAX_DEGREE = 2 ** 17
+
+
+def _filtered_sign(coeffs: list[int]) -> Callable[[float], int]:
+    """Sign of sum coeffs[i] * x^i at binary64 x, float first, exact on doubt.
+
+    The coefficients are rounded to binary64 once, here.  Each probe runs one
+    Horner pass for the value v and one for mag = sum w_i |x|^i with
+    w_i = max(|fl(c_i)|, 1).  For degree d <= _FILTER_MAX_DEGREE the error of
+    v against the exact sum is below (2d + 4) u mag, u = 2^-53: the Horner
+    rounding gamma_2d (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 5.1), plus u for rounding the coefficients,
+    plus the underflow of a product, at most 2^-1075 times a power of |x| that
+    mag already carries since every w_i >= 1, plus the rounding of mag and of
+    the bound itself.  Rounding is monotone, so |v| never exceeds mag before
+    mag does and a finite mag means a finite v.  When |v| exceeds the bound
+    the float sign is certain; otherwise, and for a non-finite mag, the exact
+    _sign_at_dyadic decides (a filtered exact predicate, Shewchuk, Discrete
+    Comput. Geom. 18, 1997).  A coefficient past binary64 or a degree past
+    the limit sends every probe to the exact sign.
+    """
+    exact = partial(_sign_at_dyadic, coeffs)
+    if len(coeffs) > _FILTER_MAX_DEGREE + 1:
+        return exact
+    try:
+        floats = [float(c) for c in reversed(coeffs)]
+    except OverflowError:
+        return exact
+    pairs = [(f, max(abs(f), 1.0)) for f in floats]
+    scale = (2 * len(coeffs) + 2) * 2.0 ** -53  # (2d + 4) u for degree d
+
+    def sign(x: float) -> int:
+        ax = abs(x)
+        value = mag = 0.0
+        for c, w in pairs:
+            value = value * x + c
+            mag = mag * ax + w
+        # An infinite or NaN mag fails this test.
+        if abs(value) > scale * mag:
+            return 1 if value > 0.0 else -1
+        return exact(x)
+
+    return sign
+
+
 def _cauchy_bound(coeffs: list[int]) -> float:
     lead = coeffs[-1]
     top = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
@@ -127,14 +179,15 @@ def _cauchy_bound(coeffs: list[int]) -> float:
     return 1.0 + top / abs(lead)
 
 
-def _bisect(coeffs: list[int], lo: float, hi: float, sign_lo: int) -> float:
-    # Bisection with exact signs at binary64 midpoints; runs to float
-    # exhaustion, so the returned root is correct to adjacent floats.
+def _bisect(sign: Callable[[float], int], lo: float, hi: float, sign_lo: int) -> float:
+    # Bisection at binary64 midpoints, each sign certified by the float
+    # filter or computed exactly; runs to float exhaustion, so the returned
+    # root is correct to adjacent floats.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        s = _sign_at_dyadic(coeffs, mid)
+        s = sign(mid)
         if s == 0:
             return mid
         if s == sign_lo:
@@ -144,7 +197,9 @@ def _bisect(coeffs: list[int], lo: float, hi: float, sign_lo: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _bracketed_roots(coeffs: list[int], probes: list[float], expected: int) -> list[float]:
+def _bracketed_roots(
+    sign: Callable[[float], int], probes: list[float], expected: int
+) -> list[float]:
     # Scan sign changes between consecutive probes; if the count disagrees
     # with theory, subdivide each gap before giving up.
     for subdivide in (1, 32):
@@ -153,14 +208,14 @@ def _bracketed_roots(coeffs: list[int], probes: list[float], expected: int) -> l
             for i in range(subdivide):
                 points.append(a + (b - a) * i / subdivide)
         points.append(probes[-1])
-        signs = [_sign_at_dyadic(coeffs, x) for x in points]
+        signs = [sign(x) for x in points]
         brackets = [
             (points[i], points[i + 1], signs[i])
             for i in range(len(points) - 1)
             if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]
         ]
         if len(brackets) == expected:
-            return [_bisect(coeffs, lo, hi, s) for lo, hi, s in brackets]
+            return [_bisect(sign, lo, hi, s) for lo, hi, s in brackets]
     raise RootCountError(
         f"found {len(brackets)} sign changes, expected {expected} roots"
     )
@@ -192,7 +247,7 @@ def root_ladder(params: SquigParams, k_max: int) -> list[RootSet]:
             roots: list[float] = []
         else:
             probes = [-_cauchy_bound(coeffs)] + prev_roots + [0.0]
-            roots = _bracketed_roots(coeffs, probes, expected)
+            roots = _bracketed_roots(_filtered_sign(coeffs), probes, expected)
         ladder.append(
             RootSet(k=k, zero_multiplicity=j_lo, negative_roots=tuple(roots))
         )

@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .errors import ConvergenceError, CostGuardError, ParameterError, ZeroDenominatorError
 from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
-from .triangle import SquigParams, falling_factorial
+from .triangle import SquigParams
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ def factor_sequence(numerators: tuple[int, ...], params: SquigParams) -> FactorS
     p, n = params.p, params.n
     exact = [Fraction(numerators[0], math.factorial(n))]
     for j in range(1, len(numerators)):
-        denom = numerators[j - 1] * falling_factorial(n + p * j, p)
+        # n + pj >= 0, so math.perm is the falling factorial of the power grid.
+        denom = numerators[j - 1] * math.perm(n + p * j, p)
         exact.append(Fraction(numerators[j], denom))
     return FactorSequence(
         params=params,
@@ -163,8 +164,8 @@ def integer_cf_terms(
         if j == 1:
             numer = numerators[1] * math.factorial(n)
         else:
-            numer = numerators[j - 2] * numerators[j] * falling_factorial(n + p * (j - 1), p)
-        const = numerators[j - 1] * falling_factorial(n + p * j, p)
+            numer = numerators[j - 2] * numerators[j] * math.perm(n + p * (j - 1), p)
+        const = numerators[j - 1] * math.perm(n + p * j, p)
         levels.append((numer, const, numerators[j]))
     return lead, levels
 

@@ -159,8 +159,10 @@ def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:
     check_powers(params.m, params.n)
     check_int("J", J, 0)
     p, n = params.p, params.n
-    orders = islice(_rows(params, {0: 1}, 0, J), n, n + p * J + 1, p)
-    return tuple(row.get(j, 0) for j, row in enumerate(orders))
+    orders = islice(_rows(params, (0, [1]), 0, J), n, n + p * J + 1, p)
+    return tuple(
+        row[j - lo] if 0 <= j - lo < len(row) else 0 for j, (lo, row) in enumerate(orders)
+    )
 
 
 def radius(p: int, pi_p: float) -> float:

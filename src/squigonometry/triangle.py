@@ -19,12 +19,15 @@ integer and rows are banded: q[k][j] = 0 unless
 
     max(0, ceil((k - n)/p)) <= j <= k - max(0, ceil((k - m)/p)).
 
-Rows are stored sparsely as {column: value} dicts over Python ints, so entries
-never overflow and equality checks are exact.
-
-The private row generator _rows is the one place this recursion is written;
+Entries are Python ints, so they never overflow and equality checks are
+exact.  The private row generator _rows is the one place this recursion is
+written.  It holds each row as one contiguous band, a start column lo and a
+list with row[i] = q[k][lo + i] (no zeros inside the band, so nothing is
+hashed), and builds the next row in one pass over the row and its shift.
 build_triangle, integer_maclaurin and polynomial_step all read their rows
-from it.  The routes in explicit stay independent oracles.
+from it.  CoeffTriangle.rows, the public form, keeps each row as a sparse
+{column: value} dict with no zero entries.  The routes in explicit stay
+independent oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 
 from .errors import ParameterError, check_int, check_powers
 
@@ -92,29 +95,40 @@ def band_limits(params: SquigParams, k: int) -> tuple[int, int]:
 
 
 def _rows(
-    params: SquigParams, row: dict[int, int], k: int, j_max: float = math.inf
-) -> Iterator[dict[int, int]]:
+    params: SquigParams, start: tuple[int, list[int]], k: int, j_max: float = math.inf
+) -> Iterator[tuple[int, list[int]]]:
     """Yield the given row of order k, then rows k + 1, k + 2, ... forever.
 
-    Exact integers; rows after the start hold no zeros.  Only the current
-    row is kept, so a consumer reading one entry per row stays flat in memory.
-    Start from q[0] = {0: 1} at k = 0 for the triangle itself.  Column
-    indices never decrease along the recursion, so a consumer that reads no
-    column above j_max passes it to skip the shift out of column j_max;
-    every entry at a column <= j_max is unchanged.
+    A row is a pair (lo, row) with row[i] = q[k][lo + i]: the exact integers
+    of one contiguous band, trimmed of zeros at both ends after the start
+    row.  Start from (0, [1]) at k = 0 for the triangle itself.  Only the
+    current row is kept, so a consumer reading one entry per row stays flat
+    in memory.  Column indices never decrease along the recursion, so a
+    consumer that reads no column above j_max passes it to skip the shift
+    out of column j_max; every entry at a column <= j_max is unchanged.
     """
     p, m, n = params.p, params.m, params.n
+    lo, row = start
     while True:
-        yield row
-        nxt: dict[int, int] = {}
-        for j, v in row.items():
-            c_keep = n - k + p * j
-            if c_keep:
-                nxt[j] = nxt.get(j, 0) + c_keep * v
-            c_shift = m + k * (p - 1) - p * j
-            if c_shift and j < j_max:
-                nxt[j + 1] = nxt.get(j + 1, 0) + c_shift * v
-        row = {j: v for j, v in nxt.items() if v}
+        yield lo, row
+        # Column lo + i takes its own entry at weight n - k + p(lo + i) and
+        # the shift of column lo + i - 1 at weight m + k(p - 1) - p(lo + i - 1).
+        keep = n - k + p * lo
+        shift = m + k * (p - 1) - p * (lo - 1)
+        # The new right column lo + len(row) holds only the shift out of the
+        # last one, so past j_max it is not formed.
+        top = row + [0] if lo + len(row) <= j_max else row
+        row = [
+            a * x + b * y
+            for a, x, b, y in zip(count(keep, p), top, count(shift, -p), [0] + row)
+        ]
+        while row and not row[-1]:
+            row.pop()
+        i = 0
+        while i < len(row) and not row[i]:
+            i += 1
+        if i:
+            lo, row = lo + i, row[i:]
         k += 1
 
 
@@ -143,7 +157,12 @@ def build_triangle(params: SquigParams, K: int) -> CoeffTriangle:
     """
     check_powers(params.m, params.n)
     check_int("K", K, 0)
-    return CoeffTriangle(params=params, K=K, rows=tuple(islice(_rows(params, {0: 1}, 0), K + 1)))
+    rows = islice(_rows(params, (0, [1]), 0), K + 1)
+    return CoeffTriangle(
+        params=params,
+        K=K,
+        rows=tuple(dict(zip(range(lo, lo + len(row)), row)) for lo, row in rows),
+    )
 
 
 def coefficient(tri: CoeffTriangle, k: int, j: int) -> int:

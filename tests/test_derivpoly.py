@@ -18,7 +18,8 @@ from squigonometry import (
     SquigParams,
     band_limits,
 )
-from squigonometry.derivpoly import _sign_at_dyadic
+from squigonometry import derivpoly
+from squigonometry.derivpoly import DerivPolynomial, _filtered_sign, _sign_at_dyadic
 
 COSQUINE4 = SquigParams(p=4, m=1, n=0)
 SQUINE6 = SquigParams(p=6, m=0, n=1)
@@ -53,6 +54,34 @@ def test_polynomial_step_reproduces_triangle(p, m, n):
         q = sg.polynomial_step(q)
         want = sg.q_polynomial(tri, k + 1)
         assert q.coeffs == want.coeffs
+
+
+def step_oracle(params: SquigParams, k: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    # Q_(k+1) = (n - k + (m + k(p-1)) u) Q + p u (1 - u) Q', by polynomial
+    # arithmetic on dense coefficient lists, cut to length k + 2.
+    p, m, n = params.p, params.m, params.n
+    out = [0] * (len(coeffs) + 2)
+    for j, c in enumerate(coeffs):
+        out[j] += (n - k) * c
+        out[j + 1] += (m + k * (p - 1)) * c
+        out[j] += p * j * c
+        out[j + 1] -= p * j * c
+    return tuple((out + [0] * (k + 2))[: k + 2])
+
+
+@pytest.mark.parametrize("params,k,coeffs", [
+    (SquigParams(p=4, m=1, n=0), 4, (0, 6, 81, 18, 0)),
+    (SquigParams(p=4, m=1, n=0), 4, (0, 0, 81, 0, 0)),
+    (SquigParams(p=3, m=2, n=1), 2, (0, 0, 0)),
+    (SquigParams(p=5, m=-1, n=2), 3, (2, -7, 0, 11)),
+    (SquigParams(p=4, m=-3, n=-2), 5, (0, 1, -4, 9, 0, 0)),
+    (SquigParams(p=6, m=-2, n=0), 1, (5, 0)),
+])
+def test_polynomial_step_hand_made_coefficients(params, k, coeffs):
+    q = DerivPolynomial(params=params, k=k, coeffs=coeffs)
+    out = sg.polynomial_step(q)
+    assert out.k == k + 1
+    assert out.coeffs == step_oracle(params, k, coeffs)
 
 
 def test_kth_derivative_matches_finite_differences(ctx4):
@@ -290,6 +319,89 @@ def test_sign_at_dyadic_around_a_dyadic_root(root, cofactor):
     for x in (math.nextafter(root, -math.inf), math.nextafter(root, math.inf)):
         if math.isfinite(x):
             assert _sign_at_dyadic(coeffs, x) == fraction_sign(coeffs, x)
+
+
+def filtered(coeffs: list[int], value: float) -> int:
+    return _filtered_sign(coeffs)(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-(2 ** 300), 2 ** 300), min_size=1, max_size=41),
+    value=st.one_of(PROBES, st.floats(-4.0, 4.0)),
+)
+def test_filtered_sign_matches_fraction_oracle(coeffs, value):
+    assert filtered(coeffs, value) == fraction_sign(coeffs, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    root=st.one_of(PROBES, st.floats(-4.0, 4.0)),
+    cofactor=st.lists(st.integers(-(2 ** 60), 2 ** 60), min_size=1, max_size=20),
+)
+def test_filtered_sign_around_a_dyadic_root(root, cofactor):
+    num, den = root.as_integer_ratio()
+    coeffs = [0] * (len(cofactor) + 1)
+    for i, c in enumerate(cofactor):
+        coeffs[i] -= num * c
+        coeffs[i + 1] += den * c
+    assert filtered(coeffs, root) == 0
+    for x in (math.nextafter(root, -math.inf), math.nextafter(root, math.inf)):
+        if math.isfinite(x):
+            assert filtered(coeffs, x) == fraction_sign(coeffs, x)
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    # Count the probes the float filter hands to the exact sign.
+    calls = []
+
+    def counting(coeffs, value):
+        calls.append(value)
+        return _sign_at_dyadic(coeffs, value)
+
+    monkeypatch.setattr(derivpoly, "_sign_at_dyadic", counting)
+    return calls
+
+
+BINOMIAL_20 = [math.comb(20, i) for i in range(21)]  # (u + 1)^20
+
+
+def ulps_from(x: float, k: int) -> float:
+    # The float k steps from x, upward for k > 0.
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@pytest.mark.parametrize("coeffs,value", [
+    ([2 ** 1100, 1], 0.5),                # a coefficient past binary64
+    ([1, -3, 2 ** 1030], -1.0),
+    ([1] * 10, 1e300),                    # sum |c_i| |x|^i overflows
+    ([-1, 0, 0, 7], -1e200),
+    ([0, 3], 5e-324),                     # subnormal x
+    ([0, -3, 1], 2.0 ** -1060),
+    ([0, 0, 1], -(2.0 ** -1070)),         # x^2 underflows to 0
+] + [(BINOMIAL_20, ulps_from(-1.0, k)) for k in range(-8, 9)])
+def test_filtered_sign_takes_exact_path(exact_calls, coeffs, value):
+    # Near the 20-fold root at -1 the binary64 sum is rounding noise; past
+    # the binary64 range or below the normal numbers the filter cannot
+    # certify a sign either.  The exact sign decides every one of them.
+    assert filtered(coeffs, value) == fraction_sign(coeffs, value)
+    assert exact_calls == [value]
+    if coeffs is BINOMIAL_20:
+        assert fraction_sign(coeffs, value) == (0 if value == -1.0 else 1)
+
+
+@pytest.mark.parametrize("coeffs,value", [
+    (BINOMIAL_20, 0.5),
+    (BINOMIAL_20, -3.0),
+    ([1, 1], 5e-324),
+    ([-3, 3 * 2 ** 40 - 4, 4 * 2 ** 40], -0.5),
+])
+def test_filtered_sign_answers_far_from_roots_in_binary64(exact_calls, coeffs, value):
+    assert filtered(coeffs, value) == fraction_sign(coeffs, value)
+    assert exact_calls == []
 
 
 def test_sign_at_dyadic_exact_roots_and_zero_polynomial():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from squigonometry import ParameterError, SquigParams
+from squigonometry.triangle import _rows
 
 
 def derivative_rows_oracle(p: int, m: int, n: int, K: int) -> list[dict[int, int]]:
@@ -118,6 +121,7 @@ def test_swap_symmetry(p, m, n, k):
 def test_entries_positive_inside_band(p, m, n):
     tri = sg.build_triangle(SquigParams(p=p, m=m, n=n), 15)
     for k, row in enumerate(tri.rows):
+        assert row.__class__ is dict
         j_lo, j_hi = sg.band_limits(tri.params, k)
         for j, v in row.items():
             assert v > 0
@@ -148,6 +152,41 @@ def test_json_round_trip_exact():
     assert back.params == tri.params
     assert back.K == tri.K
     assert list(back.rows) == list(tri.rows)
+
+
+# sha256 of triangle_to_json output, pinned from the dict-row generator the
+# contiguous band rows replaced.
+JSON_DIGESTS = {
+    (4, 1, 0, 12): "c756aa59666adc49cd6c8274cc85fc0413ce41a9a6e09a1a5225b59f65910fc3",
+    (3, 2, 1, 15): "71485f4926bcfe067a9d6dcf37d6a40503319ddba9bf099681cd103a323b7ed9",
+    (6, 0, 1, 20): "5ef2c145babdc850e5ecd5484a30e0976e8f54062ddc6b81e50dc69492a420c6",
+    (5, 3, 4, 9): "1799968e69df9276bf6982fa57c500669f9e26ad218f1b19b612f1d3b5e28634",
+    (2, 1, 1, 7): "7694b70d129e7c61e7141e97493ca9347d175f0c2467736b453b06e8685112a2",
+}
+
+
+@pytest.mark.parametrize("p,m,n,K", sorted(JSON_DIGESTS))
+def test_json_bytes_pinned(p, m, n, K):
+    text = sg.triangle_to_json(sg.build_triangle(SquigParams(p=p, m=m, n=n), K))
+    assert hashlib.sha256(text.encode()).hexdigest() == JSON_DIGESTS[(p, m, n, K)]
+
+
+def test_constant_function_rows_are_empty_after_row_zero():
+    rows = list(islice(_rows(SquigParams(p=4, m=0, n=0), (0, [1]), 0), 6))
+    assert rows[0] == (0, [1])
+    assert all(row == [] for _, row in rows[1:])
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 0), (3, 2, 1), (4, 0, 3), (6, 5, 2)])
+@pytest.mark.parametrize("j_max", [0, 1, 3, 7])
+def test_column_cap_keeps_every_column_up_to_it(p, m, n, j_max):
+    params = SquigParams(p=p, m=m, n=n)
+    capped = islice(_rows(params, (0, [1]), 0, j_max), 60)
+    full = sg.build_triangle(params, 59).rows
+    for (lo, row), want in zip(capped, full):
+        assert lo + len(row) - 1 <= j_max
+        got = {lo + i: v for i, v in enumerate(row) if v}
+        assert got == {j: v for j, v in want.items() if j <= j_max}
 
 
 def test_json_uses_decimal_strings_for_values():
