@@ -268,21 +268,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          not problems, lines)
 
     for p in range(2, 11):
-        got = constants.compute_pi(p, args.eps).value
+        got = constants.compute_pi(p).value
         want = constants.pi_gamma(p)
         all_ok &= _check("pi-gamma-oracle", f"p={p}",
                          abs(got - want) <= 1e-13 * want, lines)
 
-    k_cap = 8 if args.quick else 12
     for p, m, n in sweep:
         params = SquigParams(p=p, m=m, n=n)
-        tri = triangle.build_triangle(params, k_cap)
+        tri = triangle.build_triangle(params, 12)
         ok = all(
             explicit.explicit_coefficient(params, k, j) == triangle.coefficient(tri, k, j)
-            for k in range(k_cap + 1)
+            for k in range(13)
             for j in range(k + 1)
         )
-        all_ok &= _check("explicit-equals-triangle", f"p={p} m={m} n={n} k<={k_cap}", ok, lines)
+        all_ok &= _check("explicit-equals-triangle", f"p={p} m={m} n={n} k<=12", ok, lines)
 
     for p, m, n in sweep:
         params = SquigParams(p=p, m=m, n=n)
@@ -295,14 +294,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         all_ok &= _check("matrix-equals-triangle", f"p={p} m={m} n={n} k<=15", ok, lines)
 
     params = SquigParams(p=4, m=1, n=0)
-    j_cap = 4 if args.quick else 5
     ok = True
-    for j in range(1, j_cap + 1):
+    for j in range(1, 6):
         k = 4 * j
         ok &= set(explicit.enumerate_nonzero(params, k, j)) == set(
             explicit.filter_nonzero_brute(params, k, j)
         )
-    all_ok &= _check("enumeration-equals-brute", f"4-cosquine j<={j_cap}", ok, lines)
+    all_ok &= _check("enumeration-equals-brute", "4-cosquine j<=5", ok, lines)
 
     for p in (3, 4):
         for m, n in ((1, 0), (0, 1)):
@@ -315,7 +313,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             all_ok &= _check("corollary-equals-series", f"p={p} m={m} n={n} j<=4", ok, lines)
 
     for p in (2, 3, 4, 6):
-        ctx = evalcore.build_context(p, args.eps)
+        ctx = evalcore.build_context(p)
         worst = 0.0
         for i in range(201):
             t = -10.0 + 20.0 * i / 200
@@ -325,7 +323,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                          worst <= 5e-14, lines)
 
     for p, m, n in ((2, 0, 0), (4, 0, 0), (4, 2, 1), (3, 1, 2)):
-        got = constants.beta_value(p, m, n, args.eps)
+        got = constants.beta_value(p, m, n)
         want = constants.beta_gamma(p, m, n)
         all_ok &= _check("beta-gamma-oracle", f"p={p} m={m} n={n}",
                          abs(got - want) <= 1e-11 * abs(want), lines)
@@ -414,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_maclaurin)
 
     sub = subs.add_parser("verify", help="run built-in cross-checks")
-    sub.add_argument("--quick", action="store_true", help="smaller sweeps")
-    _add_eps(sub)
     sub.set_defaults(handler=_cmd_verify)
 
     sub = subs.add_parser("cache", help="save or load table caches")

@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import islice, takewhile
 
 from .errors import ConvergenceError, check_int, check_powers, check_tolerance
-from .evalcore import _integrate_smooth, build_context, cq, horner_sparse, sq
+from .evalcore import _integrate_smooth, horner_sparse
 from .factors import pi_from_factors
 from .series import EPS_DEFAULT, MacLaurinTable, _columns, estimate_terms
 from .triangle import SquigParams
@@ -239,16 +239,22 @@ def beta_gamma(p: int, m: int, n: int) -> float:
 
 
 def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
-    """Direct adaptive quadrature of p * cq^m sq^n over the first quadrant.
+    """Beta value by adaptive quadrature, independent of every series table.
 
-    Slow route used to cross-check beta_value; goes through the full
-    evaluation context rather than raw tables.
+    Substituting x = sq(t) on [0, pi_p / 4] and reflecting the upper half of
+    the quadrant across the diagonal gives p (I(m, n) + I(n, m)) with
+    I(a, b) = integral_0^c x^b (1 - x^p)^((a + 1)/p - 1) dx, c = 2^(-1/p),
+    each to half the tolerance.  The result is bitwise symmetric in m and n.
     """
+    check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("tol", tol)
-    ctx = build_context(p)
+    c = 2.0 ** (-1.0 / p)
 
-    def integrand(t: float) -> float:
-        return cq(ctx, t) ** m * sq(ctx, t) ** n
+    def half(a: int, b: int) -> float:
+        exponent = (a + 1) / p - 1.0
+        return _integrate_smooth(lambda x: x ** b * (1.0 - x ** p) ** exponent, 0.0, c, 0.5 * tol)
 
-    return p * _integrate_smooth(integrand, 0.0, 2.0 * ctx.quarter, tol)
+    lower = half(m, n)
+    upper = lower if m == n else half(n, m)
+    return p * (lower + upper)

@@ -39,7 +39,7 @@ from itertools import islice
 from .errors import DomainError, ParameterError, RootCountError
 from .errors import check_finite, check_int, check_powers
 from .evalcore import EvalContext, cq, sq
-from .triangle import CoeffTriangle, SquigParams, _rows, band_limits, build_triangle
+from .triangle import CoeffTriangle, SquigParams, _rows
 
 _MIN_GAP = 1e-10
 
@@ -224,39 +224,42 @@ def _bracketed_roots(
 def root_ladder(params: SquigParams, k_max: int) -> list[RootSet]:
     """Negative roots of every level 0..k_max, each bracketed by the last.
 
-    Builds the triangle once and walks it upward; level k + 1 roots are
-    isolated between consecutive level-k roots together with an outer Cauchy
-    bound and 0.  All sign decisions are exact, so the forced per-level root
-    count either comes out right or raises RootCountError.
+    Walks the triangle's band rows upward; level k + 1 roots are isolated
+    between consecutive level-k roots together with an outer Cauchy bound
+    and 0.  All sign decisions are exact, so the forced per-level root count
+    either comes out right or raises RootCountError.
     """
     check_powers(params.m, params.n)
     if params.m == 0 and params.n == 0:
         raise ParameterError("the constant function (m = n = 0) has no derivative roots")
     check_int("k_max", k_max, 0)
-    tri = build_triangle(params, k_max)
     ladder: list[RootSet] = []
     prev_roots: list[float] = []
-    for k in range(k_max + 1):
-        row = tri.rows[k]
-        j_lo, j_hi = band_limits(params, k)
-        expected = j_hi - j_lo
-        coeffs = [row.get(j_lo + i, 0) for i in range(expected + 1)]
-        if coeffs[0] == 0 or coeffs[-1] == 0:
-            raise RootCountError(f"level {k}: band edge vanished, triangle malformed")
+    for k, (lo, coeffs) in enumerate(islice(_rows(params, (0, [1]), 0), k_max + 1)):
+        # The band row is trimmed at both ends, so it starts at the deflated
+        # power u^lo and its degree is the forced root count.
+        expected = len(coeffs) - 1
         if expected == 0:
             roots: list[float] = []
         else:
             probes = [-_cauchy_bound(coeffs)] + prev_roots + [0.0]
             roots = _bracketed_roots(_filtered_sign(coeffs), probes, expected)
-        ladder.append(
-            RootSet(k=k, zero_multiplicity=j_lo, negative_roots=tuple(roots))
-        )
+        ladder.append(RootSet(k=k, zero_multiplicity=lo, negative_roots=tuple(roots)))
         prev_roots = roots
     return ladder
 
 
 def real_roots(q: DerivPolynomial) -> RootSet:
-    """Negative roots of one level; computed by climbing the full ladder."""
+    """Negative roots of one level; computed by climbing the full ladder.
+
+    q.coeffs must be the dense level-q.k row of q.params, as q_polynomial and
+    polynomial_step give it; any other tuple raises ParameterError, since the
+    ladder reads its rows from q.params alone.
+    """
+    check_int("k", q.k, 0)
+    lo, row = next(islice(_rows(q.params, (0, [1]), 0), q.k, None))
+    if q.coeffs != (0,) * lo + tuple(row) + (0,) * (q.k + 1 - lo - len(row)):
+        raise ParameterError(f"coeffs are not the level-{q.k} row of {q.params}")
     return root_ladder(q.params, q.k)[q.k]
 
 

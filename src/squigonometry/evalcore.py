@@ -19,11 +19,13 @@ table with one multiply-add per stored coefficient.
 
 arcsq_oracle inverts sq independently of the series machinery by integrating
 
-    arcsq(x) = integral_0^x (1 - u^p)^(1/p - 1) du,
+    arcsq(x) = integral_0^x (1 - u^p)^(1/p - 1) du
 
-with adaptive Gauss-Legendre panels away from u = 1 and a double-exponential
-(tanh-sinh) rule across the algebraic endpoint singularity.  It exists to
-cross-check the series path, so it shares no tables or constants with it.
+with adaptive Gauss-Legendre panels on [0, c], c = 2^(-1/p), where
+1 - u^p >= 1/2 keeps the integrand smooth.  Past c the p-circle's diagonal
+reflection, arcsq(x) = 2 arcsq(c) - arcsq((1 - x^p)^(1/p)), brings the
+integral back onto [0, c].  It shares no tables or constants with the
+series path.
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Independent quadrature oracle for arcsq.
+# Independent quadrature oracles: arcsq here, the Beta integral in constants.
 
 @lru_cache(maxsize=None)
 def _legendre_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -285,87 +287,34 @@ def _integrate_smooth(f, a: float, b: float, tol: float) -> float:
     return total
 
 
-def _integrate_endpoint(p: int, a: float, b: float, tol: float) -> float:
-    # Tanh-sinh rule for integral_a^b (1 - u^p)^(1/p - 1) du, allowing an
-    # algebraic singularity at u = b = 1.  The substitution keeps the exact
-    # distance to b, so 1 - u^p is formed as (1 - u)(1 + u + ... + u^(p-1))
-    # without cancellation.
-    if b <= a:
-        return 0.0
-    half = 0.5 * (b - a)
-    gap = 1.0 - b  # zero when the singular endpoint is included
-    exponent = 1.0 / p - 1.0
-
-    def node(tau: float) -> float:
-        g = 0.5 * math.pi * math.sinh(tau)
-        e = math.exp(-2.0 * abs(g))
-        sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
-        if g >= 0.0:
-            dist = half * 2.0 * e / (1.0 + e)
-        else:
-            dist = half * 2.0 / (1.0 + e)
-        if dist == 0.0:
-            return 0.0
-        u = b - dist
-        s = gap + dist  # exact-ish 1 - u
-        geom = 0.0
-        upow = 1.0
-        for _ in range(p):
-            geom += upow
-            upow *= u
-        weight = half * 0.5 * math.pi * math.cosh(tau) * sech2
-        return weight * (s * geom) ** exponent
-
-    previous = None
-    h = 1.0
-    for _ in range(10):
-        acc = node(0.0)
-        k = 1
-        tiny = 0
-        while k * h <= 7.0:
-            contribution = node(k * h) + node(-k * h)
-            acc += contribution
-            if abs(contribution) < tol * 1e-4:
-                tiny += 1
-                if tiny >= 2:
-                    break
-            else:
-                tiny = 0
-            k += 1
-        current = h * acc
-        if previous is not None and abs(current - previous) <= 0.25 * tol:
-            return current
-        previous = current
-        h *= 0.5
-    raise ConvergenceError(f"tanh-sinh levels exhausted on [{a}, {b}] at tol={tol}")
-
-
 def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
-    """Inverse squine by direct quadrature of (1 - u^p)^(1/p - 1) on [0, x].
+    """Inverse squine by adaptive Gauss-Legendre quadrature on [0, 2^(-1/p)].
 
-    Built as an independent cross-check of the series evaluators: adaptive
-    Gauss-Legendre panels handle [0, min(x, 7/8)] and a tanh-sinh rule the
-    remainder, each to half the tolerance.  Accepts 0 <= x <= 1.  At the
-    default tolerance it answers every x < 1 tried (p up to 300), and x = 1,
-    the quarter-period integral in full, for p <= 25; from p = 26 the
-    endpoint rule overflows there and raises ConvergenceError.
+    An independent cross-check of the series evaluators.  For x <= c =
+    2^(-1/p) it integrates (1 - u^p)^(1/p - 1) over [0, x].  Past c the
+    point (x, y), y = (1 - x^p)^(1/p), reflects across the diagonal, so it
+    returns I(0, c) + I(y, c), each to half the tolerance.  Accepts
+    0 <= x <= 1; tested for p up to 1000, x = 1 included.
     """
     check_finite("x", x)
     check_int("p", p, 2)
     check_tolerance("tol", tol)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"arcsq needs 0 <= x <= 1, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    split = min(x, 0.875)
+    exponent = 1.0 / p - 1.0
 
     def integrand(u: float) -> float:
-        return (1.0 - u ** p) ** (1.0 / p - 1.0)
+        return (1.0 - u ** p) ** exponent
 
-    total = _integrate_smooth(integrand, 0.0, split, 0.5 * tol)
-    if x > split:
-        try:
-            total += _integrate_endpoint(p, split, x, 0.5 * tol)
-        except OverflowError:
-            raise ConvergenceError(f"tanh-sinh rule overflows binary64 at p={p}") from None
-    return total
+    c = 2.0 ** (-1.0 / p)
+    if x <= c:
+        return _integrate_smooth(integrand, 0.0, x, tol)
+    # 1 - x^p = (1 - x)(1 + x + ... + x^(p-1)), and 1 - x is exact for
+    # x > c > 1/2, so y keeps its relative accuracy as x approaches 1.
+    geom = 0.0
+    for _ in range(p):
+        geom = geom * x + 1.0
+    y = ((1.0 - x) * geom) ** (1.0 / p)
+    return _integrate_smooth(integrand, 0.0, c, 0.5 * tol) + _integrate_smooth(
+        integrand, y, c, 0.5 * tol
+    )

@@ -238,12 +238,19 @@ def test_maclaurin_sized_from_eps(capsys):
     assert len(lines) == 24  # header + J=22 has 23 coefficients
 
 
-def test_verify_quick(capsys):
-    code, lines = run(capsys, "verify", "--quick")
+def test_verify_passes(capsys):
+    code, lines = run(capsys, "verify")
     assert code == 0
     assert lines, "verify must print at least one check line"
-    assert all(ln.startswith(("PASS ", "FAIL ")) for ln in lines)
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+@pytest.mark.parametrize("flag", [["--quick"], ["--eps", "1e-6"]])
+def test_verify_takes_no_options(capsys, flag):
+    # The checks' bounds are fixed for binary64, so verify has no knobs.
+    code, lines = run(capsys, "verify", *flag)
+    assert code == 2
+    assert lines == []
 
 
 def test_cache_save_load_bit_identical(capsys, tmp_path, monkeypatch):

@@ -261,6 +261,15 @@ def test_beta_quadrature_cross_check(p, m, n):
     )
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 6, 10, 11, 16, 64, 300])
+def test_beta_quadrature_matches_gamma_form(p):
+    for m, n in ((0, 0), (1, 0), (2, 1), (3, 2), (10, 3)):
+        got = sg.beta_quadrature_oracle(p, m, n)
+        want = sg.beta_gamma(p, m, n)
+        assert abs(got - want) <= 1e-13 * want, (m, n)
+        assert sg.beta_quadrature_oracle(p, n, m) == got
+
+
 def test_beta_validation():
     with pytest.raises(ParameterError):
         sg.beta_value(1, 0, 0)

@@ -200,6 +200,25 @@ def test_real_roots_single_level():
     assert rs.negative_roots[0] == pytest.approx(-2.0 / 3.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("k,coeffs", [
+    (3, (1, 1, 1, 1)),  # 1 + u + u^2 + u^3 has its root at -1; Q_3 at -2/3
+    (3, (0, 6, 9, 1)),  # Q_3 is (0, 6, 9, 0)
+    (3, (0, 6, 9)),
+    (3, (0, 6, 9, 0, 0)),
+    (2, (0, 6, 9, 0)),
+])
+def test_real_roots_rejects_coefficients_of_another_level(k, coeffs):
+    with pytest.raises(ParameterError):
+        sg.real_roots(DerivPolynomial(params=COSQUINE4, k=k, coeffs=coeffs))
+
+
+def test_real_roots_accepts_stepped_polynomials():
+    q = sg.q_polynomial(sg.build_triangle(SquigParams(p=3, m=2, n=1), 0), 0)
+    for k in range(1, 7):
+        q = sg.polynomial_step(q)
+        assert sg.real_roots(q) == sg.root_ladder(q.params, k)[k]
+
+
 def test_algebraic_values_land_on_curve(ctx4):
     ladder = sg.root_ladder(COSQUINE4, 10)
     for rs in ladder:

@@ -228,8 +228,56 @@ def test_arcsq_endpoints(ctx4, pi4):
 
 
 def test_arcsq_answers_at_one_through_p25():
-    # The documented range at x = 1; from p = 26 it raises ConvergenceError.
     assert sg.arcsq_oracle(1.0, 25) == pytest.approx(sg.pi_gamma(25) / 2.0, abs=1e-12)
+
+
+def _arcsq_series(x: Decimal, p: int) -> Decimal:
+    # arcsq(x) = x sum_k ((1 - 1/p)_k / k!) x^(pk) / (pk + 1) (DLMF 8.17),
+    # for x^p <= 1/2, where the terms fall at least as fast as 2^-k.
+    one = Decimal(1)
+    rising = one - one / p
+    xp = x ** p
+    coeff = power = total = one
+    k = 0
+    while coeff * power > Decimal(10) ** -50:
+        k += 1
+        coeff *= (rising + k - 1) / k
+        power *= xp
+        total += coeff * power / (p * k + 1)
+    return x * total
+
+
+def _arcsq_reference(x: float, p: int) -> Decimal:
+    # 50-digit arcsq; past c = 2^(-1/p) it reflects across the diagonal,
+    # arcsq(x) = pi_p / 2 - arcsq(y) with y = (1 - x^p)^(1/p) and
+    # pi_p / 2 = 2 arcsq(c).
+    with localcontext() as dec:
+        dec.prec = 50
+        one = Decimal(1)
+        c = Decimal(2) ** (-one / p)
+        if Decimal(x) <= c:
+            return _arcsq_series(Decimal(x), p)
+        y = (one - Decimal(x) ** p) ** (one / p)
+        return 2 * _arcsq_series(c, p) - _arcsq_series(y, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 10, 25, 26, 64, 300, 1000])
+def test_arcsq_within_32_u_of_decimal_reference(p):
+    c = 2.0 ** (-1.0 / p)
+    xs = [i / 32 for i in range(1, 33)] + [
+        c, math.nextafter(c, 0.0), math.nextafter(c, 1.0),
+        1.0 - 2.0 ** -40, math.nextafter(1.0, 0.0),
+    ]
+    for x in xs:
+        want = _arcsq_reference(x, p)
+        err = float(abs(Decimal(sg.arcsq_oracle(x, p)) - want) / want)
+        assert err <= 32 * 2.0 ** -53, (x, err / 2.0 ** -53)
+
+
+def test_arcsq_at_one_is_half_of_pi_gamma():
+    for p in range(2, 1001):
+        want = sg.pi_gamma(p) / 2.0
+        assert abs(sg.arcsq_oracle(1.0, p) - want) <= 1e-14 * want, p
 
 
 def test_arcsq_p2_is_asin():

@@ -14,7 +14,7 @@ import tempfile
 import pytest
 
 import squigonometry as sg
-from squigonometry import ConvergenceError, CostGuardError, DomainError, ParameterError
+from squigonometry import CostGuardError, DomainError, ParameterError
 from squigonometry import SquigParams, cli
 
 BAD_VALUES = (True, math.nan, math.inf, "x", None)
@@ -192,9 +192,6 @@ OVERFLOWS = {
         ),
         CostGuardError,
     ),
-    "arcsq_oracle.p=26": (lambda c4: sg.arcsq_oracle(1.0, 26), ConvergenceError),
-    "arcsq_oracle.p=29": (lambda c4: sg.arcsq_oracle(1.0, 29), ConvergenceError),
-    "arcsq_oracle.p=64": (lambda c4: sg.arcsq_oracle(1.0, 64), ConvergenceError),
 }
 
 
