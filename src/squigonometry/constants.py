@@ -253,7 +253,7 @@ def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
 
     def half(a: int, b: int) -> float:
         exponent = (a + 1) / p - 1.0
-        return _integrate_smooth(lambda x: x ** b * (1.0 - x ** p) ** exponent, 0.0, c, 0.5 * tol)
+        return _integrate_smooth(lambda x: x**b * (1.0 - x**p) ** exponent, 0.0, c, 0.5 * tol, p)
 
     lower = half(m, n)
     upper = lower if m == n else half(n, m)

@@ -10,12 +10,15 @@ n + pj.  The column generator _columns produces a_0, a_1, ... directly in
 binary64 by running the coefficient recursion on scaled columns, one
 division per update, so each a_j is computed with a minimal number of
 roundings (many small cases are exact, e.g. the degree-5 squine coefficient
-of t^5/5! for p = 4 is exactly -0.15).  It is the package's one binary64
-copy of the recursion, and it never recomputes a column: maclaurin takes
-its first J + 1 columns, and a caller that finds it needs more terms pulls
-only the new ones.  integer_maclaurin produces the exact integer
-numerators F_j instead, reading them from the exact row generator in
-triangle, the one place the integer recursion is written.
+of t^5/5! for p = 4 is exactly -0.15).  Each column is one list
+comprehension over exact binary64 integer weights, the values that int
+weights convert to, so the bits are those of the plain int-weight loop.
+It is the package's one binary64 copy of the recursion, and it never
+recomputes a column: maclaurin takes its first J + 1 columns, and a caller
+that finds it needs more terms pulls only the new ones.  integer_maclaurin
+produces the exact integer numerators F_j instead, reading them from the
+exact row generator in triangle, the one place the integer recursion is
+written.
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -107,9 +110,13 @@ def _columns(params: SquigParams) -> Iterator[float]:
     scalings and one divide, so many small coefficients come out exact.
     Column j - 1 freezes at order n + p(j - 1), holding a_{j-1}; on the
     later orders up to n + pj, where column j freezes at a_j, only the
-    diagonal term is kept.  Each column is computed in full from the stored
-    orders of the column before it, so one history of O(pj) floats is alive
-    at a time and every coefficient is computed once.  Requires m, n >= 0.
+    diagonal term is kept.  Each column is one list comprehension carrying c
+    over the orders of the column before it, kept from the first order its
+    band reached, so one history of O(pj) floats is alive at a time.  Its
+    weights keep, shift and div are binary64 integers below 2^53, the exact
+    values that int weights convert to, so each operation and bit (-0.0 and
+    the inf/nan at p >= 11 included) is the int-weight loop's.  Requires
+    m, n >= 0.
     """
     p, m, n = params.p, params.m, params.n
     # Column 0 is the diagonal alone, to order n.
@@ -121,31 +128,31 @@ def _columns(params: SquigParams) -> Iterator[float]:
     yield c
     if m == n == 0:  # cq^0 sq^0 = 1: every later column is +0.0, without end
         yield from repeat(0.0)
-    k_enter = 0  # first step k at which the band's top edge reaches column j
+    w = [0.0]  # w[i] == float(i), the exact binary64 weights, grown to order top
+    k_enter = offset = 0  # k_enter: first step at which the band's top edge reaches column j
     for j in count(1):
         while k_enter + 1 - ceil_div(k_enter + 1 - m, p) < j:
             k_enter += 1
         freeze_prev = n + p * (j - 1)
         top = freeze_prev + p
         start = min(k_enter, freeze_prev)
+        w += map(float, range(len(w), top + 1))
         c = 0.0
-        column = [c] * (start + 1)
-        append = column.append
         # Steps start..freeze_prev take both terms, with the integer weights
         # n - k + pj, m + k(p - 1) - p(j - 1) and k + 1 of each step k.
-        for keep, shift, prev, div in zip(
-            range(top - start, p - 1, -1),
-            count(m + start * (p - 1) - p * (j - 1), p - 1),
-            islice(history, start, None),
-            range(start + 1, freeze_prev + 2),
-        ):
-            c = (keep * c + shift * prev) / div
-            append(c)
-        for keep, div in zip(range(p - 1, 0, -1), range(freeze_prev + 2, top + 1)):
-            c = (keep * c) / div
-            append(c)
+        column = [c] + [
+            c := (keep * c + shift * prev) / div
+            for keep, shift, prev, div in zip(
+                w[top - start : p - 1 : -1],
+                count(float(m + start * (p - 1) - p * (j - 1)), float(p - 1)),
+                islice(history, start - offset, None),
+                w[start + 1 : freeze_prev + 2],
+            )
+        ]
+        tail = zip(w[p - 1 : 0 : -1], w[freeze_prev + 2 : top + 1])  # the diagonal term alone
+        column += [c := (keep * c) / div for keep, div in tail]
         yield c
-        history = column
+        history, offset = column, start  # column[i] holds order start + i
 
 
 def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:

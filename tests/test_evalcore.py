@@ -280,6 +280,17 @@ def test_arcsq_at_one_is_half_of_pi_gamma():
         assert abs(sg.arcsq_oracle(1.0, p) - want) <= 1e-14 * want, p
 
 
+@pytest.mark.parametrize("p", [5000, 8000, 20000, 100000])
+def test_quadrature_oracles_resolve_the_knee_at_large_p(p):
+    # The integrands turn in a knee about 1/p wide just below 2^(-1/p); a
+    # single first panel there let both Gauss rules miss it (1.4e-4 off at
+    # p = 5000).
+    want = sg.pi_gamma(p) / 2.0
+    assert abs(sg.arcsq_oracle(1.0, p) - want) <= 1e-14 * want
+    want = sg.beta_gamma(p, 0, 0)
+    assert abs(sg.beta_quadrature_oracle(p, 0, 0) - want) <= 1e-14 * want
+
+
 def test_arcsq_p2_is_asin():
     for x in (0.1, 0.5, 0.9):
         assert sg.arcsq_oracle(x, 2) == pytest.approx(math.asin(x), abs=1e-10)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from squigonometry import ParameterError, SquigParams
+from squigonometry.constants import _coefficients
+from squigonometry.series import _columns
 from squigonometry.triangle import ceil_div
 
 # Integer numerators of the p=4 series, frozen: F_j = q[n+4j][j].
@@ -56,6 +59,23 @@ def test_columns_match_banded_oracle_bit_for_bit(p):
             for J in js:
                 got = [v.hex() for v in sg.maclaurin(params, J).floats]
                 assert got == want[: J + 1], (p, m, n, J)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 10])
+def test_columns_match_banded_oracle_past_the_small_grid(p):
+    # Larger m and n move where each column's scan starts, where the column
+    # before it froze, how far the weight table grows and the offset of the
+    # stored history.  A coefficient stream continued past held floats must
+    # also give the bits of one fresh run.
+    for m, n in ((9, 0), (0, 13), (17, 20), (40, 3)):
+        params = SquigParams(p=p, m=m, n=n)
+        want = [v.hex() for v in banded_oracle(params, 60)]
+        for J in (0, 1, 7, 60):
+            assert [v.hex() for v in sg.maclaurin(params, J).floats] == want[: J + 1], (m, n, J)
+        fresh = [v.hex() for v in islice(_columns(params), 41)]
+        for held in (1, 2, 13):
+            stream = _coefficients(params, tuple(islice(_columns(params), held)))
+            assert [v.hex() for v in islice(stream, 41)] == fresh, (m, n, held)
 
 
 def test_banded_oracle_prefix_property():
