@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import random
+import struct
 from decimal import Decimal, localcontext
 
 import pytest
@@ -505,3 +507,87 @@ def test_pow_general_overflow_is_a_domain_error(ctx2, ctx4):
             sg.pow_general(ctx, m, n, t)
         assert type(info.value) is DomainError
     assert sg.pow_general(ctx2, -1000, -1000, 0.7) < math.inf
+
+
+# ---------------------------------------------------------------------------
+# A context folds its tables through generated straight-line code; the loop
+# in _horner stays the reference, bit for bit.
+
+FOLD_EPS = (2.0 ** -53, 2.0 ** -30, 1e-6, 1e-3, 0.3)
+
+
+def _fold_points(quarter: float) -> tuple[float, ...]:
+    return (0.0, -0.0, 5e-324, quarter, math.nextafter(quarter, 0.0))
+
+
+def _assert_folds_like_the_loop(fold, table, points) -> None:
+    for s in points:
+        got, want = fold(s), evalcore._horner(table, s)
+        assert type(got) is type(want), (table.params, len(table.floats), s)
+        assert struct.pack("<d", got) == struct.pack("<d", want), (
+            table.params, len(table.floats), s, float(got).hex(), float(want).hex()
+        )
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_context_folds_match_the_loop_bit_for_bit(p):
+    rng = random.Random(300 + p)
+    for eps in FOLD_EPS:
+        ctx = sg.build_context(p, eps)
+        points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(20))
+        for fold, table in zip(ctx.folds, (ctx.sq_table, ctx.cq_table)):
+            _assert_folds_like_the_loop(fold, table, points)
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_record_table_folds_match_the_loop_bit_for_bit(p):
+    # The whole compute_pi tables: 104 coefficients at p = 10, more than one
+    # generated statement holds.
+    record = sg.compute_pi(p)
+    quarter = record.value / 4.0
+    for table in (record.sq_table, record.cq_table):
+        _assert_folds_like_the_loop(evalcore._fold(table), table, _fold_points(quarter))
+    if p == 10:
+        assert len(record.sq_table.floats) == 104 > evalcore._NEST
+
+
+def test_hand_made_table_folds_match_the_loop_bit_for_bit():
+    rng = random.Random(17)
+    quarter = sg.build_context(3).quarter
+    long = tuple(rng.uniform(-1.0, 1.0) * 2.0 ** -rng.randrange(60) for _ in range(298))
+    tables = [
+        sg.MacLaurinTable(sg.SquigParams(3, 0, 1), (1.0, -0.0) + long),  # 300 coefficients
+        sg.MacLaurinTable(sg.SquigParams(4, 0, 1), (0.75,)),
+        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (0.75,)),
+        sg.maclaurin(sg.SquigParams(4, 2, 3), 40),
+        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (1, 0.5, 3)),  # ints, as a hand-edited cache may hold
+        sg.MacLaurinTable(sg.SquigParams(5, 0, 1), (7,)),
+        sg.MacLaurinTable(sg.SquigParams(5, 1, 0), (7,)),
+        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (1.0, math.inf, 0.25)),
+        sg.MacLaurinTable(sg.SquigParams(2, 0, 2), (math.inf,)),
+    ]
+    assert len(tables[0].floats) == 300
+    for table in tables:
+        _assert_folds_like_the_loop(evalcore._fold(table), table, _fold_points(quarter))
+
+
+def test_evaluated_context_pickles_without_its_folds():
+    ctx = sg.build_context(5)
+    assert "folds" not in vars(ctx)  # build_context makes no folds
+    points = [0.3, -2.0, 7.5, 1e6]
+    want = [(sg.sq(ctx, t), sg.cq(ctx, t)) for t in points]
+    assert "folds" in vars(ctx)
+    back = pickle.loads(pickle.dumps(ctx))
+    assert back == ctx and "folds" not in vars(back)
+    assert "folds" in vars(ctx)
+    assert [(sg.sq(back, t), sg.cq(back, t)) for t in points] == want
+
+
+def test_replaced_context_folds_its_own_tables(ctx4):
+    sg.sq(ctx4, 0.3)  # the folds of ctx4 exist before the replace
+    stub = sg.MacLaurinTable(ctx4.sq_table.params, (2.0,))
+    moved = dataclasses.replace(ctx4, sq_table=stub)
+    assert moved.folds[0] is not ctx4.folds[0]
+    for s in (0.1, 0.5, ctx4.quarter):
+        assert sg.sq(moved, s) == 2.0 * s
+        assert sg.cq(moved, s) == sg.cq(ctx4, s)
