@@ -75,7 +75,7 @@ def check_finite(name: str, value) -> None:
     try:
         if math.isfinite(value) and value.__class__ is not bool:
             return
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):  # ValueError: Decimal('sNaN')
         pass
     raise DomainError(f"{name} must be a finite real, got {value!r}")
 

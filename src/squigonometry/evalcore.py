@@ -5,15 +5,7 @@ the quarter period pi_p / 4, the MacLaurin tables for sq (m=0, n=1) and cq
 (m=1, n=0), and the tolerance they were cut for.  compute_pi sizes its
 tables for the tail at t = 1; on the reduced interval [0, pi_p/4] the terms
 fall faster, so build_context keeps the prefix of each whose dropped tail is
-at most epsilon / 64 of the leading term there.  sq, cq and pow_general fold
-exactly the tables a context holds, through the context's folds: one plain
-function per table whose straight-line Horner code is compiled once per
-table shape (length, p, n) and reads the coefficients as its globals.  They
-make the same IEEE operations in the same order as horner_sparse's loop, so
-horner_sparse(ctx.sq_table, s) == sq(ctx, s) on [0, pi_p / 4].  A context
-makes its folds at its first evaluation, not in build_context: about 0.2 to
-0.7 ms for p = 2..10 when the shapes are new, 10 to 30 us when they are
-already compiled.
+at most epsilon / 64 of the leading term there.
 
 Evaluation at arbitrary t proceeds by range reduction.  sq and cq are
 2 pi_p periodic, odd and even respectively, satisfy the half-period flips
@@ -23,6 +15,14 @@ these folds any real t onto [0, pi_p / 4] together with a choice of table
 (sq or co-sq) and two signs; on the reduced interval both series converge
 with strictly decreasing terms, and the sparse Horner form evaluates each
 table with one multiply-add per stored coefficient.
+
+sq, cq and pow_general call the context's evaluators, straight-line code
+that checks t, runs _REDUCTION (the one copy of the reduction) and folds the
+context's tables with no call in between.  The code is compiled once per
+table shape, binds the coefficients and constants as globals and makes
+horner_sparse's IEEE operations in its order, so sq(ctx, s) ==
+horner_sparse(ctx.sq_table, s) on [0, pi_p / 4].  A context builds them at
+its first evaluation: 1 to 4 ms at p = 2..10 for new shapes, else < 0.1 ms.
 
 arcsq_oracle inverts sq independently of the series machinery by integrating
 
@@ -60,7 +60,8 @@ _NEST = 64
 class EvalContext:
     """Evaluation bundle for one circle degree: tables, quarter period, tolerance.
 
-    sq, cq and pow_general fold sq_table and cq_table as they are, so
+    sq, cq and pow_general fold sq_table and cq_table as they are, through
+    the evaluators the context makes at its first evaluation, so
     horner_sparse(ctx.sq_table, s) == sq(ctx, s) on [0, pi_p / 4].
     build_context gives the prefixes cut for epsilon; a context made by hand
     or by dataclasses.replace folds whatever tables it is given.  pi_p, half
@@ -84,17 +85,24 @@ class EvalContext:
         object.__setattr__(self, "period", 2.0 * pi_p)
 
     @cached_property
-    def folds(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        """(sq fold, cq fold): each table's Horner steps as straight-line code.
+    def evaluators(self) -> types.SimpleNamespace:
+        """sq(t), cq(t) and pair(t) = (cq(t), sq(t)), generated for this context.
 
         Made at the first evaluation, not by build_context, and dropped when
         the context is pickled, since generated functions do not pickle.
         """
-        return _fold(self.sq_table), _fold(self.cq_table)
+        names = {"fmod": math.fmod, "check_finite": check_finite, "period": self.period,
+                 "pi_p": self.pi_p, "half": self.half, "quarter": self.quarter}
+        tables = self.sq_table, self.cq_table
+        for letter, table in zip("ac", tables):
+            names.update((f"{letter}{i}", a) for i, a in enumerate(table.floats))
+        codes = _evaluator_code(*((len(t.floats), t.params.p, t.params.n) for t in tables))
+        sq, cq, pair = (types.FunctionType(code, names) for code in codes)
+        return types.SimpleNamespace(sq=sq, cq=cq, pair=pair)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("folds", None)
+        state.pop("evaluators", None)
         return state
 
 
@@ -145,38 +153,46 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     return EvalContext(p, quarter, sq_table, cq_table, epsilon)
 
 
+# The range reduction, written once: these statements take a checked float
+# t to s in [0, pi_p / 4], the table choice use_co and the two signs.  Every
+# evaluator inlines them, and _reduce is compiled from them.  fmod is exact
+# and fmod(-t, y) == -fmod(t, y), so folding |t| and flipping sign_sq for
+# t < 0 keeps sq odd and cq even bit for bit.
+_REDUCTION = (
+    "s = fmod(t, period)",
+    "sign_sq = sign_cq = 1",
+    "if t < 0.0: s = -s; sign_sq = -1",
+    "if s >= pi_p: s -= pi_p; sign_sq = -sign_sq; sign_cq = -1",
+    "if s > half: s = pi_p - s; sign_cq = -sign_cq",
+    "use_co = s > quarter",
+    "if use_co: s = half - s",
+)
+
+
+def _define(head: str, body: list[str], names: dict) -> Callable:
+    # The function `def {head}:` with these statements, defined in names.
+    exec(f"def {head}:\n" + "".join(f"    {line}\n" for line in body), names)
+    return names[head.partition("(")[0]]
+
+
+# reduce_argument on a checked float t, as a plain tuple.
+_reduce = _define("_reduce(ctx, t)", [
+    "period, pi_p, half, quarter = ctx.period, ctx.pi_p, ctx.half, ctx.quarter",
+    *_REDUCTION, "return s, use_co, sign_sq, sign_cq"], {"fmod": math.fmod})
+
+
 def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
     """Fold t onto [0, pi_p / 4] tracking table choice and signs.
 
-    Reduction steps, applied in order: take t mod 2 pi_p into [0, 2 pi_p);
-    subtract pi_p (flipping both signs) to reach [0, pi_p); reflect across
-    pi_p / 2 (flipping the cq sign) to reach [0, pi_p / 2]; reflect across
-    pi_p / 4 swapping the roles of the two tables.  Arguments that are exact
-    binary64 sums t0 + 2 k pi_p reduce to bit-identical t_reduced.
+    Reduction steps, applied in order: take |t| mod 2 pi_p into [0, 2 pi_p),
+    flipping the sq sign when t < 0; subtract pi_p (flipping both signs) to
+    reach [0, pi_p); reflect across pi_p / 2 (flipping the cq sign) to reach
+    [0, pi_p / 2]; reflect across pi_p / 4 swapping the roles of the two
+    tables.  So -t differs from t only in sign_sq, and exact binary64 sums
+    t0 + 2 k pi_p of one sign reduce to bit-identical t_reduced.
     """
     check_finite("argument", t)
-    return QuadrantReduction(*_reduce(ctx, t))
-
-
-def _reduce(ctx: EvalContext, t: float) -> tuple[float, bool, int, int]:
-    # reduce_argument on an already checked t, as a plain tuple.
-    pi_p, half = ctx.pi_p, ctx.half
-    s = math.fmod(t, ctx.period)
-    if s < 0.0:
-        s += ctx.period
-    sign_sq = 1
-    sign_cq = 1
-    if s >= pi_p:
-        s -= pi_p
-        sign_sq = -1
-        sign_cq = -1
-    if s > half:
-        s = pi_p - s
-        sign_cq = -sign_cq
-    use_co = s > ctx.quarter
-    if use_co:
-        s = half - s
-    return s, use_co, sign_sq, sign_cq
+    return QuadrantReduction(*_reduce(ctx, float(t)))
 
 
 def horner_sparse(table: MacLaurinTable, t: float) -> float:
@@ -208,45 +224,51 @@ def _horner(table: MacLaurinTable, t: float) -> float:
     return t ** params.n * b
 
 
-@lru_cache(maxsize=64)
-def _fold_code(length: int, p: int, n: int) -> types.CodeType:
-    # The code of fold(s), which folds the globals a0..a{length - 1} as
-    # _horner folds a table of that shape: b <- a_i - b * tp from the deep
-    # end, _NEST steps per statement, then the scaling by s^n (s ** 1 is s,
-    # and s ** 0 is 1.0 for every binary64 s).  Only ints enter the source.
-    lines = [f"tp = s ** {p}", f"b = a{length - 1}"]
+def _fold(letter: str, shape: tuple[int, int, int], out: str) -> list[str]:
+    # Statements that set out to _horner's fold at s of a table of this shape
+    # whose coefficients are the globals {letter}0, {letter}1, ...: tp = s ** p,
+    # b <- a_i - b * tp from the deep end, _NEST steps per statement, then the
+    # scaling by s^n (s ** 1 is s, and s ** 0 is 1.0 for every binary64 s).
+    length, p, n = shape
+    lines = [f"tp = s ** {p}", f"{out} = {letter}{length - 1}"]
     for top in range(length - 2, -1, -_NEST):
-        expr = "b"
+        expr = out
         for i in range(top, max(top - _NEST, -1), -1):
-            expr = f"a{i} - ({expr}) * tp"
-        lines.append(f"b = {expr}")
+            expr = f"{letter}{i} - ({expr}) * tp"
+        lines.append(f"{out} = {expr}")
     scale = "1.0" if n == 0 else "s" if n == 1 else f"s ** {n}"
-    lines.append(f"return {scale} * b")
-    namespace: dict = {}
-    exec("def fold(s):\n    " + "\n    ".join(lines), namespace)
-    return namespace["fold"].__code__
+    return lines + [f"{out} = {scale} * {out}"]
 
 
-def _fold(table: MacLaurinTable) -> Callable[[float], float]:
-    # _horner on this one table, the coefficients bound as the globals of
-    # compiled code, so every value folds through the same IEEE operations.
-    params = table.params
-    code = _fold_code(len(table.floats), params.p, params.n)
-    return types.FunctionType(code, {f"a{i}": a for i, a in enumerate(table.floats)})
+@lru_cache(maxsize=64)
+def _evaluator_code(sq_shape: tuple, cq_shape: tuple) -> tuple[types.CodeType, ...]:
+    # The code of the evaluators sq, cq and pair for tables of these shapes
+    # (length, p, n): an inline check that sends every t but a finite float
+    # to check_finite and float(), _REDUCTION, the folds (pair's share one tp
+    # when the tables share p) and the signs.  Only ints enter the source.
+    fold_sq, fold_cq = "; ".join(_fold("a", sq_shape, "v")), "; ".join(_fold("c", cq_shape, "v"))
+    fold_pair = _fold("a", sq_shape, "y") + _fold("c", cq_shape, "x")[sq_shape[1] == cq_shape[1]:]
+    bodies = {
+        "sq": ("argument", [f"if use_co: {fold_cq}", f"else: {fold_sq}", "return sign_sq * v"]),
+        "cq": ("argument", [f"if use_co: {fold_sq}", f"else: {fold_cq}", "return sign_cq * v"]),
+        "pair": ("t", [*fold_pair, "if use_co: return sign_cq * y, sign_sq * x",
+                       "return sign_cq * x, sign_sq * y"]),
+    }
+    names: dict = {}
+    for name, (label, body) in bodies.items():
+        check = f"if t.__class__ is not float or t - t != 0.0: check_finite({label!r}, t); t = float(t)"
+        _define(f"{name}(t)", [check, *_REDUCTION, *body], names)
+    return tuple(names[name].__code__ for name in bodies)
 
 
 def sq(ctx: EvalContext, t: float) -> float:
     """Squine of t: y-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
-    check_finite("argument", t)
-    s, use_co, sign_sq, _ = _reduce(ctx, t)
-    return sign_sq * ctx.folds[use_co](s)
+    return ctx.evaluators.sq(t)
 
 
 def cq(ctx: EvalContext, t: float) -> float:
     """Cosquine of t: x-coordinate on |x|^p + |y|^p = 1 at arc parameter t."""
-    check_finite("argument", t)
-    s, use_co, _, sign_cq = _reduce(ctx, t)
-    return sign_cq * ctx.folds[not use_co](s)
+    return ctx.evaluators.cq(t)
 
 
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
@@ -262,7 +284,7 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     for both factors.
     """
     check_powers(m, n, low=None)
-    check_finite("t", t)
+    c, s = ctx.evaluators.pair(t)
     if (m < 0 or n < 0 or ctx.p % 2 == 1) and not 0.0 < t < ctx.half:
         if (t == 0.0 and n < 0) or (t == ctx.half and m < 0):
             raise PoleError(f"cq^{m} sq^{n} has a pole at t={t!r}")
@@ -270,10 +292,8 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
             f"t={t!r} outside the open first quadrant (0, {ctx.half}) "
             "required for negative powers or odd p"
         )
-    s, use_co, sign_sq, sign_cq = _reduce(ctx, t)
-    folds = ctx.folds
     try:
-        value = (sign_cq * folds[not use_co](s)) ** m * (sign_sq * folds[use_co](s)) ** n
+        value = c ** m * s ** n
     except OverflowError:  # ** raises past binary64; * of two large powers gives inf
         value = math.inf
     if math.isinf(value):

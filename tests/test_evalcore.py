@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import pickle
 import random
 import struct
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from squigonometry import DomainError, ParameterError, evalcore
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_context_fields(ctx4, pi4):
@@ -129,6 +133,48 @@ def test_periodicity_bit_identical(ctx4):
             assert sg.cq(ctx4, shifted) == base_c
 
 
+def _bits(f, *args) -> str:
+    try:
+        return f(*args).hex()
+    except sg.SquigError as error:
+        return type(error).__name__
+
+
+def test_evaluation_golden_bits():
+    # sq, cq and pow_general at p = 2..10 and two tolerances, pinned bit for
+    # bit (or by error type) at zeros, subnormals, tiny t, the quarter and its
+    # neighbours, half, pi_p, the period, +-1e300 and seeded points.  A
+    # negative t holds the value at |t| mirrored: -sq, the same cq, and
+    # pow_general times (-1)^n.
+    for want in json.loads((GOLDEN / "eval_bits.json").read_text()):
+        ctx = sg.build_context(want["p"], float.fromhex(want["epsilon"]))
+        ts = [float.fromhex(h) for h in want["t"]]
+        got = {"p": want["p"], "epsilon": ctx.epsilon.hex(), "t": want["t"]}
+        got["sq"] = [_bits(sg.sq, ctx, t) for t in ts]
+        got["cq"] = [_bits(sg.cq, ctx, t) for t in ts]
+        for m, n in ((2, 1), (-1, 2), (3, -2)):
+            got[f"pow {m},{n}"] = [_bits(sg.pow_general, ctx, m, n, t) for t in ts]
+        assert got == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 10])
+def test_negative_t_mirrors_bit_for_bit(p):
+    # fmod(-t, y) == -fmod(t, y) exactly, so sq(-t) == -sq(t) and
+    # cq(-t) == cq(t) hold bit for bit, tiny t included.
+    ctx = sg.build_context(p)
+    rng = random.Random(400 + p)
+    ts = [5e-324, 1e-20, 1e-15, ctx.quarter, ctx.half, ctx.pi_p, ctx.period, 1e300]
+    ts += [10.0 ** rng.uniform(-20.0, 15.0) for _ in range(200)]
+    for t in ts:
+        assert sg.sq(ctx, -t).hex() == (-sg.sq(ctx, t)).hex(), t
+        assert sg.cq(ctx, -t).hex() == sg.cq(ctx, t).hex(), t
+        red, mirror = sg.reduce_argument(ctx, t), sg.reduce_argument(ctx, -t)
+        assert mirror == red._replace(sign_sq=-red.sign_sq)
+    assert sg.sq(ctx, -1e-20) == -1e-20
+    if p % 2 == 0:  # odd p takes pow_general on (0, pi_p / 2) only
+        assert sg.pow_general(ctx, 1, 1, -1e-20) == -1e-20
+
+
 def test_odd_symmetry(ctx4):
     for t in (0.1, 0.9, 2.3):
         assert sg.sq(ctx4, -t) == pytest.approx(-sg.sq(ctx4, t), abs=5e-16)
@@ -174,19 +220,24 @@ def test_pow_general_even_p_full_line(ctx4):
 
 
 def test_pow_general_reduces_once(ctx4, monkeypatch):
+    # pow_general reduces t once, through the context's pair evaluator.
     calls = []
 
-    def counting(ctx, t):
-        calls.append(t)
-        return real(ctx, t)
+    def counting(name, real):
+        def evaluator(t):
+            calls.append((name, t))
+            return real(t)
+        return evaluator
 
-    real = evalcore._reduce
-    monkeypatch.setattr(evalcore, "_reduce", counting)
+    real = ctx4.evaluators
+    monkeypatch.setitem(vars(ctx4), "evaluators", type(real)(
+        **{name: counting(name, f) for name, f in vars(real).items()}
+    ))
     for t in (-2.0, 0.0, 1.3, 5.0):
         want = sg.cq(ctx4, t) ** 2 * sg.sq(ctx4, t)
         calls.clear()
         assert sg.pow_general(ctx4, 2, 1, t) == want
-        assert calls == [t]
+        assert calls == [("pair", t)]
 
 
 def test_pow_general_tangent_vs_libm(ctx2):
@@ -510,8 +561,8 @@ def test_pow_general_overflow_is_a_domain_error(ctx2, ctx4):
 
 
 # ---------------------------------------------------------------------------
-# A context folds its tables through generated straight-line code; the loop
-# in _horner stays the reference, bit for bit.
+# A context evaluates through generated straight-line code that checks,
+# reduces and folds; the loop in _horner stays the reference, bit for bit.
 
 FOLD_EPS = (2.0 ** -53, 2.0 ** -30, 1e-6, 1e-3, 0.3)
 
@@ -520,13 +571,34 @@ def _fold_points(quarter: float) -> tuple[float, ...]:
     return (0.0, -0.0, 5e-324, quarter, math.nextafter(quarter, 0.0))
 
 
-def _assert_folds_like_the_loop(fold, table, points) -> None:
+def _assert_bits(got, want, where) -> None:
+    assert type(got) is type(want), where
+    assert struct.pack("<d", got) == struct.pack("<d", want), (
+        *where, float(got).hex(), float(want).hex()
+    )
+
+
+def _assert_folds_like_the_loop(ctx, points) -> None:
+    # On [0, pi_p / 4] each evaluator folds its own table with sign 1; past
+    # the quarter reflection the tables swap roles.
+    ev = ctx.evaluators
     for s in points:
-        got, want = fold(s), evalcore._horner(table, s)
-        assert type(got) is type(want), (table.params, len(table.floats), s)
-        assert struct.pack("<d", got) == struct.pack("<d", want), (
-            table.params, len(table.floats), s, float(got).hex(), float(want).hex()
-        )
+        where = (ctx.sq_table.params, len(ctx.sq_table.floats), len(ctx.cq_table.floats), s)
+        want_sq, want_cq = evalcore._horner(ctx.sq_table, s), evalcore._horner(ctx.cq_table, s)
+        _assert_bits(ev.sq(s), want_sq, where)
+        _assert_bits(ev.cq(s), want_cq, where)
+        c, v = ev.pair(s)
+        _assert_bits(c, want_cq, where)
+        _assert_bits(v, want_sq, where)
+        u = ctx.half - s
+        if u > ctx.quarter:
+            r = ctx.half - u
+            want_sq, want_cq = evalcore._horner(ctx.cq_table, r), evalcore._horner(ctx.sq_table, r)
+            _assert_bits(ev.sq(u), want_sq, where)
+            _assert_bits(ev.cq(u), want_cq, where)
+            c, v = ev.pair(u)
+            _assert_bits(c, want_cq, where)
+            _assert_bits(v, want_sq, where)
 
 
 @pytest.mark.parametrize("p", range(2, 11))
@@ -535,8 +607,7 @@ def test_context_folds_match_the_loop_bit_for_bit(p):
     for eps in FOLD_EPS:
         ctx = sg.build_context(p, eps)
         points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(20))
-        for fold, table in zip(ctx.folds, (ctx.sq_table, ctx.cq_table)):
-            _assert_folds_like_the_loop(fold, table, points)
+        _assert_folds_like_the_loop(ctx, points)
 
 
 @pytest.mark.parametrize("p", range(2, 11))
@@ -544,9 +615,8 @@ def test_record_table_folds_match_the_loop_bit_for_bit(p):
     # The whole compute_pi tables: 104 coefficients at p = 10, more than one
     # generated statement holds.
     record = sg.compute_pi(p)
-    quarter = record.value / 4.0
-    for table in (record.sq_table, record.cq_table):
-        _assert_folds_like_the_loop(evalcore._fold(table), table, _fold_points(quarter))
+    ctx = sg.EvalContext(p, record.value / 4.0, record.sq_table, record.cq_table, sg.EPS_DEFAULT)
+    _assert_folds_like_the_loop(ctx, _fold_points(ctx.quarter))
     if p == 10:
         assert len(record.sq_table.floats) == 104 > evalcore._NEST
 
@@ -567,27 +637,30 @@ def test_hand_made_table_folds_match_the_loop_bit_for_bit():
         sg.MacLaurinTable(sg.SquigParams(2, 0, 2), (math.inf,)),
     ]
     assert len(tables[0].floats) == 300
-    for table in tables:
-        _assert_folds_like_the_loop(evalcore._fold(table), table, _fold_points(quarter))
+    # Each table is the sq table of one context and the cq table of the
+    # next, so pair also folds tables of different p side by side.
+    for sq_table, cq_table in zip(tables, tables[1:] + tables[:1]):
+        ctx = sg.EvalContext(sq_table.params.p, quarter, sq_table, cq_table, 1e-3)
+        _assert_folds_like_the_loop(ctx, _fold_points(quarter))
 
 
-def test_evaluated_context_pickles_without_its_folds():
+def test_evaluated_context_pickles_without_its_evaluators():
     ctx = sg.build_context(5)
-    assert "folds" not in vars(ctx)  # build_context makes no folds
+    assert "evaluators" not in vars(ctx)  # build_context makes no evaluators
     points = [0.3, -2.0, 7.5, 1e6]
     want = [(sg.sq(ctx, t), sg.cq(ctx, t)) for t in points]
-    assert "folds" in vars(ctx)
+    assert "evaluators" in vars(ctx)
     back = pickle.loads(pickle.dumps(ctx))
-    assert back == ctx and "folds" not in vars(back)
-    assert "folds" in vars(ctx)
+    assert back == ctx and "evaluators" not in vars(back)
+    assert "evaluators" in vars(ctx)
     assert [(sg.sq(back, t), sg.cq(back, t)) for t in points] == want
 
 
 def test_replaced_context_folds_its_own_tables(ctx4):
-    sg.sq(ctx4, 0.3)  # the folds of ctx4 exist before the replace
+    sg.sq(ctx4, 0.3)  # the evaluators of ctx4 exist before the replace
     stub = sg.MacLaurinTable(ctx4.sq_table.params, (2.0,))
     moved = dataclasses.replace(ctx4, sq_table=stub)
-    assert moved.folds[0] is not ctx4.folds[0]
+    assert moved.evaluators.sq is not ctx4.evaluators.sq
     for s in (0.1, 0.5, ctx4.quarter):
         assert sg.sq(moved, s) == 2.0 * s
         assert sg.cq(moved, s) == sg.cq(ctx4, s)

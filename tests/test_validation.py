@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from decimal import Decimal
 
 import pytest
 
@@ -17,7 +18,8 @@ import squigonometry as sg
 from squigonometry import CostGuardError, DomainError, ParameterError
 from squigonometry import SquigParams, cli
 
-BAD_VALUES = (True, math.nan, math.inf, "x", None)
+# Decimal("sNaN") raises a bare ValueError where math converts it to float.
+BAD_VALUES = (True, math.nan, math.inf, "x", None, Decimal("sNaN"))
 
 P = SquigParams(p=4, m=1, n=0)
 Q = SquigParams(p=4, m=0, n=2)
