@@ -89,10 +89,6 @@ def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
     return doc
 
 
-def _finite_number(value) -> bool:
-    return value.__class__ in (int, float) and math.isfinite(value)
-
-
 def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.EvalContext:
     """Rebuild an evaluation context from a cache file, bit-identically.
 
@@ -115,11 +111,16 @@ def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.Ev
         )
     except (KeyError, TypeError, ParameterError) as exc:  # ParameterError: an empty table
         raise ParameterError(f"cache entry {key} is incomplete: {exc!r}") from None
-    if not (all(map(_finite_number, sq_table.floats + cq_table.floats + (pi_p,))) and pi_p > 0.0):
+    try:
+        for value in sq_table.floats + cq_table.floats + (pi_p,):
+            check_finite("cache value", value)
+        if not pi_p > 0.0:
+            raise DomainError(f"pi_p={pi_p!r} is not positive")
+    except DomainError:
         raise ParameterError(
             f"cache entry {key} is invalid: sq and cq floats must be finite numbers "
             "and pi_p finite and positive"
-        )
+        ) from None
     return evalcore.EvalContext(p, pi_p / 4.0, sq_table, cq_table, epsilon)
 
 
@@ -186,7 +187,8 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     print("t,sq,cq")
     for i in range(args.points):
         t = math.ldexp(math.ldexp(tmax, -e) * i / (args.points - 1), e)
-        print(f"{t!r},{evalcore.sq(ctx, t)!r},{evalcore.cq(ctx, t)!r}")
+        cq_val, sq_val = ctx.evaluators.pair(t)
+        print(f"{t!r},{sq_val!r},{cq_val!r}")
     return 0
 
 
@@ -316,9 +318,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ctx = evalcore.build_context(p)
         worst = 0.0
         for i in range(201):
-            t = -10.0 + 20.0 * i / 200
-            worst = max(worst, abs(abs(evalcore.cq(ctx, t)) ** p
-                                   + abs(evalcore.sq(ctx, t)) ** p - 1.0))
+            cq_val, sq_val = ctx.evaluators.pair(-10.0 + 20.0 * i / 200)
+            worst = max(worst, abs(abs(cq_val) ** p + abs(sq_val) ** p - 1.0))
         all_ok &= _check("pythagorean-identity", f"p={p} worst={worst:.2e}",
                          worst <= 5e-14, lines)
 

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
-from .errors import DomainError, ParameterError, RootCountError
+from .errors import CostGuardError, DomainError, ParameterError, RootCountError
 from .errors import check_finite, check_int, check_powers
-from .evalcore import EvalContext, cq, sq
+from .evalcore import EvalContext
 from .triangle import CoeffTriangle, SquigParams, _rows
 
 _MIN_GAP = 1e-10
@@ -89,23 +89,28 @@ def kth_derivative_value(ctx: EvalContext, tri: CoeffTriangle, k: int, t: float)
     """Value of d^k/dt^k [cq^m sq^n] at t from triangle row k.
 
     Sums (-1)^j q[k][j] cq^a sq^b over the row with the exponents
-    a = m + k(p-1) - pj, b = n - k + pj.  Negative exponents appear once k
-    exceeds n, so t is restricted to the open first quadrant where both
-    functions are positive.
+    a = m + k(p-1) - pj, b = n - k + pj, both >= 0 on the band.  The row
+    rests on sq' = cq^(p-1) and cq' = -sq^(p-1), true on the whole line at
+    even p but not at odd p where cq or sq is negative (p = 3, t = 1.4 pi_p
+    / 2: sq' = -0.446, cq^2 = +0.446), so t is restricted to the open first
+    quadrant.  A coefficient past binary64 (from k = 152 at p = 4, m = 1,
+    n = 0) raises CostGuardError.
     """
     if ctx.p != tri.params.p:
         raise ParameterError(f"context is for p={ctx.p}, triangle for p={tri.params.p}")
     check_int("k", k, 0, tri.K)
     check_finite("t", t)
-    if not 0.0 < t < 2.0 * ctx.quarter:
+    if not 0.0 < t < ctx.half:
         raise DomainError(f"t={t!r} outside the open first quadrant")
     p, m, n = tri.params.p, tri.params.m, tri.params.n
-    cq_val = cq(ctx, t)
-    sq_val = sq(ctx, t)
+    cq_val, sq_val = ctx.evaluators.pair(t)
     total = 0.0
-    for j, coef in sorted(tri.rows[k].items()):
-        term = float(coef) * cq_val ** (m + k * (p - 1) - p * j) * sq_val ** (n - k + p * j)
-        total += term if j % 2 == 0 else -term
+    try:
+        for j, coef in sorted(tri.rows[k].items()):
+            term = float(coef) * cq_val ** (m + k * (p - 1) - p * j) * sq_val ** (n - k + p * j)
+            total += term if j % 2 == 0 else -term
+    except OverflowError:  # float(coef); both powers lie in [0, 1]
+        raise CostGuardError(f"a row-{k} coefficient overflows binary64") from None
     return total
 
 

@@ -16,13 +16,14 @@ these folds any real t onto [0, pi_p / 4] together with a choice of table
 with strictly decreasing terms, and the sparse Horner form evaluates each
 table with one multiply-add per stored coefficient.
 
-sq, cq and pow_general call the context's evaluators, straight-line code
-that checks t, runs _REDUCTION (the one copy of the reduction) and folds the
-context's tables with no call in between.  The code is compiled once per
-table shape, binds the coefficients and constants as globals and makes
-horner_sparse's IEEE operations in its order, so sq(ctx, s) ==
-horner_sparse(ctx.sq_table, s) on [0, pi_p / 4].  A context builds them at
-its first evaluation: 1 to 4 ms at p = 2..10 for new shapes, else < 0.1 ms.
+sq, cq, pow_general and reduce_argument call the context's evaluators,
+straight-line code that checks t, runs _REDUCTION (the one copy of the
+reduction) and folds the context's tables, or returns the reduction, with
+no call in between.  The code is compiled once per table shape, binds the
+coefficients and constants as globals and makes horner_sparse's IEEE
+operations in its order, so sq(ctx, s) == horner_sparse(ctx.sq_table, s) on
+[0, pi_p / 4].  A context builds them at its first evaluation: 1 to 4 ms at
+p = 2..10 for new shapes, else < 0.1 ms.
 
 arcsq_oracle inverts sq independently of the series machinery by integrating
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 import types
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -86,7 +86,7 @@ class EvalContext:
 
     @cached_property
     def evaluators(self) -> types.SimpleNamespace:
-        """sq(t), cq(t) and pair(t) = (cq(t), sq(t)), generated for this context.
+        """sq(t), cq(t), pair(t) = (cq(t), sq(t)) and reduce(t), generated for this context.
 
         Made at the first evaluation, not by build_context, and dropped when
         the context is pickled, since generated functions do not pickle.
@@ -97,8 +97,7 @@ class EvalContext:
         for letter, table in zip("ac", tables):
             names.update((f"{letter}{i}", a) for i, a in enumerate(table.floats))
         codes = _evaluator_code(*((len(t.floats), t.params.p, t.params.n) for t in tables))
-        sq, cq, pair = (types.FunctionType(code, names) for code in codes)
-        return types.SimpleNamespace(sq=sq, cq=cq, pair=pair)
+        return types.SimpleNamespace(**{c.co_name: types.FunctionType(c, names) for c in codes})
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -155,9 +154,9 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
 
 # The range reduction, written once: these statements take a checked float
 # t to s in [0, pi_p / 4], the table choice use_co and the two signs.  Every
-# evaluator inlines them, and _reduce is compiled from them.  fmod is exact
-# and fmod(-t, y) == -fmod(t, y), so folding |t| and flipping sign_sq for
-# t < 0 keeps sq odd and cq even bit for bit.
+# evaluator, reduce among them, inlines them.  fmod is exact and
+# fmod(-t, y) == -fmod(t, y), so folding |t| and flipping sign_sq for t < 0
+# keeps sq odd and cq even bit for bit.
 _REDUCTION = (
     "s = fmod(t, period)",
     "sign_sq = sign_cq = 1",
@@ -167,18 +166,6 @@ _REDUCTION = (
     "use_co = s > quarter",
     "if use_co: s = half - s",
 )
-
-
-def _define(head: str, body: list[str], names: dict) -> Callable:
-    # The function `def {head}:` with these statements, defined in names.
-    exec(f"def {head}:\n" + "".join(f"    {line}\n" for line in body), names)
-    return names[head.partition("(")[0]]
-
-
-# reduce_argument on a checked float t, as a plain tuple.
-_reduce = _define("_reduce(ctx, t)", [
-    "period, pi_p, half, quarter = ctx.period, ctx.pi_p, ctx.half, ctx.quarter",
-    *_REDUCTION, "return s, use_co, sign_sq, sign_cq"], {"fmod": math.fmod})
 
 
 def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
@@ -191,8 +178,7 @@ def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
     tables.  So -t differs from t only in sign_sq, and exact binary64 sums
     t0 + 2 k pi_p of one sign reduce to bit-identical t_reduced.
     """
-    check_finite("argument", t)
-    return QuadrantReduction(*_reduce(ctx, float(t)))
+    return QuadrantReduction(*ctx.evaluators.reduce(t))
 
 
 def horner_sparse(table: MacLaurinTable, t: float) -> float:
@@ -242,10 +228,11 @@ def _fold(letter: str, shape: tuple[int, int, int], out: str) -> list[str]:
 
 @lru_cache(maxsize=64)
 def _evaluator_code(sq_shape: tuple, cq_shape: tuple) -> tuple[types.CodeType, ...]:
-    # The code of the evaluators sq, cq and pair for tables of these shapes
-    # (length, p, n): an inline check that sends every t but a finite float
-    # to check_finite and float(), _REDUCTION, the folds (pair's share one tp
-    # when the tables share p) and the signs.  Only ints enter the source.
+    # The code of sq, cq, pair and reduce for tables of these shapes (length,
+    # p, n), compiled from one source: an inline check that sends every t but
+    # a finite float to check_finite and float(), _REDUCTION, then the folds
+    # (pair's share one tp when the tables share p) and signs, or reduce's
+    # tuple.  Only ints enter the source.
     fold_sq, fold_cq = "; ".join(_fold("a", sq_shape, "v")), "; ".join(_fold("c", cq_shape, "v"))
     fold_pair = _fold("a", sq_shape, "y") + _fold("c", cq_shape, "x")[sq_shape[1] == cq_shape[1]:]
     bodies = {
@@ -253,11 +240,14 @@ def _evaluator_code(sq_shape: tuple, cq_shape: tuple) -> tuple[types.CodeType, .
         "cq": ("argument", [f"if use_co: {fold_sq}", f"else: {fold_cq}", "return sign_cq * v"]),
         "pair": ("t", [*fold_pair, "if use_co: return sign_cq * y, sign_sq * x",
                        "return sign_cq * x, sign_sq * y"]),
+        "reduce": ("argument", ["return s, use_co, sign_sq, sign_cq"]),
     }
-    names: dict = {}
+    lines = []
     for name, (label, body) in bodies.items():
         check = f"if t.__class__ is not float or t - t != 0.0: check_finite({label!r}, t); t = float(t)"
-        _define(f"{name}(t)", [check, *_REDUCTION, *body], names)
+        lines += [f"def {name}(t):", *(f"    {line}" for line in (check, *_REDUCTION, *body))]
+    names: dict = {}
+    exec("\n".join(lines), names)
     return tuple(names[name].__code__ for name in bodies)
 
 

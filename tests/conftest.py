@@ -28,3 +28,23 @@ def ctx4() -> sg.EvalContext:
 @pytest.fixture(scope="session")
 def pi4() -> sg.PiRecord:
     return sg.compute_pi(4)
+
+
+@pytest.fixture
+def watch_evaluators(monkeypatch):
+    """watch(ctx) logs each call of ctx's evaluators as (name, t) in the list it returns."""
+    def watch(ctx: sg.EvalContext) -> list:
+        calls = []
+        real = ctx.evaluators
+
+        def counting(name, f):
+            def evaluator(t):
+                calls.append((name, t))
+                return f(t)
+            return evaluator
+
+        monkeypatch.setitem(vars(ctx), "evaluators", type(real)(
+            **{name: counting(name, f) for name, f in vars(real).items()}
+        ))
+        return calls
+    return watch

@@ -98,6 +98,12 @@ def test_eval_domain_error_exit_code(capsys):
     assert code == 2
 
 
+def test_beta_prints_beta_value(capsys):
+    code, lines = run(capsys, "beta", "--p", "4", "--m", "2", "--n", "1")
+    assert code == 0
+    assert lines == ["p,m,n,beta", f"4,2,1,{sg.beta_value(4, 2, 1)!r}"]
+
+
 def test_beta_overflow_exit_code(capsys):
     # The coefficients these powers need overflow binary64 at p = 10.
     code = cli.main(["beta", "--p", "10", "--m", "30", "--n", "30"])
@@ -165,6 +171,33 @@ def test_plotdata(capsys):
     assert (float(first[0]), float(first[1]), float(first[2])) == (0.0, 0.0, 1.0)
     last = lines[-1].split(",")
     assert float(last[0]) == 1.0
+
+
+def _watch_built_contexts(monkeypatch, watch_evaluators) -> list:
+    # The (p, evaluator log) of every context cli builds.
+    built = []
+    real = cli.evalcore.build_context
+
+    def build(p, *args):
+        ctx = real(p, *args)
+        built.append((p, watch_evaluators(ctx)))
+        return ctx
+
+    monkeypatch.setattr(cli.evalcore, "build_context", build)
+    return built
+
+
+@pytest.mark.parametrize("tmax", ["-7.5", "1e6"])
+@pytest.mark.parametrize("p", [3, 4])
+def test_plotdata_rows_are_the_library_values(capsys, monkeypatch, watch_evaluators, p, tmax):
+    # Each row is sq and cq from one pair call, so t is reduced once per row.
+    built = _watch_built_contexts(monkeypatch, watch_evaluators)
+    code, lines = run(capsys, "plotdata", "--p", str(p), "--points", "41", "--tmax", tmax)
+    assert code == 0
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert built == [(p, [("pair", t) for t, _, _ in rows])]
+    ctx = sg.build_context(p)
+    assert [(s, c) for _, s, c in rows] == [(sg.sq(ctx, t), sg.cq(ctx, t)) for t, _, _ in rows]
 
 
 def test_plotdata_default_window_is_full_period(capsys):
@@ -238,11 +271,15 @@ def test_maclaurin_sized_from_eps(capsys):
     assert len(lines) == 24  # header + J=22 has 23 coefficients
 
 
-def test_verify_passes(capsys):
+def test_verify_passes(capsys, monkeypatch, watch_evaluators):
+    built = _watch_built_contexts(monkeypatch, watch_evaluators)
     code, lines = run(capsys, "verify")
     assert code == 0
     assert lines, "verify must print at least one check line"
     assert all(ln.startswith("PASS ") for ln in lines)
+    # The Pythagorean sweep reduces each of its points once, through pair.
+    grid = [("pair", -10.0 + 20.0 * i / 200) for i in range(201)]
+    assert built == [(p, grid) for p in (2, 3, 4, 6)]
 
 
 @pytest.mark.parametrize("flag", [["--quick"], ["--eps", "1e-6"]])
@@ -342,6 +379,8 @@ _BAD_ENTRIES = [
         {"cq": [math.nan]}, {"cq": [True]},
         {"pi_p": math.inf}, {"pi_p": math.nan}, {"pi_p": None}, {"pi_p": True},
         {"pi_p": "3.7"}, {"pi_p": 0.0}, {"pi_p": -3.7},
+        # Finite JSON integers past binary64.
+        {"sq": [1.0, 10**400]}, {"cq": [10**400]}, {"pi_p": 10**400},
     )),
 ]
 

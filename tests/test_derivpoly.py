@@ -118,6 +118,18 @@ def test_kth_derivative_order_zero_and_one_exact(ctx4):
         )
 
 
+def test_kth_derivative_reduces_once(ctx4, watch_evaluators):
+    # Both factors come from one pair call: t is checked and reduced once.
+    tri = sg.build_triangle(COSQUINE4, 3)
+    points = (0.3, 1.0, 1.7)
+    want = [sg.kth_derivative_value(ctx4, tri, 3, t) for t in points]
+    calls = watch_evaluators(ctx4)
+    for t, value in zip(points, want):
+        calls.clear()
+        assert sg.kth_derivative_value(ctx4, tri, 3, t) == value
+        assert calls == [("pair", t)]
+
+
 def test_kth_derivative_guards(ctx4, ctx3):
     tri = sg.build_triangle(COSQUINE4, 4)
     with pytest.raises(ParameterError):

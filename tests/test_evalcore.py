@@ -219,20 +219,9 @@ def test_pow_general_even_p_full_line(ctx4):
         assert sg.pow_general(ctx4, 2, 1, t) == want
 
 
-def test_pow_general_reduces_once(ctx4, monkeypatch):
+def test_pow_general_reduces_once(ctx4, watch_evaluators):
     # pow_general reduces t once, through the context's pair evaluator.
-    calls = []
-
-    def counting(name, real):
-        def evaluator(t):
-            calls.append((name, t))
-            return real(t)
-        return evaluator
-
-    real = ctx4.evaluators
-    monkeypatch.setitem(vars(ctx4), "evaluators", type(real)(
-        **{name: counting(name, f) for name, f in vars(real).items()}
-    ))
+    calls = watch_evaluators(ctx4)
     for t in (-2.0, 0.0, 1.3, 5.0):
         want = sg.cq(ctx4, t) ** 2 * sg.sq(ctx4, t)
         calls.clear()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from itertools import islice
@@ -87,6 +88,31 @@ def test_structure_empty_band_all_zero_function():
     tri = sg.build_triangle(SquigParams(p=3, m=0, n=0), 6)
     assert sg.verify_structure(tri) == []
     assert all(not row for row in tri.rows[1:])
+
+
+# (p, m, n), row k, the entries set in row k (None deletes one), the one
+# violation expected.  Rows 3..6 of (4, 3, 5) have bands [0, 3], [0, 3],
+# [0, 4] and [1, 5]; the falling-factorial edges are checked up to k = n = 5
+# and k = m = 3.
+STRUCTURE_FAULTS = [
+    ((3, 0, 0), 0, {0: 2}, "row 0 of the constant function must be {0: 1}"),
+    ((3, 0, 0), 1, {0: 1}, "row 1 of the constant function has 1 entries"),
+    ((4, 3, 5), 6, {0: 5}, "row 6: column 0 outside band [1, 5]"),
+    ((4, 3, 5), 4, {4: 5}, "row 4: column 4 outside band [0, 3]"),
+    ((4, 3, 5), 3, {1: 0}, "row 3: entry at column 1 is 0, not positive"),
+    ((4, 3, 5), 6, {1: None}, "row 6: left band edge 1 is zero"),
+    ((4, 3, 5), 4, {3: None}, "row 4: right band edge 3 is zero"),
+    ((4, 3, 5), 5, {0: 121}, "row 5: column 0 is 121, expected n falling 5"),
+    ((4, 3, 5), 3, {3: 7}, "row 3: column 3 is 7, expected m falling 3"),
+]
+
+
+@pytest.mark.parametrize("pmn,k,change,message", STRUCTURE_FAULTS, ids=[f[3] for f in STRUCTURE_FAULTS])
+def test_structure_names_each_fault(pmn, k, change, message):
+    tri = sg.build_triangle(SquigParams(*pmn), 6)
+    row = {j: v for j, v in {**tri.rows[k], **change}.items() if v is not None}
+    rows = tri.rows[:k] + (row,) + tri.rows[k + 1:]
+    assert sg.verify_structure(dataclasses.replace(tri, rows=rows)) == [message]
 
 
 def test_band_edges_are_falling_factorials():

@@ -194,6 +194,10 @@ OVERFLOWS = {
         ),
         CostGuardError,
     ),
+    "kth_derivative_value.row": (  # row 152 of (4, 1, 0) holds integers past binary64
+        lambda c4: sg.kth_derivative_value(c4, sg.build_triangle(P, 152), 152, 0.5),
+        CostGuardError,
+    ),
 }
 
 
