@@ -74,7 +74,8 @@ def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
     """Write (or merge into) a cache file the context entry for (p, epsilon).
 
     Stores build_context's pi_p and the floats of the sq and cq tables it
-    evaluates.  Returns the full document.
+    evaluates.  Returns the full document.  A target that cannot be
+    written raises ParameterError.
     """
     ctx = evalcore.build_context(p, epsilon)
     doc = _read_cache(path) if os.path.exists(path) else {"format": CACHE_FORMAT, "entries": {}}
@@ -83,9 +84,12 @@ def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
         "sq": list(ctx.sq_table.floats),
         "cq": list(ctx.cq_table.floats),
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot write cache file {path}: {exc.strerror}") from None
     return doc
 
 
@@ -433,18 +437,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
+        return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (ParameterError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SquigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ParameterError, DomainError)) else 3
 
 
 if __name__ == "__main__":

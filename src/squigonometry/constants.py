@@ -10,7 +10,7 @@ so nothing here depends on already knowing pi_p).
 Sizing the tables needs pi_p, which is what is being computed, so the
 length J comes once from an independent binary64 pi_p: the binomial series
 of the incomplete Beta integral (DLMF 8.17), which needs no table.  J is
-never below three, and each table pulls its J + 1 columns once.  The Newton
+never below three, and each table is maclaurin's, built once.  The Newton
 seed comes from a deep factor-sequence ratio via pi_from_factors, except at
 p = 2 where that identity degenerates and the seed t = 1 is used.
 
@@ -27,9 +27,8 @@ split at the quarter period: the upper half reflects onto the lower half
 with m and n exchanged, and both halves integrate term by term from their
 MacLaurin tables.  Each half reads one stream of coefficients: the
 record's floats for the sq and cq halves, then columns computed past them
-while m and n need more terms for the requested epsilon.  compute_pi and
-beta_value read coefficients through the same checked stream, which raises
-ConvergenceError at the first one that overflows binary64.  pi_gamma and
+while m and n need more terms for the requested epsilon; a coefficient past
+binary64 raises series' ConvergenceError in both functions.  pi_gamma and
 beta_gamma give the classical gamma-function forms of the same quantities
 for cross-checking; they share no machinery with the series path.
 """
@@ -45,7 +44,7 @@ from itertools import islice, takewhile
 from .errors import ConvergenceError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, horner_sparse
 from .factors import pi_from_factors
-from .series import EPS_DEFAULT, MacLaurinTable, _columns, estimate_terms
+from .series import EPS_DEFAULT, MacLaurinTable, _coefficients, estimate_terms, maclaurin
 from .triangle import SquigParams
 
 
@@ -75,22 +74,6 @@ def _pi_series(p: int) -> float:
         coeff *= (a + k - 1) / (2 * k)
         terms.append(coeff / (p * k + 1))
     return 4.0 * 2.0 ** (-1.0 / p) * math.fsum(terms)
-
-
-def _coefficients(params: SquigParams, held: tuple[float, ...] = ()) -> Iterator[float]:
-    # a_0, a_1, ... of params: the held floats, then the columns past them,
-    # which are computed only once the held floats run out.  Transit values
-    # of the coefficient recursion grow roughly geometrically in j with a
-    # rate that worsens as p grows; past the binary64 ceiling the deep
-    # entries come out inf.  Stop at the first one rather than pull more.
-    yield from held
-    for j, a in enumerate(islice(_columns(params), len(held), None), len(held)):
-        if not math.isfinite(a):
-            raise ConvergenceError(
-                f"MacLaurin recursion overflows binary64 at p={params.p}, j={j}; "
-                "a looser epsilon needs fewer terms"
-            )
-        yield a
 
 
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
@@ -127,10 +110,7 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     # Three terms at least: at loose epsilon the estimate drops to one or
     # two, and Newton on such tables lands far from pi_p.
     J = max(estimate_terms(p, _pi_series(p), epsilon), 3)
-    sq_table, cq_table = (
-        MacLaurinTable(params, tuple(islice(_coefficients(params), J + 1)))
-        for params in (SquigParams(p=p, m=0, n=1), SquigParams(p=p, m=1, n=0))
-    )
+    sq_table, cq_table = (maclaurin(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
     if p == 2:
         t = 1.0
     else:

@@ -15,10 +15,15 @@ comprehension over exact binary64 integer weights, the values that int
 weights convert to, so the bits are those of the plain int-weight loop.
 It is the package's one binary64 copy of the recursion, and it never
 recomputes a column: maclaurin takes its first J + 1 columns, and a caller
-that finds it needs more terms pulls only the new ones.  integer_maclaurin
-produces the exact integer numerators F_j instead, reading them from the
-exact row generator in triangle, the one place the integer recursion is
-written.
+that finds it needs more terms pulls only the new ones (_coefficients
+continues a held prefix that way).  integer_maclaurin produces the exact
+integer numerators F_j instead, reading them from the exact row generator
+in triangle, the one place the integer recursion is written.
+
+_columns is also the one place that stops at the binary64 ceiling: its
+first coefficient that is not finite raises ConvergenceError naming p, m, n
+and j, so maclaurin, compute_pi and beta_value fail alike (sq at p = 11 at
+j = 98; every p at j = 0 from n = 1021, as (n - k) C(n, k) passes 2^1024).
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -35,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
 
-from .errors import ParameterError, check_finite, check_int, check_powers, check_tolerance
+from .errors import ConvergenceError, ParameterError
+from .errors import check_finite, check_int, check_powers, check_tolerance
 from .triangle import SquigParams, _rows, ceil_div
 
 #: Unit roundoff of binary64; default tolerance target for table sizing.
@@ -77,7 +83,8 @@ def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
 
     The first J + 1 columns of the column generator _columns; see there
     for how each coefficient is formed.  The exact integer numerators F_j
-    of the same coefficients come from integer_maclaurin.
+    of the same coefficients come from integer_maclaurin.  Raises
+    ConvergenceError at the first a_j that overflows binary64.
 
     Parameters
     ----------
@@ -114,23 +121,29 @@ def _columns(params: SquigParams) -> Iterator[float]:
     over the orders of the column before it, kept from the first order its
     band reached, so one history of O(pj) floats is alive at a time.  Its
     weights keep, shift and div are binary64 integers below 2^53, the exact
-    values that int weights convert to, so each operation and bit (-0.0 and
-    the inf/nan at p >= 11 included) is the int-weight loop's.  Requires
-    m, n >= 0.
+    values that int weights convert to, so each operation and bit (-0.0
+    included) is the int-weight loop's; the first a_j that is not finite
+    raises ConvergenceError instead.  Requires m, n >= 0.
     """
     p, m, n = params.p, params.m, params.n
+    if m == n == 0:  # cq^0 sq^0 = 1: a_0 = 1.0, then +0.0 without end
+        yield 1.0
+        yield from repeat(0.0)
     # Column 0 is the diagonal alone, to order n.
     c = 1.0
     history = [c]
     for k in range(n):
         c = ((n - k) * c) / (k + 1)
         history.append(c)
-    yield c
-    if m == n == 0:  # cq^0 sq^0 = 1: every later column is +0.0, without end
-        yield from repeat(0.0)
     w = [0.0]  # w[i] == float(i), the exact binary64 weights, grown to order top
     k_enter = offset = 0  # k_enter: first step at which the band's top edge reaches column j
     for j in count(1):
+        # c is a_{j-1}; every later column reads it, so none is finite past it.
+        if c - c != 0.0:
+            raise ConvergenceError(
+                f"MacLaurin recursion overflows binary64 at p={p}, m={m}, n={n}, j={j - 1}"
+            )
+        yield c
         while k_enter + 1 - ceil_div(k_enter + 1 - m, p) < j:
             k_enter += 1
         freeze_prev = n + p * (j - 1)
@@ -151,8 +164,14 @@ def _columns(params: SquigParams) -> Iterator[float]:
         ]
         tail = zip(w[p - 1 : 0 : -1], w[freeze_prev + 2 : top + 1])  # the diagonal term alone
         column += [c := (keep * c) / div for keep, div in tail]
-        yield c
         history, offset = column, start  # column[i] holds order start + i
+
+
+def _coefficients(params: SquigParams, held: tuple[float, ...] = ()) -> Iterator[float]:
+    # The held floats a_0, a_1, ..., then the columns past them, computed
+    # only once the held floats run out.
+    yield from held
+    yield from islice(_columns(params), len(held), None)
 
 
 def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:

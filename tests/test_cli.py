@@ -482,3 +482,34 @@ def test_maclaurin_exact_constant_function(capsys):
 def test_constant_function_is_invalid_argument(capsys, argv):
     code, _ = run(capsys, *argv)
     assert code == 2
+
+
+def test_maclaurin_past_the_binary64_ceiling_exits_3(capsys):
+    # The p = 11 squine coefficients overflow binary64 at j = 98.
+    code = cli.main(["maclaurin", "--p", "11", "--m", "0", "--n", "1", "--J", "100"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: MacLaurin recursion overflows binary64 at p=11, m=0, n=1, j=98\n"
+
+
+def test_cache_save_to_an_unwritable_directory_exits_2(capsys, tmp_path):
+    # --dir names a regular file, so the cache directory cannot be made.
+    target = tmp_path / "file"
+    target.write_text("")
+    code = cli.main(["cache", "save", "--p", "4", "--dir", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write cache file {target / cli.CACHE_BASENAME}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert target.read_text() == ""
+
+
+def test_cache_dir_defaults_under_the_home_directory(monkeypatch, tmp_path):
+    monkeypatch.delenv("SQUIG_CACHE_DIR", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert cli.default_cache_dir() == os.path.join(str(tmp_path), ".cache", "squigonometry")
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: squig")

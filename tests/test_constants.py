@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
-from squigonometry import ConvergenceError, ParameterError, SquigParams, constants
+from squigonometry import ConvergenceError, ParameterError, SquigParams, constants, series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -196,9 +196,9 @@ def test_compute_pi_at_the_bottom_of_binary64():
 
 
 def test_compute_pi_overflow_stops_at_the_first_infinite_entry(monkeypatch):
-    # p = 10 at epsilon 1e-300 sizes J = 1929 from the series pi_p; the recursion
-    # overflows near j = 110, and no column past the first infinite entry is
-    # pulled.
+    # p = 10 at epsilon 1e-300 sizes J = 1929 from the series pi_p; the
+    # recursion overflows near j = 110 of the sq table, the column generator
+    # raises there, and it yields nothing that is not finite.
     pulled = []
 
     def counting(params):
@@ -206,12 +206,13 @@ def test_compute_pi_overflow_stops_at_the_first_infinite_entry(monkeypatch):
             pulled.append(a)
             yield a
 
-    real = constants._columns
-    monkeypatch.setattr(constants, "_columns", counting)
-    with pytest.raises(ConvergenceError, match="overflows binary64"):
+    real = series._columns
+    monkeypatch.setattr(series, "_columns", counting)
+    with pytest.raises(ConvergenceError, match="overflows binary64") as info:
         sg.compute_pi(10, 1e-300)
     assert len(pulled) < 400
-    assert not math.isfinite(pulled[-1])
+    assert str(info.value).endswith(f"p=10, m=0, n=1, j={len(pulled)}")
+    assert all(math.isfinite(a) for a in pulled)
 
 
 def test_compute_pi_validation():
@@ -352,8 +353,8 @@ def test_beta_value_builds_only_the_tables_the_record_lacks(monkeypatch, mn, bui
         calls.append(params)
         return real(params)
 
-    real = constants._columns
-    monkeypatch.setattr(constants, "_columns", counting)
+    real = series._columns
+    monkeypatch.setattr(series, "_columns", counting)
     sg.beta_value(4, *mn)
     assert len(calls) == builds
 
@@ -369,3 +370,11 @@ def test_sq_cq_beta_terms_shrink_past_the_table(p):
             floats = sg.maclaurin(params, rec.J_used + 2).floats
             terms = [a * x ** (params.n + p * j + 1) / (params.n + p * j + 1) for j, a in enumerate(floats)]
             assert all(0.0 < b < a for a, b in zip(terms, terms[1:])), (p, eps, params)
+
+
+def test_newton_stops_after_32_steps(monkeypatch):
+    # With every table folding to 0.5 each Newton step is the same, so the
+    # solve never settles and gives up at its cap.
+    monkeypatch.setattr(constants, "horner_sparse", lambda table, t: 0.5)
+    with pytest.raises(ConvergenceError, match="still moving after 32 steps"):
+        sg.compute_pi(4, 0.0123)

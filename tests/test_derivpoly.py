@@ -450,3 +450,20 @@ def test_root_ladder_golden_bits():
     want = json.loads((GOLDEN / "root_ladder_p6_m1_n0_k30.json").read_text())
     ladder = sg.root_ladder(SquigParams(p=6, m=1, n=0), 30)
     assert [[r.hex() for r in level.negative_roots] for level in ladder] == want
+
+
+def test_bracketing_subdivides_a_gap_that_holds_two_roots():
+    # 2x^2 + 11x + 15 = (2x + 5)(x + 3) has both roots between the probes
+    # -10 and -1, so the first scan sees no sign change and only the 32-way
+    # subdivision separates them; a count no subdivision reaches raises.
+    sign = _filtered_sign([15, 11, 2])
+    assert derivpoly._bracketed_roots(sign, [-10.0, -1.0, 0.0], 2) == [-3.0, -2.5]
+    with pytest.raises(sg.RootCountError, match="found 2 sign changes, expected 3"):
+        derivpoly._bracketed_roots(sign, [-10.0, -1.0, 0.0], 3)
+
+
+def test_filter_past_its_degree_limit_is_exact():
+    # 1 + x + ... + x^(2^17 + 1) is past the float filter's bound, so every
+    # probe takes the exact sign: 0 at -1, where the even count of terms cancels.
+    sign = _filtered_sign([1] * (derivpoly._FILTER_MAX_DEGREE + 2))
+    assert [sign(x) for x in (-1.0, 0.0, 1.0)] == [0, 1, 1]

@@ -653,3 +653,9 @@ def test_replaced_context_folds_its_own_tables(ctx4):
     for s in (0.1, 0.5, ctx4.quarter):
         assert sg.sq(moved, s) == 2.0 * s
         assert sg.cq(moved, s) == sg.cq(ctx4, s)
+
+
+def test_quadrature_gives_up_at_its_panel_budget():
+    # A billion oscillations on [0, 1] never settle to 1e-15 on any panel.
+    with pytest.raises(sg.ConvergenceError, match="panel budget"):
+        evalcore._integrate_smooth(lambda u: math.sin(1e9 * u), 0.0, 1.0, 1e-15, 2)

@@ -233,3 +233,14 @@ def test_constant_function_has_no_factors():
     params = SquigParams(p=4, m=0, n=0)
     with pytest.raises(ParameterError):
         sg.factor_sequence(sg.integer_maclaurin(params, 3), params)
+
+
+@pytest.mark.parametrize(
+    "lead,levels,depth,level",
+    [((1, 1), [(1, 1, 1), (1, 1, 1)], 2, 2), ((1, -1), [(1, 2, 1)], 1, 0)],
+)
+def test_integer_cf_vanishing_denominator_names_its_level(lead, levels, depth, level):
+    # At t = 1 the level-2 denominator 1 - 1 and the level-0 one
+    # -1 + 1 / (2 - 1) are exactly zero.
+    with pytest.raises(ZeroDenominatorError, match=f"at level {level}, t=1.0"):
+        sg.evaluate_integer_cf(lead, levels, SquigParams(2, 1, 0), 1.0, depth)

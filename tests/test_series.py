@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
-from squigonometry import ParameterError, SquigParams
-from squigonometry.constants import _coefficients
-from squigonometry.series import _columns
+from squigonometry import ConvergenceError, ParameterError, SquigParams
+from squigonometry.series import _coefficients, _columns
 from squigonometry.triangle import ceil_div
 
 # Integer numerators of the p=4 series, frozen: F_j = q[n+4j][j].
@@ -47,23 +46,34 @@ def banded_oracle(params: SquigParams, J: int) -> list[float]:
 
 @pytest.mark.parametrize("p", range(2, 13))
 def test_columns_match_banded_oracle_bit_for_bit(p):
-    # Every coefficient, -0.0/0.0 and the inf/nan pattern past the binary64
-    # ceiling at p >= 11 included.  The oracle and the generator each run
-    # once at the largest J: the oracle's columns at or below J never read a
-    # column above J, so a shorter run is a prefix of it.  maclaurin(params,
-    # J) is pinned to the first J + 1 columns for one (m, n) per p.
+    # Every coefficient before the oracle's first non-finite one, -0.0/0.0
+    # included, and a ConvergenceError at exactly that j (past the binary64
+    # ceiling at p >= 11) from the generator and from maclaurin.  The oracle
+    # and the generator each run once at the largest J: the oracle's columns
+    # at or below J never read a column above J, so a shorter run is a prefix
+    # of it.  maclaurin(params, J) is pinned to the first J + 1 columns for
+    # one (m, n) per p.
     js = (0, 1, 2, 3, 5, 12, 34, 60, 103)
     pinned = (p % 6, (p // 2) % 6)
     for m in range(6):
         for n in range(6):
             params = SquigParams(p=p, m=m, n=n)
-            want = [v.hex() for v in banded_oracle(params, js[-1])]
-            got = [v.hex() for v in islice(_columns(params), js[-1] + 1)]
-            for J in js:
-                assert got[: J + 1] == want[: J + 1], (p, m, n, J)
-                if (m, n) == pinned:
+            oracle = banded_oracle(params, js[-1])
+            bad = next((j for j, v in enumerate(oracle) if not math.isfinite(v)), len(oracle))
+            want = [v.hex() for v in oracle[:bad]]
+            columns = _columns(params)
+            assert [v.hex() for v in islice(columns, bad)] == want, (p, m, n)
+            overflow = f"overflows binary64 at p={p}, m={m}, n={n}, j={bad}$"
+            if bad < len(oracle):
+                with pytest.raises(ConvergenceError, match=overflow):
+                    next(columns)
+            for J in js if (m, n) == pinned else ():
+                if J < bad:
                     table = sg.maclaurin(params, J).floats
-                    assert [v.hex() for v in table] == got[: J + 1], (p, m, n, J)
+                    assert [v.hex() for v in table] == want[: J + 1], (p, m, n, J)
+                else:
+                    with pytest.raises(ConvergenceError, match=overflow):
+                        sg.maclaurin(params, J)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 10])
@@ -259,3 +269,13 @@ def test_constant_function_numerators():
     params = SquigParams(p=4, m=0, n=0)
     assert sg.integer_maclaurin(params, 2) == (1, 0, 0)
     assert sg.maclaurin(params, 2).floats == (1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [2, 4, 11])
+def test_column_zero_overflows_from_n_1021(p):
+    # Column 0 carries the binomials C(n, k); its transit products
+    # (n - k) C(n, k) pass binary64 from n = 1021 at every p, so a_0 raises.
+    assert math.isfinite(sg.maclaurin(SquigParams(p=p, m=0, n=1020), 0).floats[0])
+    for n in (1021, 1030):
+        with pytest.raises(ConvergenceError, match=f"p={p}, m=0, n={n}, j=0$"):
+            sg.maclaurin(SquigParams(p=p, m=0, n=n), 1)
