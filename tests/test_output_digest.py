@@ -1,0 +1,56 @@
+from __future__ import annotations
+
+import dataclasses
+import importlib.util
+import json
+import struct
+from pathlib import Path
+
+import squigonometry as sg
+from squigonometry import constants
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _flip_last_bit(x: float) -> float:
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    (flipped,) = struct.unpack("<d", struct.pack("<q", bits ^ 1))
+    return flipped
+
+
+def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
+    # The sq sweep reproduces its stored digest; with the last bit of a_1 in
+    # the p = 4 record's sq table flipped, the same sweep digests differently.
+    tool = _load_tool()
+    golden = json.loads(tool.GOLDEN.read_text(encoding="utf-8"))
+    assert tool.digest("sq") == golden["sq"]
+
+    real = constants._solve_pi
+
+    def flipped(p, epsilon):
+        record = real(p, epsilon)
+        if p != 4:
+            return record
+        floats = list(record.sq_table.floats)
+        floats[1] = _flip_last_bit(floats[1])
+        table = sg.MacLaurinTable(record.sq_table.params, tuple(floats))
+        return dataclasses.replace(record, sq_table=table)
+
+    monkeypatch.setattr(constants, "_solve_pi", flipped)
+    assert sg.compute_pi(4).sq_table.floats[1] != real(4, sg.EPS_DEFAULT).sq_table.floats[1]
+    changed = tool.digest("sq")
+    assert changed["outputs"] == golden["sq"]["outputs"]
+    assert changed["sha256"] != golden["sq"]["sha256"]
+
+
+def test_digest_encodes_floats_by_their_bits():
+    tool = _load_tool()
+    assert tool.encode((0.1, -0.0, 3, True, None)) == "(0x1.999999999999ap-4,-0x0.0p+0,3,True,None)"
+    assert tool.call(sg.compute_pi, 1).startswith("(1,) -> !ParameterError: ")

@@ -1,0 +1,210 @@
+"""One SHA-256 per public function over a fixed sweep of the package's outputs.
+
+Usage, from any directory:
+
+    python tools/output_digest.py                  # rewrite tests/golden/output_digest.json
+    python tools/output_digest.py --check          # exit 1 if a digest differs from it
+    python tools/output_digest.py --dump out.txt   # also write every output line
+
+Each sweep calls one public function on fixed arguments (seeded random
+points included) and turns every call into one line: the arguments'
+repr, then the result with every float as float.hex and every int in
+decimal, or, for a typed SquigError, its class name and the first eight
+words of its message.  Any other exception propagates.  The digest of a
+function is the SHA-256 of its lines, so a single flipped bit in any
+output changes it, and the line count says how many outputs it covers.
+Two dumps compared line by line count the outputs a change moved.
+
+The sweep takes well under 20 s on one core and uses the standard
+library only; the digests are meant to be identical on CPython 3.10-3.13.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from collections.abc import Callable, Iterator
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "output_digest.json"
+sys.path.insert(0, str(ROOT / "src"))
+
+import squigonometry as sg  # noqa: E402
+from squigonometry import SquigParams  # noqa: E402
+
+EPS = 2.0 ** -53
+
+
+def encode(value) -> str:
+    """Canonical text of a result: float.hex for floats, nested tuples in parentheses."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (bool, int, str)) or value is None:
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(map(encode, value)) + ")"
+    raise TypeError(f"no encoding for {type(value).__name__}")
+
+
+def call(fn: Callable, *args) -> str:
+    """One output line: the arguments and the encoded result or typed error."""
+    try:
+        out = encode(fn(*args))
+    except sg.SquigError as exc:
+        out = f"!{type(exc).__name__}: {' '.join(str(exc).split()[:8])}"
+    return f"{args!r} -> {out}"
+
+
+def _record(p: int, eps: float):
+    rec = sg.compute_pi(p, eps)
+    return rec.value, rec.iterations, rec.J_used, rec.sq_table.floats, rec.cq_table.floats
+
+
+def _points(seed: int) -> list:
+    # Fixed edge points, then seeded ones on [-10, 10] and log-uniform
+    # magnitudes of both signs up to 1e300.
+    rng = random.Random(seed)
+    fixed = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e-20, 0.5,
+             0.9, 1.0, 1.5, 2.0, 3.0, 3.5, 4.0, 7.0, -1.0, -2.5, 1e3, -1e3, 1e6, 1e9,
+             1e12, 1e15, 1e300, -1e300, 1.7976931348623157e308,
+             float("inf"), float("nan"), 1, True, "1.0", None]
+    uniform = [rng.uniform(-10.0, 10.0) for _ in range(200)]
+    wide = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 300.0) for _ in range(60)]
+    return fixed + uniform + wide
+
+
+_PI_GRID = [(p, eps) for p in (*range(2, 13), 16)
+            for eps in (EPS, 1e-12, 1e-6, 0.01, 0.3, 0.9)]
+_PI_GRID += [(p, eps) for p in (2, 3, 4, 6, 10) for eps in (1e-30, 1e-100, 1e-300, 5e-324)]
+_CONTEXTS = [(p, eps) for p in (2, 3, 4, 6, 10) for eps in (EPS, 1e-6)]
+_MN = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 3), (5, 0), (0, 5), (30, 30))
+
+
+def sweep_compute_pi() -> Iterator[str]:
+    for p, eps in _PI_GRID:
+        yield call(_record, p, eps)
+
+
+def sweep_maclaurin() -> Iterator[str]:
+    for p in (2, 3, 4, 7, 10, 11, 16):
+        for m, n in _MN:
+            for J in (0, 5, 40):
+                yield call(lambda *a: sg.maclaurin(SquigParams(*a[:3]), a[3]).floats, p, m, n, J)
+    for p, m, n in ((4, 0, 1020), (4, 0, 1030), (100000, 0, 1), (10, 40, 3)):
+        yield call(lambda *a: sg.maclaurin(SquigParams(*a[:3]), a[3]).floats, p, m, n, 3)
+
+
+def sweep_integer_maclaurin() -> Iterator[str]:
+    for p in (2, 3, 4, 7, 10, 11):
+        for m, n in _MN:
+            yield call(lambda *a: sg.integer_maclaurin(SquigParams(*a[:3]), a[3]), p, m, n, 12)
+
+
+def _evaluations(fn: Callable) -> Iterator[str]:
+    for p, eps in _CONTEXTS:
+        ctx = sg.build_context(p, eps)
+        for t in _points(1000 * p):
+            yield call(lambda *a, ctx=ctx: fn(ctx, a[2]), p, eps, t)
+
+
+def sweep_sq() -> Iterator[str]:
+    return _evaluations(sg.sq)
+
+
+def sweep_cq() -> Iterator[str]:
+    return _evaluations(sg.cq)
+
+
+def sweep_reduce_argument() -> Iterator[str]:
+    return _evaluations(lambda ctx, t: tuple(sg.reduce_argument(ctx, t)))
+
+
+def sweep_pow_general() -> Iterator[str]:
+    for m, n in ((2, 1), (-1, 2), (0, -2), (3, 0)):
+        yield from _evaluations(lambda ctx, t, m=m, n=n: sg.pow_general(ctx, m, n, t))
+
+
+def sweep_beta_value() -> Iterator[str]:
+    for p in (2, 3, 4, 6, 10, 11):
+        for m, n in _MN + ((10, 3),):
+            for eps in (EPS, 1e-8, 0.1):
+                yield call(sg.beta_value, p, m, n, eps)
+
+
+def sweep_root_ladder() -> Iterator[str]:
+    def ladder(p, m, n, k_max):
+        return tuple((level.k, level.zero_multiplicity, level.negative_roots)
+                     for level in sg.root_ladder(SquigParams(p, m, n), k_max))
+
+    for args in ((2, 1, 0, 12), (3, 0, 1, 14), (4, 1, 0, 16), (4, 2, 1, 12), (6, 1, 0, 30),
+                 (4, 0, 0, 3)):
+        yield call(ladder, *args)
+
+
+def sweep_critical_value() -> Iterator[str]:
+    for p in range(2, 11):
+        for m in range(0, 6):
+            for n in range(0, 6):
+                yield call(lambda *a: sg.critical_value(SquigParams(*a)), p, m, n)
+    for m, n in ((300, 1), (1, 300), (1000, 1000)):
+        yield call(lambda *a: sg.critical_value(SquigParams(*a)), 3, m, n)
+
+
+def sweep_explicit_coefficient() -> Iterator[str]:
+    for p, m, n in ((2, 1, 0), (3, 0, 1), (4, 1, 0), (4, 2, 1), (5, 1, 2)):
+        for k in range(11):
+            for j in range(k + 2):
+                yield call(lambda *a: sg.explicit_coefficient(SquigParams(*a[:3]), *a[3:]),
+                           p, m, n, k, j)
+
+
+def sweep_corollary_coefficient() -> Iterator[str]:
+    for p, m, n in ((2, 1, 0), (3, 0, 1), (4, 1, 0), (4, 2, 1), (4, -1, 1), (6, -2, 3)):
+        for j in range(7):
+            yield call(lambda *a: sg.corollary_coefficient(SquigParams(*a[:3]), a[3]),
+                       p, m, n, j)
+
+
+SWEEPS: dict[str, Callable[[], Iterator[str]]] = {
+    name[len("sweep_"):]: fn for name, fn in globals().items() if name.startswith("sweep_")
+}
+
+
+def digest(name: str, dump: list[str] | None = None) -> dict:
+    """{"outputs": count, "sha256": hex} of one function's sweep; lines go to dump too."""
+    sha = hashlib.sha256()
+    count = 0
+    for line in SWEEPS[name]():
+        sha.update(line.encode("utf-8") + b"\n")
+        count += 1
+        if dump is not None:
+            dump.append(f"{name}: {line}")
+    return {"outputs": count, "sha256": sha.hexdigest()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {GOLDEN.relative_to(ROOT)} instead of writing it")
+    parser.add_argument("--dump", type=Path, help="write every output line to this file")
+    args = parser.parse_args(argv)
+    lines: list[str] | None = [] if args.dump else None
+    digests = {name: digest(name, lines) for name in SWEEPS}
+    if args.dump:
+        args.dump.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if not args.check:
+        GOLDEN.write_text(json.dumps(digests, indent=2) + "\n", encoding="utf-8")
+        return 0
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    moved = [name for name in sorted(set(want) | set(digests)) if want.get(name) != digests.get(name)]
+    for name in moved:
+        print(f"digest differs: {name}", file=sys.stderr)
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
