@@ -10,9 +10,10 @@ so nothing here depends on already knowing pi_p).
 Sizing the tables needs pi_p, which is what is being computed, so the
 length J comes once from an independent binary64 pi_p: the binomial series
 of the incomplete Beta integral (DLMF 8.17), which needs no table.  J is
-never below three, and each table is maclaurin's, built once.  The Newton
-seed comes from a deep factor-sequence ratio via pi_from_factors, except at
-p = 2 where that identity degenerates and the seed t = 1 is used.
+never below three, and both tables come from one integer Taylor series,
+built once, which the record keeps for beta_value.  The Newton seed comes
+from a deep factor-sequence ratio via pi_from_factors, except at p = 2
+where that identity degenerates and the seed t = 1 is used.
 
 Results are cached per (p, epsilon); repeated calls return the same record,
 which also carries the sq and cq tables Newton ran on.  build_context cuts
@@ -25,12 +26,11 @@ through the arclength integral of cq^m sq^n over the first quadrant,
 
 split at the quarter period: the upper half reflects onto the lower half
 with m and n exchanged, and both halves integrate term by term from their
-MacLaurin tables.  Each half reads one stream of coefficients: the
-record's floats for the sq and cq halves, then columns computed past them
-while m and n need more terms for the requested epsilon; a coefficient past
-binary64 raises series' ConvergenceError in both functions.  pi_gamma and
-beta_gamma give the classical gamma-function forms of the same quantities
-for cross-checking; they share no machinery with the series path.
+MacLaurin tables.  Each half streams its coefficients from the record's
+series, extending it only while m and n need more terms than the record's
+tables hold.  pi_gamma and beta_gamma give the classical gamma-function
+forms of the same quantities for cross-checking; they share no machinery
+with the series path.
 """
 
 from __future__ import annotations
@@ -44,14 +44,15 @@ from itertools import islice, takewhile
 from .errors import ConvergenceError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, horner_sparse
 from .factors import pi_from_factors
-from .series import EPS_DEFAULT, MacLaurinTable, _coefficients, estimate_terms, maclaurin
+from .series import EPS_DEFAULT, MacLaurinTable, _pi_series, _TaylorSeries, estimate_terms
 from .triangle import SquigParams
 
 
 @dataclass(frozen=True)
 class PiRecord:
     """One computed pi_p: the value, Newton cost, table length, tolerance,
-    and the sq and cq tables of length J_used that the Newton solve ran on."""
+    and the sq and cq tables of length J_used that the Newton solve ran on,
+    from the series _series, which beta_value extends."""
 
     p: int
     value: float
@@ -60,20 +61,7 @@ class PiRecord:
     epsilon: float
     sq_table: MacLaurinTable = field(repr=False, compare=False)
     cq_table: MacLaurinTable = field(repr=False, compare=False)
-
-
-def _pi_series(p: int) -> float:
-    # The binomial series of the incomplete Beta integral (DLMF 8.17),
-    # pi_p / 4 = 2^(-1/p) sum_k ((1 - 1/p)_k / k!) 2^-k / (pk + 1), in
-    # binary64.  Its terms shrink at least as fast as 2^-k, so 52 of them
-    # reach binary64 rounding.  It needs no table, so it sizes the tables.
-    a = 1.0 - 1.0 / p
-    coeff = 1.0
-    terms = [1.0]
-    for k in range(1, 53):
-        coeff *= (a + k - 1) / (2 * k)
-        terms.append(coeff / (p * k + 1))
-    return 4.0 * 2.0 ** (-1.0 / p) * math.fsum(terms)
+    _series: _TaylorSeries = field(repr=False, compare=False)
 
 
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
@@ -110,7 +98,8 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     # Three terms at least: at loose epsilon the estimate drops to one or
     # two, and Newton on such tables lands far from pi_p.
     J = max(estimate_terms(p, _pi_series(p), epsilon), 3)
-    sq_table, cq_table = (maclaurin(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
+    series = _TaylorSeries(p)
+    sq_table, cq_table = (series.table(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
     if p == 2:
         t = 1.0
     else:
@@ -132,7 +121,7 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
         t -= step
         iterations += 1
         if abs(step) <= 8.0 * math.ulp(t):
-            return PiRecord(p, 4.0 * t, iterations, J, epsilon, sq_table, cq_table)
+            return PiRecord(p, 4.0 * t, iterations, J, epsilon, sq_table, cq_table, series)
         # The slope is cq's derivative, not the truncated table's, so at loose
         # tolerances on p = 9, 10 (J = 3, 4) each step shrinks only by 0.20-0.25
         # and Newton takes up to 25 steps; up to 2^-20 it takes at most 5.
@@ -162,13 +151,13 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     by p.  Each half is one lazy stream of signed terms: it takes the
     record's J_used + 1 terms and continues while the next one exceeds
     epsilon / 2 relative to the sum, since J_used sizes the sq and cq tables
-    and ignores m and n.  The sq and cq halves start from the record's
-    floats and compute columns only past them; m = n shares one stream for
-    both halves.  The two-half sum is accumulated with exact summation, so
+    and ignores m and n.  Every stream reads the record's series, extending
+    it past J_used only when it needs to; m = n shares one stream for both
+    halves.  The two-half sum is accumulated with exact summation, so
     the result is bitwise symmetric in m and n.  Requires m, n >= 0.
 
     Raises ConvergenceError when a coefficient the sum needs overflows
-    binary64, which large m and n reach at p near 10.
+    binary64.
     """
     check_int("p", p, 2)
     check_powers(m, n)
@@ -181,12 +170,10 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
         raise ConvergenceError(
             f"pi_{p} solved at epsilon={epsilon!r} is {record.value!r}, not below 4"
         )
-    held = {table.params: table.floats for table in (record.sq_table, record.cq_table)}
-
     def signed_terms(params: SquigParams) -> Iterator[float]:
         # (-1)^j a_j x^power / power with power = n + pj + 1: term j of the
         # half integrated term by term.
-        for j, a in enumerate(_coefficients(params, held.get(params, ()))):
+        for j, a in enumerate(record._series.stream(params.m, params.n)):
             power = params.n + p * j + 1
             term = a / power * x ** power
             yield term if j % 2 == 0 else -term
@@ -201,9 +188,9 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
     for params, kept in halves.items():
         # The sq and cq terms shrink strictly on [0, pi_p/4] (by a ratio
-        # below 0.61 for p <= 10), so once the last held term is within
-        # bound no later one exceeds it and no column is recomputed.
-        if params in held and abs(kept[-1]) <= bound:
+        # below 0.61 for p <= 10), so once the last one the record's tables
+        # hold is within bound no later one exceeds it, and the series stays.
+        if params.m + params.n == 1 and abs(kept[-1]) <= bound:
             continue
         kept.extend(takewhile(lambda term: abs(term) > bound, streams[params]))
     return p * math.fsum(lower + upper)

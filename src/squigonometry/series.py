@@ -6,24 +6,21 @@ The MacLaurin series of cq^m * sq^n collapses onto powers t^(n + pj),
     a_j = F_j / (n + pj)!  > 0,
 
 where F_j = q[n + pj][j] is the single surviving triangle entry at order
-n + pj.  The column generator _columns produces a_0, a_1, ... directly in
-binary64 by running the coefficient recursion on scaled columns, one
-division per update, so each a_j is computed with a minimal number of
-roundings (many small cases are exact, e.g. the degree-5 squine coefficient
-of t^5/5! for p = 4 is exactly -0.15).  Each column is one list
-comprehension over exact binary64 integer weights, the values that int
-weights convert to, so the bits are those of the plain int-weight loop.
-It is the package's one binary64 copy of the recursion, and it never
-recomputes a column: maclaurin takes its first J + 1 columns, and a caller
-that finds it needs more terms pulls only the new ones (_coefficients
-continues a held prefix that way).  integer_maclaurin produces the exact
-integer numerators F_j instead, reading them from the exact row generator
-in triangle, the one place the integer recursion is written.
+n + pj.  integer_maclaurin reads the exact F_j from triangle's row
+generator, the one place the paper's recursion is written.  maclaurin gives
+each a_j correctly rounded to binary64, at every p, from one integer Taylor
+kernel for the ODE pair (Moore's Taylor-series method).  With u = t^p,
+cq = c(u) and sq = t s(u),
 
-_columns is also the one place that stops at the binary64 ceiling: its
-first coefficient that is not finite raises ConvergenceError naming p, m, n
-and j, so maclaurin, compute_pi and beta_value fail alike (sq at p = 11 at
-j = 98; every p at j = 0 from n = 1021, as (n - k) C(n, k) passes 2^1024).
+    c_j = -H_(j-1) / (pj),   s_j = G_j / (pj + 1),   G = c^(p-1), H = s^(p-1),
+
+and every power comes from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+4.7).  The signs alternate, so the kernel carries magnitudes, in 192-bit
+fixed point on v = u / rho with rho near the radius of convergence, where
+they stay near 2^192 at every j.  a_j, the u^j coefficient of c^m s^n, is
+rounded once by an int/int true division.  _TaylorSeries holds c, s, G and H
+for one p and extends them on demand; compute_pi keeps its series on the
+record, so beta_value's streams extend it rather than start again.
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -39,10 +36,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
+from operator import mul
 
 from .errors import ConvergenceError, ParameterError
 from .errors import check_finite, check_int, check_powers, check_tolerance
-from .triangle import SquigParams, _rows, ceil_div
+from .triangle import SquigParams, _rows
 
 #: Unit roundoff of binary64; default tolerance target for table sizing.
 EPS_DEFAULT = 2.0 ** -53
@@ -81,17 +79,9 @@ class MacLaurinTable:
 def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
     """Scaled MacLaurin coefficients a_0..a_J of cq^m * sq^n in binary64.
 
-    The first J + 1 columns of the column generator _columns; see there
-    for how each coefficient is formed.  The exact integer numerators F_j
-    of the same coefficients come from integer_maclaurin.  Raises
-    ConvergenceError at the first a_j that overflows binary64.
-
-    Parameters
-    ----------
-    params : SquigParams
-        Requires m, n >= 0.
-    J : int
-        Last coefficient index; the recursion runs to order n + p*J.
+    Each is the correctly rounded F_j / (n + pj)!, with F_j the exact
+    numerators of integer_maclaurin, from a fresh _TaylorSeries.  Requires
+    m, n >= 0; raises ConvergenceError at the first a_j past binary64.
 
     Examples
     --------
@@ -101,77 +91,94 @@ def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
     """
     check_powers(params.m, params.n)
     check_int("J", J, 0)
-    return MacLaurinTable(params, tuple(islice(_columns(params), J + 1)))
+    return _TaylorSeries(params.p).table(params, J)
 
 
-def _columns(params: SquigParams) -> Iterator[float]:
-    """Yield a_0, a_1, a_2, ... of cq^m * sq^n in binary64, without end.
+# Fraction bits of the kernel's fixed point, and the least scaled magnitude
+# it rounds: 64 bits past binary64's 53.
+_F = 192
+_GUARD = 1 << 117
 
-    The package's one binary64 copy of the coefficient recursion.  Column j
-    carries one scaled value per order k: 0.0 until the top edge of the
-    band reaches it, then the update
 
-        c <- ((n - k + pj) c + (m + k(p - 1) - p(j - 1)) c_prev[k]) / (k + 1)
+def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
+    # g_k of g = f^alpha from f_1..f_k and g_0..g_(k-1), scaled by 2^F: the
+    # sum of ((alpha + 1) i - k) f_i g_(k-i) / k, positive for positive f, g.
+    if alpha == 1:
+        return f[k]
+    weights = range(alpha + 1 - k, alpha * k + 1, alpha + 1)
+    return sum(map(mul, map(mul, f[1 : k + 1], g[k - 1 :: -1]), weights)) // (k << _F)
 
-    with c_prev[k] the value of column j - 1 at order k: two exact integer
-    scalings and one divide, so many small coefficients come out exact.
-    Column j - 1 freezes at order n + p(j - 1), holding a_{j-1}; on the
-    later orders up to n + pj, where column j freezes at a_j, only the
-    diagonal term is kept.  Each column is one list comprehension carrying c
-    over the orders of the column before it, kept from the first order its
-    band reached, so one history of O(pj) floats is alive at a time.  Its
-    weights keep, shift and div are binary64 integers below 2^53, the exact
-    values that int weights convert to, so each operation and bit (-0.0
-    included) is the int-weight loop's; the first a_j that is not finite
-    raises ConvergenceError instead.  Requires m, n >= 0.
+
+class _TaylorSeries:
+    """The kernel for one p: c[j] = floor(|c_j| rho^j 2^F), likewise s, g and h.
+
+    rho = r / 2^32 is R^p for R = radius(p, _pi_series(p)), capped at 2^16
+    (p = 2 is entire) and rounded up.  At p = 2, G = c and H = s.
     """
-    p, m, n = params.p, params.m, params.n
-    if m == n == 0:  # cq^0 sq^0 = 1: a_0 = 1.0, then +0.0 without end
-        yield 1.0
-        yield from repeat(0.0)
-    # Column 0 is the diagonal alone, to order n.
-    c = 1.0
-    history = [c]
-    for k in range(n):
-        c = ((n - k) * c) / (k + 1)
-        history.append(c)
-    w = [0.0]  # w[i] == float(i), the exact binary64 weights, grown to order top
-    k_enter = offset = 0  # k_enter: first step at which the band's top edge reaches column j
-    for j in count(1):
-        # c is a_{j-1}; every later column reads it, so none is finite past it.
-        if c - c != 0.0:
-            raise ConvergenceError(
-                f"MacLaurin recursion overflows binary64 at p={p}, m={m}, n={n}, j={j - 1}"
-            )
-        yield c
-        while k_enter + 1 - ceil_div(k_enter + 1 - m, p) < j:
-            k_enter += 1
-        freeze_prev = n + p * (j - 1)
-        top = freeze_prev + p
-        start = min(k_enter, freeze_prev)
-        w += map(float, range(len(w), top + 1))
-        c = 0.0
-        # Steps start..freeze_prev take both terms, with the integer weights
-        # n - k + pj, m + k(p - 1) - p(j - 1) and k + 1 of each step k.
-        column = [c] + [
-            c := (keep * c + shift * prev) / div
-            for keep, shift, prev, div in zip(
-                w[top - start : p - 1 : -1],
-                count(float(m + start * (p - 1) - p * (j - 1)), float(p - 1)),
-                islice(history, start - offset, None),
-                w[start + 1 : freeze_prev + 2],
-            )
-        ]
-        tail = zip(w[p - 1 : 0 : -1], w[freeze_prev + 2 : top + 1])  # the diagonal term alone
-        column += [c := (keep * c) / div for keep, div in tail]
-        history, offset = column, start  # column[i] holds order start + i
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+        self.r = math.ceil(math.ldexp(min(radius(p, _pi_series(p)) ** p, 2.0 ** 16), 32))
+        self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
+
+    def extend(self, J: int) -> None:
+        p, c, s, g, h = self.p, self.c, self.s, self.g, self.h
+        for j in range(len(c), J + 1):
+            c.append(self.r * h[j - 1] // (p * j << 32))
+            g.append(_miller(c, g, p - 1, j))
+            s.append(g[j] // (p * j + 1))
+            h.append(_miller(s, h, p - 1, j))
+
+    def table(self, params: SquigParams, J: int) -> MacLaurinTable:
+        return MacLaurinTable(params, tuple(islice(self.stream(params.m, params.n), J + 1)))
+
+    def stream(self, m: int, n: int) -> Iterator[float]:
+        """Yield a_0, a_1, ... of cq^m * sq^n without end, extending the series.
+
+        x, the u^j coefficient of c^m s^n, times rho^-j, held as a
+        (F + 64)-bit inverse over 2^exponent, is rounded by one true
+        division.  A coefficient past binary64, or an x below _GUARD whose
+        coefficient is not below binary64, raises ConvergenceError.
+        """
+        if m == n == 0:  # cq^0 sq^0 = 1
+            yield 1.0
+            yield from repeat(0.0)
+        width = _F + 64
+        a, b = [1 << _F], [1 << _F]  # c^m and s^n, kept up to j when m, n > 0
+        inverse, exponent = 1 << (width - 1), width - 1
+        for j in count():
+            if j:
+                self.extend(j)
+                if m:
+                    a.append(_miller(self.c, a, m, j))
+                if n:
+                    b.append(_miller(self.s, b, n, j))
+                q = (inverse << width) // self.r
+                shift = q.bit_length() - width
+                inverse, exponent = q >> shift, exponent + width - 32 - shift
+            x = b[j] if m == 0 else a[j] if n == 0 else sum(map(mul, a[: j + 1], b[j::-1])) >> _F
+            scale, at = 1 << (_F + exponent), f"p={self.p}, m={m}, n={n}, j={j}"
+            if x < _GUARD and _GUARD * inverse / scale:
+                raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at}")
+            try:
+                value = x * inverse / scale
+            except OverflowError:
+                raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at}") from None
+            yield value
 
 
-def _coefficients(params: SquigParams, held: tuple[float, ...] = ()) -> Iterator[float]:
-    # The held floats a_0, a_1, ..., then the columns past them, computed
-    # only once the held floats run out.
-    yield from held
-    yield from islice(_columns(params), len(held), None)
+def _pi_series(p: int) -> float:
+    # The binomial series of the incomplete Beta integral (DLMF 8.17),
+    # pi_p / 4 = 2^(-1/p) sum_k ((1 - 1/p)_k / k!) 2^-k / (pk + 1), in
+    # binary64.  Its terms shrink at least as fast as 2^-k, so 52 of them
+    # reach binary64 rounding.  It needs no table, so it sizes the tables.
+    a = 1.0 - 1.0 / p
+    coeff = 1.0
+    terms = [1.0]
+    for k in range(1, 53):
+        coeff *= (a + k - 1) / (2 * k)
+        terms.append(coeff / (p * k + 1))
+    return 4.0 * 2.0 ** (-1.0 / p) * math.fsum(terms)
 
 
 def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:

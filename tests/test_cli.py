@@ -104,13 +104,18 @@ def test_beta_prints_beta_value(capsys):
     assert lines == ["p,m,n,beta", f"4,2,1,{sg.beta_value(4, 2, 1)!r}"]
 
 
-def test_beta_overflow_exit_code(capsys):
-    # The coefficients these powers need overflow binary64 at p = 10.
-    code = cli.main(["beta", "--p", "10", "--m", "30", "--n", "30"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("error: ") and "overflows binary64" in err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
+def test_beta_at_large_powers_exits_0(capsys):
+    # The coefficients these powers need all fit binary64.
+    code, lines = run(capsys, "beta", "--p", "10", "--m", "30", "--n", "30")
+    assert code == 0
+    value = float(lines[1].split(",")[3])
+    assert value == pytest.approx(sg.beta_gamma(10, 30, 30), rel=1e-13)
+
+
+def test_pi_past_p_10_exits_0(capsys):
+    code, lines = run(capsys, "pi", "--p-min", "11", "--p-max", "16")
+    assert code == 0
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(11, 17))
 
 
 def test_pow_overflow_exit_code(capsys):
@@ -134,7 +139,7 @@ def test_bad_arguments_exit_code(capsys):
 
 @pytest.mark.parametrize("argv, want", [
     (("eval", "--p", "4", "--func", "pow", "--m", "0", "--n", "-2", "--t", "0.5", "1e-200"), 2),
-    (("pi", "--p-min", "9", "--p-max", "12"), 3),
+    (("pi", "--p-min", "2", "--p-max", "3", "--eps", "5e-324"), 3),
     (("plotdata", "--p", "4", "--points", "3", "--tmax", "nan"), 2),
 ])
 def test_failing_command_writes_no_rows(capsys, argv, want):
@@ -484,12 +489,17 @@ def test_constant_function_is_invalid_argument(capsys, argv):
     assert code == 2
 
 
-def test_maclaurin_past_the_binary64_ceiling_exits_3(capsys):
-    # The p = 11 squine coefficients overflow binary64 at j = 98.
-    code = cli.main(["maclaurin", "--p", "11", "--m", "0", "--n", "1", "--J", "100"])
+def test_maclaurin_past_binary64_exits_3(capsys):
+    # p = 11 answers at any length; a coefficient of cos^1700 is itself
+    # past binary64 at j = 498.
+    code, lines = run(capsys, "maclaurin", "--p", "11", "--m", "0", "--n", "1", "--J", "100")
+    assert code == 0
+    table = sg.maclaurin(sg.SquigParams(p=11, m=0, n=1), 100)
+    assert [float(line.split(",")[2]) for line in lines[1:]] == [table.signed(j) for j in range(101)]
+    code = cli.main(["maclaurin", "--p", "2", "--m", "1700", "--n", "0", "--J", "600"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert err == "error: MacLaurin recursion overflows binary64 at p=11, m=0, n=1, j=98\n"
+    assert err == "error: MacLaurin coefficient overflows binary64 at p=2, m=1700, n=0, j=498\n"
 
 
 def test_cache_save_to_an_unwritable_directory_exits_2(capsys, tmp_path):

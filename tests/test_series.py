@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
-from squigonometry import ConvergenceError, ParameterError, SquigParams
-from squigonometry.series import _coefficients, _columns
-from squigonometry.triangle import ceil_div
+from squigonometry import ConvergenceError, ParameterError, SquigParams, series
 
 # Integer numerators of the p=4 series, frozen: F_j = q[n+4j][j].
 SQUINE_P4_NUMERATORS = (1, 18, 14364, 70203672)
@@ -21,85 +19,91 @@ COSQUINE_P4_NUMERATORS = (1, 6, 2268, 7434504)
 TERM_COUNTS = {3: 22, 4: 34, 5: 46, 6: 58, 7: 69, 8: 81, 9: 92, 10: 103}
 
 
-def banded_oracle(params: SquigParams, J: int) -> list[float]:
-    # The row-major banded loop that maclaurin ran before the column
-    # generator: all J + 1 columns in place, updated top-down order by order.
-    p, m, n = params.p, params.m, params.n
-    f = [0.0] * (J + 1)
-    f[0] = 1.0
-    for k in range(n + p * J):
-        j_lo = max(ceil_div(k + 1 - n, p), 0)
-        j_hi = min(k + 1 - ceil_div(k + 1 - m, p), J)
-        for j in range(j_hi, j_lo, -1):
-            f[j] = ((n - k + p * j) * f[j] + (m + k * (p - 1) - p * (j - 1)) * f[j - 1]) / (k + 1)
-        # The subdiagonal neighbour j_lo - 1 enters only when it froze at
-        # exactly order k.
-        if (k - n) % p > 0 or j_lo == 0:
-            f[j_lo] = ((n - k + p * j_lo) * f[j_lo]) / (k + 1)
-        else:
-            f[j_lo] = (
-                (n - k + p * j_lo) * f[j_lo]
-                + (m + k * (p - 1) - p * (j_lo - 1)) * f[j_lo - 1]
-            ) / (k + 1)
-    return f
+def exact_floats(params: SquigParams, J: int) -> list[float]:
+    # The oracle: each a_j correctly rounded from the exact numerators of
+    # the paper's recursion, F_j / (n + pj)!.
+    nums = sg.integer_maclaurin(params, J)
+    return [float(Fraction(F, math.factorial(params.n + params.p * j))) for j, F in enumerate(nums)]
 
 
-@pytest.mark.parametrize("p", range(2, 13))
-def test_columns_match_banded_oracle_bit_for_bit(p):
-    # Every coefficient before the oracle's first non-finite one, -0.0/0.0
-    # included, and a ConvergenceError at exactly that j (past the binary64
-    # ceiling at p >= 11) from the generator and from maclaurin.  The oracle
-    # and the generator each run once at the largest J: the oracle's columns
-    # at or below J never read a column above J, so a shorter run is a prefix
-    # of it.  maclaurin(params, J) is pinned to the first J + 1 columns for
-    # one (m, n) per p.
-    js = (0, 1, 2, 3, 5, 12, 34, 60, 103)
-    pinned = (p % 6, (p // 2) % 6)
-    for m in range(6):
-        for n in range(6):
-            params = SquigParams(p=p, m=m, n=n)
-            oracle = banded_oracle(params, js[-1])
-            bad = next((j for j, v in enumerate(oracle) if not math.isfinite(v)), len(oracle))
-            want = [v.hex() for v in oracle[:bad]]
-            columns = _columns(params)
-            assert [v.hex() for v in islice(columns, bad)] == want, (p, m, n)
-            overflow = f"overflows binary64 at p={p}, m={m}, n={n}, j={bad}$"
-            if bad < len(oracle):
-                with pytest.raises(ConvergenceError, match=overflow):
-                    next(columns)
-            for J in js if (m, n) == pinned else ():
-                if J < bad:
-                    table = sg.maclaurin(params, J).floats
-                    assert [v.hex() for v in table] == want[: J + 1], (p, m, n, J)
-                else:
-                    with pytest.raises(ConvergenceError, match=overflow):
-                        sg.maclaurin(params, J)
+@pytest.mark.parametrize("p", range(2, 17))
+def test_sq_cq_tables_are_correctly_rounded(p):
+    # sq and cq at the length compute_pi sizes for 2^-53, every p with no
+    # ceiling, and every shorter table a prefix of the longer one.
+    J = sg.estimate_terms(p, sg.pi_gamma(p), 2.0 ** -53)
+    for m, n in ((0, 1), (1, 0)):
+        params = SquigParams(p=p, m=m, n=n)
+        want = [v.hex() for v in exact_floats(params, J)]
+        assert [v.hex() for v in sg.maclaurin(params, J).floats] == want, (m, n)
+        for short in (0, 1, 3):
+            assert [v.hex() for v in sg.maclaurin(params, short).floats] == want[: short + 1]
+
+
+@pytest.mark.parametrize("p", [4, 10])
+def test_power_tables_are_correctly_rounded(p):
+    # Every (m, n) up to 5 and (30, 30): Miller powers and their Cauchy
+    # product, rounded once.
+    J = sg.estimate_terms(p, sg.pi_gamma(p), 2.0 ** -53)
+    for m, n in [(m, n) for m in range(6) for n in range(6)] + [(30, 30)]:
+        params = SquigParams(p=p, m=m, n=n)
+        assert sg.maclaurin(params, J).floats == tuple(exact_floats(params, J)), (m, n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 10])
-def test_columns_match_banded_oracle_past_the_small_grid(p):
-    # Larger m and n move where each column's scan starts, where the column
-    # before it froze, how far the weight table grows and the offset of the
-    # stored history.  A coefficient stream continued past held floats must
-    # also give the bits of one fresh run.
+def test_streams_on_a_shared_series_match_fresh_tables(p):
+    # Larger m and n, and streams that start on a series other streams have
+    # already extended, as beta_value's do on a record's series: the bits
+    # of one fresh maclaurin run, which are the oracle's.
+    shared = series._TaylorSeries(p)
+    shared.extend(25)
     for m, n in ((9, 0), (0, 13), (17, 20), (40, 3)):
         params = SquigParams(p=p, m=m, n=n)
-        want = [v.hex() for v in banded_oracle(params, 60)]
-        for J in (0, 1, 7, 60):
-            assert [v.hex() for v in sg.maclaurin(params, J).floats] == want[: J + 1], (m, n, J)
-        fresh = [v.hex() for v in islice(_columns(params), 41)]
-        for held in (1, 2, 13):
-            stream = _coefficients(params, tuple(islice(_columns(params), held)))
-            assert [v.hex() for v in islice(stream, 41)] == fresh, (m, n, held)
+        want = exact_floats(params, 40)
+        assert list(sg.maclaurin(params, 40).floats) == want, (m, n)
+        assert list(islice(shared.stream(m, n), 41)) == want, (m, n)
+    assert len(shared.c) == 41
 
 
-def test_banded_oracle_prefix_property():
-    # The premise of the test above, on the oracle itself.
-    for p, m, n in ((2, 5, 3), (5, 0, 0), (12, 3, 1)):
-        params = SquigParams(p=p, m=m, n=n)
-        full = [v.hex() for v in banded_oracle(params, 60)]
-        for J in (0, 1, 5, 12, 34):
-            assert [v.hex() for v in banded_oracle(params, J)] == full[: J + 1]
+@pytest.mark.parametrize("p", [2, 4, 11])
+def test_large_n_tables_are_correctly_rounded(p):
+    # a_0 = 1 of sq^n at any n, and the terms after it, with no ceiling at
+    # n = 1021.
+    for n in (1020, 1021, 1030):
+        params = SquigParams(p=p, m=0, n=n)
+        assert list(sg.maclaurin(params, 3).floats) == exact_floats(params, 3), n
+
+
+def test_maclaurin_answers_at_a_huge_p():
+    # a_1 of sq is (p - 1) / (p (p + 1)) at every p.
+    table = sg.maclaurin(SquigParams(p=100000, m=0, n=1), 3)
+    assert table.floats[1] == float(Fraction(99999, 100000 * 100001))
+
+
+def test_a_coefficient_past_binary64_raises_at_its_j():
+    # cos^m = 2^-m sum_k C(m, k) cos((m - 2k) t) gives the p = 2 numerators
+    # in closed form, independent of both recursions: at m = 1700 the
+    # coefficients peak past 2^1024, first at j = 498.
+    m = 1700
+
+    def exact(j):
+        total = sum(math.comb(m, k) * (m - 2 * k) ** (2 * j) for k in range(m + 1))
+        return Fraction(total, 2 ** m * math.factorial(2 * j))
+
+    with pytest.raises(OverflowError):
+        float(exact(498))
+    params = SquigParams(p=2, m=m, n=0)
+    with pytest.raises(ConvergenceError, match="overflows binary64 at p=2, m=1700, n=0, j=498$"):
+        sg.maclaurin(params, 600)
+    table = sg.maclaurin(params, 497).floats
+    assert [table[j] for j in (0, 1, 100, 497)] == [float(exact(j)) for j in (0, 1, 100, 497)]
+
+
+def test_a_fixed_point_too_short_raises(monkeypatch):
+    # With fewer fraction bits than the 117 the rounding keeps, a_0 = 1
+    # itself cannot be rounded safely.
+    monkeypatch.setattr(series, "_F", 100)
+    with pytest.raises(ConvergenceError, match="fixed point too short .* at p=4, m=0, n=1, j=0$"):
+        sg.maclaurin(SquigParams(p=4, m=0, n=1), 3)
 
 
 def exact_coefficient(params: SquigParams, j: int) -> Fraction:
@@ -269,13 +273,3 @@ def test_constant_function_numerators():
     params = SquigParams(p=4, m=0, n=0)
     assert sg.integer_maclaurin(params, 2) == (1, 0, 0)
     assert sg.maclaurin(params, 2).floats == (1.0, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("p", [2, 4, 11])
-def test_column_zero_overflows_from_n_1021(p):
-    # Column 0 carries the binomials C(n, k); its transit products
-    # (n - k) C(n, k) pass binary64 from n = 1021 at every p, so a_0 raises.
-    assert math.isfinite(sg.maclaurin(SquigParams(p=p, m=0, n=1020), 0).floats[0])
-    for n in (1021, 1030):
-        with pytest.raises(ConvergenceError, match=f"p={p}, m=0, n={n}, j=0$"):
-            sg.maclaurin(SquigParams(p=p, m=0, n=n), 1)
