@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, takewhile
 
-from .errors import ConvergenceError, check_int, check_powers, check_tolerance
+from .errors import ConvergenceError, DomainError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, horner_sparse
 from .factors import pi_from_factors
 from .series import EPS_DEFAULT, MacLaurinTable, _pi_series, _TaylorSeries, estimate_terms
@@ -79,10 +79,9 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     -------
     PiRecord
         value holds pi_p; iterations counts Newton steps; J_used is the
-        table length, estimate_terms at the series pi_p and at least 3;
-        sq_table and cq_table are the tables at that length which
-        the Newton solve ran on, and which build_context cuts its
-        evaluation tables from.
+        table length, estimate_terms at the series pi_p and at least 3 and
+        (p + 1) // 3; sq_table and cq_table are the tables Newton ran on,
+        which build_context cuts its evaluation tables from.
     """
     # Validate before the memo sees the arguments, so a float degree such as
     # 4.0 fails rather than hit the record of the int 4, and key the memo on
@@ -95,9 +94,9 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
 
 @lru_cache(maxsize=None)
 def _solve_pi(p: int, epsilon: float) -> PiRecord:
-    # Three terms at least: at loose epsilon the estimate drops to one or
-    # two, and Newton on such tables lands far from pi_p.
-    J = max(estimate_terms(p, _pi_series(p), epsilon), 3)
+    # At loose epsilon the estimate drops to one or two, and Newton on such
+    # tables lands far from pi_p, or from p = 14 on wanders or diverges.
+    J = max(estimate_terms(p, _pi_series(p), epsilon), 3, (p + 1) // 3)
     series = _TaylorSeries(p)
     sq_table, cq_table = (series.table(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
     if p == 2:
@@ -115,8 +114,11 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     target = 2.0 ** (-1.0 / p)
     iterations = 0
     while True:
-        residual = horner_sparse(cq_table, t) - target
-        slope = -horner_sparse(sq_table, t) ** (p - 1)
+        try:
+            residual = horner_sparse(cq_table, t) - target
+            slope = -horner_sparse(sq_table, t) ** (p - 1)
+        except (DomainError, OverflowError):  # far past pi_p / 4 the tables overflow
+            raise ConvergenceError(f"Newton for pi_{p} diverged to t={t!r}") from None
         step = residual / slope
         t -= step
         iterations += 1
@@ -170,29 +172,27 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
         raise ConvergenceError(
             f"pi_{p} solved at epsilon={epsilon!r} is {record.value!r}, not below 4"
         )
-    def signed_terms(params: SquigParams) -> Iterator[float]:
+    def signed_terms(powers: tuple[int, int]) -> Iterator[float]:
         # (-1)^j a_j x^power / power with power = n + pj + 1: term j of the
-        # half integrated term by term.
-        for j, a in enumerate(record._series.stream(params.m, params.n)):
-            power = params.n + p * j + 1
+        # half of cq^m sq^n, (m, n) = powers, integrated term by term.
+        for j, a in enumerate(record._series.stream(*powers)):
+            power = powers[1] + p * j + 1
             term = a / power * x ** power
             yield term if j % 2 == 0 else -term
 
-    lower_params = SquigParams(p=p, m=m, n=n)
-    upper_params = SquigParams(p=p, m=n, n=m)
-    streams = {params: signed_terms(params) for params in {lower_params, upper_params}}
-    halves = {params: list(islice(terms, record.J_used + 1)) for params, terms in streams.items()}
-    lower, upper = halves[lower_params], halves[upper_params]
+    streams = {powers: signed_terms(powers) for powers in {(m, n), (n, m)}}
+    halves = {powers: list(islice(terms, record.J_used + 1)) for powers, terms in streams.items()}
+    lower, upper = halves[m, n], halves[n, m]
     # Each half's dropped tail alternates with shrinking terms, so it is at
     # most its first term; half of epsilon each keeps the total within it.
     bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
-    for params, kept in halves.items():
+    for powers, kept in halves.items():
         # The sq and cq terms shrink strictly on [0, pi_p/4] (by a ratio
         # below 0.61 for p <= 10), so once the last one the record's tables
         # hold is within bound no later one exceeds it, and the series stays.
-        if params.m + params.n == 1 and abs(kept[-1]) <= bound:
+        if sum(powers) == 1 and abs(kept[-1]) <= bound:
             continue
-        kept.extend(takewhile(lambda term: abs(term) > bound, streams[params]))
+        kept.extend(takewhile(lambda term: abs(term) > bound, streams[powers]))
     return p * math.fsum(lower + upper)
 
 

@@ -148,6 +148,23 @@ def test_compute_pi_at_a_loose_epsilon(p, eps):
     assert sg.compute_pi(p, eps).J_used >= 3
 
 
+@pytest.mark.parametrize("p", [11, 14, 16, 24, 31, 64])
+@pytest.mark.parametrize("eps", [0.3, 0.57, 0.99])
+def test_compute_pi_at_a_loose_epsilon_past_p_10(p, eps):
+    # Three-term tables left Newton wandering from p = 14 on, or diverging
+    # past where the tables fit binary64 from p = 31 on.
+    assert _meets_epsilon(p, eps)
+    assert sg.compute_pi(p, eps).J_used >= (p + 1) // 3
+
+
+def test_newton_that_diverges_says_so(monkeypatch):
+    # A seed far past the quarter period: the tables overflow there, and
+    # the solve reports that rather than a DomainError or OverflowError.
+    monkeypatch.setattr(constants, "pi_from_factors", lambda ratio, p: 4.0e3)
+    with pytest.raises(ConvergenceError, match="Newton for pi_10 diverged to t=1000.0$"):
+        sg.compute_pi(10, 0.01255)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     p=st.integers(min_value=2, max_value=10),
