@@ -19,6 +19,7 @@ exactly.  The cache directory defaults to $SQUIG_CACHE_DIR, falling back to
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -74,8 +75,8 @@ def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
     """Write (or merge into) a cache file the context entry for (p, epsilon).
 
     Stores build_context's pi_p and the floats of the sq and cq tables it
-    evaluates.  Returns the full document.  A target that cannot be
-    written raises ParameterError.
+    evaluates.  Returns the full document.  A failed write leaves the old
+    file whole; a target that cannot be written raises ParameterError.
     """
     ctx = evalcore.build_context(p, epsilon)
     doc = _read_cache(path) if os.path.exists(path) else {"format": CACHE_FORMAT, "entries": {}}
@@ -84,11 +85,15 @@ def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
         "sq": list(ctx.sq_table.floats),
         "cq": list(ctx.cq_table.floats),
     }
+    partial = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(partial, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
+        os.replace(partial, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
         raise ParameterError(f"cannot write cache file {path}: {exc.strerror}") from None
     return doc
 
@@ -98,8 +103,9 @@ def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.Ev
 
     The returned context equals one built fresh with the same (p, epsilon):
     floats pass through JSON unchanged.  A bad p or epsilon, a missing,
-    unreadable or malformed cache file, or one in another format, raises
-    ParameterError.
+    unreadable or malformed cache file or one in another format raises
+    ParameterError, and so does a pi_p further from the series value than
+    compute_pi promises, max(epsilon, 8 ulp), plus 2 ulp for the series.
     """
     check_int("p", p, 2)
     check_tolerance("epsilon", epsilon)
@@ -118,12 +124,13 @@ def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.Ev
     try:
         for value in sq_table.floats + cq_table.floats + (pi_p,):
             check_finite("cache value", value)
-        if not pi_p > 0.0:
-            raise DomainError(f"pi_p={pi_p!r} is not positive")
+        reference, ulp = series._pi_series(p), math.ulp(series._pi_series(p))
+        if not abs(pi_p - reference) <= max(epsilon * reference, 8.0 * ulp) + 2.0 * ulp:
+            raise DomainError(f"pi_p={pi_p!r} is not pi_{p} to epsilon")
     except DomainError:
         raise ParameterError(
             f"cache entry {key} is invalid: sq and cq floats must be finite numbers "
-            "and pi_p finite and positive"
+            f"and pi_p within epsilon (or 8 ulp) of pi_{p}"
         ) from None
     return evalcore.EvalContext(p, pi_p / 4.0, sq_table, cq_table, epsilon)
 

@@ -349,7 +349,7 @@ def test_cache_missing_entry(capsys, tmp_path, monkeypatch):
 
 
 _KEY = "4|0x1.0000000000000p-53"
-_ENTRY = {"pi_p": 3.7, "sq": [1.0, 0.05], "cq": [1.0, 0.05]}
+_ENTRY = {"pi_p": 3.708149354602744, "sq": [1.0, 0.05], "cq": [1.0, 0.05]}
 # A document as format 1 wrote it: one entry per table, with J and numerators.
 _FORMAT_1 = json.dumps({"format": 1, "entries": {
     f"4|{m}|{n}|0x1.0000000000000p-53": {
@@ -442,7 +442,7 @@ def test_cache_file_checks_accept_a_good_entry(tmp_path):
         fh.write(_doc(_ENTRY))
     ctx = cli.load_context(path, 4)
     assert ctx.sq_table.floats == (1.0, 0.05)
-    assert ctx.pi_p == 3.7
+    assert ctx.pi_p == 3.708149354602744
     # The entry passes through uncut: evaluation folds it whole and matches
     # horner_sparse on it.
     for t in (0.0, 0.4, 0.9):
@@ -523,3 +523,51 @@ def test_cache_dir_defaults_under_the_home_directory(monkeypatch, tmp_path):
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: squig")
+
+
+def test_cache_save_that_fails_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    # A dump that fails part way used to leave its partial text as the
+    # cache file, so the entries saved before it were lost.
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    cli.save_tables(path, 4)
+
+    def failing_dump(doc, fh):
+        fh.write('{"format": 3, "ent')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    code = cli.main(["cache", "save", "--p", "3", "--dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot write cache file {path}: No space left on device\n"
+    assert os.listdir(str(tmp_path)) == [cli.CACHE_BASENAME]
+    assert cli.load_context(path, 4) == sg.build_context(4)
+
+
+@pytest.mark.parametrize("epsilon,scale,loads", [
+    (2.0 ** -53, 1e308 / 3.708149354602744, False),
+    (2.0 ** -53, 1.01, False),
+    (2.0 ** -53, 1.0 + 2.0 ** -50, True),
+    (0.3, 1.01, True),
+])
+def test_cache_entry_pi_p_must_meet_epsilon(capsys, tmp_path, epsilon, scale, loads):
+    # A pi_p past 1e308 made a period of inf, and sq(ctx, 1e3) came out -inf.
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    doc = cli.save_tables(path, 4, epsilon)
+    (entry,) = doc["entries"].values()
+    entry["pi_p"] = sg.compute_pi(4).value * scale
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code = cli.main(["cache", "load", "--p", "4", "--eps", repr(epsilon), "--dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == (0 if loads else 2)
+    if not loads:
+        assert err.startswith("error: cache entry ") and "pi_p within epsilon" in err
+
+
+@pytest.mark.parametrize("p", [2, 4, 10, 16])
+def test_every_saved_entry_loads(tmp_path, p):
+    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
+    for epsilon in (2.0 ** -53, 1e-6, 0.3, 0.99):
+        cli.save_tables(path, p, epsilon)
+        assert cli.load_context(path, p, epsilon) == sg.build_context(p, epsilon)
