@@ -156,10 +156,8 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     and ignores m and n.  Every stream reads the record's series, extending
     it past J_used only when it needs to; m = n shares one stream for both
     halves.  The two-half sum is accumulated with exact summation, so
-    the result is bitwise symmetric in m and n.  Requires m, n >= 0.
-
-    Raises ConvergenceError when a coefficient the sum needs overflows
-    binary64.
+    the result is bitwise symmetric in m and n.  Requires m, n >= 0; a
+    coefficient the sum needs past binary64 raises ConvergenceError.
     """
     check_int("p", p, 2)
     check_powers(m, n)
@@ -172,6 +170,7 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
         raise ConvergenceError(
             f"pi_{p} solved at epsilon={epsilon!r} is {record.value!r}, not below 4"
         )
+
     def signed_terms(powers: tuple[int, int]) -> Iterator[float]:
         # (-1)^j a_j x^power / power with power = n + pj + 1: term j of the
         # half of cq^m sq^n, (m, n) = powers, integrated term by term.

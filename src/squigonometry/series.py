@@ -135,10 +135,8 @@ class _TaylorSeries:
     def stream(self, m: int, n: int) -> Iterator[float]:
         """Yield a_0, a_1, ... of cq^m * sq^n without end, extending the series.
 
-        x, the u^j coefficient of c^m s^n, times rho^-j, held as a
-        (F + 64)-bit inverse over 2^exponent, is rounded by one true
-        division.  A coefficient past binary64, or an x below _GUARD whose
-        coefficient is not below binary64, raises ConvergenceError.
+        a_j is x rho^-j, x the u^j coefficient of c^m s^n and rho^-j an
+        (F + 64)-bit inverse over 2^exponent, rounded by one true division.
         """
         if m == n == 0:  # cq^0 sq^0 = 1
             yield 1.0

@@ -49,6 +49,15 @@ def test_power_tables_are_correctly_rounded(p):
         assert sg.maclaurin(params, J).floats == tuple(exact_floats(params, J)), (m, n)
 
 
+@pytest.mark.parametrize("p,eps", [(2, 5e-324), (3, 1e-300), (4, 1e-200)])
+def test_deep_tables_are_correctly_rounded(p, eps):
+    # compute_pi's tables at tiny tolerances, hundreds of terms deep, down
+    # to coefficients below binary64's smallest normal.
+    rec = sg.compute_pi(p, eps)
+    for table in (rec.sq_table, rec.cq_table):
+        assert list(table.floats) == exact_floats(table.params, rec.J_used), table.params
+
+
 @pytest.mark.parametrize("p", [2, 3, 7, 10])
 def test_streams_on_a_shared_series_match_fresh_tables(p):
     # Larger m and n, and streams that start on a series other streams have
