@@ -14,11 +14,11 @@ cq = c(u) and sq = t s(u),
 
     c_j = -H_(j-1) / (pj),   s_j = G_j / (pj + 1),   G = c^(p-1), H = s^(p-1),
 
-and every power comes from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
-4.7).  The signs alternate, so the kernel carries magnitudes, in 192-bit
-fixed point on v = u / rho with rho near the radius of convergence, where
-they stay near 2^192 at every j.  a_j, the u^j coefficient of c^m s^n, is
-rounded once by an int/int true division.  _TaylorSeries holds c, s, G and H
+G and H from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  The
+signs alternate, so the kernel carries magnitudes, in 192-bit fixed point on
+v = u / rho with rho near the radius of convergence, where they stay near
+2^192 at every j.  a_j, the u^j coefficient of the product of c^m and s^n
+(by square and multiply), is rounded once by an int/int true division.  _TaylorSeries holds c, s, G and H
 for one p and extends them on demand; compute_pi keeps its series on the
 record, so beta_value's streams extend it rather than start again.
 
@@ -103,10 +103,21 @@ _GUARD = 1 << 117
 def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
     # g_k of g = f^alpha from f_1..f_k and g_0..g_(k-1), scaled by 2^F: the
     # sum of ((alpha + 1) i - k) f_i g_(k-i) / k, positive for positive f, g.
-    if alpha == 1:
-        return f[k]
     weights = range(alpha + 1 - k, alpha * k + 1, alpha + 1)
     return sum(map(mul, map(mul, f[1 : k + 1], g[k - 1 :: -1]), weights)) // (k << _F)
+
+
+def _power(f: list[int], alpha: int, products: list[tuple]) -> list[int]:
+    # f^alpha, alpha >= 1, by square and multiply, each product (terms, left,
+    # right) queued in the order its terms are due.  Sums of positive terms
+    # keep their precision where Miller's cancelling sum loses it (p = 2).
+    if alpha == 1:
+        return f
+    half = _power(f, alpha // 2, products)
+    products.append(([1 << _F], half, half))
+    if alpha % 2:
+        products.append(([1 << _F], products[-1][0], f))
+    return products[-1][0]
 
 
 class _TaylorSeries:
@@ -125,9 +136,9 @@ class _TaylorSeries:
         p, c, s, g, h = self.p, self.c, self.s, self.g, self.h
         for j in range(len(c), J + 1):
             c.append(self.r * h[j - 1] // (p * j << 32))
-            g.append(_miller(c, g, p - 1, j))
+            g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
             s.append(g[j] // (p * j + 1))
-            h.append(_miller(s, h, p - 1, j))
+            h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
         return MacLaurinTable(params, tuple(islice(self.stream(params.m, params.n), J + 1)))
@@ -142,15 +153,15 @@ class _TaylorSeries:
             yield 1.0
             yield from repeat(0.0)
         width = _F + 64
-        a, b = [1 << _F], [1 << _F]  # c^m and s^n, kept up to j when m, n > 0
+        products: list[tuple] = []
+        a = _power(self.c, m, products) if m else None  # c^m
+        b = _power(self.s, n, products) if n else None  # s^n
         inverse, exponent = 1 << (width - 1), width - 1
         for j in count():
             if j:
                 self.extend(j)
-                if m:
-                    a.append(_miller(self.c, a, m, j))
-                if n:
-                    b.append(_miller(self.s, b, n, j))
+                for terms, left, right in products:
+                    terms.append(sum(map(mul, left[: j + 1], right[j::-1])) >> _F)
                 q = (inverse << width) // self.r
                 shift = q.bit_length() - width
                 inverse, exponent = q >> shift, exponent + width - 32 - shift

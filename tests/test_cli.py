@@ -490,16 +490,17 @@ def test_constant_function_is_invalid_argument(capsys, argv):
 
 
 def test_maclaurin_past_binary64_exits_3(capsys):
-    # p = 11 answers at any length; a coefficient of cos^1700 is itself
-    # past binary64 at j = 498.
+    # p = 11 answers at any length; a coefficient of sin^n with n = 10^104
+    # is itself past binary64 at j = 3.
     code, lines = run(capsys, "maclaurin", "--p", "11", "--m", "0", "--n", "1", "--J", "100")
     assert code == 0
     table = sg.maclaurin(sg.SquigParams(p=11, m=0, n=1), 100)
     assert [float(line.split(",")[2]) for line in lines[1:]] == [table.signed(j) for j in range(101)]
-    code = cli.main(["maclaurin", "--p", "2", "--m", "1700", "--n", "0", "--J", "600"])
+    n = str(10 ** 104)
+    code = cli.main(["maclaurin", "--p", "2", "--m", "0", "--n", n, "--J", "5"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
-    assert err == "error: MacLaurin coefficient overflows binary64 at p=2, m=1700, n=0, j=498\n"
+    assert err == f"error: MacLaurin coefficient overflows binary64 at p=2, m=0, n={n}, j=3\n"
 
 
 def test_cache_save_to_an_unwritable_directory_exits_2(capsys, tmp_path):

@@ -73,6 +73,16 @@ def test_streams_on_a_shared_series_match_fresh_tables(p):
     assert len(shared.c) == 41
 
 
+def test_p2_power_tables_keep_their_precision_deep():
+    # cos and sin are entire, and Miller's cancelling sum for their powers
+    # lost bits with every term: cos^2 sin misrounded from j = 39, cos^5
+    # sin^2 from j = 55 and sin^7 from j = 66, and cos^2 raised "fixed point
+    # too short" at j = 40.
+    for m, n in ((2, 1), (5, 2), (2, 0), (0, 7)):
+        params = SquigParams(p=2, m=m, n=n)
+        assert list(sg.maclaurin(params, 90).floats) == exact_floats(params, 90), (m, n)
+
+
 @pytest.mark.parametrize("p", [2, 4, 11])
 def test_large_n_tables_are_correctly_rounded(p):
     # a_0 = 1 of sq^n at any n, and the terms after it, with no ceiling at
@@ -89,22 +99,27 @@ def test_maclaurin_answers_at_a_huge_p():
 
 
 def test_a_coefficient_past_binary64_raises_at_its_j():
-    # cos^m = 2^-m sum_k C(m, k) cos((m - 2k) t) gives the p = 2 numerators
-    # in closed form, independent of both recursions: at m = 1700 the
-    # coefficients peak past 2^1024, first at j = 498.
-    m = 1700
+    # sq^n at p = 2 is t^n (sinh(x)/x)^n with x^2 = -t^2, so a_j is the u^j
+    # coefficient of (1 + u/3! + u^2/5! + ...)^n, exact from truncated
+    # powers and independent of both recursions.  At n = 10^104, a_3 is the
+    # first coefficient past 2^1024.
+    n = 10 ** 104
 
-    def exact(j):
-        total = sum(math.comb(m, k) * (m - 2 * k) ** (2 * j) for k in range(m + 1))
-        return Fraction(total, 2 ** m * math.factorial(2 * j))
+    def times(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(4)]
 
+    power, e = [Fraction(1), 0, 0, 0], n
+    square = [Fraction(1, math.factorial(2 * i + 1)) for i in range(4)]
+    while e:
+        if e & 1:
+            power = times(power, square)
+        square, e = times(square, square), e >> 1
     with pytest.raises(OverflowError):
-        float(exact(498))
-    params = SquigParams(p=2, m=m, n=0)
-    with pytest.raises(ConvergenceError, match="overflows binary64 at p=2, m=1700, n=0, j=498$"):
-        sg.maclaurin(params, 600)
-    table = sg.maclaurin(params, 497).floats
-    assert [table[j] for j in (0, 1, 100, 497)] == [float(exact(j)) for j in (0, 1, 100, 497)]
+        float(power[3])
+    params = SquigParams(p=2, m=0, n=n)
+    assert list(sg.maclaurin(params, 2).floats) == [float(a) for a in power[:3]]
+    with pytest.raises(ConvergenceError, match=f"overflows binary64 at p=2, m=0, n={n}, j=3$"):
+        sg.maclaurin(params, 5)
 
 
 def test_a_fixed_point_too_short_raises(monkeypatch):
