@@ -153,8 +153,8 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     by p.  Each half is one lazy stream of signed terms: it takes the
     record's J_used + 1 terms and continues while the next one exceeds
     epsilon / 2 relative to the sum, since J_used sizes the sq and cq tables
-    and ignores m and n.  Every stream reads the record's series, extending
-    it past J_used only when it needs to; m = n shares one stream for both
+    and ignores m and n.  Every stream reads the record's series and extends
+    it past J_used only as far as it reads; m = n shares one stream for both
     halves.  The two-half sum is accumulated with exact summation, so
     the result is bitwise symmetric in m and n.  Requires m, n >= 0; a
     coefficient the sum needs past binary64 raises ConvergenceError.
@@ -186,11 +186,6 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     # most its first term; half of epsilon each keeps the total within it.
     bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
     for powers, kept in halves.items():
-        # The sq and cq terms shrink strictly on [0, pi_p/4] (by a ratio
-        # below 0.61 for p <= 10), so once the last one the record's tables
-        # hold is within bound no later one exceeds it, and the series stays.
-        if sum(powers) == 1 and abs(kept[-1]) <= bound:
-            continue
         kept.extend(takewhile(lambda term: abs(term) > bound, streams[powers]))
     return p * math.fsum(lower + upper)
 
