@@ -169,6 +169,44 @@ def sweep_corollary_coefficient() -> Iterator[str]:
                        p, m, n, j)
 
 
+_CF_DEPTH = 12
+_CF_CASES = [(p, m, n) for p in (2, 3, 4, 6) for m, n in ((1, 0), (0, 1), (2, 1))]
+
+
+def _cf_points() -> list:
+    # t = ±0, 1, a t whose t^p overflows, then seeded points on [-2, 2].
+    rng = random.Random(2200)
+    return [0.0, -0.0, 1.0, 1e100] + [rng.uniform(-2.0, 2.0) for _ in range(16)]
+
+
+def _cf_sweep(fold: Callable) -> Iterator[str]:
+    # fold(params, numerators) returns the evaluator of (t, depth) for one
+    # case; every depth 0.._CF_DEPTH meets every point.
+    points = _cf_points()
+    for p, m, n in _CF_CASES:
+        params = SquigParams(p, m, n)
+        evaluate = fold(params, sg.integer_maclaurin(params, _CF_DEPTH))
+        for depth in range(_CF_DEPTH + 1):
+            for t in points:
+                yield call(lambda *a: evaluate(*a[3:]), p, m, n, t, depth)
+
+
+def sweep_continued_fraction() -> Iterator[str]:
+    def fold(params, numerators):
+        fs = sg.factor_sequence(numerators, params)
+        return lambda t, depth: sg.continued_fraction(fs, t, depth)
+
+    return _cf_sweep(fold)
+
+
+def sweep_evaluate_integer_cf() -> Iterator[str]:
+    def fold(params, numerators):
+        lead, levels = sg.integer_cf_terms(numerators, params)
+        return lambda t, depth: sg.evaluate_integer_cf(lead, levels, params, t, depth)
+
+    return _cf_sweep(fold)
+
+
 SWEEPS: dict[str, Callable[[], Iterator[str]]] = {
     name[len("sweep_"):]: fn for name, fn in globals().items() if name.startswith("sweep_")
 }
