@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
 from .errors import DomainError, ParameterError, SquigError
@@ -147,8 +146,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     for j in range(J + 1):
         k_c = p * j
         k_s = 1 + p * j
-        c_val = float(Fraction((-1) ** j * cq_nums[j], math.factorial(k_c)))
-        s_val = float(Fraction((-1) ** j * sq_nums[j], math.factorial(k_s)))
+        c_val = (-1) ** j * cq_nums[j] / math.factorial(k_c)
+        s_val = (-1) ** j * sq_nums[j] / math.factorial(k_s)
         print(f"{k_c},{c_val!r},{k_s},{s_val!r}")
     return 0
 

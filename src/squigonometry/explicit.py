@@ -29,7 +29,6 @@ banded integer matrices acting on the first basis vector.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import CostGuardError, ParameterError, check_int, check_powers
@@ -176,8 +175,8 @@ def corollary_coefficient(params: SquigParams, j: int) -> float:
     """Signed MacLaurin coefficient of t^(n + pj) in cq^m sq^n, closed form.
 
     Sums the placement products at order k = n + pj over the pruned tree of
-    explicit_coefficient, divides by k! and attaches the sign (-1)^j, exact
-    until the final binary64 conversion.  Valid for negative m as well (the
+    explicit_coefficient, attaches the sign (-1)^j and divides by k! in one
+    correctly rounded int/int true division.  Valid for negative m as well (the
     quotient series such as the tangent analog), where the recursion does
     not apply.  Orders k above MAX_COROLLARY_ORDER and more than
     MAX_COROLLARY_CHOICES placements raise CostGuardError.
@@ -192,7 +191,7 @@ def corollary_coefficient(params: SquigParams, j: int) -> float:
             f"C({k}, {j}) placements exceed the corollary cap {MAX_COROLLARY_CHOICES}"
         )
     total = _placement_sum(params, k, j)
-    return float(Fraction(-total if j % 2 else total, math.factorial(k)))
+    return (-total if j % 2 else total) / math.factorial(k)
 
 
 def matrix_factorial_row(params: SquigParams, k: int, size: int) -> list[int]:

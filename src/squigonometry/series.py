@@ -17,10 +17,11 @@ cq = c(u) and sq = t s(u),
 G and H from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).  The
 signs alternate, so the kernel carries magnitudes, in 192-bit fixed point on
 v = u / rho with rho near the radius of convergence, where they stay near
-2^192 at every j.  a_j, the u^j coefficient of the product of c^m and s^n
-(by square and multiply), is rounded once by an int/int true division.  _TaylorSeries holds c, s, G and H
-for one p and extends them on demand; compute_pi keeps its series on the
-record, so beta_value's streams extend it rather than start again.
+2^192 at every j.  The u^j coefficient x of c^m s^n (by square and multiply)
+is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
+_TaylorSeries holds c, s, G and H for one p and extends them on demand;
+compute_pi keeps its series on the record, so beta_value's streams extend it
+rather than start again.
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -146,31 +147,28 @@ class _TaylorSeries:
     def stream(self, m: int, n: int) -> Iterator[float]:
         """Yield a_0, a_1, ... of cq^m * sq^n without end, extending the series.
 
-        a_j is x rho^-j, x the u^j coefficient of c^m s^n and rho^-j an
-        (F + 64)-bit inverse over 2^exponent, rounded by one true division.
+        a_j is x / (rho^j 2^F), x the u^j coefficient of c^m s^n, rounded by
+        one int/int true division: (x << 32 j) / scale with scale = r^j 2^F.
         """
         if m == n == 0:  # cq^0 sq^0 = 1
             yield 1.0
             yield from repeat(0.0)
-        width = _F + 64
         products: list[tuple] = []
         a = _power(self.c, m, products) if m else None  # c^m
         b = _power(self.s, n, products) if n else None  # s^n
-        inverse, exponent = 1 << (width - 1), width - 1
+        scale = 1 << _F
         for j in count():
             if j:
                 self.extend(j)
                 for terms, left, right in products:
                     terms.append(sum(map(mul, left[: j + 1], right[j::-1])) >> _F)
-                q = (inverse << width) // self.r
-                shift = q.bit_length() - width
-                inverse, exponent = q >> shift, exponent + width - 32 - shift
+                scale *= self.r
             x = b[j] if m == 0 else a[j] if n == 0 else sum(map(mul, a[: j + 1], b[j::-1])) >> _F
-            scale, at = 1 << (_F + exponent), f"p={self.p}, m={m}, n={n}, j={j}"
-            if x < _GUARD and _GUARD * inverse / scale:
+            at = f"p={self.p}, m={m}, n={n}, j={j}"
+            if x < _GUARD and (_GUARD << 32 * j) / scale:
                 raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at}")
             try:
-                value = x * inverse / scale
+                value = (x << 32 * j) / scale
             except OverflowError:
                 raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at}") from None
             yield value

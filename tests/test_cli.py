@@ -36,10 +36,11 @@ def test_table1_round_trip_exact(capsys):
     # is the correctly rounded exact rational.
     from fractions import Fraction
 
-    code, lines = run(capsys, "table1", "--terms", "8")
+    code, lines = run(capsys, "table1")
     assert code == 0
-    nums_c = sg.integer_maclaurin(sg.SquigParams(p=4, m=1, n=0), 8)
-    nums_s = sg.integer_maclaurin(sg.SquigParams(p=4, m=0, n=1), 8)
+    assert len(lines) == 34
+    nums_c = sg.integer_maclaurin(sg.SquigParams(p=4, m=1, n=0), 32)
+    nums_s = sg.integer_maclaurin(sg.SquigParams(p=4, m=0, n=1), 32)
     for j, line in enumerate(lines[1:]):
         _, c_str, _, s_str = line.split(",")
         sign = (-1) ** j
