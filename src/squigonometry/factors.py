@@ -181,35 +181,27 @@ def evaluate_integer_cf(
 
     Coefficients grow factorially with level, so this evaluator is meant for
     the modest depths where the integer form is of interest: a coefficient
-    past binary64 range (from depth 27 at p = 4, m = 1, n = 0) raises
-    CostGuardError, and a t whose power t^n or t^p overflows raises
-    DomainError.
+    past binary64 (from depth 27 at p = 4, m = 1, n = 0) raises CostGuardError,
+    an overflowing t^n or t^p (from depth 1) DomainError, and a vanishing
+    denominator ZeroDenominatorError naming its level, 0 for the lead's.
     """
     check_finite("t", t)
     check_int("depth", depth, 0, len(levels))
     tn = checked_power(t, params.n)
     try:
-        lead = (float(lead[0]), float(lead[1]))
-        levels = [tuple(map(float, level)) for level in levels[:depth]]
+        # Level 0 is the lead, F_0 over n!, with no t^p term.
+        rows = [tuple(map(float, row)) for row in [(lead[0], lead[1], 0), *levels[:depth]]]
     except OverflowError:
         raise CostGuardError(f"a depth-{depth} coefficient overflows binary64") from None
-    if depth == 0:
-        return lead[0] * tn / lead[1]
-    tp = checked_power(t, params.p)
-    numer_d, const_d, sub_d = levels[depth - 1]
-    v = const_d - sub_d * tp
-    for j in range(depth - 1, 0, -1):
+    tp = checked_power(t, params.p) if depth else 0.0
+    tail = 0.0
+    for j in range(depth, -1, -1):
+        numer, const, sub = rows[j]
+        v = const - sub * tp + tail
         if v == 0.0:
-            raise ZeroDenominatorError(f"denominator vanished at level {j + 1}, t={t}")
-        numer_next = levels[j][0]
-        numer_j, const_j, sub_j = levels[j - 1]
-        v = const_j - sub_j * tp + numer_next * tp / v
-    if v == 0.0:
-        raise ZeroDenominatorError(f"denominator vanished at level 1, t={t}")
-    w = lead[1] + levels[0][0] * tp / v
-    if w == 0.0:
-        raise ZeroDenominatorError(f"denominator vanished at level 0, t={t}")
-    return lead[0] * tn / w
+            raise ZeroDenominatorError(f"denominator vanished at level {j}, t={t}")
+        tail = numer * tp / v
+    return rows[0][0] * tn / v
 
 
 def pi_from_factors(a_tail: float | Fraction, p: int) -> float:

@@ -237,10 +237,14 @@ def test_constant_function_has_no_factors():
 
 @pytest.mark.parametrize(
     "lead,levels,depth,level",
-    [((1, 1), [(1, 1, 1), (1, 1, 1)], 2, 2), ((1, -1), [(1, 2, 1)], 1, 0)],
+    [
+        ((1, 1), [(1, 1, 1), (1, 1, 1)], 2, 2),
+        ((1, -1), [(1, 2, 1)], 1, 0),
+        ((1, 0), [(1, 1, 1)], 0, 0),
+    ],
 )
 def test_integer_cf_vanishing_denominator_names_its_level(lead, levels, depth, level):
-    # At t = 1 the level-2 denominator 1 - 1 and the level-0 one
-    # -1 + 1 / (2 - 1) are exactly zero.
+    # At t = 1 the level-2 denominator 1 - 1, the level-0 one -1 + 1 / (2 - 1)
+    # and, at depth 0, a zero lead denominator are exactly zero.
     with pytest.raises(ZeroDenominatorError, match=f"at level {level}, t=1.0"):
         sg.evaluate_integer_cf(lead, levels, SquigParams(2, 1, 0), 1.0, depth)
