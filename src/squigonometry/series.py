@@ -19,9 +19,9 @@ signs alternate, so the kernel carries magnitudes, in 192-bit fixed point on
 v = u / rho with rho near the radius of convergence, where they stay near
 2^192 at every j.  The u^j coefficient x of c^m s^n (by square and multiply)
 is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
-_TaylorSeries holds c, s, G and H for one p and extends them on demand;
-compute_pi keeps its series on the record, so beta_value's streams extend it
-rather than start again.
+_TaylorSeries holds c, s, G and H for one p and extends them, under a lock,
+on demand; compute_pi keeps its series on the record, so beta_value's
+streams, in any thread, extend it rather than start again.
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -33,6 +33,7 @@ factorials instead.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +101,9 @@ def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
 _F = 192
 _GUARD = 1 << 117
 
+# Held by _TaylorSeries.extend; a lock on each series would stop records pickling.
+_EXTEND_LOCK = threading.Lock()
+
 
 def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
     # g_k of g = f^alpha from f_1..f_k and g_0..g_(k-1), scaled by 2^F: the
@@ -135,11 +139,12 @@ class _TaylorSeries:
 
     def extend(self, J: int) -> None:
         p, c, s, g, h = self.p, self.c, self.s, self.g, self.h
-        for j in range(len(c), J + 1):
-            c.append(self.r * h[j - 1] // (p * j << 32))
-            g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
-            s.append(g[j] // (p * j + 1))
-            h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
+        with _EXTEND_LOCK:
+            for j in range(len(c), J + 1):
+                c.append(self.r * h[j - 1] // (p * j << 32))
+                g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
+                s.append(g[j] // (p * j + 1))
+                h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
         return MacLaurinTable(params, tuple(islice(self.stream(params.m, params.n), J + 1)))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import islice
 
@@ -71,6 +74,39 @@ def test_streams_on_a_shared_series_match_fresh_tables(p):
         assert list(sg.maclaurin(params, 40).floats) == want, (m, n)
         assert list(islice(shared.stream(m, n), 41)) == want, (m, n)
     assert len(shared.c) == 41
+
+
+def test_threads_streaming_one_series_stay_aligned():
+    # A record's series is shared by every thread that reads the record, and
+    # beta_value's streams extend it.  Four threads stream one series at
+    # once, with a switch interval short enough to interleave their appends,
+    # in five trials on fresh series.
+    cases = ((0, 1), (1, 0), (2, 1), (3, 3))
+    want = {mn: exact_floats(SquigParams(p=4, m=mn[0], n=mn[1]), 60) for mn in cases}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared, got, errors = series._TaylorSeries(4), {}, []
+
+            def read(mn):
+                try:
+                    got[mn] = list(islice(shared.stream(*mn), 61))
+                except Exception as exc:  # re-raised below, in the test's thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=read, args=(mn,)) for mn in cases]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert got == want
+            assert len(shared.c) == len(shared.s) == len(shared.g) == len(shared.h) == 61
+            assert pickle.loads(pickle.dumps(shared)).c == shared.c  # the lock is not on it
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_p2_power_tables_keep_their_precision_deep():
