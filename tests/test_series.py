@@ -92,7 +92,7 @@ def test_threads_streaming_one_series_stay_aligned():
             def read(mn):
                 try:
                     got[mn] = list(islice(shared.stream(*mn), 61))
-                except Exception as exc:  # re-raised below, in the test's thread
+                except Exception as exc:  # collected, and asserted absent below
                     errors.append(exc)
 
             threads = [threading.Thread(target=read, args=(mn,)) for mn in cases]
