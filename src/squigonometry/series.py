@@ -161,7 +161,7 @@ class _TaylorSeries:
         products: list[tuple] = []
         a = _power(self.c, m, products) if m else None  # c^m
         b = _power(self.s, n, products) if n else None  # s^n
-        scale = 1 << _F
+        scale, at = 1 << _F, f"p={self.p}, m={m}, n={n}, j={{}}".format  # at(j) on error only
         for j in count():
             if j:
                 self.extend(j)
@@ -169,13 +169,12 @@ class _TaylorSeries:
                     terms.append(sum(map(mul, left[: j + 1], right[j::-1])) >> _F)
                 scale *= self.r
             x = b[j] if m == 0 else a[j] if n == 0 else sum(map(mul, a[: j + 1], b[j::-1])) >> _F
-            at = f"p={self.p}, m={m}, n={n}, j={j}"
             if x < _GUARD and (_GUARD << 32 * j) / scale:
-                raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at}")
+                raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at(j)}")
             try:
                 value = (x << 32 * j) / scale
             except OverflowError:
-                raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at}") from None
+                raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at(j)}") from None
             yield value
 
 
