@@ -141,7 +141,7 @@ def sweep_root_ladder() -> Iterator[str]:
                      for level in sg.root_ladder(SquigParams(p, m, n), k_max))
 
     for args in ((2, 1, 0, 12), (3, 0, 1, 14), (4, 1, 0, 16), (4, 2, 1, 12), (6, 1, 0, 30),
-                 (4, 0, 0, 3)):
+                 (3, 2, 2, 30), (8, 3, 2, 24), (12, 1, 1, 20), (4, 0, 0, 3)):
         yield call(ladder, *args)
 
 
