@@ -123,7 +123,8 @@ def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.Ev
     try:
         for value in sq_table.floats + cq_table.floats + (pi_p,):
             check_finite("cache value", value)
-        reference, ulp = series._pi_series(p), math.ulp(series._pi_series(p))
+        reference = series._pi_series(p)
+        ulp = math.ulp(reference)
         if not abs(pi_p - reference) <= max(epsilon * reference, 8.0 * ulp) + 2.0 * ulp:
             raise DomainError(f"pi_p={pi_p!r} is not pi_{p} to epsilon")
     except DomainError:

@@ -44,7 +44,7 @@ from itertools import islice, takewhile
 from .errors import ConvergenceError, DomainError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, horner_sparse
 from .factors import pi_from_factors
-from .series import EPS_DEFAULT, MacLaurinTable, _pi_series, _TaylorSeries, estimate_terms
+from .series import EPS_DEFAULT, MacLaurinTable, _TaylorSeries, estimate_terms
 from .triangle import SquigParams
 
 
@@ -96,21 +96,14 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
 def _solve_pi(p: int, epsilon: float) -> PiRecord:
     # At loose epsilon the estimate drops to one or two, and Newton on such
     # tables lands far from pi_p, or from p = 14 on wanders or diverges.
-    J = max(estimate_terms(p, _pi_series(p), epsilon), 3, (p + 1) // 3)
     series = _TaylorSeries(p)
+    J = max(estimate_terms(p, series.pi_p, epsilon), 3, (p + 1) // 3)
     sq_table, cq_table = (series.table(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
-    if p == 2:
-        t = 1.0
-    else:
-        tail = cq_table.floats[J]
-        if not tail > 0.0:
-            # The seed needs a deep factor, and an epsilon near the bottom
-            # of binary64 sizes the table past where it rounds to 0.
-            raise ConvergenceError(
-                f"MacLaurin table underflows binary64 at p={p}, J={J}; "
-                "a looser epsilon keeps the table short enough"
-            )
-        t = pi_from_factors(tail / cq_table.floats[J - 1], p) / 4.0
+    # Newton seeds from the deepest factor binary64 holds (an epsilon near its
+    # bottom sizes the table past where the last entries round to 0), or at
+    # p = 2, where that identity degenerates, from t = 1.
+    k = max(j for j, a in enumerate(cq_table.floats) if a > 0.0)
+    t = 1.0 if p == 2 else pi_from_factors(cq_table.floats[k] / cq_table.floats[k - 1], p) / 4.0
     target = 2.0 ** (-1.0 / p)
     iterations = 0
     while True:

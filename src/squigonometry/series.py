@@ -128,13 +128,13 @@ def _power(f: list[int], alpha: int, products: list[tuple]) -> list[int]:
 class _TaylorSeries:
     """The kernel for one p: c[j] = floor(|c_j| rho^j 2^F), likewise s, g and h.
 
-    rho = r / 2^32 is R^p for R = radius(p, _pi_series(p)), capped at 2^16
-    (p = 2 is entire) and rounded up.  At p = 2, G = c and H = s.
+    rho = r / 2^32 is R^p for R = radius(p, pi_p), pi_p = _pi_series(p),
+    capped at 2^16 (p = 2 is entire) and rounded up.  At p = 2, G = c and H = s.
     """
 
     def __init__(self, p: int) -> None:
-        self.p = p
-        self.r = math.ceil(math.ldexp(min(radius(p, _pi_series(p)) ** p, 2.0 ** 16), 32))
+        self.p, self.pi_p = p, _pi_series(p)
+        self.r = math.ceil(math.ldexp(min(radius(p, self.pi_p) ** p, 2.0 ** 16), 32))
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
 
     def extend(self, J: int) -> None:

@@ -140,7 +140,7 @@ def test_bad_arguments_exit_code(capsys):
 
 @pytest.mark.parametrize("argv, want", [
     (("eval", "--p", "4", "--func", "pow", "--m", "0", "--n", "-2", "--t", "0.5", "1e-200"), 2),
-    (("pi", "--p-min", "2", "--p-max", "3", "--eps", "5e-324"), 3),
+    (("maclaurin", "--p", "2", "--m", "0", "--n", str(10 ** 104), "--J", "5"), 3),
     (("plotdata", "--p", "4", "--points", "3", "--tmax", "nan"), 2),
 ])
 def test_failing_command_writes_no_rows(capsys, argv, want):

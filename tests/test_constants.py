@@ -197,7 +197,7 @@ def _pi_series_reference(p: int) -> Decimal:
 def test_pi_series_within_2_ulp():
     for p in range(2, 65):
         want = _pi_series_reference(p)
-        ulps = abs(Decimal(constants._pi_series(p)) - want) / Decimal(math.ulp(float(want)))
+        ulps = abs(Decimal(series._pi_series(p)) - want) / Decimal(math.ulp(float(want)))
         assert ulps <= 2, (p, float(ulps))
 
 
@@ -206,10 +206,13 @@ def test_compute_pi_at_the_bottom_of_binary64():
     # p = 2 must still stop.
     assert sg.compute_pi(2, 5e-324).value == sg.compute_pi(2).value
     assert sg.compute_pi(2, 5e-324).J_used == 91
-    # At p = 3 the sized table ends in entries that round to 0, which leave
-    # no factor to seed Newton from.
-    with pytest.raises(ConvergenceError, match="underflows binary64"):
-        sg.compute_pi(3, 5e-324)
+    # At p >= 3 the sized table ends in entries that round to 0; Newton
+    # seeds from the deepest factor that binary64 still holds.
+    for p in (3, 4, 6):
+        rec = sg.compute_pi(p, 5e-324)
+        assert rec.cq_table.floats[-1] == 0.0
+        want = _pi_series_reference(p)
+        assert abs(Decimal(rec.value) - want) <= 2 * Decimal(math.ulp(float(want)))
     assert _meets_epsilon(3, 1e-320)
 
 
@@ -218,7 +221,7 @@ def test_compute_pi_on_deep_tables(p, eps):
     # Tiny tolerances size tables hundreds of terms deep; each coefficient
     # is still correctly rounded, so the value meets its 8 ulp floor.
     rec = sg.compute_pi(p, eps)
-    assert rec.J_used == sg.estimate_terms(p, constants._pi_series(p), eps)
+    assert rec.J_used == sg.estimate_terms(p, series._pi_series(p), eps)
     assert rec.sq_table.floats[-1] > 0.0
     assert _meets_epsilon(p, eps)
 
