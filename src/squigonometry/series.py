@@ -113,16 +113,16 @@ def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
 
 
 def _power(f: list[int], alpha: int, products: list[tuple]) -> list[int]:
-    # f^alpha, alpha >= 1, by square and multiply, each product (terms, left,
-    # right) queued in the order its terms are due.  Sums of positive terms
-    # keep their precision where Miller's cancelling sum loses it (p = 2).
-    if alpha == 1:
-        return f
-    half = _power(f, alpha // 2, products)
-    products.append(([1 << _F], half, half))
-    if alpha % 2:
-        products.append(([1 << _F], products[-1][0], f))
-    return products[-1][0]
+    # f^alpha, alpha >= 1, by square and multiply over bin(alpha)[3:], each product
+    # (terms, left, right) queued in the order its terms are due.  Sums of positive
+    # terms keep their precision where Miller's cancelling sum loses it (p = 2).
+    power = f
+    for bit in bin(alpha)[3:]:
+        products.append(([1 << _F], power, power))
+        if bit == "1":
+            products.append(([1 << _F], products[-1][0], f))
+        power = products[-1][0]
+    return power
 
 
 class _TaylorSeries:
