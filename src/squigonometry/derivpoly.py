@@ -178,10 +178,8 @@ def _filtered_sign(coeffs: list[int]) -> Callable[[float], int]:
 
 
 def _cauchy_bound(coeffs: list[int]) -> float:
-    lead = coeffs[-1]
-    top = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
     # int / int true division is correctly rounded.
-    return 1.0 + top / abs(lead)
+    return 1.0 + max(map(abs, coeffs[:-1]), default=0) / abs(coeffs[-1])
 
 
 def _bisect(sign: Callable[[float], int], lo: float, hi: float, sign_lo: int) -> float:
@@ -205,25 +203,14 @@ def _bisect(sign: Callable[[float], int], lo: float, hi: float, sign_lo: int) ->
 def _bracketed_roots(
     sign: Callable[[float], int], probes: list[float], expected: int
 ) -> list[float]:
-    # Scan sign changes between consecutive probes; if the count disagrees
-    # with theory, subdivide each gap before giving up.
-    for subdivide in (1, 32):
-        points: list[float] = []
-        for a, b in zip(probes, probes[1:]):
-            for i in range(subdivide):
-                points.append(a + (b - a) * i / subdivide)
-        points.append(probes[-1])
-        signs = [sign(x) for x in points]
-        brackets = [
-            (points[i], points[i + 1], signs[i])
-            for i in range(len(points) - 1)
-            if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]
-        ]
-        if len(brackets) == expected:
-            return [_bisect(sign, lo, hi, s) for lo, hi, s in brackets]
-    raise RootCountError(
-        f"found {len(brackets)} sign changes, expected {expected} roots"
-    )
+    # Interlacing leaves at most one root between consecutive probes, so one
+    # scan of their signs brackets every root or the count contradicts theory.
+    signs = [sign(x) for x in probes]
+    gaps = zip(probes, probes[1:], signs, signs[1:])
+    brackets = [(a, b, s) for a, b, s, s_next in gaps if s * s_next < 0]
+    if len(brackets) != expected:
+        raise RootCountError(f"found {len(brackets)} sign changes, expected {expected} roots")
+    return [_bisect(sign, lo, hi, s) for lo, hi, s in brackets]
 
 
 def root_ladder(params: SquigParams, k_max: int) -> list[RootSet]:
@@ -243,12 +230,8 @@ def root_ladder(params: SquigParams, k_max: int) -> list[RootSet]:
     for k, (lo, coeffs) in enumerate(islice(_rows(params, (0, [1]), 0), k_max + 1)):
         # The band row is trimmed at both ends, so it starts at the deflated
         # power u^lo and its degree is the forced root count.
-        expected = len(coeffs) - 1
-        if expected == 0:
-            roots: list[float] = []
-        else:
-            probes = [-_cauchy_bound(coeffs)] + prev_roots + [0.0]
-            roots = _bracketed_roots(_filtered_sign(coeffs), probes, expected)
+        probes = [-_cauchy_bound(coeffs)] + prev_roots + [0.0]
+        roots = _bracketed_roots(_filtered_sign(coeffs), probes, len(coeffs) - 1)
         ladder.append(RootSet(k=k, zero_multiplicity=lo, negative_roots=tuple(roots)))
         prev_roots = roots
     return ladder

@@ -141,8 +141,10 @@ def test_kth_derivative_guards(ctx4, ctx3):
 
 
 def test_root_counts_match_band_widths():
-    for params in (COSQUINE4, SQUINE6, SquigParams(p=3, m=1, n=0)):
-        ladder = sg.root_ladder(params, 15)
+    # One scan of the last level's roots brackets every root of the next.
+    grid = [(p, m, n) for p in range(2, 7) for m in range(4) for n in range(4) if m or n]
+    for params in (SquigParams(*pmn) for pmn in grid):
+        ladder = sg.root_ladder(params, 16)
         for k, rs in enumerate(ladder):
             j_lo, j_hi = band_limits(params, k)
             assert rs.zero_multiplicity == j_lo
@@ -452,14 +454,14 @@ def test_root_ladder_golden_bits():
     assert [[r.hex() for r in level.negative_roots] for level in ladder] == want
 
 
-def test_bracketing_subdivides_a_gap_that_holds_two_roots():
+def test_bracketing_takes_one_scan_of_the_probes():
     # 2x^2 + 11x + 15 = (2x + 5)(x + 3) has both roots between the probes
-    # -10 and -1, so the first scan sees no sign change and only the 32-way
-    # subdivision separates them; a count no subdivision reaches raises.
+    # -10 and -1, which interlacing rules out, so the scan sees no sign
+    # change and raises; probes that separate the roots bracket both.
     sign = _filtered_sign([15, 11, 2])
-    assert derivpoly._bracketed_roots(sign, [-10.0, -1.0, 0.0], 2) == [-3.0, -2.5]
-    with pytest.raises(sg.RootCountError, match="found 2 sign changes, expected 3"):
-        derivpoly._bracketed_roots(sign, [-10.0, -1.0, 0.0], 3)
+    with pytest.raises(sg.RootCountError, match="found 0 sign changes, expected 2"):
+        derivpoly._bracketed_roots(sign, [-10.0, -1.0, 0.0], 2)
+    assert derivpoly._bracketed_roots(sign, [-10.0, -2.75, 0.0], 2) == [-3.0, -2.5]
 
 
 def test_filter_past_its_degree_limit_is_exact():
