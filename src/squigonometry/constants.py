@@ -150,7 +150,8 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     it past J_used only as far as it reads; m = n shares one stream for both
     halves.  The two-half sum is accumulated with exact summation, so
     the result is bitwise symmetric in m and n.  Requires m, n >= 0; a
-    coefficient the sum needs past binary64 raises ConvergenceError.
+    coefficient or power of t the sum needs past binary64 raises
+    ConvergenceError.
     """
     check_int("p", p, 2)
     check_powers(m, n)
@@ -169,7 +170,10 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
         # half of cq^m sq^n, (m, n) = powers, integrated term by term.
         for j, a in enumerate(record._series.stream(*powers)):
             power = powers[1] + p * j + 1
-            term = a / power * x ** power
+            try:
+                term = a / power * x ** power
+            except OverflowError:  # the int power, past binary64
+                raise ConvergenceError(f"a power of t past binary64 at p={p}, m={m}, n={n}") from None
             yield term if j % 2 == 0 else -term
 
     streams = {powers: signed_terms(powers) for powers in {(m, n), (n, m)}}

@@ -15,7 +15,7 @@ from decimal import Decimal
 import pytest
 
 import squigonometry as sg
-from squigonometry import CostGuardError, DomainError, ParameterError
+from squigonometry import ConvergenceError, CostGuardError, DomainError, ParameterError
 from squigonometry import SquigParams, cli
 
 # Decimal("sNaN") raises a bare ValueError where math converts it to float.
@@ -198,6 +198,10 @@ OVERFLOWS = {
         lambda c4: sg.kth_derivative_value(c4, sg.build_triangle(P, 152), 152, 0.5),
         CostGuardError,
     ),
+    # Powers of a thousand bits and more, and a power of t past binary64.
+    "maclaurin.m": (lambda c4: sg.maclaurin(SquigParams(4, 10 ** 400, 0), 3), ConvergenceError),
+    "maclaurin.n": (lambda c4: sg.maclaurin(SquigParams(4, 0, 2 ** 1000), 3), ConvergenceError),
+    "beta_value.power": (lambda c4: sg.beta_value(4, 10 ** 400, 0), ConvergenceError),
 }
 
 
