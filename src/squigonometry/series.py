@@ -164,7 +164,8 @@ class _TaylorSeries:
         scale, at = 1 << _F, f"p={self.p}, m={m}, n={n}, j={{}}".format  # at(j) on error only
         for j in count():
             if j:
-                self.extend(j)
+                if j >= len(self.h):  # extend appends to h last
+                    self.extend(j)
                 for terms, left, right in products:
                     terms.append(sum(map(mul, left[: j + 1], right[j::-1])) >> _F)
                 scale *= self.r
