@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConvergenceError, CostGuardError, ParameterError, ZeroDenominatorError
+from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError, ZeroDenominatorError
 from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
 from .triangle import SquigParams
 
@@ -129,8 +129,8 @@ def continued_fraction(fs: FactorSequence, t: float, depth: int) -> float:
     """Evaluate the depth-D continued fraction; equals the partial sum 0..D.
 
     depth = 0 returns t^n.  The float fraction is the integer form with unit
-    lead and levels (a_j, 1, a_j), so evaluate_integer_cf folds it; a
-    vanishing denominator raises ZeroDenominatorError naming the level.
+    lead and levels (a_j, 1, a_j), so evaluate_integer_cf folds it, with the
+    same exact refold and errors.
     """
     levels = [(a, 1.0, a) for a in fs.floats[1:]]
     return evaluate_integer_cf((1, 1), levels, fs.params, t, depth)
@@ -182,8 +182,10 @@ def evaluate_integer_cf(
     Coefficients grow factorially with level, so this evaluator is meant for
     the modest depths where the integer form is of interest: a coefficient
     past binary64 (from depth 27 at p = 4, m = 1, n = 0) raises CostGuardError,
-    an overflowing t^n or t^p (from depth 1) DomainError, and a vanishing
-    denominator ZeroDenominatorError naming its level, 0 for the lead's.
+    an overflowing t^n or t^p (from depth 1) DomainError.  Where a binary64
+    denominator rounds to 0, the same rows fold again exactly and the value
+    is rounded once: a true zero raises ZeroDenominatorError naming its
+    level, 0 for the lead's, and a value past binary64 DomainError.
     """
     check_finite("t", t)
     check_int("depth", depth, 0, len(levels))
@@ -194,11 +196,26 @@ def evaluate_integer_cf(
     except OverflowError:
         raise CostGuardError(f"a depth-{depth} coefficient overflows binary64") from None
     tp = checked_power(t, params.p) if depth else 0.0
-    tail = 0.0
-    for j in range(depth, -1, -1):
+    try:
+        return _fold(rows, tp, tn, t)
+    except ZeroDenominatorError:
+        # A binary64 denominator can cancel to 0 where the true one does not (p = 2,
+        # t = 1e100); t and the rows are dyadic, so fold them exactly and round once.
+        x = Fraction(t)
+        value = _fold([tuple(map(Fraction, row)) for row in rows], x ** params.p, x ** params.n, t)
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"the depth-{depth} value overflows binary64 at t={t}") from None
+
+
+def _fold(rows: list[tuple], tp, tn, t: float):
+    # Levels len(rows) - 1 .. 0 bottom-up, in binary64 or exactly in Fraction.
+    tail = 0
+    for j in range(len(rows) - 1, -1, -1):
         numer, const, sub = rows[j]
         v = const - sub * tp + tail
-        if v == 0.0:
+        if v == 0:
             raise ZeroDenominatorError(f"denominator vanished at level {j}, t={t}")
         tail = numer * tp / v
     return rows[0][0] * tn / v

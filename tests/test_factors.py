@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import squigonometry as sg
 from squigonometry import (
     ConvergenceError,
+    DomainError,
     FactorSequence,
     ParameterError,
     SquigParams,
@@ -248,3 +249,20 @@ def test_integer_cf_vanishing_denominator_names_its_level(lead, levels, depth, l
     # and, at depth 0, a zero lead denominator are exactly zero.
     with pytest.raises(ZeroDenominatorError, match=f"at level {level}, t=1.0"):
         sg.evaluate_integer_cf(lead, levels, SquigParams(2, 1, 0), 1.0, depth)
+
+
+def test_cf_refolds_a_denominator_that_cancels_in_binary64():
+    # At p = 2, t = 1e100 the level-0 denominator n! + N_1 t^p / v rounds to
+    # n! - n! = 0, though the depth-1 value t - a_1 t^3 is finite; the
+    # exact refold rounds it once.  At depth 2 the value overflows binary64.
+    params = SquigParams(2, 0, 1)
+    numerators = sg.integer_maclaurin(params, 3)
+    lead, levels = sg.integer_cf_terms(numerators, params)
+    fs = sg.factor_sequence(numerators, params)
+    t = Fraction(1e100)
+    assert sg.evaluate_integer_cf(lead, levels, params, 1e100, 1) == float(t - t ** 3 / 6)
+    assert sg.continued_fraction(fs, 1e100, 1) == float(t - t ** 3 * Fraction(fs.floats[1]))
+    for evaluate in (lambda: sg.evaluate_integer_cf(lead, levels, params, 1e100, 2),
+                     lambda: sg.continued_fraction(fs, 1e100, 2)):
+        with pytest.raises(DomainError, match="depth-2 value overflows binary64"):
+            evaluate()
