@@ -8,12 +8,12 @@ and its derivative -sq^(p-1) from raw MacLaurin tables (no range reduction,
 so nothing here depends on already knowing pi_p).
 
 Sizing the tables needs pi_p, which is what is being computed, so the
-length J comes once from an independent binary64 pi_p: the binomial series
-of the incomplete Beta integral (DLMF 8.17), which needs no table.  J is
-never below three, and both tables come from one integer Taylor series,
-built once, which the record keeps for beta_value.  The Newton seed comes
-from a deep factor-sequence ratio via pi_from_factors, except at p = 2
-where that identity degenerates and the seed t = 1 is used.
+length J comes from an independent binary64 pi_p that needs no table: the
+binomial series of the incomplete Beta integral (DLMF 8.17), summed once
+by the integer Taylor series that both tables come from.  J is never below
+three, and the record keeps that series for beta_value.  Newton seeds from
+pi_from_factors at the deepest factor-sequence ratio binary64 holds, or at
+p = 2, where that identity degenerates, from t = 1.
 
 Results are cached per (p, epsilon); repeated calls return the same record,
 which also carries the sq and cq tables Newton ran on.  build_context cuts

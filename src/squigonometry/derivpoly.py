@@ -10,15 +10,15 @@ are the unsigned triangle entries, linked level to level by
 Zeros of the k-th derivative in the open quadrant correspond one-to-one to
 negative real roots of Q_k after deflating the power u^z carried by the band
 offset z = max(0, ceil((k-n)/p)).  Consecutive levels strictly interlace,
-which drives the root finder: roots of the next level are bracketed by roots
-of the current one (plus an outer Cauchy bound and 0), detected by sign
-changes at binary64 probe points, and pinned down by bisection.  Each sign
-is a filtered exact predicate: a binary64 Horner sum answers when it exceeds
-a rigorous bound on its own rounding error, and the exact integer sum
-decides everything else, so no sign is ever misattributed and the roots are
-those of exact sign evaluation, bit for bit.  The count per level is forced
-by the band width; a mismatch raises RootCountError rather than returning a
-guess.
+which drives the root finder: each gap between the current level's roots,
+an outer Cauchy bound and 0 holds at most one root of the next, so one scan
+of signs at those probes brackets them all and bisection pins them down.
+Each sign is a filtered exact predicate: a binary64 Horner sum answers when
+it exceeds a rigorous bound on its own rounding error, and the exact integer
+sum decides everything else, so no sign is ever misattributed and the roots
+are those of exact sign evaluation, bit for bit.  The count per level is
+forced by the band width; a mismatch raises RootCountError rather than
+returning a guess.
 
 Given a root u < 0, the defining relations invert to exact function values
 

@@ -85,8 +85,8 @@ class CoeffTriangle:
 def band_limits(params: SquigParams, k: int) -> tuple[int, int]:
     """Column band [j_lo, j_hi] outside which row k vanishes.
 
-    Returns the pair (j_lo, j_hi); the band is empty when j_lo > j_hi, which
-    cannot happen for m, n >= 0.
+    Returns the pair (j_lo, j_hi); for m, n >= 0 the band is empty (j_lo > j_hi)
+    only when m = n = 0, at k = 1 and, for p = 2, at every odd k.
     """
     check_int("k", k, 0)
     j_lo = max(ceil_div(k - params.n, params.p), 0)

@@ -88,6 +88,8 @@ def test_structure_empty_band_all_zero_function():
     tri = sg.build_triangle(SquigParams(p=3, m=0, n=0), 6)
     assert sg.verify_structure(tri) == []
     assert all(not row for row in tri.rows[1:])
+    assert sg.band_limits(SquigParams(p=4, m=0, n=0), 1) == (1, 0)
+    assert sg.band_limits(SquigParams(p=2, m=0, n=0), 3) == (2, 1)
 
 
 # (p, m, n), row k, the entries set in row k (None deletes one), the one
