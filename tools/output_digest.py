@@ -130,7 +130,7 @@ def sweep_pow_general() -> Iterator[str]:
 
 def sweep_beta_value() -> Iterator[str]:
     for p in (2, 3, 4, 6, 10, 11):
-        for m, n in _MN + ((10, 3),):
+        for m, n in _MN + ((10, 3), (12, 12), (20, 5), (700, 0)):
             for eps in (EPS, 1e-8, 0.1):
                 yield call(sg.beta_value, p, m, n, eps)
 
