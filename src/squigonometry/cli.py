@@ -5,134 +5,22 @@ row; floats are printed in shortest round-trip form, so parsing a value back
 gives the identical binary64.  Exit codes: 0 on success, 2 on invalid
 arguments or domain errors, 3 when a computation or verification fails.
 A command checks or computes everything that can fail before it prints its
-header, so one that fails leaves stdout empty.
-
-The cache subcommands persist what an evaluation context holds, pi_p and
-the binary64 sq and cq tables build_context cut, to a JSON file so later
-runs can rebuild contexts bit-identically.  A format-3 document holds one
-entry per (p, epsilon), keyed "<p>|<epsilon.hex()>", with exactly the keys
-pi_p, sq and cq; floats are stored as JSON numbers, which round-trip
-exactly.  The cache directory defaults to $SQUIG_CACHE_DIR, falling back to
-~/.cache/squigonometry.
+header, so one that fails leaves stdout empty.  A command that evaluates
+builds its context with evalcore.build_context on every run; the tables
+are rebuilt bit-identically from the integer series, and nothing is
+written to disk.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import json
 import math
-import os
 import sys
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
-from .errors import DomainError, ParameterError, SquigError
-from .errors import check_finite, check_int, check_tolerance
+from .errors import DomainError, ParameterError, SquigError, check_finite
 from .series import EPS_DEFAULT
 from .triangle import SquigParams
-
-CACHE_FORMAT = 3
-CACHE_BASENAME = "tables.json"
-
-
-# ---------------------------------------------------------------------------
-# Cache file handling.
-
-def default_cache_dir() -> str:
-    env = os.environ.get("SQUIG_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "squigonometry")
-
-
-def _entry_key(p: int, epsilon: float) -> str:
-    return f"{p}|{float(epsilon).hex()}"
-
-
-def _read_cache(path: str) -> dict:
-    # Any unreadable or misshapen file is bad input (exit 2), not a crash.
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ParameterError(f"cannot read cache file {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ParameterError(f"cache file {path} is not valid JSON: {exc}") from None
-    if doc.__class__ is not dict:
-        raise ParameterError(f"cache file {path} is not a cache document")
-    if doc.get("format") != CACHE_FORMAT:
-        raise ParameterError(
-            f"cache file {path} has format {doc.get('format')!r}, not {CACHE_FORMAT}; "
-            "delete it and save the tables again"
-        )
-    if doc.get("entries").__class__ is not dict:
-        raise ParameterError(f"cache file {path} has no entries object")
-    return doc
-
-
-def save_tables(path: str, p: int, epsilon: float = EPS_DEFAULT) -> dict:
-    """Write (or merge into) a cache file the context entry for (p, epsilon).
-
-    Stores build_context's pi_p and the floats of the sq and cq tables it
-    evaluates.  Returns the full document.  A failed write leaves the old
-    file whole; a target that cannot be written raises ParameterError.
-    """
-    ctx = evalcore.build_context(p, epsilon)
-    doc = _read_cache(path) if os.path.exists(path) else {"format": CACHE_FORMAT, "entries": {}}
-    doc["entries"][_entry_key(p, epsilon)] = {
-        "pi_p": ctx.pi_p,
-        "sq": list(ctx.sq_table.floats),
-        "cq": list(ctx.cq_table.floats),
-    }
-    partial = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(partial, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(partial, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
-        raise ParameterError(f"cannot write cache file {path}: {exc.strerror}") from None
-    return doc
-
-
-def load_context(path: str, p: int, epsilon: float = EPS_DEFAULT) -> evalcore.EvalContext:
-    """Rebuild an evaluation context from a cache file, bit-identically.
-
-    The returned context equals one built fresh with the same (p, epsilon):
-    floats pass through JSON unchanged.  A bad p or epsilon, a missing,
-    unreadable or malformed cache file or one in another format raises
-    ParameterError, and so does a pi_p further from the series value than
-    compute_pi promises, max(epsilon, 8 ulp), plus 2 ulp for the series.
-    """
-    check_int("p", p, 2)
-    check_tolerance("epsilon", epsilon)
-    key = _entry_key(p, epsilon)
-    entry = _read_cache(path)["entries"].get(key)
-    if entry is None:
-        raise ParameterError(f"cache has no entry for p={p}, epsilon={epsilon}")
-    try:
-        pi_p = entry["pi_p"]
-        sq_table, cq_table = (
-            series.MacLaurinTable(SquigParams(p=p, m=m, n=n), tuple(entry[name]))
-            for name, m, n in (("sq", 0, 1), ("cq", 1, 0))
-        )
-    except (KeyError, TypeError, ParameterError) as exc:  # ParameterError: an empty table
-        raise ParameterError(f"cache entry {key} is incomplete: {exc!r}") from None
-    try:
-        for value in sq_table.floats + cq_table.floats + (pi_p,):
-            check_finite("cache value", value)
-        reference = series._pi_series(p)
-        ulp = math.ulp(reference)
-        if not abs(pi_p - reference) <= max(epsilon * reference, 8.0 * ulp) + 2.0 * ulp:
-            raise DomainError(f"pi_p={pi_p!r} is not pi_{p} to epsilon")
-    except DomainError:
-        raise ParameterError(
-            f"cache entry {key} is invalid: sq and cq floats must be finite numbers "
-            f"and pi_p within epsilon (or 8 ulp) of pi_{p}"
-        ) from None
-    return evalcore.EvalContext(p, pi_p / 4.0, sq_table, cq_table, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +133,6 @@ def _cmd_maclaurin(args: argparse.Namespace) -> int:
     for j in range(J + 1):
         line = f"{j},{table.power(j)},{table.signed(j)!r}"
         print(line if numerators is None else f"{line},{numerators[j]}")
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    directory = args.dir if args.dir is not None else default_cache_dir()
-    path = os.path.join(directory, CACHE_BASENAME)
-    if args.cache_action == "save":
-        save_tables(path, args.p, args.eps)
-        print(f"saved p={args.p} tables to {path}")
-        return 0
-    ctx = load_context(path, args.p, args.eps)
-    print(f"loaded p={ctx.p} J={ctx.sq_table.J} pi_p={ctx.pi_p!r} from {path}")
     return 0
 
 
@@ -425,16 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run built-in cross-checks")
     sub.set_defaults(handler=_cmd_verify)
-
-    sub = subs.add_parser("cache", help="save or load table caches")
-    cache_subs = sub.add_subparsers(dest="cache_action", required=True)
-    for action in ("save", "load"):
-        cache_sub = cache_subs.add_parser(action)
-        cache_sub.add_argument("--p", type=int, required=True)
-        cache_sub.add_argument("--dir", default=None,
-                               help="cache directory (default: $SQUIG_CACHE_DIR)")
-        _add_eps(cache_sub)
-        cache_sub.set_defaults(handler=_cmd_cache)
 
     return parser
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import pytest
 
@@ -296,173 +295,6 @@ def test_verify_takes_no_options(capsys, flag):
     assert lines == []
 
 
-def test_cache_save_load_bit_identical(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
-    code, lines = run(capsys, "cache", "save", "--p", "4")
-    assert code == 0
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    assert os.path.exists(path)
-    assert lines[0].startswith("saved p=4 tables to ")
-
-    code, lines = run(capsys, "cache", "load", "--p", "4")
-    assert code == 0
-    assert lines[0].startswith("loaded p=4 ")
-
-    cached = cli.load_context(path, 4)
-    fresh = sg.build_context(4)
-    assert cached.pi_p == fresh.pi_p
-    assert cached.sq_table.floats == fresh.sq_table.floats
-    assert cached.cq_table.floats == fresh.cq_table.floats
-    for i in range(100):
-        t = -8.0 + 16.0 * i / 99.0
-        assert sg.sq(cached, t) == sg.sq(fresh, t)
-        assert sg.cq(cached, t) == sg.cq(fresh, t)
-
-
-@pytest.mark.parametrize("p", [2, 4, 10])
-def test_loaded_context_equals_fresh(tmp_path, p):
-    # A table is its params and floats, so the cached numerators and J do
-    # not make the loaded context differ from a fresh one.
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    cli.save_tables(path, p)
-    assert cli.load_context(path, p) == sg.build_context(p)
-
-
-def test_load_context_checks_its_arguments_first(tmp_path):
-    # A bad p or epsilon is named as such, not reported as a missing entry.
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    cli.save_tables(path, 4)
-    with pytest.raises(sg.ParameterError, match="p must be an int"):
-        cli.load_context(path, 4.0)
-    with pytest.raises(sg.ParameterError, match="epsilon must be a real"):
-        cli.load_context(path, 4, 1.5)
-
-
-def test_cache_missing_entry(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
-    code, _ = run(capsys, "cache", "save", "--p", "4")
-    assert code == 0
-    # Different epsilon was never saved.
-    code, _ = run(capsys, "cache", "load", "--p", "4", "--eps", "1e-10")
-    assert code == 2
-    code, _ = run(capsys, "cache", "load", "--p", "5")
-    assert code == 2
-
-
-_KEY = "4|0x1.0000000000000p-53"
-_ENTRY = {"pi_p": 3.708149354602744, "sq": [1.0, 0.05], "cq": [1.0, 0.05]}
-# A document as format 1 wrote it: one entry per table, with J and numerators.
-_FORMAT_1 = json.dumps({"format": 1, "entries": {
-    f"4|{m}|{n}|0x1.0000000000000p-53": {
-        "p": 4, "m": m, "n": n, "J": 1, "epsilon": 2.0 ** -53, "pi_p": 3.7,
-        "floats": [1.0, 0.05], "numerators": ["1", "6"]}
-    for m, n in ((0, 1), (1, 0))
-}})
-
-
-# A document as format 2 wrote it: the full compute_pi tables, not the cut ones.
-_FORMAT_2 = json.dumps({"format": 2, "entries": {_KEY: _ENTRY}})
-
-
-def _doc(entry) -> str:
-    return json.dumps({"format": 3, "entries": {_KEY: entry}})
-
-
-_BAD_DOCUMENTS = ["{not json", "[1, 2]", '"tables"', '{"format": 1}',
-                  '{"format": 1, "entries": []}', _FORMAT_1, _FORMAT_2, '{"format": 3}',
-                  '{"format": 3, "entries": []}']
-_BAD_ENTRIES = [
-    {"pi_p": 3.7},
-    [1, 2],
-    "tables",
-    None,
-    *({k: v for k, v in _ENTRY.items() if k != missing} for missing in ("pi_p", "sq", "cq")),
-    *({**_ENTRY, **change} for change in (
-        {"sq": 1.0}, {"sq": None}, {"sq": {"1.0": 1}}, {"cq": "1.0"},
-        {"sq": []}, {"cq": []},
-        {"sq": [1.0, "x"]}, {"sq": [1.0, math.inf]}, {"sq": [1.0, math.nan]},
-        {"sq": [1.0, True]}, {"cq": [1.0, "x"]}, {"cq": [1.0, -math.inf]},
-        {"cq": [math.nan]}, {"cq": [True]},
-        {"pi_p": math.inf}, {"pi_p": math.nan}, {"pi_p": None}, {"pi_p": True},
-        {"pi_p": "3.7"}, {"pi_p": 0.0}, {"pi_p": -3.7},
-        # Finite JSON integers past binary64.
-        {"sq": [1.0, 10**400]}, {"cq": [10**400]}, {"pi_p": 10**400},
-    )),
-]
-
-
-@pytest.mark.parametrize("text", [None, *_BAD_DOCUMENTS, *map(_doc, _BAD_ENTRIES)])
-def test_bad_cache_file_exits_2(capsys, tmp_path, monkeypatch, text):
-    # None: no file at all.  Every case is bad input, never a traceback.
-    monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    if text is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    code, _ = run(capsys, "cache", "load", "--p", "4")
-    assert code == 2
-    with pytest.raises(sg.ParameterError):
-        cli.load_context(path, 4)
-    if text in _BAD_DOCUMENTS:
-        # save merges into the file, so it refuses one that is not a cache document.
-        code, _ = run(capsys, "cache", "save", "--p", "4")
-        assert code == 2
-
-
-@pytest.mark.parametrize("action", ["load", "save"])
-@pytest.mark.parametrize("old", [1, 2])
-def test_old_cache_file_names_its_format(capsys, tmp_path, action, old):
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write({1: _FORMAT_1, 2: _FORMAT_2}[old])
-    code = cli.main(["cache", action, "--p", "4", "--dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and f"has format {old}, not 3" in err
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-
-def test_cache_entry_holds_pi_p_and_the_two_tables(tmp_path):
-    # The tables build_context cut, which are shorter than the record's.
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    doc = cli.save_tables(path, 4)
-    ctx = sg.build_context(4)
-    assert doc == {"format": 3, "entries": {_KEY: {
-        "pi_p": ctx.pi_p,
-        "sq": list(ctx.sq_table.floats),
-        "cq": list(ctx.cq_table.floats),
-    }}}
-    assert (len(doc["entries"][_KEY]["sq"]), len(doc["entries"][_KEY]["cq"])) == (28, 29)
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh) == doc
-
-
-def test_cache_file_checks_accept_a_good_entry(tmp_path):
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_doc(_ENTRY))
-    ctx = cli.load_context(path, 4)
-    assert ctx.sq_table.floats == (1.0, 0.05)
-    assert ctx.pi_p == 3.708149354602744
-    # The entry passes through uncut: evaluation folds it whole and matches
-    # horner_sparse on it.
-    for t in (0.0, 0.4, 0.9):
-        assert sg.sq(ctx, t) == sg.horner_sparse(ctx.sq_table, t)
-        assert sg.cq(ctx, t) == sg.horner_sparse(ctx.cq_table, t)
-
-
-def test_cache_merges_entries(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
-    run(capsys, "cache", "save", "--p", "3")
-    run(capsys, "cache", "save", "--p", "4")
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    assert len(doc["entries"]) == 2  # one entry per (p, epsilon)
-    code, _ = run(capsys, "cache", "load", "--p", "3")
-    assert code == 0
-
-
 def test_deterministic_output(capsys):
     _, first = run(capsys, "pi", "--p-min", "3", "--p-max", "6")
     _, second = run(capsys, "pi", "--p-min", "3", "--p-max", "6")
@@ -504,72 +336,13 @@ def test_maclaurin_past_binary64_exits_3(capsys):
     assert err == f"error: MacLaurin coefficient overflows binary64 at p=2, m=0, n={n}, j=3\n"
 
 
-def test_cache_save_to_an_unwritable_directory_exits_2(capsys, tmp_path):
-    # --dir names a regular file, so the cache directory cannot be made.
-    target = tmp_path / "file"
-    target.write_text("")
-    code = cli.main(["cache", "save", "--p", "4", "--dir", str(target)])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot write cache file {target / cli.CACHE_BASENAME}: ")
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert target.read_text() == ""
-
-
-def test_cache_dir_defaults_under_the_home_directory(monkeypatch, tmp_path):
-    monkeypatch.delenv("SQUIG_CACHE_DIR", raising=False)
-    monkeypatch.setenv("HOME", str(tmp_path))
-    assert cli.default_cache_dir() == os.path.join(str(tmp_path), ".cache", "squigonometry")
-
-
 def test_help_exits_0(capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: squig")
 
 
-def test_cache_save_that_fails_keeps_the_old_file(capsys, tmp_path, monkeypatch):
-    # A dump that fails part way used to leave its partial text as the
-    # cache file, so the entries saved before it were lost.
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    cli.save_tables(path, 4)
-
-    def failing_dump(doc, fh):
-        fh.write('{"format": 3, "ent')
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(cli.json, "dump", failing_dump)
-    code = cli.main(["cache", "save", "--p", "3", "--dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"error: cannot write cache file {path}: No space left on device\n"
-    assert os.listdir(str(tmp_path)) == [cli.CACHE_BASENAME]
-    assert cli.load_context(path, 4) == sg.build_context(4)
-
-
-@pytest.mark.parametrize("epsilon,scale,loads", [
-    (2.0 ** -53, 1e308 / 3.708149354602744, False),
-    (2.0 ** -53, 1.01, False),
-    (2.0 ** -53, 1.0 + 2.0 ** -50, True),
-    (0.3, 1.01, True),
-])
-def test_cache_entry_pi_p_must_meet_epsilon(capsys, tmp_path, epsilon, scale, loads):
-    # A pi_p past 1e308 made a period of inf, and sq(ctx, 1e3) came out -inf.
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    doc = cli.save_tables(path, 4, epsilon)
-    (entry,) = doc["entries"].values()
-    entry["pi_p"] = sg.compute_pi(4).value * scale
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    code = cli.main(["cache", "load", "--p", "4", "--eps", repr(epsilon), "--dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == (0 if loads else 2)
-    if not loads:
-        assert err.startswith("error: cache entry ") and "pi_p within epsilon" in err
-
-
-@pytest.mark.parametrize("p", [2, 4, 10, 16])
-def test_every_saved_entry_loads(tmp_path, p):
-    path = os.path.join(str(tmp_path), cli.CACHE_BASENAME)
-    for epsilon in (2.0 ** -53, 1e-6, 0.3, 0.99):
-        cli.save_tables(path, p, epsilon)
-        assert cli.load_context(path, p, epsilon) == sg.build_context(p, epsilon)
+def test_cache_is_not_a_command(capsys):
+    # Contexts come from build_context alone; no command saves or loads tables.
+    assert cli.main(["cache", "save", "--p", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'cache'" in err

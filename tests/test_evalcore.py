@@ -619,7 +619,7 @@ def test_hand_made_table_folds_match_the_loop_bit_for_bit():
         sg.MacLaurinTable(sg.SquigParams(4, 0, 1), (0.75,)),
         sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (0.75,)),
         sg.maclaurin(sg.SquigParams(4, 2, 3), 40),
-        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (1, 0.5, 3)),  # ints, as a hand-edited cache may hold
+        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (1, 0.5, 3)),  # ints, not floats
         sg.MacLaurinTable(sg.SquigParams(5, 0, 1), (7,)),
         sg.MacLaurinTable(sg.SquigParams(5, 1, 0), (7,)),
         sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (1.0, math.inf, 0.25)),
@@ -631,6 +631,16 @@ def test_hand_made_table_folds_match_the_loop_bit_for_bit():
     for sq_table, cq_table in zip(tables, tables[1:] + tables[:1]):
         ctx = sg.EvalContext(sq_table.params.p, quarter, sq_table, cq_table, 1e-3)
         _assert_folds_like_the_loop(ctx, _fold_points(quarter))
+
+
+@pytest.mark.parametrize("p", [2, 4, 10, 16])
+def test_rebuilt_context_is_bit_identical(p):
+    # Contexts are never stored: one built again, after the compute_pi memo
+    # is cleared, equals the first, its tables float for float.
+    epsilons = (2.0 ** -53, 1e-6, 0.3, 0.99)
+    first = [sg.build_context(p, eps) for eps in epsilons]
+    sg.compute_pi.cache_clear()
+    assert [sg.build_context(p, eps) for eps in epsilons] == first
 
 
 def test_evaluated_context_pickles_without_its_evaluators():
