@@ -39,7 +39,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, takewhile
+from itertools import islice
 
 from .errors import ConvergenceError, DomainError, check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, horner_sparse
@@ -143,15 +143,19 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
 
     Integrates cq^m sq^n term by term over [0, pi_p/4] twice, once as given
     and once with m and n exchanged for the reflected upper half, then scales
-    by p.  Each half is one lazy stream of signed terms: it takes the
-    record's J_used + 1 terms and continues while the next one exceeds
-    epsilon / 2 relative to the sum, since J_used sizes the sq and cq tables
-    and ignores m and n.  Every stream reads the record's series and extends
-    it past J_used only as far as it reads; m = n shares one stream for both
-    halves.  The two-half sum is accumulated with exact summation, so
-    the result is bitwise symmetric in m and n.  Requires m, n >= 0; a
-    coefficient or power of t the sum needs past binary64 raises
-    ConvergenceError.
+    by p.  Each half is one lazy stream of signed terms that reads the
+    record's series and extends it past J_used only as far as it reads; m = n
+    shares one stream for both halves.  A half takes the record's J_used + 1
+    terms, since J_used sizes the sq and cq tables and ignores m and n, and
+    continues while its terms still grow or exceed epsilon / 2 relative to
+    the final sum.  The two-half sum is accumulated with exact summation, so
+    the result is bitwise symmetric in m and n.
+
+    Requires m, n >= 0.  Raises ConvergenceError where the terms cancel so
+    far that their rounding, at most 2^-52 times the sum of their
+    magnitudes, exceeds max(epsilon, 2^-33) of the sum: at the default
+    epsilon, m = n = 30 for p <= 5 and m = 700, n = 0 for every p up to 11.
+    A coefficient or power of t the sum needs past binary64 raises it too.
     """
     check_int("p", p, 2)
     check_powers(m, n)
@@ -178,13 +182,31 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
 
     streams = {powers: signed_terms(powers) for powers in {(m, n), (n, m)}}
     halves = {powers: list(islice(terms, record.J_used + 1)) for powers, terms in streams.items()}
+    pending = {powers: next(terms) for powers, terms in streams.items()}
     lower, upper = halves[m, n], halves[n, m]
-    # Each half's dropped tail alternates with shrinking terms, so it is at
-    # most its first term; half of epsilon each keeps the total within it.
-    bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
-    for powers, kept in halves.items():
-        kept.extend(takewhile(lambda term: abs(term) > bound, streams[powers]))
-    return p * math.fsum(lower + upper)
+    # Each half's dropped tail alternates with shrinking terms once they have
+    # stopped growing, so it is at most its first term; half of epsilon of
+    # the final total each keeps the sum within it.  A longer half can move
+    # the total, so the halves grow until no term is added.
+    grew = True
+    while grew:
+        bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
+        grew = False
+        for powers, kept in halves.items():
+            term = pending[powers]
+            while abs(term) > bound or abs(term) > abs(kept[-1]):
+                kept.append(term)
+                term = next(streams[powers])
+                grew = True
+            pending[powers] = term
+    # A term carries at most two roundings of its own size; past epsilon, or
+    # past 2^-33 (20 of 53 bits cancelled) at any epsilon, the sum is noise.
+    total = math.fsum(lower + upper)
+    if not 2.0 ** -52 * math.fsum(map(abs, lower + upper)) <= max(epsilon, 2.0 ** -33) * total:
+        raise ConvergenceError(
+            f"the Beta series at p={p}, m={m}, n={n} cancels past epsilon={epsilon!r} in binary64"
+        )
+    return p * total
 
 
 def beta_gamma(p: int, m: int, n: int) -> float:

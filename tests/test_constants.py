@@ -353,6 +353,48 @@ def test_beta_value_at_large_powers(p, m, n):
     assert sg.beta_value(p, n, m) == got
 
 
+@pytest.mark.parametrize(
+    "p,m,n,eps", [(4, 12, 12, 0.1), (10, 30, 30, 0.1), (2, 12, 12, 1e-8), (3, 20, 5, 2.0 ** -22)]
+)
+def test_beta_value_bounds_the_tail_by_the_final_sum(p, m, n, eps):
+    # These returned -0.00686, -0.2016 (true 0.02257, 0.02851) and relative
+    # errors 1.1e-7 and 6.4e-7: the tail bound came from a J_used prefix whose
+    # terms later cancel, or a half stopped at a small first term while its
+    # terms still grew.
+    want = sg.beta_gamma(p, m, n)
+    got = sg.beta_value(p, m, n, eps)
+    assert 0.0 < got and abs(got - want) <= eps * want
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 30, 30), (4, 700, 0), (4, 1000, 0), (2, 300, 300)])
+def test_beta_value_refuses_cancellation_past_binary64(p, m, n):
+    # These returned relative error 4.2e-7, -2.8e42, 2.4e67 and -0.218 for
+    # true values 4.2e-10, 0.997, 0.912 and 7.1e-92, from lgamma.
+    a, b = (m + 1) / p, (n + 1) / p
+    assert math.isfinite(math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
+    with pytest.raises(ConvergenceError, match="cancels past epsilon"):
+        sg.beta_value(p, m, n)
+
+
+BETA_GRID_MN = [(m, n) for m in range(6) for n in range(6)] + [(12, 12), (20, 5), (30, 30)]
+
+
+@pytest.mark.parametrize("p", range(2, 12))
+def test_beta_value_answers_within_epsilon_or_refuses(p):
+    # Every answer is positive and within max(eps, 1e-11) of the gamma form;
+    # where the terms cancel too far the call refuses, which no (m, n) up to
+    # (5, 5) does.
+    for m, n in BETA_GRID_MN:
+        want = sg.beta_gamma(p, m, n)
+        for eps in (2.0 ** -53, 1e-8, 2.0 ** -22, 0.1):
+            try:
+                got = sg.beta_value(p, m, n, eps)
+            except ConvergenceError:
+                assert max(m, n) > 5, (m, n, eps)
+                continue
+            assert 0.0 < got and abs(got - want) <= max(eps, 1e-11) * want, (m, n, eps)
+
+
 @pytest.mark.parametrize("mn", [(1, 0), (0, 1), (2, 2), (2, 1)])
 def test_beta_value_extends_the_record_series(monkeypatch, mn):
     # Every half streams from the record's series and builds none of its
