@@ -183,8 +183,8 @@ def evaluate_integer_cf(
     the modest depths where the integer form is of interest: a coefficient
     past binary64 (from depth 27 at p = 4, m = 1, n = 0) raises CostGuardError,
     an overflowing t^n or t^p (from depth 1) DomainError.  Where a binary64
-    denominator rounds to 0, the same rows fold again exactly and the value
-    is rounded once: a true zero raises ZeroDenominatorError naming its
+    denominator rounds to 0 or the binary64 fold is not finite, the same rows
+    fold again exactly and the value is rounded once: a true zero raises ZeroDenominatorError naming its
     level, 0 for the lead's, and a value past binary64 DomainError.
     """
     check_finite("t", t)
@@ -197,10 +197,13 @@ def evaluate_integer_cf(
         raise CostGuardError(f"a depth-{depth} coefficient overflows binary64") from None
     tp = checked_power(t, params.p) if depth else 0.0
     try:
-        return _fold(rows, tp, tn, t)
+        value = _fold(rows, tp, tn, t)
     except ZeroDenominatorError:
+        value = math.nan
+    if not math.isfinite(value):
         # A binary64 denominator can cancel to 0 where the true one does not (p = 2,
-        # t = 1e100); t and the rows are dyadic, so fold them exactly and round once.
+        # t = 1e100), or a level overflow to inf or NaN (p = 3); t and the rows are
+        # dyadic, so fold them exactly and round once.
         x = Fraction(t)
         value = _fold([tuple(map(Fraction, row)) for row in rows], x ** params.p, x ** params.n, t)
     try:

@@ -266,3 +266,18 @@ def test_cf_refolds_a_denominator_that_cancels_in_binary64():
                      lambda: sg.continued_fraction(fs, 1e100, 2)):
         with pytest.raises(DomainError, match="depth-2 value overflows binary64"):
             evaluate()
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (0, 1), (2, 1)])
+def test_cf_refolds_a_binary64_fold_that_is_not_finite(m, n):
+    # At p = 3, t = 1e100 a binary64 level overflows on the way and the fold
+    # came out NaN from depth 4 or 5 on; the exact refold finds each value
+    # past binary64.
+    params = SquigParams(3, m, n)
+    lead, levels = sg.integer_cf_terms(sg.integer_maclaurin(params, 12), params)
+    fs = sg.factor_sequence(sg.integer_maclaurin(params, 12), params)
+    for depth in range(4, 13):
+        for evaluate in (lambda: sg.evaluate_integer_cf(lead, levels, params, 1e100, depth),
+                         lambda: sg.continued_fraction(fs, 1e100, depth)):
+            with pytest.raises(DomainError, match=f"depth-{depth} value overflows binary64"):
+                evaluate()
