@@ -210,12 +210,17 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
 
 
 def beta_gamma(p: int, m: int, n: int) -> float:
-    """Gamma-function form of the same Beta value, on its domain; oracle for beta_value."""
+    """Gamma-function form of the same Beta value, on its domain; oracle for beta_value.
+
+    Past math.gamma's binary64 range (from m = 685 at p = 4) raises DomainError.
+    """
     check_int("p", p, 2)
     check_powers(m, n)
-    a = (m + 1) / p
-    b = (n + 1) / p
-    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    try:
+        a, b = (m + 1) / p, (n + 1) / p
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    except OverflowError:  # an argument or a gamma value past binary64
+        raise DomainError(f"B at p={p}, m={m}, n={n} is past math.gamma's binary64 range") from None
 
 
 def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
@@ -225,16 +230,20 @@ def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
     the quadrant across the diagonal gives p (I(m, n) + I(n, m)) with
     I(a, b) = integral_0^c x^b (1 - x^p)^((a + 1)/p - 1) dx, c = 2^(-1/p),
     each to half the tolerance.  The result is bitwise symmetric in m and n.
+    An argument (m + 1) / p or (n + 1) / p past binary64 raises DomainError.
     """
     check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("tol", tol)
+    try:
+        a, b = (m + 1) / p, (n + 1) / p
+    except OverflowError:
+        raise DomainError(f"(m + 1)/p or (n + 1)/p at p={p}, m={m}, n={n} is past binary64") from None
     c = 2.0 ** (-1.0 / p)
 
-    def half(a: int, b: int) -> float:
-        exponent = (a + 1) / p - 1.0
-        return _integrate_smooth(lambda x: x**b * (1.0 - x**p) ** exponent, 0.0, c, 0.5 * tol, p)
+    def half(exponent: float, power: int) -> float:
+        return _integrate_smooth(lambda x: x**power * (1.0 - x**p) ** exponent, 0.0, c, 0.5 * tol, p)
 
-    lower = half(m, n)
-    upper = lower if m == n else half(n, m)
+    lower = half(a - 1.0, n)
+    upper = lower if m == n else half(b - 1.0, m)
     return p * (lower + upper)
