@@ -236,15 +236,15 @@ def _evaluator_code(sq_shape: tuple, cq_shape: tuple) -> tuple[types.CodeType, .
     fold_sq, fold_cq = "; ".join(_fold("a", sq_shape, "v")), "; ".join(_fold("c", cq_shape, "v"))
     fold_pair = _fold("a", sq_shape, "y") + _fold("c", cq_shape, "x")[sq_shape[1] == cq_shape[1]:]
     bodies = {
-        "sq": ("argument", [f"if use_co: {fold_cq}", f"else: {fold_sq}", "return sign_sq * v"]),
-        "cq": ("argument", [f"if use_co: {fold_sq}", f"else: {fold_cq}", "return sign_cq * v"]),
-        "pair": ("t", [*fold_pair, "if use_co: return sign_cq * y, sign_sq * x",
-                       "return sign_cq * x, sign_sq * y"]),
-        "reduce": ("argument", ["return s, use_co, sign_sq, sign_cq"]),
+        "sq": [f"if use_co: {fold_cq}", f"else: {fold_sq}", "return sign_sq * v"],
+        "cq": [f"if use_co: {fold_sq}", f"else: {fold_cq}", "return sign_cq * v"],
+        "pair": [*fold_pair, "if use_co: return sign_cq * y, sign_sq * x",
+                 "return sign_cq * x, sign_sq * y"],
+        "reduce": ["return s, use_co, sign_sq, sign_cq"],
     }
+    check = "if t.__class__ is not float or t - t != 0.0: check_finite('t', t); t = float(t)"
     lines = []
-    for name, (label, body) in bodies.items():
-        check = f"if t.__class__ is not float or t - t != 0.0: check_finite({label!r}, t); t = float(t)"
+    for name, body in bodies.items():
         lines += [f"def {name}(t):", *(f"    {line}" for line in (check, *_REDUCTION, *body))]
     names: dict = {}
     exec("\n".join(lines), names)
