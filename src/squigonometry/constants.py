@@ -186,19 +186,15 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     lower, upper = halves[m, n], halves[n, m]
     # Each half's dropped tail alternates with shrinking terms once they have
     # stopped growing, so it is at most its first term; half of epsilon of
-    # the final total each keeps the sum within it.  A longer half can move
-    # the total, so the halves grow until no term is added.
-    grew = True
-    while grew:
-        bound = 0.5 * epsilon * abs(math.fsum(lower + upper))
-        grew = False
+    # the final sum each keeps the sum within it.  A longer half moves the
+    # sum, so the halves grow until the bound they are held to stops moving.
+    previous = None
+    while (bound := 0.5 * epsilon * abs(math.fsum(lower + upper))) != previous:
+        previous = bound
         for powers, kept in halves.items():
-            term = pending[powers]
-            while abs(term) > bound or abs(term) > abs(kept[-1]):
-                kept.append(term)
-                term = next(streams[powers])
-                grew = True
-            pending[powers] = term
+            while abs(pending[powers]) > bound or abs(pending[powers]) > abs(kept[-1]):
+                kept.append(pending[powers])
+                pending[powers] = next(streams[powers])
     # A term carries at most two roundings of its own size; past epsilon, or
     # past 2^-33 (20 of 53 bits cancelled) at any epsilon, the sum is noise.
     total = math.fsum(lower + upper)
