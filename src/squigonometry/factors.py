@@ -184,8 +184,9 @@ def evaluate_integer_cf(
     past binary64 (from depth 27 at p = 4, m = 1, n = 0) raises CostGuardError,
     an overflowing t^n or t^p (from depth 1) DomainError.  Where a binary64
     denominator rounds to 0 or the binary64 fold is not finite, the same rows
-    fold again exactly and the value is rounded once: a true zero raises ZeroDenominatorError naming its
-    level, 0 for the lead's, and a value past binary64 DomainError.
+    fold again exactly and the value is rounded once: a true zero raises
+    ZeroDenominatorError naming its level, 0 for the lead's, and a value past
+    binary64 DomainError.
     """
     check_finite("t", t)
     check_int("depth", depth, 0, len(levels))

@@ -14,7 +14,7 @@ from decimal import Decimal
 import pytest
 
 import squigonometry as sg
-from squigonometry import ConvergenceError, CostGuardError, DomainError, ParameterError, SquigError
+from squigonometry import ConvergenceError, CostGuardError, DomainError, ParameterError
 from squigonometry import SquigParams
 
 # Decimal("sNaN") raises a bare ValueError where math converts it to float.
@@ -151,26 +151,13 @@ PAIRS = [(case, bad) for case in sorted(CASES) for bad in BAD_VALUES]
 
 @pytest.mark.parametrize("case,bad", PAIRS, ids=[f"{c}={b!r}" for c, b in PAIRS])
 def test_bad_input_raises_typed_error(case, bad, ctx4, ctx3):
+    # The message starts with the parameter as the signature spells it ("t",
+    # "numerators[1]"): the case name after the dot, less a qualifier that
+    # tells two cases of one parameter apart.
     call, expected = CASES[case]
-    with pytest.raises(expected):
+    name = re.escape(case.split(".")[1].removesuffix("_odd_p"))
+    with pytest.raises(expected, match=rf"^{name}(\[\d+\])? "):
         call(ctx4, ctx3, bad)
-
-
-def _parameter(case: str) -> str:
-    # The parameter a case feeds: the name after the dot, less the qualifier
-    # that tells two cases of one parameter apart.
-    return case.split(".")[1].removesuffix("_odd_p")
-
-
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_bad_input_message_names_the_parameter(case, ctx4, ctx3):
-    # Every message starts with the parameter as the signature spells it
-    # ("t", "numerators[1]"), whichever bad value it got.
-    call, _ = CASES[case]
-    for bad in BAD_VALUES:
-        with pytest.raises(SquigError) as info:
-            call(ctx4, ctx3, bad)
-        assert re.match(rf"{re.escape(_parameter(case))}(\[\d+\])? ", str(info.value)), (bad, info.value)
 
 
 # Finite arguments whose powers, coefficients or quadrature nodes overflow
