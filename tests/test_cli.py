@@ -341,8 +341,70 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: squig")
 
 
-def test_cache_is_not_a_command(capsys):
+@pytest.mark.parametrize("argv", [
+    ["cache"],
+    ["cache", "save", "--p", "4"],
+    ["cache", "load", "--p", "4"],
+    ["cache", "load", "--p", "4", "--eps", "1e-10", "--dir", "tables"],
+])
+def test_cache_is_not_a_command(capsys, argv):
     # Contexts come from build_context alone; no command saves or loads tables.
-    assert cli.main(["cache", "save", "--p", "4"]) == 2
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and "invalid choice: 'cache'" in err
+
+
+# One valid invocation of every command.
+COMMANDS = {
+    "table1": ["table1", "--terms", "3"],
+    "pi": ["pi", "--p-min", "3", "--p-max", "4"],
+    "beta": ["beta", "--p", "4", "--m", "1", "--n", "0"],
+    "eval": ["eval", "--p", "4", "--t", "0.5", "-7.25"],
+    "plotdata": ["plotdata", "--p", "3", "--points", "5"],
+    "triangle": ["triangle", "--p", "4", "--m", "1", "--n", "0", "--K", "4"],
+    "roots": ["roots", "--p", "4", "--m", "1", "--n", "0", "--k-max", "4"],
+    "factors": ["factors", "--p", "4", "--m", "1", "--n", "0", "--J", "3"],
+    "maclaurin": ["maclaurin", "--p", "4", "--m", "1", "--n", "0", "--J", "3"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_takes_a_dir(capsys, tmp_path, command):
+    # No command reads tables from a directory, so --dir is a bad argument
+    # everywhere and the command prints nothing.
+    code, lines = run(capsys, *COMMANDS[command], "--dir", str(tmp_path))
+    assert code == 2 and lines == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["pi", "beta", "eval", "plotdata", "maclaurin"])
+def test_command_writes_no_files(capsys, monkeypatch, tmp_path, command):
+    # Tables are rebuilt on every run: with the working directory, HOME and
+    # the old cache variable all pointing at an empty directory, the output
+    # is what it is without them and the directory stays empty.
+    want = run(capsys, *COMMANDS[command])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("SQUIG_CACHE_DIR", str(tmp_path))
+    got = run(capsys, *COMMANDS[command])
+    assert got == want and got[0] == 0 and len(got[1]) >= 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("p", "1", "p must be an int in [2, inf], got 1"),
+    ("eps", "1.5", "epsilon must be a real in (0, 1), got 1.5"),
+])
+@pytest.mark.parametrize("command", ["pi", "beta", "eval", "plotdata", "maclaurin"])
+def test_bad_p_or_eps_is_named(capsys, command, flag, value, message):
+    # A bad degree or tolerance is reported by its name, before any row.
+    # maclaurin sizes its table from --eps only when no --J is given.
+    argv = COMMANDS[command][:-2] if command == "maclaurin" else list(COMMANDS[command])
+    argv += ["--eps", "1e-10"]
+    key = "--p-min" if command == "pi" and flag == "p" else f"--{flag}"
+    argv[argv.index(key) + 1] = value
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"

@@ -643,6 +643,31 @@ def test_rebuilt_context_is_bit_identical(p):
     assert [sg.build_context(p, eps) for eps in epsilons] == first
 
 
+@pytest.mark.parametrize("p", [2, 4, 10, 16])
+def test_rebuilt_context_evaluates_bit_identically(p):
+    # sq and cq of a context built again, after the compute_pi memo is
+    # cleared, repeat the first context's values bit for bit.
+    points = [-8.0 + 16.0 * i / 99.0 for i in range(100)]
+    first = sg.build_context(p)
+    want = [(sg.sq(first, t).hex(), sg.cq(first, t).hex()) for t in points]
+    sg.compute_pi.cache_clear()
+    again = sg.build_context(p)
+    assert [(sg.sq(again, t).hex(), sg.cq(again, t).hex()) for t in points] == want
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -53, 1e-6, 0.3, 0.99])
+def test_context_pi_p_meets_its_epsilon(eps):
+    # Even at a loose epsilon the quarter period stays within epsilon of the
+    # gamma form, so the period is finite and sq, cq stay bounded far out.
+    for p in (2, 3, 4, 10, 16):
+        ctx = sg.build_context(p, eps)
+        want = sg.pi_gamma(p)
+        assert abs(ctx.pi_p - want) <= max(eps, 5e-15) * want, p
+        assert math.isfinite(ctx.period)
+        for t in (1e3, -1e3, 1e15):
+            assert abs(sg.sq(ctx, t)) <= 1.0 + eps and abs(sg.cq(ctx, t)) <= 1.0 + eps, (p, t)
+
+
 def test_evaluated_context_pickles_without_its_evaluators():
     ctx = sg.build_context(5)
     assert "evaluators" not in vars(ctx)  # build_context makes no evaluators

@@ -35,6 +35,9 @@ def _icf():
 # name -> (call taking (ctx4, ctx3, bad value), expected error).  Each call
 # is valid except for the one parameter fed the bad value.
 CASES = {
+    "SquigParams.p": (lambda c4, c3, v: SquigParams(v, 1, 0), ParameterError),
+    "SquigParams.m": (lambda c4, c3, v: SquigParams(4, v, 0), ParameterError),
+    "SquigParams.n": (lambda c4, c3, v: SquigParams(4, 1, v), ParameterError),
     "compute_pi.p": (lambda c4, c3, v: sg.compute_pi(v), ParameterError),
     "compute_pi.epsilon": (lambda c4, c3, v: sg.compute_pi(4, v), ParameterError),
     "build_context.p": (lambda c4, c3, v: sg.build_context(v), ParameterError),
