@@ -27,17 +27,10 @@ from .triangle import SquigParams
 # Subcommand handlers.  Each returns a process exit code.
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    p = 4
-    J = args.terms
-    cq_nums = series.integer_maclaurin(SquigParams(p=p, m=1, n=0), J)
-    sq_nums = series.integer_maclaurin(SquigParams(p=p, m=0, n=1), J)
+    tables = [series.maclaurin(SquigParams(p=4, m=m, n=1 - m), args.terms) for m in (1, 0)]
     print("k_c,c_k,k_s,s_k")
-    for j in range(J + 1):
-        k_c = p * j
-        k_s = 1 + p * j
-        c_val = (-1) ** j * cq_nums[j] / math.factorial(k_c)
-        s_val = (-1) ** j * sq_nums[j] / math.factorial(k_s)
-        print(f"{k_c},{c_val!r},{k_s},{s_val!r}")
+    for j in range(args.terms + 1):
+        print(",".join(f"{table.power(j)},{table.signed(j)!r}" for table in tables))
     return 0
 
 

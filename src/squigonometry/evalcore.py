@@ -19,10 +19,11 @@ table with one multiply-add per stored coefficient.
 sq, cq, pow_general and reduce_argument call the context's evaluators,
 straight-line code that checks t, runs _REDUCTION (the one copy of the
 reduction) and folds the context's tables, or returns the reduction, with
-no call in between.  The code is compiled once per table shape, binds the
-coefficients and constants as globals and makes horner_sparse's IEEE
-operations in its order, so sq(ctx, s) == horner_sparse(ctx.sq_table, s) on
-[0, pi_p / 4].  A context builds them at its first evaluation: 1 to 4 ms at
+no call in between.  The code is compiled once per table shape and binds
+the coefficients and constants as globals.  Each fold is _horner's loop
+unrolled, its step b = a_i - b * tp written once per coefficient, so
+sq(ctx, s) == horner_sparse(ctx.sq_table, s) on [0, pi_p / 4] at any table
+length.  A context builds them at its first evaluation: 0.5 to 3 ms at
 p = 2..10 for new shapes, else < 0.1 ms.
 
 arcsq_oracle inverts sq independently of the series machinery by integrating
@@ -51,9 +52,6 @@ from .series import EPS_DEFAULT, MacLaurinTable
 # build_context drops a table's tail while its largest term on [0, quarter]
 # is within this share of epsilon times the leading coefficient.
 _TRIM = 1.0 / 64.0
-# Coefficients per generated Horner statement, so that no statement nests
-# deeper than the parser allows (past 200 parentheses on 3.10-3.13).
-_NEST = 64
 
 
 @dataclass(frozen=True)
@@ -213,17 +211,13 @@ def _horner(table: MacLaurinTable, t: float) -> float:
 def _fold(letter: str, shape: tuple[int, int, int], out: str) -> list[str]:
     # Statements that set out to _horner's fold at s of a table of this shape
     # whose coefficients are the globals {letter}0, {letter}1, ...: tp = s ** p,
-    # b <- a_i - b * tp from the deep end, _NEST steps per statement, then the
-    # scaling by s^n (s ** 1 is s, and s ** 0 is 1.0 for every binary64 s).
+    # then _horner's step out = a_i - out * tp from the deep end, one statement
+    # per coefficient, then the scaling by s^n (s ** 1 is s, and s ** 0 is 1.0
+    # for every binary64 s).
     length, p, n = shape
-    lines = [f"tp = s ** {p}", f"{out} = {letter}{length - 1}"]
-    for top in range(length - 2, -1, -_NEST):
-        expr = out
-        for i in range(top, max(top - _NEST, -1), -1):
-            expr = f"{letter}{i} - ({expr}) * tp"
-        lines.append(f"{out} = {expr}")
+    steps = [f"{out} = {letter}{i} - {out} * tp" for i in range(length - 2, -1, -1)]
     scale = "1.0" if n == 0 else "s" if n == 1 else f"s ** {n}"
-    return lines + [f"{out} = {scale} * {out}"]
+    return [f"tp = s ** {p}", f"{out} = {letter}{length - 1}", *steps, f"{out} = {scale} * {out}"]
 
 
 @lru_cache(maxsize=64)

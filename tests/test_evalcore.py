@@ -599,15 +599,17 @@ def test_context_folds_match_the_loop_bit_for_bit(p):
         _assert_folds_like_the_loop(ctx, points)
 
 
-@pytest.mark.parametrize("p", range(2, 11))
+@pytest.mark.parametrize("p", [*range(2, 11), 64])
 def test_record_table_folds_match_the_loop_bit_for_bit(p):
-    # The whole compute_pi tables: 104 coefficients at p = 10, more than one
-    # generated statement holds.
+    # The whole compute_pi tables: 104 coefficients at p = 10 and 708 at
+    # p = 64, one generated statement per coefficient.
     record = sg.compute_pi(p)
     ctx = sg.EvalContext(p, record.value / 4.0, record.sq_table, record.cq_table, sg.EPS_DEFAULT)
     _assert_folds_like_the_loop(ctx, _fold_points(ctx.quarter))
     if p == 10:
-        assert len(record.sq_table.floats) == 104 > evalcore._NEST
+        assert len(record.sq_table.floats) == 104
+    if p == 64:
+        assert len(record.sq_table.floats) == 708
 
 
 def test_hand_made_table_folds_match_the_loop_bit_for_bit():
