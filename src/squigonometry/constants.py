@@ -155,7 +155,9 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     far that their rounding, at most 2^-52 times the sum of their
     magnitudes, exceeds max(epsilon, 2^-33) of the sum: at the default
     epsilon, m = n = 30 for p <= 5 and m = 700, n = 0 for every p up to 11.
-    A coefficient or power of t the sum needs past binary64 raises it too.
+    A passing sum is at most about pi_p / 2, so the halves refuse once that
+    rounding passes twice what such a sum allows: (2, 700, 0) after 14 terms
+    of the series, not 452.  So does a coefficient or power of t past binary64.
     """
     check_int("p", p, 2)
     check_powers(m, n)
@@ -184,6 +186,17 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     halves = {powers: list(islice(terms, record.J_used + 1)) for powers, terms in streams.items()}
     pending = {powers: next(terms) for powers, terms in streams.items()}
     lower, upper = halves[m, n], halves[n, m]
+    # A term carries at most two roundings of its own size; past epsilon, or
+    # past 2^-33 (20 of 53 bits cancelled) at any epsilon, the sum is noise.
+    # A passing sum is within epsilon + floor of its true value, at most
+    # pi_p / 2 (cq, sq <= 1), so the halves refuse once the rounding passes
+    # floor * pi_p / (2 (1 - epsilon - floor)) twice over, a margin for the
+    # roundings of pi_p and of the running magnitude.
+    floor = max(epsilon, 2.0 ** -33)
+    limit = floor * record.value / (1.0 - epsilon - floor) if epsilon + floor < 1.0 else math.inf
+    magnitude = math.fsum(map(abs, lower + upper))
+    weight = 2 if m == n else 1  # lower is upper, and counts twice
+    cancelled = f"the Beta series at p={p}, m={m}, n={n} cancels past epsilon={epsilon!r} in binary64"
     # Each half's dropped tail alternates with shrinking terms once they have
     # stopped growing, so it is at most its first term; half of epsilon of
     # the final sum each keeps the sum within it.  A longer half moves the
@@ -193,15 +206,14 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
         previous = bound
         for powers, kept in halves.items():
             while abs(pending[powers]) > bound or abs(pending[powers]) > abs(kept[-1]):
+                if 2.0 ** -52 * magnitude > limit:
+                    raise ConvergenceError(cancelled)
+                magnitude += weight * abs(pending[powers])
                 kept.append(pending[powers])
                 pending[powers] = next(streams[powers])
-    # A term carries at most two roundings of its own size; past epsilon, or
-    # past 2^-33 (20 of 53 bits cancelled) at any epsilon, the sum is noise.
     total = math.fsum(lower + upper)
-    if not 2.0 ** -52 * math.fsum(map(abs, lower + upper)) <= max(epsilon, 2.0 ** -33) * total:
-        raise ConvergenceError(
-            f"the Beta series at p={p}, m={m}, n={n} cancels past epsilon={epsilon!r} in binary64"
-        )
+    if not 2.0 ** -52 * math.fsum(map(abs, lower + upper)) <= floor * total:
+        raise ConvergenceError(cancelled)
     return p * total
 
 
