@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
-from .errors import DomainError, ParameterError, SquigError, check_finite
+from .errors import DomainError, ParameterError, SquigError, check_finite, check_tolerance
 from .series import EPS_DEFAULT
 from .triangle import SquigParams
 
@@ -119,6 +119,7 @@ def _cmd_factors(args: argparse.Namespace) -> int:
 
 def _cmd_maclaurin(args: argparse.Namespace) -> int:
     params = SquigParams(p=args.p, m=args.m, n=args.n)
+    check_tolerance("epsilon", args.eps)  # sizes J only when --J is absent
     J = args.J if args.J is not None else constants.compute_pi(args.p, args.eps).J_used
     table = series.maclaurin(params, J)
     numerators = series.integer_maclaurin(params, J) if args.exact else None
@@ -188,10 +189,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for m, n in ((1, 0), (0, 1)):
             params = SquigParams(p=p, m=m, n=n)
             table = series.maclaurin(params, 4)
-            ok = all(
-                abs(explicit.corollary_coefficient(params, j) - table.signed(j)) <= 1e-12
-                for j in range(5)
-            )
+            # Both sides are correctly rounded, so they agree bit for bit.
+            ok = all(explicit.corollary_coefficient(params, j) == table.signed(j) for j in range(5))
             all_ok &= _check("corollary-equals-series", f"p={p} m={m} n={n} j<=4", ok, lines)
 
     for p in (2, 3, 4, 6):

@@ -35,16 +35,18 @@ def test_table1_round_trip_exact(capsys):
     # is the correctly rounded exact rational.
     from fractions import Fraction
 
-    code, lines = run(capsys, "table1")
-    assert code == 0
-    assert len(lines) == 34
-    nums_c = sg.integer_maclaurin(sg.SquigParams(p=4, m=1, n=0), 32)
-    nums_s = sg.integer_maclaurin(sg.SquigParams(p=4, m=0, n=1), 32)
-    for j, line in enumerate(lines[1:]):
-        _, c_str, _, s_str = line.split(",")
-        sign = (-1) ** j
-        assert float(c_str) == float(Fraction(sign * nums_c[j], math.factorial(4 * j)))
-        assert float(s_str) == float(Fraction(sign * nums_s[j], math.factorial(4 * j + 1)))
+    # The default 32 terms and a deeper table of 120.
+    for terms, extra in ((32, ()), (120, ("--terms", "120"))):
+        code, lines = run(capsys, "table1", *extra)
+        assert code == 0
+        assert len(lines) == terms + 2
+        nums_c = sg.integer_maclaurin(sg.SquigParams(p=4, m=1, n=0), terms)
+        nums_s = sg.integer_maclaurin(sg.SquigParams(p=4, m=0, n=1), terms)
+        for j, line in enumerate(lines[1:]):
+            _, c_str, _, s_str = line.split(",")
+            sign = (-1) ** j
+            assert float(c_str) == float(Fraction(sign * nums_c[j], math.factorial(4 * j)))
+            assert float(s_str) == float(Fraction(sign * nums_s[j], math.factorial(4 * j + 1)))
 
 
 def test_pi_range(capsys):
@@ -399,12 +401,16 @@ def test_command_writes_no_files(capsys, monkeypatch, tmp_path, command):
 @pytest.mark.parametrize("command", ["pi", "beta", "eval", "plotdata", "maclaurin"])
 def test_bad_p_or_eps_is_named(capsys, command, flag, value, message):
     # A bad degree or tolerance is reported by its name, before any row.
-    # maclaurin sizes its table from --eps only when no --J is given.
-    argv = COMMANDS[command][:-2] if command == "maclaurin" else list(COMMANDS[command])
-    argv += ["--eps", "1e-10"]
-    key = "--p-min" if command == "pi" and flag == "p" else f"--{flag}"
-    argv[argv.index(key) + 1] = value
-    code = cli.main(argv)
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    # maclaurin sizes its table from --eps only when no --J is given, and
+    # checks it either way.
+    argvs = [list(COMMANDS[command])]
+    if command == "maclaurin":
+        argvs.append(COMMANDS[command][:-2])
+    for argv in argvs:
+        argv += ["--eps", "1e-10"]
+        key = "--p-min" if command == "pi" and flag == "p" else f"--{flag}"
+        argv[argv.index(key) + 1] = value
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
