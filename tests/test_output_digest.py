@@ -6,6 +6,8 @@ import json
 import struct
 from pathlib import Path
 
+import pytest
+
 import squigonometry as sg
 from squigonometry import constants
 
@@ -54,3 +56,12 @@ def test_digest_encodes_floats_by_their_bits():
     tool = _load_tool()
     assert tool.encode((0.1, -0.0, 3, True, None)) == "(0x1.999999999999ap-4,-0x0.0p+0,3,True,None)"
     assert tool.call(sg.compute_pi, 1).startswith("(1,) -> !ParameterError: ")
+
+
+@pytest.mark.parametrize("name", ["cq", "reduce_argument", "pow_general", "beta_value"])
+def test_evaluator_and_beta_digests_match_golden(name):
+    # With the sq test above, the sweeps of the generated evaluators and of
+    # beta_value reproduce their stored digests; the full check covers the rest.
+    tool = _load_tool()
+    golden = json.loads(tool.GOLDEN.read_text(encoding="utf-8"))
+    assert tool.digest(name) == golden[name]

@@ -15,8 +15,10 @@ function is the SHA-256 of its lines, so a single flipped bit in any
 output changes it, and the line count says how many outputs it covers.
 Two dumps compared line by line count the outputs a change moved.
 
-The sweep takes 15-20 s on one core of a 2-vCPU Xeon (CPython 3.11), most
-of it in beta_value refusing m = 700, and uses the standard library only; the digests are meant to be identical on CPython 3.10-3.13.
+The sweep takes about 4 s on one core of a 2-vCPU Xeon (CPython 3.11),
+about 2.9 s of it in compute_pi's records at tolerances down to 5e-324, and
+uses the standard library only; the digests are meant to be identical on
+CPython 3.10-3.13.
 """
 
 from __future__ import annotations
