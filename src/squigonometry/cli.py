@@ -119,7 +119,7 @@ def _cmd_factors(args: argparse.Namespace) -> int:
 
 def _cmd_maclaurin(args: argparse.Namespace) -> int:
     params = SquigParams(p=args.p, m=args.m, n=args.n)
-    check_tolerance("epsilon", args.eps)  # sizes J only when --J is absent
+    check_tolerance("epsilon", args.eps)  # checked even where --J leaves it unused
     J = args.J if args.J is not None else constants.compute_pi(args.p, args.eps).J_used
     table = series.maclaurin(params, J)
     numerators = series.integer_maclaurin(params, J) if args.exact else None

@@ -391,7 +391,7 @@ def test_beta_value_refuses_cancellation_past_binary64(p, m, n):
 def test_beta_value_answers_near_its_refusal_limit(p, m, n, eps):
     # The answers that cancel furthest on a grid of p 2..11, m to 200, n to
     # 40 and eps to 0.3: their rounding reaches 0.087 and 0.065 of the early
-    # refusal's limit, so a limit ten times tighter would refuse them.
+    # refusal's limit, so a limit 12 times tighter would refuse the first.
     want = sg.beta_gamma(p, m, n)
     got = sg.beta_value(p, m, n, eps)
     assert abs(got - want) <= max(eps, 1e-11) * want
