@@ -7,7 +7,7 @@ Usage, from any directory:
     python tools/output_digest.py --dump out.txt   # also write every output line
 
 Each sweep calls one public function on fixed arguments (seeded random
-points included) and turns every call into one line: the arguments'
+points, and for the evaluators the points where their folds change, included) and turns every call into one line: the arguments'
 repr, then the result with every float as float.hex and every int in
 decimal, or, for a typed SquigError, its class name and the first eight
 words of its message.  Any other exception propagates.  The digest of a
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from collections.abc import Callable, Iterator
@@ -82,7 +83,7 @@ def _points(seed: int) -> list:
 _PI_GRID = [(p, eps) for p in (*range(2, 13), 16)
             for eps in (EPS, 1e-12, 1e-6, 0.01, 0.3, 0.9)]
 _PI_GRID += [(p, eps) for p in (2, 3, 4, 6, 10) for eps in (1e-30, 1e-100, 1e-300, 5e-324)]
-_CONTEXTS = [(p, eps) for p in (2, 3, 4, 6, 10) for eps in (EPS, 1e-6)]
+_CONTEXTS = [(p, eps) for p in (2, 3, 4, 6, 10, 16, 64) for eps in (EPS, 1e-6)]
 _MN = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 3), (5, 0), (0, 5), (30, 30))
 
 
@@ -106,10 +107,32 @@ def sweep_integer_maclaurin() -> Iterator[str]:
             yield call(lambda *a: sg.integer_maclaurin(SquigParams(*a[:3]), a[3]), p, m, n, 12)
 
 
+def _seams(ctx) -> list:
+    # Where the evaluators change fold, each with its neighbours: q/2, and
+    # the first point of each later node of the N equal node parts of
+    # [q/2, q] (the least s whose index int((s - q/2) * scale) reaches it,
+    # with scale = N / (q - q/2)); then q, for q = pi_p / 4.  N is the node
+    # count of evalcore's degree-8 node folds at p >= 3, the least with
+    # N >= 2^(60/9) / (4 tan(pi/p)).
+    q, mid = ctx.quarter, ctx.quarter / 2.0
+    edges = [mid]
+    if ctx.p > 2:
+        count = math.ceil(2.0 ** (60 / 9) / (4.0 * math.tan(math.pi / ctx.p)))
+        scale = count / (q - mid)
+        for k in range(1, count):
+            e = mid + k / scale
+            while int((e - mid) * scale) >= k:
+                e = math.nextafter(e, 0.0)
+            while int((e - mid) * scale) < k:
+                e = math.nextafter(e, 2.0)
+            edges.append(e)
+    return [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))] + [q]
+
+
 def _evaluations(fn: Callable) -> Iterator[str]:
     for p, eps in _CONTEXTS:
         ctx = sg.build_context(p, eps)
-        for t in _points(1000 * p):
+        for t in _points(1000 * p) + _seams(ctx):
             yield call(lambda *a, ctx=ctx: fn(ctx, a[2]), p, eps, t)
 
 
