@@ -18,7 +18,8 @@ import math
 import sys
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
-from .errors import DomainError, ParameterError, SquigError, check_finite, check_tolerance
+from .errors import DomainError, ParameterError, SquigError
+from .errors import check_finite, check_int, check_tolerance
 from .series import EPS_DEFAULT
 from .triangle import SquigParams
 
@@ -27,6 +28,7 @@ from .triangle import SquigParams
 # Subcommand handlers.  Each returns a process exit code.
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    check_int("--terms", args.terms, 0)
     tables = [series.maclaurin(SquigParams(p=4, m=m, n=1 - m), args.terms) for m in (1, 0)]
     print("k_c,c_k,k_s,s_k")
     for j in range(args.terms + 1):
@@ -193,7 +195,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ok = all(explicit.corollary_coefficient(params, j) == table.signed(j) for j in range(5))
             all_ok &= _check("corollary-equals-series", f"p={p} m={m} n={n} j<=4", ok, lines)
 
-    for p in (2, 3, 4, 6):
+    for p in (2, 3, 4, 6, 10, 64):
         ctx = evalcore.build_context(p)
         worst = 0.0
         for i in range(201):
@@ -201,6 +203,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             worst = max(worst, abs(abs(cq_val) ** p + abs(sq_val) ** p - 1.0))
         all_ok &= _check("pythagorean-identity", f"p={p} worst={worst:.2e}",
                          worst <= 5e-14, lines)
+
+    # The quadrature inverse shares nothing with the tables or the nodes.
+    for p in (4, 10, 64):
+        ctx = evalcore.build_context(p)
+        grid = [ctx.quarter * i / 16 for i in range(17)]
+        worst = max(abs(evalcore.arcsq_oracle(evalcore.sq(ctx, t), p) - t) for t in grid)
+        all_ok &= _check("arcsq-oracle", f"p={p} worst={worst:.2e}", worst <= 1e-11, lines)
 
     for p, m, n in ((2, 0, 0), (4, 0, 0), (4, 2, 1), (3, 1, 2)):
         got = constants.beta_value(p, m, n)

@@ -18,13 +18,31 @@ table with one multiply-add per stored coefficient.
 
 sq, cq, pow_general and reduce_argument call the context's evaluators,
 straight-line code that checks t, runs _REDUCTION (the one copy of the
-reduction) and folds the context's tables, or returns the reduction, with
-no call in between.  The code is compiled once per table shape and binds
-the coefficients and constants as globals.  Each fold is _horner's loop
-unrolled, its step b = a_i - b * tp written once per coefficient, so
-sq(ctx, s) == horner_sparse(ctx.sq_table, s) on [0, pi_p / 4] at any table
-length.  A context builds them at its first evaluation: 0.5 to 3 ms at
-p = 2..10 for new shapes, else < 0.1 ms.
+reduction) and folds, or returns the reduction, with no call in between.
+The code is compiled once per shape and binds the coefficients and
+constants as globals.  A table fold is _horner's loop unrolled, its step
+b = a_i - b * tp written once per coefficient.
+
+The folds of a context that build_context gives at p >= 3 (and of any
+context equal to one) are the same length at every p.  Below q / 2, with
+q = pi_p / 4, they fold the context's tables cut for [0, q / 2]; on
+[q / 2, q] they fold node tables, Tang's table-driven scheme (ACM TOMS
+15(2), 1989): N equally spaced nodes t0 and, about each, the Taylor
+polynomial of degree 8 in h = s - t0, exact by Sterbenz's lemma since s
+and t0 both lie in [q / 2, q].  Its coefficients come from the paper's
+central result: the k-th derivative of cq^m sq^n is triangle row k, a
+polynomial in (cq, sq), so each is that row at (cq(t0), sq(t0)) over k!,
+formed in fixed point from the record's integer Taylor series and rounded
+once, with the leading one kept as a double-double.  The nearest complex
+singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
+p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
+0.5 us at every p.  Contexts at p = 2, or whose tables are no longer than
+a node fold (loose epsilon), or made by hand or by dataclasses.replace
+with other tables or tolerance, fold their tables on all of [0, q], so
+there sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
+evaluators at its first evaluation: for new shapes about 0.7 ms at p = 2,
+2 to 3 ms at p = 3 and 4, 6 ms at p = 10, 10 ms at p = 16 and 46 ms at
+p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most of it the nodes.
 
 arcsq_oracle inverts sq independently of the series machinery by integrating
 
@@ -43,28 +61,43 @@ import math
 import types
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import count, islice
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, ParameterError, PoleError
 from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
-from .series import EPS_DEFAULT, MacLaurinTable
+from .series import _F, EPS_DEFAULT, MacLaurinTable
+from .triangle import SquigParams, _rows
 
 # build_context drops a table's tail while its largest term on [0, quarter]
 # is within this share of epsilon times the leading coefficient.
 _TRIM = 1.0 / 64.0
+
+# Node folds: the degree of each node polynomial, the share of a term its
+# dropped tail may reach (2^-_NODE_TAIL), and the fraction bits of the
+# fixed point that forms its coefficients.
+_NODE_DEGREE = 8
+_NODE_TAIL = 60
+_NODE_BITS = 128
 
 
 @dataclass(frozen=True)
 class EvalContext:
     """Evaluation bundle for one circle degree: tables, quarter period, tolerance.
 
-    sq, cq and pow_general fold sq_table and cq_table as they are, through
-    the evaluators the context makes at its first evaluation, so
-    horner_sparse(ctx.sq_table, s) == sq(ctx, s) on [0, pi_p / 4].
-    build_context gives the prefixes cut for epsilon; a context made by hand
-    or by dataclasses.replace folds whatever tables it is given.  pi_p, half
-    (pi_p / 2) and period (2 pi_p) are formed from quarter once, when the
-    context is made, with the roundings reduce_argument has always used.
+    sq, cq and pow_general evaluate through the evaluators the context makes
+    at its first evaluation.  build_context gives the prefixes cut for
+    epsilon.  A context equal to the one build_context(p, epsilon) gives,
+    at p >= 3 and with tables longer than a node fold (nine coefficients),
+    folds its tables cut for [0, q / 2] below q / 2 = pi_p / 8 and node
+    tables from there to pi_p / 4, built at the first evaluation from the
+    compute_pi record (about 3 ms at p = 4, 6 ms at p = 10, 46 ms at
+    p = 64).  Every other context, at p = 2, or made by hand or by
+    dataclasses.replace with other tables, quarter or epsilon, folds
+    sq_table and cq_table as they are, so horner_sparse(ctx.sq_table, s) ==
+    sq(ctx, s) on [0, pi_p / 4].  pi_p, half (pi_p / 2) and period
+    (2 pi_p) are formed from quarter once, when the context is made, with
+    the roundings reduce_argument has always used.
     """
 
     p: int
@@ -86,15 +119,22 @@ class EvalContext:
     def evaluators(self) -> types.SimpleNamespace:
         """sq(t), cq(t), pair(t) = (cq(t), sq(t)) and reduce(t), generated for this context.
 
-        Made at the first evaluation, not by build_context, and dropped when
-        the context is pickled, since generated functions do not pickle.
+        Made, with the node data, at the first evaluation, not by
+        build_context, and dropped when the context is pickled, since
+        generated functions do not pickle.
         """
         names = {"fmod": math.fmod, "check_finite": check_finite, "period": self.period,
                  "pi_p": self.pi_p, "half": self.half, "quarter": self.quarter}
-        tables = self.sq_table, self.cq_table
+        nodes = _nodes(self)
+        if nodes is None:
+            tables, degree = (self.sq_table, self.cq_table), 0
+        else:
+            tables, degree = (nodes.sq_prefix, nodes.cq_prefix), _NODE_DEGREE
+            names.update(mid=nodes.mid, scale=nodes.scale, SQN=nodes.sq, CQN=nodes.cq)
         for letter, table in zip("ac", tables):
             names.update((f"{letter}{i}", a) for i, a in enumerate(table.floats))
-        codes = _evaluator_code(*((len(t.floats), t.params.p, t.params.n) for t in tables))
+        shapes = ((len(t.floats), t.params.p, t.params.n) for t in tables)
+        codes = _evaluator_code(*shapes, degree)
         return types.SimpleNamespace(**{c.co_name: types.FunctionType(c, names) for c in codes})
 
     def __getstate__(self) -> dict:
@@ -117,6 +157,106 @@ def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> MacLaurin
     while keep > 1 and floats[keep - 1] * x ** (p * (keep - 1)) <= bound:
         keep -= 1
     return MacLaurinTable(table.params, floats[:keep])
+
+
+class _Nodes(NamedTuple):
+    # The node data of one context.  Below mid = quarter / 2 the prefixes
+    # fold; at s >= mid node i = int((s - mid) * scale) folds the entry
+    # (t0, hi, lo, b_1, ..., b_D) of sq or cq, the Taylor polynomial about
+    # t0 with leading coefficient hi + lo.  The last node is listed twice,
+    # for s = quarter.
+    mid: float
+    scale: float
+    sq_prefix: MacLaurinTable
+    cq_prefix: MacLaurinTable
+    sq: tuple[tuple[float, ...], ...]
+    cq: tuple[tuple[float, ...], ...]
+
+
+def _nodes(ctx: EvalContext) -> _Nodes | None:
+    # Node data for a context that build_context gives at p >= 3 whose
+    # tables are longer than a node fold; None for any other context, which
+    # folds its own tables.  N nodes at the centres of equal parts of
+    # [mid, quarter] keep |h| <= quarter / 4N, and the Taylor series about a
+    # node converges within rho = quarter tan(pi / p) of it, the distance to
+    # the nearest complex singularity of sq and cq, so N is the least with
+    # (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.
+    from .constants import compute_pi
+
+    p, degree = ctx.p, _NODE_DEGREE
+    if p < 3 or min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= degree + 1:
+        return None
+    try:
+        record = compute_pi(p, ctx.epsilon)
+    except ParameterError:  # a hand-made context need not hold a valid epsilon
+        return None
+    if ctx != _context(record):
+        return None
+    series = record._series
+    parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
+    mid = ctx.quarter / 2.0
+    width = (ctx.quarter - mid) / parts
+    rows = [list(islice(_rows(SquigParams(p, m, 1 - m), (0, [1]), 0), degree + 1)) for m in (0, 1)]
+    sq_nodes, cq_nodes = [], []
+    for i in range(parts):
+        t0 = mid + (i + 0.5) * width
+        powers = [_powers(x, p, degree) for x in _node_values(series, t0)]
+        sq_nodes.append((t0, *_node_coefficients(p, 0, 1, rows[0], *powers)))
+        cq_nodes.append((t0, *_node_coefficients(p, 1, 0, rows[1], *powers)))
+    return _Nodes(mid, parts / (ctx.quarter - mid),
+                  *(_trimmed(table, mid, ctx.epsilon) for table in (ctx.sq_table, ctx.cq_table)),
+                  (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
+
+
+def _node_values(series, t0: float) -> tuple[int, int]:
+    # cq(t0) and sq(t0) in _NODE_BITS fixed point: the series' scaled
+    # magnitudes c[j] and s[j] (2^_F units) summed at v = t0^p / rho with
+    # alternating signs until both terms are below 2^-80.  The terms shrink,
+    # so that bounds the error.
+    bits = _NODE_BITS
+    t = int(math.ldexp(t0, bits))  # exact: t0 >= 1/4 has no bits below 2^-55
+    v = (t ** series.p << 32) // (series.r << bits * (series.p - 1))
+    scaled, c, s, small = 1 << bits, 0, 0, 1 << (bits - 80)
+    for j in count():
+        if j >= len(series.h):  # extend appends to h last
+            series.extend(j)
+        tc, ts = series.c[j] * scaled >> _F, series.s[j] * scaled >> _F
+        c, s = (c - tc, s - ts) if j % 2 else (c + tc, s + ts)
+        if tc < small and ts < small:
+            return c, t * s >> bits
+        scaled = scaled * v >> bits
+
+
+def _powers(x: int, p: int, degree: int) -> tuple[list[int], list[int]]:
+    # x^r for r < p and x^(pi) for i <= degree, in _NODE_BITS fixed point:
+    # x^e is low[e % p] * high[e // p] (2 * _NODE_BITS fraction bits) for
+    # every exponent a row of degree <= D takes.
+    low, high = [1 << _NODE_BITS], [1 << _NODE_BITS]
+    for _ in range(p):
+        low.append(low[-1] * x >> _NODE_BITS)
+    for _ in range(degree):
+        high.append(high[-1] * low[p] >> _NODE_BITS)
+    return low[:p], high
+
+
+def _node_coefficients(p: int, m: int, n: int, rows: list, cq_powers, sq_powers) -> tuple:
+    # hi, lo, b_1, ..., b_D of cq^m sq^n about a node: b_k is triangle row k
+    # (the k-th derivative, a polynomial in cq and sq) at the node's values
+    # over k!, summed exactly in fixed point and rounded once; hi + lo is the
+    # value itself to twice binary64's precision.
+    (c_low, c_high), (s_low, s_high) = cq_powers, sq_powers
+    sums = []
+    for k, (lo, row) in enumerate(rows):
+        total = 0
+        for j, q in enumerate(row, lo):
+            a, b = m + k * (p - 1) - p * j, n - k + p * j
+            term = q * c_low[a % p] * c_high[a // p] * s_low[b % p] * s_high[b // p]
+            total += -term if j % 2 else term
+        sums.append((total, math.factorial(k) << 4 * _NODE_BITS))
+    (total, scale), *rest = sums
+    hi = total / scale
+    num, den = hi.as_integer_ratio()
+    return (hi, (total * den - num * scale) / (scale * den), *(x / d for x, d in rest))
 
 
 class QuadrantReduction(NamedTuple):
@@ -142,12 +282,16 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     """
     from .constants import compute_pi
 
-    record = compute_pi(p, epsilon)
+    return _context(compute_pi(p, epsilon))
+
+
+def _context(record) -> EvalContext:
+    # The context build_context makes from a compute_pi record.
     quarter = record.value / 4.0
     sq_table, cq_table = (
-        _trimmed(table, quarter, epsilon) for table in (record.sq_table, record.cq_table)
+        _trimmed(table, quarter, record.epsilon) for table in (record.sq_table, record.cq_table)
     )
-    return EvalContext(p, quarter, sq_table, cq_table, epsilon)
+    return EvalContext(record.p, quarter, sq_table, cq_table, record.epsilon)
 
 
 # The range reduction, written once: these statements take a checked float
@@ -220,19 +364,46 @@ def _fold(letter: str, shape: tuple[int, int, int], out: str) -> list[str]:
     return [f"tp = s ** {p}", f"{out} = {letter}{length - 1}", *steps, f"{out} = {scale} * {out}"]
 
 
+def _node_fold(name: str, degree: int, out: str) -> list[str]:
+    # Statements that set out to the node fold at s about node i of the
+    # global node table {name}: unpack (t0, hi, lo, b1, ..., b{degree}),
+    # h = s - t0, Horner steps out = b_k + out * h from the deep end, then
+    # the double-double leading term hi + (lo + out * h).
+    b = [f"b{k}" for k in range(1, degree + 1)]
+    steps = [f"{out} = {b[k - 1]} + {out} * h" for k in range(degree - 1, 0, -1)]
+    return [f"t0, hi, lo, {', '.join(b)} = {name}[i]", "h = s - t0", f"{out} = {b[-1]}",
+            *steps, f"{out} = hi + (lo + {out} * h)"]
+
+
 @lru_cache(maxsize=64)
-def _evaluator_code(sq_shape: tuple, cq_shape: tuple) -> tuple[types.CodeType, ...]:
+def _evaluator_code(sq_shape: tuple, cq_shape: tuple, degree: int) -> tuple[types.CodeType, ...]:
     # The code of sq, cq, pair and reduce for tables of these shapes (length,
-    # p, n), compiled from one source: an inline check that sends every t but
-    # a finite float to check_finite and float(), _REDUCTION, then the folds
-    # (pair's share one tp when the tables share p) and signs, or reduce's
-    # tuple.  Only ints enter the source.
-    fold_sq, fold_cq = "; ".join(_fold("a", sq_shape, "v")), "; ".join(_fold("c", cq_shape, "v"))
+    # p, n) and node folds of this degree (0 for none), compiled from one
+    # source: an inline check that sends every t but a finite float to
+    # check_finite and float(), _REDUCTION, then the folds (pair's share one
+    # tp when the tables share p, and one node index i and h) and signs, or
+    # reduce's tuple.  With nodes the tables fold below mid, and at or above
+    # it node i = int((s - mid) * scale) folds.  Only ints enter the source.
+    def choose(co: list[str], plain: list[str]) -> list[str]:
+        return [f"if use_co: {'; '.join(co)}", f"else: {'; '.join(plain)}"]
+
+    fold_sq, fold_cq = _fold("a", sq_shape, "v"), _fold("c", cq_shape, "v")
     fold_pair = _fold("a", sq_shape, "y") + _fold("c", cq_shape, "x")[sq_shape[1] == cq_shape[1]:]
+    folds = {"sq": choose(fold_cq, fold_sq), "cq": choose(fold_sq, fold_cq), "pair": fold_pair}
+    if degree:
+        node_sq, node_cq = _node_fold("SQN", degree, "v"), _node_fold("CQN", degree, "v")
+        # pair's cq fold reuses the h of its sq fold: both nodes share t0.
+        node_pair = _node_fold("SQN", degree, "y") + [
+            line for line in _node_fold("CQN", degree, "x") if line != "h = s - t0"]
+        nodes = {"sq": choose(node_cq, node_sq), "cq": choose(node_sq, node_cq), "pair": node_pair}
+        folds = {name: ["if s < mid:", *(f"    {line}" for line in fold),
+                        "else:", "    i = int((s - mid) * scale)",
+                        *(f"    {line}" for line in nodes[name])]
+                 for name, fold in folds.items()}
     bodies = {
-        "sq": [f"if use_co: {fold_cq}", f"else: {fold_sq}", "return sign_sq * v"],
-        "cq": [f"if use_co: {fold_sq}", f"else: {fold_cq}", "return sign_cq * v"],
-        "pair": [*fold_pair, "if use_co: return sign_cq * y, sign_sq * x",
+        "sq": [*folds["sq"], "return sign_sq * v"],
+        "cq": [*folds["cq"], "return sign_cq * v"],
+        "pair": [*folds["pair"], "if use_co: return sign_cq * y, sign_sq * x",
                  "return sign_cq * x, sign_sq * y"],
         "reduce": ["return s, use_co, sign_sq, sign_cq"],
     }

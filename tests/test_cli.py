@@ -284,9 +284,14 @@ def test_verify_passes(capsys, monkeypatch, watch_evaluators):
     assert code == 0
     assert lines, "verify must print at least one check line"
     assert all(ln.startswith("PASS ") for ln in lines)
-    # The Pythagorean sweep reduces each of its points once, through pair.
+    # The Pythagorean sweep reduces each of its points once, through pair,
+    # and the arcsq-oracle check evaluates sq once per point of its grid on
+    # [0, pi_p / 4].
     grid = [("pair", -10.0 + 20.0 * i / 200) for i in range(201)]
-    assert built == [(p, grid) for p in (2, 3, 4, 6)]
+    quarters = {p: sg.build_context(p).quarter for p in (4, 10, 64)}
+    arcsq = [(p, [("sq", quarters[p] * i / 16) for i in range(17)]) for p in (4, 10, 64)]
+    assert built == [(p, grid) for p in (2, 3, 4, 6, 10, 64)] + arcsq
+    assert [ln.split(" (")[0] for ln in lines].count("PASS arcsq-oracle") == 3
 
 
 @pytest.mark.parametrize("flag", [["--quick"], ["--eps", "1e-6"]])
@@ -414,3 +419,12 @@ def test_bad_p_or_eps_is_named(capsys, command, flag, value, message):
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("terms", ["-1", "-40"])
+def test_table1_negative_terms_names_the_flag(capsys, terms):
+    # The error names the command's --terms flag, not the library's J.
+    code = cli.main(["table1", "--terms", terms])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: --terms must be an int in [0, inf], got {terms}\n"

@@ -414,18 +414,29 @@ def test_sq_cq_within_an_ulp_of_the_full_table(p):
 
 @pytest.mark.parametrize("p", EVAL_P)
 def test_sq_cq_fold_exactly_the_context_tables(p):
-    # Bit for bit on [0, pi_p / 4], and past it, where the quarter
-    # reflection swaps the tables' roles.
+    # Bit for bit wherever the context folds its tables, and past the
+    # quarter, where the reflection swaps the tables' roles: on all of
+    # [0, pi_p / 4] at p = 2, and below q / 2 elsewhere, where node tables
+    # fold from q / 2 on and the tables are cut for [0, q / 2].
     ctx = sg.build_context(p)
+    nodes = evalcore._nodes(ctx)
+    assert (nodes is None) == (p == 2)
+    if nodes is None:
+        top, sq_table, cq_table = ctx.quarter, ctx.sq_table, ctx.cq_table
+    else:
+        top, sq_table, cq_table = math.nextafter(nodes.mid, 0.0), nodes.sq_prefix, nodes.cq_prefix
+        assert nodes.mid == ctx.quarter / 2.0
+        assert sq_table == evalcore._trimmed(ctx.sq_table, nodes.mid, ctx.epsilon)
+        assert cq_table == evalcore._trimmed(ctx.cq_table, nodes.mid, ctx.epsilon)
     rng = random.Random(200 + p)
-    for s in [0.0, ctx.quarter] + [rng.uniform(0.0, ctx.quarter) for _ in range(300)]:
-        assert sg.sq(ctx, s) == sg.horner_sparse(ctx.sq_table, s)
-        assert sg.cq(ctx, s) == sg.horner_sparse(ctx.cq_table, s)
+    for s in [0.0, top] + [rng.uniform(0.0, top) for _ in range(300)]:
+        assert sg.sq(ctx, s) == sg.horner_sparse(sq_table, s)
+        assert sg.cq(ctx, s) == sg.horner_sparse(cq_table, s)
         u = ctx.half - s
         if u > ctx.quarter:
             r = ctx.half - u
-            assert sg.sq(ctx, u) == sg.horner_sparse(ctx.cq_table, r)
-            assert sg.cq(ctx, u) == sg.horner_sparse(ctx.sq_table, r)
+            assert sg.sq(ctx, u) == sg.horner_sparse(cq_table, r)
+            assert sg.cq(ctx, u) == sg.horner_sparse(sq_table, r)
 
 
 # The worst point seen for p = 4 over 1500 seeded points per table: both the
@@ -467,17 +478,19 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
 
 
 def test_replaced_context_folds_the_tables_it_holds(ctx4, pi4):
-    # replace cuts nothing: a looser epsilon keeps the tables, and a context
-    # given the record's full tables folds all of them.
+    # replace cuts nothing: a looser epsilon keeps the tables and folds them
+    # over all of [0, pi_p / 4], where ctx4 folds node tables from q / 2 on,
+    # and a context given the record's full tables folds all of them.
     looser = dataclasses.replace(ctx4, epsilon=1e-6)
     assert looser.sq_table is ctx4.sq_table and looser.cq_table is ctx4.cq_table
     full = dataclasses.replace(ctx4, sq_table=pi4.sq_table, cq_table=pi4.cq_table)
-    for t in (0.3, 0.9, 2.5, -7.0):
-        assert sg.sq(looser, t) == sg.sq(ctx4, t)
-        s, use_co, sign_sq, sign_cq = sg.reduce_argument(full, t)
-        sq_table, cq_table = (pi4.cq_table, pi4.sq_table) if use_co else (pi4.sq_table, pi4.cq_table)
-        assert sg.sq(full, t) == sign_sq * sg.horner_sparse(sq_table, s)
-        assert sg.cq(full, t) == sign_cq * sg.horner_sparse(cq_table, s)
+    for ctx in (looser, full):
+        for t in (0.3, 0.9, 2.5, -7.0):
+            s, use_co, sign_sq, sign_cq = sg.reduce_argument(ctx, t)
+            tables = ctx.sq_table, ctx.cq_table
+            sq_table, cq_table = tables[::-1] if use_co else tables
+            assert sg.sq(ctx, t) == sign_sq * sg.horner_sparse(sq_table, s)
+            assert sg.cq(ctx, t) == sign_cq * sg.horner_sparse(cq_table, s)
     assert dataclasses.replace(ctx4) == ctx4
 
 
@@ -557,7 +570,46 @@ FOLD_EPS = (2.0 ** -53, 2.0 ** -30, 1e-6, 1e-3, 0.3)
 
 
 def _fold_points(quarter: float) -> tuple[float, ...]:
-    return (0.0, -0.0, 5e-324, quarter, math.nextafter(quarter, 0.0))
+    # Zeros, the least subnormal, q / 2 and q = pi_p / 4, and their neighbours.
+    mid = quarter / 2.0
+    return (0.0, -0.0, 5e-324, quarter, math.nextafter(quarter, 0.0),
+            mid, math.nextafter(mid, 0.0), math.nextafter(mid, 1.0))
+
+
+def _node_loop(entries, mid: float, scale: float, s: float) -> float:
+    # The node fold as a loop, the reference of the generated node folds:
+    # Horner in h = s - t0 over b_D..b_1, then the leading term hi + lo.
+    t0, hi, lo, *b = entries[int((s - mid) * scale)]
+    h = s - t0
+    v = b[-1]
+    for a in reversed(b[:-1]):
+        v = a + v * h
+    return hi + (lo + v * h)
+
+
+def _loop_fold(ctx):
+    # (sq, cq) at s in [0, pi_p / 4] by the reference loops: _horner over
+    # the context's tables, or with node data, over the prefixes below q / 2
+    # and the node loop from it.
+    nodes = evalcore._nodes(ctx)
+    if nodes is None:
+        return lambda s: (evalcore._horner(ctx.sq_table, s), evalcore._horner(ctx.cq_table, s))
+
+    def fold(s):
+        if s < nodes.mid:
+            return evalcore._horner(nodes.sq_prefix, s), evalcore._horner(nodes.cq_prefix, s)
+        return tuple(_node_loop(entries, nodes.mid, nodes.scale, s) for entries in (nodes.sq, nodes.cq))
+
+    return fold
+
+
+def _node_edges(ctx) -> tuple[float, ...]:
+    # Each boundary between two nodes and its neighbours; none without nodes.
+    nodes = evalcore._nodes(ctx)
+    if nodes is None:
+        return ()
+    edges = [nodes.mid + k / nodes.scale for k in range(1, len(nodes.sq) - 1)]
+    return tuple(x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)))
 
 
 def _assert_bits(got, want, where) -> None:
@@ -568,12 +620,12 @@ def _assert_bits(got, want, where) -> None:
 
 
 def _assert_folds_like_the_loop(ctx, points) -> None:
-    # On [0, pi_p / 4] each evaluator folds its own table with sign 1; past
-    # the quarter reflection the tables swap roles.
-    ev = ctx.evaluators
+    # On [0, pi_p / 4] each evaluator folds its own table or node with sign
+    # 1; past the quarter reflection sq and cq swap roles.
+    ev, loop = ctx.evaluators, _loop_fold(ctx)
     for s in points:
         where = (ctx.sq_table.params, len(ctx.sq_table.floats), len(ctx.cq_table.floats), s)
-        want_sq, want_cq = evalcore._horner(ctx.sq_table, s), evalcore._horner(ctx.cq_table, s)
+        want_sq, want_cq = loop(s)
         _assert_bits(ev.sq(s), want_sq, where)
         _assert_bits(ev.cq(s), want_cq, where)
         c, v = ev.pair(s)
@@ -582,7 +634,7 @@ def _assert_folds_like_the_loop(ctx, points) -> None:
         u = ctx.half - s
         if u > ctx.quarter:
             r = ctx.half - u
-            want_sq, want_cq = evalcore._horner(ctx.cq_table, r), evalcore._horner(ctx.sq_table, r)
+            want_cq, want_sq = loop(r)
             _assert_bits(ev.sq(u), want_sq, where)
             _assert_bits(ev.cq(u), want_cq, where)
             c, v = ev.pair(u)
@@ -592,10 +644,16 @@ def _assert_folds_like_the_loop(ctx, points) -> None:
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_context_folds_match_the_loop_bit_for_bit(p):
+    # At p = 2, and where a node fold would not be shorter than the tables,
+    # the contexts fold their tables; else the prefixes below q / 2 and node
+    # tables from it, each like its loop.
     rng = random.Random(300 + p)
     for eps in FOLD_EPS:
         ctx = sg.build_context(p, eps)
-        points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(20))
+        short = min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= evalcore._NODE_DEGREE + 1
+        assert (evalcore._nodes(ctx) is None) == (p == 2 or short)
+        points = _fold_points(ctx.quarter) + _node_edges(ctx)
+        points += tuple(rng.uniform(0.0, ctx.quarter) for _ in range(20))
         _assert_folds_like_the_loop(ctx, points)
 
 
@@ -680,6 +738,57 @@ def test_evaluated_context_pickles_without_its_evaluators():
     assert back == ctx and "evaluators" not in vars(back)
     assert "evaluators" in vars(ctx)
     assert [(sg.sq(back, t), sg.cq(back, t)) for t in points] == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 10, 64])
+def test_build_context_makes_no_evaluators_or_nodes(p, monkeypatch):
+    # Node data and generated code are made at the first evaluation, so
+    # build_context costs what it did before nodes (constants-cold builds
+    # contexts and never evaluates).
+    def refuse(ctx):
+        raise AssertionError("node data built before the first evaluation")
+
+    monkeypatch.setattr(evalcore, "_nodes", refuse)
+    ctx = sg.build_context(p)
+    assert "evaluators" not in vars(ctx)
+    monkeypatch.undo()
+    sg.sq(ctx, 0.7 * ctx.quarter)
+    assert "evaluators" in vars(ctx)
+
+
+@pytest.mark.parametrize("eps", FOLD_EPS + (5e-324,))
+def test_p2_folds_its_tables_with_no_nodes(eps):
+    # p = 2 keeps the table folds, _horner's loop unrolled, everywhere on
+    # [0, pi_p / 4]; test_evaluation_golden_bits pins their bits.
+    ctx = sg.build_context(2, eps)
+    assert evalcore._nodes(ctx) is None
+    assert "SQN" not in ctx.evaluators.sq.__globals__
+    rng = random.Random(2)
+    points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(200))
+    for s in points:
+        assert sg.sq(ctx, s) == evalcore._horner(ctx.sq_table, s)
+        assert sg.cq(ctx, s) == evalcore._horner(ctx.cq_table, s)
+        assert ctx.evaluators.pair(s) == (sg.cq(ctx, s), sg.sq(ctx, s))
+
+
+def test_contexts_equal_to_build_context_fold_nodes():
+    # The rule is equality: a context made by hand equal to build_context's
+    # folds the same nodes, and any other tables fold as they are.  Nodes
+    # add no field, and leave repr, equality and hashing as they were.
+    ctx = sg.build_context(6)
+    by_hand = sg.EvalContext(6, ctx.quarter, ctx.sq_table, ctx.cq_table, ctx.epsilon)
+    assert by_hand == ctx and hash(by_hand) == hash(ctx) and repr(by_hand) == repr(ctx)
+    assert [f.name for f in dataclasses.fields(ctx)] == [
+        "p", "quarter", "sq_table", "cq_table", "epsilon", "pi_p", "half", "period"]
+    assert evalcore._nodes(by_hand) == evalcore._nodes(ctx) is not None
+    s = 0.8 * ctx.quarter
+    assert sg.sq(by_hand, s) == sg.sq(ctx, s) and sg.cq(by_hand, s) == sg.cq(ctx, s)
+    for other in (dataclasses.replace(ctx, epsilon=1e-6), dataclasses.replace(ctx, quarter=0.75),
+                  sg.EvalContext(6, ctx.quarter, ctx.sq_table, ctx.cq_table, 2.0)):
+        assert evalcore._nodes(other) is None
+        t = 0.8 * other.quarter
+        assert sg.sq(other, t) == evalcore._horner(other.sq_table, t)
+    assert "evaluators" not in repr(ctx) and "SQN" not in repr(ctx)
 
 
 def test_replaced_context_folds_its_own_tables(ctx4):

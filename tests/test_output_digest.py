@@ -28,8 +28,10 @@ def _flip_last_bit(x: float) -> float:
 
 
 def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
-    # The sq sweep reproduces its stored digest; with the last bit of a_1 in
+    # The sq sweep reproduces its stored digest; with the last bit of a_0 in
     # the p = 4 record's sq table flipped, the same sweep digests differently.
+    # (Below q / 2, where node tables leave the table folds, a_1 s^5 is under
+    # 1 % of sq, so a flip of a_1's last bit moves no output of the sweep.)
     tool = _load_tool()
     golden = json.loads(tool.GOLDEN.read_text(encoding="utf-8"))
     assert tool.digest("sq") == golden["sq"]
@@ -41,12 +43,12 @@ def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
         if p != 4:
             return record
         floats = list(record.sq_table.floats)
-        floats[1] = _flip_last_bit(floats[1])
+        floats[0] = _flip_last_bit(floats[0])
         table = sg.MacLaurinTable(record.sq_table.params, tuple(floats))
         return dataclasses.replace(record, sq_table=table)
 
     monkeypatch.setattr(constants, "_solve_pi", flipped)
-    assert sg.compute_pi(4).sq_table.floats[1] != real(4, sg.EPS_DEFAULT).sq_table.floats[1]
+    assert sg.compute_pi(4).sq_table.floats[0] != real(4, sg.EPS_DEFAULT).sq_table.floats[0]
     changed = tool.digest("sq")
     assert changed["outputs"] == golden["sq"]["outputs"]
     assert changed["sha256"] != golden["sq"]["sha256"]
@@ -65,3 +67,20 @@ def test_evaluator_and_beta_digests_match_golden(name):
     tool = _load_tool()
     golden = json.loads(tool.GOLDEN.read_text(encoding="utf-8"))
     assert tool.digest(name) == golden[name]
+
+
+@pytest.mark.parametrize("p", [3, 4, 10, 16, 64])
+def test_evaluation_sweep_straddles_every_node_boundary(p):
+    # The tool counts the nodes itself; its seams are q / 2, then the first
+    # point of each later node, each with its neighbours, then q: the node
+    # index the evaluators compute steps by one at each of those points.
+    tool = _load_tool()
+    ctx = sg.build_context(p)
+    nodes = sg.evalcore._nodes(ctx)
+    seams = tool._seams(ctx)
+    triples = [seams[i:i + 3] for i in range(0, len(seams) - 1, 3)]
+    assert len(triples) == len(nodes.sq) - 1 and seams[-1] == ctx.quarter
+    assert triples[0][1] == nodes.mid and triples[0][0] < nodes.mid < triples[0][2]
+    for k, (below, first, above) in enumerate(triples[1:], 1):
+        assert int((below - nodes.mid) * nodes.scale) == k - 1
+        assert int((first - nodes.mid) * nodes.scale) == int((above - nodes.mid) * nodes.scale) == k

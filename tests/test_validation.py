@@ -222,3 +222,27 @@ def test_compute_pi_cache_rejects_float_degree():
     sg.compute_pi(4)
     with pytest.raises(ParameterError):
         sg.compute_pi(4.0)
+
+
+# The evaluators' check on a context that folds node tables (p = 10): the
+# same typed errors as on any other context.
+NODE_CASES = {
+    "sq.t": lambda ctx, v: sg.sq(ctx, v),
+    "cq.t": lambda ctx, v: sg.cq(ctx, v),
+    "reduce_argument.t": lambda ctx, v: sg.reduce_argument(ctx, v),
+    "pow_general.t": lambda ctx, v: sg.pow_general(ctx, 2, 1, v),
+}
+NODE_PAIRS = [(case, bad) for case in sorted(NODE_CASES) for bad in BAD_VALUES]
+
+
+@pytest.fixture(scope="module")
+def ctx10() -> sg.EvalContext:
+    ctx = sg.build_context(10)
+    assert sg.evalcore._nodes(ctx) is not None
+    return ctx
+
+
+@pytest.mark.parametrize("case,bad", NODE_PAIRS, ids=[f"{c}={b!r}" for c, b in NODE_PAIRS])
+def test_bad_t_on_a_node_context_raises_typed_error(case, bad, ctx10):
+    with pytest.raises(DomainError, match=r"^t must be a finite real"):
+        NODE_CASES[case](ctx10, bad)
