@@ -228,7 +228,7 @@ def _node_values(series, t0: float) -> tuple[int, int]:
 
 
 def _powers(x: int, p: int, degree: int) -> tuple[list[int], list[int]]:
-    # x^r for r < p and x^(pi) for i <= degree, in _NODE_BITS fixed point:
+    # x^r for r <= p and x^(pi) for i <= degree, in _NODE_BITS fixed point:
     # x^e is low[e % p] * high[e // p] (2 * _NODE_BITS fraction bits) for
     # every exponent a row of degree <= D takes.
     low, high = [1 << _NODE_BITS], [1 << _NODE_BITS]
@@ -236,7 +236,7 @@ def _powers(x: int, p: int, degree: int) -> tuple[list[int], list[int]]:
         low.append(low[-1] * x >> _NODE_BITS)
     for _ in range(degree):
         high.append(high[-1] * low[p] >> _NODE_BITS)
-    return low[:p], high
+    return low, high
 
 
 def _node_coefficients(p: int, m: int, n: int, rows: list, cq_powers, sq_powers) -> tuple:

@@ -756,21 +756,6 @@ def test_build_context_makes_no_evaluators_or_nodes(p, monkeypatch):
     assert "evaluators" in vars(ctx)
 
 
-@pytest.mark.parametrize("eps", FOLD_EPS + (5e-324,))
-def test_p2_folds_its_tables_with_no_nodes(eps):
-    # p = 2 keeps the table folds, _horner's loop unrolled, everywhere on
-    # [0, pi_p / 4]; test_evaluation_golden_bits pins their bits.
-    ctx = sg.build_context(2, eps)
-    assert evalcore._nodes(ctx) is None
-    assert "SQN" not in ctx.evaluators.sq.__globals__
-    rng = random.Random(2)
-    points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(200))
-    for s in points:
-        assert sg.sq(ctx, s) == evalcore._horner(ctx.sq_table, s)
-        assert sg.cq(ctx, s) == evalcore._horner(ctx.cq_table, s)
-        assert ctx.evaluators.pair(s) == (sg.cq(ctx, s), sg.sq(ctx, s))
-
-
 def test_contexts_equal_to_build_context_fold_nodes():
     # The rule is equality: a context made by hand equal to build_context's
     # folds the same nodes, and any other tables fold as they are.  Nodes
