@@ -158,6 +158,8 @@ def sweep_beta_value() -> Iterator[str]:
         for m, n in _MN + ((10, 3), (12, 12), (20, 5), (700, 0)):
             for eps in (EPS, 1e-8, 0.1):
                 yield call(sg.beta_value, p, m, n, eps)
+    for m, n in ((3, 2), (2, 3), (15, 14), (14, 15)):
+        yield call(sg.beta_value, 16, m, n, EPS)
 
 
 def sweep_root_ladder() -> Iterator[str]:
