@@ -10,6 +10,7 @@ constants pi_p and Beta values, all behind a CSV-emitting command line tool.
 from __future__ import annotations
 
 from .constants import (
+    MAX_PI_TERMS,
     PiRecord,
     beta_gamma,
     beta_quadrature_oracle,
@@ -106,6 +107,7 @@ __all__ = [
     "MAX_COROLLARY_ORDER",
     "MAX_ENUMERATION_ORDER",
     "MAX_EXPLICIT_ORDER",
+    "MAX_PI_TERMS",
     "MacLaurinTable",
     "ParameterError",
     "PiRecord",

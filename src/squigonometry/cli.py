@@ -3,7 +3,8 @@
 Output conventions: every data command writes CSV to stdout with a header
 row; floats are printed in shortest round-trip form, so parsing a value back
 gives the identical binary64.  Exit codes: 0 on success, 2 on invalid
-arguments or domain errors, 3 when a computation or verification fails.
+arguments, domain errors or requests past a cost ceiling, 3 when a
+computation or verification fails.
 A command checks or computes everything that can fail before it prints its
 header, so one that fails leaves stdout empty.  A command that evaluates
 builds its context with evalcore.build_context on every run; the tables
@@ -18,7 +19,7 @@ import math
 import sys
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
-from .errors import DomainError, ParameterError, SquigError
+from .errors import CostGuardError, DomainError, ParameterError, SquigError
 from .errors import check_finite, check_int, check_tolerance
 from .series import EPS_DEFAULT
 from .triangle import SquigParams
@@ -316,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except SquigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ParameterError, DomainError)) else 3
+        return 2 if isinstance(exc, (ParameterError, DomainError, CostGuardError)) else 3
 
 
 if __name__ == "__main__":

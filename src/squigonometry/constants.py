@@ -41,11 +41,16 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 
-from .errors import ConvergenceError, DomainError, check_int, check_powers, check_tolerance
+from .errors import ConvergenceError, CostGuardError, DomainError
+from .errors import check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth, horner_sparse
 from .factors import pi_from_factors
 from .series import EPS_DEFAULT, MacLaurinTable, _TaylorSeries, estimate_terms
 from .triangle import SquigParams
+
+#: Ceiling on the table length J_used compute_pi sizes.  A build costs about
+#: J^2 (5.6 s at J = 5710, p = 512 at EPS_DEFAULT), and J is about 11 p there.
+MAX_PI_TERMS = 8192
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,9 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
         table length, estimate_terms at the series pi_p and at least 3 and
         (p + 1) // 3; sq_table and cq_table are the tables Newton ran on,
         which build_context cuts its evaluation tables from.
+
+    Raises CostGuardError, before building anything, where J_used would
+    pass MAX_PI_TERMS: from p = 735 at EPS_DEFAULT.
     """
     # Validate before the memo sees the arguments, so a float degree such as
     # 4.0 fails rather than hit the record of the int 4, and key the memo on
@@ -98,6 +106,10 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     # tables lands far from pi_p, or from p = 14 on wanders or diverges.
     series = _TaylorSeries(p)
     J = max(estimate_terms(p, series.pi_p, epsilon), 3, (p + 1) // 3)
+    if J > MAX_PI_TERMS:
+        raise CostGuardError(
+            f"pi_{p} at epsilon={epsilon!r} needs J={J} terms, past the cap {MAX_PI_TERMS}"
+        )
     sq_table, cq_table = (series.table(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
     # Newton seeds from the deepest factor binary64 holds (an epsilon near its
     # bottom sizes the table past where the last entries round to 0), or at

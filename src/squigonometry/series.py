@@ -19,9 +19,11 @@ signs alternate, so the kernel carries magnitudes, in 192-bit fixed point on
 v = u / rho with rho near the radius of convergence, where they stay near
 2^192 at every j.  The u^j coefficient x of c^m s^n (by square and multiply)
 is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
-_TaylorSeries holds c, s, G and H for one p and extends them, under a lock,
-on demand; compute_pi keeps its series on the record, so beta_value's
-streams, in any thread, extend it rather than start again.
+_TaylorSeries holds c, s, G and H for one p, and one registry of the product
+sequences c^k, s^k and c^m s^n, each formed once and extended, under one
+lock, only as far as some stream reads it; a square sums each pair of equal
+products once.  compute_pi keeps its series on the record, so beta_value's
+streams, in any thread, extend it and its products rather than start again.
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -112,17 +114,14 @@ def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
     return sum(map(mul, map(mul, f[1 : k + 1], g[k - 1 :: -1]), weights)) // (k << _F)
 
 
-def _power(f: list[int], alpha: int, products: list[tuple]) -> list[int]:
-    # f^alpha, alpha >= 1, by square and multiply over bin(alpha)[3:], each product
-    # (terms, left, right) queued in the order its terms are due.  Sums of positive
-    # terms keep their precision where Miller's cancelling sum loses it (p = 2).
-    power = f
-    for bit in bin(alpha)[3:]:
-        products.append(([1 << _F], power, power))
-        if bit == "1":
-            products.append(([1 << _F], products[-1][0], f))
-        power = products[-1][0]
-    return power
+def _product(left: list[int], right: list[int], j: int) -> int:
+    # The u^j coefficient of left * right, scaled by 2^F and floored.  A square
+    # pairs a_i a_(j-i) with a_(j-i) a_i: 2 sum_(i < j/2) a_i a_(j-i) + a_(j/2)^2,
+    # the same integer as the plain sum from half its products.
+    if left is not right:
+        return sum(map(mul, left[: j + 1], right[j::-1])) >> _F
+    x = sum(map(mul, left[: (j + 1) // 2], left[j : j // 2 : -1])) << 1
+    return (x + left[j // 2] ** 2 if j % 2 == 0 else x) >> _F
 
 
 class _TaylorSeries:
@@ -130,14 +129,24 @@ class _TaylorSeries:
 
     rho = r / 2^32 is R^p for R = radius(p, pi_p), pi_p = _pi_series(p),
     capped at 2^16 (p = 2 is entire) and rounded up.  At p = 2, G = c and H = s.
+
+    products is one registry of the product sequences streams read, keyed by
+    what each holds: (k, 0) is c^k and (0, k) is s^k, formed by square and
+    multiply (c^2i as c^i squared, c^(2i+1) as c^2i times c), and (m, n) is
+    c^m s^n, formed as c^m times s^n.  Each entry is (terms, left, right), and
+    its terms are extended under the lock, only as far as some stream reads
+    them, so every stream on the series shares them: the (m, n) and (n, m)
+    halves of beta_value, and every later call on the same record.
     """
 
     def __init__(self, p: int) -> None:
         self.p, self.pi_p = p, _pi_series(p)
         self.r = math.ceil(math.ldexp(min(radius(p, self.pi_p) ** p, 2.0 ** 16), 32))
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
+        self.products: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
 
-    def extend(self, J: int) -> None:
+    def extend(self, J: int, chain: Iterable[tuple] = ()) -> None:
+        """Extend c, s, g and h to J, then each product of chain, factors first."""
         p, c, s, g, h = self.p, self.c, self.s, self.g, self.h
         with _EXTEND_LOCK:
             for j in range(len(c), J + 1):
@@ -145,6 +154,32 @@ class _TaylorSeries:
                 g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
                 s.append(g[j] // (p * j + 1))
                 h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
+            for terms, left, right in chain:
+                for j in range(len(terms), J + 1):
+                    terms.append(_product(left, right, j))
+
+    def _terms(self, m: int, n: int, chain: list[tuple]) -> list[int]:
+        # The terms of c^m s^n, m + n >= 1, under the lock: c^k or s^k by square
+        # and multiply over the bits of k after the first, c^m s^n as c^m times
+        # s^n.  Each product is registered once and goes onto chain after its
+        # factors.  Sums of positive terms keep their precision where Miller's
+        # cancelling sum loses it (p = 2).
+        if m and n:
+            return self._entry((m, n), self._terms(m, 0, chain), self._terms(0, n, chain), chain)
+        unit, dm, dn = (self.c, 1, 0) if m else (self.s, 0, 1)
+        terms, k = unit, 1
+        for bit in bin(m + n)[3:]:
+            k *= 2
+            terms = self._entry((dm * k, dn * k), terms, terms, chain)
+            if bit == "1":
+                k += 1
+                terms = self._entry((dm * k, dn * k), terms, unit, chain)
+        return terms
+
+    def _entry(self, key: tuple[int, int], left: list[int], right: list[int], chain: list) -> list[int]:
+        entry = self.products.setdefault(key, ([1 << _F], left, right))
+        chain.append(entry)
+        return entry[0]
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
         return MacLaurinTable(params, tuple(islice(self.stream(params.m, params.n), J + 1)))
@@ -154,22 +189,22 @@ class _TaylorSeries:
 
         a_j is x / (rho^j 2^F), x the u^j coefficient of c^m s^n, rounded by
         one int/int true division: (x << 32 j) / scale with scale = r^j 2^F.
+        x is read from c, s or a registry entry; the lock is taken only to
+        extend them when they are short.
         """
         if m == n == 0:  # cq^0 sq^0 = 1
             yield 1.0
             yield from repeat(0.0)
-        products: list[tuple] = []
-        a = _power(self.c, m, products) if m else None  # c^m
-        b = _power(self.s, n, products) if n else None  # s^n
+        chain: list[tuple] = []
+        with _EXTEND_LOCK:
+            terms = self._terms(m, n, chain)
         scale, at = 1 << _F, f"p={self.p}, m={m}, n={n}, j={{}}".format  # at(j) on error only
         for j in count():
             if j:
-                if j >= len(self.h):  # extend appends to h last
-                    self.extend(j)
-                for terms, left, right in products:
-                    terms.append(sum(map(mul, left[: j + 1], right[j::-1])) >> _F)
+                if j >= len(terms):  # extend appends to c and s first, then to chain
+                    self.extend(j, chain)
                 scale *= self.r
-            x = b[j] if m == 0 else a[j] if n == 0 else sum(map(mul, a[: j + 1], b[j::-1])) >> _F
+            x = terms[j]
             if x < _GUARD and (_GUARD << 32 * j) / scale:
                 raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at(j)}")
             try:

@@ -100,6 +100,14 @@ def test_eval_domain_error_exit_code(capsys):
     assert code == 2
 
 
+def test_eval_past_the_table_cap_exits_2(capsys):
+    # p = 100000 sizes a table of 1116656 terms; the build is refused at once.
+    code = cli.main(["eval", "--p", "100000", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: pi_100000 ") and "past the cap" in captured.err
+
+
 def test_beta_prints_beta_value(capsys):
     code, lines = run(capsys, "beta", "--p", "4", "--m", "2", "--n", "1")
     assert code == 0

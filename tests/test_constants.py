@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
-from squigonometry import ConvergenceError, ParameterError, SquigParams, constants, series
+from squigonometry import ConvergenceError, CostGuardError, ParameterError, SquigParams
+from squigonometry import constants, series
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -214,6 +215,27 @@ def test_compute_pi_at_the_bottom_of_binary64():
         want = _pi_series_reference(p)
         assert abs(Decimal(rec.value) - want) <= 2 * Decimal(math.ulp(float(want)))
     assert _meets_epsilon(3, 1e-320)
+
+
+def test_compute_pi_refuses_tables_past_the_cap(monkeypatch):
+    # J is about 11 p at EPS_DEFAULT and a build costs about J^2, so p = 100000
+    # (J = 1116656) would run for hours: it is refused before anything is
+    # built, at once, and so is every Beta value on it.
+    with pytest.raises(CostGuardError, match="J=1116656"):
+        sg.compute_pi(100000)
+    with pytest.raises(CostGuardError):
+        sg.beta_value(100000, 1, 1)
+    # The deepest table the tests, the digest and squig verify build is
+    # (10, 5e-324), well inside the cap.
+    assert max(sg.estimate_terms(10, series._pi_series(10), 5e-324), 3) == 2079 < sg.MAX_PI_TERMS
+    # The cap itself builds; one term past it does not (a tolerance no
+    # other test solves at, so the memo holds no record of it).
+    J = sg.estimate_terms(6, series._pi_series(6), 3e-40)
+    monkeypatch.setattr(constants, "MAX_PI_TERMS", J - 1)
+    with pytest.raises(CostGuardError, match=f"J={J} terms, past the cap {J - 1}"):
+        sg.compute_pi(6, 3e-40)
+    monkeypatch.setattr(constants, "MAX_PI_TERMS", J)
+    assert sg.compute_pi(6, 3e-40).J_used == J
 
 
 @pytest.mark.parametrize("p,eps", [(4, 1e-300), (6, 1e-100), (8, 1e-30), (10, 1e-30)])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -65,33 +66,56 @@ def test_deep_tables_are_correctly_rounded(p, eps):
 def test_streams_on_a_shared_series_match_fresh_tables(p):
     # Larger m and n, and streams that start on a series other streams have
     # already extended, as beta_value's do on a record's series: the bits
-    # of one fresh maclaurin run, which are the oracle's.
-    shared = series._TaylorSeries(p)
-    shared.extend(25)
-    for m, n in ((9, 0), (0, 13), (17, 20), (40, 3)):
+    # of one fresh maclaurin run, which are the oracle's.  The pairs (m, n),
+    # (n, m) share their squares and chains (c^14 is on c^15's), and each
+    # order of the cases forms them from the other stream first.
+    cases = ((9, 0), (0, 13), (17, 20), (40, 3), (3, 2), (2, 3), (15, 14), (14, 15))
+    want = {}
+    for m, n in cases:
         params = SquigParams(p=p, m=m, n=n)
-        want = exact_floats(params, 40)
-        assert list(sg.maclaurin(params, 40).floats) == want, (m, n)
-        assert list(islice(shared.stream(m, n), 41)) == want, (m, n)
-    assert len(shared.c) == 41
+        want[m, n] = exact_floats(params, 40)
+        assert list(sg.maclaurin(params, 40).floats) == want[m, n], (m, n)
+    for order in (cases, cases[::-1]):
+        shared = series._TaylorSeries(p)
+        shared.extend(25)
+        for m, n in order:
+            assert list(islice(shared.stream(m, n), 41)) == want[m, n], (m, n)
+        assert len(shared.c) == 41
+        assert shared.products[15, 0][1] is shared.products[14, 0][0]  # c^15 = c^14 c
+        assert shared.products[0, 14][1] is shared.products[0, 7][0]  # s^14 = s^7 s^7
+        assert shared.products[0, 14][2] is shared.products[0, 7][0]
+
+
+def test_squares_pair_their_products():
+    # A square sums a_i a_(j-i) once for each pair i < j/2, doubled, plus
+    # a_(j/2)^2: the plain convolution's integer, at every j from 0.
+    rng = random.Random(27)
+    a = [rng.getrandbits(200) for _ in range(41)]
+    for j in range(41):
+        plain = sum(a[i] * a[j - i] for i in range(j + 1)) >> series._F
+        assert series._product(a, a, j) == series._product(a, list(a), j) == plain, j
 
 
 def test_threads_streaming_one_series_stay_aligned():
     # A record's series is shared by every thread that reads the record, and
-    # beta_value's streams extend it.  Four threads stream one series at
-    # once, with a switch interval short enough to interleave their appends,
-    # in five trials on fresh series.
-    cases = ((0, 1), (1, 0), (2, 1), (3, 3))
-    want = {mn: exact_floats(SquigParams(p=4, m=mn[0], n=mn[1]), 60) for mn in cases}
+    # beta_value's streams extend it and its products.  Seven threads stream
+    # one series at once from a barrier, sharing squares and chains, with a
+    # switch interval short enough to interleave their appends, in five
+    # trials on fresh series.  (With products appended outside the lock, 240
+    # terms misalign nearly every trial; 60 terms, about one in thirty.)
+    cases = ((0, 1), (1, 0), (2, 1), (3, 3), (1, 2), (3, 2), (2, 3))
+    want = {mn: exact_floats(SquigParams(p=4, m=mn[0], n=mn[1]), 240) for mn in cases}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             shared, got, errors = series._TaylorSeries(4), {}, []
+            start = threading.Barrier(len(cases))
 
             def read(mn):
                 try:
-                    got[mn] = list(islice(shared.stream(*mn), 61))
+                    start.wait(timeout=60)
+                    got[mn] = list(islice(shared.stream(*mn), 241))
                 except Exception as exc:  # collected, and asserted absent below
                     errors.append(exc)
 
@@ -103,7 +127,7 @@ def test_threads_streaming_one_series_stay_aligned():
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
             assert got == want
-            assert len(shared.c) == len(shared.s) == len(shared.g) == len(shared.h) == 61
+            assert len(shared.c) == len(shared.s) == len(shared.g) == len(shared.h) == 241
             assert pickle.loads(pickle.dumps(shared)).c == shared.c  # the lock is not on it
     finally:
         sys.setswitchinterval(interval)
