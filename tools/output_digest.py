@@ -15,10 +15,10 @@ function is the SHA-256 of its lines, so a single flipped bit in any
 output changes it, and the line count says how many outputs it covers.
 Two dumps compared line by line count the outputs a change moved.
 
-The sweep takes about 6 s on one core of a 2-vCPU Xeon (CPython 3.11),
-about 2.9 s of it in compute_pi's records at tolerances down to 5e-324, and
-uses the standard library only; the digests are meant to be identical on
-CPython 3.10-3.13.
+The sweep takes about 3.8 s on one core of a 2-vCPU Xeon (CPython 3.11.7),
+about 2.2 s of it in compute_pi's records at tolerances down to 5e-324, and
+about 5.2 s under python -X dev; it uses the standard library only, and the
+digests are meant to be identical on CPython 3.10-3.13.
 """
 
 from __future__ import annotations
