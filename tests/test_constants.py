@@ -219,7 +219,7 @@ def test_compute_pi_at_the_bottom_of_binary64():
 
 def test_compute_pi_refuses_tables_past_the_cap(monkeypatch):
     # J is about 11 p at EPS_DEFAULT and a build costs about J^2, so p = 100000
-    # (J = 1116656) would run for hours: it is refused before anything is
+    # (J = 1116656) would run for days: it is refused before anything is
     # built, at once, and so is every Beta value on it.
     with pytest.raises(CostGuardError, match="J=1116656"):
         sg.compute_pi(100000)
