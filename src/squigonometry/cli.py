@@ -153,11 +153,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         all_ok &= _check("triangle-structure", f"p={p} m={m} n={n} K=20",
                          not problems, lines)
 
-    for p in range(2, 11):
-        got = constants.compute_pi(p).value
+    for p in range(2, 65):
+        rec = constants.compute_pi(p)
         want = constants.pi_gamma(p)
         all_ok &= _check("pi-gamma-oracle", f"p={p}",
-                         abs(got - want) <= 1e-13 * want, lines)
+                         abs(rec.value - want) <= 1e-13 * want, lines)
+        # The paper's definition, cq(pi_p / 4) = 2^(-1/p), on the record's table.
+        target = 2.0 ** (-1.0 / p)
+        ulps = abs(evalcore.horner_sparse(rec.cq_table, rec.value / 4.0) - target) / math.ulp(target)
+        all_ok &= _check("quarter-period-equation", f"p={p} residual={ulps:.1f} ulp", ulps <= 2.0, lines)
 
     for p, m, n in sweep:
         params = SquigParams(p=p, m=m, n=n)

@@ -2,22 +2,12 @@
 
 pi_p is twice the arclength parameter of the first-quadrant arc of
 |x|^p + |y|^p = 1, so sq and cq are 2 pi_p periodic and cross at the quarter
-period where cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p).  compute_pi finds the
-quarter period by Newton iteration on g(t) = cq(t) - 2^(-1/p), evaluating cq
-and its derivative -sq^(p-1) from raw MacLaurin tables (no range reduction,
-so nothing here depends on already knowing pi_p).
-
-Sizing the tables needs pi_p, which is what is being computed, so the
-length J comes from an independent binary64 pi_p that needs no table: the
-binomial series of the incomplete Beta integral (DLMF 8.17), summed once
-by the integer Taylor series that both tables come from.  J is never below
-three, and the record keeps that series for beta_value.  Newton seeds from
-pi_from_factors at the deepest factor-sequence ratio binary64 holds, or at
-p = 2, where that identity degenerates, from t = 1.
-
-Results are cached per (p, epsilon); repeated calls return the same record,
-which also carries the sq and cq tables Newton ran on.  build_context cuts
-its evaluation tables from them, so each (p, epsilon) pair is built once.
+period where cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p).  compute_pi returns
+pi_p correctly rounded, whatever epsilon, from series._TaylorSeries's
+integer sum; squig verify checks the record's cq table against that
+equation.  epsilon sizes the sq and cq tables, at least three terms long.
+Records are cached per (p, epsilon), and build_context cuts its evaluation
+tables from them, so each pair is built once.
 
 beta_value evaluates the Euler Beta function at arguments on the 1/p grid
 through the arclength integral of cq^m sq^n over the first quadrant,
@@ -43,8 +33,7 @@ from itertools import islice
 
 from .errors import ConvergenceError, CostGuardError, DomainError
 from .errors import check_int, check_powers, check_tolerance
-from .evalcore import _integrate_smooth, horner_sparse
-from .factors import pi_from_factors
+from .evalcore import _integrate_smooth
 from .series import EPS_DEFAULT, MacLaurinTable, _TaylorSeries, estimate_terms
 from .triangle import SquigParams
 
@@ -55,9 +44,9 @@ MAX_PI_TERMS = 8192
 
 @dataclass(frozen=True)
 class PiRecord:
-    """One computed pi_p: the value, Newton cost, table length, tolerance,
-    and the sq and cq tables of length J_used that the Newton solve ran on,
-    from the series _series, which beta_value extends."""
+    """One computed pi_p: the correctly rounded value, the widenings its sum
+    took, the table length, the tolerance, and the sq and cq tables of length
+    J_used, from the series _series, which beta_value extends."""
 
     p: int
     value: float
@@ -70,31 +59,31 @@ class PiRecord:
 
 
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
-    """Quarter-period Newton solve for pi_p on tables sized for epsilon.
+    """pi_p correctly rounded to binary64, with sq and cq tables sized for epsilon.
 
     Parameters
     ----------
     p : int
         Circle degree, p >= 2.
     epsilon : float
-        Tail-size target used to size the MacLaurin tables; the returned
-        value is accurate to a small multiple of binary64 rounding.
+        Tail-size target used to size the MacLaurin tables; the value does
+        not depend on it.
 
     Returns
     -------
     PiRecord
-        value holds pi_p; iterations counts Newton steps; J_used is the
-        table length, estimate_terms at the series pi_p and at least 3 and
-        (p + 1) // 3; sq_table and cq_table are the tables Newton ran on,
-        which build_context cuts its evaluation tables from.
+        value holds pi_p; iterations counts the widenings of its sum (none
+        at p 2..64); J_used is the table length, estimate_terms at pi_p and
+        at least 3 and (p + 1) // 3; build_context cuts its evaluation
+        tables from sq_table and cq_table.
 
-    Raises CostGuardError, before building anything, where J_used would
+    Raises CostGuardError, before building any table, where J_used would
     pass MAX_PI_TERMS: from p = 735 at EPS_DEFAULT.
     """
     # Validate before the memo sees the arguments, so a float degree such as
     # 4.0 fails rather than hit the record of the int 4, and key the memo on
     # the values alone, so compute_pi(4), compute_pi(4, EPS_DEFAULT) and
-    # compute_pi(4, epsilon=EPS_DEFAULT) share one solve.
+    # compute_pi(4, epsilon=EPS_DEFAULT) share one record.
     check_int("p", p, 2)
     check_tolerance("epsilon", epsilon)
     return _solve_pi(p, epsilon)
@@ -102,8 +91,9 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
 
 @lru_cache(maxsize=None)
 def _solve_pi(p: int, epsilon: float) -> PiRecord:
-    # At loose epsilon the estimate drops to one or two, and Newton on such
-    # tables lands far from pi_p, or from p = 14 on wanders or diverges.
+    # At loose epsilon the estimate drops to one or two terms.  The floor, 3 and
+    # (p + 1) // 3 from p = 11, is the least length of the tables build_context
+    # cuts and of beta_value's first terms; lowering it would move those.
     series = _TaylorSeries(p)
     J = max(estimate_terms(p, series.pi_p, epsilon), 3, (p + 1) // 3)
     if J > MAX_PI_TERMS:
@@ -111,29 +101,7 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
             f"pi_{p} at epsilon={epsilon!r} needs J={J} terms, past the cap {MAX_PI_TERMS}"
         )
     sq_table, cq_table = (series.table(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
-    # Newton seeds from the deepest factor binary64 holds (an epsilon near its
-    # bottom sizes the table past where the last entries round to 0), or at
-    # p = 2, where that identity degenerates, from t = 1.
-    k = max(j for j, a in enumerate(cq_table.floats) if a > 0.0)
-    t = 1.0 if p == 2 else pi_from_factors(cq_table.floats[k] / cq_table.floats[k - 1], p) / 4.0
-    target = 2.0 ** (-1.0 / p)
-    iterations = 0
-    while True:
-        try:
-            residual = horner_sparse(cq_table, t) - target
-            slope = -horner_sparse(sq_table, t) ** (p - 1)
-        except (DomainError, OverflowError):  # far past pi_p / 4 the tables overflow
-            raise ConvergenceError(f"Newton for pi_{p} diverged to t={t!r}") from None
-        step = residual / slope
-        t -= step
-        iterations += 1
-        if abs(step) <= 8.0 * math.ulp(t):
-            return PiRecord(p, 4.0 * t, iterations, J, epsilon, sq_table, cq_table, series)
-        # The slope is cq's derivative, not the truncated table's, so at loose
-        # tolerances on p = 9, 10 (J = 3, 4) each step shrinks only by 0.20-0.25
-        # and Newton takes up to 25 steps; up to 2^-20 it takes at most 5.
-        if iterations >= 32:
-            raise ConvergenceError(f"Newton for pi_{p} still moving after {iterations} steps")
+    return PiRecord(p, series.pi_p, series.widenings, J, epsilon, sq_table, cq_table, series)
 
 
 # The memo is inspected and cleared through the public name.
@@ -170,18 +138,13 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     A passing sum is at most about pi_p / 2, so the halves refuse once that
     rounding passes twice what such a sum allows: (2, 700, 0) after 14 terms
     of the series, not 452.  So does a coefficient or power of t past binary64.
+    A call that raises leaves the registry of the record's series as it was.
     """
     check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("epsilon", epsilon)
     record = compute_pi(p, epsilon)
     x = record.value / 4.0
-    if not x < 1.0:
-        # pi_p < 4 for every p; past it the series diverge and a further
-        # term would overflow instead of shrinking.
-        raise ConvergenceError(
-            f"pi_{p} solved at epsilon={epsilon!r} is {record.value!r}, not below 4"
-        )
 
     def signed_terms(powers: tuple[int, int]) -> Iterator[float]:
         # (-1)^j a_j x^power / power with power = n + pj + 1: term j of the
@@ -194,39 +157,40 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
                 raise ConvergenceError(f"a power of t past binary64 at p={p}, m={m}, n={n}") from None
             yield term if j % 2 == 0 else -term
 
-    streams = {powers: signed_terms(powers) for powers in {(m, n), (n, m)}}
-    halves = {powers: list(islice(terms, record.J_used + 1)) for powers, terms in streams.items()}
-    pending = {powers: next(terms) for powers, terms in streams.items()}
-    lower, upper = halves[m, n], halves[n, m]
-    # A term carries at most two roundings of its own size; past epsilon, or
-    # past 2^-33 (20 of 53 bits cancelled) at any epsilon, the sum is noise.
-    # A passing sum is within epsilon + floor of its true value, at most
-    # pi_p / 2 (cq, sq <= 1), so the halves refuse once the rounding passes
-    # floor * pi_p / (2 (1 - epsilon - floor)) twice over, a margin for the
-    # roundings of pi_p and of the running magnitude.
-    floor = max(epsilon, 2.0 ** -33)
-    limit = floor * record.value / (1.0 - epsilon - floor) if epsilon + floor < 1.0 else math.inf
-    magnitude = math.fsum(map(abs, lower + upper))
-    weight = 2 if m == n else 1  # lower is upper, and counts twice
-    cancelled = f"the Beta series at p={p}, m={m}, n={n} cancels past epsilon={epsilon!r} in binary64"
-    # Each half's dropped tail alternates with shrinking terms once they have
-    # stopped growing, so it is at most its first term; half of epsilon of
-    # the final sum each keeps the sum within it.  A longer half moves the
-    # sum, so the halves grow until the bound they are held to stops moving.
-    previous = None
-    while (bound := 0.5 * epsilon * abs(math.fsum(lower + upper))) != previous:
-        previous = bound
-        for powers, kept in halves.items():
-            while abs(pending[powers]) > bound or abs(pending[powers]) > abs(kept[-1]):
-                if 2.0 ** -52 * magnitude > limit:
-                    raise ConvergenceError(cancelled)
-                magnitude += weight * abs(pending[powers])
-                kept.append(pending[powers])
-                pending[powers] = next(streams[powers])
-    total = math.fsum(lower + upper)
-    if not 2.0 ** -52 * math.fsum(map(abs, lower + upper)) <= floor * total:
-        raise ConvergenceError(cancelled)
-    return p * total
+    with record._series.undo_on_error():
+        streams = {powers: signed_terms(powers) for powers in {(m, n), (n, m)}}
+        halves = {powers: list(islice(terms, record.J_used + 1)) for powers, terms in streams.items()}
+        pending = {powers: next(terms) for powers, terms in streams.items()}
+        lower, upper = halves[m, n], halves[n, m]
+        # A term carries at most two roundings of its own size; past epsilon, or
+        # past 2^-33 (20 of 53 bits cancelled) at any epsilon, the sum is noise.
+        # A passing sum is within epsilon + floor of its true value, at most
+        # pi_p / 2 (cq, sq <= 1), so the halves refuse once the rounding passes
+        # floor * pi_p / (2 (1 - epsilon - floor)) twice over, a margin for the
+        # roundings of pi_p and of the running magnitude.
+        floor = max(epsilon, 2.0 ** -33)
+        limit = floor * record.value / (1.0 - epsilon - floor) if epsilon + floor < 1.0 else math.inf
+        magnitude = math.fsum(map(abs, lower + upper))
+        weight = 2 if m == n else 1  # lower is upper, and counts twice
+        cancelled = f"the Beta series at p={p}, m={m}, n={n} cancels past epsilon={epsilon!r} in binary64"
+        # Each half's dropped tail alternates with shrinking terms once they have
+        # stopped growing, so it is at most its first term; half of epsilon of
+        # the final sum each keeps the sum within it.  A longer half moves the
+        # sum, so the halves grow until the bound they are held to stops moving.
+        previous = None
+        while (bound := 0.5 * epsilon * abs(math.fsum(lower + upper))) != previous:
+            previous = bound
+            for powers, kept in halves.items():
+                while abs(pending[powers]) > bound or abs(pending[powers]) > abs(kept[-1]):
+                    if 2.0 ** -52 * magnitude > limit:
+                        raise ConvergenceError(cancelled)
+                    magnitude += weight * abs(pending[powers])
+                    kept.append(pending[powers])
+                    pending[powers] = next(streams[powers])
+        total = math.fsum(lower + upper)
+        if not 2.0 ** -52 * math.fsum(map(abs, lower + upper)) <= floor * total:
+            raise ConvergenceError(cancelled)
+        return p * total
 
 
 def beta_gamma(p: int, m: int, n: int) -> float:

@@ -25,8 +25,8 @@ transform clears the rationals, giving levels with integer coefficients
 built from the F_j and falling factorials of the power grid.
 
 The tail ratio a_(j+1) / a_j tends to (4 cos(pi/p) / pi_p)^p, which inverts
-to the quarter-period estimate pi ~ pi_from_factors(a_J, p) used to seed the
-constants module.
+to the quarter-period estimate pi ~ pi_from_factors(a_J, p), an estimate
+of pi_p independent of the constants module.
 """
 
 from __future__ import annotations

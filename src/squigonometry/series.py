@@ -25,6 +25,10 @@ lock, only as far as some stream reads it; a square sums each pair of equal
 products once.  compute_pi keeps its series on the record, so beta_value's
 streams, in any thread, extend it and its products rather than start again.
 
+The series also holds pi_p correctly rounded, from one integer sum that
+needs no table (_pi_series, 12 to 18 us at every p), so it sets rho and
+sizes the tables, and compute_pi returns it.
+
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
 with R = (pi_p / 4) * sec(pi / p), which exceeds 1 for every p >= 3.  For
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -103,6 +108,9 @@ def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
 _F = 192
 _GUARD = 1 << 117
 
+# Fraction bits _pi_series starts from; it rarely needs more.
+_PI_BITS = 80
+
 # Held by _TaylorSeries.extend; a lock on each series would stop records pickling.
 _EXTEND_LOCK = threading.Lock()
 
@@ -127,8 +135,9 @@ def _product(left: list[int], right: list[int], j: int) -> int:
 class _TaylorSeries:
     """The kernel for one p: c[j] = floor(|c_j| rho^j 2^F), likewise s, g and h.
 
-    rho = r / 2^32 is R^p for R = radius(p, pi_p), pi_p = _pi_series(p),
-    capped at 2^16 (p = 2 is entire) and rounded up.  At p = 2, G = c and H = s.
+    pi_p and widenings come from _pi_series.  rho = r / 2^32 is R^p for
+    R = radius(p, pi_p), capped at 2^16 (p = 2 is entire) and rounded up.
+    At p = 2, G = c and H = s.
 
     products is one registry of the product sequences streams read, keyed by
     what each holds: (k, 0) is c^k and (0, k) is s^k, formed by square and
@@ -140,7 +149,7 @@ class _TaylorSeries:
     """
 
     def __init__(self, p: int) -> None:
-        self.p, self.pi_p = p, _pi_series(p)
+        self.p, (self.pi_p, self.widenings) = p, _pi_series(p)
         self.r = math.ceil(math.ldexp(min(radius(p, self.pi_p) ** p, 2.0 ** 16), 32))
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
         self.products: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
@@ -175,6 +184,19 @@ class _TaylorSeries:
                 k += 1
                 terms = self._entry((dm * k, dn * k), terms, unit, chain)
         return terms
+
+    @contextmanager
+    def undo_on_error(self) -> Iterator[None]:
+        """If the block raises, drop the registry entries added meanwhile; a stream keeps its own."""
+        with _EXTEND_LOCK:
+            known = set(self.products)
+        try:
+            yield
+        except BaseException:
+            with _EXTEND_LOCK:
+                for key in self.products.keys() - known:
+                    del self.products[key]
+            raise
 
     def _entry(self, key: tuple[int, int], left: list[int], right: list[int], chain: list) -> list[int]:
         entry = self.products.setdefault(key, ([1 << _F], left, right))
@@ -214,18 +236,27 @@ class _TaylorSeries:
             yield value
 
 
-def _pi_series(p: int) -> float:
-    # The binomial series of the incomplete Beta integral (DLMF 8.17),
-    # pi_p / 4 = 2^(-1/p) sum_k ((1 - 1/p)_k / k!) 2^-k / (pk + 1), in
-    # binary64.  Its terms shrink at least as fast as 2^-k, so 52 of them
-    # reach binary64 rounding.  It needs no table, so it sizes the tables.
-    a = 1.0 - 1.0 / p
-    coeff = 1.0
-    terms = [1.0]
-    for k in range(1, 53):
-        coeff *= (a + k - 1) / (2 * k)
-        terms.append(coeff / (p * k + 1))
-    return 4.0 * 2.0 ** (-1.0 / p) * math.fsum(terms)
+def _pi_series(p: int) -> tuple[float, int]:
+    # pi_p correctly rounded, and the widenings it took.  With c_k = ((1 - 1/p)_k
+    # / k!) 2^-k, pi_p / 4 = (1 - T) S by the binomial series of the incomplete
+    # Beta integral (DLMF 8.17), S = sum_k c_k / (pk + 1), and of 2^(-1/p) =
+    # (1 - 1/2)^(1/p) = 1 - T, T = sum_(k>=1) c_(k-1) / (2pk).  Floored in G-bit
+    # fixed point, c_k = c_(k-1) (pk - 1) / (2pk) is under 2 units low, so at
+    # c_K = 0 S and T are under 2K + 2 units low, tail included.  Where the two
+    # ends round apart, G widens by 64 bits (Ziv, ACM TOMS 17(3), 1991).
+    for widenings in count():
+        bits = _PI_BITS + 64 * widenings
+        c = s = 1 << bits
+        t = k = 0
+        while c:
+            k += 1
+            t += c // (2 * p * k)
+            c = c * (p * k - 1) // (2 * p * k)
+            s += c // (p * k + 1)
+        root, error, scale = (1 << bits) - t, 2 * k + 2, 1 << 2 * bits - 2
+        low = (root - error) * s / scale
+        if low == root * (s + error) / scale:
+            return low, widenings
 
 
 def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:

@@ -140,8 +140,8 @@ def test_criterion_04_quarter_period_constants(capsys):
         ulps = abs(rec.value - ref) / math.ulp(ref)
         if ulps > 5:
             failures.append(f"p={p}: {rec.value!r} is {ulps:.1f} ulp from {ref!r}")
-        if rec.iterations > 6:
-            failures.append(f"p={p}: {rec.iterations} Newton iterations")
+        if rec.iterations:
+            failures.append(f"p={p}: {rec.iterations} widenings of the pi_p sum")
         if rec.J_used != NNZ_REFERENCE[p]:
             failures.append(f"p={p}: J_used={rec.J_used} != {NNZ_REFERENCE[p]}")
         if sg.estimate_terms(p, rec.value, rec.epsilon) != NNZ_REFERENCE[p]:
@@ -149,7 +149,7 @@ def test_criterion_04_quarter_period_constants(capsys):
         details.append(f"{ulps:.1f}")
     _announce(capsys, 4, not failures,
               "pi_p p=3..10 within 5 ulp of 16-digit references "
-              f"(ulps: {', '.join(details)}), <= 6 Newton steps, term counts exact")
+              f"(ulps: {', '.join(details)}), no widening, term counts exact")
     assert not failures, failures
 
 

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
+import pickle
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -62,8 +62,9 @@ def test_gamma_closed_form():
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_iteration_budget(p):
+    # The integer sum for pi_p needs no widening at p 2..64.
     rec = sg.compute_pi(p)
-    assert rec.iterations <= 6
+    assert rec.iterations == 0
 
 
 @pytest.mark.parametrize("p", range(3, 11))
@@ -143,8 +144,7 @@ def test_compute_pi_at_a_loose_epsilon(p, eps):
     # Sizing from the Newton value once cut the first four to J = 1 (pi_6 =
     # 178.08, pi_7 = 30.36) or refused pi_8 as implausible; re-sizing until
     # the length stopped changing then never settled on the next four and
-    # left Newton still moving after 20 steps on the last two.  The last
-    # four converge only linearly on their 3-term tables, in 21-25 steps.
+    # left Newton still moving after 20 steps on the last two.
     assert _meets_epsilon(p, eps)
     assert sg.compute_pi(p, eps).J_used >= 3
 
@@ -158,25 +158,13 @@ def test_compute_pi_at_a_loose_epsilon_past_p_10(p, eps):
     assert sg.compute_pi(p, eps).J_used >= (p + 1) // 3
 
 
-def test_newton_that_diverges_says_so(monkeypatch):
-    # A seed far past the quarter period: the tables overflow there, and
-    # the solve reports that rather than a DomainError or OverflowError.
-    monkeypatch.setattr(constants, "pi_from_factors", lambda ratio, p: 4.0e3)
-    with pytest.raises(ConvergenceError, match="Newton for pi_10 diverged to t=1000.0$"):
-        sg.compute_pi(10, 0.01255)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     p=st.integers(min_value=2, max_value=10),
     eps=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
 )
 def test_compute_pi_meets_epsilon_or_says_it_cannot(p, eps):
-    try:
-        ok = _meets_epsilon(p, eps)
-    except ConvergenceError:
-        return
-    assert ok
+    assert _meets_epsilon(p, eps)
 
 
 def _pi_series_reference(p: int) -> Decimal:
@@ -195,11 +183,40 @@ def _pi_series_reference(p: int) -> Decimal:
         return 4 * total * Decimal(2) ** (-one / p)
 
 
-def test_pi_series_within_2_ulp():
+def test_compute_pi_is_correctly_rounded():
     for p in range(2, 65):
-        want = _pi_series_reference(p)
-        ulps = abs(Decimal(series._pi_series(p)) - want) / Decimal(math.ulp(float(want)))
-        assert ulps <= 2, (p, float(ulps))
+        assert sg.compute_pi(p).value == float(_pi_series_reference(p)), p
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_compute_pi_does_not_depend_on_epsilon(p):
+    # epsilon sizes the tables only.
+    values = {sg.compute_pi(p, eps).value for eps in (2.0 ** -53, 2.0 ** -36, 1e-6, 0.3, 0.99, 5e-324)}
+    assert values == {float(_pi_series_reference(p))}
+
+
+def test_pi_sum_widens_until_its_rounding_is_certain(monkeypatch):
+    # From 8 bits the floors' error interval straddles a rounding boundary,
+    # so the sum widens by 64 bits and lands on the same value; a record
+    # built meanwhile, past the memo, counts the widening.
+    want = {p: sg.compute_pi(p).value for p in (2, 3, 4, 10, 64)}
+    monkeypatch.setattr(series, "_PI_BITS", 8)
+    for p, value in want.items():
+        got, widenings = series._pi_series(p)
+        assert got == value and widenings >= 1, p
+    rec = constants._solve_pi.__wrapped__(4, sg.EPS_DEFAULT)
+    assert rec.value == want[4] and rec.iterations >= 1
+
+
+def test_quarter_period_equation_holds_at_the_constant():
+    # cq(pi_p / 4) = 2^(-1/p), the equation the paper defines pi_p by, on
+    # the record's own table at the default epsilon; looser tolerances
+    # truncate the tables, so the bound does not apply to them.
+    for p in range(2, 65):
+        rec = sg.compute_pi(p)
+        target = 2.0 ** (-1.0 / p)
+        residual = sg.horner_sparse(rec.cq_table, rec.value / 4.0) - target
+        assert abs(residual) <= 2 * math.ulp(target), p
 
 
 def test_compute_pi_at_the_bottom_of_binary64():
@@ -207,8 +224,7 @@ def test_compute_pi_at_the_bottom_of_binary64():
     # p = 2 must still stop.
     assert sg.compute_pi(2, 5e-324).value == sg.compute_pi(2).value
     assert sg.compute_pi(2, 5e-324).J_used == 91
-    # At p >= 3 the sized table ends in entries that round to 0; Newton
-    # seeds from the deepest factor that binary64 still holds.
+    # At p >= 3 the sized table ends in entries that round to 0.
     for p in (3, 4, 6):
         rec = sg.compute_pi(p, 5e-324)
         assert rec.cq_table.floats[-1] == 0.0
@@ -219,18 +235,18 @@ def test_compute_pi_at_the_bottom_of_binary64():
 
 def test_compute_pi_refuses_tables_past_the_cap(monkeypatch):
     # J is about 11 p at EPS_DEFAULT and a build costs about J^2, so p = 100000
-    # (J = 1116656) would run for days: it is refused before anything is
+    # (J = 1116657) would run for days: it is refused before any table is
     # built, at once, and so is every Beta value on it.
-    with pytest.raises(CostGuardError, match="J=1116656"):
+    with pytest.raises(CostGuardError, match="J=1116657"):
         sg.compute_pi(100000)
     with pytest.raises(CostGuardError):
         sg.beta_value(100000, 1, 1)
     # The deepest table the tests, the digest and squig verify build is
     # (10, 5e-324), well inside the cap.
-    assert max(sg.estimate_terms(10, series._pi_series(10), 5e-324), 3) == 2079 < sg.MAX_PI_TERMS
+    assert max(sg.estimate_terms(10, sg.compute_pi(10).value, 5e-324), 3) == 2079 < sg.MAX_PI_TERMS
     # The cap itself builds; one term past it does not (a tolerance no
     # other test solves at, so the memo holds no record of it).
-    J = sg.estimate_terms(6, series._pi_series(6), 3e-40)
+    J = sg.estimate_terms(6, sg.compute_pi(6).value, 3e-40)
     monkeypatch.setattr(constants, "MAX_PI_TERMS", J - 1)
     with pytest.raises(CostGuardError, match=f"J={J} terms, past the cap {J - 1}"):
         sg.compute_pi(6, 3e-40)
@@ -243,7 +259,7 @@ def test_compute_pi_on_deep_tables(p, eps):
     # Tiny tolerances size tables hundreds of terms deep; each coefficient
     # is still correctly rounded, so the value meets its 8 ulp floor.
     rec = sg.compute_pi(p, eps)
-    assert rec.J_used == sg.estimate_terms(p, series._pi_series(p), eps)
+    assert rec.J_used == sg.estimate_terms(p, rec.value, eps)
     assert rec.sq_table.floats[-1] > 0.0
     assert _meets_epsilon(p, eps)
 
@@ -313,7 +329,7 @@ def test_beta_validation():
 
 def test_compute_pi_golden_records():
     # Records of p = 2..10 at six tolerances, pinned bit for bit: values,
-    # Newton steps and the correctly rounded tables.
+    # widenings and the correctly rounded tables.
     for want in json.loads((GOLDEN / "compute_pi_records.json").read_text()):
         rec = sg.compute_pi(want["p"], float.fromhex(want["epsilon"]))
         got = {
@@ -332,7 +348,7 @@ def test_compute_pi_golden_records():
 @pytest.mark.parametrize("p,eps", [(3, 0.05), (3, 0.015)])
 def test_compute_pi_tables_after_a_shorter_round(p, eps):
     # The series pi_p sizes these below the three-term floor, so the tables
-    # hold J = 3 columns, which Newton and maclaurin must agree on.
+    # hold J = 3 columns, which the record and maclaurin must agree on.
     rec = sg.compute_pi(p, eps)
     assert rec.J_used < 4
     for table in (rec.sq_table, rec.cq_table):
@@ -351,18 +367,6 @@ def test_beta_value_meets_epsilon_when_m_n_need_more_terms(p, m, n, eps):
     want = sg.beta_gamma(p, m, n)
     assert abs(sg.beta_value(p, m, n, eps) - want) <= eps * want
     assert sg.beta_value(p, n, m, eps) == sg.beta_value(p, m, n, eps)
-
-
-def test_beta_value_rejects_a_quarter_period_past_one(monkeypatch):
-    # A record whose pi_6 is 178 (quarter period 44.5): the Beta series
-    # diverge there, so there is no value to return.  The record is made by
-    # hand; compute_pi itself no longer lands on such a value.
-    from squigonometry import ConvergenceError
-
-    bad = dataclasses.replace(sg.compute_pi(6), value=178.0824068843037)
-    monkeypatch.setattr(constants, "compute_pi", lambda p, epsilon: bad)
-    with pytest.raises(ConvergenceError, match="not below 4"):
-        sg.beta_value(6, 1, 0, 0.57)
 
 
 @pytest.mark.parametrize(
@@ -467,9 +471,11 @@ def test_sq_cq_beta_terms_shrink_past_the_table(p):
             assert all(0.0 < b < a for a, b in zip(terms, terms[1:])), (p, eps, params)
 
 
-def test_newton_stops_after_32_steps(monkeypatch):
-    # With every table folding to 0.5 each Newton step is the same, so the
-    # solve never settles and gives up at its cap.
-    monkeypatch.setattr(constants, "horner_sparse", lambda table, t: 0.5)
-    with pytest.raises(ConvergenceError, match="still moving after 32 steps"):
-        sg.compute_pi(4, 0.0123)
+def test_a_call_that_raises_leaves_the_registry_as_it_found_it():
+    # The stream of c^(10^400) registers its whole square-and-multiply chain
+    # (1803 entries) before its second coefficient overflows binary64.
+    record = sg.compute_pi(4)
+    before = set(record._series.products), len(pickle.dumps(record))
+    with pytest.raises(ConvergenceError):
+        sg.beta_value(4, 10**400, 0)
+    assert (set(record._series.products), len(pickle.dumps(record))) == before

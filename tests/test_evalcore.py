@@ -7,6 +7,7 @@ import pickle
 import random
 import struct
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -119,18 +120,28 @@ def test_quarter_and_half_values(ctx4):
     assert sg.cq(ctx4, 0.0) == 1.0
 
 
-def test_periodicity_bit_identical(ctx4):
-    # Multiples of 0.25 are exact binary64; shifting by full periods changes
-    # the fmod result by exact multiples, so values must match bit for bit.
-    two_pi = 2.0 * ctx4.pi_p
-    ts = [k * 0.25 for k in range(-32, 33)]
-    for t in ts:
-        base_s = sg.sq(ctx4, t)
-        base_c = sg.cq(ctx4, t)
-        for cycles in (1, -1, 3):
-            shifted = t + cycles * two_pi
-            assert sg.sq(ctx4, shifted) == base_s
-            assert sg.cq(ctx4, shifted) == base_c
+def test_periodicity_bit_identical():
+    # reduce_argument's contract: exact binary64 sums t0 + 2 k pi_p of one
+    # sign reduce bit for bit like t0.  Each t is a binary64 near k / 4 plus
+    # c periods, c of k's sign, and t0 = t - c periods, exact by Fraction
+    # where |t0| < 8, a multiple of the period's ulp.
+    for p in (2, 3, 4, 10):
+        ctx = sg.build_context(p)
+        period = Fraction(ctx.period)
+        cases = 0
+        for k in range(-32, 33):
+            for cycles in (1, 2, 3, 4):
+                c = cycles if k > 0 else -cycles
+                t = k * 0.25 + c * ctx.period
+                t0 = float(Fraction(t) - c * period)
+                if k == 0 or Fraction(t0) + c * period != Fraction(t):
+                    continue
+                cases += 1
+                assert (t0 > 0) == (t > 0)
+                assert sg.reduce_argument(ctx, t) == sg.reduce_argument(ctx, t0)
+                assert sg.sq(ctx, t) == sg.sq(ctx, t0)
+                assert sg.cq(ctx, t) == sg.cq(ctx, t0)
+        assert cases >= 195, p
 
 
 def _bits(f, *args) -> str:
@@ -783,7 +794,7 @@ def test_replaced_context_folds_its_own_tables(ctx4):
     assert moved.evaluators.sq is not ctx4.evaluators.sq
     for s in (0.1, 0.5, ctx4.quarter):
         assert sg.sq(moved, s) == 2.0 * s
-        assert sg.cq(moved, s) == sg.cq(ctx4, s)
+        assert sg.cq(moved, s) == sg.horner_sparse(ctx4.cq_table, s)
 
 
 def test_quadrature_gives_up_at_its_panel_budget():

@@ -15,9 +15,9 @@ function is the SHA-256 of its lines, so a single flipped bit in any
 output changes it, and the line count says how many outputs it covers.
 Two dumps compared line by line count the outputs a change moved.
 
-The sweep takes about 3.8 s on one core of a 2-vCPU Xeon (CPython 3.11.7),
-about 2.2 s of it in compute_pi's records at tolerances down to 5e-324, and
-about 5.2 s under python -X dev; it uses the standard library only, and the
+The sweep takes about 3.7 s on one core of a 2-vCPU Xeon (CPython 3.11.7),
+about 2.2 s of it building compute_pi's tables at tolerances down to
+5e-324, and about 5.2 s under python -X dev; it uses the standard library only, and the
 digests are meant to be identical on CPython 3.10-3.13.
 """
 
