@@ -160,6 +160,9 @@ def sweep_beta_value() -> Iterator[str]:
                 yield call(sg.beta_value, p, m, n, eps)
     for m, n in ((3, 2), (2, 3), (15, 14), (14, 15)):
         yield call(sg.beta_value, 16, m, n, EPS)
+    # 65536 recurrence steps, one step more, and a value far below binary64.
+    for p, m, n in ((2, 131072, 0), (2, 131074, 0), (3, 0, 196608), (3, 0, 196611), (2, 3000, 3000)):
+        yield call(sg.beta_value, p, m, n, EPS)
 
 
 def sweep_root_ladder() -> Iterator[str]:
