@@ -216,11 +216,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         worst = max(abs(evalcore.arcsq_oracle(evalcore.sq(ctx, t), p) - t) for t in grid)
         all_ok &= _check("arcsq-oracle", f"p={p} worst={worst:.2e}", worst <= 1e-11, lines)
 
-    for p, m, n in ((2, 0, 0), (4, 0, 0), (4, 2, 1), (3, 1, 2)):
+    for p, m, n in ((2, 0, 0), (4, 0, 0), (4, 2, 1), (3, 1, 2), (4, 9, 5), (2, 30, 30)):
         got = constants.beta_value(p, m, n)
         want = constants.beta_gamma(p, m, n)
         all_ok &= _check("beta-gamma-oracle", f"p={p} m={m} n={n}",
                          abs(got - want) <= 1e-11 * abs(want), lines)
+
+    for p in (2, 3, 4, 10):
+        for m, n in ((0, 0), (1, 0), (2, 1), (3, 2)):
+            got, want = constants.beta_value(p, m, n), constants.beta_arclength_oracle(p, m, n)
+            all_ok &= _check("beta-arclength", f"p={p} m={m} n={n}", abs(got - want) <= 1e-13 * want, lines)
 
     for line in lines:
         print(line)
@@ -259,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eps(sub)
     sub.set_defaults(handler=_cmd_pi)
 
-    sub = subs.add_parser("beta", help="Beta value B((m+1)/p, (n+1)/p)")
+    sub = subs.add_parser("beta", help="Beta value B((m+1)/p, (n+1)/p), correctly rounded")
     _add_pmn(sub)
-    _add_eps(sub)
+    sub.add_argument("--eps", type=float, default=EPS_DEFAULT,
+                     help="validated only: the value is correctly rounded at any eps (default: 2^-53)")
     sub.set_defaults(handler=_cmd_beta)
 
     sub = subs.add_parser("eval", help="evaluate sq, cq, or cq^m sq^n")

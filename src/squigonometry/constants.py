@@ -3,50 +3,52 @@
 pi_p is twice the arclength parameter of the first-quadrant arc of
 |x|^p + |y|^p = 1, so sq and cq are 2 pi_p periodic and cross at the quarter
 period where cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p).  compute_pi returns
-pi_p correctly rounded, whatever epsilon, from series._TaylorSeries's
-integer sum; squig verify checks the record's cq table against that
-equation.  epsilon sizes the sq and cq tables, at least three terms long.
-Records are cached per (p, epsilon), and build_context cuts its evaluation
-tables from them, so each pair is built once.
+pi_p = 2 B(1/p, 1/p) / p correctly rounded, whatever epsilon; squig verify
+checks the record's cq table against that equation.  epsilon sizes the sq
+and cq tables, at least three terms long.  Records are cached per
+(p, epsilon), and build_context cuts its evaluation tables from them, so
+each pair is built once.
 
-beta_value evaluates the Euler Beta function at arguments on the 1/p grid
-through the arclength integral of cq^m sq^n over the first quadrant,
+beta_value evaluates the Euler Beta function on the 1/p grid, which the
+paper reaches through the arclength integral of cq^m sq^n over the first
+quadrant,
 
-    B((m+1)/p, (n+1)/p) = p * integral_0^(pi_p/2) cq^m(t) sq^n(t) dt,
+    B((m+1)/p, (n+1)/p) = p * integral_0^(pi_p/2) cq^m(t) sq^n(t) dt.
 
-split at the quarter period: the upper half reflects onto the lower half
-with m and n exchanged, and both halves integrate term by term from their
-MacLaurin tables.  Each half streams its coefficients from the record's
-series, extending it only while m and n need more terms than the record's
-tables hold.  pi_gamma and beta_gamma give the classical gamma-function
-forms of the same quantities for cross-checking; they share no machinery
-with the series path.
+Both come correctly rounded from series._beta_series, with no table: the
+binomial series of the integral's two halves for m, n < p, and an exact
+recurrence past them.  The paper's route, the tables integrated term by
+term, stays as beta_arclength_oracle; pi_gamma, beta_gamma and
+beta_quadrature_oracle are independent forms for cross-checking.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import count
 
-from .errors import ConvergenceError, CostGuardError, DomainError
+from .errors import CostGuardError, DomainError
 from .errors import check_int, check_powers, check_tolerance
 from .evalcore import _integrate_smooth
-from .series import EPS_DEFAULT, MacLaurinTable, _TaylorSeries, estimate_terms
+from .series import EPS_DEFAULT, MacLaurinTable, _beta_series, _TaylorSeries, estimate_terms, maclaurin
 from .triangle import SquigParams
 
 #: Ceiling on the table length J_used compute_pi sizes.  A build costs about
 #: J^2 (5.6 s at J = 5710, p = 512 at EPS_DEFAULT), and J is about 11 p there.
 MAX_PI_TERMS = 8192
 
+#: Ceiling on floor(m / p) + floor(n / p), the recurrence steps beta_value
+#: takes; their exact products cost about 0.1 s at the ceiling.
+MAX_BETA_STEPS = 65536
+
 
 @dataclass(frozen=True)
 class PiRecord:
     """One computed pi_p: the correctly rounded value, the widenings its sum
     took, the table length, the tolerance, and the sq and cq tables of length
-    J_used, from the series _series, which beta_value extends."""
+    J_used, from the series _series, which the node tables extend."""
 
     p: int
     value: float
@@ -119,78 +121,55 @@ def pi_gamma(p: int) -> float:
 
 
 def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
-    """B((m+1)/p, (n+1)/p) through the squigonometric arclength integral.
+    """B((m+1)/p, (n+1)/p) correctly rounded to binary64, whatever epsilon.
 
-    Integrates cq^m sq^n term by term over [0, pi_p/4] twice, once as given
-    and once with m and n exchanged for the reflected upper half, then scales
-    by p.  Each half is one lazy stream of signed terms that reads the
-    record's series and extends it past J_used only as far as it reads; m = n
-    shares one stream for both halves.  A half takes the record's J_used + 1
-    terms, since J_used sizes the sq and cq tables and ignores m and n, and
-    continues while its terms still grow or exceed epsilon / 2 relative to
-    the final sum.  The two-half sum is accumulated with exact summation, so
-    the result is bitwise symmetric in m and n.
+    series._beta_series sums the two halves of the arclength integral of
+    cq^m sq^n for m, n < p, and reaches larger m and n by the exact recurrence
+    B(a + 1, b) = B(a, b) a / (a + b), one factor per step of p.  The result is
+    bitwise symmetric in m and n; epsilon is validated only.
 
-    Requires m, n >= 0.  Raises ConvergenceError where the terms cancel so
-    far that their rounding, at most 2^-52 times the sum of their
-    magnitudes, exceeds max(epsilon, 2^-33) of the sum: at the default
-    epsilon, m = n = 30 for p <= 5 and m = 700, n = 0 for every p up to 11.
-    A passing sum is at most about pi_p / 2, so the halves refuse once that
-    rounding passes twice what such a sum allows: (2, 700, 0) after 14 terms
-    of the series, not 452.  So does a coefficient or power of t past binary64.
-    A call that raises leaves the registry of the record's series as it was.
+    Requires m, n >= 0.  Raises CostGuardError, before any sum, where
+    floor(m / p) + floor(n / p) passes MAX_BETA_STEPS, and DomainError for a
+    value past binary64 or one that rounds to 0.0 in it, such as
+    B(1500.5, 1500.5) at p = 2.
     """
     check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("epsilon", epsilon)
-    record = compute_pi(p, epsilon)
+    steps = m // p + n // p
+    if steps > MAX_BETA_STEPS:
+        raise CostGuardError(
+            f"B at p={p}, m={m}, n={n} needs {steps} recurrence steps, past the cap {MAX_BETA_STEPS}"
+        )
+    try:
+        value, _ = _beta_series(p, m, n, p)
+    except OverflowError:  # B(1/p, 1/p) is about 2p
+        raise DomainError(f"B at p={p}, m={m}, n={n} is past binary64") from None
+    if value == 0.0:
+        raise DomainError(f"B at p={p}, m={m}, n={n} is below binary64's least subnormal")
+    return value
+
+
+def beta_arclength_oracle(p: int, m: int, n: int) -> float:
+    """The paper's route to beta_value, as its oracle, for small m and n.
+
+    p times the MacLaurin tables of cq^m sq^n and cq^n sq^m integrated term by
+    term over [0, pi_p / 4], each from compute_pi's J_used terms, doubled until
+    the last is below 2^-60 of its half.  Past small m and n the terms cancel.
+    """
+    check_int("p", p, 2)
+    check_powers(m, n)
+    record = compute_pi(p)
     x = record.value / 4.0
 
-    def signed_terms(powers: tuple[int, int]) -> Iterator[float]:
-        # (-1)^j a_j x^power / power with power = n + pj + 1: term j of the
-        # half of cq^m sq^n, (m, n) = powers, integrated term by term.
-        for j, a in enumerate(record._series.stream(*powers)):
-            power = powers[1] + p * j + 1
-            try:
-                term = a / power * x ** power
-            except OverflowError:  # the int power, past binary64
-                raise ConvergenceError(f"a power of t past binary64 at p={p}, m={m}, n={n}") from None
-            yield term if j % 2 == 0 else -term
+    def half(m: int, n: int) -> float:
+        for J in (record.J_used << i for i in count()):
+            table = maclaurin(SquigParams(p, m, n), J)
+            terms = [table.signed(j) * x ** (table.power(j) + 1) / (table.power(j) + 1) for j in range(J + 1)]
+            if abs(terms[-1]) <= 2.0 ** -60 * abs(total := math.fsum(terms)):
+                return total
 
-    with record._series.undo_on_error():
-        streams = {powers: signed_terms(powers) for powers in {(m, n), (n, m)}}
-        halves = {powers: list(islice(terms, record.J_used + 1)) for powers, terms in streams.items()}
-        pending = {powers: next(terms) for powers, terms in streams.items()}
-        lower, upper = halves[m, n], halves[n, m]
-        # A term carries at most two roundings of its own size; past epsilon, or
-        # past 2^-33 (20 of 53 bits cancelled) at any epsilon, the sum is noise.
-        # A passing sum is within epsilon + floor of its true value, at most
-        # pi_p / 2 (cq, sq <= 1), so the halves refuse once the rounding passes
-        # floor * pi_p / (2 (1 - epsilon - floor)) twice over, a margin for the
-        # roundings of pi_p and of the running magnitude.
-        floor = max(epsilon, 2.0 ** -33)
-        limit = floor * record.value / (1.0 - epsilon - floor) if epsilon + floor < 1.0 else math.inf
-        magnitude = math.fsum(map(abs, lower + upper))
-        weight = 2 if m == n else 1  # lower is upper, and counts twice
-        cancelled = f"the Beta series at p={p}, m={m}, n={n} cancels past epsilon={epsilon!r} in binary64"
-        # Each half's dropped tail alternates with shrinking terms once they have
-        # stopped growing, so it is at most its first term; half of epsilon of
-        # the final sum each keeps the sum within it.  A longer half moves the
-        # sum, so the halves grow until the bound they are held to stops moving.
-        previous = None
-        while (bound := 0.5 * epsilon * abs(math.fsum(lower + upper))) != previous:
-            previous = bound
-            for powers, kept in halves.items():
-                while abs(pending[powers]) > bound or abs(pending[powers]) > abs(kept[-1]):
-                    if 2.0 ** -52 * magnitude > limit:
-                        raise ConvergenceError(cancelled)
-                    magnitude += weight * abs(pending[powers])
-                    kept.append(pending[powers])
-                    pending[powers] = next(streams[powers])
-        total = math.fsum(lower + upper)
-        if not 2.0 ** -52 * math.fsum(map(abs, lower + upper)) <= floor * total:
-            raise ConvergenceError(cancelled)
-        return p * total
+    return p * (half(m, n) + half(n, m))
 
 
 def beta_gamma(p: int, m: int, n: int) -> float:

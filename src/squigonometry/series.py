@@ -22,12 +22,12 @@ is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
 _TaylorSeries holds c, s, G and H for one p, and one registry of the product
 sequences c^k, s^k and c^m s^n, each formed once and extended, under one
 lock, only as far as some stream reads it; a square sums each pair of equal
-products once.  compute_pi keeps its series on the record, so beta_value's
-streams, in any thread, extend it and its products rather than start again.
+products once.  compute_pi keeps its series on the record, so the node
+tables, in any thread, extend it rather than start again.
 
-The series also holds pi_p correctly rounded, from one integer sum that
-needs no table (_pi_series, 12 to 18 us at every p), so it sets rho and
-sizes the tables, and compute_pi returns it.
+_beta_series sums the Beta values B((m+1)/p, (n+1)/p) correctly rounded from
+one integer series with no table, in 15 to 40 us for m, n < p; pi_p =
+2 B(1/p, 1/p) / p sets rho and sizes the tables, and compute_pi returns it.
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -41,7 +41,6 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
@@ -108,8 +107,8 @@ def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
 _F = 192
 _GUARD = 1 << 117
 
-# Fraction bits _pi_series starts from; it rarely needs more.
-_PI_BITS = 80
+# Fraction bits _beta_series starts from; it rarely needs more.
+_BETA_BITS = 80
 
 # Held by _TaylorSeries.extend; a lock on each series would stop records pickling.
 _EXTEND_LOCK = threading.Lock()
@@ -135,7 +134,7 @@ def _product(left: list[int], right: list[int], j: int) -> int:
 class _TaylorSeries:
     """The kernel for one p: c[j] = floor(|c_j| rho^j 2^F), likewise s, g and h.
 
-    pi_p and widenings come from _pi_series.  rho = r / 2^32 is R^p for
+    pi_p and widenings come from _beta_series.  rho = r / 2^32 is R^p for
     R = radius(p, pi_p), capped at 2^16 (p = 2 is entire) and rounded up.
     At p = 2, G = c and H = s.
 
@@ -144,12 +143,11 @@ class _TaylorSeries:
     multiply (c^2i as c^i squared, c^(2i+1) as c^2i times c), and (m, n) is
     c^m s^n, formed as c^m times s^n.  Each entry is (terms, left, right), and
     its terms are extended under the lock, only as far as some stream reads
-    them, so every stream on the series shares them: the (m, n) and (n, m)
-    halves of beta_value, and every later call on the same record.
+    them, so every stream on the series shares them.
     """
 
     def __init__(self, p: int) -> None:
-        self.p, (self.pi_p, self.widenings) = p, _pi_series(p)
+        self.p, (self.pi_p, self.widenings) = p, _beta_series(p, 0, 0, 2)
         self.r = math.ceil(math.ldexp(min(radius(p, self.pi_p) ** p, 2.0 ** 16), 32))
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
         self.products: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
@@ -184,19 +182,6 @@ class _TaylorSeries:
                 k += 1
                 terms = self._entry((dm * k, dn * k), terms, unit, chain)
         return terms
-
-    @contextmanager
-    def undo_on_error(self) -> Iterator[None]:
-        """If the block raises, drop the registry entries added meanwhile; a stream keeps its own."""
-        with _EXTEND_LOCK:
-            known = set(self.products)
-        try:
-            yield
-        except BaseException:
-            with _EXTEND_LOCK:
-                for key in self.products.keys() - known:
-                    del self.products[key]
-            raise
 
     def _entry(self, key: tuple[int, int], left: list[int], right: list[int], chain: list) -> list[int]:
         entry = self.products.setdefault(key, ([1 << _F], left, right))
@@ -236,27 +221,52 @@ class _TaylorSeries:
             yield value
 
 
-def _pi_series(p: int) -> tuple[float, int]:
-    # pi_p correctly rounded, and the widenings it took.  With c_k = ((1 - 1/p)_k
-    # / k!) 2^-k, pi_p / 4 = (1 - T) S by the binomial series of the incomplete
-    # Beta integral (DLMF 8.17), S = sum_k c_k / (pk + 1), and of 2^(-1/p) =
-    # (1 - 1/2)^(1/p) = 1 - T, T = sum_(k>=1) c_(k-1) / (2pk).  Floored in G-bit
-    # fixed point, c_k = c_(k-1) (pk - 1) / (2pk) is under 2 units low, so at
-    # c_K = 0 S and T are under 2K + 2 units low, tail included.  Where the two
-    # ends round apart, G widens by 64 bits (Ziv, ACM TOMS 17(3), 1991).
+def _beta_series(p: int, m: int, n: int, scale: int) -> tuple[float, int]:
+    # scale / p B(a, b), a = (m + 1) / p and b = (n + 1) / p, correctly rounded,
+    # and the widenings it took.  B(a + 1, b) = B(a, b) a / (a + b) (DLMF 5.12.1)
+    # takes m to m0 = m mod p by factors (m' + 1) / (m' + n + 2), then n likewise
+    # with m0: num / den.  At m0, n0, B / p = 2^(-b) S_(m,n) + 2^(-a) S_(n,m), the
+    # two halves of the arclength integral, between low and high by the bounds
+    # of _binomial_sums; where those round apart, G widens by 64 bits (Ziv, ACM
+    # TOMS 17(3), 1991).  A value past binary64 raises OverflowError, and one far
+    # below it gives 0.0.
+    m0, n0 = m % p, n % p
+    num = scale * _range_product(range(m0 + 1, m + 1, p)) * _range_product(range(n0 + 1, n + 1, p))
+    den = _range_product(range(m0 + n + 2, m + n + 2, p)) * _range_product(range(m0 + n0 + 2, m0 + n + 2, p))
     for widenings in count():
-        bits = _PI_BITS + 64 * widenings
-        c = s = 1 << bits
-        t = k = 0
-        while c:
-            k += 1
-            t += c // (2 * p * k)
-            c = c * (p * k - 1) // (2 * p * k)
-            s += c // (p * k + 1)
-        root, error, scale = (1 << bits) - t, 2 * k + 2, 1 << 2 * bits - 2
-        low = (root - error) * s / scale
-        if low == root * (s + error) / scale:
-            return low, widenings
+        bits = _BETA_BITS + 64 * widenings
+        s_mn, root_m, e_m = _binomial_sums(p, m0, n0, bits)
+        s_nm, root_n, e_n = (s_mn, root_m, e_m) if m0 == n0 else _binomial_sums(p, n0, m0, bits)
+        low = (root_n - e_n) * s_mn + (root_m - e_m) * s_nm
+        high = root_n * (s_mn + e_m) + root_m * (s_nm + e_n)
+        value = num * low / (den << 2 * bits)
+        if value == num * high / (den << 2 * bits):
+            return value, widenings
+
+
+def _binomial_sums(p: int, m: int, n: int, bits: int) -> tuple[int, int, int]:
+    # S_(m,n) and 2^(-a) = 1 - T_m in G-bit fixed point for m, n < p, and e, with
+    # S and T each under e units low.  With c_k = ((1 - a)_k / k!) 2^-k, the half
+    # integral_0^c x^n (1 - x^p)^(a - 1) dx, c = 2^(-1/p), is c^(n+1) S_(m,n),
+    # S_(m,n) = sum_k c_k / (pk + n + 1) (DLMF 8.17), and 2^(-a) = (1 - 1/2)^a
+    # = 1 - T_m, T_m = sum_(k>=1) (m + 1) c_(k-1) / (2pk).  Each ratio c_k /
+    # c_(k-1) lies in [0, 1/2), so the floored c_k is under 2 units low, and at
+    # c_K = 0 S and T are under e = 2K + 2 units low, tail included.
+    c, s, t, k = 1 << bits, (1 << bits) // (n + 1), 0, 0
+    while c:
+        k += 1
+        t += (m + 1) * c // (2 * p * k)
+        c = c * (p * k - m - 1) // (2 * p * k)
+        s += c // (p * k + n + 1)
+    return s, (1 << bits) - t, 2 * k + 2
+
+
+def _range_product(factors: range) -> int:
+    # The product by halves, so that big operands meet in few multiplies.
+    half = len(factors) // 2
+    if half < 16:
+        return math.prod(factors)
+    return _range_product(factors[:half]) * _range_product(factors[half:])
 
 
 def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import json
 import math
-import pickle
 from decimal import Decimal, localcontext
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
-from squigonometry import ConvergenceError, CostGuardError, ParameterError, SquigParams
+from squigonometry import CostGuardError, DomainError, ParameterError, SquigParams
 from squigonometry import constants, series
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -167,20 +167,46 @@ def test_compute_pi_meets_epsilon_or_says_it_cannot(p, eps):
     assert _meets_epsilon(p, eps)
 
 
-def _pi_series_reference(p: int) -> Decimal:
-    # pi_p / 4 = 2^(-1/p) sum_k ((1 - 1/p)_k / k!) 2^-k / (pk + 1), summed
-    # in 40-digit decimal until the coefficients fall below 10^-45.
+def _beta_reference(p: int, m: int, n: int) -> Decimal:
+    # B((m+1)/p, (n+1)/p) in 40-digit decimal: the base value at m mod p,
+    # n mod p, then m raised by B(a + 1, b) = B(a, b) a / (a + b), then n.
     with localcontext() as dec:
         dec.prec = 40
-        one = Decimal(1)
-        rising = one - one / p
-        coeff = total = one
-        k = 0
-        while coeff > Decimal(10) ** -45:
+        m0, n0 = m % p, n % p
+        value = _beta_base(p, m0, n0)
+        for i in range(m0, m, p):
+            value = value * (i + 1) / (i + n0 + 2)
+        for i in range(n0, n, p):
+            value = value * (i + 1) / (m + i + 2)
+        return value
+
+
+@lru_cache(maxsize=None)
+def _beta_base(p: int, m: int, n: int) -> Decimal:
+    # For m, n < p: p times the two halves 2^(-(n+1)/p) sum_k ((1 - a)_k / k!)
+    # 2^-k / (pk + n + 1), a = (m + 1) / p, summed in 40-digit decimal until
+    # the coefficients fall below 10^-45, with 2^(-(n+1)/p) from decimal's
+    # own power.
+    def half(m: int, n: int) -> Decimal:
+        rising = 1 - Decimal(m + 1) / p
+        total, coeff, k = Decimal(1) / (n + 1), Decimal(1), 0
+        while abs(coeff) > Decimal(10) ** -45:
             k += 1
             coeff *= (rising + k - 1) / (2 * k)
-            total += coeff / (p * k + 1)
-        return 4 * total * Decimal(2) ** (-one / p)
+            total += coeff / (p * k + n + 1)
+        return total * Decimal(2) ** (-Decimal(n + 1) / p)
+
+    with localcontext() as dec:
+        dec.prec = 40
+        return p * (half(m, n) + half(n, m))
+
+
+def _pi_series_reference(p: int) -> Decimal:
+    # pi_p = 2 B(1/p, 1/p) / p; its halves are pi_p / 4 = 2^(-1/p) sum_k
+    # ((1 - 1/p)_k / k!) 2^-k / (pk + 1).
+    with localcontext() as dec:
+        dec.prec = 40
+        return 2 * _beta_reference(p, 0, 0) / p
 
 
 def test_compute_pi_is_correctly_rounded():
@@ -200,9 +226,9 @@ def test_pi_sum_widens_until_its_rounding_is_certain(monkeypatch):
     # so the sum widens by 64 bits and lands on the same value; a record
     # built meanwhile, past the memo, counts the widening.
     want = {p: sg.compute_pi(p).value for p in (2, 3, 4, 10, 64)}
-    monkeypatch.setattr(series, "_PI_BITS", 8)
+    monkeypatch.setattr(series, "_BETA_BITS", 8)
     for p, value in want.items():
-        got, widenings = series._pi_series(p)
+        got, widenings = series._beta_series(p, 0, 0, 2)
         assert got == value and widenings >= 1, p
     rec = constants._solve_pi.__wrapped__(4, sg.EPS_DEFAULT)
     assert rec.value == want[4] and rec.iterations >= 1
@@ -236,11 +262,10 @@ def test_compute_pi_at_the_bottom_of_binary64():
 def test_compute_pi_refuses_tables_past_the_cap(monkeypatch):
     # J is about 11 p at EPS_DEFAULT and a build costs about J^2, so p = 100000
     # (J = 1116657) would run for days: it is refused before any table is
-    # built, at once, and so is every Beta value on it.
+    # built, at once.  Beta values need no table, so they answer at that p.
     with pytest.raises(CostGuardError, match="J=1116657"):
         sg.compute_pi(100000)
-    with pytest.raises(CostGuardError):
-        sg.beta_value(100000, 1, 1)
+    assert sg.beta_value(100000, 1, 1) == float(_beta_reference(100000, 1, 1))
     # The deepest table the tests, the digest and squig verify build is
     # (10, 5e-324), well inside the cap.
     assert max(sg.estimate_terms(10, sg.compute_pi(10).value, 5e-324), 3) == 2079 < sg.MAX_PI_TERMS
@@ -373,13 +398,11 @@ def test_beta_value_meets_epsilon_when_m_n_need_more_terms(p, m, n, eps):
     "p,m,n", [(10, 30, 30), (10, 60, 0), (10, 0, 60), (10, 30, 0), (10, 0, 30), (9, 40, 40)]
 )
 def test_beta_value_at_large_powers(p, m, n):
-    # Large powers at p near 10 need no coefficient past binary64.  The p = 10
-    # cases measure at most 1.6e-14.  (9, 40, 40) sums terms 3.8e5 times its
-    # value, so its rounding may reach 8e-11 of it (it measures 6.9e-12);
-    # it is held to squig verify's Beta bound instead.
+    # Term-by-term integration put (9, 40, 40) 6.9e-12 off; the recurrence
+    # takes every one of these to m, n < p exactly.
     got = sg.beta_value(p, m, n)
-    rel = 1e-11 if (p, m, n) == (9, 40, 40) else 1e-13
-    assert got == pytest.approx(sg.beta_gamma(p, m, n), rel=rel, abs=0)
+    assert got == pytest.approx(sg.beta_gamma(p, m, n), rel=1e-13, abs=0)
+    assert got == float(_beta_reference(p, m, n))
     assert sg.beta_value(p, n, m) == got
 
 
@@ -399,28 +422,25 @@ def test_beta_value_bounds_the_tail_by_the_final_sum(p, m, n, eps):
 @pytest.mark.parametrize(
     "p,m,n", [(2, 30, 30), (4, 700, 0), (4, 1000, 0), (2, 300, 300), (2, 700, 0)]
 )
-def test_beta_value_refuses_cancellation_past_binary64(p, m, n):
-    # The first four returned relative error 4.2e-7, -2.8e42, 2.4e67 and
-    # -0.218 for true values 4.2e-10, 0.997, 0.912 and 7.1e-92, from lgamma.
-    # A refusal is certain once the terms' rounding outgrows any sum that
-    # could pass, and reads no further: (4, 700, 0) and (2, 700, 0) used to
-    # extend the record's series to 397 and 452 terms first.
-    a, b = (m + 1) / p, (n + 1) / p
-    assert math.isfinite(math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)))
+def test_beta_value_answers_where_the_terms_cancelled(p, m, n):
+    # Integrated term by term these returned relative error 4.2e-7, -2.8e42,
+    # 2.4e67 and -0.218 for true values 4.2e-10, 0.997, 0.912 and 7.1e-92, and
+    # later refused: their terms cancel past binary64.  The sum touches no
+    # record, so no table is built for them.
     sg.compute_pi.cache_clear()
-    with pytest.raises(ConvergenceError, match="cancels past epsilon"):
-        sg.beta_value(p, m, n)
-    assert len(sg.compute_pi(p)._series.c) < 100
+    assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == float(_beta_reference(p, m, n))
+    assert sg.compute_pi.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("p,m,n,eps", [(10, 200, 0, 2.0 ** -22), (6, 100, 0, 2.0 ** -53)])
 def test_beta_value_answers_near_its_refusal_limit(p, m, n, eps):
-    # The answers that cancel furthest on a grid of p 2..11, m to 200, n to
-    # 40 and eps to 0.3: their rounding reaches 0.087 and 0.065 of the early
-    # refusal's limit, so a limit 12 times tighter would refuse the first.
+    # The answers that cancelled furthest when integrated term by term (0.087
+    # and 0.065 of the early refusal's limit on a grid of p 2..11, m to 200, n
+    # to 40 and eps to 0.3) are as correctly rounded as the rest.
     want = sg.beta_gamma(p, m, n)
     got = sg.beta_value(p, m, n, eps)
     assert abs(got - want) <= max(eps, 1e-11) * want
+    assert got == float(_beta_reference(p, m, n))
 
 
 BETA_GRID_MN = [(m, n) for m in range(6) for n in range(6)] + [(12, 12), (20, 5), (30, 30)]
@@ -428,40 +448,90 @@ BETA_GRID_MN = [(m, n) for m in range(6) for n in range(6)] + [(12, 12), (20, 5)
 
 @pytest.mark.parametrize("p", range(2, 12))
 def test_beta_value_answers_within_epsilon_or_refuses(p):
-    # Every answer is positive and within max(eps, 1e-11) of the gamma form;
-    # where the terms cancel too far the call refuses, which no (m, n) up to
-    # (5, 5) does.
+    # Every answer is positive and within max(eps, 1e-13) of the gamma form,
+    # the same at every eps; no (m, n) refuses any more.
     for m, n in BETA_GRID_MN:
         want = sg.beta_gamma(p, m, n)
-        for eps in (2.0 ** -53, 1e-8, 2.0 ** -22, 0.1):
-            try:
-                got = sg.beta_value(p, m, n, eps)
-            except ConvergenceError:
-                assert max(m, n) > 5, (m, n, eps)
-                continue
-            assert 0.0 < got and abs(got - want) <= max(eps, 1e-11) * want, (m, n, eps)
+        got = sg.beta_value(p, m, n)
+        assert 0.0 < got and abs(got - want) <= 1e-13 * want, (m, n)
+        for eps in (1e-8, 2.0 ** -22, 0.1):
+            assert sg.beta_value(p, m, n, eps) == got, (m, n, eps)
 
 
-@pytest.mark.parametrize("mn", [(1, 0), (0, 1), (2, 2), (2, 1)])
-def test_beta_value_extends_the_record_series(monkeypatch, mn):
-    # Every half streams from the record's series and builds none of its
-    # own; the series grows past the record's tables only as far as the
-    # halves read, one term for the sq and cq halves.
-    sg.compute_pi.cache_clear()
-    record = sg.compute_pi(4)
-    assert len(record._series.c) == record.J_used + 1
-    built = []
-    monkeypatch.setattr(series._TaylorSeries, "__init__", lambda *args: built.append(args))
-    sg.beta_value(4, *mn)
-    assert built == []
-    grown = len(record._series.c) - record.J_used - 1
-    assert grown == 1 if sum(mn) == 1 else grown >= 1
+@pytest.mark.parametrize("p", range(2, 17))
+def test_beta_value_is_correctly_rounded(p):
+    # Every m, n <= 40, in both orders, against the 40-digit reference.
+    for m in range(41):
+        for n in range(m, 41):
+            want = float(_beta_reference(p, m, n))
+            assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == want, (m, n)
+
+
+@pytest.mark.parametrize("p", [24, 32, 64])
+def test_beta_value_is_correctly_rounded_at_large_p(p):
+    points = ((0, 0), (1, 0), (5, 17), (p - 1, p - 2), (p - 1, p - 1), (40, 3), (3 * p + 7, 2), (700, 0), (10**6, 5))
+    for m, n in points:
+        want = float(_beta_reference(p, m, n))
+        assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == want, (m, n)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 0, 0), (3, 2, 1), (5, 4, 0), (4, 9, 5), (7, 30, 2), (64, 63, 62)])
+def test_beta_sum_widens_until_its_rounding_is_certain(monkeypatch, p, m, n):
+    # From 8 bits the floors' error interval straddles a rounding boundary,
+    # so the sum widens by 64 bits and lands on the reference.
+    monkeypatch.setattr(series, "_BETA_BITS", 8)
+    got, widenings = series._beta_series(p, m, n, p)
+    assert got == float(_beta_reference(p, m, n)) and widenings >= 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 10])
+def test_beta_value_matches_the_arclength_integral(p):
+    # The paper's route: the MacLaurin tables integrated term by term over
+    # both halves of the quadrant, as squig verify's beta-arclength check.
+    for m, n in ((0, 0), (1, 0), (2, 1), (3, 2)):
+        want = sg.beta_arclength_oracle(p, m, n)
+        assert abs(sg.beta_value(p, m, n) - want) <= 1e-13 * want, (m, n)
+
+
+def test_beta_value_refuses_past_its_step_cap(monkeypatch):
+    # floor(m / p) + floor(n / p) steps of the recurrence, each an exact
+    # factor: past MAX_BETA_STEPS the call refuses before any product.
+    cap = sg.MAX_BETA_STEPS
+    with pytest.raises(CostGuardError, match=f"{cap + 1} recurrence steps, past the cap {cap}"):
+        sg.beta_value(2, 2 * cap + 2, 0)
+    with pytest.raises(CostGuardError):
+        sg.beta_value(4, 10**400, 0)
+    monkeypatch.setattr(constants, "MAX_BETA_STEPS", 3)
+    assert sg.beta_value(2, 5, 2) == float(_beta_reference(2, 5, 2))  # 2 + 1 steps
+    with pytest.raises(CostGuardError, match="4 recurrence steps, past the cap 3"):
+        sg.beta_value(2, 4, 4)
+
+
+def test_beta_value_outside_binary64_raises_domain_error():
+    # B(1500.5, 1500.5) is about 2^-3000; B(1/p, 1/p) is about 2p.
+    with pytest.raises(DomainError, match="below binary64"):
+        sg.beta_value(2, 3000, 3000)
+    with pytest.raises(DomainError, match="past binary64"):
+        sg.beta_value(2 ** 1100, 0, 0)
+
+
+def test_beta_value_rounds_into_the_subnormals():
+    # B(a, a) at p = 2 crosses binary64's least normal and least subnormal
+    # between m = n = 1000 and 1080: each value is the rounded reference, and
+    # the first that rounds to 0 raises.
+    for m in range(1000, 1081, 2):
+        want = float(_beta_reference(2, m, m))
+        if want == 0.0:
+            with pytest.raises(DomainError):
+                sg.beta_value(2, m, m)
+        else:
+            assert sg.beta_value(2, m, m) == want, m
 
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_sq_cq_beta_terms_shrink_past_the_table(p):
-    # beta_value stops each half at its first term within the bound, which
-    # bounds the dropped tail because these terms shrink strictly.
+    # The sq and cq halves of the term-by-term Beta integral shrink strictly
+    # past the record's tables, so a first term within a bound bounds the tail.
     for eps in (2.0 ** -53, 2.0 ** -36, 2.0 ** -20):
         rec = sg.compute_pi(p, eps)
         x = rec.value / 4.0
@@ -469,13 +539,3 @@ def test_sq_cq_beta_terms_shrink_past_the_table(p):
             floats = sg.maclaurin(params, rec.J_used + 2).floats
             terms = [a * x ** (params.n + p * j + 1) / (params.n + p * j + 1) for j, a in enumerate(floats)]
             assert all(0.0 < b < a for a, b in zip(terms, terms[1:])), (p, eps, params)
-
-
-def test_a_call_that_raises_leaves_the_registry_as_it_found_it():
-    # The stream of c^(10^400) registers its whole square-and-multiply chain
-    # (1803 entries) before its second coefficient overflows binary64.
-    record = sg.compute_pi(4)
-    before = set(record._series.products), len(pickle.dumps(record))
-    with pytest.raises(ConvergenceError):
-        sg.beta_value(4, 10**400, 0)
-    assert (set(record._series.products), len(pickle.dumps(record))) == before

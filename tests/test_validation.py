@@ -196,7 +196,7 @@ OVERFLOWS = {
     # Powers of a thousand bits and more, and a power of t past binary64.
     "maclaurin.m": (lambda c4: sg.maclaurin(SquigParams(4, 10 ** 400, 0), 3), ConvergenceError),
     "maclaurin.n": (lambda c4: sg.maclaurin(SquigParams(4, 0, 2 ** 1000), 3), ConvergenceError),
-    "beta_value.power": (lambda c4: sg.beta_value(4, 10 ** 400, 0), ConvergenceError),
+    "beta_value.power": (lambda c4: sg.beta_value(4, 10 ** 400, 0), CostGuardError),
     # Beta arguments (m + 1) / p past binary64, and a Gamma value past it.
     "beta_gamma.m": (lambda c4: sg.beta_gamma(4, 10 ** 400, 0), DomainError),
     "beta_gamma.n": (lambda c4: sg.beta_gamma(4, 0, 10 ** 400), DomainError),
