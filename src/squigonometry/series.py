@@ -19,11 +19,11 @@ signs alternate, so the kernel carries magnitudes, in 192-bit fixed point on
 v = u / rho with rho near the radius of convergence, where they stay near
 2^192 at every j.  The u^j coefficient x of c^m s^n (by square and multiply)
 is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
-_TaylorSeries holds c, s, G and H for one p, and one registry of the product
-sequences c^k, s^k and c^m s^n, each formed once and extended, under one
-lock, only as far as some stream reads it; a square sums each pair of equal
-products once.  compute_pi keeps its series on the record, so the node
-tables, in any thread, extend it rather than start again.
+_TaylorSeries holds c, s, G and H for one p, extended under one lock; each
+stream forms its own product sequences c^k, s^k and c^m s^n, only as far as
+it reads them, and a square sums each pair of equal products once.
+compute_pi keeps its series on the record, so the node tables, in any
+thread, extend it rather than start again.
 
 _beta_series sums the Beta values B((m+1)/p, (n+1)/p) correctly rounded from
 one integer series with no table, in 15 to 40 us for m, n < p; pi_p =
@@ -137,20 +137,12 @@ class _TaylorSeries:
     pi_p and widenings come from _beta_series.  rho = r / 2^32 is R^p for
     R = radius(p, pi_p), capped at 2^16 (p = 2 is entire) and rounded up.
     At p = 2, G = c and H = s.
-
-    products is one registry of the product sequences streams read, keyed by
-    what each holds: (k, 0) is c^k and (0, k) is s^k, formed by square and
-    multiply (c^2i as c^i squared, c^(2i+1) as c^2i times c), and (m, n) is
-    c^m s^n, formed as c^m times s^n.  Each entry is (terms, left, right), and
-    its terms are extended under the lock, only as far as some stream reads
-    them, so every stream on the series shares them.
     """
 
     def __init__(self, p: int) -> None:
         self.p, (self.pi_p, self.widenings) = p, _beta_series(p, 0, 0, 2)
         self.r = math.ceil(math.ldexp(min(radius(p, self.pi_p) ** p, 2.0 ** 16), 32))
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
-        self.products: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
 
     def extend(self, J: int, chain: Iterable[tuple] = ()) -> None:
         """Extend c, s, g and h to J, then each product of chain, factors first."""
@@ -166,27 +158,19 @@ class _TaylorSeries:
                     terms.append(_product(left, right, j))
 
     def _terms(self, m: int, n: int, chain: list[tuple]) -> list[int]:
-        # The terms of c^m s^n, m + n >= 1, under the lock: c^k or s^k by square
-        # and multiply over the bits of k after the first, c^m s^n as c^m times
-        # s^n.  Each product is registered once and goes onto chain after its
-        # factors.  Sums of positive terms keep their precision where Miller's
-        # cancelling sum loses it (p = 2).
+        # The terms of c^m s^n, m + n >= 1: c^k or s^k by square and multiply
+        # over the bits of k after the first, c^m s^n as c^m times s^n.  Each
+        # product goes onto chain as (terms, left, right) after its factors.
+        # Sums of positive terms keep their precision where Miller's cancelling
+        # sum loses it (p = 2).
         if m and n:
-            return self._entry((m, n), self._terms(m, 0, chain), self._terms(0, n, chain), chain)
-        unit, dm, dn = (self.c, 1, 0) if m else (self.s, 0, 1)
-        terms, k = unit, 1
+            return _chained(self._terms(m, 0, chain), self._terms(0, n, chain), chain)
+        unit = terms = self.c if m else self.s
         for bit in bin(m + n)[3:]:
-            k *= 2
-            terms = self._entry((dm * k, dn * k), terms, terms, chain)
+            terms = _chained(terms, terms, chain)
             if bit == "1":
-                k += 1
-                terms = self._entry((dm * k, dn * k), terms, unit, chain)
+                terms = _chained(terms, unit, chain)
         return terms
-
-    def _entry(self, key: tuple[int, int], left: list[int], right: list[int], chain: list) -> list[int]:
-        entry = self.products.setdefault(key, ([1 << _F], left, right))
-        chain.append(entry)
-        return entry[0]
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
         return MacLaurinTable(params, tuple(islice(self.stream(params.m, params.n), J + 1)))
@@ -196,15 +180,14 @@ class _TaylorSeries:
 
         a_j is x / (rho^j 2^F), x the u^j coefficient of c^m s^n, rounded by
         one int/int true division: (x << 32 j) / scale with scale = r^j 2^F.
-        x is read from c, s or a registry entry; the lock is taken only to
-        extend them when they are short.
+        x is read from c, s or the stream's own products; the lock is taken
+        only to extend them when they are short.
         """
         if m == n == 0:  # cq^0 sq^0 = 1
             yield 1.0
             yield from repeat(0.0)
         chain: list[tuple] = []
-        with _EXTEND_LOCK:
-            terms = self._terms(m, n, chain)
+        terms = self._terms(m, n, chain)
         scale, at = 1 << _F, f"p={self.p}, m={m}, n={n}, j={{}}".format  # at(j) on error only
         for j in count():
             if j:
@@ -221,6 +204,13 @@ class _TaylorSeries:
             yield value
 
 
+def _chained(left: list[int], right: list[int], chain: list[tuple]) -> list[int]:
+    # A new product sequence of left and right, on chain after its factors.
+    terms = [1 << _F]
+    chain.append((terms, left, right))
+    return terms
+
+
 def _beta_series(p: int, m: int, n: int, scale: int) -> tuple[float, int]:
     # scale / p B(a, b), a = (m + 1) / p and b = (n + 1) / p, correctly rounded,
     # and the widenings it took.  B(a + 1, b) = B(a, b) a / (a + b) (DLMF 5.12.1)
@@ -228,11 +218,15 @@ def _beta_series(p: int, m: int, n: int, scale: int) -> tuple[float, int]:
     # with m0: num / den.  At m0, n0, B / p = 2^(-b) S_(m,n) + 2^(-a) S_(n,m), the
     # two halves of the arclength integral, between low and high by the bounds
     # of _binomial_sums; where those round apart, G widens by 64 bits (Ziv, ACM
-    # TOMS 17(3), 1991).  A value past binary64 raises OverflowError, and one far
-    # below it gives 0.0.
+    # TOMS 17(3), 1991).  That ends where a, b < 1: B is transcendental there
+    # (Schneider, 1941), so never a rounding tie.  Where a = 1 or b = 1, B(1, b) / p
+    # = 1 / (pb) is rational and may be a tie, so it is one division.  A value past
+    # binary64 raises OverflowError, and one far below it gives 0.0.
     m0, n0 = m % p, n % p
     num = scale * _range_product(range(m0 + 1, m + 1, p)) * _range_product(range(n0 + 1, n + 1, p))
     den = _range_product(range(m0 + n + 2, m + n + 2, p)) * _range_product(range(m0 + n0 + 2, m0 + n + 2, p))
+    if p - 1 in (m0, n0):
+        return num / (den * (n0 + 1 if m0 == p - 1 else m0 + 1)), 0
     for widenings in count():
         bits = _BETA_BITS + 64 * widenings
         s_mn, root_m, e_m = _binomial_sums(p, m0, n0, bits)

@@ -475,7 +475,7 @@ def test_beta_value_is_correctly_rounded_at_large_p(p):
         assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == want, (m, n)
 
 
-@pytest.mark.parametrize("p,m,n", [(2, 0, 0), (3, 2, 1), (5, 4, 0), (4, 9, 5), (7, 30, 2), (64, 63, 62)])
+@pytest.mark.parametrize("p,m,n", [(2, 0, 0), (3, 1, 0), (5, 3, 1), (4, 9, 5), (7, 30, 2), (64, 62, 61)])
 def test_beta_sum_widens_until_its_rounding_is_certain(monkeypatch, p, m, n):
     # From 8 bits the floors' error interval straddles a rounding boundary,
     # so the sum widens by 64 bits and lands on the reference.
@@ -497,14 +497,46 @@ def test_beta_value_refuses_past_its_step_cap(monkeypatch):
     # floor(m / p) + floor(n / p) steps of the recurrence, each an exact
     # factor: past MAX_BETA_STEPS the call refuses before any product.
     cap = sg.MAX_BETA_STEPS
-    with pytest.raises(CostGuardError, match=f"{cap + 1} recurrence steps, past the cap {cap}"):
+    message = f"{cap + 1} recurrence steps of 18-bit factors, past the cap of {cap} steps"
+    with pytest.raises(CostGuardError, match=message):
         sg.beta_value(2, 2 * cap + 2, 0)
     with pytest.raises(CostGuardError):
         sg.beta_value(4, 10**400, 0)
     monkeypatch.setattr(constants, "MAX_BETA_STEPS", 3)
     assert sg.beta_value(2, 5, 2) == float(_beta_reference(2, 5, 2))  # 2 + 1 steps
-    with pytest.raises(CostGuardError, match="4 recurrence steps, past the cap 3"):
+    with pytest.raises(CostGuardError, match="4 recurrence steps of 4-bit factors, past the cap of 3 steps"):
         sg.beta_value(2, 4, 4)
+
+
+def test_beta_value_refuses_past_its_bit_cap(monkeypatch):
+    # At huge p few steps hold many bits: 65536 factors of 1000 bits at
+    # p = 10^300 refuse before any product, and the boundary is exact.
+    big = 10 ** 300
+    bits = (65536 * big + 2).bit_length()
+    message = f"65536 recurrence steps of {bits}-bit factors, .* or {sg.MAX_BETA_BITS} bits"
+    with pytest.raises(CostGuardError, match=message):
+        sg.beta_value(big, 65536 * big, 0)
+    monkeypatch.setattr(constants, "MAX_BETA_BITS", 3 * (3 * big + 2).bit_length())
+    assert sg.beta_value(big, 3 * big, 0) == float(_beta_reference(big, 3 * big, 0))  # at the cap
+    bits = (4 * big + 2).bit_length()
+    with pytest.raises(CostGuardError, match=f"4 recurrence steps of {bits}-bit factors"):
+        sg.beta_value(big, 2 * big, 2 * big)
+
+
+@pytest.mark.parametrize("p, m, n, want", [
+    (2 ** 27 - 1, 2 ** 28 - 3, 0, 2.0 ** 27 - 2),  # B(2, 1/p) = p^2 / 2^27 = 2^27 - 2 + 2^-27
+    (2 ** 53 + 1, 2 ** 53, 0, 2.0 ** 53),  # B(1, 1/p) = p = 2^53 + 1
+    (3, 2, 0, 3.0),
+    (7, 13, 6, float(_beta_reference(7, 13, 6))),
+])
+def test_beta_value_rounds_rational_values_and_their_ties(monkeypatch, p, m, n, want):
+    # Where (m + 1) / p or (n + 1) / p is a whole number the value is rational
+    # and may be a binary64 tie, which no sum's bounds can settle: the first two
+    # are ties and round to even.  Both orders answer at once, with no sum, so
+    # even from 8 bits nothing widens.
+    assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == want
+    monkeypatch.setattr(series, "_BETA_BITS", 8)
+    assert series._beta_series(p, m, n, p) == (want, 0)
 
 
 def test_beta_value_outside_binary64_raises_domain_error():

@@ -65,10 +65,8 @@ def test_deep_tables_are_correctly_rounded(p, eps):
 @pytest.mark.parametrize("p", [2, 3, 7, 10])
 def test_streams_on_a_shared_series_match_fresh_tables(p):
     # Larger m and n, and streams that start on a series other streams have
-    # already extended, as beta_value's do on a record's series: the bits
-    # of one fresh maclaurin run, which are the oracle's.  The pairs (m, n),
-    # (n, m) share their squares and chains (c^14 is on c^15's), and each
-    # order of the cases forms them from the other stream first.
+    # already extended: the bits of one fresh maclaurin run, which are the
+    # oracle's, in either order of the cases.
     cases = ((9, 0), (0, 13), (17, 20), (40, 3), (3, 2), (2, 3), (15, 14), (14, 15))
     want = {}
     for m, n in cases:
@@ -81,9 +79,6 @@ def test_streams_on_a_shared_series_match_fresh_tables(p):
         for m, n in order:
             assert list(islice(shared.stream(m, n), 41)) == want[m, n], (m, n)
         assert len(shared.c) == 41
-        assert shared.products[15, 0][1] is shared.products[14, 0][0]  # c^15 = c^14 c
-        assert shared.products[0, 14][1] is shared.products[0, 7][0]  # s^14 = s^7 s^7
-        assert shared.products[0, 14][2] is shared.products[0, 7][0]
 
 
 def test_squares_pair_their_products():
@@ -98,11 +93,9 @@ def test_squares_pair_their_products():
 
 def test_threads_streaming_one_series_stay_aligned():
     # A record's series is shared by every thread that reads the record, and
-    # beta_value's streams extend it and its products.  Seven threads stream
-    # one series at once from a barrier, sharing squares and chains, with a
-    # switch interval short enough to interleave their appends, in five
-    # trials on fresh series.  (With products appended outside the lock, 240
-    # terms misalign nearly every trial; 60 terms, about one in thirty.)
+    # each extends it.  Seven threads stream one series at once from a
+    # barrier, each with its own products, with a switch interval short
+    # enough to interleave their appends, in five trials on fresh series.
     cases = ((0, 1), (1, 0), (2, 1), (3, 3), (1, 2), (3, 2), (2, 3))
     want = {mn: exact_floats(SquigParams(p=4, m=mn[0], n=mn[1]), 240) for mn in cases}
     interval = sys.getswitchinterval()
