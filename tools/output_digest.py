@@ -99,6 +99,9 @@ def sweep_maclaurin() -> Iterator[str]:
                 yield call(lambda *a: sg.maclaurin(SquigParams(*a[:3]), a[3]).floats, p, m, n, J)
     for p, m, n in ((4, 0, 1020), (4, 0, 1030), (100000, 0, 1), (10, 40, 3)):
         yield call(lambda *a: sg.maclaurin(SquigParams(*a[:3]), a[3]).floats, p, m, n, 3)
+    # Refusals past binary64, and a deep product at large p.
+    for p, m, n, J in ((2, 0, 10**104, 5), (4, 10**400, 0, 3), (64, 7, 9, 200)):
+        yield call(lambda *a: sg.maclaurin(SquigParams(*a[:3]), a[3]).floats, p, m, n, J)
 
 
 def sweep_integer_maclaurin() -> Iterator[str]:
