@@ -49,7 +49,7 @@ def _cmd_pi(args: argparse.Namespace) -> int:
 
 
 def _cmd_beta(args: argparse.Namespace) -> int:
-    value = constants.beta_value(args.p, args.m, args.n, args.eps)
+    value = constants.beta_value(args.p, args.m, args.n)
     print("p,m,n,beta")
     print(f"{args.p},{args.m},{args.n},{value!r}")
     return 0
@@ -266,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("beta", help="Beta value B((m+1)/p, (n+1)/p), correctly rounded")
     _add_pmn(sub)
-    sub.add_argument("--eps", type=float, default=EPS_DEFAULT,
-                     help="validated only: the value is correctly rounded at any eps (default: 2^-53)")
     sub.set_defaults(handler=_cmd_beta)
 
     sub = subs.add_parser("eval", help="evaluate sq, cq, or cq^m sq^n")

@@ -32,11 +32,12 @@ polynomial of degree 8 in h = s - t0, exact by Sterbenz's lemma since s
 and t0 both lie in [q / 2, q].  Its coefficients come from the paper's
 central result: the k-th derivative of cq^m sq^n is triangle row k, a
 polynomial in (cq, sq), so each is that row at (cq(t0), sq(t0)) over k!,
-formed in fixed point from the record's integer Taylor series and rounded
-once, with the leading one kept as a double-double.  The nearest complex
-singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
-p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
-0.5 us at every p.  Contexts at p = 2, or whose tables are no longer than
+formed in fixed point from the values the record's integer Taylor series
+gives there (only series knows its format) and rounded once, with the
+leading one kept as a double-double.  The nearest complex singularity
+lies at least q tan(pi / p) from t0, which sets N: 15 nodes at p = 3, 26
+at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about 0.5 us at
+every p.  Contexts at p = 2, or whose tables are no longer than
 a node fold (loose epsilon), or made by hand or by dataclasses.replace
 with other tables or tolerance, fold their tables on all of [0, q], so
 there sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
@@ -58,15 +59,16 @@ series path.
 from __future__ import annotations
 
 import math
+import numbers
 import types
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, islice
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError, ParameterError, PoleError
 from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
-from .series import _F, EPS_DEFAULT, MacLaurinTable
+from .series import EPS_DEFAULT, MacLaurinTable
 from .triangle import SquigParams, _rows
 
 # build_context drops a table's tail while its largest term on [0, quarter]
@@ -97,7 +99,8 @@ class EvalContext:
     sq_table and cq_table as they are, so horner_sparse(ctx.sq_table, s) ==
     sq(ctx, s) on [0, pi_p / 4].  pi_p, half (pi_p / 2) and period
     (2 pi_p) are formed from quarter once, when the context is made, with
-    the roundings reduce_argument has always used.
+    the roundings reduce_argument has always used.  A p that is not an int
+    >= 2, or a quarter that is not a finite real > 0, raises ParameterError.
     """
 
     p: int
@@ -110,9 +113,13 @@ class EvalContext:
     period: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        pi_p = 4.0 * self.quarter
+        check_int("p", self.p, 2)
+        quarter = self.quarter
+        if quarter.__class__ is bool or not isinstance(quarter, numbers.Real) or not 0 < quarter < math.inf:
+            raise ParameterError(f"quarter must be a finite real > 0, got {quarter!r}")
+        pi_p = 4.0 * quarter
         object.__setattr__(self, "pi_p", pi_p)
-        object.__setattr__(self, "half", 2.0 * self.quarter)
+        object.__setattr__(self, "half", 2.0 * quarter)
         object.__setattr__(self, "period", 2.0 * pi_p)
 
     @cached_property
@@ -192,7 +199,6 @@ def _nodes(ctx: EvalContext) -> _Nodes | None:
         return None
     if ctx != _context(record):
         return None
-    series = record._series
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
     mid = ctx.quarter / 2.0
     width = (ctx.quarter - mid) / parts
@@ -200,31 +206,14 @@ def _nodes(ctx: EvalContext) -> _Nodes | None:
     sq_nodes, cq_nodes = [], []
     for i in range(parts):
         t0 = mid + (i + 0.5) * width
-        powers = [_powers(x, p, degree) for x in _node_values(series, t0)]
+        # cq(t0) and sq(t0) in _NODE_BITS fixed point from the record's
+        # series; t0 >= 1/4 has no bits below 2^-55, so it enters exactly.
+        powers = [_powers(x, p, degree) for x in record._series.values(t0, _NODE_BITS)]
         sq_nodes.append((t0, *_node_coefficients(p, 0, 1, rows[0], *powers)))
         cq_nodes.append((t0, *_node_coefficients(p, 1, 0, rows[1], *powers)))
     return _Nodes(mid, parts / (ctx.quarter - mid),
                   *(_trimmed(table, mid, ctx.epsilon) for table in (ctx.sq_table, ctx.cq_table)),
                   (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
-
-
-def _node_values(series, t0: float) -> tuple[int, int]:
-    # cq(t0) and sq(t0) in _NODE_BITS fixed point: the series' scaled
-    # magnitudes c[j] and s[j] (2^_F units) summed at v = t0^p / rho with
-    # alternating signs until both terms are below 2^-80.  The terms shrink,
-    # so that bounds the error.
-    bits = _NODE_BITS
-    t = int(math.ldexp(t0, bits))  # exact: t0 >= 1/4 has no bits below 2^-55
-    v = (t ** series.p << 32) // (series.r << bits * (series.p - 1))
-    scaled, c, s, small = 1 << bits, 0, 0, 1 << (bits - 80)
-    for j in count():
-        if j >= len(series.h):  # extend appends to h last
-            series.extend(j)
-        tc, ts = series.c[j] * scaled >> _F, series.s[j] * scaled >> _F
-        c, s = (c - tc, s - ts) if j % 2 else (c + tc, s + ts)
-        if tc < small and ts < small:
-            return c, t * s >> bits
-        scaled = scaled * v >> bits
 
 
 def _powers(x: int, p: int, degree: int) -> tuple[list[int], list[int]]:

@@ -19,11 +19,12 @@ signs alternate, so the kernel carries magnitudes, in 192-bit fixed point on
 v = u / rho with rho near the radius of convergence, where they stay near
 2^192 at every j.  The u^j coefficient x of c^m s^n (by square and multiply)
 is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
-_TaylorSeries holds c, s, G and H for one p, extended under one lock; each
-stream forms its own product sequences c^k, s^k and c^m s^n, only as far as
-it reads them, and a square sums each pair of equal products once.
-compute_pi keeps its series on the record, so the node tables, in any
-thread, extend it rather than start again.
+_TaylorSeries holds c, s, G and H for one p, extended under one lock, and
+owns their fixed-point format: a table of a known length J forms c^k, s^k
+and c^m s^n to J over plain lists, a square summing each pair of equal
+products once, and values gives cq and sq at a node point.  compute_pi
+keeps its series on the record, so the node tables, in any thread, extend
+it rather than start again.
 
 _beta_series sums the Beta values B((m+1)/p, (n+1)/p) correctly rounded from
 one integer series with no table, in 15 to 40 us for m, n < p; pi_p =
@@ -40,10 +41,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import count, islice
 from operator import mul
 
 from .errors import ConvergenceError, ParameterError
@@ -136,7 +136,8 @@ class _TaylorSeries:
 
     pi_p and widenings come from _beta_series.  rho = r / 2^32 is R^p for
     R = radius(p, pi_p), capped at 2^16 (p = 2 is entire) and rounded up.
-    At p = 2, G = c and H = s.
+    At p = 2, G = c and H = s.  The lists only grow, so table and values,
+    once they have extended them to J, read them to J without the lock.
     """
 
     def __init__(self, p: int) -> None:
@@ -144,8 +145,8 @@ class _TaylorSeries:
         self.r = math.ceil(math.ldexp(min(radius(p, self.pi_p) ** p, 2.0 ** 16), 32))
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
 
-    def extend(self, J: int, chain: Iterable[tuple] = ()) -> None:
-        """Extend c, s, g and h to J, then each product of chain, factors first."""
+    def extend(self, J: int) -> None:
+        """Extend c, s, g and h to J, appending to h last."""
         p, c, s, g, h = self.p, self.c, self.s, self.g, self.h
         with _EXTEND_LOCK:
             for j in range(len(c), J + 1):
@@ -153,62 +154,66 @@ class _TaylorSeries:
                 g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
                 s.append(g[j] // (p * j + 1))
                 h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
-            for terms, left, right in chain:
-                for j in range(len(terms), J + 1):
-                    terms.append(_product(left, right, j))
-
-    def _terms(self, m: int, n: int, chain: list[tuple]) -> list[int]:
-        # The terms of c^m s^n, m + n >= 1: c^k or s^k by square and multiply
-        # over the bits of k after the first, c^m s^n as c^m times s^n.  Each
-        # product goes onto chain as (terms, left, right) after its factors.
-        # Sums of positive terms keep their precision where Miller's cancelling
-        # sum loses it (p = 2).
-        if m and n:
-            return _chained(self._terms(m, 0, chain), self._terms(0, n, chain), chain)
-        unit = terms = self.c if m else self.s
-        for bit in bin(m + n)[3:]:
-            terms = _chained(terms, terms, chain)
-            if bit == "1":
-                terms = _chained(terms, unit, chain)
-        return terms
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
-        return MacLaurinTable(params, tuple(islice(self.stream(params.m, params.n), J + 1)))
-
-    def stream(self, m: int, n: int) -> Iterator[float]:
-        """Yield a_0, a_1, ... of cq^m * sq^n without end, extending the series.
+        """a_0..a_J of cq^m * sq^n, extending the series to J.
 
         a_j is x / (rho^j 2^F), x the u^j coefficient of c^m s^n, rounded by
         one int/int true division: (x << 32 j) / scale with scale = r^j 2^F.
-        x is read from c, s or the stream's own products; the lock is taken
-        only to extend them when they are short.
         """
+        m, n = params.m, params.n
         if m == n == 0:  # cq^0 sq^0 = 1
-            yield 1.0
-            yield from repeat(0.0)
-        chain: list[tuple] = []
-        terms = self._terms(m, n, chain)
-        scale, at = 1 << _F, f"p={self.p}, m={m}, n={n}, j={{}}".format  # at(j) on error only
-        for j in count():
-            if j:
-                if j >= len(terms):  # extend appends to c and s first, then to chain
-                    self.extend(j, chain)
-                scale *= self.r
-            x = terms[j]
+            return MacLaurinTable(params, (1.0,) + (0.0,) * J)
+        self.extend(J)
+        floats, scale = [], 1 << _F
+        at = f"p={self.p}, m={m}, n={n}, j={{}}".format  # at(j) on error only
+        for j, x in enumerate(self._terms(m, n, J)):
             if x < _GUARD and (_GUARD << 32 * j) / scale:
                 raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at(j)}")
             try:
-                value = (x << 32 * j) / scale
+                floats.append((x << 32 * j) / scale)
             except OverflowError:
                 raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at(j)}") from None
-            yield value
+            scale *= self.r
+        return MacLaurinTable(params, tuple(floats))
+
+    def _terms(self, m: int, n: int, J: int) -> list[int]:
+        # The u^0..u^J coefficients of c^m s^n, m + n >= 1, the series extended
+        # to J: c^k or s^k by square and multiply over the bits of k after the
+        # first, c^m s^n as c^m times s^n.  Sums of positive terms keep their
+        # precision where Miller's cancelling sum loses it (p = 2).
+        if m and n:
+            return _products(self._terms(m, 0, J), self._terms(0, n, J))
+        unit = terms = (self.c if m else self.s)[: J + 1]
+        for bit in bin(m + n)[3:]:
+            terms = _products(terms, terms)
+            if bit == "1":
+                terms = _products(terms, unit)
+        return terms
+
+    def values(self, t0: float, bits: int) -> tuple[int, int]:
+        """cq(t0) and sq(t0) in fixed point of the given fraction bits, which hold t0 exactly.
+
+        c[j] and s[j] are summed at v = t0^p / rho with alternating signs, extending
+        the series, until both terms are below 2^-80; they shrink, so that bounds the error.
+        """
+        p, c, s = self.p, self.c, self.s
+        t = int(math.ldexp(t0, bits))
+        v = (t ** p << 32) // (self.r << bits * (p - 1))
+        scaled, cq, sq, small = 1 << bits, 0, 0, 1 << (bits - 80)
+        for j in count():
+            if j >= len(self.h):  # extend appends to h last
+                self.extend(j)
+            tc, ts = c[j] * scaled >> _F, s[j] * scaled >> _F
+            cq, sq = (cq - tc, sq - ts) if j % 2 else (cq + tc, sq + ts)
+            if tc < small and ts < small:
+                return cq, t * sq >> bits
+            scaled = scaled * v >> bits
 
 
-def _chained(left: list[int], right: list[int], chain: list[tuple]) -> list[int]:
-    # A new product sequence of left and right, on chain after its factors.
-    terms = [1 << _F]
-    chain.append((terms, left, right))
-    return terms
+def _products(left: list[int], right: list[int]) -> list[int]:
+    # The u^0..u^J coefficients of left * right, J + 1 the length of left.
+    return [_product(left, right, j) for j in range(len(left))]
 
 
 def _beta_series(p: int, m: int, n: int, scale: int) -> tuple[float, int]:
@@ -306,14 +311,16 @@ def estimate_terms(p: int, pi_p: float, epsilon: float) -> int:
     check_int("p", p, 2)
     check_finite("pi_p", pi_p)
     check_tolerance("epsilon", epsilon)
+    # epsilon is taken exactly: a Fraction below binary64's least subnormal
+    # rounds to 0.0, and 1 / epsilon below 2^-1024 to inf.
+    num, den = Fraction(epsilon).as_integer_ratio()
     if p == 2:
-        # 1 / epsilon is taken exactly: below 2^-1024 its rounding is inf.
-        limit = 1 / Fraction(epsilon)
         j = 1
-        while math.factorial(2 * j) <= limit:
+        while math.factorial(2 * j) * num <= den:
             j += 1
         return j + 2
     r = radius(p, pi_p)
     if r <= 1.0:
         raise ParameterError(f"decay rate {r} <= 1; pi_p value {pi_p} is not plausible")
-    return math.ceil(-math.log(epsilon) / (p * math.log(r)))
+    log = math.log(num / den) if num / den == epsilon else math.log(num) - math.log(den)
+    return math.ceil(-log / (p * math.log(r)))

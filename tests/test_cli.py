@@ -407,26 +407,40 @@ def test_command_writes_no_files(capsys, monkeypatch, tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("p", "1", "p must be an int in [2, inf], got 1"),
-    ("eps", "1.5", "epsilon must be a real in (0, 1), got 1.5"),
+@pytest.mark.parametrize("command,flag,value,message", [
+    (command, flag, value, message)
+    for command in ("pi", "beta", "eval", "plotdata", "maclaurin")
+    for flag, value, message in (
+        ("p", "1", "p must be an int in [2, inf], got 1"),
+        ("eps", "1.5", "epsilon must be a real in (0, 1), got 1.5"),
+    )
+    if (command, flag) != ("beta", "eps")
 ])
-@pytest.mark.parametrize("command", ["pi", "beta", "eval", "plotdata", "maclaurin"])
 def test_bad_p_or_eps_is_named(capsys, command, flag, value, message):
     # A bad degree or tolerance is reported by its name, before any row.
     # maclaurin sizes its table from --eps only when no --J is given, and
-    # checks it either way.
+    # checks it either way.  beta takes no --eps.
     argvs = [list(COMMANDS[command])]
     if command == "maclaurin":
         argvs.append(COMMANDS[command][:-2])
     for argv in argvs:
-        argv += ["--eps", "1e-10"]
+        if command != "beta":
+            argv += ["--eps", "1e-10"]
         key = "--p-min" if command == "pi" and flag == "p" else f"--{flag}"
         argv[argv.index(key) + 1] = value
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
+
+
+def test_beta_takes_no_eps(capsys):
+    # The Beta value is correctly rounded at any tolerance, so squig beta has
+    # no --eps to take: argparse refuses it before any row.
+    code = cli.main([*COMMANDS["beta"], "--eps", "1e-10"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --eps 1e-10" in err
 
 
 @pytest.mark.parametrize("terms", ["-1", "-40"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -257,6 +258,22 @@ def test_compute_pi_at_the_bottom_of_binary64():
         want = _pi_series_reference(p)
         assert abs(Decimal(rec.value) - want) <= 2 * Decimal(math.ulp(float(want)))
     assert _meets_epsilon(3, 1e-320)
+
+
+@pytest.mark.parametrize("p,J", [(3, 540), (4, 851)])
+def test_compute_pi_at_an_exact_tolerance_below_binary64(p, J):
+    # A Fraction tolerance below binary64's least subnormal has no float, so
+    # its log is taken from its integers; the tables run past those at
+    # 5e-324, and the value is the same.  A float tolerance, or its exact
+    # Fraction, sizes the tables as before.
+    eps = Fraction(1, 10**400)
+    rec = sg.compute_pi(p, eps)
+    assert rec.J_used == J > sg.compute_pi(p, 5e-324).J_used
+    assert rec.value == sg.compute_pi(p).value
+    ctx = sg.build_context(p, eps)
+    assert abs(sg.sq(ctx, 0.5) - sg.sq(sg.build_context(p), 0.5)) <= 2 * math.ulp(0.5)
+    for tol in (5e-324, 1e-300, 2.0 ** -53, 0.3):
+        assert sg.estimate_terms(p, rec.value, Fraction(tol)) == sg.estimate_terms(p, rec.value, tol)
 
 
 def test_compute_pi_refuses_tables_past_the_cap(monkeypatch):

@@ -6,6 +6,8 @@ import math
 import pickle
 import random
 import struct
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -712,6 +714,65 @@ def test_rebuilt_context_is_bit_identical(p):
     first = [sg.build_context(p, eps) for eps in epsilons]
     sg.compute_pi.cache_clear()
     assert [sg.build_context(p, eps) for eps in epsilons] == first
+
+
+def test_threads_building_nodes_on_one_record_agree():
+    # Equal contexts share one compute_pi record, and the first evaluation of
+    # each builds its nodes from the record's series.  At p = 10 and 1e-6
+    # the node sums read the series past the record's table, so six threads
+    # started from one barrier extend it at once, with a switch interval
+    # short enough to interleave their appends, in three trials; each gets
+    # the node data of a single-thread build.
+    sg.compute_pi.cache_clear()
+    want = evalcore._nodes(sg.build_context(10, 1e-6))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            sg.compute_pi.cache_clear()
+            contexts = [sg.build_context(10, 1e-6) for _ in range(6)]
+            series = sg.compute_pi(10, 1e-6)._series
+            short = len(series.c)
+            start, got, errors = threading.Barrier(len(contexts)), [], []
+
+            def first(ctx):
+                try:
+                    start.wait(timeout=60)
+                    got.append(sg.cq(ctx, 0.9 * ctx.quarter))
+                except Exception as exc:  # collected, and asserted absent below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=first, args=(ctx,)) for ctx in contexts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == [] and len(set(got)) == 1
+            assert len(series.c) == len(series.s) == len(series.g) == len(series.h) > short
+            for ctx in contexts:
+                names = ctx.evaluators.sq.__globals__
+                assert (names["SQN"], names["CQN"]) == (want.sq, want.cq)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_hand_made_context_is_validated(ctx4):
+    # A degree that is not an int >= 2, or a quarter period that is not a
+    # finite real > 0, fails where the context is made, not at its first
+    # evaluation (fmod by a zero period, or garbage at a negative one).
+    tables = (ctx4.sq_table, ctx4.cq_table)
+    for p in (1, 0, -4, 4.0, True, "4", None):
+        with pytest.raises(ParameterError, match="p must be an int"):
+            sg.EvalContext(p, ctx4.quarter, *tables, ctx4.epsilon)
+    for quarter in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.9", None):
+        with pytest.raises(ParameterError, match="quarter must be a finite real > 0"):
+            sg.EvalContext(4, quarter, *tables, ctx4.epsilon)
+        with pytest.raises(ParameterError, match="quarter must be a finite real > 0"):
+            dataclasses.replace(ctx4, quarter=quarter)
+    # Tables of another p and an epsilon outside (0, 1) stay allowed.
+    other = sg.EvalContext(4, ctx4.quarter, sg.build_context(6).sq_table, ctx4.cq_table, 2.0)
+    assert sg.sq(other, 0.5) == sg.horner_sparse(other.sq_table, 0.5)
 
 
 @pytest.mark.parametrize("p", [2, 4, 10, 16])

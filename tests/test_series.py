@@ -6,7 +6,6 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -64,7 +63,7 @@ def test_deep_tables_are_correctly_rounded(p, eps):
 
 @pytest.mark.parametrize("p", [2, 3, 7, 10])
 def test_streams_on_a_shared_series_match_fresh_tables(p):
-    # Larger m and n, and streams that start on a series other streams have
+    # Larger m and n, and tables taken from a series other tables have
     # already extended: the bits of one fresh maclaurin run, which are the
     # oracle's, in either order of the cases.
     cases = ((9, 0), (0, 13), (17, 20), (40, 3), (3, 2), (2, 3), (15, 14), (14, 15))
@@ -77,7 +76,7 @@ def test_streams_on_a_shared_series_match_fresh_tables(p):
         shared = series._TaylorSeries(p)
         shared.extend(25)
         for m, n in order:
-            assert list(islice(shared.stream(m, n), 41)) == want[m, n], (m, n)
+            assert list(shared.table(SquigParams(p, m, n), 40).floats) == want[m, n], (m, n)
         assert len(shared.c) == 41
 
 
@@ -93,9 +92,10 @@ def test_squares_pair_their_products():
 
 def test_threads_streaming_one_series_stay_aligned():
     # A record's series is shared by every thread that reads the record, and
-    # each extends it.  Seven threads stream one series at once from a
-    # barrier, each with its own products, with a switch interval short
-    # enough to interleave their appends, in five trials on fresh series.
+    # each extends it.  Seven threads take tables from one series at once
+    # from a barrier, each with its own products, with a switch interval
+    # short enough to interleave their appends, in five trials on fresh
+    # series.
     cases = ((0, 1), (1, 0), (2, 1), (3, 3), (1, 2), (3, 2), (2, 3))
     want = {mn: exact_floats(SquigParams(p=4, m=mn[0], n=mn[1]), 240) for mn in cases}
     interval = sys.getswitchinterval()
@@ -108,7 +108,7 @@ def test_threads_streaming_one_series_stay_aligned():
             def read(mn):
                 try:
                     start.wait(timeout=60)
-                    got[mn] = list(islice(shared.stream(*mn), 241))
+                    got[mn] = list(shared.table(SquigParams(4, *mn), 240).floats)
                 except Exception as exc:  # collected, and asserted absent below
                     errors.append(exc)
 
