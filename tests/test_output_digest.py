@@ -69,7 +69,7 @@ def test_evaluator_and_beta_digests_match_golden(name):
     assert tool.digest(name) == golden[name]
 
 
-@pytest.mark.parametrize("p", [3, 4, 10, 16, 64])
+@pytest.mark.parametrize("p", [3, 4, 10, 16, 64, 128])
 def test_evaluation_sweep_straddles_every_node_boundary(p):
     # The tool counts the nodes itself; its seams are q / 2, then the first
     # point of each later node, each with its neighbours, then q: the node
