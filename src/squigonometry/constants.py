@@ -82,7 +82,8 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
         tables from sq_table and cq_table.
 
     Raises CostGuardError, before building any table, where J_used would
-    pass MAX_PI_TERMS: from p = 735 at EPS_DEFAULT.
+    pass MAX_PI_TERMS: from p = 735 at EPS_DEFAULT, and from p = 24578 at
+    every epsilon, where the floor (p + 1) // 3 alone passes it.
     """
     # Validate before the memo sees the arguments, so a float degree such as
     # 4.0 fails rather than hit the record of the int 4, and key the memo on
@@ -98,12 +99,14 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     # At loose epsilon the estimate drops to one or two terms.  The floor, 3 and
     # (p + 1) // 3 from p = 11, is the least length of the tables build_context
     # cuts and of beta_arclength_oracle's first terms; lowering it would move those.
+    # It is refused past the cap before pi_p is summed, so no p is too large.
+    floor = max(3, (p + 1) // 3)
+    if floor > MAX_PI_TERMS:
+        raise CostGuardError(f"pi_{p} needs at least J={floor} terms, past the cap {MAX_PI_TERMS}")
     series = _TaylorSeries(p)
-    J = max(estimate_terms(p, series.pi_p, epsilon), 3, (p + 1) // 3)
+    J = max(estimate_terms(p, series.pi_p, epsilon), floor)
     if J > MAX_PI_TERMS:
-        raise CostGuardError(
-            f"pi_{p} at epsilon={epsilon!r} needs J={J} terms, past the cap {MAX_PI_TERMS}"
-        )
+        raise CostGuardError(f"pi_{p} at epsilon={epsilon!r} needs J={J} terms, past the cap {MAX_PI_TERMS}")
     sq_table, cq_table = (series.table(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
     return PiRecord(p, series.pi_p, series.widenings, J, epsilon, sq_table, cq_table, series)
 
@@ -117,9 +120,13 @@ def pi_gamma(p: int) -> float:
     """Gamma-function form of pi_p: 2 Gamma(1/p)^2 / (p Gamma(2/p)).
 
     Independent oracle for compute_pi; exact up to math.gamma rounding.
+    Past math.gamma's binary64 range (from p near 1.3e154) raises DomainError.
     """
     check_int("p", p, 2)
-    return 2.0 * math.gamma(1.0 / p) ** 2 / (p * math.gamma(2.0 / p))
+    try:
+        return 2.0 * math.gamma(1.0 / p) ** 2 / (p * math.gamma(2.0 / p))
+    except OverflowError:  # 1 / p or a gamma value past binary64
+        raise DomainError(f"pi_p at p={p} is past math.gamma's binary64 range") from None
 
 
 def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
@@ -178,14 +185,15 @@ def beta_arclength_oracle(p: int, m: int, n: int) -> float:
 def beta_gamma(p: int, m: int, n: int) -> float:
     """Gamma-function form of the same Beta value, on its domain; oracle for beta_value.
 
-    Past math.gamma's binary64 range (from m = 685 at p = 4) raises DomainError.
+    Past math.gamma's binary64 range (from m = 685 at p = 4, or p past about
+    1e308) raises DomainError.
     """
     check_int("p", p, 2)
     check_powers(m, n)
     try:
         a, b = (m + 1) / p, (n + 1) / p
         return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-    except OverflowError:  # an argument or a gamma value past binary64
+    except (OverflowError, ValueError):  # past binary64, or an argument 0.0, a pole
         raise DomainError(f"B at p={p}, m={m}, n={n} is past math.gamma's binary64 range") from None
 
 
@@ -196,16 +204,16 @@ def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
     the quadrant across the diagonal gives p (I(m, n) + I(n, m)) with
     I(a, b) = integral_0^c x^b (1 - x^p)^((a + 1)/p - 1) dx, c = 2^(-1/p),
     each to half the tolerance.  The result is bitwise symmetric in m and n.
-    An argument (m + 1) / p or (n + 1) / p past binary64 raises DomainError.
+    An argument (m + 1) / p or (n + 1) / p, or a p, past binary64 raises
+    DomainError.
     """
     check_int("p", p, 2)
     check_powers(m, n)
     check_tolerance("tol", tol)
     try:
-        a, b = (m + 1) / p, (n + 1) / p
+        a, b, c = (m + 1) / p, (n + 1) / p, 2.0 ** (-1.0 / p)
     except OverflowError:
-        raise DomainError(f"(m + 1)/p or (n + 1)/p at p={p}, m={m}, n={n} is past binary64") from None
-    c = 2.0 ** (-1.0 / p)
+        raise DomainError(f"(m + 1)/p, (n + 1)/p or p at p={p}, m={m}, n={n} is past binary64") from None
 
     def half(exponent: float, power: int) -> float:
         return _integrate_smooth(lambda x: x**power * (1.0 - x**p) ** exponent, 0.0, c, 0.5 * tol, p)

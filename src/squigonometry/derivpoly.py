@@ -31,6 +31,7 @@ cosquine values there.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -224,7 +225,7 @@ def root_ladder(params: SquigParams, k_max: int) -> list[RootSet]:
     check_powers(params.m, params.n)
     if params.m == 0 and params.n == 0:
         raise ParameterError("the constant function (m = n = 0) has no derivative roots")
-    check_int("k_max", k_max, 0)
+    check_int("k_max", k_max, 0, sys.maxsize - 1)  # islice's bound
     ladder: list[RootSet] = []
     prev_roots: list[float] = []
     for k, (lo, coeffs) in enumerate(islice(_rows(params, (0, [1]), 0), k_max + 1)):

@@ -29,21 +29,21 @@ q = pi_p / 4, they fold the context's tables cut for [0, q / 2]; on
 [q / 2, q] they fold node tables, Tang's table-driven scheme (ACM TOMS
 15(2), 1989): N equally spaced nodes t0 and, about each, the Taylor
 polynomial of degree 8 in h = s - t0, exact by Sterbenz's lemma since s
-and t0 both lie in [q / 2, q].  Its coefficients come from the paper's
-central result: the k-th derivative of cq^m sq^n is triangle row k, a
-polynomial in (cq, sq), so each is that row at (cq(t0), sq(t0)) over k!,
-formed in fixed point from the values the record's integer Taylor series
-gives there (only series knows its format) and rounded once, with the
-leading one kept as a double-double.  The nearest complex singularity
-lies at least q tan(pi / p) from t0, which sets N: 15 nodes at p = 3, 26
-at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about 0.5 us at
-every p.  Contexts at p = 2, or whose tables are no longer than
+and t0 both lie in [q / 2, q].  The record's integer Taylor series gives
+its coefficients as floats (series._TaylorSeries.node, by the recurrence
+of the MacLaurin tables taken about t0), each rounded once, with the
+leading one kept as a double-double; the paper's triangle rows at
+(cq(t0), sq(t0)) are their oracle in the tests.  The nearest complex
+singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
+p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
+0.5 us at every p.  Contexts at p = 2, or whose tables are no longer than
 a node fold (loose epsilon), or made by hand or by dataclasses.replace
 with other tables or tolerance, fold their tables on all of [0, q], so
 there sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
-evaluators at its first evaluation: for new shapes about 0.7 ms at p = 2,
-2 to 3 ms at p = 3 and 4, 6 ms at p = 10, 10 ms at p = 16 and 46 ms at
-p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most of it the nodes.
+evaluators at its first evaluation: for new shapes about 0.6 ms at p = 2,
+1.5 to 2 ms at p = 3 and 4, 3.8 ms at p = 10, 5.7 ms at p = 16 and 27 ms
+at p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most of it the nodes
+from p = 10 on.
 
 arcsq_oracle inverts sq independently of the series machinery by integrating
 
@@ -63,24 +63,20 @@ import numbers
 import types
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, ParameterError, PoleError
+from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError, PoleError
 from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
 from .series import EPS_DEFAULT, MacLaurinTable
-from .triangle import SquigParams, _rows
 
 # build_context drops a table's tail while its largest term on [0, quarter]
 # is within this share of epsilon times the leading coefficient.
 _TRIM = 1.0 / 64.0
 
-# Node folds: the degree of each node polynomial, the share of a term its
-# dropped tail may reach (2^-_NODE_TAIL), and the fraction bits of the
-# fixed point that forms its coefficients.
+# Node folds: the degree of each node polynomial and the share of a term its
+# dropped tail may reach (2^-_NODE_TAIL).
 _NODE_DEGREE = 8
 _NODE_TAIL = 60
-_NODE_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -88,19 +84,14 @@ class EvalContext:
     """Evaluation bundle for one circle degree: tables, quarter period, tolerance.
 
     sq, cq and pow_general evaluate through the evaluators the context makes
-    at its first evaluation.  build_context gives the prefixes cut for
-    epsilon.  A context equal to the one build_context(p, epsilon) gives,
-    at p >= 3 and with tables longer than a node fold (nine coefficients),
-    folds its tables cut for [0, q / 2] below q / 2 = pi_p / 8 and node
-    tables from there to pi_p / 4, built at the first evaluation from the
-    compute_pi record (about 3 ms at p = 4, 6 ms at p = 10, 46 ms at
-    p = 64).  Every other context, at p = 2, or made by hand or by
-    dataclasses.replace with other tables, quarter or epsilon, folds
-    sq_table and cq_table as they are, so horner_sparse(ctx.sq_table, s) ==
-    sq(ctx, s) on [0, pi_p / 4].  pi_p, half (pi_p / 2) and period
-    (2 pi_p) are formed from quarter once, when the context is made, with
-    the roundings reduce_argument has always used.  A p that is not an int
-    >= 2, or a quarter that is not a finite real > 0, raises ParameterError.
+    at its first evaluation, which fold node tables on [pi_p / 8, pi_p / 4]
+    only where the context equals the one build_context(p, epsilon) gives
+    at p >= 3 (the module docstring has the rule and its cost); every other
+    context folds sq_table and cq_table as they are.  pi_p, half (pi_p / 2)
+    and period (2 pi_p) are formed from quarter once, when the context is
+    made, with the roundings reduce_argument has always used.  A p that is
+    not an int >= 2, or a quarter that is not a finite real > 0, raises
+    ParameterError.
     """
 
     p: int
@@ -195,57 +186,18 @@ def _nodes(ctx: EvalContext) -> _Nodes | None:
         return None
     try:
         record = compute_pi(p, ctx.epsilon)
-    except ParameterError:  # a hand-made context need not hold a valid epsilon
-        return None
+    except (ParameterError, CostGuardError):  # a hand-made context need not hold
+        return None  # a valid epsilon, or a p whose record would pass the table cap
     if ctx != _context(record):
         return None
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
     mid = ctx.quarter / 2.0
     width = (ctx.quarter - mid) / parts
-    rows = [list(islice(_rows(SquigParams(p, m, 1 - m), (0, [1]), 0), degree + 1)) for m in (0, 1)]
-    sq_nodes, cq_nodes = [], []
-    for i in range(parts):
-        t0 = mid + (i + 0.5) * width
-        # cq(t0) and sq(t0) in _NODE_BITS fixed point from the record's
-        # series; t0 >= 1/4 has no bits below 2^-55, so it enters exactly.
-        powers = [_powers(x, p, degree) for x in record._series.values(t0, _NODE_BITS)]
-        sq_nodes.append((t0, *_node_coefficients(p, 0, 1, rows[0], *powers)))
-        cq_nodes.append((t0, *_node_coefficients(p, 1, 0, rows[1], *powers)))
+    t0s = (mid + (i + 0.5) * width for i in range(parts))
+    sq_nodes, cq_nodes = zip(*(record._series.node(t0, degree) for t0 in t0s))
     return _Nodes(mid, parts / (ctx.quarter - mid),
                   *(_trimmed(table, mid, ctx.epsilon) for table in (ctx.sq_table, ctx.cq_table)),
                   (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
-
-
-def _powers(x: int, p: int, degree: int) -> tuple[list[int], list[int]]:
-    # x^r for r <= p and x^(pi) for i <= degree, in _NODE_BITS fixed point:
-    # x^e is low[e % p] * high[e // p] (2 * _NODE_BITS fraction bits) for
-    # every exponent a row of degree <= D takes.
-    low, high = [1 << _NODE_BITS], [1 << _NODE_BITS]
-    for _ in range(p):
-        low.append(low[-1] * x >> _NODE_BITS)
-    for _ in range(degree):
-        high.append(high[-1] * low[p] >> _NODE_BITS)
-    return low, high
-
-
-def _node_coefficients(p: int, m: int, n: int, rows: list, cq_powers, sq_powers) -> tuple:
-    # hi, lo, b_1, ..., b_D of cq^m sq^n about a node: b_k is triangle row k
-    # (the k-th derivative, a polynomial in cq and sq) at the node's values
-    # over k!, summed exactly in fixed point and rounded once; hi + lo is the
-    # value itself to twice binary64's precision.
-    (c_low, c_high), (s_low, s_high) = cq_powers, sq_powers
-    sums = []
-    for k, (lo, row) in enumerate(rows):
-        total = 0
-        for j, q in enumerate(row, lo):
-            a, b = m + k * (p - 1) - p * j, n - k + p * j
-            term = q * c_low[a % p] * c_high[a // p] * s_low[b % p] * s_high[b // p]
-            total += -term if j % 2 else term
-        sums.append((total, math.factorial(k) << 4 * _NODE_BITS))
-    (total, scale), *rest = sums
-    hi = total / scale
-    num, den = hi.as_integer_ratio()
-    return (hi, (total * den - num * scale) / (scale * den), *(x / d for x, d in rest))
 
 
 class QuadrantReduction(NamedTuple):
@@ -515,13 +467,18 @@ def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
     point (x, y), y = (1 - x^p)^(1/p), reflects across the diagonal, so it
     returns I(0, c) + I(y, c), each to half the tolerance.  Accepts
     0 <= x <= 1; tested for p up to 1000, and at x = 1 up to p = 100000.
+    A p past binary64 raises ParameterError.
     """
     check_finite("x", x)
     check_int("p", p, 2)
     check_tolerance("tol", tol)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"arcsq needs 0 <= x <= 1, got {x!r}")
-    exponent = 1.0 / p - 1.0
+    x = float(x)
+    try:
+        exponent = 1.0 / p - 1.0
+    except OverflowError:  # u ** p would not convert p either
+        raise ParameterError(f"p must be an int that converts to binary64, got {p!r}") from None
 
     def integrand(u: float) -> float:
         return (1.0 - u ** p) ** exponent

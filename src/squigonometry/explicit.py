@@ -29,6 +29,7 @@ banded integer matrices acting on the first basis vector.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 
 from .errors import CostGuardError, ParameterError, check_int, check_powers
@@ -203,7 +204,7 @@ def matrix_factorial_row(params: SquigParams, k: int, size: int) -> list[int]:
     slot j; size must be at least k + 1 so no entry is truncated.
     """
     check_int("k", k, 0)
-    check_int("size", size, k + 1)
+    check_int("size", size, k + 1, sys.maxsize)  # the longest list
     p, m, n = params.p, params.m, params.n
     a_mat = [[0] * size for _ in range(size)]
     b_mat = [[0] * size for _ in range(size)]

@@ -22,7 +22,9 @@ is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
 _TaylorSeries holds c, s, G and H for one p, extended under one lock, and
 owns their fixed-point format: a table of a known length J forms c^k, s^k
 and c^m s^n to J over plain lists, a square summing each pair of equal
-products once, and values gives cq and sq at a node point.  compute_pi
+products once.  node gives the Taylor coefficients of sq and cq about t0
+as floats, by the same recurrence in t - t0 from cq(t0) and sq(t0) that
+values sums; the triangle rows are their oracle in the tests.  compute_pi
 keeps its series on the record, so the node tables, in any thread, extend
 it rather than start again.
 
@@ -40,6 +42,7 @@ factorials instead.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,10 +118,11 @@ _EXTEND_LOCK = threading.Lock()
 
 
 def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
-    # g_k of g = f^alpha from f_1..f_k and g_0..g_(k-1), scaled by 2^F: the
-    # sum of ((alpha + 1) i - k) f_i g_(k-i) / k, positive for positive f, g.
+    # g_k of g = f^alpha from f_0..f_k and g_0..g_(k-1), all in one fixed point
+    # with f_0 > 0: the sum of ((alpha + 1) i - k) f_i g_(k-i) / (k f_0), floored.
+    # The MacLaurin kernel's f_0 is 1, 2^F scaled; a node's is cq or sq there.
     weights = range(alpha + 1 - k, alpha * k + 1, alpha + 1)
-    return sum(map(mul, map(mul, f[1 : k + 1], g[k - 1 :: -1]), weights)) // (k << _F)
+    return sum(map(mul, map(mul, f[1 : k + 1], g[k - 1 :: -1]), weights)) // (k * f[0])
 
 
 def _product(left: list[int], right: list[int], j: int) -> int:
@@ -142,7 +146,8 @@ class _TaylorSeries:
 
     def __init__(self, p: int) -> None:
         self.p, (self.pi_p, self.widenings) = p, _beta_series(p, 0, 0, 2)
-        self.r = math.ceil(math.ldexp(min(radius(p, self.pi_p) ** p, 2.0 ** 16), 32))
+        rho = radius(p, self.pi_p) ** min(p, 1 << 64)  # R = 1.0 from p = 2^29 on (radius)
+        self.r = math.ceil(math.ldexp(min(rho, 2.0 ** 16), 32))
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
 
     def extend(self, J: int) -> None:
@@ -209,6 +214,28 @@ class _TaylorSeries:
             if tc < small and ts < small:
                 return cq, t * sq >> bits
             scaled = scaled * v >> bits
+
+    def node(self, t0: float, degree: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Node entries (t0, hi, lo, b_1, ..., b_degree) of sq and of cq, t0 in [1/4, 1), p >= 3.
+
+        b_k is the h^k coefficient of y = sq(t0 + h) or x = cq(t0 + h): y_k =
+        G_(k-1) / k and x_k = -H_(k-1) / k, G = x^(p-1) and H = y^(p-1), in
+        128-bit fixed point, each rounded once; hi + lo is y_0 or x_0.
+        """
+        p, one = self.p, 1 << 128
+        x, y = ([v] for v in self.values(t0, 128))  # t0 >= 1/4 has no bits below 2^-55
+        g, h = x[:], y[:]
+        for _ in range(p - 2):  # G_0 = x_0^(p-1) and H_0 = y_0^(p-1), each product floored
+            g[0], h[0] = g[0] * x[0] >> 128, h[0] * y[0] >> 128
+        for k in range(1, degree + 1):
+            x.append(-h[k - 1] // k)
+            y.append(g[k - 1] // k)
+            if k < degree:
+                g.append(_miller(x, g, p - 1, k))
+                h.append(_miller(y, h, p - 1, k))
+        # hi > 2^-75 has no bits below 2^-128, so hi * one is an int.
+        return tuple((t0, hi, (v[0] - int(hi * one)) / one, *(b / one for b in v[1:]))
+                     for v in (y, x) for hi in [v[0] / one])
 
 
 def _products(left: list[int], right: list[int]) -> list[int]:
@@ -277,8 +304,10 @@ def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:
     constant function (m = n = 0) gives (1, 0, ..., 0).
     """
     check_powers(params.m, params.n)
-    check_int("J", J, 0)
     p, n = params.p, params.n
+    # islice's bound: orders n to n + pJ, each below sys.maxsize.
+    check_int("n", n, 0, sys.maxsize - 1)
+    check_int("J", J, 0, (sys.maxsize - 1 - n) // p)
     orders = islice(_rows(params, (0, [1]), 0, J), n, n + p * J + 1, p)
     return tuple(
         row[j - lo] if 0 <= j - lo < len(row) else 0 for j, (lo, row) in enumerate(orders)
@@ -288,14 +317,16 @@ def integer_maclaurin(params: SquigParams, J: int) -> tuple[int, ...]:
 def radius(p: int, pi_p: float) -> float:
     """Geometric decay rate R = (pi_p / 4) sec(pi / p) of the scaled terms.
 
-    R > 1 for p >= 3.  For p = 2 the secant pole makes R infinite, matching
-    the entire function there (terms decay factorially).
+    R > 1 for p >= 3, but 1.0 in binary64 from p = 2^29 on.  For p = 2 the
+    secant pole makes R infinite, matching the entire function there (terms
+    decay factorially).  pi_p is taken as a float.
     """
     check_int("p", p, 2)
     check_finite("pi_p", pi_p)
     if p == 2:
         return math.inf
-    return (pi_p / 4.0) / math.cos(math.pi / p)
+    # cos(pi / p) is 1.0 from p near 3e8 on: the cap keeps p off a float conversion.
+    return (float(pi_p) / 4.0) / math.cos(math.pi / min(p, 1 << 64))
 
 
 def estimate_terms(p: int, pi_p: float, epsilon: float) -> int:
@@ -321,6 +352,6 @@ def estimate_terms(p: int, pi_p: float, epsilon: float) -> int:
         return j + 2
     r = radius(p, pi_p)
     if r <= 1.0:
-        raise ParameterError(f"decay rate {r} <= 1; pi_p value {pi_p} is not plausible")
+        raise ParameterError(f"decay rate {r} <= 1 at p={p}, pi_p={pi_p}: no geometric decay to size by")
     log = math.log(num / den) if num / den == epsilon else math.log(num) - math.log(den)
     return math.ceil(-log / (p * math.log(r)))

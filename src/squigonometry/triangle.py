@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import count, islice
@@ -141,7 +142,7 @@ def build_triangle(params: SquigParams, K: int) -> CoeffTriangle:
         Requires m >= 0 and n >= 0 so that all in-band entries are positive
         and the banded sparse representation is exact.
     K : int
-        Highest derivative order to build, K >= 0.
+        Highest derivative order to build, 0 <= K < sys.maxsize.
 
     Returns
     -------
@@ -156,7 +157,7 @@ def build_triangle(params: SquigParams, K: int) -> CoeffTriangle:
     {1: 6, 2: 81, 3: 18}
     """
     check_powers(params.m, params.n)
-    check_int("K", K, 0)
+    check_int("K", K, 0, sys.maxsize - 1)  # islice's bound
     rows = islice(_rows(params, (0, [1]), 0), K + 1)
     return CoeffTriangle(
         params=params,

@@ -101,11 +101,20 @@ def test_eval_domain_error_exit_code(capsys):
 
 
 def test_eval_past_the_table_cap_exits_2(capsys):
-    # p = 100000 sizes a table of 1116656 terms; the build is refused at once.
+    # p = 100000 needs at least 33333 terms, the floor (p + 1) // 3; the
+    # build is refused at once.
     code = cli.main(["eval", "--p", "100000", "--t", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: pi_100000 ") and "past the cap" in captured.err
+
+
+def test_eval_at_a_degree_past_binary64_exits_2(capsys):
+    # The same refusal, before pi_p is summed, for a p no float holds.
+    code = cli.main(["eval", "--p", str(10**400), "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: pi_1000") and "past the cap" in captured.err
 
 
 def test_beta_prints_beta_value(capsys):

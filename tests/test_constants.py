@@ -277,11 +277,29 @@ def test_compute_pi_at_an_exact_tolerance_below_binary64(p, J):
 
 
 def test_compute_pi_refuses_tables_past_the_cap(monkeypatch):
-    # J is about 11 p at EPS_DEFAULT and a build costs about J^2, so p = 100000
-    # (J = 1116657) would run for days: it is refused before any table is
-    # built, at once.  Beta values need no table, so they answer at that p.
-    with pytest.raises(CostGuardError, match="J=1116657"):
-        sg.compute_pi(100000)
+    # J is about 11 p at EPS_DEFAULT and a build costs about J^2: from p = 735
+    # the estimate passes the cap, and the build is refused before any table.
+    with pytest.raises(CostGuardError, match=r"^pi_735 at epsilon=.* needs J=8200 terms"):
+        sg.compute_pi(735)
+    # From p = 24578 the floor (p + 1) // 3 alone passes the cap, at every
+    # epsilon, and is refused before pi_p is summed: p = 100000 names its
+    # floor, J = 33333 (its estimate, J = 1116657, is never formed), and a p
+    # past binary64, or one whose decay rate rounds to 1.0 (2^30), fails the
+    # same way rather than on a float conversion or an implausible rate.
+    class Summed(Exception):
+        pass
+
+    def refuse(p):
+        raise Summed(p)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constants, "_TaylorSeries", refuse)
+        for p, floor in ((24578, 8193), (100000, 33333), (2**30, 357913941), (10**400, 10**400 // 3)):
+            with pytest.raises(CostGuardError, match=rf"^pi_{p} needs at least J={floor} terms, past"):
+                sg.compute_pi(p, 0.9)
+        with pytest.raises(Summed):
+            sg.compute_pi(24577, 0.9)
+    # Beta values need no table, so they answer at that p.
     assert sg.beta_value(100000, 1, 1) == float(_beta_reference(100000, 1, 1))
     # The deepest table the tests, the digest and squig verify build is
     # (10, 5e-324), well inside the cap.

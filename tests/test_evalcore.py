@@ -757,6 +757,57 @@ def test_threads_building_nodes_on_one_record_agree():
         sys.setswitchinterval(interval)
 
 
+def _row_powers(x: int, p: int, degree: int) -> tuple[list[int], list[int]]:
+    # x^r for r <= p and x^(pi) for i <= degree, in 128-bit fixed point:
+    # x^e is low[e % p] * high[e // p] (256 fraction bits) for every
+    # exponent a row of degree <= D takes.
+    low, high = [1 << 128], [1 << 128]
+    for _ in range(p):
+        low.append(low[-1] * x >> 128)
+    for _ in range(degree):
+        high.append(high[-1] * low[p] >> 128)
+    return low, high
+
+
+def _row_coefficients(p: int, m: int, n: int, rows, cq_powers, sq_powers) -> tuple:
+    # hi, lo, b_1, ..., b_D of cq^m sq^n about a node: b_k is triangle row k
+    # (the k-th derivative, a polynomial in cq and sq) at the node's values
+    # over k!, summed exactly in fixed point and rounded once; hi + lo is the
+    # value itself to twice binary64's precision.
+    (c_low, c_high), (s_low, s_high) = cq_powers, sq_powers
+    sums = []
+    for k, row in enumerate(rows):
+        total = 0
+        for j, q in row.items():
+            a, b = m + k * (p - 1) - p * j, n - k + p * j
+            term = q * c_low[a % p] * c_high[a // p] * s_low[b % p] * s_high[b // p]
+            total += -term if j % 2 else term
+        sums.append((total, math.factorial(k) << 512))
+    (total, scale), *rest = sums
+    hi = total / scale
+    num, den = hi.as_integer_ratio()
+    return (hi, (total * den - num * scale) / (scale * den), *(x / d for x, d in rest))
+
+
+@pytest.mark.parametrize("p", [3, 4, 6, 10, 16, 32, 64])
+def test_node_data_are_the_triangle_rows_at_the_node(p):
+    # The paper's central result is the oracle of the node coefficients that
+    # the series' Taylor recurrence gives: the k-th derivative of cq^m sq^n is
+    # triangle row k, a polynomial in (cq, sq), so b_k is that row at the
+    # node's values over k!.  Formed from the same 128-bit values, summed
+    # exactly and rounded once, the rows give every node entry bit for bit.
+    degree = evalcore._NODE_DEGREE
+    nodes = evalcore._nodes(sg.build_context(p))
+    series = sg.compute_pi(p)._series
+    rows = [sg.build_triangle(sg.SquigParams(p, m, 1 - m), degree).rows for m in (0, 1)]
+    for sq_node, cq_node in zip(nodes.sq, nodes.cq):
+        t0 = sq_node[0]
+        assert cq_node[0] == t0
+        powers = [_row_powers(x, p, degree) for x in series.values(t0, 128)]
+        for m, node in ((0, sq_node), (1, cq_node)):
+            want = (t0, *_row_coefficients(p, m, 1 - m, rows[m], *powers))
+            assert [x.hex() for x in node] == [x.hex() for x in want], (p, m, t0)
+
 def test_hand_made_context_is_validated(ctx4):
     # A degree that is not an int >= 2, or a quarter period that is not a
     # finite real > 0, fails where the context is made, not at its first
@@ -846,6 +897,15 @@ def test_contexts_equal_to_build_context_fold_nodes():
         t = 0.8 * other.quarter
         assert sg.sq(other, t) == evalcore._horner(other.sq_table, t)
     assert "evaluators" not in repr(ctx) and "SQN" not in repr(ctx)
+
+
+def test_hand_made_context_past_the_table_cap_folds_its_tables():
+    # compute_pi refuses p = 30000, so no build_context context equals this
+    # one: it folds its own tables rather than raise at its first evaluation.
+    tables = [sg.MacLaurinTable(sg.SquigParams(30000, m, 1 - m), (1.0,) * 12) for m in (0, 1)]
+    ctx = sg.EvalContext(30000, 0.99, *tables, 1e-6)
+    assert evalcore._nodes(ctx) is None
+    assert sg.sq(ctx, 0.5) == evalcore._horner(tables[0], 0.5) == 0.5
 
 
 def test_replaced_context_folds_its_own_tables(ctx4):

@@ -217,6 +217,61 @@ def test_overflow_raises_typed_error(case, ctx4):
         call(ctx4)
 
 
+# Degrees p past binary64, or whose decay rate rounds to 1.0 (2^30): a typed
+# SquigError, never a bare OverflowError from a float conversion of p.
+HUGE_P = {
+    "compute_pi": (lambda: sg.compute_pi(10 ** 400), CostGuardError),
+    "compute_pi.rate_1": (lambda: sg.compute_pi(2 ** 30), CostGuardError),
+    "build_context": (lambda: sg.build_context(2 ** 1100), CostGuardError),
+    "maclaurin": (lambda: sg.maclaurin(SquigParams(10 ** 400, 0, 1), 3), ConvergenceError),
+    "pi_gamma": (lambda: sg.pi_gamma(10 ** 400), DomainError),
+    "pi_gamma.gamma": (lambda: sg.pi_gamma(10 ** 200), DomainError),
+    "beta_gamma": (lambda: sg.beta_gamma(10 ** 400, 0, 0), DomainError),
+    "beta_quadrature_oracle": (lambda: sg.beta_quadrature_oracle(10 ** 400, 0, 0), DomainError),
+    "arcsq_oracle": (lambda: sg.arcsq_oracle(0.5, 10 ** 400), ParameterError),
+    "estimate_terms": (lambda: sg.estimate_terms(10 ** 400, 4.0, 1e-6), ParameterError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_P))
+def test_degree_past_binary64_raises_typed_error(case):
+    call, expected = HUGE_P[case]
+    with pytest.raises(expected):
+        call()
+
+
+def test_radius_takes_a_degree_past_binary64():
+    # cos(pi / p) is 1.0 long before p leaves binary64, so R is pi_p / 4.
+    assert sg.radius(10 ** 400, 4.0) == sg.radius(2 ** 64, 4.0) == 1.0
+    assert sg.radius(2 ** 28, 4.0) > 1.0
+
+
+# Orders whose islice bound or list length passes sys.maxsize: ParameterError
+# naming the argument, not islice's ValueError or an OverflowError.
+ORDERS = {
+    "build_triangle.K": lambda: sg.build_triangle(P, 2 ** 63),
+    "integer_maclaurin.J": lambda: sg.integer_maclaurin(P, 2 ** 63),
+    "integer_maclaurin.n": lambda: sg.integer_maclaurin(SquigParams(4, 0, 2 ** 63), 1),
+    "root_ladder.k_max": lambda: sg.root_ladder(P, 2 ** 63),
+    "matrix_factorial_row.size": lambda: sg.matrix_factorial_row(P, 2, 2 ** 63),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDERS))
+def test_order_past_sys_maxsize_raises_parameter_error(case):
+    name = case.split(".")[1]
+    with pytest.raises(ParameterError, match=rf"^{name} must be an int in \[\d+, \d+\], got {2 ** 63}$"):
+        ORDERS[case]()
+
+
+def test_decimal_reals_are_taken_as_floats():
+    # check_finite accepts a Decimal, so each entry point that takes a real
+    # converts it, as the evaluators do, and answers as for the float.
+    assert sg.radius(4, Decimal("3.7")) == sg.radius(4, 3.7)
+    assert sg.estimate_terms(4, Decimal("3.7"), 1e-6) == sg.estimate_terms(4, 3.7, 1e-6)
+    assert sg.arcsq_oracle(Decimal("0.5"), 4) == sg.arcsq_oracle(0.5, 4)
+
+
 def test_compute_pi_cache_rejects_float_degree():
     # The memo must not hand the int-4 record to a float degree.
     sg.compute_pi(4)
