@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import count
 
 from .errors import CostGuardError, DomainError
-from .errors import check_int, check_powers, check_tolerance
+from .errors import check_int, check_powers, check_tolerance, shown
 from .evalcore import _integrate_smooth
 from .series import EPS_DEFAULT, MacLaurinTable, _beta_series, _TaylorSeries, estimate_terms, maclaurin
 from .triangle import SquigParams
@@ -102,7 +102,9 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     # It is refused past the cap before pi_p is summed, so no p is too large.
     floor = max(3, (p + 1) // 3)
     if floor > MAX_PI_TERMS:
-        raise CostGuardError(f"pi_{p} needs at least J={floor} terms, past the cap {MAX_PI_TERMS}")
+        raise CostGuardError(
+            f"pi_{shown(p)} needs at least J={shown(floor)} terms, past the cap {MAX_PI_TERMS}"
+        )
     series = _TaylorSeries(p)
     J = max(estimate_terms(p, series.pi_p, epsilon), floor)
     if J > MAX_PI_TERMS:
@@ -116,6 +118,10 @@ compute_pi.cache_info = _solve_pi.cache_info
 compute_pi.cache_clear = _solve_pi.cache_clear
 
 
+def _where(p: int, m: int, n: int) -> str:  # formatted only when raising
+    return f"p={shown(p)}, m={shown(m)}, n={shown(n)}"
+
+
 def pi_gamma(p: int) -> float:
     """Gamma-function form of pi_p: 2 Gamma(1/p)^2 / (p Gamma(2/p)).
 
@@ -126,7 +132,7 @@ def pi_gamma(p: int) -> float:
     try:
         return 2.0 * math.gamma(1.0 / p) ** 2 / (p * math.gamma(2.0 / p))
     except OverflowError:  # 1 / p or a gamma value past binary64
-        raise DomainError(f"pi_p at p={p} is past math.gamma's binary64 range") from None
+        raise DomainError(f"pi_p at p={shown(p)} is past math.gamma's binary64 range") from None
 
 
 def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
@@ -148,15 +154,15 @@ def beta_value(p: int, m: int, n: int, epsilon: float = EPS_DEFAULT) -> float:
     steps, bits = m // p + n // p, (m + n + 2).bit_length()
     if steps > MAX_BETA_STEPS or steps * bits > MAX_BETA_BITS:
         raise CostGuardError(
-            f"B at p={p}, m={m}, n={n} needs {steps} recurrence steps of {bits}-bit factors, "
+            f"B at {_where(p, m, n)} needs {shown(steps)} recurrence steps of {bits}-bit factors, "
             f"past the cap of {MAX_BETA_STEPS} steps or {MAX_BETA_BITS} bits"
         )
     try:
         value, _ = _beta_series(p, m, n, p)
     except OverflowError:  # B(1/p, 1/p) is about 2p
-        raise DomainError(f"B at p={p}, m={m}, n={n} is past binary64") from None
+        raise DomainError(f"B at {_where(p, m, n)} is past binary64") from None
     if value == 0.0:
-        raise DomainError(f"B at p={p}, m={m}, n={n} is below binary64's least subnormal")
+        raise DomainError(f"B at {_where(p, m, n)} is below binary64's least subnormal")
     return value
 
 
@@ -194,7 +200,7 @@ def beta_gamma(p: int, m: int, n: int) -> float:
         a, b = (m + 1) / p, (n + 1) / p
         return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
     except (OverflowError, ValueError):  # past binary64, or an argument 0.0, a pole
-        raise DomainError(f"B at p={p}, m={m}, n={n} is past math.gamma's binary64 range") from None
+        raise DomainError(f"B at {_where(p, m, n)} is past math.gamma's binary64 range") from None
 
 
 def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
@@ -213,7 +219,7 @@ def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
     try:
         a, b, c = (m + 1) / p, (n + 1) / p, 2.0 ** (-1.0 / p)
     except OverflowError:
-        raise DomainError(f"(m + 1)/p, (n + 1)/p or p at p={p}, m={m}, n={n} is past binary64") from None
+        raise DomainError(f"(m + 1)/p, (n + 1)/p or p at {_where(p, m, n)} is past binary64") from None
 
     def half(exponent: float, power: int) -> float:
         return _integrate_smooth(lambda x: x**power * (1.0 - x**p) ** exponent, 0.0, c, 0.5 * tol, p)

@@ -38,7 +38,7 @@ from functools import partial
 from itertools import islice
 
 from .errors import CostGuardError, DomainError, ParameterError, RootCountError
-from .errors import check_finite, check_int, check_powers
+from .errors import check_finite, check_int, check_powers, shown
 from .evalcore import EvalContext
 from .triangle import CoeffTriangle, SquigParams, _rows
 
@@ -98,7 +98,7 @@ def kth_derivative_value(ctx: EvalContext, tri: CoeffTriangle, k: int, t: float)
     n = 0) raises CostGuardError.
     """
     if ctx.p != tri.params.p:
-        raise ParameterError(f"context is for p={ctx.p}, triangle for p={tri.params.p}")
+        raise ParameterError(f"context is for p={shown(ctx.p)}, triangle for p={shown(tri.params.p)}")
     check_int("k", k, 0, tri.K)
     check_finite("t", t)
     if not 0.0 < t < ctx.half:
@@ -245,7 +245,7 @@ def real_roots(q: DerivPolynomial) -> RootSet:
     polynomial_step give it; any other tuple raises ParameterError, since the
     ladder reads its rows from q.params alone.
     """
-    check_int("k", q.k, 0)
+    check_int("k", q.k, 0, sys.maxsize)  # islice's bound
     lo, row = next(islice(_rows(q.params, (0, [1]), 0), q.k, None))
     if q.coeffs != (0,) * lo + tuple(row) + (0,) * (q.k + 1 - lo - len(row)):
         raise ParameterError(f"coeffs are not the level-{q.k} row of {q.params}")
@@ -281,10 +281,10 @@ def algebraic_values(u: float, p: int) -> tuple[float, float]:
     """
     check_finite("u", u)
     check_int("p", p, 2)
-    if not u <= 0.0:
+    if not (u := float(u)) <= 0.0:
         raise DomainError(f"roots live on u <= 0, got {u!r}")
-    cq_val = (1.0 - u) ** (-1.0 / p)
-    sq_val = (u / (u - 1.0)) ** (1.0 / p) if u != 0.0 else 0.0
+    cq_val = (1.0 - u) ** (-1 / p)  # int / int: no overflow at any p
+    sq_val = (u / (u - 1.0)) ** (1 / p) if u != 0.0 else 0.0
     return cq_val, sq_val
 
 
@@ -304,4 +304,4 @@ def critical_value(params: SquigParams) -> float:
     num, den = m ** m * n ** n, (m + n) ** (m + n)
     d = den.bit_length() - num.bit_length()
     q, r = divmod(d, p)
-    return math.ldexp(((num << d) / den) ** (1.0 / p) * 2.0 ** (-r / p), -q)
+    return math.ldexp(((num << d) / den) ** (1 / p) * 2.0 ** (-r / p), -q)

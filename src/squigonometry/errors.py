@@ -45,6 +45,13 @@ class CostGuardError(SquigError, ValueError):
     """Requested combinatorial computation exceeds the supported problem size."""
 
 
+def shown(value) -> str:
+    """repr(value) for an error message; an int past 4300 digits shows its bit length."""
+    if isinstance(value, int) and abs(value) >= 10 ** 4300:  # CPython's default limit, fixed for all versions
+        return f"<{'-' if value < 0 else ''}int of {value.bit_length()} bits>"
+    return repr(value)
+
+
 # Validators shared by every public entry point: structural inputs fail with
 # ParameterError, numeric arguments with DomainError, and bool (an int
 # subclass) is never accepted as a number.
@@ -54,8 +61,8 @@ def check_int(name: str, value, low: int | None = None, high: int | None = None)
     if value.__class__ is bool or not isinstance(value, int) or not (
         (low is None or value >= low) and (high is None or value <= high)
     ):
-        span = f"[{'-inf' if low is None else low}, {'inf' if high is None else high}]"
-        raise ParameterError(f"{name} must be an int in {span}, got {value!r}")
+        span = f"[{'-inf' if low is None else shown(low)}, {'inf' if high is None else shown(high)}]"
+        raise ParameterError(f"{name} must be an int in {span}, got {shown(value)}")
 
 
 def check_powers(m, n, low: int | None = 0) -> None:
@@ -67,7 +74,7 @@ def check_powers(m, n, low: int | None = 0) -> None:
 def check_tolerance(name: str, value) -> None:
     """Require a non-bool real strictly between 0 and 1."""
     if value.__class__ is bool or not isinstance(value, numbers.Real) or not 0.0 < value < 1.0:
-        raise ParameterError(f"{name} must be a real in (0, 1), got {value!r}")
+        raise ParameterError(f"{name} must be a real in (0, 1), got {shown(value)}")
 
 
 def check_finite(name: str, value) -> None:
@@ -77,7 +84,7 @@ def check_finite(name: str, value) -> None:
             return
     except (TypeError, ValueError, OverflowError):  # ValueError: Decimal('sNaN')
         pass
-    raise DomainError(f"{name} must be a finite real, got {value!r}")
+    raise DomainError(f"{name} must be a finite real, got {shown(value)}")
 
 
 def checked_power(t, k: int) -> float:
@@ -85,4 +92,4 @@ def checked_power(t, k: int) -> float:
     try:
         return float(t) ** k
     except OverflowError:
-        raise DomainError(f"t={t!r}: t^{k} overflows binary64") from None
+        raise DomainError(f"t={shown(t)}: t^{k} overflows binary64") from None

@@ -66,7 +66,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError, PoleError
-from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power
+from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power, shown
 from .series import EPS_DEFAULT, MacLaurinTable
 
 # build_context drops a table's tail while its largest term on [0, quarter]
@@ -107,7 +107,7 @@ class EvalContext:
         check_int("p", self.p, 2)
         quarter = self.quarter
         if quarter.__class__ is bool or not isinstance(quarter, numbers.Real) or not 0 < quarter < math.inf:
-            raise ParameterError(f"quarter must be a finite real > 0, got {quarter!r}")
+            raise ParameterError(f"quarter must be a finite real > 0, got {shown(quarter)}")
         pi_p = 4.0 * quarter
         object.__setattr__(self, "pi_p", pi_p)
         object.__setattr__(self, "half", 2.0 * quarter)
@@ -383,7 +383,7 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     c, s = ctx.evaluators.pair(t)
     if (m < 0 or n < 0 or ctx.p % 2 == 1) and not 0.0 < t < ctx.half:
         if (t == 0.0 and n < 0) or (t == ctx.half and m < 0):
-            raise PoleError(f"cq^{m} sq^{n} has a pole at t={t!r}")
+            raise PoleError(f"cq^{shown(m)} sq^{shown(n)} has a pole at t={t!r}")
         raise DomainError(
             f"t={t!r} outside the open first quadrant (0, {ctx.half}) "
             "required for negative powers or odd p"
@@ -393,7 +393,7 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     except OverflowError:  # ** raises past binary64; * of two large powers gives inf
         value = math.inf
     if math.isinf(value):
-        raise DomainError(f"cq^{m} sq^{n} at t={t!r} overflows binary64")
+        raise DomainError(f"cq^{shown(m)} sq^{shown(n)} at t={t!r} overflows binary64")
     return value
 
 
@@ -478,7 +478,7 @@ def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
     try:
         exponent = 1.0 / p - 1.0
     except OverflowError:  # u ** p would not convert p either
-        raise ParameterError(f"p must be an int that converts to binary64, got {p!r}") from None
+        raise ParameterError(f"p must be an int that converts to binary64, got {shown(p)}") from None
 
     def integrand(u: float) -> float:
         return (1.0 - u ** p) ** exponent

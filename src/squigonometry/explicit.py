@@ -32,7 +32,7 @@ import math
 import sys
 from itertools import combinations
 
-from .errors import CostGuardError, ParameterError, check_int, check_powers
+from .errors import CostGuardError, ParameterError, check_int, check_powers, shown
 from .triangle import SquigParams
 
 #: Hard ceilings keeping the exponential routes at desk scale.
@@ -94,7 +94,7 @@ def explicit_coefficient(params: SquigParams, k: int, j: int) -> int:
     """
     _check_order(params, k, j)
     if k > MAX_EXPLICIT_ORDER:
-        raise CostGuardError(f"k={k} exceeds the explicit-sum cap {MAX_EXPLICIT_ORDER}")
+        raise CostGuardError(f"k={shown(k)} exceeds the explicit-sum cap {MAX_EXPLICIT_ORDER}")
     return _placement_sum(params, k, j)
 
 
@@ -106,7 +106,7 @@ def filter_nonzero_brute(params: SquigParams, k: int, j: int) -> list[tuple[int,
     """
     _check_order(params, k, j)
     if k > MAX_ENUMERATION_ORDER:
-        raise CostGuardError(f"k={k} exceeds the enumeration cap {MAX_ENUMERATION_ORDER}")
+        raise CostGuardError(f"k={shown(k)} exceeds the enumeration cap {MAX_ENUMERATION_ORDER}")
     return [
         ones
         for ones in combinations(range(k), j)
@@ -132,10 +132,10 @@ def enumerate_nonzero(params: SquigParams, k: int, j: int) -> list[tuple[int, ..
     if k != params.n + params.p * j:
         raise ParameterError(
             f"enumeration applies at series orders k = n + p j; "
-            f"got k={k}, n + p j = {params.n + params.p * j}"
+            f"got k={shown(k)}, n + p j = {shown(params.n + params.p * j)}"
         )
     if k > MAX_ENUMERATION_ORDER:
-        raise CostGuardError(f"k={k} exceeds the enumeration cap {MAX_ENUMERATION_ORDER}")
+        raise CostGuardError(f"k={shown(k)} exceeds the enumeration cap {MAX_ENUMERATION_ORDER}")
     p, m, n = params.p, params.m, params.n
     out: list[tuple[int, ...]] = []
     chosen: list[int] = []
@@ -186,7 +186,7 @@ def corollary_coefficient(params: SquigParams, j: int) -> float:
     check_int("n", params.n, 0)
     k = params.n + params.p * j
     if k > MAX_COROLLARY_ORDER:
-        raise CostGuardError(f"order k={k} exceeds the corollary cap {MAX_COROLLARY_ORDER}")
+        raise CostGuardError(f"order k={shown(k)} exceeds the corollary cap {MAX_COROLLARY_ORDER}")
     if math.comb(k, j) > MAX_COROLLARY_CHOICES:
         raise CostGuardError(
             f"C({k}, {j}) placements exceed the corollary cap {MAX_COROLLARY_CHOICES}"
@@ -201,28 +201,14 @@ def matrix_factorial_row(params: SquigParams, k: int, size: int) -> list[int]:
     Builds A = I - (p-1) S and B with diagonal n + p i and subdiagonal
     m + p - p i (S the subdiagonal shift), then applies T_l = B - l A for
     l = 0..k-1 to the first basis vector.  The result vector has q[k][j] in
-    slot j; size must be at least k + 1 so no entry is truncated.
+    slot j; size must be at least k + 1 so no entry is truncated.  Only the
+    two diagonals of these bidiagonal matrices are applied: O(size) memory.
     """
     check_int("k", k, 0)
     check_int("size", size, k + 1, sys.maxsize)  # the longest list
     p, m, n = params.p, params.m, params.n
-    a_mat = [[0] * size for _ in range(size)]
-    b_mat = [[0] * size for _ in range(size)]
-    for i in range(size):
-        a_mat[i][i] = 1
-        b_mat[i][i] = n + p * i
-        if i >= 1:
-            a_mat[i][i - 1] = -(p - 1)
-            b_mat[i][i - 1] = (m + p) - p * i
-    vec = [0] * size
-    vec[0] = 1
-    for l in range(k):
-        t_mat = [
-            [b_mat[i][c] - l * a_mat[i][c] for c in range(size)]
-            for i in range(size)
-        ]
-        vec = [
-            sum(t_mat[i][c] * vec[c] for c in range(size))
-            for i in range(size)
-        ]
+    vec = [1] + [0] * (size - 1)
+    for l in range(k):  # T_l: diagonal n + p i - l, subdiagonal m + p - p i + l (p - 1)
+        vec = [(n + p * i - l) * v + (m + p - p * i + l * (p - 1)) * u
+               for i, (u, v) in enumerate(zip([0] + vec, vec))]
     return vec

@@ -238,4 +238,4 @@ def pi_from_factors(a_tail: float | Fraction, p: int) -> float:
     a = float(a_tail)
     if not a > 0.0:
         raise ParameterError(f"tail factor must be positive, got {a_tail!r}")
-    return 4.0 * math.cos(math.pi / p) * a ** (-1.0 / p)
+    return 4.0 * math.cos(math.pi / min(p, 1 << 64)) * a ** (-1 / p)

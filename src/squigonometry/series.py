@@ -50,7 +50,7 @@ from itertools import count, islice
 from operator import mul
 
 from .errors import ConvergenceError, ParameterError
-from .errors import check_finite, check_int, check_powers, check_tolerance
+from .errors import check_finite, check_int, check_powers, check_tolerance, shown
 from .triangle import SquigParams, _rows
 
 #: Unit roundoff of binary64; default tolerance target for table sizing.
@@ -171,7 +171,7 @@ class _TaylorSeries:
             return MacLaurinTable(params, (1.0,) + (0.0,) * J)
         self.extend(J)
         floats, scale = [], 1 << _F
-        at = f"p={self.p}, m={m}, n={n}, j={{}}".format  # at(j) on error only
+        at = lambda j: f"p={shown(self.p)}, m={shown(m)}, n={shown(n)}, j={j}"  # on error only
         for j, x in enumerate(self._terms(m, n, J)):
             if x < _GUARD and (_GUARD << 32 * j) / scale:
                 raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at(j)}")
@@ -352,6 +352,6 @@ def estimate_terms(p: int, pi_p: float, epsilon: float) -> int:
         return j + 2
     r = radius(p, pi_p)
     if r <= 1.0:
-        raise ParameterError(f"decay rate {r} <= 1 at p={p}, pi_p={pi_p}: no geometric decay to size by")
+        raise ParameterError(f"decay rate {r} <= 1 at p={shown(p)}, pi_p={pi_p}: no geometric decay to size by")
     log = math.log(num / den) if num / den == epsilon else math.log(num) - math.log(den)
     return math.ceil(-log / (p * math.log(r)))

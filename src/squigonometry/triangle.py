@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import count, islice
 
-from .errors import ParameterError, check_int, check_powers
+from .errors import ParameterError, check_int, check_powers, shown
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -51,10 +51,7 @@ def falling_factorial(x: int, k: int) -> int:
     """Falling factorial x * (x - 1) * ... * (x - k + 1); the empty product is 1."""
     check_int("x", x)
     check_int("k", k, 0)
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
+    return 0 if 0 <= x < k else math.prod(range(x, x - k, -1))  # x - x is a factor when 0 <= x < k
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,9 @@ class SquigParams:
     def __post_init__(self) -> None:
         check_int("p", self.p, 2)
         check_powers(self.m, self.n, low=None)
+
+    def __repr__(self) -> str:
+        return f"SquigParams(p={shown(self.p)}, m={shown(self.m)}, n={shown(self.n)})"
 
 
 @dataclass(frozen=True)
@@ -199,17 +199,17 @@ def verify_structure(tri: CoeffTriangle) -> list[str]:
         j_lo, j_hi = band_limits(tri.params, k)
         for j, v in row.items():
             if not j_lo <= j <= j_hi:
-                problems.append(f"row {k}: column {j} outside band [{j_lo}, {j_hi}]")
+                problems.append(f"row {k}: column {shown(j)} outside band [{j_lo}, {j_hi}]")
             if v <= 0:
-                problems.append(f"row {k}: entry at column {j} is {v}, not positive")
+                problems.append(f"row {k}: entry at column {shown(j)} is {shown(v)}, not positive")
         if row.get(j_lo, 0) == 0:
             problems.append(f"row {k}: left band edge {j_lo} is zero")
         if row.get(j_hi, 0) == 0:
             problems.append(f"row {k}: right band edge {j_hi} is zero")
         if k <= n and row.get(0, 0) != falling_factorial(n, k):
-            problems.append(f"row {k}: column 0 is {row.get(0, 0)}, expected n falling {k}")
+            problems.append(f"row {k}: column 0 is {shown(row.get(0, 0))}, expected n falling {k}")
         if k <= m and row.get(k, 0) != falling_factorial(m, k):
-            problems.append(f"row {k}: column {k} is {row.get(k, 0)}, expected m falling {k}")
+            problems.append(f"row {k}: column {k} is {shown(row.get(k, 0))}, expected m falling {k}")
     return problems
 
 

@@ -2,9 +2,7 @@ from __future__ import annotations
 
 import json
 import math
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -12,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
+from decimal_reference import beta, pi_p, ulps
 from squigonometry import CostGuardError, DomainError, ParameterError, SquigParams
 from squigonometry import constants, series
 
@@ -32,20 +31,16 @@ PI_P_PRINTED = {
 TERM_COUNTS = {3: 22, 4: 34, 5: 46, 6: 58, 7: 69, 8: 81, 9: 92, 10: 103}
 
 
-def ulps_apart(a: float, b: float) -> float:
-    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
-
-
 def test_p2_is_pi():
     rec = sg.compute_pi(2)
     assert rec.value == pytest.approx(math.pi, abs=5e-16)
-    assert ulps_apart(rec.value, math.pi) <= 2
+    assert ulps(rec.value, math.pi) <= 2
 
 
 @pytest.mark.parametrize("p", range(3, 11))
 def test_printed_values(p):
     rec = sg.compute_pi(p)
-    assert ulps_apart(rec.value, float(PI_P_PRINTED[p])) <= 5
+    assert ulps(rec.value, float(PI_P_PRINTED[p])) <= 5
 
 
 @pytest.mark.parametrize("p", range(2, 11))
@@ -119,11 +114,10 @@ def test_large_p_asymptote():
 @pytest.mark.parametrize("p", [11, 12, 16, 20, 32, 64])
 def test_compute_pi_answers_past_p_10(p):
     # The tables have no binary64 ceiling, so every p answers, within 2 ulp
-    # of the 40-digit series.
+    # of the decimal series.
     rec = sg.compute_pi(p)
     assert rec.iterations <= 6
-    want = _pi_series_reference(p)
-    assert abs(Decimal(rec.value) - want) <= 2 * Decimal(math.ulp(float(want)))
+    assert ulps(rec.value, pi_p(p)) <= 2
 
 
 def _meets_epsilon(p: int, eps: float) -> bool:
@@ -168,58 +162,16 @@ def test_compute_pi_meets_epsilon_or_says_it_cannot(p, eps):
     assert _meets_epsilon(p, eps)
 
 
-def _beta_reference(p: int, m: int, n: int) -> Decimal:
-    # B((m+1)/p, (n+1)/p) in 40-digit decimal: the base value at m mod p,
-    # n mod p, then m raised by B(a + 1, b) = B(a, b) a / (a + b), then n.
-    with localcontext() as dec:
-        dec.prec = 40
-        m0, n0 = m % p, n % p
-        value = _beta_base(p, m0, n0)
-        for i in range(m0, m, p):
-            value = value * (i + 1) / (i + n0 + 2)
-        for i in range(n0, n, p):
-            value = value * (i + 1) / (m + i + 2)
-        return value
-
-
-@lru_cache(maxsize=None)
-def _beta_base(p: int, m: int, n: int) -> Decimal:
-    # For m, n < p: p times the two halves 2^(-(n+1)/p) sum_k ((1 - a)_k / k!)
-    # 2^-k / (pk + n + 1), a = (m + 1) / p, summed in 40-digit decimal until
-    # the coefficients fall below 10^-45, with 2^(-(n+1)/p) from decimal's
-    # own power.
-    def half(m: int, n: int) -> Decimal:
-        rising = 1 - Decimal(m + 1) / p
-        total, coeff, k = Decimal(1) / (n + 1), Decimal(1), 0
-        while abs(coeff) > Decimal(10) ** -45:
-            k += 1
-            coeff *= (rising + k - 1) / (2 * k)
-            total += coeff / (p * k + n + 1)
-        return total * Decimal(2) ** (-Decimal(n + 1) / p)
-
-    with localcontext() as dec:
-        dec.prec = 40
-        return p * (half(m, n) + half(n, m))
-
-
-def _pi_series_reference(p: int) -> Decimal:
-    # pi_p = 2 B(1/p, 1/p) / p; its halves are pi_p / 4 = 2^(-1/p) sum_k
-    # ((1 - 1/p)_k / k!) 2^-k / (pk + 1).
-    with localcontext() as dec:
-        dec.prec = 40
-        return 2 * _beta_reference(p, 0, 0) / p
-
-
 def test_compute_pi_is_correctly_rounded():
     for p in range(2, 65):
-        assert sg.compute_pi(p).value == float(_pi_series_reference(p)), p
+        assert sg.compute_pi(p).value == float(pi_p(p)), p
 
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_compute_pi_does_not_depend_on_epsilon(p):
     # epsilon sizes the tables only.
     values = {sg.compute_pi(p, eps).value for eps in (2.0 ** -53, 2.0 ** -36, 1e-6, 0.3, 0.99, 5e-324)}
-    assert values == {float(_pi_series_reference(p))}
+    assert values == {float(pi_p(p))}
 
 
 def test_pi_sum_widens_until_its_rounding_is_certain(monkeypatch):
@@ -255,8 +207,7 @@ def test_compute_pi_at_the_bottom_of_binary64():
     for p in (3, 4, 6):
         rec = sg.compute_pi(p, 5e-324)
         assert rec.cq_table.floats[-1] == 0.0
-        want = _pi_series_reference(p)
-        assert abs(Decimal(rec.value) - want) <= 2 * Decimal(math.ulp(float(want)))
+        assert ulps(rec.value, pi_p(p)) <= 2
     assert _meets_epsilon(3, 1e-320)
 
 
@@ -300,7 +251,7 @@ def test_compute_pi_refuses_tables_past_the_cap(monkeypatch):
         with pytest.raises(Summed):
             sg.compute_pi(24577, 0.9)
     # Beta values need no table, so they answer at that p.
-    assert sg.beta_value(100000, 1, 1) == float(_beta_reference(100000, 1, 1))
+    assert sg.beta_value(100000, 1, 1) == float(beta(100000, 1, 1))
     # The deepest table the tests, the digest and squig verify build is
     # (10, 5e-324), well inside the cap.
     assert max(sg.estimate_terms(10, sg.compute_pi(10).value, 5e-324), 3) == 2079 < sg.MAX_PI_TERMS
@@ -437,7 +388,7 @@ def test_beta_value_at_large_powers(p, m, n):
     # takes every one of these to m, n < p exactly.
     got = sg.beta_value(p, m, n)
     assert got == pytest.approx(sg.beta_gamma(p, m, n), rel=1e-13, abs=0)
-    assert got == float(_beta_reference(p, m, n))
+    assert got == float(beta(p, m, n))
     assert sg.beta_value(p, n, m) == got
 
 
@@ -463,7 +414,7 @@ def test_beta_value_answers_where_the_terms_cancelled(p, m, n):
     # later refused: their terms cancel past binary64.  The sum touches no
     # record, so no table is built for them.
     sg.compute_pi.cache_clear()
-    assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == float(_beta_reference(p, m, n))
+    assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == float(beta(p, m, n))
     assert sg.compute_pi.cache_info().currsize == 0
 
 
@@ -475,7 +426,7 @@ def test_beta_value_answers_near_its_refusal_limit(p, m, n, eps):
     want = sg.beta_gamma(p, m, n)
     got = sg.beta_value(p, m, n, eps)
     assert abs(got - want) <= max(eps, 1e-11) * want
-    assert got == float(_beta_reference(p, m, n))
+    assert got == float(beta(p, m, n))
 
 
 BETA_GRID_MN = [(m, n) for m in range(6) for n in range(6)] + [(12, 12), (20, 5), (30, 30)]
@@ -495,10 +446,10 @@ def test_beta_value_answers_within_epsilon_or_refuses(p):
 
 @pytest.mark.parametrize("p", range(2, 17))
 def test_beta_value_is_correctly_rounded(p):
-    # Every m, n <= 40, in both orders, against the 40-digit reference.
+    # Every m, n <= 40, in both orders, against the decimal reference.
     for m in range(41):
         for n in range(m, 41):
-            want = float(_beta_reference(p, m, n))
+            want = float(beta(p, m, n))
             assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == want, (m, n)
 
 
@@ -506,7 +457,7 @@ def test_beta_value_is_correctly_rounded(p):
 def test_beta_value_is_correctly_rounded_at_large_p(p):
     points = ((0, 0), (1, 0), (5, 17), (p - 1, p - 2), (p - 1, p - 1), (40, 3), (3 * p + 7, 2), (700, 0), (10**6, 5))
     for m, n in points:
-        want = float(_beta_reference(p, m, n))
+        want = float(beta(p, m, n))
         assert sg.beta_value(p, m, n) == sg.beta_value(p, n, m) == want, (m, n)
 
 
@@ -516,7 +467,7 @@ def test_beta_sum_widens_until_its_rounding_is_certain(monkeypatch, p, m, n):
     # so the sum widens by 64 bits and lands on the reference.
     monkeypatch.setattr(series, "_BETA_BITS", 8)
     got, widenings = series._beta_series(p, m, n, p)
-    assert got == float(_beta_reference(p, m, n)) and widenings >= 1
+    assert got == float(beta(p, m, n)) and widenings >= 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 10])
@@ -538,7 +489,7 @@ def test_beta_value_refuses_past_its_step_cap(monkeypatch):
     with pytest.raises(CostGuardError):
         sg.beta_value(4, 10**400, 0)
     monkeypatch.setattr(constants, "MAX_BETA_STEPS", 3)
-    assert sg.beta_value(2, 5, 2) == float(_beta_reference(2, 5, 2))  # 2 + 1 steps
+    assert sg.beta_value(2, 5, 2) == float(beta(2, 5, 2))  # 2 + 1 steps
     with pytest.raises(CostGuardError, match="4 recurrence steps of 4-bit factors, past the cap of 3 steps"):
         sg.beta_value(2, 4, 4)
 
@@ -552,7 +503,7 @@ def test_beta_value_refuses_past_its_bit_cap(monkeypatch):
     with pytest.raises(CostGuardError, match=message):
         sg.beta_value(big, 65536 * big, 0)
     monkeypatch.setattr(constants, "MAX_BETA_BITS", 3 * (3 * big + 2).bit_length())
-    assert sg.beta_value(big, 3 * big, 0) == float(_beta_reference(big, 3 * big, 0))  # at the cap
+    assert sg.beta_value(big, 3 * big, 0) == float(beta(big, 3 * big, 0))  # at the cap
     bits = (4 * big + 2).bit_length()
     with pytest.raises(CostGuardError, match=f"4 recurrence steps of {bits}-bit factors"):
         sg.beta_value(big, 2 * big, 2 * big)
@@ -562,7 +513,7 @@ def test_beta_value_refuses_past_its_bit_cap(monkeypatch):
     (2 ** 27 - 1, 2 ** 28 - 3, 0, 2.0 ** 27 - 2),  # B(2, 1/p) = p^2 / 2^27 = 2^27 - 2 + 2^-27
     (2 ** 53 + 1, 2 ** 53, 0, 2.0 ** 53),  # B(1, 1/p) = p = 2^53 + 1
     (3, 2, 0, 3.0),
-    (7, 13, 6, float(_beta_reference(7, 13, 6))),
+    (7, 13, 6, float(beta(7, 13, 6))),
 ])
 def test_beta_value_rounds_rational_values_and_their_ties(monkeypatch, p, m, n, want):
     # Where (m + 1) / p or (n + 1) / p is a whole number the value is rational
@@ -587,7 +538,7 @@ def test_beta_value_rounds_into_the_subnormals():
     # between m = n = 1000 and 1080: each value is the rounded reference, and
     # the first that rounds to 0 raises.
     for m in range(1000, 1081, 2):
-        want = float(_beta_reference(2, m, m))
+        want = float(beta(2, m, m))
         if want == 0.0:
             with pytest.raises(DomainError):
                 sg.beta_value(2, m, m)

@@ -264,6 +264,13 @@ def test_algebraic_values_validation():
         sg.algebraic_values(-1.0, 1)
 
 
+def test_degree_past_binary64_takes_its_reciprocal_exactly():
+    # 1 / p by int / int true division, correctly rounded and bit-identical
+    # to 1.0 / p below 2^53: no float(p) to overflow.
+    assert sg.algebraic_values(-1.0, 10 ** 400) == (1.0, 1.0)
+    assert sg.critical_value(SquigParams(10 ** 400, 1, 1)) == 1.0
+
+
 def test_critical_value_balanced_product():
     # m = n: maximum of (cq sq)^m is 2^(-2m/p).
     assert sg.critical_value(SquigParams(p=4, m=1, n=1)) == pytest.approx(

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
+from decimal_reference import arcsq, sq_cq, ulps
 from squigonometry import DomainError, ParameterError, evalcore
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -144,6 +145,22 @@ def test_periodicity_bit_identical():
                 assert sg.sq(ctx, t) == sg.sq(ctx, t0)
                 assert sg.cq(ctx, t) == sg.cq(ctx, t0)
         assert cases >= 195, p
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 10, 64])
+def test_large_t_drifts_at_most_an_ulp_of_pi_p_per_period(p):
+    # The reduction's known limit, as a bound: ctx.period is 2 pi_p to within
+    # ulp(pi_p) and fmod is exact, so each period in t moves the reduced point
+    # by at most ulp(pi_p); the reflections add one more, |sq'| and |cq'| are
+    # at most 1, and the fold adds under 2^-52.  The reference reduces exactly.
+    ctx = sg.build_context(p)
+    rng = random.Random(3200 + p)
+    for decade in range(3, 16):
+        for i in range(10):
+            t = (-1) ** i * 10 ** rng.uniform(decade, decade + 1)
+            bound = (abs(t) / ctx.period + 2) * math.ulp(ctx.pi_p) + 2.0 ** -52
+            for got, want in zip((sg.sq(ctx, t), sg.cq(ctx, t)), sq_cq(t, p)):
+                assert abs(Decimal(got) - want) <= bound, (t, got, want)
 
 
 def _bits(f, *args) -> str:
@@ -286,36 +303,6 @@ def test_arcsq_answers_at_one_through_p25():
     assert sg.arcsq_oracle(1.0, 25) == pytest.approx(sg.pi_gamma(25) / 2.0, abs=1e-12)
 
 
-def _arcsq_series(x: Decimal, p: int) -> Decimal:
-    # arcsq(x) = x sum_k ((1 - 1/p)_k / k!) x^(pk) / (pk + 1) (DLMF 8.17),
-    # for x^p <= 1/2, where the terms fall at least as fast as 2^-k.
-    one = Decimal(1)
-    rising = one - one / p
-    xp = x ** p
-    coeff = power = total = one
-    k = 0
-    while coeff * power > Decimal(10) ** -50:
-        k += 1
-        coeff *= (rising + k - 1) / k
-        power *= xp
-        total += coeff * power / (p * k + 1)
-    return x * total
-
-
-def _arcsq_reference(x: float, p: int) -> Decimal:
-    # 50-digit arcsq; past c = 2^(-1/p) it reflects across the diagonal,
-    # arcsq(x) = pi_p / 2 - arcsq(y) with y = (1 - x^p)^(1/p) and
-    # pi_p / 2 = 2 arcsq(c).
-    with localcontext() as dec:
-        dec.prec = 50
-        one = Decimal(1)
-        c = Decimal(2) ** (-one / p)
-        if Decimal(x) <= c:
-            return _arcsq_series(Decimal(x), p)
-        y = (one - Decimal(x) ** p) ** (one / p)
-        return 2 * _arcsq_series(c, p) - _arcsq_series(y, p)
-
-
 @pytest.mark.parametrize("p", [2, 3, 4, 10, 25, 26, 64, 300, 1000])
 def test_arcsq_within_32_u_of_decimal_reference(p):
     c = 2.0 ** (-1.0 / p)
@@ -324,7 +311,7 @@ def test_arcsq_within_32_u_of_decimal_reference(p):
         1.0 - 2.0 ** -40, math.nextafter(1.0, 0.0),
     ]
     for x in xs:
-        want = _arcsq_reference(x, p)
+        want = arcsq(x, p)
         err = float(abs(Decimal(sg.arcsq_oracle(x, p)) - want) / want)
         assert err <= 32 * 2.0 ** -53, (x, err / 2.0 ** -53)
 
@@ -410,10 +397,6 @@ def test_evaluation_table_lengths():
     assert got == {2: [9, 10], 3: [20, 20], 4: [28, 29], 6: [43, 43], 10: [71, 71]}
 
 
-def _ulps(a: float, b: float) -> float:
-    return abs(a - b) / math.ulp(b)
-
-
 @pytest.mark.parametrize("p", EVAL_P)
 def test_sq_cq_within_an_ulp_of_the_full_table(p):
     ctx = sg.build_context(p)
@@ -421,8 +404,8 @@ def test_sq_cq_within_an_ulp_of_the_full_table(p):
     rng = random.Random(p)
     for _ in range(400):
         t = rng.uniform(0.0, ctx.quarter)
-        assert _ulps(sg.sq(ctx, t), sg.horner_sparse(full_sq, t)) <= 1.0
-        assert _ulps(sg.cq(ctx, t), sg.horner_sparse(full_cq, t)) <= 1.0
+        assert ulps(sg.sq(ctx, t), sg.horner_sparse(full_sq, t)) <= 1.0
+        assert ulps(sg.cq(ctx, t), sg.horner_sparse(full_cq, t)) <= 1.0
 
 
 @pytest.mark.parametrize("p", EVAL_P)
@@ -481,11 +464,8 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
                 for a in reversed(coeffs):
                     acc = a - acc * xp
                 exact = acc * x ** params.n
-                ulp = Decimal(math.ulp(float(exact)))
-                worst_trimmed = max(worst_trimmed, float(abs(Decimal(func(ctx, t)) - exact) / ulp))
-                worst_full = max(
-                    worst_full, float(abs(Decimal(sg.horner_sparse(table, t)) - exact) / ulp)
-                )
+                worst_trimmed = max(worst_trimmed, ulps(func(ctx, t), exact))
+                worst_full = max(worst_full, ulps(sg.horner_sparse(table, t), exact))
             assert worst_trimmed <= 1.25
             assert worst_trimmed <= worst_full
 

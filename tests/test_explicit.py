@@ -244,6 +244,13 @@ def test_matrix_route_oversized_vector():
     assert all(v == 0 for v in vec[5:])
 
 
+def test_matrix_route_applies_only_the_two_diagonals():
+    # O(size) memory: the dense route would ask for 2 * 10^10 list slots here.
+    vec = sg.matrix_factorial_row(COSQUINE4, 3, 10 ** 5)
+    row = sg.build_triangle(COSQUINE4, 3).rows[3]
+    assert vec == [row.get(j, 0) for j in range(10 ** 5)]
+
+
 def test_matrix_route_validation():
     with pytest.raises(ParameterError):
         sg.matrix_factorial_row(COSQUINE4, 4, 4)

@@ -44,7 +44,7 @@ def test_sq_cq_tables_are_correctly_rounded(p):
 
 @pytest.mark.parametrize("p", [4, 10])
 def test_power_tables_are_correctly_rounded(p):
-    # Every (m, n) up to 5 and (30, 30): Miller powers and their Cauchy
+    # Every (m, n) up to 5 and (30, 30): powers by square and multiply, their Cauchy
     # product, rounded once.
     J = sg.estimate_terms(p, sg.pi_gamma(p), 2.0 ** -53)
     for m, n in [(m, n) for m in range(6) for n in range(6)] + [(30, 30)]:

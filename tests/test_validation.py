@@ -15,7 +15,8 @@ import pytest
 
 import squigonometry as sg
 from squigonometry import ConvergenceError, CostGuardError, DomainError, ParameterError
-from squigonometry import SquigParams
+from squigonometry import SquigError, SquigParams
+from squigonometry.errors import shown
 
 # Decimal("sNaN") raises a bare ValueError where math converts it to float.
 BAD_VALUES = (True, math.nan, math.inf, "x", None, Decimal("sNaN"))
@@ -254,6 +255,7 @@ ORDERS = {
     "integer_maclaurin.n": lambda: sg.integer_maclaurin(SquigParams(4, 0, 2 ** 63), 1),
     "root_ladder.k_max": lambda: sg.root_ladder(P, 2 ** 63),
     "matrix_factorial_row.size": lambda: sg.matrix_factorial_row(P, 2, 2 ** 63),
+    "real_roots.k": lambda: sg.real_roots(sg.DerivPolynomial(P, 2 ** 63, ())),
 }
 
 
@@ -264,12 +266,67 @@ def test_order_past_sys_maxsize_raises_parameter_error(case):
         ORDERS[case]()
 
 
+# An int of 5001 digits, past the 4300 that CPython 3.11 converts to str: each
+# refusal names it by its bit length, not by the conversion's bare ValueError.
+# maclaurin's J has no upper bound, so it is left out.
+HUGE = 10 ** 5000
+HUGE_INTS = {
+    "build_triangle.K": lambda c4: sg.build_triangle(P, HUGE),
+    "integer_maclaurin.J": lambda c4: sg.integer_maclaurin(P, HUGE),
+    "root_ladder.k_max": lambda c4: sg.root_ladder(P, HUGE),
+    "coefficient.k": lambda c4: sg.coefficient(sg.build_triangle(P, 3), HUGE, 0),
+    "q_polynomial.k": lambda c4: sg.q_polynomial(sg.build_triangle(P, 3), HUGE),
+    "kth_derivative_value.k": lambda c4: sg.kth_derivative_value(c4, sg.build_triangle(P, 3), HUGE, 0.5),
+    "continued_fraction.depth": lambda c4: sg.continued_fraction(_fs(), 0.5, HUGE),
+    "explicit_coefficient.k": lambda c4: sg.explicit_coefficient(P, HUGE, 0),
+    "enumerate_nonzero.k": lambda c4: sg.enumerate_nonzero(P, HUGE, 0),
+    "corollary_coefficient.j": lambda c4: sg.corollary_coefficient(P, HUGE),
+    "matrix_factorial_row.k": lambda c4: sg.matrix_factorial_row(P, HUGE, 3),
+    "compute_pi.p": lambda c4: sg.compute_pi(HUGE),
+    "build_context.p": lambda c4: sg.build_context(HUGE),
+    "estimate_terms.p": lambda c4: sg.estimate_terms(HUGE, 3.7, 1e-6),
+    "pi_gamma.p": lambda c4: sg.pi_gamma(HUGE),
+    "arcsq_oracle.p": lambda c4: sg.arcsq_oracle(0.5, HUGE),
+    "beta_value.p": lambda c4: sg.beta_value(HUGE, 1, 1),
+    "beta_value.m": lambda c4: sg.beta_value(4, HUGE, 1),
+    "beta_gamma.m": lambda c4: sg.beta_gamma(4, HUGE, 1),
+    "beta_quadrature_oracle.m": lambda c4: sg.beta_quadrature_oracle(4, HUGE, 1),
+    "pow_general.m": lambda c4: sg.pow_general(c4, HUGE, 1, 0.5),
+    # J = 1: the table forms every power to J before it raises, seconds at J = 3.
+    "maclaurin.m": lambda c4: sg.maclaurin(SquigParams(4, HUGE, 0), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INTS))
+def test_int_past_4300_digits_is_named_by_its_bit_length(case, ctx4):
+    with pytest.raises(SquigError, match=r"<int of \d+ bits>"):
+        HUGE_INTS[case](ctx4)
+
+
+def test_shown_prints_small_ints_exactly():
+    assert shown(10 ** 4300 - 1) == str(10 ** 4300 - 1)
+    assert shown(10 ** 4300) == "<int of 14285 bits>"
+    assert shown(-HUGE) == "<-int of 16610 bits>"
+    assert shown(2.5) == "2.5" and shown("x") == "'x'"
+
+
+def test_falling_factorial_stops_at_its_zero_factor():
+    assert sg.falling_factorial(3, HUGE) == 0
+    assert [sg.falling_factorial(x, 3) for x in (-1, 0, 2, 3, 5)] == [-6, 0, 0, 6, 60]
+
+
+def test_pi_from_factors_takes_a_degree_past_binary64():
+    # pi / min(p, 2^64) and 1 / p by int / int true division: no float(p).
+    assert sg.pi_from_factors(0.1, 10 ** 400) == 4.0
+
+
 def test_decimal_reals_are_taken_as_floats():
     # check_finite accepts a Decimal, so each entry point that takes a real
     # converts it, as the evaluators do, and answers as for the float.
     assert sg.radius(4, Decimal("3.7")) == sg.radius(4, 3.7)
     assert sg.estimate_terms(4, Decimal("3.7"), 1e-6) == sg.estimate_terms(4, 3.7, 1e-6)
     assert sg.arcsq_oracle(Decimal("0.5"), 4) == sg.arcsq_oracle(0.5, 4)
+    assert sg.algebraic_values(Decimal("-1.5"), 4) == sg.algebraic_values(-1.5, 4)
 
 
 def test_compute_pi_cache_rejects_float_degree():
