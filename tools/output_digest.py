@@ -168,6 +168,36 @@ def sweep_beta_value() -> Iterator[str]:
         yield call(sg.beta_value, p, m, n, EPS)
 
 
+def sweep_arcsq_oracle() -> Iterator[str]:
+    # 0, the least subnormal, 1/2, c = 2^(-1/p) where the reflection starts
+    # and its neighbours, 1 - 1 ulp and 1, then seeded points on [0, 1].
+    rng = random.Random(3300)
+    for p in (2, 3, 4, 10, 64, 1000):
+        c = 2.0 ** (-1.0 / p)
+        fixed = [0.0, 5e-324, 0.5, math.nextafter(c, 0.0), c, math.nextafter(c, 2.0),
+                 math.nextafter(1.0, 0.0), 1.0]
+        for x in fixed + [rng.random() for _ in range(20)]:
+            yield call(sg.arcsq_oracle, x, p)
+    # Refusals: x outside [0, 1] or not a finite real, a bad tol, a p past binary64.
+    for x in (-5e-324, 1.0000000000000002, math.inf, math.nan, True, "0.5"):
+        yield call(sg.arcsq_oracle, x, 4)
+    for tol in (0.0, 1.0, math.nan):
+        yield call(sg.arcsq_oracle, 0.5, 4, tol)
+    for p in (1, 4.0, 10**400):
+        yield call(sg.arcsq_oracle, 0.5, p)
+
+
+def sweep_beta_quadrature_oracle() -> Iterator[str]:
+    for p in (2, 3, 4, 10, 64):
+        for m, n in _MN:
+            yield call(sg.beta_quadrature_oracle, p, m, n)
+    # Refusals: a negative or non-int power, a bad tol, a p or m past binary64.
+    for p, m, n in ((4, -1, 0), (4, 0, -1), (4, 1.0, 0), (10**400, 0, 0), (4, 10**400, 0), (4, 0, 10**400)):
+        yield call(sg.beta_quadrature_oracle, p, m, n)
+    for tol in (0.0, 1.0, math.nan):
+        yield call(sg.beta_quadrature_oracle, 4, 1, 0, tol)
+
+
 def sweep_root_ladder() -> Iterator[str]:
     def ladder(p, m, n, k_max):
         return tuple((level.k, level.zero_multiplicity, level.negative_roots)
