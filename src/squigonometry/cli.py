@@ -213,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for p in (4, 10, 64):
         ctx = evalcore.build_context(p)
         grid = [ctx.quarter * i / 16 for i in range(17)]
-        worst = max(abs(evalcore.arcsq_oracle(evalcore.sq(ctx, t), p) - t) for t in grid)
+        worst = max(abs(constants.arcsq_oracle(evalcore.sq(ctx, t), p) - t) for t in grid)
         all_ok &= _check("arcsq-oracle", f"p={p} worst={worst:.2e}", worst <= 1e-11, lines)
 
     for p, m, n in ((2, 0, 0), (4, 0, 0), (4, 2, 1), (3, 1, 2), (4, 9, 5), (2, 30, 30)):

@@ -20,6 +20,17 @@ binomial series of the integral's two halves for m, n < p, and an exact
 recurrence past them.  The paper's route, the tables integrated term by
 term, stays as beta_arclength_oracle; pi_gamma, beta_gamma and
 beta_quadrature_oracle are independent forms for cross-checking.
+
+arcsq_oracle inverts sq independently of the series machinery by integrating
+
+    arcsq(x) = integral_0^x (1 - u^p)^(1/p - 1) du
+
+with adaptive Gauss-Legendre panels on [0, c], c = 2^(-1/p), where
+1 - u^p >= 1/2 keeps the integrand smooth.  Past c the p-circle's diagonal
+reflection, arcsq(x) = 2 arcsq(c) - arcsq((1 - x^p)^(1/p)), brings the
+integral back onto [0, c].  It shares no tables or constants with the
+series path, and the one integral of x^b (1 - x^p)^e that it takes at
+b = 0 gives beta_quadrature_oracle both halves of B.
 """
 
 from __future__ import annotations
@@ -29,9 +40,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
 
-from .errors import CostGuardError, DomainError
-from .errors import check_int, check_powers, check_tolerance, shown
-from .evalcore import _integrate_smooth
+from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError
+from .errors import check_finite, check_int, check_powers, check_tolerance, shown
 from .series import EPS_DEFAULT, MacLaurinTable, _beta_series, _TaylorSeries, estimate_terms, maclaurin
 from .triangle import SquigParams
 
@@ -203,6 +213,97 @@ def beta_gamma(p: int, m: int, n: int) -> float:
         raise DomainError(f"B at {_where(p, m, n)} is past math.gamma's binary64 range") from None
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # Gauss-Legendre nodes/weights on [-1, 1] by Newton on the three-term
+    # recurrence from Chebyshev-angle starting guesses.
+    pairs = []
+    for i in range(1, order + 1):
+        x = math.cos(math.pi * (i - 0.25) / (order + 0.5))
+        for _ in range(64):
+            pk_prev, pk = 1.0, x
+            for k in range(2, order + 1):
+                pk_prev, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pk_prev) / k
+            dpk = order * (x * pk - pk_prev) / (x * x - 1.0)
+            dx = pk / dpk
+            x -= dx
+            if abs(dx) < 1e-15:
+                break
+        pairs.append((x, 2.0 / ((1.0 - x * x) * dpk * dpk)))
+    return tuple(zip(*pairs))
+
+
+def _gauss_panel(f, a: float, b: float, rule) -> float:
+    h, c = 0.5 * (b - a), 0.5 * (a + b)
+    return h * math.fsum(w * f(c + h * x) for x, w in zip(*rule))
+
+
+def _integrate_smooth(f, a: float, b: float, tol: float, p: int) -> float:
+    # Adaptive bisection, accepting a panel when the 15-point and 7-point
+    # Gauss answers agree to the panel's share of the tolerance.  On one wide
+    # panel both rules miss the knee, about 1/p wide, below 2^(-1/p) at large
+    # p, so the first panels are graded: edges b - (b - a) 2^-i, 2^-i > 1/(4p).
+    if b <= a:
+        return 0.0
+    rule7, rule15 = _legendre_rule(7), _legendre_rule(15)
+    total = 0.0
+    edges = [a] + [b - (b - a) * 0.5**i for i in range(1, (4 * p - 1).bit_length())] + [b]
+    stack = [(lo, hi, tol * (hi - lo) / (b - a)) for lo, hi in zip(edges, edges[1:])]
+    panels = 0
+    while stack:
+        a0, b0, share = stack.pop()
+        panels += 1
+        if panels > 10_000:
+            raise ConvergenceError("adaptive quadrature exceeded its panel budget")
+        hi = _gauss_panel(f, a0, b0, rule15)
+        lo = _gauss_panel(f, a0, b0, rule7)
+        if abs(hi - lo) <= share or (b0 - a0) <= 16.0 * math.ulp(max(abs(a0), abs(b0), 1.0)):
+            total += hi
+        else:
+            mid = 0.5 * (a0 + b0)
+            stack += [(a0, mid, 0.5 * share), (mid, b0, 0.5 * share)]
+    return total
+
+
+def _arc_integral(p: int, b: int, e: float, lo: float, hi: float, tol: float) -> float:
+    # integral_lo^hi x^b (1 - x^p)^e dx, the integral both quadrature oracles
+    # take on [0, 2^(-1/p)]; at b = 0 the factor x ** 0 is 1.0.
+    return _integrate_smooth(lambda x: x**b * (1.0 - x**p) ** e, lo, hi, tol, p)
+
+
+def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
+    """Inverse squine by adaptive Gauss-Legendre quadrature on [0, 2^(-1/p)].
+
+    An independent cross-check of the series evaluators.  For x <= c =
+    2^(-1/p) it integrates (1 - u^p)^(1/p - 1) over [0, x].  Past c the
+    point (x, y), y = (1 - x^p)^(1/p), reflects across the diagonal, so it
+    returns I(0, c) + I(y, c), each to half the tolerance.  Accepts
+    0 <= x <= 1; tested for p up to 1000, and at x = 1 up to p = 100000.
+    A p past binary64 raises ParameterError.
+    """
+    check_finite("x", x)
+    check_int("p", p, 2)
+    check_tolerance("tol", tol)
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"arcsq needs 0 <= x <= 1, got {x!r}")
+    x = float(x)
+    try:
+        exponent = 1.0 / p - 1.0
+    except OverflowError:  # u ** p would not convert p either
+        raise ParameterError(f"p must be an int that converts to binary64, got {shown(p)}") from None
+    c = 2.0 ** (-1.0 / p)
+    if x <= c:
+        return _arc_integral(p, 0, exponent, 0.0, x, tol)
+    # 1 - x^p = (1 - x)(1 + x + ... + x^(p-1)), and 1 - x is exact for
+    # x > c > 1/2, so y keeps its relative accuracy as x approaches 1.
+    geom = 0.0
+    for _ in range(p):
+        geom = geom * x + 1.0
+    y = ((1.0 - x) * geom) ** (1.0 / p)
+    half = 0.5 * tol
+    return _arc_integral(p, 0, exponent, 0.0, c, half) + _arc_integral(p, 0, exponent, y, c, half)
+
+
 def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
     """Beta value by adaptive quadrature, independent of every series table.
 
@@ -220,10 +321,6 @@ def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
         a, b, c = (m + 1) / p, (n + 1) / p, 2.0 ** (-1.0 / p)
     except OverflowError:
         raise DomainError(f"(m + 1)/p, (n + 1)/p or p at {_where(p, m, n)} is past binary64") from None
-
-    def half(exponent: float, power: int) -> float:
-        return _integrate_smooth(lambda x: x**power * (1.0 - x**p) ** exponent, 0.0, c, 0.5 * tol, p)
-
-    lower = half(a - 1.0, n)
-    upper = lower if m == n else half(b - 1.0, m)
+    lower = _arc_integral(p, n, a - 1.0, 0.0, c, 0.5 * tol)
+    upper = lower if m == n else _arc_integral(p, m, b - 1.0, 0.0, c, 0.5 * tol)
     return p * (lower + upper)

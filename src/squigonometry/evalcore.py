@@ -44,16 +44,6 @@ evaluators at its first evaluation: for new shapes about 0.6 ms at p = 2,
 1.5 to 2 ms at p = 3 and 4, 3.8 ms at p = 10, 5.7 ms at p = 16 and 27 ms
 at p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most of it the nodes
 from p = 10 on.
-
-arcsq_oracle inverts sq independently of the series machinery by integrating
-
-    arcsq(x) = integral_0^x (1 - u^p)^(1/p - 1) du
-
-with adaptive Gauss-Legendre panels on [0, c], c = 2^(-1/p), where
-1 - u^p >= 1/2 keeps the integrand smooth.  Past c the p-circle's diagonal
-reflection, arcsq(x) = 2 arcsq(c) - arcsq((1 - x^p)^(1/p)), brings the
-integral back onto [0, c].  It shares no tables or constants with the
-series path.
 """
 
 from __future__ import annotations
@@ -65,8 +55,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError, PoleError
-from .errors import check_finite, check_int, check_powers, check_tolerance, checked_power, shown
+from .constants import compute_pi
+from .errors import CostGuardError, DomainError, ParameterError, PoleError
+from .errors import check_finite, check_int, check_powers, checked_power, shown
 from .series import EPS_DEFAULT, MacLaurinTable
 
 # build_context drops a table's tail while its largest term on [0, quarter]
@@ -90,8 +81,8 @@ class EvalContext:
     context folds sq_table and cq_table as they are.  pi_p, half (pi_p / 2)
     and period (2 pi_p) are formed from quarter once, when the context is
     made, with the roundings reduce_argument has always used.  A p that is
-    not an int >= 2, or a quarter that is not a finite real > 0, raises
-    ParameterError.
+    not an int >= 2, or a quarter that is not a finite real > 0 with a finite
+    period, raises ParameterError.
     """
 
     p: int
@@ -106,7 +97,12 @@ class EvalContext:
     def __post_init__(self) -> None:
         check_int("p", self.p, 2)
         quarter = self.quarter
-        if quarter.__class__ is bool or not isinstance(quarter, numbers.Real) or not 0 < quarter < math.inf:
+        real = quarter.__class__ is not bool and isinstance(quarter, numbers.Real)
+        try:  # the period 8 quarter must be finite too; an int or Fraction past binary64 raises
+            valid = real and 0 < 8.0 * quarter < math.inf
+        except OverflowError:
+            valid = False
+        if not valid:
             raise ParameterError(f"quarter must be a finite real > 0, got {shown(quarter)}")
         pi_p = 4.0 * quarter
         object.__setattr__(self, "pi_p", pi_p)
@@ -179,8 +175,6 @@ def _nodes(ctx: EvalContext) -> _Nodes | None:
     # node converges within rho = quarter tan(pi / p) of it, the distance to
     # the nearest complex singularity of sq and cq, so N is the least with
     # (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.
-    from .constants import compute_pi
-
     p, degree = ctx.p, _NODE_DEGREE
     if p < 3 or min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= degree + 1:
         return None
@@ -218,11 +212,9 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     """Build the evaluation context for circle degree p.
 
     The quarter period comes from the compute_pi record for (p, epsilon),
-    imported lazily because constants imports this module, and each table is
-    the prefix of the record's table that evaluation on [0, pi_p / 4] needs.
+    and each table is the prefix of the record's table that evaluation on
+    [0, pi_p / 4] needs.
     """
-    from .constants import compute_pi
-
     return _context(compute_pi(p, epsilon))
 
 
@@ -376,8 +368,9 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     factors are positive.  The endpoints are poles when the power of the
     factor vanishing there is negative (t = 0 with n < 0, t = pi_p / 2 with
     m < 0), which raises PoleError; every other t outside raises DomainError,
-    as does a product that overflows binary64 near a pole.  t is reduced once
-    for both factors.
+    as does a product that overflows binary64 near a pole.  A power past
+    binary64 of a factor of magnitude <= 1 gives its limit, a signed 0.0 or
+    1.0.  t is reduced once for both factors.
     """
     check_powers(m, n, low=None)
     c, s = ctx.evaluators.pair(t)
@@ -390,108 +383,13 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
         )
     try:
         value = c ** m * s ** n
-    except OverflowError:  # ** raises past binary64; * of two large powers gives inf
-        value = math.inf
+    except OverflowError:  # ** raises past binary64, and for an int power past it whatever the base
+        try:  # x ** k tends to x ** (k mod 2) |x| ** 2^64 as k > 0 grows: 0.0 or 1.0, signed
+            value = math.prod(x ** k if k < 1 << 64 else x ** (k % 2) * abs(x) ** 2.0**64
+                              for x, k in ((c, m), (s, n)))
+        except OverflowError:  # |x| > 1, or a negative power; * of two large powers gives inf
+            value = math.inf
     if math.isinf(value):
         raise DomainError(f"cq^{shown(m)} sq^{shown(n)} at t={t!r} overflows binary64")
     return value
 
-
-# ---------------------------------------------------------------------------
-# Independent quadrature oracles: arcsq here, the Beta integral in constants.
-
-@lru_cache(maxsize=None)
-def _legendre_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # Gauss-Legendre nodes/weights on [-1, 1] by Newton on the three-term
-    # recurrence from Chebyshev-angle starting guesses.
-    nodes: list[float] = []
-    weights: list[float] = []
-    for i in range(1, order + 1):
-        x = math.cos(math.pi * (i - 0.25) / (order + 0.5))
-        dpk = 0.0
-        for _ in range(64):
-            pk_prev, pk = 1.0, x
-            for k in range(2, order + 1):
-                pk_prev, pk = pk, ((2 * k - 1) * x * pk - (k - 1) * pk_prev) / k
-            dpk = order * (x * pk - pk_prev) / (x * x - 1.0)
-            dx = pk / dpk
-            x -= dx
-            if abs(dx) < 1e-15:
-                break
-        nodes.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dpk * dpk))
-    return tuple(nodes), tuple(weights)
-
-
-def _gauss_panel(f, a: float, b: float, rule) -> float:
-    nodes, weights = rule
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    return h * math.fsum(w * f(c + h * x) for x, w in zip(nodes, weights))
-
-
-def _integrate_smooth(f, a: float, b: float, tol: float, p: int) -> float:
-    # Adaptive bisection, accepting a panel when the 15-point and 7-point
-    # Gauss answers agree to the panel's share of the tolerance.  On one wide
-    # panel both rules miss the knee, about 1/p wide, below 2^(-1/p) at large
-    # p, so the first panels are graded: edges b - (b - a) 2^-i, 2^-i > 1/(4p).
-    if b <= a:
-        return 0.0
-    rule7 = _legendre_rule(7)
-    rule15 = _legendre_rule(15)
-    total = 0.0
-    edges = [a] + [b - (b - a) * 0.5**i for i in range(1, (4 * p - 1).bit_length())] + [b]
-    stack = [(lo, hi, tol * (hi - lo) / (b - a)) for lo, hi in zip(edges, edges[1:])]
-    panels = 0
-    while stack:
-        a0, b0, share = stack.pop()
-        panels += 1
-        if panels > 10_000:
-            raise ConvergenceError("adaptive quadrature exceeded its panel budget")
-        hi = _gauss_panel(f, a0, b0, rule15)
-        lo = _gauss_panel(f, a0, b0, rule7)
-        if abs(hi - lo) <= share or (b0 - a0) <= 16.0 * math.ulp(max(abs(a0), abs(b0), 1.0)):
-            total += hi
-        else:
-            mid = 0.5 * (a0 + b0)
-            stack.append((a0, mid, 0.5 * share))
-            stack.append((mid, b0, 0.5 * share))
-    return total
-
-
-def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
-    """Inverse squine by adaptive Gauss-Legendre quadrature on [0, 2^(-1/p)].
-
-    An independent cross-check of the series evaluators.  For x <= c =
-    2^(-1/p) it integrates (1 - u^p)^(1/p - 1) over [0, x].  Past c the
-    point (x, y), y = (1 - x^p)^(1/p), reflects across the diagonal, so it
-    returns I(0, c) + I(y, c), each to half the tolerance.  Accepts
-    0 <= x <= 1; tested for p up to 1000, and at x = 1 up to p = 100000.
-    A p past binary64 raises ParameterError.
-    """
-    check_finite("x", x)
-    check_int("p", p, 2)
-    check_tolerance("tol", tol)
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"arcsq needs 0 <= x <= 1, got {x!r}")
-    x = float(x)
-    try:
-        exponent = 1.0 / p - 1.0
-    except OverflowError:  # u ** p would not convert p either
-        raise ParameterError(f"p must be an int that converts to binary64, got {shown(p)}") from None
-
-    def integrand(u: float) -> float:
-        return (1.0 - u ** p) ** exponent
-
-    c = 2.0 ** (-1.0 / p)
-    if x <= c:
-        return _integrate_smooth(integrand, 0.0, x, tol, p)
-    # 1 - x^p = (1 - x)(1 + x + ... + x^(p-1)), and 1 - x is exact for
-    # x > c > 1/2, so y keeps its relative accuracy as x approaches 1.
-    geom = 0.0
-    for _ in range(p):
-        geom = geom * x + 1.0
-    y = ((1.0 - x) * geom) ** (1.0 / p)
-    return _integrate_smooth(integrand, 0.0, c, 0.5 * tol, p) + _integrate_smooth(
-        integrand, y, c, 0.5 * tol, p
-    )

@@ -63,6 +63,14 @@ def _check_numerators(numerators: tuple[int, ...]) -> None:
         check_int(f"numerators[{j}]", f, 1)
 
 
+def _denominators(numerators: tuple[int, ...], params: SquigParams) -> list[int]:
+    # C_0 = n! and C_j = F_(j-1) ff(n + pj, p), ff the falling factorial of the
+    # power grid (n + pj >= 0, so math.perm): a_j = F_j / C_j, and both routes
+    # below read their denominators from this one list.
+    p, n = params.p, params.n
+    return [math.factorial(n), *(f * math.perm(n + p * j, p) for j, f in enumerate(numerators[:-1], 1))]
+
+
 def factor_sequence(numerators: tuple[int, ...], params: SquigParams) -> FactorSequence:
     """Exact factor sequence from integer MacLaurin numerators.
 
@@ -85,12 +93,7 @@ def factor_sequence(numerators: tuple[int, ...], params: SquigParams) -> FactorS
     if params.m == 0 and params.n == 0:
         raise ParameterError("the constant function (m = n = 0) has no term-to-term factors")
     _check_numerators(numerators)
-    p, n = params.p, params.n
-    exact = [Fraction(numerators[0], math.factorial(n))]
-    for j in range(1, len(numerators)):
-        # n + pj >= 0, so math.perm is the falling factorial of the power grid.
-        denom = numerators[j - 1] * math.perm(n + p * j, p)
-        exact.append(Fraction(numerators[j], denom))
+    exact = [Fraction(f, c) for f, c in zip(numerators, _denominators(numerators, params))]
     return FactorSequence(
         params=params,
         J=len(numerators) - 1,
@@ -146,10 +149,10 @@ def integer_cf_terms(
 
         F_0 t^n / (n! + N_1 t^p / (C_1 - F_1 t^p + N_2 t^p / (C_2 - F_2 t^p + ...)))
 
-    with N_1 = F_1 n!, N_j = F_(j-2) F_j ff(n + p(j-1), p) for j >= 2 and
-    C_j = F_(j-1) ff(n + pj, p), ff the falling factorial.  Returns
-    ((F_0, n!), levels) with levels[j-1] = (N_j, C_j, F_j); the value of the
-    depth-D fraction matches continued_fraction at the same depth.
+    with C_j = F_(j-1) ff(n + pj, p), ff the falling factorial, C_0 = n! and
+    N_j = F_j C_(j-1).  Returns ((F_0, n!), levels) with levels[j-1] =
+    (N_j, C_j, F_j); the value of the depth-D fraction matches
+    continued_fraction at the same depth.
     Each F_j must be an int >= 1, as integer_maclaurin returns them.
 
     For p = 2, m = 0, n = 1 every F_j is 1 and the levels collapse to the
@@ -157,17 +160,8 @@ def integer_cf_terms(
     """
     check_powers(params.m, params.n)
     _check_numerators(numerators)
-    p, n = params.p, params.n
-    lead = (numerators[0], math.factorial(n))
-    levels: list[tuple[int, int, int]] = []
-    for j in range(1, len(numerators)):
-        if j == 1:
-            numer = numerators[1] * math.factorial(n)
-        else:
-            numer = numerators[j - 2] * numerators[j] * math.perm(n + p * (j - 1), p)
-        const = numerators[j - 1] * math.perm(n + p * j, p)
-        levels.append((numer, const, numerators[j]))
-    return lead, levels
+    dens = _denominators(numerators, params)
+    return (numerators[0], dens[0]), [(f * c0, c, f) for f, c0, c in zip(numerators[1:], dens, dens[1:])]
 
 
 def evaluate_integer_cf(

@@ -166,20 +166,22 @@ class _TaylorSeries:
         a_j is x / (rho^j 2^F), x the u^j coefficient of c^m s^n, rounded by
         one int/int true division: (x << 32 j) / scale with scale = r^j 2^F.
         """
-        m, n = params.m, params.n
+        m, n, p = params.m, params.n, self.p
         if m == n == 0:  # cq^0 sq^0 = 1
             return MacLaurinTable(params, (1.0,) + (0.0,) * J)
-        self.extend(J)
-        floats, scale = [], 1 << _F
-        at = lambda j: f"p={shown(self.p)}, m={shown(m)}, n={shown(n)}, j={j}"  # on error only
-        for j, x in enumerate(self._terms(m, n, J)):
-            if x < _GUARD and (_GUARD << 32 * j) / scale:
-                raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at(j)}")
-            try:
+        floats, scale, j = [], 1 << _F, 1
+        at = lambda j: f"p={shown(p)}, m={shown(m)}, n={shown(n)}, j={j}"  # on error only
+        try:
+            if J:  # a_1 = (m (p + 1) + n) / (p (p + 1)) is refused before any power is formed
+                (m * (p + 1) + n) / (p * (p + 1))
+            self.extend(J)
+            for j, x in enumerate(self._terms(m, n, J)):
+                if x < _GUARD and (_GUARD << 32 * j) / scale:
+                    raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at(j)}")
                 floats.append((x << 32 * j) / scale)
-            except OverflowError:
-                raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at(j)}") from None
-            scale *= self.r
+                scale *= self.r
+        except OverflowError:
+            raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at(j)}") from None
         return MacLaurinTable(params, tuple(floats))
 
     def _terms(self, m: int, n: int, J: int) -> list[int]:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from decimal_reference import arcsq, sq_cq, ulps
-from squigonometry import DomainError, ParameterError, evalcore
+from squigonometry import DomainError, ParameterError, constants, evalcore
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -555,6 +555,23 @@ def test_pow_general_overflow_is_a_domain_error(ctx2, ctx4):
     assert sg.pow_general(ctx2, -1000, -1000, 0.7) < math.inf
 
 
+def test_pow_general_takes_the_limit_of_a_power_past_binary64(ctx4):
+    # ** raises OverflowError for an int power past binary64 whatever the
+    # base; for a factor of magnitude < 1 or = 1 the limit is 0.0 or 1.0,
+    # signed by the power's parity (cq(pi_p) is -1.0 exactly).
+    big = 10 ** 400
+    assert sg.cq(ctx4, ctx4.pi_p) == -1.0
+    assert math.copysign(1.0, sg.pow_general(ctx4, big, 0, 0.5)) == 1.0
+    assert sg.pow_general(ctx4, big, 0, 0.5) == 0.0
+    assert sg.pow_general(ctx4, big, 0, 0.0) == 1.0
+    assert sg.pow_general(ctx4, big + 1, 0, ctx4.pi_p) == -1.0
+    assert sg.pow_general(ctx4, 0, big, 0.5) == 0.0
+    assert math.copysign(1.0, sg.pow_general(ctx4, 0, big + 1, -0.5)) == -1.0
+    # A negative power past binary64 still overflows.
+    with pytest.raises(DomainError, match="overflows binary64"):
+        sg.pow_general(ctx4, -big, 0, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # A context evaluates through generated straight-line code that checks,
 # reduces and folds; the loop in _horner stays the reference, bit for bit.
@@ -790,13 +807,15 @@ def test_node_data_are_the_triangle_rows_at_the_node(p):
 
 def test_hand_made_context_is_validated(ctx4):
     # A degree that is not an int >= 2, or a quarter period that is not a
-    # finite real > 0, fails where the context is made, not at its first
-    # evaluation (fmod by a zero period, or garbage at a negative one).
+    # finite real > 0 whose period 8 quarter is finite, fails where the
+    # context is made, not at its first evaluation (fmod by a zero period,
+    # garbage at a negative one, an OverflowError past binary64).
     tables = (ctx4.sq_table, ctx4.cq_table)
     for p in (1, 0, -4, 4.0, True, "4", None):
         with pytest.raises(ParameterError, match="p must be an int"):
             sg.EvalContext(p, ctx4.quarter, *tables, ctx4.epsilon)
-    for quarter in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.9", None):
+    for quarter in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.9", None,
+                    10 ** 400, Fraction(10 ** 400), 1e308):
         with pytest.raises(ParameterError, match="quarter must be a finite real > 0"):
             sg.EvalContext(4, quarter, *tables, ctx4.epsilon)
         with pytest.raises(ParameterError, match="quarter must be a finite real > 0"):
@@ -901,4 +920,4 @@ def test_replaced_context_folds_its_own_tables(ctx4):
 def test_quadrature_gives_up_at_its_panel_budget():
     # A billion oscillations on [0, 1] never settle to 1e-15 on any panel.
     with pytest.raises(sg.ConvergenceError, match="panel budget"):
-        evalcore._integrate_smooth(lambda u: math.sin(1e9 * u), 0.0, 1.0, 1e-15, 2)
+        constants._integrate_smooth(lambda u: math.sin(1e9 * u), 0.0, 1.0, 1e-15, 2)

@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,25 @@ def test_a_coefficient_past_binary64_raises_at_its_j():
     assert list(sg.maclaurin(params, 2).floats) == [float(a) for a in power[:3]]
     with pytest.raises(ConvergenceError, match=f"overflows binary64 at p=2, m=0, n={n}, j=3$"):
         sg.maclaurin(params, 5)
+
+
+@pytest.mark.parametrize("m, n", [(10 ** 5000, 0), (0, 10 ** 5000)], ids=["m", "n"])
+def test_a_first_coefficient_past_binary64_is_refused_before_the_powers(m, n):
+    # a_1 = (m (p + 1) + n) / (p (p + 1)) in closed form: a power of 16610
+    # bits is refused at j = 1 without forming c^m s^n, which took seconds.
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"overflows binary64 at p=4, m=.*, n=.*, j=1$"):
+        sg.maclaurin(SquigParams(p=4, m=m, n=n), 3)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_the_closed_form_a_1_refuses_exactly_past_binary64():
+    # At m = 4 * int(max) and p = 4, n = 0, a_1 = m / 4 is binary64's largest
+    # value, which the table still rounds; the next power of two refuses.
+    big = int(sys.float_info.max)
+    assert sg.maclaurin(SquigParams(p=4, m=4 * big, n=0), 1).floats == (1.0, sys.float_info.max)
+    with pytest.raises(ConvergenceError, match="j=1$"):
+        sg.maclaurin(SquigParams(p=4, m=4 << 1024, n=0), 1)
 
 
 def test_a_fixed_point_too_short_raises(monkeypatch):

@@ -291,9 +291,9 @@ HUGE_INTS = {
     "beta_value.m": lambda c4: sg.beta_value(4, HUGE, 1),
     "beta_gamma.m": lambda c4: sg.beta_gamma(4, HUGE, 1),
     "beta_quadrature_oracle.m": lambda c4: sg.beta_quadrature_oracle(4, HUGE, 1),
-    "pow_general.m": lambda c4: sg.pow_general(c4, HUGE, 1, 0.5),
-    # J = 1: the table forms every power to J before it raises, seconds at J = 3.
-    "maclaurin.m": lambda c4: sg.maclaurin(SquigParams(4, HUGE, 0), 1),
+    # cq^HUGE at |cq| <= 1 has a limit, 0.0 or 1.0, so the message is the pole's.
+    "pow_general.m": lambda c4: sg.pow_general(c4, HUGE, -1, 0.0),
+    "maclaurin.m": lambda c4: sg.maclaurin(SquigParams(4, HUGE, 0), 3),
 }
 
 
