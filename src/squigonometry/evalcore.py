@@ -1,11 +1,12 @@
 """Floating-point evaluation of squigonometric functions on the real line.
 
-An EvalContext bundles everything evaluation needs for one circle degree p:
-the quarter period pi_p / 4, the MacLaurin tables for sq (m=0, n=1) and cq
-(m=1, n=0), and the tolerance they were cut for.  compute_pi sizes its
-tables for the tail at t = 1; on the reduced interval [0, pi_p/4] the terms
-fall faster, so build_context keeps the prefix of each whose dropped tail is
-at most epsilon / 64 of the leading term there.
+An EvalContext is one circle degree p and one tolerance epsilon, and it
+derives from them everything evaluation needs: the quarter period pi_p / 4
+and the MacLaurin tables for sq (m=0, n=1) and cq (m=1, n=0), both from the
+compute_pi record for (p, epsilon).  compute_pi sizes its tables for the
+tail at t = 1; on the reduced interval [0, pi_p/4] the terms fall faster, so
+the context keeps the prefix of each whose dropped tail is at most
+epsilon / 64 of the leading term there.
 
 Evaluation at arbitrary t proceeds by range reduction.  sq and cq are
 2 pi_p periodic, odd and even respectively, satisfy the half-period flips
@@ -23,9 +24,8 @@ The code is compiled once per shape and binds the coefficients and
 constants as globals.  A table fold is _horner's loop unrolled, its step
 b = a_i - b * tp written once per coefficient.
 
-The folds of a context that build_context gives at p >= 3 (and of any
-context equal to one) are the same length at every p.  Below q / 2, with
-q = pi_p / 4, they fold the context's tables cut for [0, q / 2]; on
+At p >= 3 the folds of a context are the same length at every p.  Below
+q / 2, with q = pi_p / 4, they fold the context's tables cut for [0, q / 2]; on
 [q / 2, q] they fold node tables, Tang's table-driven scheme (ACM TOMS
 15(2), 1989): N equally spaced nodes t0 and, about each, the Taylor
 polynomial of degree 8 in h = s - t0, exact by Sterbenz's lemma since s
@@ -37,9 +37,8 @@ leading one kept as a double-double; the paper's triangle rows at
 singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
 p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
 0.5 us at every p.  Contexts at p = 2, or whose tables are no longer than
-a node fold (loose epsilon), or made by hand or by dataclasses.replace
-with other tables or tolerance, fold their tables on all of [0, q], so
-there sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
+a node fold (loose epsilon), fold their tables on all of [0, q], so there
+sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
 evaluators at its first evaluation: for new shapes about 0.6 ms at p = 2,
 1.5 to 2 ms at p = 3 and 4, 3.8 ms at p = 10, 5.7 ms at p = 16 and 27 ms
 at p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most of it the nodes
@@ -49,18 +48,16 @@ from p = 10 on.
 from __future__ import annotations
 
 import math
-import numbers
 import types
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .constants import compute_pi
-from .errors import CostGuardError, DomainError, ParameterError, PoleError
-from .errors import check_finite, check_int, check_powers, checked_power, shown
+from .errors import DomainError, PoleError, check_finite, check_powers, checked_power, shown
 from .series import EPS_DEFAULT, MacLaurinTable
 
-# build_context drops a table's tail while its largest term on [0, quarter]
+# A context drops a table's tail while its largest term on [0, quarter]
 # is within this share of epsilon times the leading coefficient.
 _TRIM = 1.0 / 64.0
 
@@ -72,39 +69,36 @@ _NODE_TAIL = 60
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation bundle for one circle degree: tables, quarter period, tolerance.
+    """Evaluation context for one circle degree p and tolerance epsilon.
 
-    sq, cq and pow_general evaluate through the evaluators the context makes
-    at its first evaluation, which fold node tables on [pi_p / 8, pi_p / 4]
-    only where the context equals the one build_context(p, epsilon) gives
-    at p >= 3 (the module docstring has the rule and its cost); every other
-    context folds sq_table and cq_table as they are.  pi_p, half (pi_p / 2)
-    and period (2 pi_p) are formed from quarter once, when the context is
-    made, with the roundings reduce_argument has always used.  A p that is
-    not an int >= 2, or a quarter that is not a finite real > 0 with a finite
-    period, raises ParameterError.
+    EvalContext(p, epsilon) and build_context(p, epsilon) are the same
+    context: made from the compute_pi record for (p, epsilon), whose errors
+    a bad p or epsilon raises.  quarter (pi_p / 4) and the sq and cq tables,
+    cut for [0, pi_p / 4], are derived from that record, and pi_p, half
+    (pi_p / 2) and period (2 pi_p) from quarter, with the roundings
+    reduce_argument has always used; none is an argument, so equality and
+    hashing are those of (p, epsilon).  sq, cq and pow_general evaluate
+    through the evaluators the context makes at its first evaluation, which
+    at p >= 3 fold node tables on [pi_p / 8, pi_p / 4] (the module
+    docstring has the rule and its cost).
     """
 
     p: int
-    quarter: float
-    sq_table: MacLaurinTable
-    cq_table: MacLaurinTable
-    epsilon: float
+    quarter: float = field(init=False, compare=False)
+    sq_table: MacLaurinTable = field(init=False, compare=False)
+    cq_table: MacLaurinTable = field(init=False, compare=False)
+    epsilon: float = EPS_DEFAULT
     pi_p: float = field(init=False, compare=False, repr=False)
     half: float = field(init=False, compare=False, repr=False)
     period: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_int("p", self.p, 2)
-        quarter = self.quarter
-        real = quarter.__class__ is not bool and isinstance(quarter, numbers.Real)
-        try:  # the period 8 quarter must be finite too; an int or Fraction past binary64 raises
-            valid = real and 0 < 8.0 * quarter < math.inf
-        except OverflowError:
-            valid = False
-        if not valid:
-            raise ParameterError(f"quarter must be a finite real > 0, got {shown(quarter)}")
+        record = compute_pi(self.p, self.epsilon)
+        quarter = record.value / 4.0
         pi_p = 4.0 * quarter
+        object.__setattr__(self, "quarter", quarter)
+        object.__setattr__(self, "sq_table", _trimmed(record.sq_table, quarter, self.epsilon))
+        object.__setattr__(self, "cq_table", _trimmed(record.cq_table, quarter, self.epsilon))
         object.__setattr__(self, "pi_p", pi_p)
         object.__setattr__(self, "half", 2.0 * quarter)
         object.__setattr__(self, "period", 2.0 * pi_p)
@@ -127,8 +121,7 @@ class EvalContext:
             names.update(mid=nodes.mid, scale=nodes.scale, SQN=nodes.sq, CQN=nodes.cq)
         for letter, table in zip("ac", tables):
             names.update((f"{letter}{i}", a) for i, a in enumerate(table.floats))
-        shapes = ((len(t.floats), t.params.p, t.params.n) for t in tables)
-        codes = _evaluator_code(*shapes, degree)
+        codes = _evaluator_code(self.p, *(len(table.floats) for table in tables), degree)
         return types.SimpleNamespace(**{c.co_name: types.FunctionType(c, names) for c in codes})
 
     def __getstate__(self) -> dict:
@@ -168,22 +161,17 @@ class _Nodes(NamedTuple):
 
 
 def _nodes(ctx: EvalContext) -> _Nodes | None:
-    # Node data for a context that build_context gives at p >= 3 whose
-    # tables are longer than a node fold; None for any other context, which
-    # folds its own tables.  N nodes at the centres of equal parts of
-    # [mid, quarter] keep |h| <= quarter / 4N, and the Taylor series about a
-    # node converges within rho = quarter tan(pi / p) of it, the distance to
-    # the nearest complex singularity of sq and cq, so N is the least with
+    # Node data for a context at p >= 3 whose tables are longer than a node
+    # fold; None for any other context, which folds its own tables.  N nodes
+    # at the centres of equal parts of [mid, quarter] keep |h| <= quarter / 4N,
+    # and the Taylor series about a node converges within
+    # rho = quarter tan(pi / p) of it, the distance to the nearest complex
+    # singularity of sq and cq, so N is the least with
     # (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.
     p, degree = ctx.p, _NODE_DEGREE
     if p < 3 or min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= degree + 1:
         return None
-    try:
-        record = compute_pi(p, ctx.epsilon)
-    except (ParameterError, CostGuardError):  # a hand-made context need not hold
-        return None  # a valid epsilon, or a p whose record would pass the table cap
-    if ctx != _context(record):
-        return None
+    record = compute_pi(p, ctx.epsilon)
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
     mid = ctx.quarter / 2.0
     width = (ctx.quarter - mid) / parts
@@ -209,22 +197,13 @@ class QuadrantReduction(NamedTuple):
 
 
 def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
-    """Build the evaluation context for circle degree p.
+    """Build the evaluation context for circle degree p, EvalContext(p, epsilon).
 
     The quarter period comes from the compute_pi record for (p, epsilon),
     and each table is the prefix of the record's table that evaluation on
     [0, pi_p / 4] needs.
     """
-    return _context(compute_pi(p, epsilon))
-
-
-def _context(record) -> EvalContext:
-    # The context build_context makes from a compute_pi record.
-    quarter = record.value / 4.0
-    sq_table, cq_table = (
-        _trimmed(table, quarter, record.epsilon) for table in (record.sq_table, record.cq_table)
-    )
-    return EvalContext(record.p, quarter, sq_table, cq_table, record.epsilon)
+    return EvalContext(p, epsilon)
 
 
 # The range reduction, written once: these statements take a checked float
@@ -285,15 +264,14 @@ def _horner(table: MacLaurinTable, t: float) -> float:
     return t ** params.n * b
 
 
-def _fold(letter: str, shape: tuple[int, int, int], out: str) -> list[str]:
-    # Statements that set out to _horner's fold at s of a table of this shape
-    # whose coefficients are the globals {letter}0, {letter}1, ...: tp = s ** p,
-    # then _horner's step out = a_i - out * tp from the deep end, one statement
-    # per coefficient, then the scaling by s^n (s ** 1 is s, and s ** 0 is 1.0
-    # for every binary64 s).
-    length, p, n = shape
+def _fold(letter: str, p: int, length: int, scale: str, out: str) -> list[str]:
+    # Statements that set out to _horner's fold at s of a table of degree p
+    # and this length whose coefficients are the globals {letter}0,
+    # {letter}1, ...: tp = s ** p, then _horner's step out = a_i - out * tp
+    # from the deep end, one statement per coefficient, then the scaling by
+    # s^n, "s" for sq (n = 1) and "1.0" for cq (n = 0; s ** 0 is 1.0 for
+    # every binary64 s).
     steps = [f"{out} = {letter}{i} - {out} * tp" for i in range(length - 2, -1, -1)]
-    scale = "1.0" if n == 0 else "s" if n == 1 else f"s ** {n}"
     return [f"tp = s ** {p}", f"{out} = {letter}{length - 1}", *steps, f"{out} = {scale} * {out}"]
 
 
@@ -309,19 +287,19 @@ def _node_fold(name: str, degree: int, out: str) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _evaluator_code(sq_shape: tuple, cq_shape: tuple, degree: int) -> tuple[types.CodeType, ...]:
-    # The code of sq, cq, pair and reduce for tables of these shapes (length,
-    # p, n) and node folds of this degree (0 for none), compiled from one
-    # source: an inline check that sends every t but a finite float to
+def _evaluator_code(p: int, sq_length: int, cq_length: int, degree: int) -> tuple[types.CodeType, ...]:
+    # The code of sq, cq, pair and reduce for degree p, sq and cq tables of
+    # these lengths and node folds of this degree (0 for none), compiled from
+    # one source: an inline check that sends every t but a finite float to
     # check_finite and float(), _REDUCTION, then the folds (pair's share one
-    # tp when the tables share p, and one node index i and h) and signs, or
-    # reduce's tuple.  With nodes the tables fold below mid, and at or above
-    # it node i = int((s - mid) * scale) folds.  Only ints enter the source.
+    # tp, and one node index i and h) and signs, or reduce's tuple.  With
+    # nodes the tables fold below mid, and at or above it node
+    # i = int((s - mid) * scale) folds.  Only ints enter the source.
     def choose(co: list[str], plain: list[str]) -> list[str]:
         return [f"if use_co: {'; '.join(co)}", f"else: {'; '.join(plain)}"]
 
-    fold_sq, fold_cq = _fold("a", sq_shape, "v"), _fold("c", cq_shape, "v")
-    fold_pair = _fold("a", sq_shape, "y") + _fold("c", cq_shape, "x")[sq_shape[1] == cq_shape[1]:]
+    fold_sq, fold_cq = _fold("a", p, sq_length, "s", "v"), _fold("c", p, cq_length, "1.0", "v")
+    fold_pair = _fold("a", p, sq_length, "s", "y") + _fold("c", p, cq_length, "1.0", "x")[1:]
     folds = {"sq": choose(fold_cq, fold_sq), "cq": choose(fold_sq, fold_cq), "pair": fold_pair}
     if degree:
         node_sq, node_cq = _node_fold("SQN", degree, "v"), _node_fold("CQN", degree, "v")
@@ -359,6 +337,13 @@ def cq(ctx: EvalContext, t: float) -> float:
     return ctx.evaluators.cq(t)
 
 
+def _power(x: float, k: int) -> float:
+    # x ** k for any int k: |x| to the power k capped at +-2^64, past which
+    # the value (0.0, 1.0 or an overflow) no longer moves, signed by k's
+    # parity, which float ** int loses once it rounds k to an even float.
+    return math.copysign(abs(x) ** max(-2.0 ** 64, min(k, 2.0 ** 64)), x if k % 2 else 1.0)
+
+
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     """cq^m(t) * sq^n(t) with domain guards for negative powers.
 
@@ -368,9 +353,10 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     factors are positive.  The endpoints are poles when the power of the
     factor vanishing there is negative (t = 0 with n < 0, t = pi_p / 2 with
     m < 0), which raises PoleError; every other t outside raises DomainError,
-    as does a product that overflows binary64 near a pole.  A power past
-    binary64 of a factor of magnitude <= 1 gives its limit, a signed 0.0 or
-    1.0.  t is reduced once for both factors.
+    as does a product that overflows binary64 near a pole.  A power of
+    2^53 or more takes its sign from its own parity, and one past binary64
+    of a factor of magnitude <= 1 gives its limit, a signed 0.0 or 1.0.  t
+    is reduced once for both factors.
     """
     check_powers(m, n, low=None)
     c, s = ctx.evaluators.pair(t)
@@ -382,14 +368,12 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
             "required for negative powers or odd p"
         )
     try:
-        value = c ** m * s ** n
-    except OverflowError:  # ** raises past binary64, and for an int power past it whatever the base
-        try:  # x ** k tends to x ** (k mod 2) |x| ** 2^64 as k > 0 grows: 0.0 or 1.0, signed
-            value = math.prod(x ** k if k < 1 << 64 else x ** (k % 2) * abs(x) ** 2.0**64
-                              for x, k in ((c, m), (s, n)))
-        except OverflowError:  # |x| > 1, or a negative power; * of two large powers gives inf
-            value = math.inf
+        if (abs(m) | abs(n)) >> 53:  # from 2^53 on float ** int rounds the power to a float
+            value = _power(c, m) * _power(s, n)
+        else:
+            value = c ** m * s ** n
+    except OverflowError:  # a power past binary64; * of two large powers gives inf
+        value = math.inf
     if math.isinf(value):
         raise DomainError(f"cq^{shown(m)} sq^{shown(n)} at t={t!r} overflows binary64")
     return value
-

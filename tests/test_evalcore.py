@@ -37,12 +37,14 @@ def test_context_precomputes_the_reduction_constants(ctx4):
     assert ctx4.half == 2.0 * ctx4.quarter
     assert ctx4.period == 2.0 * ctx4.pi_p
     # Derived from quarter: not constructor arguments, not part of equality,
-    # and recomputed by dataclasses.replace.
-    same = sg.EvalContext(4, ctx4.quarter, ctx4.sq_table, ctx4.cq_table, ctx4.epsilon)
-    assert same == ctx4
+    # and recomputed by dataclasses.replace from (p, epsilon).
+    same = sg.EvalContext(4, ctx4.epsilon)
+    assert same == ctx4 and (same.pi_p, same.half, same.period) == (ctx4.pi_p, ctx4.half, ctx4.period)
     assert "period" not in repr(ctx4)
-    moved = dataclasses.replace(ctx4, quarter=1.0)
-    assert (moved.pi_p, moved.half, moved.period) == (4.0, 2.0, 8.0)
+    moved = dataclasses.replace(ctx4, epsilon=1e-6)
+    assert moved.pi_p == ctx4.pi_p and moved.period == ctx4.period
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(ctx4, period=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx4.period = 1.0
 
@@ -470,33 +472,32 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
             assert worst_trimmed <= worst_full
 
 
-def test_replaced_context_folds_the_tables_it_holds(ctx4, pi4):
-    # replace cuts nothing: a looser epsilon keeps the tables and folds them
-    # over all of [0, pi_p / 4], where ctx4 folds node tables from q / 2 on,
-    # and a context given the record's full tables folds all of them.
-    looser = dataclasses.replace(ctx4, epsilon=1e-6)
-    assert looser.sq_table is ctx4.sq_table and looser.cq_table is ctx4.cq_table
-    full = dataclasses.replace(ctx4, sq_table=pi4.sq_table, cq_table=pi4.cq_table)
-    for ctx in (looser, full):
-        for t in (0.3, 0.9, 2.5, -7.0):
-            s, use_co, sign_sq, sign_cq = sg.reduce_argument(ctx, t)
-            tables = ctx.sq_table, ctx.cq_table
-            sq_table, cq_table = tables[::-1] if use_co else tables
-            assert sg.sq(ctx, t) == sign_sq * sg.horner_sparse(sq_table, s)
-            assert sg.cq(ctx, t) == sign_cq * sg.horner_sparse(cq_table, s)
+def test_replaced_context_folds_the_tables_it_holds(ctx4):
+    # replace makes the context again from (p, epsilon): a looser epsilon
+    # gives build_context's context at it, its tables cut for that epsilon,
+    # and it folds them as that context does, bit for bit.
+    sg.sq(ctx4, 0.3)  # the evaluators of ctx4 exist before the replace
+    looser, built = dataclasses.replace(ctx4, epsilon=1e-6), sg.build_context(4, 1e-6)
+    assert looser == built and looser != ctx4
+    assert (looser.sq_table, looser.cq_table) == (built.sq_table, built.cq_table)
+    assert len(looser.sq_table.floats) < len(ctx4.sq_table.floats)
+    assert looser.evaluators.sq is not ctx4.evaluators.sq
+    for t in (0.3, 0.9, 2.5, -7.0, 0.8 * ctx4.quarter):
+        assert sg.sq(looser, t).hex() == sg.sq(built, t).hex()
+        assert sg.cq(looser, t).hex() == sg.cq(built, t).hex()
+        assert sg.reduce_argument(looser, t) == sg.reduce_argument(built, t)
     assert dataclasses.replace(ctx4) == ctx4
 
 
-def test_every_branch_folds_the_trimmed_tables(ctx4, pi4):
-    # Cut at epsilon 1e-3, the full tables differ from the prefixes well
-    # past the last bit, so each side of the quarter-period reflection must
-    # fold the context's own prefix.
-    full_sq, full_cq = pi4.sq_table, pi4.cq_table
-    loose = sg.EvalContext(
-        4, ctx4.quarter, *(evalcore._trimmed(t, ctx4.quarter, 1e-3) for t in (full_sq, full_cq)), 1e-3
-    )
-    assert len(loose.sq_table.floats) < len(full_sq.floats)
-    assert len(loose.cq_table.floats) < len(full_cq.floats)
+def test_every_branch_folds_the_trimmed_tables(pi4):
+    # Cut at epsilon 1e-3, the 7- and 8-term prefixes fold without nodes and
+    # differ from the full tables well past the last bit, so each side of
+    # the quarter-period reflection must fold the context's own prefix.
+    loose = sg.build_context(4, 1e-3)
+    assert evalcore._nodes(loose) is None
+    assert (len(loose.sq_table.floats), len(loose.cq_table.floats)) == (7, 8)
+    assert len(loose.sq_table.floats) < len(pi4.sq_table.floats)
+    assert len(loose.cq_table.floats) < len(pi4.cq_table.floats)
     half = loose.half
     for t in (0.3 * loose.quarter, 0.9 * loose.quarter):
         assert sg.sq(loose, t) == sg.horner_sparse(loose.sq_table, t)
@@ -570,6 +571,19 @@ def test_pow_general_takes_the_limit_of_a_power_past_binary64(ctx4):
     # A negative power past binary64 still overflows.
     with pytest.raises(DomainError, match="overflows binary64"):
         sg.pow_general(ctx4, -big, 0, 0.5)
+
+
+def test_pow_general_keeps_the_sign_of_an_odd_power_past_2_53(ctx4):
+    # float ** int rounds a power from 2^53 on to a float, which is even
+    # there, so cq(pi_p) = -1.0 to an odd power of that size must take its
+    # sign from the int.
+    for m in (2 ** 53 + 1, 2 ** 60 + 1, 2 ** 64 + 1):
+        assert sg.pow_general(ctx4, m, 0, ctx4.pi_p) == -1.0, m
+        assert sg.pow_general(ctx4, m, 0, 0.5) == 0.0, m
+    assert sg.pow_general(ctx4, 2 ** 60, 0, ctx4.pi_p) == 1.0
+    assert sg.pow_general(ctx4, 2 ** 60, 0, 0.5) == 0.0
+    with pytest.raises(DomainError, match="overflows binary64"):
+        sg.pow_general(ctx4, 0, -2 ** 60, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -669,38 +683,22 @@ def test_context_folds_match_the_loop_bit_for_bit(p):
 
 @pytest.mark.parametrize("p", [*range(2, 11), 64])
 def test_record_table_folds_match_the_loop_bit_for_bit(p):
-    # The whole compute_pi tables: 104 coefficients at p = 10 and 708 at
-    # p = 64, one generated statement per coefficient.
-    record = sg.compute_pi(p)
-    ctx = sg.EvalContext(p, record.value / 4.0, record.sq_table, record.cq_table, sg.EPS_DEFAULT)
-    _assert_folds_like_the_loop(ctx, _fold_points(ctx.quarter))
-    if p == 10:
-        assert len(record.sq_table.floats) == 104
+    # The longest folds a context makes, at the least epsilon: 85
+    # coefficients at p = 2, and prefixes of 180 (p = 3) down to 100
+    # (p = 10) below q / 2; one generated statement per coefficient.  At
+    # p = 64, where 5e-324 passes the table cap, EPS_DEFAULT and 517 nodes.
+    eps = sg.EPS_DEFAULT if p == 64 else 5e-324
+    ctx = sg.build_context(p, eps)
+    nodes = evalcore._nodes(ctx)
+    rng = random.Random(400 + p)
+    points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(10))
+    _assert_folds_like_the_loop(ctx, points)
+    lengths = {2: 85, 3: 180, 10: 100, 64: 1}
+    if p in lengths:
+        prefix = ctx.sq_table if nodes is None else nodes.sq_prefix
+        assert len(prefix.floats) == lengths[p]
     if p == 64:
-        assert len(record.sq_table.floats) == 708
-
-
-def test_hand_made_table_folds_match_the_loop_bit_for_bit():
-    rng = random.Random(17)
-    quarter = sg.build_context(3).quarter
-    long = tuple(rng.uniform(-1.0, 1.0) * 2.0 ** -rng.randrange(60) for _ in range(298))
-    tables = [
-        sg.MacLaurinTable(sg.SquigParams(3, 0, 1), (1.0, -0.0) + long),  # 300 coefficients
-        sg.MacLaurinTable(sg.SquigParams(4, 0, 1), (0.75,)),
-        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (0.75,)),
-        sg.maclaurin(sg.SquigParams(4, 2, 3), 40),
-        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (1, 0.5, 3)),  # ints, not floats
-        sg.MacLaurinTable(sg.SquigParams(5, 0, 1), (7,)),
-        sg.MacLaurinTable(sg.SquigParams(5, 1, 0), (7,)),
-        sg.MacLaurinTable(sg.SquigParams(4, 1, 0), (1.0, math.inf, 0.25)),
-        sg.MacLaurinTable(sg.SquigParams(2, 0, 2), (math.inf,)),
-    ]
-    assert len(tables[0].floats) == 300
-    # Each table is the sq table of one context and the cq table of the
-    # next, so pair also folds tables of different p side by side.
-    for sq_table, cq_table in zip(tables, tables[1:] + tables[:1]):
-        ctx = sg.EvalContext(sq_table.params.p, quarter, sq_table, cq_table, 1e-3)
-        _assert_folds_like_the_loop(ctx, _fold_points(quarter))
+        assert len(nodes.sq) == 518
 
 
 @pytest.mark.parametrize("p", [2, 4, 10, 16])
@@ -806,23 +804,22 @@ def test_node_data_are_the_triangle_rows_at_the_node(p):
             assert [x.hex() for x in node] == [x.hex() for x in want], (p, m, t0)
 
 def test_hand_made_context_is_validated(ctx4):
-    # A degree that is not an int >= 2, or a quarter period that is not a
-    # finite real > 0 whose period 8 quarter is finite, fails where the
-    # context is made, not at its first evaluation (fmod by a zero period,
-    # garbage at a negative one, an OverflowError past binary64).
-    tables = (ctx4.sq_table, ctx4.cq_table)
+    # A context is (p, epsilon): the derived fields are no arguments, so
+    # replace refuses them and the five arguments a context once took are a
+    # TypeError; a bad p or epsilon fails as build_context's does.
+    for name, value in (("quarter", 1.0), ("sq_table", ctx4.cq_table), ("pi_p", 4.0)):
+        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+            dataclasses.replace(ctx4, **{name: value})
+    with pytest.raises(TypeError):
+        sg.EvalContext(4, ctx4.quarter, ctx4.sq_table, ctx4.cq_table, ctx4.epsilon)
+    with pytest.raises(TypeError):
+        sg.EvalContext(4, quarter=ctx4.quarter)
     for p in (1, 0, -4, 4.0, True, "4", None):
         with pytest.raises(ParameterError, match="p must be an int"):
-            sg.EvalContext(p, ctx4.quarter, *tables, ctx4.epsilon)
-    for quarter in (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, True, "0.9", None,
-                    10 ** 400, Fraction(10 ** 400), 1e308):
-        with pytest.raises(ParameterError, match="quarter must be a finite real > 0"):
-            sg.EvalContext(4, quarter, *tables, ctx4.epsilon)
-        with pytest.raises(ParameterError, match="quarter must be a finite real > 0"):
-            dataclasses.replace(ctx4, quarter=quarter)
-    # Tables of another p and an epsilon outside (0, 1) stay allowed.
-    other = sg.EvalContext(4, ctx4.quarter, sg.build_context(6).sq_table, ctx4.cq_table, 2.0)
-    assert sg.sq(other, 0.5) == sg.horner_sparse(other.sq_table, 0.5)
+            sg.EvalContext(p)
+    for eps in (0.0, 1.0, 2.0, math.nan, True, "1e-6"):
+        with pytest.raises(ParameterError, match="epsilon must be a real in"):
+            dataclasses.replace(ctx4, epsilon=eps)
 
 
 @pytest.mark.parametrize("p", [2, 4, 10, 16])
@@ -879,42 +876,20 @@ def test_build_context_makes_no_evaluators_or_nodes(p, monkeypatch):
 
 
 def test_contexts_equal_to_build_context_fold_nodes():
-    # The rule is equality: a context made by hand equal to build_context's
-    # folds the same nodes, and any other tables fold as they are.  Nodes
-    # add no field, and leave repr, equality and hashing as they were.
+    # A context is (p, epsilon): EvalContext(6) is build_context(6), with the
+    # same hash, repr and nodes.  Only p and epsilon are arguments and take
+    # part in equality; nodes add no field.
     ctx = sg.build_context(6)
-    by_hand = sg.EvalContext(6, ctx.quarter, ctx.sq_table, ctx.cq_table, ctx.epsilon)
-    assert by_hand == ctx and hash(by_hand) == hash(ctx) and repr(by_hand) == repr(ctx)
+    direct = sg.EvalContext(6)
+    assert direct == ctx and hash(direct) == hash(ctx) and repr(direct) == repr(ctx)
     assert [f.name for f in dataclasses.fields(ctx)] == [
         "p", "quarter", "sq_table", "cq_table", "epsilon", "pi_p", "half", "period"]
-    assert evalcore._nodes(by_hand) == evalcore._nodes(ctx) is not None
+    assert [f.name for f in dataclasses.fields(ctx) if f.init] == ["p", "epsilon"]
+    assert [f.name for f in dataclasses.fields(ctx) if f.compare] == ["p", "epsilon"]
+    assert evalcore._nodes(direct) == evalcore._nodes(ctx) is not None
     s = 0.8 * ctx.quarter
-    assert sg.sq(by_hand, s) == sg.sq(ctx, s) and sg.cq(by_hand, s) == sg.cq(ctx, s)
-    for other in (dataclasses.replace(ctx, epsilon=1e-6), dataclasses.replace(ctx, quarter=0.75),
-                  sg.EvalContext(6, ctx.quarter, ctx.sq_table, ctx.cq_table, 2.0)):
-        assert evalcore._nodes(other) is None
-        t = 0.8 * other.quarter
-        assert sg.sq(other, t) == evalcore._horner(other.sq_table, t)
+    assert sg.sq(direct, s) == sg.sq(ctx, s) and sg.cq(direct, s) == sg.cq(ctx, s)
     assert "evaluators" not in repr(ctx) and "SQN" not in repr(ctx)
-
-
-def test_hand_made_context_past_the_table_cap_folds_its_tables():
-    # compute_pi refuses p = 30000, so no build_context context equals this
-    # one: it folds its own tables rather than raise at its first evaluation.
-    tables = [sg.MacLaurinTable(sg.SquigParams(30000, m, 1 - m), (1.0,) * 12) for m in (0, 1)]
-    ctx = sg.EvalContext(30000, 0.99, *tables, 1e-6)
-    assert evalcore._nodes(ctx) is None
-    assert sg.sq(ctx, 0.5) == evalcore._horner(tables[0], 0.5) == 0.5
-
-
-def test_replaced_context_folds_its_own_tables(ctx4):
-    sg.sq(ctx4, 0.3)  # the evaluators of ctx4 exist before the replace
-    stub = sg.MacLaurinTable(ctx4.sq_table.params, (2.0,))
-    moved = dataclasses.replace(ctx4, sq_table=stub)
-    assert moved.evaluators.sq is not ctx4.evaluators.sq
-    for s in (0.1, 0.5, ctx4.quarter):
-        assert sg.sq(moved, s) == 2.0 * s
-        assert sg.cq(moved, s) == sg.horner_sparse(ctx4.cq_table, s)
 
 
 def test_quadrature_gives_up_at_its_panel_budget():

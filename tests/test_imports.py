@@ -1,8 +1,9 @@
-"""The package imports in one direction.
+"""The package imports in one direction, and imports nothing it leaves unused.
 
 Each module of src/squigonometry is parsed with ast, not imported: no import
-of the package sits inside a function, where it would hide a cycle, and the
-module-level imports between the package's modules form an acyclic graph.
+of the package sits inside a function, where it would hide a cycle, the
+module-level imports between the package's modules form an acyclic graph,
+and every name a module-level import binds is read somewhere in its module.
 """
 
 from __future__ import annotations
@@ -41,3 +42,35 @@ def test_package_imports_run_one_way():
     order = list(TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert set(order) == set(graph) and graph["errors"] == set()
     assert order.index("constants") < order.index("evalcore") < order.index("cli")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    # The names bound by module-level imports, __future__'s aside, that no
+    # Name node of the module reads and no string of its __all__ re-exports.
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    ]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            named |= {item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant)}
+    return [name for name in bound if name not in named]
+
+
+def test_every_module_level_import_is_used():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if names:
+            unused[path.name] = names
+    assert unused == {}, f"module-level imports never used: {unused}"
+
+
+def test_unused_import_scan_sees_a_dead_import():
+    tree = ast.parse("from __future__ import annotations\nimport math, numbers\n"
+                     "from .errors import shown as named, check_int\n__all__ = ['named']\n"
+                     "def f(x):\n    return math.floor(x)\n")
+    assert _unused_imports(tree) == ["numbers", "check_int"]

@@ -345,14 +345,11 @@ def test_scaled_terms_decay_at_rate_r():
     assert (x / r) ** p == pytest.approx(math.cos(math.pi / p) ** p, rel=1e-12)
 
 
-def test_empty_table_is_refused(ctx4):
+def test_empty_table_is_refused():
     # Horner and build_context's trim both read a_0, so a table without it
     # fails where it is made.
     with pytest.raises(ParameterError, match="a_0"):
         sg.MacLaurinTable(SquigParams(p=4, m=0, n=1), ())
-    with pytest.raises(ParameterError):
-        sg.EvalContext(4, 0.9, sg.MacLaurinTable(SquigParams(p=4, m=0, n=1), []),
-                       ctx4.cq_table, 2.0 ** -53)
     assert sg.MacLaurinTable(SquigParams(p=4, m=0, n=1), (math.nan,)).J == 0
 
 

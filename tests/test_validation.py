@@ -43,6 +43,8 @@ CASES = {
     "compute_pi.epsilon": (lambda c4, c3, v: sg.compute_pi(4, v), ParameterError),
     "build_context.p": (lambda c4, c3, v: sg.build_context(v), ParameterError),
     "build_context.epsilon": (lambda c4, c3, v: sg.build_context(4, v), ParameterError),
+    "EvalContext.p": (lambda c4, c3, v: sg.EvalContext(v), ParameterError),
+    "EvalContext.epsilon": (lambda c4, c3, v: sg.EvalContext(4, v), ParameterError),
     "sq.t": (lambda c4, c3, v: sg.sq(c4, v), DomainError),
     "cq.t": (lambda c4, c3, v: sg.cq(c4, v), DomainError),
     "reduce_argument.t": (lambda c4, c3, v: sg.reduce_argument(c4, v), DomainError),
@@ -224,6 +226,7 @@ HUGE_P = {
     "compute_pi": (lambda: sg.compute_pi(10 ** 400), CostGuardError),
     "compute_pi.rate_1": (lambda: sg.compute_pi(2 ** 30), CostGuardError),
     "build_context": (lambda: sg.build_context(2 ** 1100), CostGuardError),
+    "EvalContext": (lambda: sg.EvalContext(2 ** 1100), CostGuardError),
     "maclaurin": (lambda: sg.maclaurin(SquigParams(10 ** 400, 0, 1), 3), ConvergenceError),
     "pi_gamma": (lambda: sg.pi_gamma(10 ** 400), DomainError),
     "pi_gamma.gamma": (lambda: sg.pi_gamma(10 ** 200), DomainError),
@@ -284,6 +287,7 @@ HUGE_INTS = {
     "matrix_factorial_row.k": lambda c4: sg.matrix_factorial_row(P, HUGE, 3),
     "compute_pi.p": lambda c4: sg.compute_pi(HUGE),
     "build_context.p": lambda c4: sg.build_context(HUGE),
+    "EvalContext.p": lambda c4: sg.EvalContext(HUGE),
     "estimate_terms.p": lambda c4: sg.estimate_terms(HUGE, 3.7, 1e-6),
     "pi_gamma.p": lambda c4: sg.pi_gamma(HUGE),
     "arcsq_oracle.p": lambda c4: sg.arcsq_oracle(0.5, HUGE),
