@@ -41,9 +41,10 @@ def _cmd_pi(args: argparse.Namespace) -> int:
     lo, hi = args.p_min, args.p_max
     if lo > hi:
         raise ParameterError(f"empty p range {lo}..{hi}")
-    records = [constants.compute_pi(p, args.eps) for p in range(lo, hi + 1)]
+    check_int("p", lo, 2)  # then top down: J_used grows with p, so the cap refuses before any build
+    records = [constants.compute_pi(p, args.eps) for p in range(hi, lo - 1, -1)]
     print("p,pi_p,terms,iterations")
-    for rec in records:
+    for rec in reversed(records):
         print(f"{rec.p},{rec.value!r},{rec.J_used},{rec.iterations}")
     return 0
 

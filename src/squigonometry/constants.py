@@ -42,12 +42,8 @@ from itertools import count
 
 from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError
 from .errors import check_finite, check_int, check_powers, check_tolerance, shown
-from .series import EPS_DEFAULT, MacLaurinTable, _beta_series, _TaylorSeries, estimate_terms, maclaurin
+from .series import EPS_DEFAULT, MAX_PI_TERMS, MacLaurinTable, _beta_series, _TaylorSeries, estimate_terms, maclaurin
 from .triangle import SquigParams
-
-#: Ceiling on the table length J_used compute_pi sizes.  A build costs about
-#: J^2 (5.6 s at J = 5710, p = 512 at EPS_DEFAULT), and J is about 11 p there.
-MAX_PI_TERMS = 8192
 
 #: Ceilings on the recurrence steps beta_value takes, floor(m / p) + floor(n / p),
 #: and on steps times the bit length of m + n + 2; their exact products cost about

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
+from .constants import MAX_BETA_BITS
 from .errors import CostGuardError, DomainError, ParameterError, RootCountError
 from .errors import check_finite, check_int, check_powers, shown
 from .evalcore import EvalContext
@@ -294,13 +295,16 @@ def critical_value(params: SquigParams) -> float:
     The derivative factors as cq^(m-1) sq^(n-1) (n cq^p - m sq^p), so the
     interior critical point has sq^p = n / (m + n), cq^p = m / (m + n) and
     the maximum equals (m^m n^n / (m + n)^(m + n))^(1/p).  Requires
-    m, n >= 1.  The ratio is split exactly as y 2^(-d), y in (1/2, 2), and
-    2^(-d/p) as 2^(-r/p) 2^(-q) with d = qp + r, so no power overflows or
-    underflows before the root and the rounding of 1/p is never multiplied
-    by a large logarithm.
+    m, n >= 1, and raises CostGuardError where (m + n)^(m + n) may pass
+    MAX_BETA_BITS bits.  The ratio is split exactly as y 2^(-d), y in
+    (1/2, 2), and 2^(-d/p) as 2^(-r/p) 2^(-q) with d = qp + r, so no power
+    overflows or underflows before the root and the rounding of 1/p is
+    never multiplied by a large logarithm.
     """
     check_powers(params.m, params.n, 1)
     p, m, n = params.p, params.m, params.n
+    if (m + n) * (m + n - 1).bit_length() > MAX_BETA_BITS:  # (x - 1).bit_length() is ceil(log2 x)
+        raise CostGuardError(f"m={shown(m)}, n={shown(n)}: (m + n)^(m + n) passes {MAX_BETA_BITS} bits")
     num, den = m ** m * n ** n, (m + n) ** (m + n)
     d = den.bit_length() - num.bit_length()
     q, r = divmod(d, p)

@@ -20,9 +20,10 @@ table with one multiply-add per stored coefficient.
 sq, cq, pow_general and reduce_argument call the context's evaluators,
 straight-line code that checks t, runs _REDUCTION (the one copy of the
 reduction) and folds, or returns the reduction, with no call in between.
-The code is compiled once per shape and binds the coefficients and
-constants as globals.  A table fold is _horner's loop unrolled, its step
-b = a_i - b * tp written once per coefficient.
+A context writes their source with each number as its repr, which
+round-trips, and equal contexts write equal sources, compiled once.  A
+table fold is horner_sparse's loop unrolled, its step b = a_i - b * tp
+written once per coefficient.
 
 At p >= 3 the folds of a context are the same length at every p.  Below
 q / 2, with q = pi_p / 4, they fold the context's tables cut for [0, q / 2]; on
@@ -39,10 +40,10 @@ p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
 0.5 us at every p.  Contexts at p = 2, or whose tables are no longer than
 a node fold (loose epsilon), fold their tables on all of [0, q], so there
 sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
-evaluators at its first evaluation: for new shapes about 0.6 ms at p = 2,
-1.5 to 2 ms at p = 3 and 4, 3.8 ms at p = 10, 5.7 ms at p = 16 and 27 ms
-at p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most of it the nodes
-from p = 10 on.
+evaluators at its first evaluation: for a source not yet compiled about
+0.6 ms at p = 2, 1.5 to 2 ms at p = 3 and 4, 3.8 ms at p = 10, 5.7 ms at
+p = 16 and 27 ms at p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most
+of it the nodes from p = 10 on.
 """
 
 from __future__ import annotations
@@ -77,10 +78,11 @@ class EvalContext:
     cut for [0, pi_p / 4], are derived from that record, and pi_p, half
     (pi_p / 2) and period (2 pi_p) from quarter, with the roundings
     reduce_argument has always used; none is an argument, so equality and
-    hashing are those of (p, epsilon).  sq, cq and pow_general evaluate
-    through the evaluators the context makes at its first evaluation, which
-    at p >= 3 fold node tables on [pi_p / 8, pi_p / 4] (the module
-    docstring has the rule and its cost).
+    hashing are those of (p, epsilon), and a context pickles and copies as
+    EvalContext(p, epsilon).  sq, cq and pow_general evaluate through the
+    evaluators the context makes at its first evaluation, which at p >= 3
+    fold node tables on [pi_p / 8, pi_p / 4] (the module docstring has the
+    rule and its cost).
     """
 
     p: int
@@ -108,26 +110,19 @@ class EvalContext:
         """sq(t), cq(t), pair(t) = (cq(t), sq(t)) and reduce(t), generated for this context.
 
         Made, with the node data, at the first evaluation, not by
-        build_context, and dropped when the context is pickled, since
-        generated functions do not pickle.
+        build_context: their source, from _source, holds every number, and
+        their globals only fmod, check_finite, QuadrantReduction and the node
+        tables SQN and CQN.
         """
-        names = {"fmod": math.fmod, "check_finite": check_finite, "period": self.period,
-                 "pi_p": self.pi_p, "half": self.half, "quarter": self.quarter}
+        names = {"fmod": math.fmod, "check_finite": check_finite, "QuadrantReduction": QuadrantReduction}
         nodes = _nodes(self)
-        if nodes is None:
-            tables, degree = (self.sq_table, self.cq_table), 0
-        else:
-            tables, degree = (nodes.sq_prefix, nodes.cq_prefix), _NODE_DEGREE
-            names.update(mid=nodes.mid, scale=nodes.scale, SQN=nodes.sq, CQN=nodes.cq)
-        for letter, table in zip("ac", tables):
-            names.update((f"{letter}{i}", a) for i, a in enumerate(table.floats))
-        codes = _evaluator_code(self.p, *(len(table.floats) for table in tables), degree)
-        return types.SimpleNamespace(**{c.co_name: types.FunctionType(c, names) for c in codes})
+        if nodes is not None:
+            names.update(SQN=nodes.sq, CQN=nodes.cq)
+        exec(_compiled(_source(self, nodes)), names)
+        return types.SimpleNamespace(**{name: names[name] for name in ("sq", "cq", "pair", "reduce")})
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("evaluators", None)
-        return state
+    def __reduce__(self) -> tuple:
+        return EvalContext, (self.p, self.epsilon)
 
 
 def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> MacLaurinTable:
@@ -208,17 +203,18 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
 
 # The range reduction, written once: these statements take a checked float
 # t to s in [0, pi_p / 4], the table choice use_co and the two signs.  Every
-# evaluator, reduce among them, inlines them.  fmod is exact and
+# evaluator, reduce among them, inlines them, with the context's period,
+# pi_p, half and quarter filled in.  fmod is exact and
 # fmod(-t, y) == -fmod(t, y), so folding |t| and flipping sign_sq for t < 0
 # keeps sq odd and cq even bit for bit.
 _REDUCTION = (
-    "s = fmod(t, period)",
+    "s = fmod(t, {period!r})",
     "sign_sq = sign_cq = 1",
     "if t < 0.0: s = -s; sign_sq = -1",
-    "if s >= pi_p: s -= pi_p; sign_sq = -sign_sq; sign_cq = -1",
-    "if s > half: s = pi_p - s; sign_cq = -sign_cq",
-    "use_co = s > quarter",
-    "if use_co: s = half - s",
+    "if s >= {pi_p!r}: s -= {pi_p!r}; sign_sq = -sign_sq; sign_cq = -1",
+    "if s > {half!r}: s = {pi_p!r} - s; sign_cq = -sign_cq",
+    "use_co = s > {quarter!r}",
+    "if use_co: s = {half!r} - s",
 )
 
 
@@ -232,7 +228,7 @@ def reduce_argument(ctx: EvalContext, t: float) -> QuadrantReduction:
     tables.  So -t differs from t only in sign_sq, and exact binary64 sums
     t0 + 2 k pi_p of one sign reduce to bit-identical t_reduced.
     """
-    return QuadrantReduction(*ctx.evaluators.reduce(t))
+    return ctx.evaluators.reduce(t)
 
 
 def horner_sparse(table: MacLaurinTable, t: float) -> float:
@@ -244,87 +240,81 @@ def horner_sparse(table: MacLaurinTable, t: float) -> float:
     binary64 raises DomainError.
     """
     check_finite("t", t)
-    checked_power(t, table.params.p)
-    checked_power(t, table.params.n)
-    value = _horner(table, float(t))
+    tp, tn = checked_power(t, table.params.p), checked_power(t, table.params.n)
+    coeffs = reversed(table.floats)
+    b = next(coeffs)
+    for a in coeffs:
+        b = a - b * tp
+    value = tn * b
     if not math.isfinite(value):
         raise DomainError(f"t={t!r}: the folded sum {value!r} is not a finite binary64")
     return value
 
 
-def _horner(table: MacLaurinTable, t: float) -> float:
-    # horner_sparse without the check, for arguments already checked and
-    # reduced.
-    params = table.params
-    tp = t ** params.p
-    coeffs = reversed(table.floats)
-    b = next(coeffs)
-    for a in coeffs:
-        b = a - b * tp
-    return t ** params.n * b
+def _fold(table: MacLaurinTable, out: str) -> list[str]:
+    # Statements that set out to horner_sparse's fold at s of an sq or cq
+    # table: tp = s ** p, then its step out = a_i - out * tp from the deep
+    # end, one statement per coefficient, then the scaling by s^n, s for sq
+    # (n = 1) and none for cq (n = 0; s ** 0 * v is v for every binary64 v).
+    *rest, last = table.floats
+    steps = [f"{out} = {a!r} - {out} * tp" for a in reversed(rest)]
+    scale = [f"{out} = s * {out}"] if table.params.n else []
+    return [f"tp = s ** {table.params.p}", f"{out} = {last!r}", *steps, *scale]
 
 
-def _fold(letter: str, p: int, length: int, scale: str, out: str) -> list[str]:
-    # Statements that set out to _horner's fold at s of a table of degree p
-    # and this length whose coefficients are the globals {letter}0,
-    # {letter}1, ...: tp = s ** p, then _horner's step out = a_i - out * tp
-    # from the deep end, one statement per coefficient, then the scaling by
-    # s^n, "s" for sq (n = 1) and "1.0" for cq (n = 0; s ** 0 is 1.0 for
-    # every binary64 s).
-    steps = [f"{out} = {letter}{i} - {out} * tp" for i in range(length - 2, -1, -1)]
-    return [f"tp = s ** {p}", f"{out} = {letter}{length - 1}", *steps, f"{out} = {scale} * {out}"]
-
-
-def _node_fold(name: str, degree: int, out: str) -> list[str]:
+def _node_fold(name: str, out: str) -> list[str]:
     # Statements that set out to the node fold at s about node i of the
-    # global node table {name}: unpack (t0, hi, lo, b1, ..., b{degree}),
+    # global node table {name}: unpack (t0, hi, lo, b1, ..., b_D),
     # h = s - t0, Horner steps out = b_k + out * h from the deep end, then
     # the double-double leading term hi + (lo + out * h).
-    b = [f"b{k}" for k in range(1, degree + 1)]
-    steps = [f"{out} = {b[k - 1]} + {out} * h" for k in range(degree - 1, 0, -1)]
+    b = [f"b{k}" for k in range(1, _NODE_DEGREE + 1)]
+    steps = [f"{out} = {b[k - 1]} + {out} * h" for k in range(_NODE_DEGREE - 1, 0, -1)]
     return [f"t0, hi, lo, {', '.join(b)} = {name}[i]", "h = s - t0", f"{out} = {b[-1]}",
             *steps, f"{out} = hi + (lo + {out} * h)"]
 
 
-@lru_cache(maxsize=64)
-def _evaluator_code(p: int, sq_length: int, cq_length: int, degree: int) -> tuple[types.CodeType, ...]:
-    # The code of sq, cq, pair and reduce for degree p, sq and cq tables of
-    # these lengths and node folds of this degree (0 for none), compiled from
-    # one source: an inline check that sends every t but a finite float to
+def _source(ctx: EvalContext, nodes: _Nodes | None) -> str:
+    # The source of sq, cq, pair and reduce for this context and its node
+    # data: an inline check that sends every t but a finite float to
     # check_finite and float(), _REDUCTION, then the folds (pair's share one
-    # tp, and one node index i and h) and signs, or reduce's tuple.  With
-    # nodes the tables fold below mid, and at or above it node
-    # i = int((s - mid) * scale) folds.  Only ints enter the source.
+    # tp, and one node index i and h) and signs, or reduce's
+    # QuadrantReduction.  With nodes the prefixes fold below mid, and at or
+    # above it node i = int((s - mid) * scale) folds.
     def choose(co: list[str], plain: list[str]) -> list[str]:
         return [f"if use_co: {'; '.join(co)}", f"else: {'; '.join(plain)}"]
 
-    fold_sq, fold_cq = _fold("a", p, sq_length, "s", "v"), _fold("c", p, cq_length, "1.0", "v")
-    fold_pair = _fold("a", p, sq_length, "s", "y") + _fold("c", p, cq_length, "1.0", "x")[1:]
+    sq_table, cq_table = (ctx.sq_table, ctx.cq_table) if nodes is None else (nodes.sq_prefix, nodes.cq_prefix)
+    fold_sq, fold_cq = _fold(sq_table, "v"), _fold(cq_table, "v")
+    fold_pair = _fold(sq_table, "y") + _fold(cq_table, "x")[1:]
     folds = {"sq": choose(fold_cq, fold_sq), "cq": choose(fold_sq, fold_cq), "pair": fold_pair}
-    if degree:
-        node_sq, node_cq = _node_fold("SQN", degree, "v"), _node_fold("CQN", degree, "v")
+    if nodes is not None:
+        node_sq, node_cq = _node_fold("SQN", "v"), _node_fold("CQN", "v")
         # pair's cq fold reuses the h of its sq fold: both nodes share t0.
-        node_pair = _node_fold("SQN", degree, "y") + [
-            line for line in _node_fold("CQN", degree, "x") if line != "h = s - t0"]
-        nodes = {"sq": choose(node_cq, node_sq), "cq": choose(node_sq, node_cq), "pair": node_pair}
-        folds = {name: ["if s < mid:", *(f"    {line}" for line in fold),
-                        "else:", "    i = int((s - mid) * scale)",
-                        *(f"    {line}" for line in nodes[name])]
+        node_pair = _node_fold("SQN", "y") + [line for line in _node_fold("CQN", "x") if line != "h = s - t0"]
+        node_folds = {"sq": choose(node_cq, node_sq), "cq": choose(node_sq, node_cq), "pair": node_pair}
+        folds = {name: [f"if s < {nodes.mid!r}:", *(f"    {line}" for line in fold),
+                        "else:", f"    i = int((s - {nodes.mid!r}) * {nodes.scale!r})",
+                        *(f"    {line}" for line in node_folds[name])]
                  for name, fold in folds.items()}
     bodies = {
         "sq": [*folds["sq"], "return sign_sq * v"],
         "cq": [*folds["cq"], "return sign_cq * v"],
         "pair": [*folds["pair"], "if use_co: return sign_cq * y, sign_sq * x",
                  "return sign_cq * x, sign_sq * y"],
-        "reduce": ["return s, use_co, sign_sq, sign_cq"],
+        "reduce": ["return QuadrantReduction(s, use_co, sign_sq, sign_cq)"],
     }
     check = "if t.__class__ is not float or t - t != 0.0: check_finite('t', t); t = float(t)"
+    reduction = [line.format_map(vars(ctx)) for line in _REDUCTION]
     lines = []
     for name, body in bodies.items():
-        lines += [f"def {name}(t):", *(f"    {line}" for line in (check, *_REDUCTION, *body))]
-    names: dict = {}
-    exec("\n".join(lines), names)
-    return tuple(names[name].__code__ for name in bodies)
+        lines += [f"def {name}(t):", *(f"    {line}" for line in (check, *reduction, *body))]
+    return "\n".join(lines)
+
+
+@lru_cache(maxsize=64)
+def _compiled(source: str) -> types.CodeType:
+    # One code object per distinct source: equal contexts write equal sources.
+    return compile(source, "<evaluators>", "exec")
 
 
 def sq(ctx: EvalContext, t: float) -> float:

@@ -32,6 +32,7 @@ import math
 import sys
 from itertools import combinations
 
+from .constants import MAX_BETA_BITS
 from .errors import CostGuardError, ParameterError, check_int, check_powers, shown
 from .triangle import SquigParams
 
@@ -164,11 +165,14 @@ def count_lower_bound(n: int, p: int, j: int) -> int:
     """Floor (n + 1)(p - 1)^(j - 1) on the number of nonzero placements.
 
     Counts the placements reachable by always marking within the first
-    admissible window; the true count grows much faster.
+    admissible window; the true count grows much faster.  CostGuardError
+    where (p - 1)^(j - 1) may pass MAX_BETA_BITS bits.
     """
     check_int("p", p, 2)
     check_int("n", n, 0)
     check_int("j", j, 1)
+    if (j - 1) * (p - 2).bit_length() > MAX_BETA_BITS:  # (x - 1).bit_length() is ceil(log2 x)
+        raise CostGuardError(f"p={shown(p)}, j={shown(j)}: (p - 1)^(j - 1) passes {MAX_BETA_BITS} bits")
     return (n + 1) * (p - 1) ** (j - 1)
 
 

@@ -49,12 +49,16 @@ from fractions import Fraction
 from itertools import count, islice
 from operator import mul
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, CostGuardError, ParameterError
 from .errors import check_finite, check_int, check_powers, check_tolerance, shown
 from .triangle import SquigParams, _rows
 
 #: Unit roundoff of binary64; default tolerance target for table sizing.
 EPS_DEFAULT = 2.0 ** -53
+
+#: Ceiling on the table length J, maclaurin's and compute_pi's J_used.  A build
+#: costs about J^2 (5.6 s at J = 5710, p = 512 at EPS_DEFAULT), J about 11 p there.
+MAX_PI_TERMS = 8192
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,8 @@ def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
 
     Each is the correctly rounded F_j / (n + pj)!, with F_j the exact
     numerators of integer_maclaurin, from a fresh _TaylorSeries.  Requires
-    m, n >= 0; raises ConvergenceError at the first a_j past binary64.
+    m, n >= 0 and J <= MAX_PI_TERMS (else CostGuardError); raises
+    ConvergenceError at the first a_j past binary64.
 
     Examples
     --------
@@ -102,6 +107,8 @@ def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
     """
     check_powers(params.m, params.n)
     check_int("J", J, 0)
+    if J > MAX_PI_TERMS:
+        raise CostGuardError(f"J={shown(J)} exceeds the table cap {MAX_PI_TERMS}")
     return _TaylorSeries(params.p).table(params, J)
 
 

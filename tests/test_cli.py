@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -129,6 +130,28 @@ def test_beta_at_large_powers_exits_0(capsys):
     assert code == 0
     value = float(lines[1].split(",")[3])
     assert value == pytest.approx(sg.beta_gamma(10, 30, 30), rel=1e-13)
+
+
+def test_pi_refuses_the_top_of_its_range_first(capsys):
+    # pi_40 at 1e-300 passes the table cap; the range is solved from the top
+    # down, so p = 38 and 39 are never built before the refusal.
+    start = time.perf_counter()
+    code = cli.main(["pi", "--p-min", "38", "--p-max", "40", "--eps", "1e-300"])
+    out, err = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: pi_40 at epsilon=1e-300 needs J=8242 terms, past the cap 8192\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("maclaurin", "--p", "4", "--m", "0", "--n", "1", "--J", str(2 ** 63)),
+    ("table1", "--terms", str(2 ** 63)),
+])
+def test_table_past_the_cap_exits_2(capsys, argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: J={2 ** 63} exceeds the table cap {sg.MAX_PI_TERMS}\n"
 
 
 def test_pi_past_p_10_exits_0(capsys):

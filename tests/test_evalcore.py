@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
+import copyreg
 import dataclasses
+import io
 import json
 import math
 import pickle
@@ -588,7 +591,7 @@ def test_pow_general_keeps_the_sign_of_an_odd_power_past_2_53(ctx4):
 
 # ---------------------------------------------------------------------------
 # A context evaluates through generated straight-line code that checks,
-# reduces and folds; the loop in _horner stays the reference, bit for bit.
+# reduces and folds; the loop in horner_sparse stays the reference, bit for bit.
 
 FOLD_EPS = (2.0 ** -53, 2.0 ** -30, 1e-6, 1e-3, 0.3)
 
@@ -612,16 +615,16 @@ def _node_loop(entries, mid: float, scale: float, s: float) -> float:
 
 
 def _loop_fold(ctx):
-    # (sq, cq) at s in [0, pi_p / 4] by the reference loops: _horner over
+    # (sq, cq) at s in [0, pi_p / 4] by the reference loops: horner_sparse over
     # the context's tables, or with node data, over the prefixes below q / 2
     # and the node loop from it.
     nodes = evalcore._nodes(ctx)
     if nodes is None:
-        return lambda s: (evalcore._horner(ctx.sq_table, s), evalcore._horner(ctx.cq_table, s))
+        return lambda s: (evalcore.horner_sparse(ctx.sq_table, s), evalcore.horner_sparse(ctx.cq_table, s))
 
     def fold(s):
         if s < nodes.mid:
-            return evalcore._horner(nodes.sq_prefix, s), evalcore._horner(nodes.cq_prefix, s)
+            return evalcore.horner_sparse(nodes.sq_prefix, s), evalcore.horner_sparse(nodes.cq_prefix, s)
         return tuple(_node_loop(entries, nodes.mid, nodes.scale, s) for entries in (nodes.sq, nodes.cq))
 
     return fold
@@ -848,6 +851,9 @@ def test_context_pi_p_meets_its_epsilon(eps):
 
 
 def test_evaluated_context_pickles_without_its_evaluators():
+    # A context pickles and copies as EvalContext(p, epsilon), whatever it
+    # has made, so a copy rebuilds its tables and evaluators and answers bit
+    # for bit alike.
     ctx = sg.build_context(5)
     assert "evaluators" not in vars(ctx)  # build_context makes no evaluators
     points = [0.3, -2.0, 7.5, 1e6]
@@ -857,6 +863,59 @@ def test_evaluated_context_pickles_without_its_evaluators():
     assert back == ctx and "evaluators" not in vars(back)
     assert "evaluators" in vars(ctx)
     assert [(sg.sq(back, t), sg.cq(back, t)) for t in points] == want
+    for copied in (copy.copy(ctx), copy.deepcopy(ctx)):
+        assert copied == ctx and copied is not ctx and "evaluators" not in vars(copied)
+        assert [(sg.sq(copied, t).hex(), sg.cq(copied, t).hex()) for t in points] == [
+            (s.hex(), c.hex()) for s, c in want]
+    big = sg.build_context(64)
+    sg.sq(big, 0.3)
+    assert len(pickle.dumps(big)) < 100
+
+
+class _StatePickler(pickle.Pickler):
+    # Writes a context as pickles held it before it reduced to (p, epsilon):
+    # the class and its state dict, derived fields and tables included.
+    def reducer_override(self, obj):
+        if type(obj) is sg.EvalContext:
+            return copyreg.__newobj__, (sg.EvalContext,), dict(vars(obj))
+        return NotImplemented
+
+
+def test_context_pickled_with_its_state_still_loads():
+    ctx = sg.build_context(7, 1e-12)
+    buffer = io.BytesIO()
+    _StatePickler(buffer).dump(ctx)
+    back = pickle.loads(buffer.getvalue())
+    assert back == ctx and vars(back) == vars(ctx)
+    points = [0.3, -2.0, 0.9 * ctx.quarter, 1e6]
+    assert [(sg.sq(back, t).hex(), sg.cq(back, t).hex()) for t in points] == [
+        (sg.sq(ctx, t).hex(), sg.cq(ctx, t).hex()) for t in points]
+
+
+EVALUATOR_GLOBALS = {"fmod", "check_finite", "QuadrantReduction", "SQN", "CQN",
+                     "sq", "cq", "pair", "reduce", "__builtins__"}
+
+
+@pytest.mark.parametrize("p, eps, folds_nodes", [(2, 2.0 ** -53, False), (4, 2.0 ** -53, True), (3, 1e-3, False)])
+def test_evaluators_read_no_number_from_their_globals(p, eps, folds_nodes):
+    # Every coefficient and constant is written into the evaluators' source
+    # as its repr; their globals hold helpers, the evaluators and node tables.
+    ctx = sg.build_context(p, eps)
+    assert (evalcore._nodes(ctx) is not None) == folds_nodes
+    for name, evaluator in vars(ctx.evaluators).items():
+        assert set(evaluator.__globals__) <= EVALUATOR_GLOBALS, name
+        assert ("SQN" in evaluator.__globals__) == folds_nodes
+
+
+def test_equal_contexts_share_their_evaluator_code():
+    # Equal contexts write equal sources, which are compiled once; each
+    # context still makes its own functions.
+    first, again, other = sg.build_context(6, 1e-9), sg.EvalContext(6, 1e-9), sg.build_context(7, 1e-9)
+    assert first is not again
+    for name in ("sq", "cq", "pair", "reduce"):
+        mine, twin = getattr(first.evaluators, name), getattr(again.evaluators, name)
+        assert mine is not twin and mine.__code__ is twin.__code__
+        assert getattr(other.evaluators, name).__code__ is not mine.__code__
 
 
 @pytest.mark.parametrize("p", [2, 3, 10, 64])

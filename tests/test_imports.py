@@ -4,15 +4,22 @@ Each module of src/squigonometry is parsed with ast, not imported: no import
 of the package sits inside a function, where it would hide a cycle, the
 module-level imports between the package's modules form an acyclic graph,
 and every name a module-level import binds is read somewhere in its module.
+The benchmark's tracer is parsed the same way, so that every package name it
+wraps is checked to exist without importing the benchmark.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 from graphlib import TopologicalSorter
 from pathlib import Path
 
+import squigonometry as sg
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "squigonometry"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 
 
 def _targets(node: ast.AST) -> list[str]:
@@ -74,3 +81,19 @@ def test_unused_import_scan_sees_a_dead_import():
                      "from .errors import shown as named, check_int\n__all__ = ['named']\n"
                      "def f(x):\n    return math.floor(x)\n")
     assert _unused_imports(tree) == ["numbers", "check_int"]
+
+
+def test_benchmark_tracer_names_exist():
+    # perfbench/tracer.py wraps each (module, function) of its TARGETS by
+    # name, reads compute_pi.cache_info and reads iterations off the PiRecord
+    # it returns; a package change that drops one breaks the benchmark.
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert pairs
+    missing = [f"{module}.{name}" for module, name in pairs
+               if not callable(getattr(importlib.import_module(f"squigonometry.{module}"), name, None))]
+    assert missing == []
+    assert callable(sg.constants.compute_pi.cache_info)
+    assert "iterations" in {field.name for field in dataclasses.fields(sg.PiRecord)}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import time
 from decimal import Decimal
 
 import pytest
@@ -271,7 +272,6 @@ def test_order_past_sys_maxsize_raises_parameter_error(case):
 
 # An int of 5001 digits, past the 4300 that CPython 3.11 converts to str: each
 # refusal names it by its bit length, not by the conversion's bare ValueError.
-# maclaurin's J has no upper bound, so it is left out.
 HUGE = 10 ** 5000
 HUGE_INTS = {
     "build_triangle.K": lambda c4: sg.build_triangle(P, HUGE),
@@ -298,6 +298,9 @@ HUGE_INTS = {
     # cq^HUGE at |cq| <= 1 has a limit, 0.0 or 1.0, so the message is the pole's.
     "pow_general.m": lambda c4: sg.pow_general(c4, HUGE, -1, 0.0),
     "maclaurin.m": lambda c4: sg.maclaurin(SquigParams(4, HUGE, 0), 3),
+    "maclaurin.J": lambda c4: sg.maclaurin(P, HUGE),
+    "critical_value.m": lambda c4: sg.critical_value(SquigParams(4, HUGE, 1)),
+    "count_lower_bound.j": lambda c4: sg.count_lower_bound(1, 4, HUGE),
 }
 
 
@@ -305,6 +308,28 @@ HUGE_INTS = {
 def test_int_past_4300_digits_is_named_by_its_bit_length(case, ctx4):
     with pytest.raises(SquigError, match=r"<int of \d+ bits>"):
         HUGE_INTS[case](ctx4)
+
+
+# Calls whose work grows with an int argument, and the largest int each
+# accepts: (m + n) ceil(log2(m + n)) and (j - 1) ceil(log2(p - 1)) at the
+# bit cap, J at the table cap.
+CAPPED = {
+    "critical_value.m": (lambda k: sg.critical_value(SquigParams(4, k, 1)), sg.MAX_BETA_BITS // 17 - 1),
+    "count_lower_bound.j": (lambda k: sg.count_lower_bound(1, 4, k), sg.MAX_BETA_BITS // 2 + 1),
+    "maclaurin.J": (lambda k: sg.maclaurin(SquigParams(2, 0, 1), k), sg.MAX_PI_TERMS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPPED))
+def test_growing_int_is_refused_before_any_work(case):
+    call, largest = CAPPED[case]
+    start = time.perf_counter()
+    with pytest.raises(CostGuardError, match=str(2 ** 63)):
+        call(2 ** 63)
+    assert time.perf_counter() - start < 0.1
+    assert call(largest) is not None
+    with pytest.raises(CostGuardError):
+        call(largest + 1)
 
 
 def test_shown_prints_small_ints_exactly():
