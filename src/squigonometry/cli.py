@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import constants, derivpoly, evalcore, explicit, factors, series, triangle
@@ -247,8 +248,15 @@ def _add_pmn(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="squine power")
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse's pattern for negative numbers has no exponent and no inf, so it takes -1e-5 for an option.
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)(e[-+]?\d+)?$|^-inf$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="squig",
         description="Squigonometric tables, constants, and evaluation.",
     )

@@ -56,7 +56,8 @@ MAX_BETA_BITS = 1 << 21
 class PiRecord:
     """One computed pi_p: the correctly rounded value, the widenings its sum
     took, the table length, the tolerance, and the sq and cq tables of length
-    J_used, from the series _series, which the node tables extend."""
+    J_used, from the series _series, fixed once made: the node tables extend
+    a copy of it."""
 
     p: int
     value: float

@@ -88,8 +88,16 @@ def check_finite(name: str, value) -> None:
 
 
 def checked_power(t, k: int) -> float:
-    """t^k in binary64; DomainError when the power overflows."""
+    """t^k in binary64 for any int k; PoleError at t = +-0.0 for k < 0, DomainError when it overflows.
+
+    |t| is raised to k capped at +-2^64, past which the value (0.0, 1.0 or an
+    overflow) no longer moves, and signed by k's parity, which float ** int
+    loses once it rounds k to an even float.
+    """
+    x = float(t)
+    if x == 0.0 and k < 0:
+        raise PoleError(f"t^{shown(k)} has a pole at t={shown(t)}")
     try:
-        return float(t) ** k
+        return math.copysign(abs(x) ** max(-2.0 ** 64, min(k, 2.0 ** 64)), x if k % 2 else 1.0)
     except OverflowError:
-        raise DomainError(f"t={shown(t)}: t^{k} overflows binary64") from None
+        raise DomainError(f"t={shown(t)}: t^{shown(k)} overflows binary64") from None

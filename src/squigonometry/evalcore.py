@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -74,36 +74,24 @@ class EvalContext:
 
     EvalContext(p, epsilon) and build_context(p, epsilon) are the same
     context: made from the compute_pi record for (p, epsilon), whose errors
-    a bad p or epsilon raises.  quarter (pi_p / 4) and the sq and cq tables,
-    cut for [0, pi_p / 4], are derived from that record, and pi_p, half
-    (pi_p / 2) and period (2 pi_p) from quarter, with the roundings
-    reduce_argument has always used; none is an argument, so equality and
-    hashing are those of (p, epsilon), and a context pickles and copies as
-    EvalContext(p, epsilon).  sq, cq and pow_general evaluate through the
-    evaluators the context makes at its first evaluation, which at p >= 3
-    fold node tables on [pi_p / 8, pi_p / 4] (the module docstring has the
-    rule and its cost).
+    a bad p or epsilon raises.  p and epsilon are its only fields, so repr,
+    equality, hashing, pickling and copying are those of (p, epsilon).  The
+    constructor derives frozen attributes from the record: quarter
+    (pi_p / 4), the sq and cq tables cut for [0, pi_p / 4], and pi_p, half
+    (pi_p / 2) and period (2 pi_p), exact multiples of quarter.  sq, cq and
+    pow_general evaluate through the evaluators the context makes at its
+    first evaluation, which at p >= 3 fold node tables on
+    [pi_p / 8, pi_p / 4] (the module docstring has the rule and its cost).
     """
 
     p: int
-    quarter: float = field(init=False, compare=False)
-    sq_table: MacLaurinTable = field(init=False, compare=False)
-    cq_table: MacLaurinTable = field(init=False, compare=False)
     epsilon: float = EPS_DEFAULT
-    pi_p: float = field(init=False, compare=False, repr=False)
-    half: float = field(init=False, compare=False, repr=False)
-    period: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         record = compute_pi(self.p, self.epsilon)
-        quarter = record.value / 4.0
-        pi_p = 4.0 * quarter
-        object.__setattr__(self, "quarter", quarter)
-        object.__setattr__(self, "sq_table", _trimmed(record.sq_table, quarter, self.epsilon))
-        object.__setattr__(self, "cq_table", _trimmed(record.cq_table, quarter, self.epsilon))
-        object.__setattr__(self, "pi_p", pi_p)
-        object.__setattr__(self, "half", 2.0 * quarter)
-        object.__setattr__(self, "period", 2.0 * pi_p)
+        q = record.value / 4.0
+        sq_table, cq_table = (_trimmed(table, q, self.epsilon) for table in (record.sq_table, record.cq_table))
+        vars(self).update(quarter=q, sq_table=sq_table, cq_table=cq_table, pi_p=4.0 * q, half=2.0 * q, period=8.0 * q)
 
     @cached_property
     def evaluators(self) -> types.SimpleNamespace:
@@ -166,12 +154,12 @@ def _nodes(ctx: EvalContext) -> _Nodes | None:
     p, degree = ctx.p, _NODE_DEGREE
     if p < 3 or min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= degree + 1:
         return None
-    record = compute_pi(p, ctx.epsilon)
+    series = compute_pi(p, ctx.epsilon)._series.copy()  # the record's is never extended
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
     mid = ctx.quarter / 2.0
     width = (ctx.quarter - mid) / parts
     t0s = (mid + (i + 0.5) * width for i in range(parts))
-    sq_nodes, cq_nodes = zip(*(record._series.node(t0, degree) for t0 in t0s))
+    sq_nodes, cq_nodes = zip(*(series.node(t0, degree) for t0 in t0s))
     return _Nodes(mid, parts / (ctx.quarter - mid),
                   *(_trimmed(table, mid, ctx.epsilon) for table in (ctx.sq_table, ctx.cq_table)),
                   (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
@@ -327,13 +315,6 @@ def cq(ctx: EvalContext, t: float) -> float:
     return ctx.evaluators.cq(t)
 
 
-def _power(x: float, k: int) -> float:
-    # x ** k for any int k: |x| to the power k capped at +-2^64, past which
-    # the value (0.0, 1.0 or an overflow) no longer moves, signed by k's
-    # parity, which float ** int loses once it rounds k to an even float.
-    return math.copysign(abs(x) ** max(-2.0 ** 64, min(k, 2.0 ** 64)), x if k % 2 else 1.0)
-
-
 def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
     """cq^m(t) * sq^n(t) with domain guards for negative powers.
 
@@ -359,10 +340,10 @@ def pow_general(ctx: EvalContext, m: int, n: int, t: float) -> float:
         )
     try:
         if (abs(m) | abs(n)) >> 53:  # from 2^53 on float ** int rounds the power to a float
-            value = _power(c, m) * _power(s, n)
+            value = checked_power(c, m) * checked_power(s, n)
         else:
             value = c ** m * s ** n
-    except OverflowError:  # a power past binary64; * of two large powers gives inf
+    except (OverflowError, DomainError):  # a power past binary64; * of two large powers gives inf
         value = math.inf
     if math.isinf(value):
         raise DomainError(f"cq^{shown(m)} sq^{shown(n)} at t={t!r} overflows binary64")

@@ -19,14 +19,14 @@ signs alternate, so the kernel carries magnitudes, in 192-bit fixed point on
 v = u / rho with rho near the radius of convergence, where they stay near
 2^192 at every j.  The u^j coefficient x of c^m s^n (by square and multiply)
 is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
-_TaylorSeries holds c, s, G and H for one p, extended under one lock, and
-owns their fixed-point format: a table of a known length J forms c^k, s^k
-and c^m s^n to J over plain lists, a square summing each pair of equal
-products once.  node gives the Taylor coefficients of sq and cq about t0
-as floats, by the same recurrence in t - t0 from cq(t0) and sq(t0) that
-values sums; the triangle rows are their oracle in the tests.  compute_pi
-keeps its series on the record, so the node tables, in any thread, extend
-it rather than start again.
+_TaylorSeries holds c, s, G and H for one p and owns their fixed-point
+format: a table of a known length J forms c^k, s^k and c^m s^n to J over
+plain lists, a square summing each pair of equal products once.  node
+gives the Taylor coefficients of sq and cq about t0 as floats, by the same
+recurrence in t - t0 from cq(t0) and sq(t0) that values sums; the triangle
+rows are their oracle in the tests.  compute_pi keeps its series on the
+record, fixed once made; the node tables extend a copy of it rather than
+start again.
 
 _beta_series sums the Beta values B((m+1)/p, (n+1)/p) correctly rounded from
 one integer series with no table, in 15 to 40 us for m, n < p; pi_p =
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -67,15 +66,18 @@ class MacLaurinTable:
 
     floats[j] holds a_j = F_j / (n + pj)! as a binary64 value; the series is
     sum_j (-1)^j floats[j] t^(n + pj).  J is len(floats) - 1, and the exact
-    integers F_j come from integer_maclaurin.  floats must not be empty.
+    integers F_j come from integer_maclaurin.  params must be a SquigParams,
+    and floats a non-empty tuple of floats, NaN allowed.
     """
 
     params: SquigParams
     floats: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.floats:
-            raise ParameterError("a MacLaurinTable needs at least the coefficient a_0")
+        floats = self.floats
+        if not (isinstance(self.params, SquigParams) and isinstance(floats, tuple) and floats
+                and all(isinstance(a, float) for a in floats)):
+            raise ParameterError("a MacLaurinTable needs SquigParams and a tuple of floats a_0..a_J")
 
     @property
     def J(self) -> int:
@@ -120,9 +122,6 @@ _GUARD = 1 << 117
 # Fraction bits _beta_series starts from; it rarely needs more.
 _BETA_BITS = 80
 
-# Held by _TaylorSeries.extend; a lock on each series would stop records pickling.
-_EXTEND_LOCK = threading.Lock()
-
 
 def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
     # g_k of g = f^alpha from f_0..f_k and g_0..g_(k-1), all in one fixed point
@@ -147,8 +146,9 @@ class _TaylorSeries:
 
     pi_p and widenings come from _beta_series.  rho = r / 2^32 is R^p for
     R = radius(p, pi_p), capped at 2^16 (p = 2 is entire) and rounded up.
-    At p = 2, G = c and H = s.  The lists only grow, so table and values,
-    once they have extended them to J, read them to J without the lock.
+    At p = 2, G = c and H = s.  table and values extend the lists in place,
+    so a series that stays as it is, such as a compute_pi record's, is
+    extended only through a copy.
     """
 
     def __init__(self, p: int) -> None:
@@ -158,14 +158,19 @@ class _TaylorSeries:
         self.c, self.s, self.g, self.h = ([1 << _F] for _ in range(4))
 
     def extend(self, J: int) -> None:
-        """Extend c, s, g and h to J, appending to h last."""
+        """Extend c, s, g and h to J."""
         p, c, s, g, h = self.p, self.c, self.s, self.g, self.h
-        with _EXTEND_LOCK:
-            for j in range(len(c), J + 1):
-                c.append(self.r * h[j - 1] // (p * j << 32))
-                g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
-                s.append(g[j] // (p * j + 1))
-                h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
+        for j in range(len(c), J + 1):
+            c.append(self.r * h[j - 1] // (p * j << 32))
+            g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
+            s.append(g[j] // (p * j + 1))
+            h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
+
+    def copy(self) -> _TaylorSeries:
+        """The series with lists of its own: extending the copy leaves this one as it is."""
+        new = object.__new__(_TaylorSeries)
+        vars(new).update(vars(self), c=self.c[:], s=self.s[:], g=self.g[:], h=self.h[:])
+        return new
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
         """a_0..a_J of cq^m * sq^n, extending the series to J.
@@ -216,7 +221,7 @@ class _TaylorSeries:
         v = (t ** p << 32) // (self.r << bits * (p - 1))
         scaled, cq, sq, small = 1 << bits, 0, 0, 1 << (bits - 80)
         for j in count():
-            if j >= len(self.h):  # extend appends to h last
+            if j >= len(c):
                 self.extend(j)
             tc, ts = c[j] * scaled >> _F, s[j] * scaled >> _F
             cq, sq = (cq - tc, sq - ts) if j % 2 else (cq + tc, sq + ts)

@@ -101,6 +101,22 @@ def test_eval_domain_error_exit_code(capsys):
     assert code == 2
 
 
+def test_negative_numbers_in_exponent_form_are_arguments(capsys):
+    # argparse alone takes -1e-5 for an option; the values below are the
+    # library's, and -inf reaches its DomainError rather than a usage line.
+    code, lines = run(capsys, "eval", "--p", "4", "--t", "0.5", "-1e-5", "-.5e1", "-2.5E+3", "-3")
+    ctx = sg.build_context(4)
+    assert code == 0
+    assert lines[1:] == [f"{t!r},{sg.sq(ctx, t)!r}" for t in (0.5, -1e-5, -5.0, -2500.0, -3.0)]
+    code, lines = run(capsys, "plotdata", "--p", "4", "--points", "3", "--tmax", "-1e3")
+    assert code == 0 and [float(line.split(",")[0]) for line in lines[1:]] == [0.0, -500.0, -1000.0]
+    for argv in (("eval", "--p", "4", "--t", "-inf"), ("plotdata", "--p", "4", "--tmax", "-inf")):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.endswith("must be a finite real, got -inf\n")
+
+
 def test_eval_past_the_table_cap_exits_2(capsys):
     # p = 100000 needs at least 33333 terms, the floor (p + 1) // 3; the
     # build is refused at once.

@@ -39,14 +39,14 @@ def test_context_precomputes_the_reduction_constants(ctx4):
     assert ctx4.pi_p == 4.0 * ctx4.quarter
     assert ctx4.half == 2.0 * ctx4.quarter
     assert ctx4.period == 2.0 * ctx4.pi_p
-    # Derived from quarter: not constructor arguments, not part of equality,
-    # and recomputed by dataclasses.replace from (p, epsilon).
+    # Derived from quarter: not fields, so not constructor arguments, not
+    # part of equality, and recomputed by dataclasses.replace from (p, epsilon).
     same = sg.EvalContext(4, ctx4.epsilon)
     assert same == ctx4 and (same.pi_p, same.half, same.period) == (ctx4.pi_p, ctx4.half, ctx4.period)
     assert "period" not in repr(ctx4)
     moved = dataclasses.replace(ctx4, epsilon=1e-6)
     assert moved.pi_p == ctx4.pi_p and moved.period == ctx4.period
-    with pytest.raises(ValueError, match="init=False"):
+    with pytest.raises(TypeError, match="period"):
         dataclasses.replace(ctx4, period=1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx4.period = 1.0
@@ -716,10 +716,11 @@ def test_rebuilt_context_is_bit_identical(p):
 
 def test_threads_building_nodes_on_one_record_agree():
     # Equal contexts share one compute_pi record, and the first evaluation of
-    # each builds its nodes from the record's series.  At p = 10 and 1e-6
-    # the node sums read the series past the record's table, so six threads
-    # started from one barrier extend it at once, with a switch interval
-    # short enough to interleave their appends, in three trials; each gets
+    # each builds its nodes on its own copy of the record's series.  At p = 10
+    # and 1e-6 the node sums read the series past the record's table, so six
+    # threads started from one barrier each extend a copy at once, with a
+    # switch interval short enough to interleave them, in three trials: the
+    # record's four lists stay as compute_pi made them, and each thread gets
     # the node data of a single-thread build.
     sg.compute_pi.cache_clear()
     want = evalcore._nodes(sg.build_context(10, 1e-6))
@@ -730,7 +731,7 @@ def test_threads_building_nodes_on_one_record_agree():
             sg.compute_pi.cache_clear()
             contexts = [sg.build_context(10, 1e-6) for _ in range(6)]
             series = sg.compute_pi(10, 1e-6)._series
-            short = len(series.c)
+            made = [list(v) for v in (series.c, series.s, series.g, series.h)]
             start, got, errors = threading.Barrier(len(contexts)), [], []
 
             def first(ctx):
@@ -747,7 +748,7 @@ def test_threads_building_nodes_on_one_record_agree():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert errors == [] and len(set(got)) == 1
-            assert len(series.c) == len(series.s) == len(series.g) == len(series.h) > short
+            assert [series.c, series.s, series.g, series.h] == made
             for ctx in contexts:
                 names = ctx.evaluators.sq.__globals__
                 assert (names["SQN"], names["CQN"]) == (want.sq, want.cq)
@@ -796,7 +797,7 @@ def test_node_data_are_the_triangle_rows_at_the_node(p):
     # exactly and rounded once, the rows give every node entry bit for bit.
     degree = evalcore._NODE_DEGREE
     nodes = evalcore._nodes(sg.build_context(p))
-    series = sg.compute_pi(p)._series
+    series = sg.compute_pi(p)._series.copy()  # values extends it
     rows = [sg.build_triangle(sg.SquigParams(p, m, 1 - m), degree).rows for m in (0, 1)]
     for sq_node, cq_node in zip(nodes.sq, nodes.cq):
         t0 = sq_node[0]
@@ -807,11 +808,12 @@ def test_node_data_are_the_triangle_rows_at_the_node(p):
             assert [x.hex() for x in node] == [x.hex() for x in want], (p, m, t0)
 
 def test_hand_made_context_is_validated(ctx4):
-    # A context is (p, epsilon): the derived fields are no arguments, so
-    # replace refuses them and the five arguments a context once took are a
-    # TypeError; a bad p or epsilon fails as build_context's does.
+    # A context is (p, epsilon): the derived attributes are no arguments, so
+    # replace with one is the constructor's TypeError, as are the five
+    # arguments a context once took; a bad p or epsilon fails as
+    # build_context's does.
     for name, value in (("quarter", 1.0), ("sq_table", ctx4.cq_table), ("pi_p", 4.0)):
-        with pytest.raises(ValueError, match=f"field {name} is declared with init=False"):
+        with pytest.raises(TypeError, match=name):
             dataclasses.replace(ctx4, **{name: value})
     with pytest.raises(TypeError):
         sg.EvalContext(4, ctx4.quarter, ctx4.sq_table, ctx4.cq_table, ctx4.epsilon)
@@ -936,19 +938,40 @@ def test_build_context_makes_no_evaluators_or_nodes(p, monkeypatch):
 
 def test_contexts_equal_to_build_context_fold_nodes():
     # A context is (p, epsilon): EvalContext(6) is build_context(6), with the
-    # same hash, repr and nodes.  Only p and epsilon are arguments and take
-    # part in equality; nodes add no field.
+    # same hash, repr and nodes.  p and epsilon are its only fields; nodes
+    # and the derived tables add none.
     ctx = sg.build_context(6)
     direct = sg.EvalContext(6)
     assert direct == ctx and hash(direct) == hash(ctx) and repr(direct) == repr(ctx)
-    assert [f.name for f in dataclasses.fields(ctx)] == [
-        "p", "quarter", "sq_table", "cq_table", "epsilon", "pi_p", "half", "period"]
-    assert [f.name for f in dataclasses.fields(ctx) if f.init] == ["p", "epsilon"]
-    assert [f.name for f in dataclasses.fields(ctx) if f.compare] == ["p", "epsilon"]
+    assert [f.name for f in dataclasses.fields(ctx)] == ["p", "epsilon"]
     assert evalcore._nodes(direct) == evalcore._nodes(ctx) is not None
     s = 0.8 * ctx.quarter
     assert sg.sq(direct, s) == sg.sq(ctx, s) and sg.cq(direct, s) == sg.cq(ctx, s)
     assert "evaluators" not in repr(ctx) and "SQN" not in repr(ctx)
+
+
+@pytest.mark.parametrize("p", [2, 4, 64])
+def test_context_repr_evaluates_back_to_the_context(p):
+    # repr shows the two fields and no table, and reads back as an equal context.
+    ctx = sg.build_context(p)
+    assert repr(ctx) == f"EvalContext(p={p}, epsilon={2.0 ** -53!r})" and len(repr(ctx)) < 80
+    assert eval(repr(ctx), {"EvalContext": sg.EvalContext}) == ctx
+
+
+@pytest.mark.parametrize("p, eps", [(3, 2.0 ** -53), (4, 2.0 ** -53), (10, 1e-6), (64, 2.0 ** -53)])
+def test_first_evaluation_leaves_the_record_series_as_made(p, eps):
+    # A record keeps the series compute_pi built, J_used + 1 terms long; the
+    # first evaluation of a context sums its nodes on a copy, which it extends
+    # where the nodes need more terms (p 3, 4 and 10 here).
+    sg.compute_pi.cache_clear()
+    record = sg.compute_pi(p, eps)
+    series = record._series
+    made = [list(v) for v in (series.c, series.s, series.g, series.h)]
+    ctx = sg.build_context(p, eps)
+    sg.sq(ctx, 0.9 * ctx.quarter)
+    assert evalcore._nodes(ctx) is not None
+    assert [series.c, series.s, series.g, series.h] == made
+    assert [len(v) for v in made] == [record.J_used + 1] * 4
 
 
 def test_quadrature_gives_up_at_its_panel_budget():

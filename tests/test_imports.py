@@ -4,6 +4,8 @@ Each module of src/squigonometry is parsed with ast, not imported: no import
 of the package sits inside a function, where it would hide a cycle, the
 module-level imports between the package's modules form an acyclic graph,
 and every name a module-level import binds is read somewhere in its module.
+No module imports threading: the package shares no mutable object, so it
+holds no lock.
 The benchmark's tracer is parsed the same way, so that every package name it
 wraps is checked to exist without importing the benchmark.
 """
@@ -81,6 +83,23 @@ def test_unused_import_scan_sees_a_dead_import():
                      "from .errors import shown as named, check_int\n__all__ = ['named']\n"
                      "def f(x):\n    return math.floor(x)\n")
     assert _unused_imports(tree) == ["numbers", "check_int"]
+
+
+def _threading_imports(tree: ast.Module) -> list[int]:
+    # The lines of every import of threading or _thread, at any depth.
+    names = {"threading", "_thread"}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] in names for alias in node.names))
+                  or (isinstance(node, ast.ImportFrom) and node.level == 0
+                      and (node.module or "").split(".")[0] in names))
+
+
+def test_no_module_imports_threading():
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := _threading_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert found == {}, f"modules importing threading: {found}"
+    tree = ast.parse("import os\ndef f():\n    import threading\nfrom _thread import allocate_lock\n")
+    assert _threading_imports(tree) == [3, 4]
 
 
 def test_benchmark_tracer_names_exist():

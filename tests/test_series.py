@@ -4,7 +4,6 @@ import math
 import pickle
 import random
 import sys
-import threading
 import time
 from fractions import Fraction
 
@@ -91,40 +90,20 @@ def test_squares_pair_their_products():
         assert series._product(a, a, j) == series._product(a, list(a), j) == plain, j
 
 
-def test_threads_streaming_one_series_stay_aligned():
-    # A record's series is shared by every thread that reads the record, and
-    # each extends it.  Seven threads take tables from one series at once
-    # from a barrier, each with its own products, with a switch interval
-    # short enough to interleave their appends, in five trials on fresh
-    # series.
+def test_one_series_streams_deep_tables_and_pickles():
+    # Seven tables taken in turn from one series at p = 4, each with its own
+    # products, 240 terms deep: the oracle's bits.  The series pickles with
+    # its lists, and a copy extends without moving the original.
     cases = ((0, 1), (1, 0), (2, 1), (3, 3), (1, 2), (3, 2), (2, 3))
-    want = {mn: exact_floats(SquigParams(p=4, m=mn[0], n=mn[1]), 240) for mn in cases}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            shared, got, errors = series._TaylorSeries(4), {}, []
-            start = threading.Barrier(len(cases))
-
-            def read(mn):
-                try:
-                    start.wait(timeout=60)
-                    got[mn] = list(shared.table(SquigParams(4, *mn), 240).floats)
-                except Exception as exc:  # collected, and asserted absent below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=read, args=(mn,)) for mn in cases]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert errors == []
-            assert got == want
-            assert len(shared.c) == len(shared.s) == len(shared.g) == len(shared.h) == 241
-            assert pickle.loads(pickle.dumps(shared)).c == shared.c  # the lock is not on it
-    finally:
-        sys.setswitchinterval(interval)
+    shared = series._TaylorSeries(4)
+    for mn in cases:
+        params = SquigParams(4, *mn)
+        assert list(shared.table(params, 240).floats) == exact_floats(params, 240), mn
+    assert len(shared.c) == len(shared.s) == len(shared.g) == len(shared.h) == 241
+    assert vars(pickle.loads(pickle.dumps(shared))) == vars(shared)
+    copy = shared.copy()
+    copy.extend(260)
+    assert len(copy.h) == 261 and len(shared.h) == 241 and copy.h[:241] == shared.h
 
 
 def test_p2_power_tables_keep_their_precision_deep():

@@ -11,6 +11,7 @@ import math
 import re
 import time
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -270,6 +271,11 @@ def test_order_past_sys_maxsize_raises_parameter_error(case):
         ORDERS[case]()
 
 
+def _huge_fs(p: int, n: int) -> sg.FactorSequence:
+    # The factors 1, 1/4 of cq at circle degree p, scaled by t^n.
+    return sg.FactorSequence(SquigParams(p, 1, n), 1, (Fraction(1), Fraction(1, 4)), (1.0, 0.25))
+
+
 # An int of 5001 digits, past the 4300 that CPython 3.11 converts to str: each
 # refusal names it by its bit length, not by the conversion's bare ValueError.
 HUGE = 10 ** 5000
@@ -301,6 +307,17 @@ HUGE_INTS = {
     "maclaurin.J": lambda c4: sg.maclaurin(P, HUGE),
     "critical_value.m": lambda c4: sg.critical_value(SquigParams(4, HUGE, 1)),
     "count_lower_bound.j": lambda c4: sg.count_lower_bound(1, 4, HUGE),
+    # t^HUGE and t^p by checked_power overflow at t = 2.0.
+    "horner_sparse.n": lambda c4, t=2.0: sg.horner_sparse(sg.MacLaurinTable(SquigParams(4, 0, HUGE), (1.0,)), t),
+    "horner_sparse.p": lambda c4, t=2.0: sg.horner_sparse(sg.MacLaurinTable(SquigParams(HUGE, 0, 1), (1.0, 0.5)), t),
+    "evaluate_integer_cf.n": lambda c4, t=2.0: sg.evaluate_integer_cf((1, 1), [], SquigParams(4, 0, HUGE), t, 0),
+    "eval_factor_expansion.p": lambda c4, t=2.0: sg.eval_factor_expansion(_huge_fs(HUGE, 0), t, 0.5)[0],
+    "continued_fraction.n": lambda c4, t=2.0: sg.continued_fraction(_huge_fs(4, HUGE), t, 0),
+}
+# Their values at t = 0.5, where t^HUGE is 0.0.
+HUGE_POWERS = {
+    "horner_sparse.n": 0.0, "horner_sparse.p": 0.5, "evaluate_integer_cf.n": 0.0,
+    "eval_factor_expansion.p": 1.0, "continued_fraction.n": 0.0,
 }
 
 
@@ -363,6 +380,57 @@ def test_compute_pi_cache_rejects_float_degree():
     sg.compute_pi(4)
     with pytest.raises(ParameterError):
         sg.compute_pi(4.0)
+
+
+# t^k by errors.checked_power, behind horner_sparse, eval_factor_expansion,
+# continued_fraction and evaluate_integer_cf: t = +-0.0 to a negative power
+# is a pole, and a power of any size names k as shown and keeps k's parity.
+NEG_N = SquigParams(4, 0, -1)
+POLES = {
+    "horner_sparse.+0": lambda: sg.horner_sparse(sg.MacLaurinTable(NEG_N, (1.0, 0.5)), 0.0),
+    "horner_sparse.-0": lambda: sg.horner_sparse(sg.MacLaurinTable(NEG_N, (1.0, 0.5)), -0.0),
+    "evaluate_integer_cf.0": lambda: sg.evaluate_integer_cf((1, 1), [], NEG_N, 0.0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLES))
+def test_negative_power_at_zero_is_a_pole(case):
+    with pytest.raises(sg.PoleError, match=r"^t\^-1 has a pole at t=-?0\.0$"):
+        POLES[case]()
+
+
+def test_power_keeps_the_parity_and_limit_of_a_large_int():
+    # float ** int rounds 2^60 + 1 to the even 2^60, and fails to convert
+    # 10^400 or 10^5000, where the power of 0.5 underflows to its limit 0.0.
+    def power(k, t):
+        return sg.horner_sparse(sg.MacLaurinTable(SquigParams(4, 0, k), (1.0,)), t)
+
+    assert power(2 ** 60 + 1, -1.0) == -1.0 and power(2 ** 60, -1.0) == 1.0
+    assert power(10 ** 400, 0.5) == 0.0 and repr(power(10 ** 400 + 1, -0.5)) == "-0.0"
+    for call, value in HUGE_POWERS.items():
+        assert HUGE_INTS[call](None, 0.5) == value, call
+    with pytest.raises(DomainError, match=r"^t=1e\+100: t\^4 overflows binary64$"):
+        sg.horner_sparse(sg.compute_pi(4).sq_table, 1e100)
+
+
+# A MacLaurinTable holds SquigParams and a non-empty tuple of floats, so it
+# hashes and compares as a value; NaN is a float and stays accepted.
+BAD_TABLES = {
+    "list": (P, [1.0, 0.5]),
+    "str": (P, (1.0, "x")),
+    "None": (P, (1.0, None)),
+    "bool": (P, (True,)),
+    "int": (P, (1, 0.5)),
+    "empty": (P, ()),
+    "params None": (None, (1.0,)),
+    "params tuple": ((4, 1, 0), (1.0,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_malformed_table_is_refused(case):
+    with pytest.raises(ParameterError, match="a MacLaurinTable needs SquigParams and a tuple of floats"):
+        sg.MacLaurinTable(*BAD_TABLES[case])
 
 
 # The evaluators' check on a context that folds node tables (p = 10): the
