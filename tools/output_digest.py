@@ -7,7 +7,9 @@ Usage, from any directory:
     python tools/output_digest.py --dump out.txt   # also write every output line
 
 Each sweep calls one public function on fixed arguments (seeded random
-points, and for the evaluators the points where their folds change, included) and turns every call into one line: the arguments'
+points, and for the evaluators the points where their folds change,
+included); the build_context sweep records the tables each context folds
+and its node count.  Every call becomes one line: the arguments'
 repr, then the result with every float as float.hex and every int in
 decimal, or, for a typed SquigError, its class name and the first eight
 words of its message.  Any other exception propagates.  The digest of a
@@ -15,9 +17,9 @@ function is the SHA-256 of its lines, so a single flipped bit in any
 output changes it, and the line count says how many outputs it covers.
 Two dumps compared line by line count the outputs a change moved.
 
-The sweep takes about 4.8 s on one core of a 2-vCPU Xeon (CPython 3.11.7),
-about 2.2 s of it building compute_pi's tables at tolerances down to
-5e-324, and about 6.5 s under python -X dev; it uses the standard library only, and the
+The sweep takes about 7 s on one core of a 2-vCPU Xeon (CPython 3.11.7),
+about 2.9 s of it building compute_pi's tables at tolerances down to
+5e-324; it uses the standard library only, and the
 digests are meant to be identical on CPython 3.10-3.13.
 """
 
@@ -90,6 +92,24 @@ _MN = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 3), (5, 0), (0, 5), (30, 30))
 def sweep_compute_pi() -> Iterator[str]:
     for p, eps in _PI_GRID:
         yield call(_record, p, eps)
+
+
+_CONTEXT_TABLES = [(p, eps) for p in (*range(2, 17), 24, 32, 64)
+                   for eps in (EPS, 1e-12, 1e-6, 1e-3, 0.1)]
+
+
+def _context_tables(p: int, eps: float):
+    # The tables a context folds: its own, cut for [0, q], then, with node
+    # data, the prefixes cut for [0, q / 2] and the count of node entries.
+    ctx = sg.build_context(p, eps)
+    nodes = sg.evalcore._nodes(ctx)
+    shape = None if nodes is None else (len(nodes.sq_prefix.floats), len(nodes.cq_prefix.floats), len(nodes.sq))
+    return ctx.sq_table.floats, ctx.cq_table.floats, shape
+
+
+def sweep_build_context() -> Iterator[str]:
+    for p, eps in _CONTEXT_TABLES:
+        yield call(_context_tables, p, eps)
 
 
 def sweep_maclaurin() -> Iterator[str]:
