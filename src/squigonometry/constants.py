@@ -5,9 +5,10 @@ pi_p is twice the arclength parameter of the first-quadrant arc of
 period where cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p).  compute_pi returns
 pi_p = 2 B(1/p, 1/p) / p correctly rounded, whatever epsilon; squig verify
 checks the record's cq table against that equation.  epsilon sizes the sq
-and cq tables, at least three terms long.  Records are cached per
-(p, epsilon), and build_context cuts its evaluation tables from them, so
-each pair is built once.
+and cq tables, J_used + 1 terms for the tail at t = 1, J_used >= 3; the
+record rounds only the prefixes build_context folds on [0, pi_p / 4], and
+the whole tables at their first read.  Records are cached per (p, epsilon),
+so each pair is built once.
 
 beta_value evaluates the Euler Beta function on the 1/p grid, which the
 paper reaches through the arclength integral of cq^m sq^n over the first
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 
 from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError
 from .errors import check_finite, check_int, check_powers, check_tolerance, shown
-from .series import EPS_DEFAULT, MAX_PI_TERMS, MacLaurinTable, _beta_series, _TaylorSeries, estimate_terms, maclaurin
+from .series import EPS_DEFAULT, MAX_PI_TERMS, MacLaurinTable, _beta_series, _cut, _TaylorSeries, estimate_terms, maclaurin
 from .triangle import SquigParams
 
 #: Ceilings on the recurrence steps beta_value takes, floor(m / p) + floor(n / p),
@@ -55,18 +56,40 @@ MAX_BETA_BITS = 1 << 21
 @dataclass(frozen=True)
 class PiRecord:
     """One computed pi_p: the correctly rounded value, the widenings its sum
-    took, the table length, the tolerance, and the sq and cq tables of length
-    J_used, from the series _series, fixed once made: the node tables extend
-    a copy of it."""
+    took, the table length J_used, the tolerance, the series _series and
+    _quarter_tables, the sq and cq tables cut for [0, pi_p / 4], which
+    build_context takes as they are.
+
+    The series is fixed once made, as long as those tables needed: the node
+    tables extend a copy of it.  sq_table and cq_table, the tables of length
+    J_used that the tail at t = 1 needs, are made at their first read from
+    another copy, which the record then keeps.
+    """
 
     p: int
     value: float
     iterations: int
     J_used: int
     epsilon: float
-    sq_table: MacLaurinTable = field(repr=False, compare=False)
-    cq_table: MacLaurinTable = field(repr=False, compare=False)
     _series: _TaylorSeries = field(repr=False, compare=False)
+    _quarter_tables: tuple[MacLaurinTable, MacLaurinTable] = field(repr=False, compare=False)
+
+    @cached_property
+    def sq_table(self) -> MacLaurinTable:
+        """a_0..a_J_used of sq, made at the first read."""
+        return self._whole_series.table(SquigParams(self.p, 0, 1), self.J_used)
+
+    @cached_property
+    def cq_table(self) -> MacLaurinTable:
+        """a_0..a_J_used of cq, made at the first read."""
+        return self._whole_series.table(SquigParams(self.p, 1, 0), self.J_used)
+
+    @cached_property
+    def _whole_series(self) -> _TaylorSeries:
+        # The copy both J_used tables are made from, extended once.
+        series = self._series.copy()
+        series.extend(self.J_used)
+        return series
 
 
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
@@ -85,8 +108,11 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
     PiRecord
         value holds pi_p; iterations counts the widenings of its sum (none
         at p 2..64); J_used is the table length, estimate_terms at pi_p and
-        at least 3 and (p + 1) // 3; build_context cuts its evaluation
-        tables from sq_table and cq_table.
+        at least 3 and (p + 1) // 3.  The series is extended and rounded
+        only as far as build_context's tables for [0, pi_p / 4] need: each
+        ends before its first term there within epsilon / 64 of its leading
+        one, or at J_used.  The tables of length J_used, sq_table and
+        cq_table, are made at their first read.
 
     Raises CostGuardError, before building any table, where J_used would
     pass MAX_PI_TERMS: from p = 735 at EPS_DEFAULT, and from p = 24578 at
@@ -116,8 +142,9 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
     J = max(estimate_terms(p, series.pi_p, epsilon), floor)
     if J > MAX_PI_TERMS:
         raise CostGuardError(f"pi_{p} at epsilon={epsilon!r} needs J={J} terms, past the cap {MAX_PI_TERMS}")
-    sq_table, cq_table = (series.table(SquigParams(p=p, m=m, n=1 - m), J) for m in (0, 1))
-    return PiRecord(p, series.pi_p, series.widenings, J, epsilon, sq_table, cq_table, series)
+    tables = tuple(_cut(params, series.coefficients(params, J), series.pi_p / 4.0, epsilon)
+                   for params in (SquigParams(p, 0, 1), SquigParams(p, 1, 0)))
+    return PiRecord(p, series.pi_p, series.widenings, J, epsilon, series, tables)
 
 
 # The memo is inspected and cleared through the public name.

@@ -5,8 +5,8 @@ derives from them everything evaluation needs: the quarter period pi_p / 4
 and the MacLaurin tables for sq (m=0, n=1) and cq (m=1, n=0), both from the
 compute_pi record for (p, epsilon).  compute_pi sizes its tables for the
 tail at t = 1; on the reduced interval [0, pi_p/4] the terms fall faster, so
-the context keeps the prefix of each whose dropped tail is at most
-epsilon / 64 of the leading term there.
+it rounds each only up to its first term there within epsilon / 64 of the
+leading one, and the context takes those prefixes as they are.
 
 Evaluation at arbitrary t proceeds by range reduction.  sq and cq are
 2 pi_p periodic, odd and even respectively, satisfy the half-period flips
@@ -34,7 +34,9 @@ and t0 both lie in [q / 2, q].  The record's integer Taylor series gives
 its coefficients as floats (series._TaylorSeries.node, by the recurrence
 of the MacLaurin tables taken about t0), each rounded once, with the
 leading one kept as a double-double; the paper's triangle rows at
-(cq(t0), sq(t0)) are their oracle in the tests.  The nearest complex
+(cq(t0), sq(t0)) are their oracle in the tests.  The prefixes for
+[0, q / 2] are cut from the context's tables by the same rule
+(series._cut).  The nearest complex
 singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
 p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
 0.5 us at every p.  Contexts at p = 2, or whose tables are no longer than
@@ -56,11 +58,7 @@ from typing import NamedTuple
 
 from .constants import compute_pi
 from .errors import DomainError, PoleError, check_finite, check_powers, checked_power, shown
-from .series import EPS_DEFAULT, MacLaurinTable
-
-# A context drops a table's tail while its largest term on [0, quarter]
-# is within this share of epsilon times the leading coefficient.
-_TRIM = 1.0 / 64.0
+from .series import EPS_DEFAULT, MacLaurinTable, _cut
 
 # Node folds: the degree of each node polynomial and the share of a term its
 # dropped tail may reach (2^-_NODE_TAIL).
@@ -77,11 +75,12 @@ class EvalContext:
     a bad p or epsilon raises.  p and epsilon are its only fields, so repr,
     equality, hashing, pickling and copying are those of (p, epsilon).  The
     constructor derives frozen attributes from the record: quarter
-    (pi_p / 4), the sq and cq tables cut for [0, pi_p / 4], and pi_p, half
-    (pi_p / 2) and period (2 pi_p), exact multiples of quarter.  sq, cq and
-    pow_general evaluate through the evaluators the context makes at its
-    first evaluation, which at p >= 3 fold node tables on
-    [pi_p / 8, pi_p / 4] (the module docstring has the rule and its cost).
+    (pi_p / 4), the sq and cq tables the record cut for [0, pi_p / 4], and
+    pi_p, half (pi_p / 2) and period (2 pi_p), exact multiples of quarter.
+    sq, cq and pow_general evaluate through the evaluators the context
+    makes at its first evaluation, which at p >= 3 fold node tables on
+    [pi_p / 8, pi_p / 4] (the module docstring has the rule and its cost);
+    equal contexts share their node tables.
     """
 
     p: int
@@ -90,7 +89,7 @@ class EvalContext:
     def __post_init__(self) -> None:
         record = compute_pi(self.p, self.epsilon)
         q = record.value / 4.0
-        sq_table, cq_table = (_trimmed(table, q, self.epsilon) for table in (record.sq_table, record.cq_table))
+        sq_table, cq_table = record._quarter_tables
         vars(self).update(quarter=q, sq_table=sq_table, cq_table=cq_table, pi_p=4.0 * q, half=2.0 * q, period=8.0 * q)
 
     @cached_property
@@ -113,22 +112,6 @@ class EvalContext:
         return EvalContext, (self.p, self.epsilon)
 
 
-def _trimmed(table: MacLaurinTable, quarter: float, epsilon: float) -> MacLaurinTable:
-    # The table less the tail whose terms at the top of [0, quarter] are
-    # within _TRIM * epsilon of a_0.  The scan starts at the deep end and
-    # stops at the first term it keeps, so only a tail is ever cut, and a_0
-    # always stays.  compute_pi's quarter periods lie below 1, so no term
-    # here overflows.
-    floats = table.floats
-    x = math.nextafter(quarter, math.inf)
-    bound = _TRIM * epsilon * floats[0]
-    p = table.params.p
-    keep = len(floats)
-    while keep > 1 and floats[keep - 1] * x ** (p * (keep - 1)) <= bound:
-        keep -= 1
-    return MacLaurinTable(table.params, floats[:keep])
-
-
 class _Nodes(NamedTuple):
     # The node data of one context.  Below mid = quarter / 2 the prefixes
     # fold; at s >= mid node i = int((s - mid) * scale) folds the entry
@@ -143,9 +126,11 @@ class _Nodes(NamedTuple):
     cq: tuple[tuple[float, ...], ...]
 
 
+@lru_cache(maxsize=64)
 def _nodes(ctx: EvalContext) -> _Nodes | None:
     # Node data for a context at p >= 3 whose tables are longer than a node
-    # fold; None for any other context, which folds its own tables.  N nodes
+    # fold; None for any other context, which folds its own tables.  Equal
+    # contexts, which hash as (p, epsilon), share one node data.  N nodes
     # at the centres of equal parts of [mid, quarter] keep |h| <= quarter / 4N,
     # and the Taylor series about a node converges within
     # rho = quarter tan(pi / p) of it, the distance to the nearest complex
@@ -161,7 +146,7 @@ def _nodes(ctx: EvalContext) -> _Nodes | None:
     t0s = (mid + (i + 0.5) * width for i in range(parts))
     sq_nodes, cq_nodes = zip(*(series.node(t0, degree) for t0 in t0s))
     return _Nodes(mid, parts / (ctx.quarter - mid),
-                  *(_trimmed(table, mid, ctx.epsilon) for table in (ctx.sq_table, ctx.cq_table)),
+                  *(_cut(table.params, table.floats, mid, ctx.epsilon) for table in (ctx.sq_table, ctx.cq_table)),
                   (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
 
 
@@ -182,9 +167,9 @@ class QuadrantReduction(NamedTuple):
 def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     """Build the evaluation context for circle degree p, EvalContext(p, epsilon).
 
-    The quarter period comes from the compute_pi record for (p, epsilon),
-    and each table is the prefix of the record's table that evaluation on
-    [0, pi_p / 4] needs.
+    The quarter period and both tables come from the compute_pi record for
+    (p, epsilon), each table the prefix that evaluation on [0, pi_p / 4]
+    needs, which is all of it the record rounds.
     """
     return EvalContext(p, epsilon)
 

@@ -24,9 +24,11 @@ format: a table of a known length J forms c^k, s^k and c^m s^n to J over
 plain lists, a square summing each pair of equal products once.  node
 gives the Taylor coefficients of sq and cq about t0 as floats, by the same
 recurrence in t - t0 from cq(t0) and sq(t0) that values sums; the triangle
-rows are their oracle in the tests.  compute_pi keeps its series on the
-record, fixed once made; the node tables extend a copy of it rather than
-start again.
+rows are their oracle in the tests.  coefficients gives a table's terms one
+at a time, so compute_pi, which cuts each table at its first term on
+[0, pi_p / 4] within epsilon / 64 of the leading one (_cut), extends the
+series no further.  It keeps the series on the record, fixed once made; the
+node tables extend a copy of it rather than start again.
 
 _beta_series sums the Beta values B((m+1)/p, (n+1)/p) correctly rounded from
 one integer series with no table, in 15 to 40 us for m, n < p; pi_p =
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -55,8 +58,9 @@ from .triangle import SquigParams, _rows
 #: Unit roundoff of binary64; default tolerance target for table sizing.
 EPS_DEFAULT = 2.0 ** -53
 
-#: Ceiling on the table length J, maclaurin's and compute_pi's J_used.  A build
-#: costs about J^2 (5.6 s at J = 5710, p = 512 at EPS_DEFAULT), J about 11 p there.
+#: Ceiling on the table length J, maclaurin's and compute_pi's J_used.  A table
+#: costs about J^2 (7.6 s at J = 5710, p = 512 at EPS_DEFAULT), J about 11 p there;
+#: compute_pi builds only its cut for [0, pi_p / 4], about half of J (1.7 s).
 MAX_PI_TERMS = 8192
 
 
@@ -173,34 +177,47 @@ class _TaylorSeries:
         return new
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
-        """a_0..a_J of cq^m * sq^n, extending the series to J.
+        """a_0..a_J of cq^m * sq^n, extending the series to J."""
+        if params.m == params.n == 0:  # cq^0 sq^0 = 1
+            return MacLaurinTable(params, (1.0,) + (0.0,) * J)
+        return MacLaurinTable(params, tuple(self.coefficients(params, J)))
+
+    def coefficients(self, params: SquigParams, J: int) -> Iterator[float]:
+        """a_0..a_J of cq^m * sq^n, m + n >= 1, one at a time.
 
         a_j is x / (rho^j 2^F), x the u^j coefficient of c^m s^n, rounded by
         one int/int true division: (x << 32 j) / scale with scale = r^j 2^F.
+        For sq and cq (m + n = 1) x is c[j] or s[j] and the series is extended
+        a term at a time, so a reader that stops at a_k extends it to k only.
         """
         m, n, p = params.m, params.n, self.p
-        if m == n == 0:  # cq^0 sq^0 = 1
-            return MacLaurinTable(params, (1.0,) + (0.0,) * J)
-        floats, scale, j = [], 1 << _F, 1
+        scale, j = 1 << _F, 1
         at = lambda j: f"p={shown(p)}, m={shown(m)}, n={shown(n)}, j={j}"  # on error only
         try:
             if J:  # a_1 = (m (p + 1) + n) / (p (p + 1)) is refused before any power is formed
                 (m * (p + 1) + n) / (p * (p + 1))
-            self.extend(J)
-            for j, x in enumerate(self._terms(m, n, J)):
+            for j, x in enumerate(self._column(m, J) if m + n == 1 else self._terms(m, n, J)):
                 if x < _GUARD and (_GUARD << 32 * j) / scale:
                     raise ConvergenceError(f"fixed point too short for a MacLaurin coefficient at {at(j)}")
-                floats.append((x << 32 * j) / scale)
+                yield (x << 32 * j) / scale
                 scale *= self.r
         except OverflowError:
             raise ConvergenceError(f"MacLaurin coefficient overflows binary64 at {at(j)}") from None
-        return MacLaurinTable(params, tuple(floats))
+
+    def _column(self, m: int, J: int) -> Iterator[int]:
+        # c[0..J] at m = 1, else s[0..J], the series extended as each is read.
+        column = self.c if m else self.s
+        for j in range(J + 1):
+            if j == len(column):
+                self.extend(j)
+            yield column[j]
 
     def _terms(self, m: int, n: int, J: int) -> list[int]:
         # The u^0..u^J coefficients of c^m s^n, m + n >= 1, the series extended
         # to J: c^k or s^k by square and multiply over the bits of k after the
         # first, c^m s^n as c^m times s^n.  Sums of positive terms keep their
         # precision where Miller's cancelling sum loses it (p = 2).
+        self.extend(J)
         if m and n:
             return _products(self._terms(m, 0, J), self._terms(0, n, J))
         unit = terms = (self.c if m else self.s)[: J + 1]
@@ -250,6 +267,27 @@ class _TaylorSeries:
         # hi > 2^-75 has no bits below 2^-128, so hi * one is an int.
         return tuple((t0, hi, (v[0] - int(hi * one)) / one, *(b / one for b in v[1:]))
                      for v in (y, x) for hi in [v[0] / one])
+
+
+# A table for [0, top] ends before its first term there within this share of
+# epsilon times its leading coefficient.
+_TRIM = 1.0 / 64.0
+
+
+def _cut(params: SquigParams, floats: Iterable[float], top: float, epsilon: float) -> MacLaurinTable:
+    # The table of a_0..a_(k-1) from floats, a_k the first whose term
+    # a_k x^(pk) at x = nextafter(top) is within _TRIM * epsilon * a_0, or of
+    # every float if none is; floats is read no further than a_k.  On
+    # [0, top], top < 1, the terms fall, so this keeps what a scan from the
+    # deep end keeps (the tests hold it to that scan), and none overflows.
+    floats = iter(floats)
+    kept = [next(floats)]
+    x, bound = math.nextafter(top, math.inf), _TRIM * epsilon * kept[0]
+    for a in floats:
+        if a * x ** (params.p * len(kept)) <= bound:
+            break
+        kept.append(a)
+    return MacLaurinTable(params, tuple(kept))
 
 
 def _products(left: list[int], right: list[int]) -> list[int]:

@@ -59,12 +59,41 @@ def test_context_table_size_matches_estimate(ctx4, pi4):
     assert pi4.cq_table.J == want
 
 
+def _deep_end_cut(table, top, epsilon):
+    # The oracle of the trim rule: the table less the tail whose terms at
+    # nextafter(top) are within epsilon / 64 of a_0, scanned from the deep
+    # end, which stops at the first term it keeps, so only a tail is cut.
+    floats, p = table.floats, table.params.p
+    x = math.nextafter(top, math.inf)
+    bound = epsilon / 64.0 * floats[0]
+    keep = len(floats)
+    while keep > 1 and floats[keep - 1] * x ** (p * (keep - 1)) <= bound:
+        keep -= 1
+    return sg.MacLaurinTable(table.params, floats[:keep])
+
+
 def test_context_holds_the_cut_of_the_tables_pi_was_solved_on():
-    record = sg.compute_pi(4)
-    ctx = sg.build_context(4)
-    assert ctx.sq_table == evalcore._trimmed(record.sq_table, ctx.quarter, ctx.epsilon)
-    assert ctx.cq_table == evalcore._trimmed(record.cq_table, ctx.quarter, ctx.epsilon)
-    assert "sq_table" not in repr(record)
+    # compute_pi rounds each table only up to its first term within the bound
+    # at pi_p / 4, or to J_used; that is the deep-end scan of the J_used table,
+    # on the grid of the output digest's build_context sweep.
+    for p in (*range(2, 17), 24, 32, 64):
+        for eps in (2.0 ** -53, 1e-12, 1e-6, 1e-3, 0.1):
+            record = sg.compute_pi(p, eps)
+            ctx = sg.build_context(p, eps)
+            assert ctx.sq_table == _deep_end_cut(record.sq_table, ctx.quarter, ctx.epsilon), (p, eps)
+            assert ctx.cq_table == _deep_end_cut(record.cq_table, ctx.quarter, ctx.epsilon), (p, eps)
+            assert "sq_table" not in repr(record)
+
+
+def test_build_context_leaves_the_t1_tables_unmade():
+    # Only a first read of sq_table or cq_table makes the J_used tables.
+    sg.compute_pi.cache_clear()
+    sg.build_context(10)
+    record = sg.compute_pi(10)
+    assert "sq_table" not in vars(record) and "cq_table" not in vars(record)
+    assert [f.name for f in dataclasses.fields(record)][:5] == ["p", "value", "iterations", "J_used", "epsilon"]
+    assert record.sq_table.J == record.J_used and "sq_table" in vars(record)
+    assert record.sq_table is record.sq_table
 
 
 def test_context_has_no_table_length_override():
@@ -152,6 +181,10 @@ def test_periodicity_bit_identical():
         assert cases >= 195, p
 
 
+def _drift_bound(ctx, t: float) -> float:
+    return (abs(t) / ctx.period + 2) * math.ulp(ctx.pi_p) + 2.0 ** -52
+
+
 @pytest.mark.parametrize("p", [2, 3, 4, 10, 64])
 def test_large_t_drifts_at_most_an_ulp_of_pi_p_per_period(p):
     # The reduction's known limit, as a bound: ctx.period is 2 pi_p to within
@@ -163,9 +196,25 @@ def test_large_t_drifts_at_most_an_ulp_of_pi_p_per_period(p):
     for decade in range(3, 16):
         for i in range(10):
             t = (-1) ** i * 10 ** rng.uniform(decade, decade + 1)
-            bound = (abs(t) / ctx.period + 2) * math.ulp(ctx.pi_p) + 2.0 ** -52
+            bound = _drift_bound(ctx, t)
             for got, want in zip((sg.sq(ctx, t), sg.cq(ctx, t)), sq_cq(t, p)):
                 assert abs(Decimal(got) - want) <= bound, (t, got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 10, 64])
+def test_near_zeros_the_error_stays_within_the_drift_bound(p):
+    # The same bound past the quarter period, on seeded t in (q, 8q] and at
+    # the zeros k pi_p / 2, k = 1..4, and a few ulps either side, where the
+    # reflections subtract rounded constants: the absolute error stays
+    # within it there, though the relative error near a zero does not
+    # (README, "Near a zero").
+    ctx = sg.build_context(p)
+    rng = random.Random(3300 + p)
+    points = [rng.uniform(ctx.quarter, 8.0 * ctx.quarter) for _ in range(200)]
+    points += [k * ctx.half + d for k in range(1, 5) for d in (0.0, 1e-12, -1e-12, 3e-15, -3e-15)]
+    for t in points:
+        for got, want in zip((sg.sq(ctx, t), sg.cq(ctx, t)), sq_cq(t, p)):
+            assert abs(Decimal(got) - want) <= _drift_bound(ctx, t), (t, got, want)
 
 
 def _bits(f, *args) -> str:
@@ -427,8 +476,8 @@ def test_sq_cq_fold_exactly_the_context_tables(p):
     else:
         top, sq_table, cq_table = math.nextafter(nodes.mid, 0.0), nodes.sq_prefix, nodes.cq_prefix
         assert nodes.mid == ctx.quarter / 2.0
-        assert sq_table == evalcore._trimmed(ctx.sq_table, nodes.mid, ctx.epsilon)
-        assert cq_table == evalcore._trimmed(ctx.cq_table, nodes.mid, ctx.epsilon)
+        assert sq_table == _deep_end_cut(ctx.sq_table, nodes.mid, ctx.epsilon)
+        assert cq_table == _deep_end_cut(ctx.cq_table, nodes.mid, ctx.epsilon)
     rng = random.Random(200 + p)
     for s in [0.0, top] + [rng.uniform(0.0, top) for _ in range(300)]:
         assert sg.sq(ctx, s) == sg.horner_sparse(sq_table, s)
@@ -723,12 +772,14 @@ def test_threads_building_nodes_on_one_record_agree():
     # record's four lists stay as compute_pi made them, and each thread gets
     # the node data of a single-thread build.
     sg.compute_pi.cache_clear()
+    evalcore._nodes.cache_clear()
     want = evalcore._nodes(sg.build_context(10, 1e-6))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             sg.compute_pi.cache_clear()
+            evalcore._nodes.cache_clear()  # else every thread reads the memo
             contexts = [sg.build_context(10, 1e-6) for _ in range(6)]
             series = sg.compute_pi(10, 1e-6)._series
             made = [list(v) for v in (series.c, series.s, series.g, series.h)]
@@ -950,6 +1001,16 @@ def test_contexts_equal_to_build_context_fold_nodes():
     assert "evaluators" not in repr(ctx) and "SQN" not in repr(ctx)
 
 
+def test_equal_contexts_share_their_node_data():
+    # _nodes is memoized by the context, which hashes as (p, epsilon), in a
+    # bounded memo: a second equal context's first evaluation builds none.
+    first, again = sg.build_context(10, 1e-6), sg.build_context(10, 1e-6)
+    assert first is not again
+    assert evalcore._nodes(first) is evalcore._nodes(again) is not None
+    assert evalcore._nodes.cache_info().maxsize == 64
+    assert evalcore._nodes(sg.build_context(10)) is not evalcore._nodes(first)
+
+
 @pytest.mark.parametrize("p", [2, 4, 64])
 def test_context_repr_evaluates_back_to_the_context(p):
     # repr shows the two fields and no table, and reads back as an equal context.
@@ -960,18 +1021,23 @@ def test_context_repr_evaluates_back_to_the_context(p):
 
 @pytest.mark.parametrize("p, eps", [(3, 2.0 ** -53), (4, 2.0 ** -53), (10, 1e-6), (64, 2.0 ** -53)])
 def test_first_evaluation_leaves_the_record_series_as_made(p, eps):
-    # A record keeps the series compute_pi built, J_used + 1 terms long; the
-    # first evaluation of a context sums its nodes on a copy, which it extends
-    # where the nodes need more terms (p 3, 4 and 10 here).
+    # A record keeps the series compute_pi built, one term past the longer
+    # table it cut for [0, pi_p / 4] (that term was the first within the
+    # bound), short of J_used + 1; the first evaluation of a context sums its
+    # nodes on a copy, which it extends where the nodes need more terms, and
+    # reading the J_used tables extends another copy.
     sg.compute_pi.cache_clear()
+    evalcore._nodes.cache_clear()
     record = sg.compute_pi(p, eps)
     series = record._series
     made = [list(v) for v in (series.c, series.s, series.g, series.h)]
     ctx = sg.build_context(p, eps)
     sg.sq(ctx, 0.9 * ctx.quarter)
     assert evalcore._nodes(ctx) is not None
+    assert record.sq_table.J == record.cq_table.J == record.J_used
     assert [series.c, series.s, series.g, series.h] == made
-    assert [len(v) for v in made] == [record.J_used + 1] * 4
+    kept = max(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) + 1
+    assert [len(v) for v in made] == [kept] * 4 and kept < record.J_used + 1
 
 
 def test_quadrature_gives_up_at_its_panel_budget():

@@ -29,7 +29,8 @@ def _flip_last_bit(x: float) -> float:
 
 def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
     # The sq sweep reproduces its stored digest; with the last bit of a_0 in
-    # the p = 4 record's sq table flipped, the same sweep digests differently.
+    # the sq table the p = 4 record cuts for build_context flipped, the same
+    # sweep digests differently.
     # (Below q / 2, where node tables leave the table folds, a_1 s^5 is under
     # 1 % of sq, so a flip of a_1's last bit moves no output of the sweep.)
     tool = _load_tool()
@@ -42,13 +43,15 @@ def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
         record = real(p, epsilon)
         if p != 4:
             return record
-        floats = list(record.sq_table.floats)
+        sq_table, cq_table = record._quarter_tables
+        floats = list(sq_table.floats)
         floats[0] = _flip_last_bit(floats[0])
-        table = sg.MacLaurinTable(record.sq_table.params, tuple(floats))
-        return dataclasses.replace(record, sq_table=table)
+        table = sg.MacLaurinTable(sq_table.params, tuple(floats))
+        return dataclasses.replace(record, _quarter_tables=(table, cq_table))
 
     monkeypatch.setattr(constants, "_solve_pi", flipped)
-    assert sg.compute_pi(4).sq_table.floats[0] != real(4, sg.EPS_DEFAULT).sq_table.floats[0]
+    monkeypatch.setattr(sg.evalcore, "_nodes", sg.evalcore._nodes.__wrapped__)  # no memoized nodes
+    assert sg.build_context(4).sq_table.floats[0] != real(4, sg.EPS_DEFAULT)._quarter_tables[0].floats[0]
     changed = tool.digest("sq")
     assert changed["outputs"] == golden["sq"]["outputs"]
     assert changed["sha256"] != golden["sq"]["sha256"]
