@@ -43,9 +43,11 @@ p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
 a node fold (loose epsilon), fold their tables on all of [0, q], so there
 sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
 evaluators at its first evaluation: for a source not yet compiled about
-0.6 ms at p = 2, 1.5 to 2 ms at p = 3 and 4, 3.8 ms at p = 10, 5.7 ms at
-p = 16 and 27 ms at p = 64 (CPython 3.11, one core of a 2-vCPU Xeon), most
-of it the nodes from p = 10 on.
+2.5 ms at p = 4, 5.4 ms at p = 10, 9 ms at p = 16 and 38 ms at p = 64
+(CPython 3.11, one core of a 2-vCPU Xeon shared with other tenants), most
+of it the nodes from p = 10 on, which sum the series past the length the
+record keeps.  Node data are memoized per context, so an equal context
+reuses them.
 """
 
 from __future__ import annotations

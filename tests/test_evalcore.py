@@ -53,7 +53,7 @@ def test_context_precomputes_the_reduction_constants(ctx4):
 
 
 def test_context_table_size_matches_estimate(ctx4, pi4):
-    # The context's tables are cut from the record's, which are sized for t = 1.
+    # The record's J_used tables are sized for t = 1; the context's are their prefixes.
     want = sg.estimate_terms(4, ctx4.pi_p, ctx4.epsilon)
     assert pi4.sq_table.J == want == 34
     assert pi4.cq_table.J == want
