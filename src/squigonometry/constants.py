@@ -62,8 +62,9 @@ class PiRecord:
 
     The series is fixed once made, as long as those tables needed: the node
     tables extend a copy of it.  sq_table and cq_table, the tables of length
-    J_used that the tail at t = 1 needs, are made at their first read from
-    another copy, which the record then keeps.
+    J_used that the tail at t = 1 needs, are made together at the first
+    read of either, from another copy of the series; the record keeps the
+    tables, not that copy.
     """
 
     p: int
@@ -74,22 +75,21 @@ class PiRecord:
     _series: _TaylorSeries = field(repr=False, compare=False)
     _quarter_tables: tuple[MacLaurinTable, MacLaurinTable] = field(repr=False, compare=False)
 
-    @cached_property
+    @property
     def sq_table(self) -> MacLaurinTable:
-        """a_0..a_J_used of sq, made at the first read."""
-        return self._whole_series.table(SquigParams(self.p, 0, 1), self.J_used)
+        """a_0..a_J_used of sq, made at the first read of either table."""
+        return self._whole_tables[0]
 
-    @cached_property
+    @property
     def cq_table(self) -> MacLaurinTable:
-        """a_0..a_J_used of cq, made at the first read."""
-        return self._whole_series.table(SquigParams(self.p, 1, 0), self.J_used)
+        """a_0..a_J_used of cq, made at the first read of either table."""
+        return self._whole_tables[1]
 
     @cached_property
-    def _whole_series(self) -> _TaylorSeries:
-        # The copy both J_used tables are made from, extended once.
+    def _whole_tables(self) -> tuple[MacLaurinTable, MacLaurinTable]:
+        # Both J_used tables from one copy of the series, dropped once made.
         series = self._series.copy()
-        series.extend(self.J_used)
-        return series
+        return tuple(series.table(SquigParams(self.p, m, 1 - m), self.J_used) for m in (0, 1))
 
 
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:

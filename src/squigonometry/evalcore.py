@@ -46,8 +46,7 @@ evaluators at its first evaluation: for a source not yet compiled about
 2.5 ms at p = 4, 5.4 ms at p = 10, 9 ms at p = 16 and 38 ms at p = 64
 (CPython 3.11, one core of a 2-vCPU Xeon shared with other tenants), most
 of it the nodes from p = 10 on, which sum the series past the length the
-record keeps.  Node data are memoized per context, so an equal context
-reuses them.
+record keeps.
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ class EvalContext:
     pi_p, half (pi_p / 2) and period (2 pi_p), exact multiples of quarter.
     sq, cq and pow_general evaluate through the evaluators the context
     makes at its first evaluation, which at p >= 3 fold node tables on
-    [pi_p / 8, pi_p / 4] (the module docstring has the rule and its cost);
-    equal contexts share their node tables.
+    [pi_p / 8, pi_p / 4] (the module docstring has the rule and its cost).
     """
 
     p: int
@@ -128,11 +126,9 @@ class _Nodes(NamedTuple):
     cq: tuple[tuple[float, ...], ...]
 
 
-@lru_cache(maxsize=64)
 def _nodes(ctx: EvalContext) -> _Nodes | None:
     # Node data for a context at p >= 3 whose tables are longer than a node
-    # fold; None for any other context, which folds its own tables.  Equal
-    # contexts, which hash as (p, epsilon), share one node data.  N nodes
+    # fold; None for any other context, which folds its own tables.  N nodes
     # at the centres of equal parts of [mid, quarter] keep |h| <= quarter / 4N,
     # and the Taylor series about a node converges within
     # rho = quarter tan(pi / p) of it, the distance to the nearest complex

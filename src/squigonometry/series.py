@@ -277,9 +277,11 @@ _TRIM = 1.0 / 64.0
 def _cut(params: SquigParams, floats: Iterable[float], top: float, epsilon: float) -> MacLaurinTable:
     # The table of a_0..a_(k-1) from floats, a_k the first whose term
     # a_k x^(pk) at x = nextafter(top) is within _TRIM * epsilon * a_0, or of
-    # every float if none is; floats is read no further than a_k.  On
-    # [0, top], top < 1, the terms fall, so this keeps what a scan from the
-    # deep end keeps (the tests hold it to that scan), and none overflows.
+    # every float if none is; floats is read no further than a_k.  A scan
+    # from the deep end keeps the same prefix wherever no term past a_k is
+    # back above the bound; the tests hold the two to each other on every
+    # (p, epsilon) of the output digest's compute_pi and build_context
+    # sweeps.  top < 1, so no term overflows.
     floats = iter(floats)
     kept = [next(floats)]
     x, bound = math.nextafter(top, math.inf), _TRIM * epsilon * kept[0]

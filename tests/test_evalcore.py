@@ -75,25 +75,32 @@ def _deep_end_cut(table, top, epsilon):
 def test_context_holds_the_cut_of_the_tables_pi_was_solved_on():
     # compute_pi rounds each table only up to its first term within the bound
     # at pi_p / 4, or to J_used; that is the deep-end scan of the J_used table,
-    # on the grid of the output digest's build_context sweep.
-    for p in (*range(2, 17), 24, 32, 64):
-        for eps in (2.0 ** -53, 1e-12, 1e-6, 1e-3, 0.1):
-            record = sg.compute_pi(p, eps)
-            ctx = sg.build_context(p, eps)
-            assert ctx.sq_table == _deep_end_cut(record.sq_table, ctx.quarter, ctx.epsilon), (p, eps)
-            assert ctx.cq_table == _deep_end_cut(record.cq_table, ctx.quarter, ctx.epsilon), (p, eps)
-            assert "sq_table" not in repr(record)
+    # on the grid of the output digest's build_context sweep and at tiny and
+    # loose tolerances of its compute_pi sweep.
+    grid = [(p, eps) for p in (*range(2, 17), 24, 32, 64) for eps in (2.0 ** -53, 1e-12, 1e-6, 1e-3, 0.1)]
+    grid += [(3, 1e-300), (4, 1e-200), (6, 1e-100), (2, 5e-324), (3, 5e-324)]
+    grid += [(p, eps) for p in (2, 3, 4, 10, 16) for eps in (0.3, 0.9)]
+    for p, eps in grid:
+        record = sg.compute_pi(p, eps)
+        ctx = sg.build_context(p, eps)
+        assert ctx.sq_table == _deep_end_cut(record.sq_table, ctx.quarter, ctx.epsilon), (p, eps)
+        assert ctx.cq_table == _deep_end_cut(record.cq_table, ctx.quarter, ctx.epsilon), (p, eps)
+        assert "sq_table" not in repr(record)
 
 
 def test_build_context_leaves_the_t1_tables_unmade():
-    # Only a first read of sq_table or cq_table makes the J_used tables.
+    # Only a first read of sq_table or cq_table makes the J_used tables, both
+    # at once from a copy of the series that the record does not keep.
     sg.compute_pi.cache_clear()
     sg.build_context(10)
     record = sg.compute_pi(10)
-    assert "sq_table" not in vars(record) and "cq_table" not in vars(record)
+    assert "sq_table" not in vars(record) and "_whole_tables" not in vars(record)
     assert [f.name for f in dataclasses.fields(record)][:5] == ["p", "value", "iterations", "J_used", "epsilon"]
-    assert record.sq_table.J == record.J_used and "sq_table" in vars(record)
-    assert record.sq_table is record.sq_table
+    kept = len(record._series.c)
+    assert record.cq_table.J == record.sq_table.J == record.J_used
+    assert vars(record)["_whole_tables"] == (record.sq_table, record.cq_table)
+    assert record.sq_table is record.sq_table and len(record._series.c) == kept
+    assert [name for name, v in vars(record).items() if isinstance(v, type(record._series))] == ["_series"]
 
 
 def test_context_has_no_table_length_override():
@@ -772,14 +779,12 @@ def test_threads_building_nodes_on_one_record_agree():
     # record's four lists stay as compute_pi made them, and each thread gets
     # the node data of a single-thread build.
     sg.compute_pi.cache_clear()
-    evalcore._nodes.cache_clear()
     want = evalcore._nodes(sg.build_context(10, 1e-6))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             sg.compute_pi.cache_clear()
-            evalcore._nodes.cache_clear()  # else every thread reads the memo
             contexts = [sg.build_context(10, 1e-6) for _ in range(6)]
             series = sg.compute_pi(10, 1e-6)._series
             made = [list(v) for v in (series.c, series.s, series.g, series.h)]
@@ -1001,16 +1006,6 @@ def test_contexts_equal_to_build_context_fold_nodes():
     assert "evaluators" not in repr(ctx) and "SQN" not in repr(ctx)
 
 
-def test_equal_contexts_share_their_node_data():
-    # _nodes is memoized by the context, which hashes as (p, epsilon), in a
-    # bounded memo: a second equal context's first evaluation builds none.
-    first, again = sg.build_context(10, 1e-6), sg.build_context(10, 1e-6)
-    assert first is not again
-    assert evalcore._nodes(first) is evalcore._nodes(again) is not None
-    assert evalcore._nodes.cache_info().maxsize == 64
-    assert evalcore._nodes(sg.build_context(10)) is not evalcore._nodes(first)
-
-
 @pytest.mark.parametrize("p", [2, 4, 64])
 def test_context_repr_evaluates_back_to_the_context(p):
     # repr shows the two fields and no table, and reads back as an equal context.
@@ -1027,7 +1022,6 @@ def test_first_evaluation_leaves_the_record_series_as_made(p, eps):
     # nodes on a copy, which it extends where the nodes need more terms, and
     # reading the J_used tables extends another copy.
     sg.compute_pi.cache_clear()
-    evalcore._nodes.cache_clear()
     record = sg.compute_pi(p, eps)
     series = record._series
     made = [list(v) for v in (series.c, series.s, series.g, series.h)]
