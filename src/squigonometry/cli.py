@@ -160,9 +160,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         want = constants.pi_gamma(p)
         all_ok &= _check("pi-gamma-oracle", f"p={p}",
                          abs(rec.value - want) <= 1e-13 * want, lines)
-        # The paper's definition, cq(pi_p / 4) = 2^(-1/p), on the record's table.
-        target = 2.0 ** (-1.0 / p)
-        ulps = abs(evalcore.horner_sparse(rec.cq_table, rec.value / 4.0) - target) / math.ulp(target)
+        # The paper's definition, cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p), on the evaluators.
+        ctx, target = evalcore.build_context(p), 2.0 ** (-1.0 / p)
+        ulps = max(abs(f(ctx, ctx.quarter) - target) for f in (evalcore.sq, evalcore.cq)) / math.ulp(target)
         all_ok &= _check("quarter-period-equation", f"p={p} residual={ulps:.1f} ulp", ulps <= 2.0, lines)
 
     for p, m, n in sweep:

@@ -4,11 +4,11 @@ pi_p is twice the arclength parameter of the first-quadrant arc of
 |x|^p + |y|^p = 1, so sq and cq are 2 pi_p periodic and cross at the quarter
 period where cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p).  compute_pi returns
 pi_p = 2 B(1/p, 1/p) / p correctly rounded, whatever epsilon; squig verify
-checks the record's cq table against that equation.  epsilon sizes the sq
-and cq tables, J_used + 1 terms for the tail at t = 1, J_used >= 3; the
-record rounds only the prefixes build_context folds on [0, pi_p / 4], and
-the whole tables at their first read.  Records are cached per (p, epsilon),
-so each pair is built once.
+checks a context's sq and cq against that equation.  epsilon sizes the
+table length J_used >= 3, enough terms for the tail at t = 1; the record
+rounds only the prefixes build_context folds on [0, pi_p / 4], and
+maclaurin gives the whole tables of length J_used.  Records are cached per
+(p, epsilon), so each pair is built once.
 
 beta_value evaluates the Euler Beta function on the 1/p grid, which the
 paper reaches through the arclength integral of cq^m sq^n over the first
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count
 
 from .errors import ConvergenceError, CostGuardError, DomainError, ParameterError
@@ -60,11 +60,8 @@ class PiRecord:
     _quarter_tables, the sq and cq tables cut for [0, pi_p / 4], which
     build_context takes as they are.
 
-    The series is fixed once made, as long as those tables needed: the node
-    tables extend a copy of it.  sq_table and cq_table, the tables of length
-    J_used that the tail at t = 1 needs, are made together at the first
-    read of either, from another copy of the series; the record keeps the
-    tables, not that copy.
+    The series is fixed once made, as long as those tables needed: a
+    context takes it with them, and its node tables extend a copy of it.
     """
 
     p: int
@@ -74,22 +71,6 @@ class PiRecord:
     epsilon: float
     _series: _TaylorSeries = field(repr=False, compare=False)
     _quarter_tables: tuple[MacLaurinTable, MacLaurinTable] = field(repr=False, compare=False)
-
-    @property
-    def sq_table(self) -> MacLaurinTable:
-        """a_0..a_J_used of sq, made at the first read of either table."""
-        return self._whole_tables[0]
-
-    @property
-    def cq_table(self) -> MacLaurinTable:
-        """a_0..a_J_used of cq, made at the first read of either table."""
-        return self._whole_tables[1]
-
-    @cached_property
-    def _whole_tables(self) -> tuple[MacLaurinTable, MacLaurinTable]:
-        # Both J_used tables from one copy of the series, dropped once made.
-        series = self._series.copy()
-        return tuple(series.table(SquigParams(self.p, m, 1 - m), self.J_used) for m in (0, 1))
 
 
 def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
@@ -111,8 +92,8 @@ def compute_pi(p: int, epsilon: float = EPS_DEFAULT) -> PiRecord:
         at least 3 and (p + 1) // 3.  The series is extended and rounded
         only as far as build_context's tables for [0, pi_p / 4] need: each
         ends before its first term there within epsilon / 64 of its leading
-        one, or at J_used.  The tables of length J_used, sq_table and
-        cq_table, are made at their first read.
+        one, or at J_used.  The tables of length J_used are
+        maclaurin(SquigParams(p, m, 1 - m), J_used), m = 0 for sq and 1 for cq.
 
     Raises CostGuardError, before building any table, where J_used would
     pass MAX_PI_TERMS: from p = 735 at EPS_DEFAULT, and from p = 24578 at
@@ -289,25 +270,30 @@ def _integrate_smooth(f, a: float, b: float, tol: float, p: int) -> float:
     return total
 
 
+# The absolute tolerances of the two quadrature oracles, each the sum over
+# the integrals they take.
+_ARCSQ_TOL = 1e-12
+_BETA_QUADRATURE_TOL = 1e-10
+
+
 def _arc_integral(p: int, b: int, e: float, lo: float, hi: float, tol: float) -> float:
     # integral_lo^hi x^b (1 - x^p)^e dx, the integral both quadrature oracles
     # take on [0, 2^(-1/p)]; at b = 0 the factor x ** 0 is 1.0.
     return _integrate_smooth(lambda x: x**b * (1.0 - x**p) ** e, lo, hi, tol, p)
 
 
-def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
+def arcsq_oracle(x: float, p: int) -> float:
     """Inverse squine by adaptive Gauss-Legendre quadrature on [0, 2^(-1/p)].
 
     An independent cross-check of the series evaluators.  For x <= c =
     2^(-1/p) it integrates (1 - u^p)^(1/p - 1) over [0, x].  Past c the
     point (x, y), y = (1 - x^p)^(1/p), reflects across the diagonal, so it
-    returns I(0, c) + I(y, c), each to half the tolerance.  Accepts
+    returns I(0, c) + I(y, c), each to half of _ARCSQ_TOL = 1e-12.  Accepts
     0 <= x <= 1; tested for p up to 1000, and at x = 1 up to p = 100000.
     A p past binary64 raises ParameterError.
     """
     check_finite("x", x)
     check_int("p", p, 2)
-    check_tolerance("tol", tol)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"arcsq needs 0 <= x <= 1, got {x!r}")
     x = float(x)
@@ -317,34 +303,33 @@ def arcsq_oracle(x: float, p: int, tol: float = 1e-12) -> float:
         raise ParameterError(f"p must be an int that converts to binary64, got {shown(p)}") from None
     c = 2.0 ** (-1.0 / p)
     if x <= c:
-        return _arc_integral(p, 0, exponent, 0.0, x, tol)
+        return _arc_integral(p, 0, exponent, 0.0, x, _ARCSQ_TOL)
     # 1 - x^p = (1 - x)(1 + x + ... + x^(p-1)), and 1 - x is exact for
     # x > c > 1/2, so y keeps its relative accuracy as x approaches 1.
     geom = 0.0
     for _ in range(p):
         geom = geom * x + 1.0
     y = ((1.0 - x) * geom) ** (1.0 / p)
-    half = 0.5 * tol
+    half = 0.5 * _ARCSQ_TOL
     return _arc_integral(p, 0, exponent, 0.0, c, half) + _arc_integral(p, 0, exponent, y, c, half)
 
 
-def beta_quadrature_oracle(p: int, m: int, n: int, tol: float = 1e-10) -> float:
+def beta_quadrature_oracle(p: int, m: int, n: int) -> float:
     """Beta value by adaptive quadrature, independent of every series table.
 
     Substituting x = sq(t) on [0, pi_p / 4] and reflecting the upper half of
     the quadrant across the diagonal gives p (I(m, n) + I(n, m)) with
     I(a, b) = integral_0^c x^b (1 - x^p)^((a + 1)/p - 1) dx, c = 2^(-1/p),
-    each to half the tolerance.  The result is bitwise symmetric in m and n.
-    An argument (m + 1) / p or (n + 1) / p, or a p, past binary64 raises
-    DomainError.
+    each to half of _BETA_QUADRATURE_TOL = 1e-10.  The result is bitwise
+    symmetric in m and n.  An argument (m + 1) / p or (n + 1) / p, or a p,
+    past binary64 raises DomainError.
     """
     check_int("p", p, 2)
     check_powers(m, n)
-    check_tolerance("tol", tol)
     try:
         a, b, c = (m + 1) / p, (n + 1) / p, 2.0 ** (-1.0 / p)
     except OverflowError:
         raise DomainError(f"(m + 1)/p, (n + 1)/p or p at {_where(p, m, n)} is past binary64") from None
-    lower = _arc_integral(p, n, a - 1.0, 0.0, c, 0.5 * tol)
-    upper = lower if m == n else _arc_integral(p, m, b - 1.0, 0.0, c, 0.5 * tol)
+    lower = _arc_integral(p, n, a - 1.0, 0.0, c, 0.5 * _BETA_QUADRATURE_TOL)
+    upper = lower if m == n else _arc_integral(p, m, b - 1.0, 0.0, c, 0.5 * _BETA_QUADRATURE_TOL)
     return p * (lower + upper)

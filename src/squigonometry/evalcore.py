@@ -3,10 +3,11 @@
 An EvalContext is one circle degree p and one tolerance epsilon, and it
 derives from them everything evaluation needs: the quarter period pi_p / 4
 and the MacLaurin tables for sq (m=0, n=1) and cq (m=1, n=0), both from the
-compute_pi record for (p, epsilon).  compute_pi sizes its tables for the
-tail at t = 1; on the reduced interval [0, pi_p/4] the terms fall faster, so
-it rounds each only up to its first term there within epsilon / 64 of the
-leading one, and the context takes those prefixes as they are.
+compute_pi record for (p, epsilon), with the record's series.  compute_pi
+sizes its table length for the tail at t = 1; on the reduced interval
+[0, pi_p/4] the terms fall faster, so it rounds each table only up to its
+first term there within epsilon / 64 of the leading one, and the context
+takes those prefixes as they are.
 
 Evaluation at arbitrary t proceeds by range reduction.  sq and cq are
 2 pi_p periodic, odd and even respectively, satisfy the half-period flips
@@ -30,7 +31,7 @@ q / 2, with q = pi_p / 4, they fold the context's tables cut for [0, q / 2]; on
 [q / 2, q] they fold node tables, Tang's table-driven scheme (ACM TOMS
 15(2), 1989): N equally spaced nodes t0 and, about each, the Taylor
 polynomial of degree 8 in h = s - t0, exact by Sterbenz's lemma since s
-and t0 both lie in [q / 2, q].  The record's integer Taylor series gives
+and t0 both lie in [q / 2, q].  The context's integer Taylor series gives
 its coefficients as floats (series._TaylorSeries.node, by the recurrence
 of the MacLaurin tables taken about t0), each rounded once, with the
 leading one kept as a double-double; the paper's triangle rows at
@@ -75,9 +76,10 @@ class EvalContext:
     context: made from the compute_pi record for (p, epsilon), whose errors
     a bad p or epsilon raises.  p and epsilon are its only fields, so repr,
     equality, hashing, pickling and copying are those of (p, epsilon).  The
-    constructor derives frozen attributes from the record: quarter
-    (pi_p / 4), the sq and cq tables the record cut for [0, pi_p / 4], and
-    pi_p, half (pi_p / 2) and period (2 pi_p), exact multiples of quarter.
+    constructor reads the record once and derives frozen attributes from
+    it: quarter (pi_p / 4), the sq and cq tables the record cut for
+    [0, pi_p / 4], pi_p, half (pi_p / 2) and period (2 pi_p), exact
+    multiples of quarter, and the record's series, which the nodes copy.
     sq, cq and pow_general evaluate through the evaluators the context
     makes at its first evaluation, which at p >= 3 fold node tables on
     [pi_p / 8, pi_p / 4] (the module docstring has the rule and its cost).
@@ -90,7 +92,8 @@ class EvalContext:
         record = compute_pi(self.p, self.epsilon)
         q = record.value / 4.0
         sq_table, cq_table = record._quarter_tables
-        vars(self).update(quarter=q, sq_table=sq_table, cq_table=cq_table, pi_p=4.0 * q, half=2.0 * q, period=8.0 * q)
+        vars(self).update(quarter=q, sq_table=sq_table, cq_table=cq_table, pi_p=4.0 * q, half=2.0 * q, period=8.0 * q,
+                          _series=record._series)
 
     @cached_property
     def evaluators(self) -> types.SimpleNamespace:
@@ -110,6 +113,12 @@ class EvalContext:
 
     def __reduce__(self) -> tuple:
         return EvalContext, (self.p, self.epsilon)
+
+    def __setstate__(self, state: dict) -> None:
+        # A pickle of the old form, the class and a state dict without the
+        # series, loads as EvalContext(p, epsilon) too.
+        vars(self).update(p=state["p"], epsilon=state["epsilon"])
+        self.__post_init__()
 
 
 class _Nodes(NamedTuple):
@@ -137,7 +146,7 @@ def _nodes(ctx: EvalContext) -> _Nodes | None:
     p, degree = ctx.p, _NODE_DEGREE
     if p < 3 or min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= degree + 1:
         return None
-    series = compute_pi(p, ctx.epsilon)._series.copy()  # the record's is never extended
+    series = ctx._series.copy()  # the record's, which is never extended
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
     mid = ctx.quarter / 2.0
     width = (ctx.quarter - mid) / parts

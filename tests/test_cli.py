@@ -340,13 +340,15 @@ def test_verify_passes(capsys, monkeypatch, watch_evaluators):
     assert code == 0
     assert lines, "verify must print at least one check line"
     assert all(ln.startswith("PASS ") for ln in lines)
-    # The Pythagorean sweep reduces each of its points once, through pair,
+    # The quarter-period check evaluates sq and cq at pi_p / 4 for p 2..64,
+    # the Pythagorean sweep reduces each of its points once, through pair,
     # and the arcsq-oracle check evaluates sq once per point of its grid on
     # [0, pi_p / 4].
     grid = [("pair", -10.0 + 20.0 * i / 200) for i in range(201)]
-    quarters = {p: sg.build_context(p).quarter for p in (4, 10, 64)}
+    quarters = {p: sg.build_context(p).quarter for p in range(2, 65)}
+    quarter = [(p, [("sq", quarters[p]), ("cq", quarters[p])]) for p in range(2, 65)]
     arcsq = [(p, [("sq", quarters[p] * i / 16) for i in range(17)]) for p in (4, 10, 64)]
-    assert built == [(p, grid) for p in (2, 3, 4, 6, 10, 64)] + arcsq
+    assert built == quarter + [(p, grid) for p in (2, 3, 4, 6, 10, 64)] + arcsq
     assert [ln.split(" (")[0] for ln in lines].count("PASS arcsq-oracle") == 3
 
 

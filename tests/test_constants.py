@@ -188,14 +188,14 @@ def test_pi_sum_widens_until_its_rounding_is_certain(monkeypatch):
 
 
 def test_quarter_period_equation_holds_at_the_constant():
-    # cq(pi_p / 4) = 2^(-1/p), the equation the paper defines pi_p by, on
-    # the record's own table at the default epsilon; looser tolerances
-    # truncate the tables, so the bound does not apply to them.
+    # cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p), the equation the paper defines
+    # pi_p by, on the evaluators of the context at the default epsilon;
+    # looser tolerances truncate the tables, so the bound does not apply to them.
     for p in range(2, 65):
-        rec = sg.compute_pi(p)
+        ctx = sg.build_context(p)
         target = 2.0 ** (-1.0 / p)
-        residual = sg.horner_sparse(rec.cq_table, rec.value / 4.0) - target
-        assert abs(residual) <= 2 * math.ulp(target), p
+        for f in (sg.sq, sg.cq):
+            assert abs(f(ctx, ctx.quarter) - target) <= 2 * math.ulp(target), (p, f.__name__)
 
 
 def test_compute_pi_at_the_bottom_of_binary64():
@@ -206,7 +206,7 @@ def test_compute_pi_at_the_bottom_of_binary64():
     # At p >= 3 the sized table ends in entries that round to 0.
     for p in (3, 4, 6):
         rec = sg.compute_pi(p, 5e-324)
-        assert rec.cq_table.floats[-1] == 0.0
+        assert sg.maclaurin(SquigParams(p, 1, 0), rec.J_used).floats[-1] == 0.0
         assert ulps(rec.value, pi_p(p)) <= 2
     assert _meets_epsilon(3, 1e-320)
 
@@ -271,7 +271,7 @@ def test_compute_pi_on_deep_tables(p, eps):
     # is still correctly rounded, so the value meets its 8 ulp floor.
     rec = sg.compute_pi(p, eps)
     assert rec.J_used == sg.estimate_terms(p, rec.value, eps)
-    assert rec.sq_table.floats[-1] > 0.0
+    assert sg.maclaurin(SquigParams(p, 0, 1), rec.J_used).floats[-1] > 0.0
     assert _meets_epsilon(p, eps)
 
 
@@ -340,31 +340,33 @@ def test_beta_validation():
 
 def test_compute_pi_golden_records():
     # Records of p = 2..10 at six tolerances, pinned bit for bit: values,
-    # widenings and the correctly rounded tables.
+    # widenings and the correctly rounded tables of length J_used.
     for want in json.loads((GOLDEN / "compute_pi_records.json").read_text()):
         rec = sg.compute_pi(want["p"], float.fromhex(want["epsilon"]))
+        sq_table, cq_table = (sg.maclaurin(SquigParams(rec.p, m, 1 - m), rec.J_used) for m in (0, 1))
         got = {
             "p": rec.p,
             "epsilon": rec.epsilon.hex(),
             "value": rec.value.hex(),
             "J_used": rec.J_used,
             "iterations": rec.iterations,
-            "sq_table": [v.hex() for v in rec.sq_table.floats],
-            "cq_table": [v.hex() for v in rec.cq_table.floats],
+            "sq_table": [v.hex() for v in sq_table.floats],
+            "cq_table": [v.hex() for v in cq_table.floats],
         }
         assert got == want
-        assert rec.sq_table.J == rec.cq_table.J == rec.J_used
+    assert not hasattr(sg.compute_pi(4), "sq_table")  # maclaurin gives the tables of length J_used
 
 
 @pytest.mark.parametrize("p,eps", [(3, 0.05), (3, 0.015)])
 def test_compute_pi_tables_after_a_shorter_round(p, eps):
     # The series pi_p sizes these below the three-term floor, so the tables
-    # hold J = 3 columns, which the record and maclaurin must agree on.
-    rec = sg.compute_pi(p, eps)
+    # of length J_used hold J = 3 columns; the record cut the context's
+    # tables from its own series, and maclaurin's must agree on them.
+    rec, ctx = sg.compute_pi(p, eps), sg.build_context(p, eps)
     assert rec.J_used < 4
-    for table in (rec.sq_table, rec.cq_table):
-        assert table.J == rec.J_used
-        assert table.floats == sg.maclaurin(table.params, rec.J_used).floats
+    for table in (ctx.sq_table, ctx.cq_table):
+        assert table.J <= rec.J_used
+        assert table.floats == sg.maclaurin(table.params, rec.J_used).floats[: table.J + 1]
 
 
 @pytest.mark.parametrize(

@@ -53,10 +53,11 @@ def test_context_precomputes_the_reduction_constants(ctx4):
 
 
 def test_context_table_size_matches_estimate(ctx4, pi4):
-    # The record's J_used tables are sized for t = 1; the context's are their prefixes.
+    # The record's J_used is sized for t = 1; the context's tables are prefixes
+    # of the tables of that length.
     want = sg.estimate_terms(4, ctx4.pi_p, ctx4.epsilon)
-    assert pi4.sq_table.J == want == 34
-    assert pi4.cq_table.J == want
+    assert pi4.J_used == want == 34
+    assert max(ctx4.sq_table.J, ctx4.cq_table.J) < want
 
 
 def _deep_end_cut(table, top, epsilon):
@@ -83,24 +84,25 @@ def test_context_holds_the_cut_of_the_tables_pi_was_solved_on():
     for p, eps in grid:
         record = sg.compute_pi(p, eps)
         ctx = sg.build_context(p, eps)
-        assert ctx.sq_table == _deep_end_cut(record.sq_table, ctx.quarter, ctx.epsilon), (p, eps)
-        assert ctx.cq_table == _deep_end_cut(record.cq_table, ctx.quarter, ctx.epsilon), (p, eps)
-        assert "sq_table" not in repr(record)
+        for table in (ctx.sq_table, ctx.cq_table):
+            whole = sg.maclaurin(table.params, record.J_used)
+            assert table == _deep_end_cut(whole, ctx.quarter, ctx.epsilon), (p, eps, table.params)
+        assert "_quarter_tables" not in repr(record)
 
 
-def test_build_context_leaves_the_t1_tables_unmade():
-    # Only a first read of sq_table or cq_table makes the J_used tables, both
-    # at once from a copy of the series that the record does not keep.
+def test_context_takes_its_series_from_the_record_it_was_built_from():
+    # The context reads its record once: its first evaluation sums the nodes
+    # on a copy of that record's series, with no second compute_pi, even once
+    # the memo has dropped the record, and answers as a context evaluated
+    # with the memo intact.
+    ctx = sg.build_context(10)
+    t = 0.9 * ctx.quarter
+    want = sg.sq(sg.build_context(10), t)
+    assert ctx._series is sg.compute_pi(10)._series
     sg.compute_pi.cache_clear()
-    sg.build_context(10)
-    record = sg.compute_pi(10)
-    assert "sq_table" not in vars(record) and "_whole_tables" not in vars(record)
-    assert [f.name for f in dataclasses.fields(record)][:5] == ["p", "value", "iterations", "J_used", "epsilon"]
-    kept = len(record._series.c)
-    assert record.cq_table.J == record.sq_table.J == record.J_used
-    assert vars(record)["_whole_tables"] == (record.sq_table, record.cq_table)
-    assert record.sq_table is record.sq_table and len(record._series.c) == kept
-    assert [name for name, v in vars(record).items() if isinstance(v, type(record._series))] == ["_series"]
+    got = sg.sq(ctx, t)
+    assert sg.compute_pi.cache_info().misses == 0
+    assert evalcore._nodes(ctx) is not None and got.hex() == want.hex()
 
 
 def test_context_has_no_table_length_override():
@@ -421,9 +423,9 @@ EVAL_P = [2, 3, 4, 6, 10]
 
 
 def _full(ctx):
-    # The record tables the context's tables were cut from.
-    record = sg.compute_pi(ctx.p, ctx.epsilon)
-    return record.sq_table, record.cq_table
+    # The tables of length J_used the context's tables were cut from.
+    J = sg.compute_pi(ctx.p, ctx.epsilon).J_used
+    return tuple(sg.maclaurin(table.params, J) for table in (ctx.sq_table, ctx.cq_table))
 
 
 def _kept(ctx):
@@ -555,8 +557,7 @@ def test_every_branch_folds_the_trimmed_tables(pi4):
     loose = sg.build_context(4, 1e-3)
     assert evalcore._nodes(loose) is None
     assert (len(loose.sq_table.floats), len(loose.cq_table.floats)) == (7, 8)
-    assert len(loose.sq_table.floats) < len(pi4.sq_table.floats)
-    assert len(loose.cq_table.floats) < len(pi4.cq_table.floats)
+    assert len(loose.cq_table.floats) < pi4.J_used + 1  # the full tables' length
     half = loose.half
     for t in (0.3 * loose.quarter, 0.9 * loose.quarter):
         assert sg.sq(loose, t) == sg.horner_sparse(loose.sq_table, t)
@@ -932,10 +933,12 @@ def test_evaluated_context_pickles_without_its_evaluators():
 
 class _StatePickler(pickle.Pickler):
     # Writes a context as pickles held it before it reduced to (p, epsilon):
-    # the class and its state dict, derived fields and tables included.
+    # the class and its state dict, derived fields and tables included, and
+    # no series, which contexts took from their record later.
     def reducer_override(self, obj):
         if type(obj) is sg.EvalContext:
-            return copyreg.__newobj__, (sg.EvalContext,), dict(vars(obj))
+            state = {name: v for name, v in vars(obj).items() if name != "_series"}
+            return copyreg.__newobj__, (sg.EvalContext,), state
         return NotImplemented
 
 
@@ -1018,17 +1021,16 @@ def test_context_repr_evaluates_back_to_the_context(p):
 def test_first_evaluation_leaves_the_record_series_as_made(p, eps):
     # A record keeps the series compute_pi built, one term past the longer
     # table it cut for [0, pi_p / 4] (that term was the first within the
-    # bound), short of J_used + 1; the first evaluation of a context sums its
-    # nodes on a copy, which it extends where the nodes need more terms, and
-    # reading the J_used tables extends another copy.
+    # bound), short of J_used + 1, and hands it to each context it builds;
+    # the first evaluation of a context sums its nodes on a copy, which it
+    # extends where the nodes need more terms.
     sg.compute_pi.cache_clear()
     record = sg.compute_pi(p, eps)
     series = record._series
     made = [list(v) for v in (series.c, series.s, series.g, series.h)]
     ctx = sg.build_context(p, eps)
     sg.sq(ctx, 0.9 * ctx.quarter)
-    assert evalcore._nodes(ctx) is not None
-    assert record.sq_table.J == record.cq_table.J == record.J_used
+    assert evalcore._nodes(ctx) is not None and ctx._series is series
     assert [series.c, series.s, series.g, series.h] == made
     kept = max(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) + 1
     assert [len(v) for v in made] == [kept] * 4 and kept < record.J_used + 1

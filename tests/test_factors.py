@@ -63,7 +63,7 @@ def test_factor_expansion_matches_horner(pi4):
     # prefix is cut for.
     params = SquigParams(p=4, m=1, n=0)
     seq = make_sequence(params, 50)
-    table = pi4.cq_table
+    table = sg.maclaurin(params, pi4.J_used)
     for t in (0.3, 0.7, 1.0):
         value, used = sg.eval_factor_expansion(seq, t, 2.0 ** -53)
         direct = sg.horner_sparse(table, t)

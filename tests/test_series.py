@@ -54,11 +54,11 @@ def test_power_tables_are_correctly_rounded(p):
 
 @pytest.mark.parametrize("p,eps", [(2, 5e-324), (3, 1e-300), (4, 1e-200)])
 def test_deep_tables_are_correctly_rounded(p, eps):
-    # compute_pi's tables at tiny tolerances, hundreds of terms deep, down
-    # to coefficients below binary64's smallest normal.
+    # The sq and cq tables of length J_used at tiny tolerances, hundreds of
+    # terms deep, down to coefficients below binary64's smallest normal.
     rec = sg.compute_pi(p, eps)
-    for table in (rec.sq_table, rec.cq_table):
-        assert list(table.floats) == exact_floats(table.params, rec.J_used), table.params
+    for params in (SquigParams(p, 0, 1), SquigParams(p, 1, 0)):
+        assert list(sg.maclaurin(params, rec.J_used).floats) == exact_floats(params, rec.J_used), params
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 10])
@@ -180,11 +180,6 @@ def test_a_fixed_point_too_short_raises(monkeypatch):
     monkeypatch.setattr(series, "_F", 100)
     with pytest.raises(ConvergenceError, match="fixed point too short .* at p=4, m=0, n=1, j=0$"):
         sg.maclaurin(SquigParams(p=4, m=0, n=1), 3)
-
-
-def exact_coefficient(params: SquigParams, j: int) -> Fraction:
-    nums = sg.integer_maclaurin(params, j)
-    return Fraction(nums[j], math.factorial(params.n + params.p * j))
 
 
 def test_integer_numerators_frozen():

@@ -85,7 +85,6 @@ CASES = {
     ),
     "arcsq_oracle.x": (lambda c4, c3, v: sg.arcsq_oracle(v, 4), DomainError),
     "arcsq_oracle.p": (lambda c4, c3, v: sg.arcsq_oracle(0.5, v), ParameterError),
-    "arcsq_oracle.tol": (lambda c4, c3, v: sg.arcsq_oracle(0.5, 4, v), ParameterError),
     "algebraic_values.u": (lambda c4, c3, v: sg.algebraic_values(v, 4), DomainError),
     "algebraic_values.p": (lambda c4, c3, v: sg.algebraic_values(-1.0, v), ParameterError),
     "coefficient.k": (
@@ -108,9 +107,6 @@ CASES = {
     ),
     "beta_quadrature_oracle.n": (
         lambda c4, c3, v: sg.beta_quadrature_oracle(4, 1, v), ParameterError,
-    ),
-    "beta_quadrature_oracle.tol": (
-        lambda c4, c3, v: sg.beta_quadrature_oracle(4, 1, 0, v), ParameterError,
     ),
     "kth_derivative_value.k": (
         lambda c4, c3, v: sg.kth_derivative_value(c4, sg.build_triangle(P, 6), v, 0.5),
@@ -173,7 +169,7 @@ def test_bad_input_raises_typed_error(case, bad, ctx4, ctx3):
 OVERFLOWS = {
     "horner_sparse.t^p": (lambda c4: sg.horner_sparse(c4.sq_table, 1e78), DomainError),
     "horner_sparse.sum": (
-        lambda c4: sg.horner_sparse(sg.compute_pi(4).sq_table, 1e20), DomainError,
+        lambda c4: sg.horner_sparse(c4.sq_table, 1e20), DomainError,
     ),
     "eval_factor_expansion.t^p": (
         lambda c4: sg.eval_factor_expansion(_fs(), 1e200, 1e-10), DomainError,
@@ -399,7 +395,7 @@ def test_negative_power_at_zero_is_a_pole(case):
         POLES[case]()
 
 
-def test_power_keeps_the_parity_and_limit_of_a_large_int():
+def test_power_keeps_the_parity_and_limit_of_a_large_int(ctx4):
     # float ** int rounds 2^60 + 1 to the even 2^60, and fails to convert
     # 10^400 or 10^5000, where the power of 0.5 underflows to its limit 0.0.
     def power(k, t):
@@ -410,7 +406,7 @@ def test_power_keeps_the_parity_and_limit_of_a_large_int():
     for call, value in HUGE_POWERS.items():
         assert HUGE_INTS[call](None, 0.5) == value, call
     with pytest.raises(DomainError, match=r"^t=1e\+100: t\^4 overflows binary64$"):
-        sg.horner_sparse(sg.compute_pi(4).sq_table, 1e100)
+        sg.horner_sparse(ctx4.sq_table, 1e100)
 
 
 # A MacLaurinTable holds SquigParams and a non-empty tuple of floats, so it
