@@ -90,7 +90,8 @@ def _points(seed: int) -> list:
 _PI_GRID = [(p, eps) for p in (*range(2, 13), 16)
             for eps in (EPS, 1e-12, 1e-6, 0.01, 0.3, 0.9)]
 _PI_GRID += [(p, eps) for p in (2, 3, 4, 6, 10) for eps in (1e-30, 1e-100, 1e-300, 5e-324)]
-_CONTEXTS = [(p, eps) for p in (2, 3, 4, 6, 10, 16, 64) for eps in (EPS, 1e-6)] + [(128, EPS)]
+_CONTEXTS = [(p, eps) for p in (2, 3, 4, 6, 10, 16, 64) for eps in (EPS, 1e-6)]
+_CONTEXTS += [(128, EPS), (3, 5e-324), (10, 1e-300)]
 _MN = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 3), (5, 0), (0, 5), (30, 30))
 
 
@@ -104,11 +105,15 @@ _CONTEXT_TABLES = [(p, eps) for p in (*range(2, 17), 24, 32, 64)
 
 
 def _context_tables(p: int, eps: float):
-    # The tables a context folds: its own, cut for [0, q], then, with node
-    # data, the prefixes cut for [0, q / 2] and the count of node entries.
+    # The context's own tables, cut for [0, q], then the lengths of the
+    # prefixes its evaluators fold and the count of node entries (0 where
+    # they fold the context's tables on all of [0, q]).
     ctx = sg.build_context(p, eps)
     nodes = sg.evalcore._nodes(ctx)
-    shape = None if nodes is None else (len(nodes.sq_prefix.floats), len(nodes.cq_prefix.floats), len(nodes.sq))
+    if nodes is None:
+        shape = (len(ctx.sq_table.floats), len(ctx.cq_table.floats), 0)
+    else:
+        shape = (len(nodes.sq_prefix.floats), len(nodes.cq_prefix.floats), len(nodes.sq))
     return ctx.sq_table.floats, ctx.cq_table.floats, shape
 
 
