@@ -58,7 +58,7 @@ def _cmd_beta(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ctx = evalcore.build_context(args.p, args.eps)
+    ctx = evalcore.build_context(args.p)
     if args.func == "pow":
         values = [evalcore.pow_general(ctx, args.m, args.n, t) for t in args.t]
     else:
@@ -71,7 +71,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    ctx = evalcore.build_context(args.p, args.eps)
+    ctx = evalcore.build_context(args.p)
     tmax = args.tmax if args.tmax is not None else 2.0 * ctx.pi_p
     if args.points < 2:
         raise ParameterError(f"need at least 2 points, got {args.points}")
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=int, default=0)
     sub.add_argument("--n", type=int, default=1)
     sub.add_argument("--t", type=float, nargs="+", required=True)
-    _add_eps(sub)
     sub.set_defaults(handler=_cmd_eval)
 
     sub = subs.add_parser("plotdata", help="sq/cq samples over a uniform grid")
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--points", type=int, default=257)
     sub.add_argument("--tmax", type=float, default=None,
                      help="grid endpoint (default: one full period 2 pi_p)")
-    _add_eps(sub)
     sub.set_defaults(handler=_cmd_plotdata)
 
     sub = subs.add_parser("triangle", help="exact coefficient triangle rows")

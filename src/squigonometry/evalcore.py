@@ -1,13 +1,12 @@
 """Floating-point evaluation of squigonometric functions on the real line.
 
 An EvalContext is one circle degree p and one tolerance epsilon, and it
-derives from them everything evaluation needs: the quarter period pi_p / 4
-and the MacLaurin tables for sq (m=0, n=1) and cq (m=1, n=0), both from the
-compute_pi record for (p, epsilon), with the record's series.  compute_pi
-sizes its table length for the tail at t = 1; on the reduced interval
-[0, pi_p/4] the terms fall faster, so it rounds each table only up to its
-first term there within epsilon / 64 of the leading one, and the context
-takes those prefixes as they are.
+derives from them the quarter period pi_p / 4, the MacLaurin tables for sq
+(m=0, n=1) and cq (m=1, n=0) and the series, all from the compute_pi record
+for (p, epsilon).  compute_pi sizes its table length for the tail at t = 1;
+on the reduced interval [0, pi_p/4] the terms fall faster, so it rounds each
+table only up to its first term there within epsilon / 64 of the leading
+one, and the context takes those prefixes as they are.
 
 Evaluation at arbitrary t proceeds by range reduction.  sq and cq are
 2 pi_p periodic, odd and even respectively, satisfy the half-period flips
@@ -26,28 +25,27 @@ round-trips, and equal contexts write equal sources, compiled once.  A
 table fold is horner_sparse's loop unrolled, its step b = a_i - b * tp
 written once per coefficient.
 
-At p >= 3 the folds of a context are the same length at every p.  Below
-q / 2, with q = pi_p / 4, they fold the context's tables cut for [0, q / 2]; on
-[q / 2, q] they fold node tables, Tang's table-driven scheme (ACM TOMS
-15(2), 1989): N equally spaced nodes t0 and, about each, the Taylor
-polynomial of degree 8 in h = s - t0, exact by Sterbenz's lemma since s
-and t0 both lie in [q / 2, q].  The context's integer Taylor series gives
-its coefficients as floats (series._TaylorSeries.node, by the recurrence
-of the MacLaurin tables taken about t0), each rounded once, with the
-leading one kept as a double-double; the paper's triangle rows at
-(cq(t0), sq(t0)) are their oracle in the tests.  The prefixes for
-[0, q / 2] are cut from the context's tables by the same rule
-(series._cut).  The nearest complex
-singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
-p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
-0.5 us at every p.  Contexts at p = 2, or whose tables are no longer than
-a node fold (loose epsilon), fold their tables on all of [0, q], so there
-sq(ctx, s) == horner_sparse(ctx.sq_table, s).  A context builds its
-evaluators at its first evaluation: for a source not yet compiled about
-2.5 ms at p = 4, 5.4 ms at p = 10, 9 ms at p = 16 and 38 ms at p = 64
-(CPython 3.11, one core of a 2-vCPU Xeon shared with other tenants), most
-of it the nodes from p = 10 on, which sum the series past the length the
-record keeps.
+A context's folds depend on p alone.  At p >= 3, below q / 2, with
+q = pi_p / 4, they fold prefixes cut for [0, q / 2] at EPS_DEFAULT
+(series._cut) from the context's series; on [q / 2, q] they fold node
+tables, Tang's table-driven scheme (ACM TOMS 15(2), 1989): N equally spaced
+nodes t0 and, about each, the Taylor polynomial of degree 8 in h = s - t0,
+exact by Sterbenz's lemma since s and t0 both lie in [q / 2, q].  The
+context's integer Taylor series gives its coefficients as floats
+(series._TaylorSeries.node, by the recurrence of the MacLaurin tables taken
+about t0), each rounded once, with the leading one kept as a double-double;
+the paper's triangle rows at (cq(t0), sq(t0)) are their oracle in the tests.
+The nearest complex singularity lies at least q tan(pi / p) from t0, which
+sets N: 15 nodes at p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call
+then costs about 0.5 us at every p.  At p = 2 they fold the prefixes for all
+of [0, q], the tables of build_context(2).  epsilon shapes only the
+context's tables, J_used and the refusals; from p = 735, where compute_pi
+refuses the tables of EPS_DEFAULT, the first evaluation refuses too, before
+any node.  The first evaluation builds the evaluators, mostly the nodes from
+p = 10 on: with the compute_pi memo and the compiled sources cleared, 2.9,
+6.3, 10 and 43 ms at p = 4, 10, 16 and 64, and 2.6, 5.8, 3.4, 7.7 and 86 ms
+at (3, 5e-324), (10, 1e-300), (4, 1e-3), (10, 1e-6) and (64, 0.1) (best of
+35, CPython 3.11, one core of a 2-vCPU Xeon shared with other tenants).
 """
 
 from __future__ import annotations
@@ -59,8 +57,9 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .constants import compute_pi
-from .errors import DomainError, PoleError, check_finite, check_powers, checked_power, shown
-from .series import EPS_DEFAULT, MacLaurinTable, _cut
+from .errors import CostGuardError, DomainError, PoleError, check_finite, check_powers, checked_power, shown
+from .series import EPS_DEFAULT, MAX_PI_TERMS, MacLaurinTable, _cut, estimate_terms
+from .triangle import SquigParams
 
 # Node folds: the degree of each node polynomial and the share of a term its
 # dropped tail may reach (2^-_NODE_TAIL).
@@ -81,8 +80,8 @@ class EvalContext:
     [0, pi_p / 4], pi_p, half (pi_p / 2) and period (2 pi_p), exact
     multiples of quarter, and the record's series, which the nodes copy.
     sq, cq and pow_general evaluate through the evaluators the context
-    makes at its first evaluation, which at p >= 3 fold node tables on
-    [pi_p / 8, pi_p / 4] (the module docstring has the rule and its cost).
+    makes at its first evaluation, alike at every epsilon, which at p >= 3
+    fold node tables on [pi_p / 8, pi_p / 4] (the module docstring has more).
     """
 
     p: int
@@ -104,10 +103,9 @@ class EvalContext:
         their globals only fmod, check_finite, QuadrantReduction and the node
         tables SQN and CQN.
         """
-        names = {"fmod": math.fmod, "check_finite": check_finite, "QuadrantReduction": QuadrantReduction}
         nodes = _nodes(self)
-        if nodes is not None:
-            names.update(SQN=nodes.sq, CQN=nodes.cq)
+        names = {"fmod": math.fmod, "check_finite": check_finite, "QuadrantReduction": QuadrantReduction,
+                 "SQN": nodes.sq, "CQN": nodes.cq}
         exec(_compiled(_source(self, nodes)), names)
         return types.SimpleNamespace(**{name: names[name] for name in ("sq", "cq", "pair", "reduce")})
 
@@ -122,11 +120,11 @@ class EvalContext:
 
 
 class _Nodes(NamedTuple):
-    # The node data of one context.  Below mid = quarter / 2 the prefixes
-    # fold; at s >= mid node i = int((s - mid) * scale) folds the entry
-    # (t0, hi, lo, b_1, ..., b_D) of sq or cq, the Taylor polynomial about
-    # t0 with leading coefficient hi + lo.  The last node is listed twice,
-    # for s = quarter.
+    # The node data of one context.  Below mid (inf at p = 2, with no nodes)
+    # the prefixes fold; at s >= mid node i = int((s - mid) * scale) folds the
+    # entry (t0, hi, lo, b_1, ..., b_D) of sq or cq, the Taylor polynomial
+    # about t0 with leading coefficient hi + lo.  The last node is listed
+    # twice, for s = quarter.
     mid: float
     scale: float
     sq_prefix: MacLaurinTable
@@ -135,26 +133,30 @@ class _Nodes(NamedTuple):
     cq: tuple[tuple[float, ...], ...]
 
 
-def _nodes(ctx: EvalContext) -> _Nodes | None:
-    # Node data for a context at p >= 3 whose tables are longer than a node
-    # fold; None for any other context, which folds its own tables.  N nodes
-    # at the centres of equal parts of [mid, quarter] keep |h| <= quarter / 4N,
-    # and the Taylor series about a node converges within
-    # rho = quarter tan(pi / p) of it, the distance to the nearest complex
-    # singularity of sq and cq, so N is the least with
+def _nodes(ctx: EvalContext) -> _Nodes:
+    # The node data of a context, a function of p alone, refused where
+    # compute_pi refuses the tables of EPS_DEFAULT.  The prefixes are cut at
+    # EPS_DEFAULT for [0, min(mid, quarter)]: mid = quarter / 2, or inf at
+    # p = 2, which has no nodes.  N nodes at the centres of equal parts of
+    # [mid, quarter] keep |h| <= quarter / 4N, and the Taylor series about a
+    # node converges within rho = quarter tan(pi / p) of it, the distance to
+    # the nearest complex singularity of sq and cq, so N is the least with
     # (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.
-    p, degree = ctx.p, _NODE_DEGREE
-    if p < 3 or min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= degree + 1:
-        return None
+    p, degree, q = ctx.p, _NODE_DEGREE, ctx.quarter
+    J = estimate_terms(p, ctx.pi_p, EPS_DEFAULT)
+    if J > MAX_PI_TERMS:
+        raise CostGuardError(f"sq and cq at p={p} need J={J} terms at epsilon={EPS_DEFAULT!r}, past the cap {MAX_PI_TERMS}")
     series = ctx._series.copy()  # the record's, which is never extended
+    mid = q / 2.0 if p > 2 else math.inf
+    sq_prefix, cq_prefix = (_cut(params, series.coefficients(params, J), min(mid, q), EPS_DEFAULT)
+                            for params in (SquigParams(p, 0, 1), SquigParams(p, 1, 0)))
+    if p == 2:
+        return _Nodes(mid, 0.0, sq_prefix, cq_prefix, (), ())
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
-    mid = ctx.quarter / 2.0
-    width = (ctx.quarter - mid) / parts
+    width = (q - mid) / parts
     t0s = (mid + (i + 0.5) * width for i in range(parts))
     sq_nodes, cq_nodes = zip(*(series.node(t0, degree) for t0 in t0s))
-    return _Nodes(mid, parts / (ctx.quarter - mid),
-                  *(_cut(table.params, table.floats, mid, ctx.epsilon) for table in (ctx.sq_table, ctx.cq_table)),
-                  (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
+    return _Nodes(mid, parts / (q - mid), sq_prefix, cq_prefix, (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
 
 
 class QuadrantReduction(NamedTuple):
@@ -175,8 +177,8 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
     """Build the evaluation context for circle degree p, EvalContext(p, epsilon).
 
     The quarter period and both tables come from the compute_pi record for
-    (p, epsilon), each table the prefix that evaluation on [0, pi_p / 4]
-    needs, which is all of it the record rounds.
+    (p, epsilon), each table all of it the record rounds; evaluation folds
+    those of EPS_DEFAULT at every epsilon.
     """
     return EvalContext(p, epsilon)
 
@@ -253,21 +255,20 @@ def _node_fold(name: str, out: str) -> list[str]:
             *steps, f"{out} = hi + (lo + {out} * h)"]
 
 
-def _source(ctx: EvalContext, nodes: _Nodes | None) -> str:
+def _source(ctx: EvalContext, nodes: _Nodes) -> str:
     # The source of sq, cq, pair and reduce for this context and its node
     # data: an inline check that sends every t but a finite float to
     # check_finite and float(), _REDUCTION, then the folds (pair's share one
     # tp, and one node index i and h) and signs, or reduce's
-    # QuadrantReduction.  With nodes the prefixes fold below mid, and at or
-    # above it node i = int((s - mid) * scale) folds.
+    # QuadrantReduction.  The prefixes fold below mid (on all of [0, quarter]
+    # at p = 2), and at or above it node i = int((s - mid) * scale) folds.
     def choose(co: list[str], plain: list[str]) -> list[str]:
         return [f"if use_co: {'; '.join(co)}", f"else: {'; '.join(plain)}"]
 
-    sq_table, cq_table = (ctx.sq_table, ctx.cq_table) if nodes is None else (nodes.sq_prefix, nodes.cq_prefix)
-    fold_sq, fold_cq = _fold(sq_table, "v"), _fold(cq_table, "v")
-    fold_pair = _fold(sq_table, "y") + _fold(cq_table, "x")[1:]
+    fold_sq, fold_cq = _fold(nodes.sq_prefix, "v"), _fold(nodes.cq_prefix, "v")
+    fold_pair = _fold(nodes.sq_prefix, "y") + _fold(nodes.cq_prefix, "x")[1:]
     folds = {"sq": choose(fold_cq, fold_sq), "cq": choose(fold_sq, fold_cq), "pair": fold_pair}
-    if nodes is not None:
+    if nodes.sq:
         node_sq, node_cq = _node_fold("SQN", "v"), _node_fold("CQN", "v")
         # pair's cq fold reuses the h of its sq fold: both nodes share t0.
         node_pair = _node_fold("SQN", "y") + [line for line in _node_fold("CQN", "x") if line != "h = s - t0"]

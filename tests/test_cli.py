@@ -464,17 +464,17 @@ def test_command_writes_no_files(capsys, monkeypatch, tmp_path, command):
         ("p", "1", "p must be an int in [2, inf], got 1"),
         ("eps", "1.5", "epsilon must be a real in (0, 1), got 1.5"),
     )
-    if (command, flag) != ("beta", "eps")
+    if command in ("pi", "maclaurin") or flag == "p"
 ])
 def test_bad_p_or_eps_is_named(capsys, command, flag, value, message):
     # A bad degree or tolerance is reported by its name, before any row.
     # maclaurin sizes its table from --eps only when no --J is given, and
-    # checks it either way.  beta takes no --eps.
+    # checks it either way.  beta, eval and plotdata take no --eps.
     argvs = [list(COMMANDS[command])]
     if command == "maclaurin":
         argvs.append(COMMANDS[command][:-2])
     for argv in argvs:
-        if command != "beta":
+        if command in ("pi", "maclaurin"):
             argv += ["--eps", "1e-10"]
         key = "--p-min" if command == "pi" and flag == "p" else f"--{flag}"
         argv[argv.index(key) + 1] = value
@@ -485,12 +485,13 @@ def test_bad_p_or_eps_is_named(capsys, command, flag, value, message):
 
 
 def test_beta_takes_no_eps(capsys):
-    # The Beta value is correctly rounded at any tolerance, so squig beta has
-    # no --eps to take: argparse refuses it before any row.
-    code = cli.main([*COMMANDS["beta"], "--eps", "1e-10"])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == ""
-    assert "unrecognized arguments: --eps 1e-10" in err
+    # Beta values are correctly rounded, and sq and cq evaluated alike, at any
+    # tolerance: squig beta, eval and plotdata take no --eps before any row.
+    for command in ("beta", "eval", "plotdata"):
+        code = cli.main([*COMMANDS[command], "--eps", "1e-10"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --eps 1e-10" in err, command
 
 
 @pytest.mark.parametrize("terms", ["-1", "-40"])

@@ -189,8 +189,8 @@ def test_pi_sum_widens_until_its_rounding_is_certain(monkeypatch):
 
 def test_quarter_period_equation_holds_at_the_constant():
     # cq(pi_p / 4) = sq(pi_p / 4) = 2^(-1/p), the equation the paper defines
-    # pi_p by, on the evaluators of the context at the default epsilon;
-    # looser tolerances truncate the tables, so the bound does not apply to them.
+    # pi_p by, on the evaluators of the context, which are the same at every
+    # epsilon.
     for p in range(2, 65):
         ctx = sg.build_context(p)
         target = 2.0 ** (-1.0 / p)

@@ -11,6 +11,7 @@ import random
 import struct
 import sys
 import threading
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from decimal_reference import arcsq, sq_cq, ulps
-from squigonometry import DomainError, ParameterError, constants, evalcore
+from squigonometry import CostGuardError, DomainError, ParameterError, constants, evalcore
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,7 +103,7 @@ def test_context_takes_its_series_from_the_record_it_was_built_from():
     sg.compute_pi.cache_clear()
     got = sg.sq(ctx, t)
     assert sg.compute_pi.cache_info().misses == 0
-    assert evalcore._nodes(ctx) is not None and got.hex() == want.hex()
+    assert got.hex() == want.hex()
 
 
 def test_context_has_no_table_length_override():
@@ -415,9 +416,24 @@ def test_build_context_validation():
         sg.build_context(4, epsilon=0.0)
 
 
+@pytest.mark.parametrize("p, eps", [(2000, 1e-3), (735, 0.1)])
+def test_first_evaluation_refuses_where_the_default_tables_pass_the_cap(p, eps):
+    # compute_pi answers at these loose tolerances, but a context folds the
+    # node data of EPS_DEFAULT, whose tables compute_pi(p) refuses from p = 735:
+    # the first evaluation refuses before any node (16,170 at p = 2000).
+    ctx = sg.build_context(p, eps)
+    with pytest.raises(CostGuardError, match="needs J=.* past the cap"):
+        sg.compute_pi(p)
+    start = time.perf_counter()
+    with pytest.raises(CostGuardError, match=rf"^sq and cq at p={p} need J=\d+ terms at epsilon=.*, past the cap 8192"):
+        sg.sq(ctx, 0.3)
+    assert time.perf_counter() - start < 0.5
+    assert "evaluators" not in vars(ctx)
+
+
 # ---------------------------------------------------------------------------
 # build_context holds a prefix of each record table, trimmed at epsilon / 64
-# on [0, pi_p / 4], and evaluation folds it.
+# on [0, pi_p / 4]; at EPS_DEFAULT evaluation folds it or its prefixes.
 
 EVAL_P = [2, 3, 4, 6, 10]
 
@@ -473,20 +489,18 @@ def test_sq_cq_within_an_ulp_of_the_full_table(p):
 
 @pytest.mark.parametrize("p", EVAL_P)
 def test_sq_cq_fold_exactly_the_context_tables(p):
-    # Bit for bit wherever the context folds its tables, and past the
-    # quarter, where the reflection swaps the tables' roles: on all of
-    # [0, pi_p / 4] at p = 2, and below q / 2 elsewhere, where node tables
-    # fold from q / 2 on and the tables are cut for [0, q / 2].
+    # Bit for bit wherever the context folds its prefixes, the tables cut
+    # for [0, mid], and past the quarter, where the reflection swaps their
+    # roles: on all of [0, pi_p / 4] at p = 2, which has no nodes, and below
+    # mid = q / 2 elsewhere, where node tables fold from q / 2 on.
     ctx = sg.build_context(p)
     nodes = evalcore._nodes(ctx)
-    assert (nodes is None) == (p == 2)
-    if nodes is None:
-        top, sq_table, cq_table = ctx.quarter, ctx.sq_table, ctx.cq_table
-    else:
-        top, sq_table, cq_table = math.nextafter(nodes.mid, 0.0), nodes.sq_prefix, nodes.cq_prefix
-        assert nodes.mid == ctx.quarter / 2.0
-        assert sq_table == _deep_end_cut(ctx.sq_table, nodes.mid, ctx.epsilon)
-        assert cq_table == _deep_end_cut(ctx.cq_table, nodes.mid, ctx.epsilon)
+    sq_table, cq_table = nodes.sq_prefix, nodes.cq_prefix
+    mid = ctx.quarter / 2.0 if p > 2 else ctx.quarter
+    assert nodes.mid == (mid if p > 2 else math.inf) and bool(nodes.sq) == (p > 2)
+    assert sq_table == _deep_end_cut(ctx.sq_table, mid, ctx.epsilon)
+    assert cq_table == _deep_end_cut(ctx.cq_table, mid, ctx.epsilon)
+    top = mid if p == 2 else math.nextafter(mid, 0.0)
     rng = random.Random(200 + p)
     for s in [0.0, top] + [rng.uniform(0.0, top) for _ in range(300)]:
         assert sg.sq(ctx, s) == sg.horner_sparse(sq_table, s)
@@ -536,7 +550,7 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
 def test_replaced_context_folds_the_tables_it_holds(ctx4):
     # replace makes the context again from (p, epsilon): a looser epsilon
     # gives build_context's context at it, its tables cut for that epsilon,
-    # and it folds them as that context does, bit for bit.
+    # with evaluators of its own that answer as that context's do, bit for bit.
     sg.sq(ctx4, 0.3)  # the evaluators of ctx4 exist before the replace
     looser, built = dataclasses.replace(ctx4, epsilon=1e-6), sg.build_context(4, 1e-6)
     assert looser == built and looser != ctx4
@@ -548,27 +562,6 @@ def test_replaced_context_folds_the_tables_it_holds(ctx4):
         assert sg.cq(looser, t).hex() == sg.cq(built, t).hex()
         assert sg.reduce_argument(looser, t) == sg.reduce_argument(built, t)
     assert dataclasses.replace(ctx4) == ctx4
-
-
-def test_every_branch_folds_the_trimmed_tables(pi4):
-    # Cut at epsilon 1e-3, the 7- and 8-term prefixes fold without nodes and
-    # differ from the full tables well past the last bit, so each side of
-    # the quarter-period reflection must fold the context's own prefix.
-    loose = sg.build_context(4, 1e-3)
-    assert evalcore._nodes(loose) is None
-    assert (len(loose.sq_table.floats), len(loose.cq_table.floats)) == (7, 8)
-    assert len(loose.cq_table.floats) < pi4.J_used + 1  # the full tables' length
-    half = loose.half
-    for t in (0.3 * loose.quarter, 0.9 * loose.quarter):
-        assert sg.sq(loose, t) == sg.horner_sparse(loose.sq_table, t)
-        assert sg.cq(loose, t) == sg.horner_sparse(loose.cq_table, t)
-        u = half - t  # past the quarter period: the tables swap roles
-        s = half - u
-        assert sg.sq(loose, u) == sg.horner_sparse(loose.cq_table, s)
-        assert sg.cq(loose, u) == sg.horner_sparse(loose.sq_table, s)
-        assert sg.pow_general(loose, 1, 1, u) == (
-            sg.horner_sparse(loose.sq_table, s) * sg.horner_sparse(loose.cq_table, s)
-        )
 
 
 def test_pow_general_raises_pole_error_at_the_poles(ctx2, ctx4):
@@ -673,11 +666,8 @@ def _node_loop(entries, mid: float, scale: float, s: float) -> float:
 
 def _loop_fold(ctx):
     # (sq, cq) at s in [0, pi_p / 4] by the reference loops: horner_sparse over
-    # the context's tables, or with node data, over the prefixes below q / 2
-    # and the node loop from it.
+    # the prefixes below mid (inf at p = 2) and the node loop from it.
     nodes = evalcore._nodes(ctx)
-    if nodes is None:
-        return lambda s: (evalcore.horner_sparse(ctx.sq_table, s), evalcore.horner_sparse(ctx.cq_table, s))
 
     def fold(s):
         if s < nodes.mid:
@@ -688,10 +678,8 @@ def _loop_fold(ctx):
 
 
 def _node_edges(ctx) -> tuple[float, ...]:
-    # Each boundary between two nodes and its neighbours; none without nodes.
+    # Each boundary between two nodes and its neighbours; none at p = 2.
     nodes = evalcore._nodes(ctx)
-    if nodes is None:
-        return ()
     edges = [nodes.mid + k / nodes.scale for k in range(1, len(nodes.sq) - 1)]
     return tuple(x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)))
 
@@ -728,35 +716,45 @@ def _assert_folds_like_the_loop(ctx, points) -> None:
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_context_folds_match_the_loop_bit_for_bit(p):
-    # At p = 2, and where a node fold would not be shorter than the tables,
-    # the contexts fold their tables; else the prefixes below q / 2 and node
-    # tables from it, each like its loop.
+    # At p = 2 the contexts fold their prefixes on all of [0, q]; at p >= 3
+    # the prefixes below q / 2 and node tables from it, each like its loop.
     rng = random.Random(300 + p)
     for eps in FOLD_EPS:
         ctx = sg.build_context(p, eps)
-        short = min(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) <= evalcore._NODE_DEGREE + 1
-        assert (evalcore._nodes(ctx) is None) == (p == 2 or short)
         points = _fold_points(ctx.quarter) + _node_edges(ctx)
         points += tuple(rng.uniform(0.0, ctx.quarter) for _ in range(20))
         _assert_folds_like_the_loop(ctx, points)
 
 
+@pytest.mark.parametrize("p", [*range(2, 11), 16, 64])
+def test_one_source_per_p_at_every_epsilon(p):
+    # Evaluation depends on p alone: at every epsilon, down to the least one
+    # the table cap allows, a context's node data are those of EPS_DEFAULT
+    # and its evaluators' source is byte for byte the EPS_DEFAULT context's.
+    default = sg.build_context(p)
+    nodes = evalcore._nodes(default)
+    want = evalcore._source(default, nodes)
+    for eps in FOLD_EPS + ((1e-300, 5e-324) if p < 64 else ()):
+        ctx = sg.build_context(p, eps)
+        got = evalcore._nodes(ctx)
+        assert got == nodes and evalcore._source(ctx, got) == want, eps
+
+
 @pytest.mark.parametrize("p", [*range(2, 11), 64])
 def test_record_table_folds_match_the_loop_bit_for_bit(p):
-    # The longest folds a context makes, at the least epsilon: 85
-    # coefficients at p = 2, and prefixes of 180 (p = 3) down to 100
-    # (p = 10) below q / 2; one generated statement per coefficient.  At
-    # p = 64, where 5e-324 passes the table cap, EPS_DEFAULT and 517 nodes.
+    # The least epsilon cuts the longest tables a context holds, but its
+    # folds are those of EPS_DEFAULT: 9 coefficients at p = 2 on [0, q],
+    # and prefixes of 10 (p = 3) down to 6 (p = 10) below q / 2.  At p = 64,
+    # where 5e-324 passes the table cap, EPS_DEFAULT and 517 nodes.
     eps = sg.EPS_DEFAULT if p == 64 else 5e-324
     ctx = sg.build_context(p, eps)
     nodes = evalcore._nodes(ctx)
     rng = random.Random(400 + p)
     points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(10))
     _assert_folds_like_the_loop(ctx, points)
-    lengths = {2: 85, 3: 180, 10: 100, 64: 1}
+    lengths = {2: 9, 3: 10, 10: 6, 64: 1}
     if p in lengths:
-        prefix = ctx.sq_table if nodes is None else nodes.sq_prefix
-        assert len(prefix.floats) == lengths[p]
+        assert len(nodes.sq_prefix.floats) == lengths[p]
     if p == 64:
         assert len(nodes.sq) == 518
 
@@ -957,15 +955,16 @@ EVALUATOR_GLOBALS = {"fmod", "check_finite", "QuadrantReduction", "SQN", "CQN",
                      "sq", "cq", "pair", "reduce", "__builtins__"}
 
 
-@pytest.mark.parametrize("p, eps, folds_nodes", [(2, 2.0 ** -53, False), (4, 2.0 ** -53, True), (3, 1e-3, False)])
+@pytest.mark.parametrize("p, eps, folds_nodes", [(2, 2.0 ** -53, False), (4, 2.0 ** -53, True)])
 def test_evaluators_read_no_number_from_their_globals(p, eps, folds_nodes):
     # Every coefficient and constant is written into the evaluators' source
-    # as its repr; their globals hold helpers, the evaluators and node tables.
+    # as its repr; their globals hold helpers, the evaluators and node
+    # tables, empty at p = 2.
     ctx = sg.build_context(p, eps)
-    assert (evalcore._nodes(ctx) is not None) == folds_nodes
+    assert bool(evalcore._nodes(ctx).sq) == folds_nodes
     for name, evaluator in vars(ctx.evaluators).items():
         assert set(evaluator.__globals__) <= EVALUATOR_GLOBALS, name
-        assert ("SQN" in evaluator.__globals__) == folds_nodes
+        assert bool(evaluator.__globals__["SQN"]) == folds_nodes
 
 
 def test_equal_contexts_share_their_evaluator_code():

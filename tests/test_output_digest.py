@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 import json
 import struct
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import squigonometry as sg
-from squigonometry import constants
+from squigonometry import evalcore
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
@@ -29,28 +28,26 @@ def _flip_last_bit(x: float) -> float:
 
 def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
     # The sq sweep reproduces its stored digest; with the last bit of a_0 in
-    # the sq table the p = 4 record cuts for build_context flipped, the same
-    # sweep digests differently.
-    # (Below q / 2, where node tables leave the table folds, a_1 s^5 is under
+    # the sq prefix the p = 4 contexts fold flipped, the same sweep digests
+    # differently.
+    # (Below q / 2, where node tables leave the prefix folds, a_1 s^5 is under
     # 1 % of sq, so a flip of a_1's last bit moves no output of the sweep.)
     tool = _load_tool()
     golden = json.loads(tool.GOLDEN.read_text(encoding="utf-8"))
     assert tool.digest("sq") == golden["sq"]
 
-    real = constants._solve_pi
+    real = evalcore._nodes
 
-    def flipped(p, epsilon):
-        record = real(p, epsilon)
-        if p != 4:
-            return record
-        sq_table, cq_table = record._quarter_tables
-        floats = list(sq_table.floats)
+    def flipped(ctx):
+        nodes = real(ctx)
+        if ctx.p != 4:
+            return nodes
+        floats = list(nodes.sq_prefix.floats)
         floats[0] = _flip_last_bit(floats[0])
-        table = sg.MacLaurinTable(sq_table.params, tuple(floats))
-        return dataclasses.replace(record, _quarter_tables=(table, cq_table))
+        return nodes._replace(sq_prefix=sg.MacLaurinTable(nodes.sq_prefix.params, tuple(floats)))
 
-    monkeypatch.setattr(constants, "_solve_pi", flipped)
-    assert sg.build_context(4).sq_table.floats[0] != real(4, sg.EPS_DEFAULT)._quarter_tables[0].floats[0]
+    monkeypatch.setattr(evalcore, "_nodes", flipped)
+    assert evalcore._nodes(sg.build_context(4)).sq_prefix != real(sg.build_context(4)).sq_prefix
     changed = tool.digest("sq")
     assert changed["outputs"] == golden["sq"]["outputs"]
     assert changed["sha256"] != golden["sq"]["sha256"]

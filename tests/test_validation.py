@@ -443,7 +443,7 @@ NODE_PAIRS = [(case, bad) for case in sorted(NODE_CASES) for bad in BAD_VALUES]
 @pytest.fixture(scope="module")
 def ctx10() -> sg.EvalContext:
     ctx = sg.build_context(10)
-    assert sg.evalcore._nodes(ctx) is not None
+    assert sg.evalcore._nodes(ctx).sq
     return ctx
 
 

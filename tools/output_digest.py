@@ -8,14 +8,15 @@ Usage, from any directory:
 
 Each sweep calls one public function on fixed arguments (seeded random
 points, and for the evaluators the points where their folds change,
-included); the build_context sweep records the tables each context folds
-and its node count.  Every call becomes one line: the arguments'
-repr, then the result with every float as float.hex and every int in
-decimal, or, for a typed SquigError, its class name and the first eight
-words of its message.  Any other exception propagates.  The digest of a
-function is the SHA-256 of its lines, so a single flipped bit in any
-output changes it, and the line count says how many outputs it covers.
-Two dumps compared line by line count the outputs a change moved.
+included); the build_context sweep records each context's tables, the
+lengths of the prefixes it folds and its node count.  Every call becomes
+one line: the arguments' repr, then the result with every float as
+float.hex and every int in decimal, or, for a typed SquigError, its class
+name and the first eight words of its message.  Any other exception
+propagates.  The digest of a function is the SHA-256 of its lines, so a
+single flipped bit in any output changes it, and the line count says how
+many outputs it covers.  Two dumps compared line by line count the
+outputs a change moved.
 
 The sweep takes about 9 s on one core of a 2-vCPU Xeon (CPython 3.11.7),
 4.6-5.0 s of it in the compute_pi sweep, which builds each record's sq and
@@ -106,14 +107,10 @@ _CONTEXT_TABLES = [(p, eps) for p in (*range(2, 17), 24, 32, 64)
 
 def _context_tables(p: int, eps: float):
     # The context's own tables, cut for [0, q], then the lengths of the
-    # prefixes its evaluators fold and the count of node entries (0 where
-    # they fold the context's tables on all of [0, q]).
+    # prefixes its evaluators fold and the count of node entries (0 at p = 2).
     ctx = sg.build_context(p, eps)
     nodes = sg.evalcore._nodes(ctx)
-    if nodes is None:
-        shape = (len(ctx.sq_table.floats), len(ctx.cq_table.floats), 0)
-    else:
-        shape = (len(nodes.sq_prefix.floats), len(nodes.cq_prefix.floats), len(nodes.sq))
+    shape = (len(nodes.sq_prefix.floats), len(nodes.cq_prefix.floats), len(nodes.sq))
     return ctx.sq_table.floats, ctx.cq_table.floats, shape
 
 
