@@ -9,7 +9,8 @@ Usage, from any directory:
 Each sweep calls one public function on fixed arguments (seeded random
 points, and for the evaluators the points where their folds change,
 included); the build_context sweep records each context's tables, the
-lengths of the prefixes it folds and its node count.  Every call becomes
+lengths of the prefixes it folds and its node count, and the nodes sweep
+each node's entries but their low parts.  Every call becomes
 one line: the arguments' repr, then the result with every float as
 float.hex and every int in decimal, or, for a typed SquigError, its class
 name and the first eight words of its message.  Any other exception
@@ -117,6 +118,15 @@ def _context_tables(p: int, eps: float):
 def sweep_build_context() -> Iterator[str]:
     for p, eps in _CONTEXT_TABLES:
         yield call(_context_tables, p, eps)
+
+
+def sweep_nodes() -> Iterator[str]:
+    # Node by node, the sq and cq entries each node folds: t0, hi and
+    # b_1..b_8, with lo, the last bits of the node's value, left out.
+    for p in (3, 4, 6, 10, 16, 32, 64):
+        nodes = sg.evalcore._nodes(sg.build_context(p))
+        for i, pair in enumerate(zip(nodes.sq, nodes.cq)):
+            yield call(lambda *a, pair=pair: tuple(e[:2] + e[3:] for e in pair), p, i)
 
 
 def sweep_maclaurin() -> Iterator[str]:
