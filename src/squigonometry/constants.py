@@ -56,12 +56,9 @@ MAX_BETA_BITS = 1 << 21
 @dataclass(frozen=True)
 class PiRecord:
     """One computed pi_p: the correctly rounded value, the widenings its sum
-    took, the table length J_used, the tolerance, the series _series and
-    _quarter_tables, the sq and cq tables cut for [0, pi_p / 4], which
-    build_context takes as they are.
-
-    The series is fixed once made, as long as those tables needed: a
-    context takes it with them, and its node tables extend a copy of it.
+    took, the table length J_used, the tolerance, and _quarter_tables, the
+    sq and cq tables cut for [0, pi_p / 4], which build_context takes as
+    they are.  It keeps no series, and is fixed once made.
     """
 
     p: int
@@ -69,7 +66,6 @@ class PiRecord:
     iterations: int
     J_used: int
     epsilon: float
-    _series: _TaylorSeries = field(repr=False, compare=False)
     _quarter_tables: tuple[MacLaurinTable, MacLaurinTable] = field(repr=False, compare=False)
 
 
@@ -125,7 +121,7 @@ def _solve_pi(p: int, epsilon: float) -> PiRecord:
         raise CostGuardError(f"pi_{p} at epsilon={epsilon!r} needs J={J} terms, past the cap {MAX_PI_TERMS}")
     tables = tuple(_cut(params, series.coefficients(params, J), series.pi_p / 4.0, epsilon)
                    for params in (SquigParams(p, 0, 1), SquigParams(p, 1, 0)))
-    return PiRecord(p, series.pi_p, series.widenings, J, epsilon, series, tables)
+    return PiRecord(p, series.pi_p, series.widenings, J, epsilon, tables)
 
 
 # The memo is inspected and cleared through the public name.

@@ -1,9 +1,9 @@
 """Floating-point evaluation of squigonometric functions on the real line.
 
 An EvalContext is one circle degree p and one tolerance epsilon, and it
-derives from them the quarter period pi_p / 4, the MacLaurin tables for sq
-(m=0, n=1) and cq (m=1, n=0) and the series, all from the compute_pi record
-for (p, epsilon).  compute_pi sizes its table length for the tail at t = 1;
+derives from them the quarter period pi_p / 4 and the MacLaurin tables for
+sq (m=0, n=1) and cq (m=1, n=0), both from the compute_pi record for
+(p, epsilon).  compute_pi sizes its table length for the tail at t = 1;
 on the reduced interval [0, pi_p/4] the terms fall faster, so it rounds each
 table only up to its first term there within epsilon / 64 of the leading
 one, and the context takes those prefixes as they are.
@@ -27,25 +27,23 @@ written once per coefficient.
 
 A context's folds depend on p alone.  At p >= 3, below q / 2, with
 q = pi_p / 4, they fold prefixes cut for [0, q / 2] at EPS_DEFAULT
-(series._cut) from the context's series; on [q / 2, q] they fold node
+(series._cut) from a fresh series of p; on [q / 2, q] they fold node
 tables, Tang's table-driven scheme (ACM TOMS 15(2), 1989): N equally spaced
 nodes t0 and, about each, the Taylor polynomial of degree 8 in h = s - t0,
-exact by Sterbenz's lemma since s and t0 both lie in [q / 2, q].  The
-context's integer Taylor series gives its coefficients as floats
-(series._TaylorSeries.node, by the recurrence of the MacLaurin tables taken
-about t0), each rounded once, with the leading one kept as a double-double;
-the paper's triangle rows at (cq(t0), sq(t0)) are their oracle in the tests.
-The nearest complex singularity lies at least q tan(pi / p) from t0, which
-sets N: 15 nodes at p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call
-then costs about 0.5 us at every p.  At p = 2 they fold the prefixes for all
-of [0, q], the tables of build_context(2).  epsilon shapes only the
-context's tables, J_used and the refusals; from p = 735, where compute_pi
-refuses the tables of EPS_DEFAULT, the first evaluation refuses too, before
-any node.  The first evaluation builds the evaluators, mostly the nodes from
-p = 10 on: with the compute_pi memo and the compiled sources cleared, 2.9,
-6.3, 10 and 43 ms at p = 4, 10, 16 and 64, and 2.6, 5.8, 3.4, 7.7 and 86 ms
-at (3, 5e-324), (10, 1e-300), (4, 1e-3), (10, 1e-6) and (64, 0.1) (best of
-35, CPython 3.11, one core of a 2-vCPU Xeon shared with other tenants).
+exact by Sterbenz's lemma since s and t0 both lie in [q / 2, q].
+series._TaylorSeries.nodes gives its coefficients as floats, by the
+recurrence of the MacLaurin tables taken about t0, from (cq(t0), sq(t0))
+that one Newton step on the binomial series of arcsq gives; each is rounded
+once, with the leading one kept as a double-double, and the paper's triangle
+rows at (cq(t0), sq(t0)) are their oracle in the tests.  The nearest complex
+singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
+p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
+0.5 us at every p.  At p = 2 they fold the prefixes for all of [0, q], the
+tables of build_context(2).  epsilon shapes only the context's tables,
+J_used and the refusals; from p = 735, where compute_pi refuses the tables
+of EPS_DEFAULT, the first evaluation refuses too, before any node.  The
+first evaluation reads no compute_pi record and builds the evaluators,
+mostly the nodes from p = 10 on.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from typing import NamedTuple
 
 from .constants import compute_pi
 from .errors import CostGuardError, DomainError, PoleError, check_finite, check_powers, checked_power, shown
-from .series import EPS_DEFAULT, MAX_PI_TERMS, MacLaurinTable, _cut, estimate_terms
+from .series import EPS_DEFAULT, MAX_PI_TERMS, MacLaurinTable, _cut, _TaylorSeries, estimate_terms
 from .triangle import SquigParams
 
 # Node folds: the degree of each node polynomial and the share of a term its
@@ -77,8 +75,8 @@ class EvalContext:
     equality, hashing, pickling and copying are those of (p, epsilon).  The
     constructor reads the record once and derives frozen attributes from
     it: quarter (pi_p / 4), the sq and cq tables the record cut for
-    [0, pi_p / 4], pi_p, half (pi_p / 2) and period (2 pi_p), exact
-    multiples of quarter, and the record's series, which the nodes copy.
+    [0, pi_p / 4], and pi_p, half (pi_p / 2) and period (2 pi_p), exact
+    multiples of quarter; a pickle of those attributes loads as they are.
     sq, cq and pow_general evaluate through the evaluators the context
     makes at its first evaluation, alike at every epsilon, which at p >= 3
     fold node tables on [pi_p / 8, pi_p / 4] (the module docstring has more).
@@ -91,8 +89,7 @@ class EvalContext:
         record = compute_pi(self.p, self.epsilon)
         q = record.value / 4.0
         sq_table, cq_table = record._quarter_tables
-        vars(self).update(quarter=q, sq_table=sq_table, cq_table=cq_table, pi_p=4.0 * q, half=2.0 * q, period=8.0 * q,
-                          _series=record._series)
+        vars(self).update(quarter=q, sq_table=sq_table, cq_table=cq_table, pi_p=4.0 * q, half=2.0 * q, period=8.0 * q)
 
     @cached_property
     def evaluators(self) -> types.SimpleNamespace:
@@ -111,12 +108,6 @@ class EvalContext:
 
     def __reduce__(self) -> tuple:
         return EvalContext, (self.p, self.epsilon)
-
-    def __setstate__(self, state: dict) -> None:
-        # A pickle of the old form, the class and a state dict without the
-        # series, loads as EvalContext(p, epsilon) too.
-        vars(self).update(p=state["p"], epsilon=state["epsilon"])
-        self.__post_init__()
 
 
 class _Nodes(NamedTuple):
@@ -141,12 +132,13 @@ def _nodes(ctx: EvalContext) -> _Nodes:
     # [mid, quarter] keep |h| <= quarter / 4N, and the Taylor series about a
     # node converges within rho = quarter tan(pi / p) of it, the distance to
     # the nearest complex singularity of sq and cq, so N is the least with
-    # (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.
+    # (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.  The sq prefix folded at
+    # the first centre starts the Newton step of the first node's values.
     p, degree, q = ctx.p, _NODE_DEGREE, ctx.quarter
     J = estimate_terms(p, ctx.pi_p, EPS_DEFAULT)
     if J > MAX_PI_TERMS:
         raise CostGuardError(f"sq and cq at p={p} need J={J} terms at epsilon={EPS_DEFAULT!r}, past the cap {MAX_PI_TERMS}")
-    series = ctx._series.copy()  # the record's, which is never extended
+    series = _TaylorSeries(p)
     mid = q / 2.0 if p > 2 else math.inf
     sq_prefix, cq_prefix = (_cut(params, series.coefficients(params, J), min(mid, q), EPS_DEFAULT)
                             for params in (SquigParams(p, 0, 1), SquigParams(p, 1, 0)))
@@ -154,8 +146,8 @@ def _nodes(ctx: EvalContext) -> _Nodes:
         return _Nodes(mid, 0.0, sq_prefix, cq_prefix, (), ())
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
     width = (q - mid) / parts
-    t0s = (mid + (i + 0.5) * width for i in range(parts))
-    sq_nodes, cq_nodes = zip(*(series.node(t0, degree) for t0 in t0s))
+    t0s = [mid + (i + 0.5) * width for i in range(parts)]
+    sq_nodes, cq_nodes = zip(*series.nodes(t0s, horner_sparse(sq_prefix, t0s[0]), degree))
     return _Nodes(mid, parts / (q - mid), sq_prefix, cq_prefix, (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
 
 

@@ -21,18 +21,22 @@ v = u / rho with rho near the radius of convergence, where they stay near
 is rounded once, by the correctly rounded int/int division x / (rho^j 2^192).
 _TaylorSeries holds c, s, G and H for one p and owns their fixed-point
 format: a table of a known length J forms c^k, s^k and c^m s^n to J over
-plain lists, a square summing each pair of equal products once.  node
-gives the Taylor coefficients of sq and cq about t0 as floats, by the same
-recurrence in t - t0 from cq(t0) and sq(t0) that values sums; the triangle
-rows are their oracle in the tests.  coefficients gives a table's terms one
-at a time, so compute_pi, which cuts each table at its first term on
-[0, pi_p / 4] within epsilon / 64 of the leading one (_cut), extends the
-series no further.  It keeps the series on the record, fixed once made; the
-node tables extend a copy of it rather than start again.
+plain lists, a square summing each pair of equal products once.
+coefficients gives a table's terms one at a time, so compute_pi, which cuts
+each table at its first term on [0, pi_p / 4] within epsilon / 64 of the
+leading one (_cut), extends the series no further.  nodes gives the Taylor
+coefficients of sq and cq about t0 as floats, by the same recurrence in
+t - t0 from cq(t0) and sq(t0); the triangle rows are their oracle in the
+tests.
 
-_beta_series sums the Beta values B((m+1)/p, (n+1)/p) correctly rounded from
-one integer series with no table, in 15 to 40 us for m, n < p; pi_p =
-2 B(1/p, 1/p) / p sets rho and sizes the tables, and compute_pi returns it.
+_binomial_sums is the paper's binomial series, the one integer kernel for
+the inverse squine: at a ratio z = num / den <= 1/2 it sums
+S(z) = sum_k ((1 - a)_k / k!) z^k / (pk + n + 1) and (1 - z)^a.  At z = 1/2,
+_beta_series takes from it the Beta values B((m+1)/p, (n+1)/p) correctly
+rounded, with no table, in 15 to 40 us for m, n < p; pi_p = 2 B(1/p, 1/p) / p
+sets rho and sizes the tables, and compute_pi returns it.  At z = sq(t0)^p,
+arcsq(sq(t0)) = sq(t0) S(z) and cq(t0) = (1 - z)^(1/p), so one Newton step
+gives each node its values (_node_values).
 
 estimate_terms converts a target tolerance into a series length using the
 geometric decay rate of the scaled terms: coefficients decay like R^(-pj)
@@ -126,6 +130,9 @@ _GUARD = 1 << 117
 # Fraction bits _beta_series starts from; it rarely needs more.
 _BETA_BITS = 80
 
+# Fraction bits of a node's Newton step; its values keep 128 of them.
+_NODE_BITS = 136
+
 
 def _miller(f: list[int], g: list[int], alpha: int, k: int) -> int:
     # g_k of g = f^alpha from f_0..f_k and g_0..g_(k-1), all in one fixed point
@@ -150,9 +157,8 @@ class _TaylorSeries:
 
     pi_p and widenings come from _beta_series.  rho = r / 2^32 is R^p for
     R = radius(p, pi_p), capped at 2^16 (p = 2 is entire) and rounded up.
-    At p = 2, G = c and H = s.  table and values extend the lists in place,
-    so a series that stays as it is, such as a compute_pi record's, is
-    extended only through a copy.
+    At p = 2, G = c and H = s.  table and coefficients extend the lists in
+    place; nodes reads none of them.
     """
 
     def __init__(self, p: int) -> None:
@@ -169,12 +175,6 @@ class _TaylorSeries:
             g.append(_miller(c, g, p - 1, j) if p > 2 else c[j])
             s.append(g[j] // (p * j + 1))
             h.append(_miller(s, h, p - 1, j) if p > 2 else s[j])
-
-    def copy(self) -> _TaylorSeries:
-        """The series with lists of its own: extending the copy leaves this one as it is."""
-        new = object.__new__(_TaylorSeries)
-        vars(new).update(vars(self), c=self.c[:], s=self.s[:], g=self.g[:], h=self.h[:])
-        return new
 
     def table(self, params: SquigParams, J: int) -> MacLaurinTable:
         """a_0..a_J of cq^m * sq^n, extending the series to J."""
@@ -227,46 +227,31 @@ class _TaylorSeries:
                 terms = _products(terms, unit)
         return terms
 
-    def values(self, t0: float, bits: int) -> tuple[int, int]:
-        """cq(t0) and sq(t0) in fixed point of the given fraction bits, which hold t0 exactly.
-
-        c[j] and s[j] are summed at v = t0^p / rho with alternating signs, extending
-        the series, until both terms are below 2^-80; they shrink, so that bounds the error.
-        """
-        p, c, s = self.p, self.c, self.s
-        t = int(math.ldexp(t0, bits))
-        v = (t ** p << 32) // (self.r << bits * (p - 1))
-        scaled, cq, sq, small = 1 << bits, 0, 0, 1 << (bits - 80)
-        for j in count():
-            if j >= len(c):
-                self.extend(j)
-            tc, ts = c[j] * scaled >> _F, s[j] * scaled >> _F
-            cq, sq = (cq - tc, sq - ts) if j % 2 else (cq + tc, sq + ts)
-            if tc < small and ts < small:
-                return cq, t * sq >> bits
-            scaled = scaled * v >> bits
-
-    def node(self, t0: float, degree: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Node entries (t0, hi, lo, b_1, ..., b_degree) of sq and of cq, t0 in [1/4, 1), p >= 3.
+    def nodes(self, t0s: list[float], start: float, degree: int) -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
+        """Node entries (t0, hi, lo, b_1, ..., b_degree) of sq and of cq about each t0 of t0s, in [1/4, 1), p >= 3.
 
         b_k is the h^k coefficient of y = sq(t0 + h) or x = cq(t0 + h): y_k =
         G_(k-1) / k and x_k = -H_(k-1) / k, G = x^(p-1) and H = y^(p-1), in
-        128-bit fixed point, each rounded once; hi + lo is y_0 or x_0.
+        128-bit fixed point from _node_values, each rounded once; hi + lo is
+        y_0 or x_0.  start is sq(t0s[0]) to about 2^-50, and each node's own
+        polynomial at the next t0, to about 2^-51, starts the next.
         """
         p, one = self.p, 1 << 128
-        x, y = ([v] for v in self.values(t0, 128))  # t0 >= 1/4 has no bits below 2^-55
-        g, h = x[:], y[:]
-        for _ in range(p - 2):  # G_0 = x_0^(p-1) and H_0 = y_0^(p-1), each product floored
-            g[0], h[0] = g[0] * x[0] >> 128, h[0] * y[0] >> 128
-        for k in range(1, degree + 1):
-            x.append(-h[k - 1] // k)
-            y.append(g[k - 1] // k)
-            if k < degree:
-                g.append(_miller(x, g, p - 1, k))
-                h.append(_miller(y, h, p - 1, k))
-        # hi > 2^-75 has no bits below 2^-128, so hi * one is an int.
-        return tuple((t0, hi, (v[0] - int(hi * one)) / one, *(b / one for b in v[1:]))
-                     for v in (y, x) for hi in [v[0] / one])
+        for t0, after in zip(t0s, [*t0s[1:], t0s[-1]]):
+            x, y, g, h = ([v] for v in _node_values(p, t0, start))
+            for k in range(1, degree + 1):
+                x.append(-h[k - 1] // k)
+                y.append(g[k - 1] // k)
+                if k < degree:
+                    g.append(_miller(x, g, p - 1, k))
+                    h.append(_miller(y, h, p - 1, k))
+            # hi > 2^-75 has no bits below 2^-128, so hi * one is an int.
+            yield tuple((t0, hi, (v[0] - int(hi * one)) / one, *(b / one for b in v[1:]))
+                        for v in (y, x) for hi in [v[0] / one])
+            step, start = int(math.ldexp(after - t0, 128)), 0  # t0 and after are multiples of 2^-54
+            for b in reversed(y):
+                start = b + (start * step >> 128)
+            start /= one
 
 
 # A table for [0, top] ends before its first term there within this share of
@@ -315,8 +300,8 @@ def _beta_series(p: int, m: int, n: int, scale: int) -> tuple[float, int]:
         return num / (den * (n0 + 1 if m0 == p - 1 else m0 + 1)), 0
     for widenings in count():
         bits = _BETA_BITS + 64 * widenings
-        s_mn, root_m, e_m = _binomial_sums(p, m0, n0, bits)
-        s_nm, root_n, e_n = (s_mn, root_m, e_m) if m0 == n0 else _binomial_sums(p, n0, m0, bits)
+        s_mn, root_m, e_m = _binomial_sums(p, m0, n0, bits, 1, 2)
+        s_nm, root_n, e_n = (s_mn, root_m, e_m) if m0 == n0 else _binomial_sums(p, n0, m0, bits, 1, 2)
         low = (root_n - e_n) * s_mn + (root_m - e_m) * s_nm
         high = root_n * (s_mn + e_m) + root_m * (s_nm + e_n)
         value = num * low / (den << 2 * bits)
@@ -324,21 +309,40 @@ def _beta_series(p: int, m: int, n: int, scale: int) -> tuple[float, int]:
             return value, widenings
 
 
-def _binomial_sums(p: int, m: int, n: int, bits: int) -> tuple[int, int, int]:
-    # S_(m,n) and 2^(-a) = 1 - T_m in G-bit fixed point for m, n < p, and e, with
-    # S and T each under e units low.  With c_k = ((1 - a)_k / k!) 2^-k, the half
-    # integral_0^c x^n (1 - x^p)^(a - 1) dx, c = 2^(-1/p), is c^(n+1) S_(m,n),
-    # S_(m,n) = sum_k c_k / (pk + n + 1) (DLMF 8.17), and 2^(-a) = (1 - 1/2)^a
-    # = 1 - T_m, T_m = sum_(k>=1) (m + 1) c_(k-1) / (2pk).  Each ratio c_k /
-    # c_(k-1) lies in [0, 1/2), so the floored c_k is under 2 units low, and at
-    # c_K = 0 S and T are under e = 2K + 2 units low, tail included.
-    c, s, t, k = 1 << bits, (1 << bits) // (n + 1), 0, 0
+def _binomial_sums(p: int, m: int, n: int, bits: int, num: int, den: int) -> tuple[int, int, int]:
+    # S_(m,n)(z) and (1 - z)^a = 1 - T_m(z) in G-bit fixed point at z = num / den
+    # <= 1/2 for m, n < p, and e, with S and T each under e units low.  With
+    # c_k = ((1 - a)_k / k!) z^k, a = (m + 1) / p, integral_0^x u^n (1 - u^p)^(a - 1)
+    # du is x^(n+1) S_(m,n)(z) at z = x^p, S_(m,n) = sum_k c_k / (pk + n + 1)
+    # (DLMF 8.17; at m = n = 0, x S is arcsq(x)), and (1 - z)^a = 1 - T_m, T_m =
+    # sum_(k>=1) (m + 1) c_(k-1) z / (pk).  Each ratio c_k / c_(k-1) lies in
+    # [0, 1/2), so the floored c_k is under 2 units low, and at c_K = 0 S and T
+    # are under e = 2K + 2 units low, tail included.
+    c, s, t, pk, ratio = 1 << bits, (1 << bits) // (n + 1), 0, 0, (m + 1) * num
     while c:
-        k += 1
-        t += (m + 1) * c // (2 * p * k)
-        c = c * (p * k - m - 1) // (2 * p * k)
-        s += c // (p * k + n + 1)
-    return s, (1 << bits) - t, 2 * k + 2
+        pk += p  # p k
+        step = den * pk
+        t += ratio * c // step
+        c = c * (num * (pk - m - 1)) // step
+        s += c // (pk + n + 1)
+    return s, (1 << bits) - t, 2 * pk // p + 2
+
+
+def _node_values(p: int, t0: float, start: float) -> tuple[int, int, int, int]:
+    # cq(t0), sq(t0), cq(t0)^(p-1) and sq(t0)^(p-1) in 128-bit fixed point,
+    # for t0 in [1/4, pi_p / 4] and start sq(t0) to about 2^-50, by one Newton
+    # step at _NODE_BITS.  At y = start, z = y^p <= 1/2 gives arcsq(y) = y S(z)
+    # and x = (1 - z)^(1/p) from one binomial sum; y is sq at t0 + r, r =
+    # arcsq(y) - t0, and sq' = G = cq^(p-1) = (1 - z) / x, cq' = -H = -sq^(p-1)
+    # = -z / y, so y - r G and x + r H are sq(t0) and cq(t0) to about r^2.
+    bits = _NODE_BITS
+    unit, y = 1 << bits, int(math.ldexp(start, bits))
+    z = y ** p >> bits * (p - 1)
+    s, x, _ = _binomial_sums(p, 0, 0, bits, z, unit)
+    r = (y * s >> bits) - int(math.ldexp(t0, bits))  # t0 >= 1/4 has no bits below 2^-54
+    y, x = y - r * (unit - z) // x, x + r * z // y
+    z = y ** p >> bits * (p - 1)
+    return tuple(v >> bits - 128 for v in (x, y, ((unit - z) << bits) // x, (z << bits) // y))
 
 
 def _range_product(factors: range) -> int:

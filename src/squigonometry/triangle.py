@@ -244,8 +244,9 @@ def _json_int(value) -> int:
 def triangle_from_json(text: str) -> CoeffTriangle:
     """Inverse of triangle_to_json; round-trips exactly.
 
-    Invalid JSON, a missing key, a row that is not a list or an entry that
-    is not an integer raises ParameterError.
+    Invalid JSON, a missing key, a row that is not a list, an entry that is
+    not an integer, a negative m or n (which build_triangle refuses too) or
+    a column of row k outside 0..k raises ParameterError.
     """
     try:
         doc = json.loads(text)
@@ -256,7 +257,11 @@ def triangle_from_json(text: str) -> CoeffTriangle:
         rows = tuple({_json_int(j): _json_int(v) for j, v in row} for row in doc["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed serialized triangle: {exc}") from None
+    check_powers(params.m, params.n)
     check_int("K", K, 0)
     if len(rows) != K + 1:
         raise ParameterError("serialized triangle has wrong row count")
+    for k, row in enumerate(rows):
+        for j in row:
+            check_int(f"a column of row {k}", j, 0, k)
     return CoeffTriangle(params=params, K=K, rows=rows)

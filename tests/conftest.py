@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 import squigonometry as sg
+from squigonometry import series
 
 # Selected with --hypothesis-profile=ci: the same examples on every run, and
 # a failure prints the blob that replays it.
@@ -48,3 +49,17 @@ def watch_evaluators(monkeypatch):
         ))
         return calls
     return watch
+
+
+@pytest.fixture
+def node_values(monkeypatch) -> list:
+    """(t0, (x0, y0, G_0, H_0)) of each node the test makes, in 128-bit fixed point, as series makes them."""
+    made = []
+    real = series._node_values
+
+    def recording(p, t0, start):
+        made.append((t0, values := real(p, t0, start)))
+        return values
+
+    monkeypatch.setattr(series, "_node_values", recording)
+    return made

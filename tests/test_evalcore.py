@@ -92,14 +92,13 @@ def test_context_holds_the_cut_of_the_tables_pi_was_solved_on():
 
 
 def test_context_takes_its_series_from_the_record_it_was_built_from():
-    # The context reads its record once: its first evaluation sums the nodes
-    # on a copy of that record's series, with no second compute_pi, even once
-    # the memo has dropped the record, and answers as a context evaluated
-    # with the memo intact.
+    # The context reads its record once, when it is built: its first
+    # evaluation makes its nodes with no second compute_pi, even once the
+    # memo has dropped the record, and answers as a context evaluated with
+    # the memo intact.
     ctx = sg.build_context(10)
     t = 0.9 * ctx.quarter
     want = sg.sq(sg.build_context(10), t)
-    assert ctx._series is sg.compute_pi(10)._series
     sg.compute_pi.cache_clear()
     got = sg.sq(ctx, t)
     assert sg.compute_pi.cache_info().misses == 0
@@ -771,12 +770,10 @@ def test_rebuilt_context_is_bit_identical(p):
 
 def test_threads_building_nodes_on_one_record_agree():
     # Equal contexts share one compute_pi record, and the first evaluation of
-    # each builds its nodes on its own copy of the record's series.  At p = 10
-    # and 1e-6 the node sums read the series past the record's table, so six
-    # threads started from one barrier each extend a copy at once, with a
-    # switch interval short enough to interleave them, in three trials: the
-    # record's four lists stay as compute_pi made them, and each thread gets
-    # the node data of a single-thread build.
+    # each builds its own nodes.  Six threads started from one barrier each
+    # build them at once, with a switch interval short enough to interleave
+    # them, in three trials: each thread gets the node data of a
+    # single-thread build.
     sg.compute_pi.cache_clear()
     want = evalcore._nodes(sg.build_context(10, 1e-6))
     interval = sys.getswitchinterval()
@@ -785,8 +782,6 @@ def test_threads_building_nodes_on_one_record_agree():
         for _ in range(3):
             sg.compute_pi.cache_clear()
             contexts = [sg.build_context(10, 1e-6) for _ in range(6)]
-            series = sg.compute_pi(10, 1e-6)._series
-            made = [list(v) for v in (series.c, series.s, series.g, series.h)]
             start, got, errors = threading.Barrier(len(contexts)), [], []
 
             def first(ctx):
@@ -803,7 +798,6 @@ def test_threads_building_nodes_on_one_record_agree():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert errors == [] and len(set(got)) == 1
-            assert [series.c, series.s, series.g, series.h] == made
             for ctx in contexts:
                 names = ctx.evaluators.sq.__globals__
                 assert (names["SQN"], names["CQN"]) == (want.sq, want.cq)
@@ -844,23 +838,24 @@ def _row_coefficients(p: int, m: int, n: int, rows, cq_powers, sq_powers) -> tup
 
 
 @pytest.mark.parametrize("p", [3, 4, 6, 10, 16, 32, 64])
-def test_node_data_are_the_triangle_rows_at_the_node(p):
+def test_node_data_are_the_triangle_rows_at_the_node(p, node_values):
     # The paper's central result is the oracle of the node coefficients that
     # the series' Taylor recurrence gives: the k-th derivative of cq^m sq^n is
     # triangle row k, a polynomial in (cq, sq), so b_k is that row at the
-    # node's values over k!.  Formed from the same 128-bit values, summed
-    # exactly and rounded once, the rows give every node entry bit for bit.
+    # node's values over k!.  Formed from the node's own 128-bit values, read
+    # as the nodes are made, summed exactly and rounded once, the rows give
+    # every node entry bit for bit.
     degree = evalcore._NODE_DEGREE
     nodes = evalcore._nodes(sg.build_context(p))
-    series = sg.compute_pi(p)._series.copy()  # values extends it
     rows = [sg.build_triangle(sg.SquigParams(p, m, 1 - m), degree).rows for m in (0, 1)]
-    for sq_node, cq_node in zip(nodes.sq, nodes.cq):
-        t0 = sq_node[0]
-        assert cq_node[0] == t0
-        powers = [_row_powers(x, p, degree) for x in series.values(t0, 128)]
+    assert len(node_values) == len(nodes.sq) - 1  # the last node is listed twice
+    for sq_node, cq_node, (t0, (cq0, sq0, *_)) in zip(nodes.sq, nodes.cq, node_values):
+        assert sq_node[0] == cq_node[0] == t0
+        powers = [_row_powers(v, p, degree) for v in (cq0, sq0)]
         for m, node in ((0, sq_node), (1, cq_node)):
             want = (t0, *_row_coefficients(p, m, 1 - m, rows[m], *powers))
             assert [x.hex() for x in node] == [x.hex() for x in want], (p, m, t0)
+
 
 def test_hand_made_context_is_validated(ctx4):
     # A context is (p, epsilon): the derived attributes are no arguments, so
@@ -931,12 +926,10 @@ def test_evaluated_context_pickles_without_its_evaluators():
 
 class _StatePickler(pickle.Pickler):
     # Writes a context as pickles held it before it reduced to (p, epsilon):
-    # the class and its state dict, derived fields and tables included, and
-    # no series, which contexts took from their record later.
+    # the class and its state dict, derived fields and tables included.
     def reducer_override(self, obj):
         if type(obj) is sg.EvalContext:
-            state = {name: v for name, v in vars(obj).items() if name != "_series"}
-            return copyreg.__newobj__, (sg.EvalContext,), state
+            return copyreg.__newobj__, (sg.EvalContext,), dict(vars(obj))
         return NotImplemented
 
 
@@ -1014,25 +1007,6 @@ def test_context_repr_evaluates_back_to_the_context(p):
     ctx = sg.build_context(p)
     assert repr(ctx) == f"EvalContext(p={p}, epsilon={2.0 ** -53!r})" and len(repr(ctx)) < 80
     assert eval(repr(ctx), {"EvalContext": sg.EvalContext}) == ctx
-
-
-@pytest.mark.parametrize("p, eps", [(3, 2.0 ** -53), (4, 2.0 ** -53), (10, 1e-6), (64, 2.0 ** -53)])
-def test_first_evaluation_leaves_the_record_series_as_made(p, eps):
-    # A record keeps the series compute_pi built, one term past the longer
-    # table it cut for [0, pi_p / 4] (that term was the first within the
-    # bound), short of J_used + 1, and hands it to each context it builds;
-    # the first evaluation of a context sums its nodes on a copy, which it
-    # extends where the nodes need more terms.
-    sg.compute_pi.cache_clear()
-    record = sg.compute_pi(p, eps)
-    series = record._series
-    made = [list(v) for v in (series.c, series.s, series.g, series.h)]
-    ctx = sg.build_context(p, eps)
-    sg.sq(ctx, 0.9 * ctx.quarter)
-    assert evalcore._nodes(ctx) is not None and ctx._series is series
-    assert [series.c, series.s, series.g, series.h] == made
-    kept = max(len(ctx.sq_table.floats), len(ctx.cq_table.floats)) + 1
-    assert [len(v) for v in made] == [kept] * 4 and kept < record.J_used + 1
 
 
 def test_quadrature_gives_up_at_its_panel_budget():

@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squigonometry as sg
+from decimal_reference import arcsq
 from squigonometry import ConvergenceError, ParameterError, SquigParams, series
 
 # Integer numerators of the p=4 series, frozen: F_j = q[n+4j][j].
@@ -93,7 +95,7 @@ def test_squares_pair_their_products():
 def test_one_series_streams_deep_tables_and_pickles():
     # Seven tables taken in turn from one series at p = 4, each with its own
     # products, 240 terms deep: the oracle's bits.  The series pickles with
-    # its lists, and a copy extends without moving the original.
+    # its lists.
     cases = ((0, 1), (1, 0), (2, 1), (3, 3), (1, 2), (3, 2), (2, 3))
     shared = series._TaylorSeries(4)
     for mn in cases:
@@ -101,9 +103,27 @@ def test_one_series_streams_deep_tables_and_pickles():
         assert list(shared.table(params, 240).floats) == exact_floats(params, 240), mn
     assert len(shared.c) == len(shared.s) == len(shared.g) == len(shared.h) == 241
     assert vars(pickle.loads(pickle.dumps(shared))) == vars(shared)
-    copy = shared.copy()
-    copy.extend(260)
-    assert len(copy.h) == 261 and len(shared.h) == 241 and copy.h[:241] == shared.h
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 10, 64, 1000])
+def test_binomial_sums_give_arcsq_and_the_cosquine_at_any_ratio(p):
+    # At z = x^p <= 1/2, passed as its exact ratio, the kernel's x S(z) is
+    # arcsq(x) and its root (1 - z)^(1/p) = cq(arcsq(x)), against the decimal
+    # reference: S under its bound e units of 2^-136 low, the root under e
+    # high.  The points run from 2^-30 to the last float with x^p <= 1/2.
+    bits, rng = 136, random.Random(4100 + p)
+    top = 2.0 ** (-1.0 / p)
+    while Fraction(top) ** p > Fraction(1, 2):
+        top = math.nextafter(top, 0.0)
+    for x in [2.0 ** -30, 0.1, 0.5 * top, top] + [rng.uniform(0.0, top) for _ in range(3)]:
+        a, b = x.as_integer_ratio()
+        s, root, e = series._binomial_sums(p, 0, 0, bits, a ** p, b ** p)
+        with localcontext() as dec:
+            dec.prec = 60
+            unit = Decimal(2) ** -bits
+            low = (arcsq(x, p) - Decimal(x) * s * unit) / unit
+            high = (root * unit - (1 - Decimal(x) ** p) ** (Decimal(1) / p)) / unit
+        assert -1e-6 < low < e and -1e-6 < high < e, (x, low, high, e)
 
 
 def test_p2_power_tables_keep_their_precision_deep():

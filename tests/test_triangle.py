@@ -241,6 +241,22 @@ def test_json_malformed_document_is_parameter_error(text):
         sg.triangle_from_json(text)
 
 
+def test_json_refuses_a_triangle_build_triangle_refuses():
+    # Negative powers, which build_triangle refuses, and a column of row k
+    # outside 0..k: both loaded once, and then verify_structure and
+    # kth_derivative_value read them as if they were triangles.
+    negative = '{"p": 4, "m": -1, "n": 0, "K": 0, "rows": [[[0, "1"]]]}'
+    with pytest.raises(ParameterError, match="m must be an int"):
+        sg.triangle_from_json(negative)
+    doc = json.loads(sg.triangle_to_json(sg.build_triangle(SquigParams(p=4, m=1, n=0), 2)))
+    doc["rows"][2].append([5, "7"])
+    with pytest.raises(ParameterError, match=r"a column of row 2 must be an int in \[0, 2\], got 5"):
+        sg.triangle_from_json(json.dumps(doc))
+    doc["rows"][2][-1] = [-1, "7"]
+    with pytest.raises(ParameterError, match="a column of row 2"):
+        sg.triangle_from_json(json.dumps(doc))
+
+
 def test_validation_errors():
     with pytest.raises(ParameterError):
         SquigParams(p=1, m=0, n=1)
