@@ -95,6 +95,7 @@ _PI_GRID += [(p, eps) for p in (2, 3, 4, 6, 10) for eps in (1e-30, 1e-100, 1e-30
 _CONTEXTS = [(p, eps) for p in (2, 3, 4, 6, 10, 16, 64) for eps in (EPS, 1e-6)]
 _CONTEXTS += [(128, EPS), (3, 5e-324), (10, 1e-300)]
 _MN = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 3), (5, 0), (0, 5), (30, 30))
+_EXACT_MN = ((1, 0), (0, 1), (2, 1), (1, 2))  # the (m, n) of the exact-integer benchmark
 
 
 def sweep_compute_pi() -> Iterator[str]:
@@ -239,6 +240,10 @@ def sweep_root_ladder() -> Iterator[str]:
     for args in ((2, 1, 0, 12), (3, 0, 1, 14), (4, 1, 0, 16), (4, 2, 1, 12), (6, 1, 0, 30),
                  (3, 2, 2, 30), (8, 3, 2, 24), (12, 1, 1, 20), (4, 0, 0, 3)):
         yield call(ladder, *args)
+    # The exact-integer benchmark's ladders, at their deepest level.
+    for p in range(2, 7):
+        for m, n in _EXACT_MN:
+            yield call(ladder, p, m, n, 10)
 
 
 def sweep_critical_value() -> Iterator[str]:
@@ -251,16 +256,22 @@ def sweep_critical_value() -> Iterator[str]:
 
 
 def sweep_explicit_coefficient() -> Iterator[str]:
-    for p, m, n in ((2, 1, 0), (3, 0, 1), (4, 1, 0), (4, 2, 1), (5, 1, 2)):
-        for k in range(11):
-            for j in range(k + 2):
-                yield call(lambda *a: sg.explicit_coefficient(SquigParams(*a[:3]), *a[3:]),
-                           p, m, n, k, j)
+    # The exact-integer benchmark's rows: p 2..6, its four (m, n), k <= 14.
+    for p in range(2, 7):
+        for m, n in _EXACT_MN:
+            for k in range(15):
+                for j in range(k + 2):
+                    yield call(lambda *a: sg.explicit_coefficient(SquigParams(*a[:3]), *a[3:]),
+                               p, m, n, k, j)
 
 
 def sweep_corollary_coefficient() -> Iterator[str]:
-    for p, m, n in ((2, 1, 0), (3, 0, 1), (4, 1, 0), (4, 2, 1), (4, -1, 1), (6, -2, 3)):
-        for j in range(7):
+    # Negative m (the tangent-type series) down to -3, where a run of marked
+    # steps can start at a negative factor, reach 0 or cross it.
+    for p, m, n in ((2, 1, 0), (3, 0, 1), (4, 1, 0), (4, 2, 1), (4, -1, 1), (6, -2, 3),
+                    (2, -1, 0), (3, -1, 2), (2, -2, 1), (3, -2, 0), (2, -3, 0), (3, -3, 1),
+                    (4, -3, 2), (5, -2, 0)):
+        for j in range(9):
             yield call(lambda *a: sg.corollary_coefficient(SquigParams(*a[:3]), a[3]),
                        p, m, n, j)
 
