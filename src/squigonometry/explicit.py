@@ -6,8 +6,11 @@ placed before step l, a marked step contributes the factor m + l(p-1) - pr
 and an unmarked step contributes n + pr - l; the product of the k factors,
 summed over all placements, is q[k][j].  This closed form needs no lower
 rows.  It is summed over the placement tree with the running prefix product,
-pruned at zero factors and where too few steps remain for the markers, so it
-costs the pruned tree's node count, not C(k, j) k multiplications.  Merging
+pruned at zero factors.  Once the steps left are forced, all unmarked
+(factors n + pj - l') or all marked (m + l(p-1) - pr - i), their factors
+fall by one a step, so the tail is one falling factorial, 0 where it crosses
+zero.  The walk costs the pruned tree's inner nodes, not C(k, j) k
+multiplications; each leaf is still one placement's own product and merging
 no subtrees keeps it independent of the recursion.
 
 When k = n + pj (the orders that survive in the MacLaurin series of
@@ -65,24 +68,35 @@ def _product_for_placement(params: SquigParams, k: int, ones: tuple[int, ...]) -
     return prod
 
 
+def _falling(top: int, length: int) -> int:
+    # top (top - 1) ... (top - length + 1); 0 once a factor reaches zero.
+    if top >= 0:
+        return math.perm(top, length)
+    return (-1) ** length * math.perm(length - 1 - top, length)
+
+
 def _placement_sum(params: SquigParams, k: int, j: int) -> int:
     # Depth first: a stack entry (step, markers placed, prefix product) is a
     # marked branch still to walk; the unmarked branch is walked in place.
+    # A forced tail, all steps left unmarked or all marked, is one falling
+    # factorial.
     p, m, n = params.p, params.m, params.n
     total = 0
     stack = [(0, 0, 1)] if j <= k else []
     while stack:
         l, r, prod = stack.pop()
-        while l < k:
-            if r < j and (factor := m + l * (p - 1) - p * r):
+        while r < j and k - l > j - r:
+            if factor := m + l * (p - 1) - p * r:
                 stack.append((l + 1, r + 1, prod * factor))
-            factor = n + p * r - l
-            if not factor or k - l <= j - r:  # zero, or no room left for j - r markers
+            if not (factor := n + p * r - l):
                 break
             prod *= factor
             l += 1
         else:
-            total += prod
+            if r == j:
+                total += prod * _falling(n + p * j - l, k - l)
+            else:
+                total += prod * _falling(m + l * (p - 1) - p * r, j - r)
     return total
 
 

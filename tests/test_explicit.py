@@ -57,10 +57,12 @@ def brute_placement_sum(params, k, j):
 
 @pytest.mark.parametrize("p", range(2, 7))
 def test_placement_walk_equals_brute_sum(p):
-    # Negative m is corollary_coefficient's tangent-type domain; j = k + 1
-    # and k = 0 are the edges of the placement tree.
-    for m in range(-2, 4):
-        for n in range(4):
+    # Negative m is corollary_coefficient's tangent-type domain, where a tail
+    # of marked steps, one falling factorial m + l(p-1) - pr - i, can start
+    # negative, start at 0 or cross 0; j = k + 1 and k = 0 are the edges of
+    # the placement tree.
+    for m in range(-4, 5):
+        for n in range(5):
             params = SquigParams(p=p, m=m, n=n)
             for k in range(13):
                 for j in range(k + 2):
