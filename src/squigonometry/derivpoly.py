@@ -12,11 +12,11 @@ negative real roots of Q_k after deflating the power u^z carried by the band
 offset z = max(0, ceil((k-n)/p)).  Consecutive levels strictly interlace,
 which drives the root finder: each gap between the current level's roots,
 an outer Cauchy bound and 0 holds at most one root of the next, so one scan
-of signs at those probes brackets them all and bisection pins them down.
+of signs at those probes brackets them all and regula falsi pins them down.
 Each sign is a filtered exact predicate: a binary64 Horner sum answers when
 it exceeds a rigorous bound on its own rounding error, and the exact integer
-sum decides everything else, so no sign is ever misattributed and the roots
-are those of exact sign evaluation, bit for bit.  The count per level is
+sum decides everything else; only these signs move a bracket, so the roots
+are those of bisection with exact signs, bit for bit.  The count per level is
 forced by the band width; a mismatch raises RootCountError rather than
 returning a guess.
 
@@ -119,10 +119,10 @@ def kth_derivative_value(ctx: EvalContext, tri: CoeffTriangle, k: int, t: float)
 # ---------------------------------------------------------------------------
 # Exact sign evaluation and root isolation.
 
-def _sign_at_dyadic(coeffs: list[int], value: float) -> int:
-    # Sign of sum coeffs[i] * value^i, exactly.  A binary64 value is
-    # num / 2^s, so scaling by 2^(s*d) for degree d leaves the integer
-    # sum coeffs[i] * num^i * 2^(s*(d - i)), one Horner pass with no gcd.
+def _sign_at_dyadic(coeffs: list[int], value: float) -> tuple[int, float]:
+    # Sign of sum coeffs[i] * value^i, exactly, and the sum in binary64, NaN
+    # from 2^1023 on.  A binary64 value is num / 2^s, so 2^(s*d) times the sum
+    # for degree d is one integer Horner pass with no gcd.
     num, den = value.as_integer_ratio()
     s = den.bit_length() - 1
     acc = 0
@@ -130,15 +130,18 @@ def _sign_at_dyadic(coeffs: list[int], value: float) -> int:
     for c in reversed(coeffs):
         acc = acc * num + (c << shift)
         shift += s
-    return (acc > 0) - (acc < 0)
+    fits = acc.bit_length() <= shift - s + 1023  # so int / int cannot overflow
+    return (acc > 0) - (acc < 0), acc / (1 << shift - s) if fits else math.nan
 
 
 #: Degrees up to this keep the float filter's error bound rigorous.
 _FILTER_MAX_DEGREE = 2 ** 17
+#: A probe of a polynomial: binary64 x -> (its certified sign at x, its value).
+_Probe = Callable[[float], tuple[int, float]]
 
 
-def _filtered_sign(coeffs: list[int]) -> Callable[[float], int]:
-    """Sign of sum coeffs[i] * x^i at binary64 x, float first, exact on doubt.
+def _filtered_sign(coeffs: list[int]) -> _Probe:
+    """Sign and value of sum coeffs[i] * x^i at binary64 x, float first.
 
     The coefficients are rounded to binary64 once, here.  Each probe runs one
     Horner pass for the value v and one for mag = sum w_i |x|^i with
@@ -150,10 +153,10 @@ def _filtered_sign(coeffs: list[int]) -> Callable[[float], int]:
     mag already carries since every w_i >= 1, plus the rounding of mag and of
     the bound itself.  Rounding is monotone, so |v| never exceeds mag before
     mag does and a finite mag means a finite v.  When |v| exceeds the bound
-    the float sign is certain; otherwise, and for a non-finite mag, the exact
-    _sign_at_dyadic decides (a filtered exact predicate, Shewchuk, Discrete
-    Comput. Geom. 18, 1997).  A coefficient past binary64 or a degree past
-    the limit sends every probe to the exact sign.
+    the float sign is certain, with v; otherwise, and for a non-finite mag,
+    the exact _sign_at_dyadic decides (a filtered exact predicate, Shewchuk,
+    Discrete Comput. Geom. 18, 1997).  A coefficient past binary64 or a
+    degree past the limit sends every probe to the exact sign.
     """
     exact = partial(_sign_at_dyadic, coeffs)
     if len(coeffs) > _FILTER_MAX_DEGREE + 1:
@@ -165,7 +168,7 @@ def _filtered_sign(coeffs: list[int]) -> Callable[[float], int]:
     pairs = [(f, max(abs(f), 1.0)) for f in floats]
     scale = (2 * len(coeffs) + 2) * 2.0 ** -53  # (2d + 4) u for degree d
 
-    def sign(x: float) -> int:
+    def sign(x: float) -> tuple[int, float]:
         ax = abs(x)
         value = mag = 0.0
         for c, w in pairs:
@@ -173,7 +176,7 @@ def _filtered_sign(coeffs: list[int]) -> Callable[[float], int]:
             mag = mag * ax + w
         # An infinite or NaN mag fails this test.
         if abs(value) > scale * mag:
-            return 1 if value > 0.0 else -1
+            return (1 if value > 0.0 else -1), value
         return exact(x)
 
     return sign
@@ -184,35 +187,43 @@ def _cauchy_bound(coeffs: list[int]) -> float:
     return 1.0 + max(map(abs, coeffs[:-1]), default=0) / abs(coeffs[-1])
 
 
-def _bisect(sign: Callable[[float], int], lo: float, hi: float, sign_lo: int) -> float:
-    # Bisection at binary64 midpoints, each sign certified by the float
-    # filter or computed exactly; runs to float exhaustion, so the returned
-    # root is correct to adjacent floats.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        s = sign(mid)
+def _isolate(sign: _Probe, lo: float, hi: float, s_lo: int, f_lo: float, f_hi: float) -> float:
+    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
+    # through both ends, halving the value of an end kept twice in a row, or
+    # an end's neighbour where the secant rounds onto that end.  Bisection,
+    # geometric while both ends are negative and a factor 2 apart, steps in
+    # where the secant is not inside or the bracket has not halved in three
+    # probes.  Only certified signs move an end, so bisection's root results.
+    side, tries, width = 0, 0, hi - lo
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if hi - lo <= 0.5 * width:
+            tries, width = 0, hi - lo
+        x = lo - f_lo * ((hi - lo) / (f_hi - f_lo)) if tries < 3 and f_lo != f_hi else mid
+        if lo < 2.0 * hi < 0.0:
+            x = -math.sqrt(lo * hi)
+        elif x <= lo or x >= hi:
+            x = math.nextafter(lo if x <= lo else hi, mid)
+        if not lo < x < hi:  # NaN, or a geometric mean out of range
+            x = mid
+        tries += 1
+        s, v = sign(x)
         if s == 0:
-            return mid
-        if s == sign_lo:
-            lo = mid
+            return x
+        if s == s_lo:
+            lo, f_lo, f_hi, side = x, v, f_hi * 0.5 if side > 0 else f_hi, 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi, f_lo, side = x, v, f_lo * 0.5 if side < 0 else f_lo, -1
+    return mid
 
 
-def _bracketed_roots(
-    sign: Callable[[float], int], probes: list[float], expected: int
-) -> list[float]:
+def _bracketed_roots(sign: _Probe, probes: list[float], expected: int) -> list[float]:
     # Interlacing leaves at most one root between consecutive probes, so one
     # scan of their signs brackets every root or the count contradicts theory.
-    signs = [sign(x) for x in probes]
-    gaps = zip(probes, probes[1:], signs, signs[1:])
-    brackets = [(a, b, s) for a, b, s, s_next in gaps if s * s_next < 0]
+    ends = [(x, *sign(x)) for x in probes]
+    brackets = [(a, b) for a, b in zip(ends, ends[1:]) if a[1] * b[1] < 0]
     if len(brackets) != expected:
         raise RootCountError(f"found {len(brackets)} sign changes, expected {expected} roots")
-    return [_bisect(sign, lo, hi, s) for lo, hi, s in brackets]
+    return [_isolate(sign, lo, hi, s, f_lo, f_hi) for (lo, s, f_lo), (hi, _, f_hi) in brackets]
 
 
 def root_ladder(params: SquigParams, k_max: int) -> list[RootSet]:

@@ -26,14 +26,28 @@ SQUINE6 = SquigParams(p=6, m=0, n=1)
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def fraction_sign(coeffs: list[int], value: float) -> int:
-    # Reference for the integer sign kernel: the same Horner sum carried in
-    # exact rationals, normalised at every step.
+def fraction_sum(coeffs: list[int], value: float) -> Fraction:
+    # Reference for the integer kernel: the same Horner sum carried in exact
+    # rationals, normalised at every step.
     x = Fraction(value)
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
+    return acc
+
+
+def fraction_sign(coeffs: list[int], value: float) -> int:
+    acc = fraction_sum(coeffs, value)
     return (acc > 0) - (acc < 0)
+
+
+def assert_exact_pair(got: tuple[int, float], coeffs: list[int], value: float) -> None:
+    # The exact kernel's (sign, value): the sign of the sum, and the sum
+    # correctly rounded to binary64 below 2^1023 in magnitude, NaN from there.
+    acc = fraction_sum(coeffs, value)
+    want = float(acc) if abs(acc) < 2 ** 1023 else math.nan
+    assert got[0] == (acc > 0) - (acc < 0)
+    assert got[1] == want or math.isnan(got[1]) and math.isnan(want)
 
 
 def test_q_polynomial_dense_view():
@@ -339,7 +353,7 @@ PROBES = st.one_of(
     value=PROBES,
 )
 def test_sign_at_dyadic_matches_fraction_oracle(coeffs, value):
-    assert _sign_at_dyadic(coeffs, value) == fraction_sign(coeffs, value)
+    assert_exact_pair(_sign_at_dyadic(coeffs, value), coeffs, value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -355,14 +369,18 @@ def test_sign_at_dyadic_around_a_dyadic_root(root, cofactor):
     for i, c in enumerate(cofactor):
         coeffs[i] -= num * c
         coeffs[i + 1] += den * c
-    assert _sign_at_dyadic(coeffs, root) == 0
+    assert _sign_at_dyadic(coeffs, root) == (0, 0.0)
     for x in (math.nextafter(root, -math.inf), math.nextafter(root, math.inf)):
         if math.isfinite(x):
-            assert _sign_at_dyadic(coeffs, x) == fraction_sign(coeffs, x)
+            assert_exact_pair(_sign_at_dyadic(coeffs, x), coeffs, x)
 
 
 def filtered(coeffs: list[int], value: float) -> int:
-    return _filtered_sign(coeffs)(value)
+    # The certified sign; the value returned with it carries that sign
+    # unless it underflowed to zero or passed the binary64 range.
+    sign, estimate = _filtered_sign(coeffs)(value)
+    assert sign * estimate > 0.0 or estimate == 0.0 or math.isnan(estimate)
+    return sign
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,9 +466,9 @@ def test_sign_at_dyadic_exact_roots_and_zero_polynomial():
     # (4u + 3)(u - 2^-40) vanishes exactly at both dyadic roots.
     coeffs = [-3, 3 * 2 ** 40 - 4, 4 * 2 ** 40]
     for root in (-0.75, 2.0 ** -40):
-        assert _sign_at_dyadic(coeffs, root) == 0
-    assert _sign_at_dyadic(coeffs, -0.75 - 2.0 ** -52) == 1
-    assert _sign_at_dyadic([0, 0, 0], 1e300) == 0
+        assert _sign_at_dyadic(coeffs, root) == (0, 0.0)
+    assert _sign_at_dyadic(coeffs, -0.75 - 2.0 ** -52)[0] == 1
+    assert _sign_at_dyadic([0, 0, 0], 1e300) == (0, 0.0)
 
 
 def test_root_ladder_golden_bits():
@@ -474,5 +492,90 @@ def test_bracketing_takes_one_scan_of_the_probes():
 def test_filter_past_its_degree_limit_is_exact():
     # 1 + x + ... + x^(2^17 + 1) is past the float filter's bound, so every
     # probe takes the exact sign: 0 at -1, where the even count of terms cancels.
-    sign = _filtered_sign([1] * (derivpoly._FILTER_MAX_DEGREE + 2))
-    assert [sign(x) for x in (-1.0, 0.0, 1.0)] == [0, 1, 1]
+    terms = derivpoly._FILTER_MAX_DEGREE + 2
+    sign = _filtered_sign([1] * terms)
+    assert [sign(x) for x in (-1.0, 0.0, 1.0)] == [(0, 0.0), (1, 1.0), (1, float(terms))]
+
+
+def bisect_oracle(sign, lo: float, hi: float, sign_lo: int) -> float:
+    # Bisection at binary64 midpoints, each sign certified by the float
+    # filter or computed exactly; runs to float exhaustion, so the returned
+    # root is correct to adjacent floats.  This was the ladder's root finder
+    # before the Illinois steps; any bracketing that moves its ends by
+    # certified signs alone returns the same float.
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        s = sign(mid)[0]
+        if s == 0:
+            return mid
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisected(sign, lo, hi, s_lo, f_lo, f_hi):
+    return bisect_oracle(sign, lo, hi, s_lo)
+
+
+def test_root_ladder_equals_the_bisection_oracle(monkeypatch):
+    # Every root of every level, bit for bit, at p 2..8, m and n in 0..3.
+    grid = [SquigParams(p, m, n) for p in range(2, 9) for m in range(4) for n in range(4) if m or n]
+    ladders = [sg.root_ladder(params, 20) for params in grid]
+    monkeypatch.setattr(derivpoly, "_isolate", bisected)
+    for params, ladder in zip(grid, ladders):
+        assert ladder == sg.root_ladder(params, 20), params
+
+
+def test_polynomial_past_binary64_isolates_by_exact_signs(exact_calls):
+    # Scaled by 2^1100 no coefficient is a binary64, so every probe takes the
+    # exact sign, and its value is NaN wherever the scaled sum passes the
+    # binary64 range: the steps there are bisections.  The roots of
+    # (2u + 5)(u + 3) are floats, where the bracket closes on a probe of
+    # sign 0; -sqrt(2), of u^2 - 2, lies between two floats.
+    for coeffs, probes, want in (([15, 11, 2], [-10.0, -2.75, 0.0], [-3.0, -2.5]),
+                                 ([-2, 0, 1], [-2.0, 0.0], [-math.sqrt(2.0)])):
+        exact = _filtered_sign([c << 1100 for c in coeffs])
+        seen = []
+
+        def sign(x, exact=exact, seen=seen):
+            seen.append(x)
+            return exact(x)
+
+        exact_calls.clear()
+        roots = derivpoly._bracketed_roots(sign, probes, len(want))
+        assert exact_calls == seen
+        assert math.isnan(exact(probes[0])[1])
+        brackets = [(a, b, exact(a)[0]) for a, b in zip(probes, probes[1:])
+                    if exact(a)[0] * exact(b)[0] < 0]
+        assert roots == [bisect_oracle(exact, *bracket) for bracket in brackets]
+        assert roots == pytest.approx(want, rel=2.0 ** -52)
+
+
+@pytest.fixture
+def sign_calls(monkeypatch):
+    # Count every sign probe the ladder makes, filtered or exact.
+    calls = []
+    real = derivpoly._filtered_sign
+
+    def counting(coeffs):
+        sign = real(coeffs)
+
+        def probe(x):
+            calls.append(x)
+            return sign(x)
+
+        return probe
+
+    monkeypatch.setattr(derivpoly, "_filtered_sign", counting)
+    return calls
+
+
+def test_reference_ladder_takes_at_most_9000_sign_probes(sign_calls):
+    # 290 roots: bisection took 16,104 probes, about 55 per root; the
+    # Illinois steps take 4,556.
+    sg.root_ladder(SquigParams(p=6, m=1, n=0), 30)
+    assert len(sign_calls) <= 9000
