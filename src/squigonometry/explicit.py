@@ -6,12 +6,10 @@ placed before step l, a marked step contributes the factor m + l(p-1) - pr
 and an unmarked step contributes n + pr - l; the product of the k factors,
 summed over all placements, is q[k][j].  This closed form needs no lower
 rows.  It is summed over the placement tree with the running prefix product,
-pruned at zero factors.  Once the steps left are forced, all unmarked
-(factors n + pj - l') or all marked (m + l(p-1) - pr - i), their factors
-fall by one a step, so the tail is one falling factorial, 0 where it crosses
-zero.  The walk costs the pruned tree's inner nodes, not C(k, j) k
-multiplications; each leaf is still one placement's own product and merging
-no subtrees keeps it independent of the recursion.
+pruned at zero factors; once the steps left are all unmarked or all marked,
+their factors fall by one a step and the tail is one falling factorial.  So
+it costs the inner nodes of the pruned tree, not C(k, j) k multiplications.
+Merging no subtrees keeps it independent of the recursion.
 
 When k = n + pj (the orders that survive in the MacLaurin series of
 cq^m sq^n) the placements with nonzero product admit a local description:
@@ -68,18 +66,10 @@ def _product_for_placement(params: SquigParams, k: int, ones: tuple[int, ...]) -
     return prod
 
 
-def _falling(top: int, length: int) -> int:
-    # top (top - 1) ... (top - length + 1); 0 once a factor reaches zero.
-    if top >= 0:
-        return math.perm(top, length)
-    return (-1) ** length * math.perm(length - 1 - top, length)
-
-
 def _placement_sum(params: SquigParams, k: int, j: int) -> int:
     # Depth first: a stack entry (step, markers placed, prefix product) is a
-    # marked branch still to walk; the unmarked branch is walked in place.
-    # A forced tail, all steps left unmarked or all marked, is one falling
-    # factorial.
+    # marked branch still to walk; the unmarked branch is walked in place
+    # until r = j (the steps left are unmarked) or k - l = j - r (marked).
     p, m, n = params.p, params.m, params.n
     total = 0
     stack = [(0, 0, 1)] if j <= k else []
@@ -92,11 +82,9 @@ def _placement_sum(params: SquigParams, k: int, j: int) -> int:
                 break
             prod *= factor
             l += 1
-        else:
-            if r == j:
-                total += prod * _falling(n + p * j - l, k - l)
-            else:
-                total += prod * _falling(m + l * (p - 1) - p * r, j - r)
+        else:  # the d forced factors top, top - 1, ..., top - d + 1: 0 if one is 0
+            top, d = (n + p * j - l, k - l) if r == j else (m + l * (p - 1) - p * r, j - r)
+            total += prod * (math.perm(top, d) if top >= 0 else (-1) ** d * math.perm(d - 1 - top, d))
     return total
 
 

@@ -93,12 +93,12 @@ def factor_sequence(numerators: tuple[int, ...], params: SquigParams) -> FactorS
     if params.m == 0 and params.n == 0:
         raise ParameterError("the constant function (m = n = 0) has no term-to-term factors")
     _check_numerators(numerators)
-    exact = [Fraction(f, c) for f, c in zip(numerators, _denominators(numerators, params))]
+    pairs = list(zip(numerators, _denominators(numerators, params)))
     return FactorSequence(
         params=params,
         J=len(numerators) - 1,
-        exact=tuple(exact),
-        floats=tuple(float(a) for a in exact),
+        exact=tuple(Fraction(f, c) for f, c in pairs),
+        floats=tuple(f / c for f, c in pairs),  # int / int, correctly rounded as float(a_j)
     )
 
 

@@ -162,7 +162,7 @@ def build_triangle(params: SquigParams, K: int) -> CoeffTriangle:
     return CoeffTriangle(
         params=params,
         K=K,
-        rows=tuple(dict(zip(range(lo, lo + len(row)), row)) for lo, row in rows),
+        rows=tuple(dict(enumerate(row, lo)) for lo, row in rows),
     )
 
 
