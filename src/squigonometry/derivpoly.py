@@ -130,7 +130,7 @@ def _sign_at_dyadic(coeffs: list[int], value: float) -> tuple[int, float]:
     for c in reversed(coeffs):
         acc = acc * num + (c << shift)
         shift += s
-    fits = acc.bit_length() <= shift - s + 1023  # so int / int cannot overflow
+    fits = acc.bit_length() <= shift - s + 1023  # |sum| < 2^1023: int / int cannot overflow
     return (acc > 0) - (acc < 0), acc / (1 << shift - s) if fits else math.nan
 
 
@@ -189,11 +189,12 @@ def _cauchy_bound(coeffs: list[int]) -> float:
 
 def _isolate(sign: _Probe, lo: float, hi: float, s_lo: int, f_lo: float, f_hi: float) -> float:
     # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): the secant
-    # through both ends, halving the value of an end kept twice in a row, or
-    # an end's neighbour where the secant rounds onto that end.  Bisection,
-    # geometric while both ends are negative and a factor 2 apart, steps in
-    # where the secant is not inside or the bracket has not halved in three
-    # probes.  Only certified signs move an end, so bisection's root results.
+    # through both ends, halving the value of an end kept twice in a row,
+    # and probing an end's neighbour where the secant lands on or past it.
+    # While both ends are negative and a factor 2 apart the step is their
+    # geometric mean; it is the midpoint where the secant is NaN and once the
+    # bracket has not halved in three probes.  Only certified signs move an
+    # end, so the root is bisection's, bit for bit.
     side, tries, width = 0, 0, hi - lo
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if hi - lo <= 0.5 * width:

@@ -502,7 +502,9 @@ def bisect_oracle(sign, lo: float, hi: float, sign_lo: int) -> float:
     # filter or computed exactly; runs to float exhaustion, so the returned
     # root is correct to adjacent floats.  This was the ladder's root finder
     # before the Illinois steps; any bracketing that moves its ends by
-    # certified signs alone returns the same float.
+    # certified signs alone returns the same float.  Its 200-step cap is not
+    # reached on the ladders compared here; a bracket of many decades
+    # reaches it (test_isolation_converges_on_a_bracket_of_many_decades).
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -553,6 +555,19 @@ def test_polynomial_past_binary64_isolates_by_exact_signs(exact_calls):
                     if exact(a)[0] * exact(b)[0] < 0]
         assert roots == [bisect_oracle(exact, *bracket) for bracket in brackets]
         assert roots == pytest.approx(want, rel=2.0 ** -52)
+
+
+@pytest.mark.parametrize("coeffs", [[10 ** 6, 1], [10 ** 6, 3], [1, 10 ** 6]])
+def test_isolation_converges_on_a_bracket_of_many_decades(coeffs):
+    # From -1e70, halving reaches these roots in more than the 200 steps
+    # bisection was capped at (it returned -3.1e9 for all three); geometric
+    # steps cross the decades, and the root is the float whose sign is 0 or
+    # one of the adjacent pair the exact sign changes across.
+    sign = _filtered_sign(coeffs)
+    (root,) = derivpoly._bracketed_roots(sign, [-1e70, 0.0], 1)
+    below, above = math.nextafter(root, -math.inf), math.nextafter(root, 0.0)
+    assert sign(root)[0] == 0 or sign(below)[0] != sign(above)[0]
+    assert root == pytest.approx(-coeffs[0] / coeffs[1], rel=2.0 ** -52)
 
 
 @pytest.fixture
