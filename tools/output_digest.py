@@ -256,13 +256,15 @@ def sweep_critical_value() -> Iterator[str]:
 
 
 def sweep_explicit_coefficient() -> Iterator[str]:
-    # The exact-integer benchmark's rows: p 2..6, its four (m, n), k <= 14.
-    for p in range(2, 7):
-        for m, n in _EXACT_MN:
-            for k in range(15):
-                for j in range(k + 2):
-                    yield call(lambda *a: sg.explicit_coefficient(SquigParams(*a[:3]), *a[3:]),
-                               p, m, n, k, j)
+    # The exact-integer benchmark's rows: p 2..6, its four (m, n), k <= 14;
+    # then two cases on to the cap MAX_EXPLICIT_ORDER = 22.
+    cases = [(p, m, n, range(15)) for p in range(2, 7) for m, n in _EXACT_MN]
+    cases += [(4, 1, 0, range(15, 23)), (6, 2, 1, range(15, 23))]
+    for p, m, n, orders in cases:
+        for k in orders:
+            for j in range(k + 2):
+                yield call(lambda *a: sg.explicit_coefficient(SquigParams(*a[:3]), *a[3:]),
+                           p, m, n, k, j)
 
 
 def sweep_corollary_coefficient() -> Iterator[str]:
