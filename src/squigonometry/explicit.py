@@ -7,9 +7,11 @@ and an unmarked step contributes n + pr - l; the product of the k factors,
 summed over all placements, is q[k][j].  This closed form needs no lower
 rows.  It is summed over the placement tree with the running prefix product,
 pruned at zero factors; once the steps left are all unmarked or all marked,
-their factors fall by one a step and the tail is one falling factorial.  So
-it costs the inner nodes of the pruned tree, not C(k, j) k multiplications.
-Merging no subtrees keeps it independent of the recursion.
+their factors fall by one a step and the tail is one falling factorial.
+Factors from the middle step h = k // 2 on depend only on the step and r, so
+a first walk sums the placements of steps 0..h-1 by r and a second walks on
+from each nonzero sum: one merge, by r at step h (the recursion merges at
+every step).  Two pruned half-trees cost about 2^(k/2) nodes each.
 
 When k = n + pj (the orders that survive in the MacLaurin series of
 cq^m sq^n) the placements with nonzero product admit a local description:
@@ -66,16 +68,15 @@ def _product_for_placement(params: SquigParams, k: int, ones: tuple[int, ...]) -
     return prod
 
 
-def _placement_sum(params: SquigParams, k: int, j: int) -> int:
-    # Depth first: a stack entry (step, markers placed, prefix product) is a
-    # marked branch still to walk; the unmarked branch is walked in place
-    # until r = j (the steps left are unmarked) or k - l = j - r (marked).
+def _walk(params: SquigParams, stack: list[tuple[int, int, int]], end: int, r_lo: int, r_hi: int) -> list[int]:
+    # Depth first from the entries (step, markers placed, prefix product) on the
+    # stack to step end with r_lo..r_hi markers, summing products by marker count;
+    # the steps left are forced unmarked once r = r_hi, marked once end - l = r_lo - r.
     p, m, n = params.p, params.m, params.n
-    total = 0
-    stack = [(0, 0, 1)] if j <= k else []
+    sums = [0] * (r_hi + 1)
     while stack:
         l, r, prod = stack.pop()
-        while r < j and k - l > j - r:
+        while l < end and r < r_hi and end - l > r_lo - r:
             if factor := m + l * (p - 1) - p * r:
                 stack.append((l + 1, r + 1, prod * factor))
             if not (factor := n + p * r - l):
@@ -83,17 +84,26 @@ def _placement_sum(params: SquigParams, k: int, j: int) -> int:
             prod *= factor
             l += 1
         else:  # the d forced factors top, top - 1, ..., top - d + 1: 0 if one is 0
-            top, d = (n + p * j - l, k - l) if r == j else (m + l * (p - 1) - p * r, j - r)
-            total += prod * (math.perm(top, d) if top >= 0 else (-1) ** d * math.perm(d - 1 - top, d))
-    return total
+            d = end - l
+            top, r = (m + l * (p - 1) - p * r, r_lo) if d and r < r_hi else (n + p * r - l, r)
+            sums[r] += prod * (math.perm(top, d) if top >= 0 else (-1) ** d * math.perm(d - 1 - top, d))
+    return sums
+
+
+def _placement_sum(params: SquigParams, k: int, j: int) -> int:
+    if j > k:
+        return 0
+    h = k // 2  # steps 0..h-1 summed by marker count, then h..k-1 from those sums
+    firsts = _walk(params, [(0, 0, 1)], h, max(0, j - (k - h)), min(h, j))
+    return _walk(params, [(h, r, s) for r, s in enumerate(firsts) if s], k, j, j)[j]
 
 
 def explicit_coefficient(params: SquigParams, k: int, j: int) -> int:
     """q[k][j] summed directly over the pruned tree of marker placements.
 
-    Exact integers throughout; exponential in j, so orders are capped at
+    Exact integers throughout; exponential in k / 2, so orders are capped at
     MAX_EXPLICIT_ORDER.  Independent of the recursion: no other rows are
-    consulted and no two placements are merged.
+    consulted, and placements merge only by marker count at step k // 2.
     """
     _check_order(params, k, j)
     if k > MAX_EXPLICIT_ORDER:
@@ -181,12 +191,12 @@ def count_lower_bound(n: int, p: int, j: int) -> int:
 def corollary_coefficient(params: SquigParams, j: int) -> float:
     """Signed MacLaurin coefficient of t^(n + pj) in cq^m sq^n, closed form.
 
-    Sums the placement products at order k = n + pj over the pruned tree of
+    Sums the placement products at order k = n + pj by the half-walks of
     explicit_coefficient, attaches the sign (-1)^j and divides by k! in one
-    correctly rounded int/int true division.  Valid for negative m as well (the
+    correctly rounded int/int true division.  Valid for negative m (the
     quotient series such as the tangent analog), where the recursion does
-    not apply.  Orders k above MAX_COROLLARY_ORDER and more than
-    MAX_COROLLARY_CHOICES placements raise CostGuardError.
+    not apply.  Orders k above MAX_COROLLARY_ORDER raise CostGuardError, as
+    does a C(k, j) above MAX_COROLLARY_CHOICES, now an over-bound of the cost.
     """
     check_int("j", j, 0)
     check_int("n", params.n, 0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import squigonometry as sg
 from squigonometry import CostGuardError, ParameterError, SquigParams
-from squigonometry.explicit import _placement_sum, _product_for_placement
+from squigonometry.explicit import _placement_sum, _product_for_placement, _walk
 
 COSQUINE4 = SquigParams(p=4, m=1, n=0)
 
@@ -37,7 +37,7 @@ def test_explicit_matches_triangle(p, m, n):
     p=st.integers(min_value=2, max_value=5),
     m=st.integers(min_value=0, max_value=3),
     n=st.integers(min_value=0, max_value=3),
-    k=st.integers(min_value=0, max_value=10),
+    k=st.integers(min_value=0, max_value=16),
 )
 def test_explicit_matches_triangle_hypothesis(p, m, n, k):
     params = SquigParams(p=p, m=m, n=n)
@@ -49,10 +49,84 @@ def test_explicit_matches_triangle_hypothesis(p, m, n, k):
 def brute_placement_sum(params, k, j):
     """The placement sum over all C(k, j) placements, one full product each.
 
-    Oracle for the pruned walk explicit._placement_sum: no pruning, no
-    shared prefixes.
+    Oracle for the half-walks of explicit._placement_sum: no pruning, no
+    shared prefixes, no merging.
     """
     return sum(_product_for_placement(params, k, ones) for ones in combinations(range(k), j))
+
+
+def walk_oracle(params, k, j):
+    """The placement sum as one walk over the whole pruned tree, leaf by leaf.
+
+    This was explicit._placement_sum before the walk was cut at the middle
+    step: depth first, a stack entry (step, markers placed, prefix product)
+    is a marked branch still to walk; the unmarked branch is walked in place
+    until r = j (the steps left are unmarked) or k - l = j - r (marked), and
+    that forced tail is one falling factorial.  No two placements merge.
+    """
+    p, m, n = params.p, params.m, params.n
+    total = 0
+    stack = [(0, 0, 1)] if j <= k else []
+    while stack:
+        l, r, prod = stack.pop()
+        while r < j and k - l > j - r:
+            if factor := m + l * (p - 1) - p * r:
+                stack.append((l + 1, r + 1, prod * factor))
+            if not (factor := n + p * r - l):
+                break
+            prod *= factor
+            l += 1
+        else:  # the d forced factors top, top - 1, ..., top - d + 1: 0 if one is 0
+            top, d = (n + p * j - l, k - l) if r == j else (m + l * (p - 1) - p * r, j - r)
+            total += prod * (math.perm(top, d) if top >= 0 else (-1) ** d * math.perm(d - 1 - top, d))
+    return total
+
+
+@pytest.mark.parametrize("p", range(2, 8))
+def test_half_walks_equal_the_walk_oracle(p):
+    # Negative m included (corollary_coefficient's domain); k = 0 and 1 leave
+    # the first half empty or one step long, and j = k + 1 has no placement.
+    for m in range(-4, 5):
+        for n in range(5):
+            params = SquigParams(p=p, m=m, n=n)
+            for k in range(15):
+                for j in range(k + 2):
+                    assert _placement_sum(params, k, j) == walk_oracle(params, k, j), (params, k, j)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 1, 0), (3, 0, 1), (4, 2, 1), (5, 1, 2), (6, 3, 0), (7, 0, 4)])
+def test_first_walk_sums_are_the_triangle_row_at_the_middle_step(p, m, n):
+    # The first walk's sum for r markers over steps 0..h-1 is q[h][r], on
+    # every marker range [r_lo, r_hi] _placement_sum asks for.
+    params = SquigParams(p=p, m=m, n=n)
+    tri = sg.build_triangle(params, 8)
+    for k in range(17):
+        h = k // 2
+        row = [sg.coefficient(tri, h, r) for r in range(h + 1)]
+        assert _walk(params, [(0, 0, 1)], h, 0, h) == row
+        for j in range(k + 1):
+            r_lo, r_hi = max(0, j - (k - h)), min(h, j)
+            firsts = _walk(params, [(0, 0, 1)], h, r_lo, r_hi)
+            assert firsts == [0] * r_lo + row[r_lo:r_hi + 1], (k, j)
+
+
+def test_first_walk_ends_on_a_marked_tail_and_exactly_at_the_middle_step():
+    # k = 4, j = 3: h = 2 and the first half holds 1 or 2 markers.  Step 0
+    # unmarked forces step 1 marked, a tail that ends the first half; step 0
+    # marked and step 1 unmarked is a leaf that ends at h with r = 1 < r_hi.
+    p, m, n = 4, 3, 2
+    params = SquigParams(p=p, m=m, n=n)
+    assert _walk(params, [(0, 0, 1)], 2, 1, 2) == [0, n * (m + p - 1) + m * (n + p - 1), m * (m - 1)]
+    assert _placement_sum(params, 4, 3) == walk_oracle(params, 4, 3) == brute_placement_sum(params, 4, 3)
+
+
+@pytest.mark.parametrize("p,m,n", [(4, 1, 0), (6, 2, 1)])
+def test_rows_at_the_order_cap_match_triangle(p, m, n):
+    params = SquigParams(p=p, m=m, n=n)
+    k = sg.MAX_EXPLICIT_ORDER
+    tri = sg.build_triangle(params, k)
+    assert [sg.explicit_coefficient(params, k, j) for j in range(k + 1)] == [
+        sg.coefficient(tri, k, j) for j in range(k + 1)]
 
 
 @pytest.mark.parametrize("p", range(2, 7))
