@@ -111,13 +111,17 @@ def test_first_walk_sums_are_the_triangle_row_at_the_middle_step(p, m, n):
 
 
 def test_first_walk_ends_on_a_marked_tail_and_exactly_at_the_middle_step():
-    # k = 4, j = 3: h = 2 and the first half holds 1 or 2 markers.  Step 0
-    # unmarked forces step 1 marked, a tail that ends the first half; step 0
-    # marked and step 1 unmarked is a leaf that ends at h with r = 1 < r_hi.
+    # k = 4, so h = 2.  At j = 3 the first half holds 1 or 2 markers: step 0
+    # unmarked forces step 1 marked, a tail that ends the first half.  At
+    # j = 2 it holds 0..2: step 0 marked and step 1 unmarked is a leaf that
+    # ends at h with r = 1, strictly between r_lo = 0 and r_hi = 2.
     p, m, n = 4, 3, 2
     params = SquigParams(p=p, m=m, n=n)
-    assert _walk(params, [(0, 0, 1)], 2, 1, 2) == [0, n * (m + p - 1) + m * (n + p - 1), m * (m - 1)]
-    assert _placement_sum(params, 4, 3) == walk_oracle(params, 4, 3) == brute_placement_sum(params, 4, 3)
+    one = n * (m + p - 1) + m * (n + p - 1)  # {1} and {0} marked
+    assert _walk(params, [(0, 0, 1)], 2, 1, 2) == [0, one, m * (m - 1)]
+    assert _walk(params, [(0, 0, 1)], 2, 0, 2) == [n * (n - 1), one, m * (m - 1)]
+    for j in (2, 3):
+        assert _placement_sum(params, 4, j) == walk_oracle(params, 4, j) == brute_placement_sum(params, 4, j)
 
 
 @pytest.mark.parametrize("p,m,n", [(4, 1, 0), (6, 2, 1)])
