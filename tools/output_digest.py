@@ -109,7 +109,7 @@ _CONTEXT_TABLES = [(p, eps) for p in (*range(2, 17), 24, 32, 64)
 
 def _context_tables(p: int, eps: float):
     # The context's own tables, cut for [0, q], then the lengths of the
-    # prefixes its evaluators fold and the count of node entries (0 at p = 2).
+    # prefixes its evaluators fold and the count of node entries.
     ctx = sg.build_context(p, eps)
     nodes = sg.evalcore._nodes(ctx)
     shape = (len(nodes.sq_prefix.floats), len(nodes.cq_prefix.floats), len(nodes.sq))
@@ -124,7 +124,7 @@ def sweep_build_context() -> Iterator[str]:
 def sweep_nodes() -> Iterator[str]:
     # Node by node, the sq and cq entries each node folds: t0, hi and
     # b_1..b_8, with lo, the last bits of the node's value, left out.
-    for p in (3, 4, 6, 10, 16, 32, 64):
+    for p in (2, 3, 4, 6, 10, 16, 32, 64):
         nodes = sg.evalcore._nodes(sg.build_context(p))
         for i, pair in enumerate(zip(nodes.sq, nodes.cq)):
             yield call(lambda *a, pair=pair: tuple(e[:2] + e[3:] for e in pair), p, i)
@@ -153,20 +153,19 @@ def _seams(ctx) -> list:
     # the first point of each later node of the N equal node parts of
     # [q/2, q] (the least s whose index int((s - q/2) * scale) reaches it,
     # with scale = N / (q - q/2)); then q, for q = pi_p / 4.  N is the node
-    # count of evalcore's degree-8 node folds at p >= 3, the least with
-    # N >= 2^(60/9) / (4 tan(pi/p)).
+    # count of evalcore's degree-8 node folds, the least with
+    # N >= 2^(60/9) / (4 tan(pi / max(p, 3))).
     q, mid = ctx.quarter, ctx.quarter / 2.0
+    count = math.ceil(2.0 ** (60 / 9) / (4.0 * math.tan(math.pi / max(ctx.p, 3))))
+    scale = count / (q - mid)
     edges = [mid]
-    if ctx.p > 2:
-        count = math.ceil(2.0 ** (60 / 9) / (4.0 * math.tan(math.pi / ctx.p)))
-        scale = count / (q - mid)
-        for k in range(1, count):
-            e = mid + k / scale
-            while int((e - mid) * scale) >= k:
-                e = math.nextafter(e, 0.0)
-            while int((e - mid) * scale) < k:
-                e = math.nextafter(e, 2.0)
-            edges.append(e)
+    for k in range(1, count):
+        e = mid + k / scale
+        while int((e - mid) * scale) >= k:
+            e = math.nextafter(e, 0.0)
+        while int((e - mid) * scale) < k:
+            e = math.nextafter(e, 2.0)
+        edges.append(e)
     return [x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))] + [q]
 
 
