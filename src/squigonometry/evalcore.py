@@ -25,25 +25,24 @@ round-trips, and equal contexts write equal sources, compiled once.  A
 table fold is horner_sparse's loop unrolled, its step b = a_i - b * tp
 written once per coefficient.
 
-A context's folds depend on p alone.  At p >= 3, below q / 2, with
-q = pi_p / 4, they fold prefixes cut for [0, q / 2] at EPS_DEFAULT
-(series._cut) from a fresh series of p; on [q / 2, q] they fold node
-tables, Tang's table-driven scheme (ACM TOMS 15(2), 1989): N equally spaced
-nodes t0 and, about each, the Taylor polynomial of degree 8 in h = s - t0,
-exact by Sterbenz's lemma since s and t0 both lie in [q / 2, q].
-series._TaylorSeries.nodes gives its coefficients as floats, by the
-recurrence of the MacLaurin tables taken about t0, from (cq(t0), sq(t0))
-that one Newton step on the binomial series of arcsq gives; each is rounded
-once, with the leading one kept as a double-double, and the paper's triangle
-rows at (cq(t0), sq(t0)) are their oracle in the tests.  The nearest complex
-singularity lies at least q tan(pi / p) from t0, which sets N: 15 nodes at
-p = 3, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A call then costs about
-0.5 us at every p.  At p = 2 they fold the prefixes for all of [0, q], the
-tables of build_context(2).  epsilon shapes only the context's tables,
-J_used and the refusals; from p = 735, where compute_pi refuses the tables
-of EPS_DEFAULT, the first evaluation refuses too, before any node.  The
-first evaluation reads no compute_pi record and builds the evaluators,
-mostly the nodes from p = 10 on.
+A context's folds depend on p alone.  Below q / 2, with q = pi_p / 4, they
+fold prefixes cut for [0, q / 2] at EPS_DEFAULT (series._cut) from a fresh
+series of p; on [q / 2, q] they fold node tables, Tang's table-driven
+scheme (ACM TOMS 15(2), 1989): N equally spaced nodes t0 and, about each,
+the Taylor polynomial of degree 8 in h = s - t0, exact by Sterbenz's lemma
+since s and t0 both lie in [q / 2, q].  series._TaylorSeries.nodes gives
+its coefficients as floats, by the recurrence of the MacLaurin tables
+taken about t0, from (cq(t0), sq(t0)) that one Newton step on the binomial
+series of arcsq gives; each is rounded once, with the leading one kept as
+a double-double, and the paper's triangle rows at (cq(t0), sq(t0)) are
+their oracle in the tests.  The nearest complex singularity lies at least
+q tan(pi / p) from t0, which sets N: 15 nodes at p = 3, and at p = 2,
+where sq and cq are entire, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A
+call then costs about 0.5 us at every p.  epsilon shapes only the
+context's tables, J_used and the refusals; from p = 735, where compute_pi
+refuses the tables of EPS_DEFAULT, the first evaluation refuses too,
+before any node.  The first evaluation reads no compute_pi record and
+builds the evaluators, mostly the nodes from p = 10 on.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ class EvalContext:
     [0, pi_p / 4], and pi_p, half (pi_p / 2) and period (2 pi_p), exact
     multiples of quarter; a pickle of those attributes loads as they are.
     sq, cq and pow_general evaluate through the evaluators the context
-    makes at its first evaluation, alike at every epsilon, which at p >= 3
-    fold node tables on [pi_p / 8, pi_p / 4] (the module docstring has more).
+    makes at its first evaluation, alike at every epsilon, which fold node
+    tables on [pi_p / 8, pi_p / 4] (the module docstring has more).
     """
 
     p: int
@@ -111,12 +110,11 @@ class EvalContext:
 
 
 class _Nodes(NamedTuple):
-    # The node data of one context.  Below mid (inf at p = 2, with no nodes)
-    # the prefixes fold; at s >= mid node i = int((s - mid) * scale) folds the
-    # entry (t0, hi, lo, b_1, ..., b_D) of sq or cq, the Taylor polynomial
-    # about t0 with leading coefficient hi + lo.  The last node is listed
-    # twice, for s = quarter.
-    mid: float
+    # The node data of one context.  Below mid = quarter / 2 the prefixes
+    # fold; at s >= mid node i = int((s - mid) * scale) folds the entry
+    # (t0, hi, lo, b_1, ..., b_D) of sq or cq, the Taylor polynomial about t0
+    # with leading coefficient hi + lo.  The last node is listed twice, for
+    # s = quarter.
     scale: float
     sq_prefix: MacLaurinTable
     cq_prefix: MacLaurinTable
@@ -127,28 +125,27 @@ class _Nodes(NamedTuple):
 def _nodes(ctx: EvalContext) -> _Nodes:
     # The node data of a context, a function of p alone, refused where
     # compute_pi refuses the tables of EPS_DEFAULT.  The prefixes are cut at
-    # EPS_DEFAULT for [0, min(mid, quarter)]: mid = quarter / 2, or inf at
-    # p = 2, which has no nodes.  N nodes at the centres of equal parts of
-    # [mid, quarter] keep |h| <= quarter / 4N, and the Taylor series about a
-    # node converges within rho = quarter tan(pi / p) of it, the distance to
-    # the nearest complex singularity of sq and cq, so N is the least with
-    # (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.  The sq prefix folded at
-    # the first centre starts the Newton step of the first node's values.
+    # EPS_DEFAULT for [0, mid], mid = quarter / 2.  N nodes at the centres of
+    # equal parts of [mid, quarter] keep |h| <= quarter / 4N, and the Taylor
+    # series about a node converges within rho = quarter tan(pi / p) of it,
+    # the distance to the nearest complex singularity of sq and cq, so N is
+    # the least with (quarter / (4N rho))^(D + 1) <= 2^-_NODE_TAIL.  sq and
+    # cq are entire at p = 2, which takes p = 3's N = 15: at |h| <= q / 60 the
+    # dropped tail |h|^9 / 9! is about 2^-75.  The sq prefix folded at the
+    # first centre starts the Newton step of the first node's values.
     p, degree, q = ctx.p, _NODE_DEGREE, ctx.quarter
     J = estimate_terms(p, ctx.pi_p, EPS_DEFAULT)
     if J > MAX_PI_TERMS:
         raise CostGuardError(f"sq and cq at p={p} need J={J} terms at epsilon={EPS_DEFAULT!r}, past the cap {MAX_PI_TERMS}")
     series = _TaylorSeries(p)
-    mid = q / 2.0 if p > 2 else math.inf
-    sq_prefix, cq_prefix = (_cut(params, series.coefficients(params, J), min(mid, q), EPS_DEFAULT)
+    mid = q / 2.0
+    sq_prefix, cq_prefix = (_cut(params, series.coefficients(params, J), mid, EPS_DEFAULT)
                             for params in (SquigParams(p, 0, 1), SquigParams(p, 1, 0)))
-    if p == 2:
-        return _Nodes(mid, 0.0, sq_prefix, cq_prefix, (), ())
-    parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / p)))
+    parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / max(p, 3))))
     width = (q - mid) / parts
     t0s = [mid + (i + 0.5) * width for i in range(parts)]
     sq_nodes, cq_nodes = zip(*series.nodes(t0s, horner_sparse(sq_prefix, t0s[0]), degree))
-    return _Nodes(mid, parts / (q - mid), sq_prefix, cq_prefix, (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
+    return _Nodes(parts / (q - mid), sq_prefix, cq_prefix, (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
 
 
 class QuadrantReduction(NamedTuple):
@@ -252,23 +249,23 @@ def _source(ctx: EvalContext, nodes: _Nodes) -> str:
     # data: an inline check that sends every t but a finite float to
     # check_finite and float(), _REDUCTION, then the folds (pair's share one
     # tp, and one node index i and h) and signs, or reduce's
-    # QuadrantReduction.  The prefixes fold below mid (on all of [0, quarter]
-    # at p = 2), and at or above it node i = int((s - mid) * scale) folds.
+    # QuadrantReduction.  The prefixes fold below mid = quarter / 2, and at
+    # or above it node i = int((s - mid) * scale) folds.
     def choose(co: list[str], plain: list[str]) -> list[str]:
         return [f"if use_co: {'; '.join(co)}", f"else: {'; '.join(plain)}"]
 
+    mid = ctx.quarter / 2.0
     fold_sq, fold_cq = _fold(nodes.sq_prefix, "v"), _fold(nodes.cq_prefix, "v")
     fold_pair = _fold(nodes.sq_prefix, "y") + _fold(nodes.cq_prefix, "x")[1:]
-    folds = {"sq": choose(fold_cq, fold_sq), "cq": choose(fold_sq, fold_cq), "pair": fold_pair}
-    if nodes.sq:
-        node_sq, node_cq = _node_fold("SQN", "v"), _node_fold("CQN", "v")
-        # pair's cq fold reuses the h of its sq fold: both nodes share t0.
-        node_pair = _node_fold("SQN", "y") + [line for line in _node_fold("CQN", "x") if line != "h = s - t0"]
-        node_folds = {"sq": choose(node_cq, node_sq), "cq": choose(node_sq, node_cq), "pair": node_pair}
-        folds = {name: [f"if s < {nodes.mid!r}:", *(f"    {line}" for line in fold),
-                        "else:", f"    i = int((s - {nodes.mid!r}) * {nodes.scale!r})",
-                        *(f"    {line}" for line in node_folds[name])]
-                 for name, fold in folds.items()}
+    node_sq, node_cq = _node_fold("SQN", "v"), _node_fold("CQN", "v")
+    # pair's cq fold reuses the h of its sq fold: both nodes share t0.
+    node_pair = _node_fold("SQN", "y") + [line for line in _node_fold("CQN", "x") if line != "h = s - t0"]
+    node_folds = {"sq": choose(node_cq, node_sq), "cq": choose(node_sq, node_cq), "pair": node_pair}
+    prefix_folds = {"sq": choose(fold_cq, fold_sq), "cq": choose(fold_sq, fold_cq), "pair": fold_pair}
+    folds = {name: [f"if s < {mid!r}:", *(f"    {line}" for line in prefix_folds[name]),
+                    "else:", f"    i = int((s - {mid!r}) * {nodes.scale!r})",
+                    *(f"    {line}" for line in node_folds[name])]
+             for name in prefix_folds}
     bodies = {
         "sq": [*folds["sq"], "return sign_sq * v"],
         "cq": [*folds["cq"], "return sign_cq * v"],

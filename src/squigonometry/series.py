@@ -98,7 +98,7 @@ class MacLaurinTable:
 
     def signed(self, j: int) -> float:
         """Signed coefficient (-1)^j a_j."""
-        return self.floats[j] if j % 2 == 0 else -self.floats[j]
+        return self.floats[j] if j % 2 == 0 else 0.0 - self.floats[j]
 
 
 def maclaurin(params: SquigParams, J: int) -> MacLaurinTable:
@@ -228,7 +228,7 @@ class _TaylorSeries:
         return terms
 
     def nodes(self, t0s: list[float], start: float, degree: int) -> Iterator[tuple[tuple[float, ...], tuple[float, ...]]]:
-        """Node entries (t0, hi, lo, b_1, ..., b_degree) of sq and of cq about each t0 of t0s, in [1/4, 1), p >= 3.
+        """Node entries (t0, hi, lo, b_1, ..., b_degree) of sq and of cq about each t0 of t0s, in [1/4, 1), at every p.
 
         b_k is the h^k coefficient of y = sq(t0 + h) or x = cq(t0 + h): y_k =
         G_(k-1) / k and x_k = -H_(k-1) / k, G = x^(p-1) and H = y^(p-1), in

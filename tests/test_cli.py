@@ -378,6 +378,19 @@ def test_maclaurin_exact_constant_function(capsys):
     assert [int(r[3]) for r in rows] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_zero_coefficients_print_as_positive_zero(capsys, p):
+    # cq^0 sq^0 = 1 has a_j = 0 for j >= 1: signed(j) is +0.0 at odd j too,
+    # bit for bit as corollary_coefficient gives it, and every row reads 0.0.
+    params = sg.SquigParams(p, 0, 0)
+    table = sg.maclaurin(params, 4)
+    assert [table.signed(j).hex() for j in range(5)] == [
+        sg.corollary_coefficient(params, j).hex() for j in range(5)]
+    code, lines = run(capsys, "maclaurin", "--p", str(p), "--m", "0", "--n", "0", "--J", "4")
+    assert code == 0
+    assert [line.split(",")[2] for line in lines[1:]] == ["1.0", "0.0", "0.0", "0.0", "0.0"]
+
+
 @pytest.mark.parametrize("argv", [
     ("factors", "--p", "4", "--m", "0", "--n", "0"),
     ("roots", "--p", "4", "--m", "0", "--n", "0", "--k-max", "3"),

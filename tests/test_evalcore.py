@@ -490,16 +490,14 @@ def test_sq_cq_within_an_ulp_of_the_full_table(p):
 def test_sq_cq_fold_exactly_the_context_tables(p):
     # Bit for bit wherever the context folds its prefixes, the tables cut
     # for [0, mid], and past the quarter, where the reflection swaps their
-    # roles: on all of [0, pi_p / 4] at p = 2, which has no nodes, and below
-    # mid = q / 2 elsewhere, where node tables fold from q / 2 on.
+    # roles: below mid = q / 2, where node tables fold from q / 2 on.
     ctx = sg.build_context(p)
     nodes = evalcore._nodes(ctx)
     sq_table, cq_table = nodes.sq_prefix, nodes.cq_prefix
-    mid = ctx.quarter / 2.0 if p > 2 else ctx.quarter
-    assert nodes.mid == (mid if p > 2 else math.inf) and bool(nodes.sq) == (p > 2)
+    mid = ctx.quarter / 2.0
     assert sq_table == _deep_end_cut(ctx.sq_table, mid, ctx.epsilon)
     assert cq_table == _deep_end_cut(ctx.cq_table, mid, ctx.epsilon)
-    top = mid if p == 2 else math.nextafter(mid, 0.0)
+    top = math.nextafter(mid, 0.0)
     rng = random.Random(200 + p)
     for s in [0.0, top] + [rng.uniform(0.0, top) for _ in range(300)]:
         assert sg.sq(ctx, s) == sg.horner_sparse(sq_table, s)
@@ -665,21 +663,21 @@ def _node_loop(entries, mid: float, scale: float, s: float) -> float:
 
 def _loop_fold(ctx):
     # (sq, cq) at s in [0, pi_p / 4] by the reference loops: horner_sparse over
-    # the prefixes below mid (inf at p = 2) and the node loop from it.
-    nodes = evalcore._nodes(ctx)
+    # the prefixes below mid = q / 2 and the node loop from it.
+    nodes, mid = evalcore._nodes(ctx), ctx.quarter / 2.0
 
     def fold(s):
-        if s < nodes.mid:
+        if s < mid:
             return evalcore.horner_sparse(nodes.sq_prefix, s), evalcore.horner_sparse(nodes.cq_prefix, s)
-        return tuple(_node_loop(entries, nodes.mid, nodes.scale, s) for entries in (nodes.sq, nodes.cq))
+        return tuple(_node_loop(entries, mid, nodes.scale, s) for entries in (nodes.sq, nodes.cq))
 
     return fold
 
 
 def _node_edges(ctx) -> tuple[float, ...]:
-    # Each boundary between two nodes and its neighbours; none at p = 2.
+    # Each boundary between two nodes and its neighbours.
     nodes = evalcore._nodes(ctx)
-    edges = [nodes.mid + k / nodes.scale for k in range(1, len(nodes.sq) - 1)]
+    edges = [ctx.quarter / 2.0 + k / nodes.scale for k in range(1, len(nodes.sq) - 1)]
     return tuple(x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)))
 
 
@@ -715,8 +713,8 @@ def _assert_folds_like_the_loop(ctx, points) -> None:
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_context_folds_match_the_loop_bit_for_bit(p):
-    # At p = 2 the contexts fold their prefixes on all of [0, q]; at p >= 3
-    # the prefixes below q / 2 and node tables from it, each like its loop.
+    # The contexts fold the prefixes below q / 2 and node tables from it,
+    # each like its loop.
     rng = random.Random(300 + p)
     for eps in FOLD_EPS:
         ctx = sg.build_context(p, eps)
@@ -742,16 +740,16 @@ def test_one_source_per_p_at_every_epsilon(p):
 @pytest.mark.parametrize("p", [*range(2, 11), 64])
 def test_record_table_folds_match_the_loop_bit_for_bit(p):
     # The least epsilon cuts the longest tables a context holds, but its
-    # folds are those of EPS_DEFAULT: 9 coefficients at p = 2 on [0, q],
-    # and prefixes of 10 (p = 3) down to 6 (p = 10) below q / 2.  At p = 64,
-    # where 5e-324 passes the table cap, EPS_DEFAULT and 517 nodes.
+    # folds are those of EPS_DEFAULT: prefixes below q / 2 of 7 coefficients
+    # at p = 2 and of 10 (p = 3) down to 6 (p = 10).  At p = 64, where
+    # 5e-324 passes the table cap, EPS_DEFAULT and 517 nodes.
     eps = sg.EPS_DEFAULT if p == 64 else 5e-324
     ctx = sg.build_context(p, eps)
     nodes = evalcore._nodes(ctx)
     rng = random.Random(400 + p)
     points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(10))
     _assert_folds_like_the_loop(ctx, points)
-    lengths = {2: 9, 3: 10, 10: 6, 64: 1}
+    lengths = {2: 7, 3: 10, 10: 6, 64: 1}
     if p in lengths:
         assert len(nodes.sq_prefix.floats) == lengths[p]
     if p == 64:
@@ -837,7 +835,7 @@ def _row_coefficients(p: int, m: int, n: int, rows, cq_powers, sq_powers) -> tup
     return (hi, (total * den - num * scale) / (scale * den), *(x / d for x, d in rest))
 
 
-@pytest.mark.parametrize("p", [3, 4, 6, 10, 16, 32, 64])
+@pytest.mark.parametrize("p", [2, 3, 4, 6, 10, 16, 32, 64])
 def test_node_data_are_the_triangle_rows_at_the_node(p, node_values):
     # The paper's central result is the oracle of the node coefficients that
     # the series' Taylor recurrence gives: the k-th derivative of cq^m sq^n is
@@ -948,16 +946,15 @@ EVALUATOR_GLOBALS = {"fmod", "check_finite", "QuadrantReduction", "SQN", "CQN",
                      "sq", "cq", "pair", "reduce", "__builtins__"}
 
 
-@pytest.mark.parametrize("p, eps, folds_nodes", [(2, 2.0 ** -53, False), (4, 2.0 ** -53, True)])
-def test_evaluators_read_no_number_from_their_globals(p, eps, folds_nodes):
+@pytest.mark.parametrize("p", [2, 4])
+def test_evaluators_read_no_number_from_their_globals(p):
     # Every coefficient and constant is written into the evaluators' source
     # as its repr; their globals hold helpers, the evaluators and node
-    # tables, empty at p = 2.
-    ctx = sg.build_context(p, eps)
-    assert bool(evalcore._nodes(ctx).sq) == folds_nodes
+    # tables.
+    ctx = sg.build_context(p)
     for name, evaluator in vars(ctx.evaluators).items():
         assert set(evaluator.__globals__) <= EVALUATOR_GLOBALS, name
-        assert bool(evaluator.__globals__["SQN"]) == folds_nodes
+        assert evaluator.__globals__["SQN"] and evaluator.__globals__["CQN"], name
 
 
 def test_equal_contexts_share_their_evaluator_code():

@@ -70,18 +70,18 @@ def test_evaluator_and_beta_digests_match_golden(name):
     assert tool.digest(name) == golden[name]
 
 
-@pytest.mark.parametrize("p", [3, 4, 10, 16, 64, 128])
+@pytest.mark.parametrize("p", [2, 3, 4, 10, 16, 64, 128])
 def test_evaluation_sweep_straddles_every_node_boundary(p):
     # The tool counts the nodes itself; its seams are q / 2, then the first
     # point of each later node, each with its neighbours, then q: the node
     # index the evaluators compute steps by one at each of those points.
     tool = _load_tool()
     ctx = sg.build_context(p)
-    nodes = sg.evalcore._nodes(ctx)
+    nodes, mid = sg.evalcore._nodes(ctx), ctx.quarter / 2.0
     seams = tool._seams(ctx)
     triples = [seams[i:i + 3] for i in range(0, len(seams) - 1, 3)]
     assert len(triples) == len(nodes.sq) - 1 and seams[-1] == ctx.quarter
-    assert triples[0][1] == nodes.mid and triples[0][0] < nodes.mid < triples[0][2]
+    assert triples[0][1] == mid and triples[0][0] < mid < triples[0][2]
     for k, (below, first, above) in enumerate(triples[1:], 1):
-        assert int((below - nodes.mid) * nodes.scale) == k - 1
-        assert int((first - nodes.mid) * nodes.scale) == int((above - nodes.mid) * nodes.scale) == k
+        assert int((below - mid) * nodes.scale) == k - 1
+        assert int((first - mid) * nodes.scale) == int((above - mid) * nodes.scale) == k
