@@ -77,8 +77,8 @@ def test_node_values_within_2_to_the_minus_100_of_the_decimal_reference(p, node_
 def test_p2_node_folds_misround_at_most_one_percent_on_the_upper_half():
     # At p = 2, as at every p, node tables fold on [q / 2, q]: of sq and cq
     # at 400 seeded s there, at most 1 % differ from the reference rounded
-    # to binary64.  The 9/10-term prefixes p = 2 once folded on all of
-    # [0, q] misround 14-18 % of them.
+    # to binary64, where a fold of the 9/10-term prefixes for all of [0, q]
+    # misrounds 14-18 %.
     ctx = sg.build_context(2)
     rng = random.Random(4300)
     points = [rng.uniform(ctx.quarter / 2.0, ctx.quarter) for _ in range(400)]
