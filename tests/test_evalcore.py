@@ -4,7 +4,6 @@ import copy
 import copyreg
 import dataclasses
 import io
-import json
 import math
 import pickle
 import random
@@ -14,7 +13,6 @@ import threading
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +21,6 @@ from hypothesis import strategies as st
 import squigonometry as sg
 from decimal_reference import arcsq, sq_cq, ulps
 from squigonometry import CostGuardError, DomainError, ParameterError, constants, evalcore
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_context_fields(ctx4, pi4):
@@ -224,30 +220,6 @@ def test_near_zeros_the_error_stays_within_the_drift_bound(p):
     for t in points:
         for got, want in zip((sg.sq(ctx, t), sg.cq(ctx, t)), sq_cq(t, p)):
             assert abs(Decimal(got) - want) <= _drift_bound(ctx, t), (t, got, want)
-
-
-def _bits(f, *args) -> str:
-    try:
-        return f(*args).hex()
-    except sg.SquigError as error:
-        return type(error).__name__
-
-
-def test_evaluation_golden_bits():
-    # sq, cq and pow_general at p = 2..10 and two tolerances, pinned bit for
-    # bit (or by error type) at zeros, subnormals, tiny t, the quarter and its
-    # neighbours, half, pi_p, the period, +-1e300 and seeded points.  A
-    # negative t holds the value at |t| mirrored: -sq, the same cq, and
-    # pow_general times (-1)^n.
-    for want in json.loads((GOLDEN / "eval_bits.json").read_text()):
-        ctx = sg.build_context(want["p"], float.fromhex(want["epsilon"]))
-        ts = [float.fromhex(h) for h in want["t"]]
-        got = {"p": want["p"], "epsilon": ctx.epsilon.hex(), "t": want["t"]}
-        got["sq"] = [_bits(sg.sq, ctx, t) for t in ts]
-        got["cq"] = [_bits(sg.cq, ctx, t) for t in ts]
-        for m, n in ((2, 1), (-1, 2), (3, -2)):
-            got[f"pow {m},{n}"] = [_bits(sg.pow_general, ctx, m, n, t) for t in ts]
-        assert got == want
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 10])

@@ -59,12 +59,12 @@ def test_digest_encodes_floats_by_their_bits():
     assert tool.call(sg.compute_pi, 1).startswith("(1,) -> !ParameterError: ")
 
 
-@pytest.mark.parametrize("name", ["cq", "reduce_argument", "pow_general", "beta_value",
+@pytest.mark.parametrize("name", ["cq", "reduce_argument", "pow_general", "nodes", "beta_value",
                                   "arcsq_oracle", "beta_quadrature_oracle"])
 def test_evaluator_and_beta_digests_match_golden(name):
-    # With the sq test above, the sweeps of the generated evaluators, of
-    # beta_value and of the two quadrature oracles reproduce their stored
-    # digests; the full check covers the rest.
+    # With the sq test above, the sweeps of the generated evaluators and of
+    # the node entries they fold, of beta_value and of the two quadrature
+    # oracles reproduce their stored digests; the full check covers the rest.
     tool = _load_tool()
     golden = json.loads(tool.GOLDEN.read_text(encoding="utf-8"))
     assert tool.digest(name) == golden[name]

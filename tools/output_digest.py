@@ -19,10 +19,10 @@ single flipped bit in any output changes it, and the line count says how
 many outputs it covers.  Two dumps compared line by line count the
 outputs a change moved.
 
-The sweep takes about 9 s on one core of a 2-vCPU Xeon (CPython 3.11.7),
-4.6-5.0 s of it in the compute_pi sweep, which builds each record's sq and
-cq tables of length J_used at tolerances down to 5e-324 from one series per
-record; it uses the standard library only, and the digests are meant to be
+The sweep takes about 15 s on one core of a shared 2-vCPU Xeon (CPython
+3.11.7), about 7 s of it in the compute_pi sweep, which builds each record's
+sq and cq tables of length J_used at tolerances down to 5e-324 from one
+series per record, and 3 s in the pow_general sweep; it uses the standard library only, and the digests are meant to be
 identical on CPython 3.10-3.13.
 """
 
@@ -93,7 +93,7 @@ _PI_GRID = [(p, eps) for p in (*range(2, 13), 16)
             for eps in (EPS, 1e-12, 1e-6, 0.01, 0.3, 0.9)]
 _PI_GRID += [(p, eps) for p in (2, 3, 4, 6, 10) for eps in (1e-30, 1e-100, 1e-300, 5e-324)]
 _CONTEXTS = [(p, eps) for p in (2, 3, 4, 6, 10, 16, 64) for eps in (EPS, 1e-6)]
-_CONTEXTS += [(128, EPS), (3, 5e-324), (10, 1e-300)]
+_CONTEXTS += [(p, EPS) for p in (5, 7, 8, 9, 128)] + [(3, 5e-324), (10, 1e-300)]
 _MN = ((0, 0), (1, 0), (0, 1), (2, 1), (1, 2), (3, 3), (5, 0), (0, 5), (30, 30))
 _EXACT_MN = ((1, 0), (0, 1), (2, 1), (1, 2))  # the (m, n) of the exact-integer benchmark
 
@@ -170,9 +170,13 @@ def _seams(ctx) -> list:
 
 
 def _evaluations(fn: Callable) -> Iterator[str]:
+    # The seeded points, the seams, then q's neighbours and the reflection
+    # points pi_p / 2, pi_p and 2 pi_p.
     for p, eps in _CONTEXTS:
         ctx = sg.build_context(p, eps)
-        for t in _points(1000 * p) + _seams(ctx):
+        q = ctx.quarter
+        ends = [math.nextafter(q, 0.0), math.nextafter(q, 2.0), ctx.half, ctx.pi_p, ctx.period]
+        for t in _points(1000 * p) + _seams(ctx) + ends:
             yield call(lambda *a, ctx=ctx: fn(ctx, a[2]), p, eps, t)
 
 
@@ -189,7 +193,7 @@ def sweep_reduce_argument() -> Iterator[str]:
 
 
 def sweep_pow_general() -> Iterator[str]:
-    for m, n in ((2, 1), (-1, 2), (0, -2), (3, 0)):
+    for m, n in ((2, 1), (-1, 2), (0, -2), (3, 0), (3, -2)):
         yield from _evaluations(lambda ctx, t, m=m, n=n: sg.pow_general(ctx, m, n, t))
 
 
