@@ -20,9 +20,9 @@ table with one multiply-add per stored coefficient.
 sq, cq, pow_general and reduce_argument call the context's evaluators,
 straight-line code that checks t, runs _REDUCTION (the one copy of the
 reduction) and folds, or returns the reduction, with no call in between.
-A context writes their source with each number as its repr, which
-round-trips, and equal contexts write equal sources, compiled once.  A
-table fold is horner_sparse's loop unrolled, its step b = a_i - b * tp
+They are _evaluators(p), built once per p and shared by its contexts, their
+source from the node data with each number as its repr, which round-trips.
+A table fold is horner_sparse's loop unrolled, its step b = a_i - b * tp
 written once per coefficient.
 
 A context's folds depend on p alone.  Below q / 2, with q = pi_p / 4, they
@@ -41,8 +41,8 @@ where sq and cq are entire, 26 at p = 4, 79 at p = 10, 517 at p = 64.  A
 call then costs about 0.5 us at every p.  epsilon shapes only the
 context's tables, J_used and the refusals; from p = 735, where compute_pi
 refuses the tables of EPS_DEFAULT, the first evaluation refuses too,
-before any node.  The first evaluation reads no compute_pi record and
-builds the evaluators, mostly the nodes from p = 10 on.
+before any node.  The first evaluation at a p reads no compute_pi record
+and builds the evaluators, mostly the nodes from p = 10 on.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class EvalContext:
     it: quarter (pi_p / 4), the sq and cq tables the record cut for
     [0, pi_p / 4], and pi_p, half (pi_p / 2) and period (2 pi_p), exact
     multiples of quarter; a pickle of those attributes loads as they are.
-    sq, cq and pow_general evaluate through the evaluators the context
-    makes at its first evaluation, alike at every epsilon, which fold node
-    tables on [pi_p / 8, pi_p / 4] (the module docstring has more).
+    sq, cq and pow_general evaluate through the evaluators of p, shared by
+    every context of p at every epsilon, which fold node tables on
+    [pi_p / 8, pi_p / 4] (the module docstring has more).
     """
 
     p: int
@@ -92,29 +92,24 @@ class EvalContext:
 
     @cached_property
     def evaluators(self) -> types.SimpleNamespace:
-        """sq(t), cq(t), pair(t) = (cq(t), sq(t)) and reduce(t), generated for this context.
+        """sq(t), cq(t), pair(t) = (cq(t), sq(t)) and reduce(t), those of every context of p.
 
-        Made, with the node data, at the first evaluation, not by
-        build_context: their source, from _source, holds every number, and
-        their globals only fmod, check_finite, QuadrantReduction and the node
-        tables SQN and CQN.
+        _evaluators(p), read at the first evaluation, not by build_context:
+        contexts of one p share one set, made once.
         """
-        nodes = _nodes(self)
-        names = {"fmod": math.fmod, "check_finite": check_finite, "QuadrantReduction": QuadrantReduction,
-                 "SQN": nodes.sq, "CQN": nodes.cq}
-        exec(_compiled(_source(self, nodes)), names)
-        return types.SimpleNamespace(**{name: names[name] for name in ("sq", "cq", "pair", "reduce")})
+        return _evaluators(self.p)
 
     def __reduce__(self) -> tuple:
         return EvalContext, (self.p, self.epsilon)
 
 
 class _Nodes(NamedTuple):
-    # The node data of one context.  Below mid = quarter / 2 the prefixes
-    # fold; at s >= mid node i = int((s - mid) * scale) folds the entry
+    # The node data of one p.  Below mid = quarter / 2 the prefixes fold; at
+    # s >= mid node i = int((s - mid) * scale) folds the entry
     # (t0, hi, lo, b_1, ..., b_D) of sq or cq, the Taylor polynomial about t0
     # with leading coefficient hi + lo.  The last node is listed twice, for
     # s = quarter.
+    quarter: float
     scale: float
     sq_prefix: MacLaurinTable
     cq_prefix: MacLaurinTable
@@ -122,10 +117,10 @@ class _Nodes(NamedTuple):
     cq: tuple[tuple[float, ...], ...]
 
 
-def _nodes(ctx: EvalContext) -> _Nodes:
-    # The node data of a context, a function of p alone, refused where
-    # compute_pi refuses the tables of EPS_DEFAULT.  The prefixes are cut at
-    # EPS_DEFAULT for [0, mid], mid = quarter / 2.  N nodes at the centres of
+def _nodes(p: int) -> _Nodes:
+    # The node data of p, refused where compute_pi refuses the tables of
+    # EPS_DEFAULT.  The prefixes are cut at EPS_DEFAULT for [0, mid], with
+    # quarter = pi_p / 4 and mid = quarter / 2.  N nodes at the centres of
     # equal parts of [mid, quarter] keep |h| <= quarter / 4N, and the Taylor
     # series about a node converges within rho = quarter tan(pi / p) of it,
     # the distance to the nearest complex singularity of sq and cq, so N is
@@ -133,19 +128,18 @@ def _nodes(ctx: EvalContext) -> _Nodes:
     # cq are entire at p = 2, which takes p = 3's N = 15: at |h| <= q / 60 the
     # dropped tail |h|^9 / 9! is about 2^-75.  The sq prefix folded at the
     # first centre starts the Newton step of the first node's values.
-    p, degree, q = ctx.p, _NODE_DEGREE, ctx.quarter
-    J = estimate_terms(p, ctx.pi_p, EPS_DEFAULT)
+    degree, series = _NODE_DEGREE, _TaylorSeries(p)
+    J = estimate_terms(p, series.pi_p, EPS_DEFAULT)
     if J > MAX_PI_TERMS:
         raise CostGuardError(f"sq and cq at p={p} need J={J} terms at epsilon={EPS_DEFAULT!r}, past the cap {MAX_PI_TERMS}")
-    series = _TaylorSeries(p)
-    mid = q / 2.0
+    q, mid = series.pi_p / 4.0, series.pi_p / 8.0
     sq_prefix, cq_prefix = (_cut(params, series.coefficients(params, J), mid, EPS_DEFAULT)
                             for params in (SquigParams(p, 0, 1), SquigParams(p, 1, 0)))
     parts = math.ceil(2.0 ** (_NODE_TAIL / (degree + 1)) / (4.0 * math.tan(math.pi / max(p, 3))))
     width = (q - mid) / parts
     t0s = [mid + (i + 0.5) * width for i in range(parts)]
     sq_nodes, cq_nodes = zip(*series.nodes(t0s, horner_sparse(sq_prefix, t0s[0]), degree))
-    return _Nodes(parts / (q - mid), sq_prefix, cq_prefix, (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
+    return _Nodes(q, parts / (q - mid), sq_prefix, cq_prefix, (*sq_nodes, sq_nodes[-1]), (*cq_nodes, cq_nodes[-1]))
 
 
 class QuadrantReduction(NamedTuple):
@@ -174,10 +168,10 @@ def build_context(p: int, epsilon: float = EPS_DEFAULT) -> EvalContext:
 
 # The range reduction, written once: these statements take a checked float
 # t to s in [0, pi_p / 4], the table choice use_co and the two signs.  Every
-# evaluator, reduce among them, inlines them, with the context's period,
-# pi_p, half and quarter filled in.  fmod is exact and
-# fmod(-t, y) == -fmod(t, y), so folding |t| and flipping sign_sq for t < 0
-# keeps sq odd and cq even bit for bit.
+# evaluator, reduce among them, inlines them, with period, pi_p, half and
+# quarter, multiples of the node data's quarter, filled in.  fmod is exact
+# and fmod(-t, y) == -fmod(t, y), so folding |t| and flipping sign_sq for
+# t < 0 keeps sq odd and cq even bit for bit.
 _REDUCTION = (
     "s = fmod(t, {period!r})",
     "sign_sq = sign_cq = 1",
@@ -244,17 +238,17 @@ def _node_fold(name: str, out: str) -> list[str]:
             *steps, f"{out} = hi + (lo + {out} * h)"]
 
 
-def _source(ctx: EvalContext, nodes: _Nodes) -> str:
-    # The source of sq, cq, pair and reduce for this context and its node
-    # data: an inline check that sends every t but a finite float to
-    # check_finite and float(), _REDUCTION, then the folds (pair's share one
-    # tp, and one node index i and h) and signs, or reduce's
-    # QuadrantReduction.  The prefixes fold below mid = quarter / 2, and at
-    # or above it node i = int((s - mid) * scale) folds.
+def _source(nodes: _Nodes) -> str:
+    # The source of sq, cq, pair and reduce for the node data of one p: an
+    # inline check that sends every t but a finite float to check_finite and
+    # float(), _REDUCTION, then the folds (pair's share one tp, and one node
+    # index i and h) and signs, or reduce's QuadrantReduction.  The prefixes
+    # fold below mid = quarter / 2, and at or above it node
+    # i = int((s - mid) * scale) folds.
     def choose(co: list[str], plain: list[str]) -> list[str]:
         return [f"if use_co: {'; '.join(co)}", f"else: {'; '.join(plain)}"]
 
-    mid = ctx.quarter / 2.0
+    q, mid = nodes.quarter, nodes.quarter / 2.0
     fold_sq, fold_cq = _fold(nodes.sq_prefix, "v"), _fold(nodes.cq_prefix, "v")
     fold_pair = _fold(nodes.sq_prefix, "y") + _fold(nodes.cq_prefix, "x")[1:]
     node_sq, node_cq = _node_fold("SQN", "v"), _node_fold("CQN", "v")
@@ -274,7 +268,7 @@ def _source(ctx: EvalContext, nodes: _Nodes) -> str:
         "reduce": ["return QuadrantReduction(s, use_co, sign_sq, sign_cq)"],
     }
     check = "if t.__class__ is not float or t - t != 0.0: check_finite('t', t); t = float(t)"
-    reduction = [line.format_map(vars(ctx)) for line in _REDUCTION]
+    reduction = [line.format(period=8.0 * q, pi_p=4.0 * q, half=2.0 * q, quarter=q) for line in _REDUCTION]
     lines = []
     for name, body in bodies.items():
         lines += [f"def {name}(t):", *(f"    {line}" for line in (check, *reduction, *body))]
@@ -282,9 +276,15 @@ def _source(ctx: EvalContext, nodes: _Nodes) -> str:
 
 
 @lru_cache(maxsize=64)
-def _compiled(source: str) -> types.CodeType:
-    # One code object per distinct source: equal contexts write equal sources.
-    return compile(source, "<evaluators>", "exec")
+def _evaluators(p: int) -> types.SimpleNamespace:
+    # The evaluators of every context of p, made with its node data: their
+    # source, from _source, holds every number, and their globals only fmod,
+    # check_finite, QuadrantReduction and the node tables SQN and CQN.
+    nodes = _nodes(p)
+    names = {"fmod": math.fmod, "check_finite": check_finite, "QuadrantReduction": QuadrantReduction,
+             "SQN": nodes.sq, "CQN": nodes.cq}
+    exec(compile(_source(nodes), "<evaluators>", "exec"), names)
+    return types.SimpleNamespace(**{name: names[name] for name in ("sq", "cq", "pair", "reduce")})
 
 
 def sq(ctx: EvalContext, t: float) -> float:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 import squigonometry as sg
-from squigonometry import series
+from squigonometry import evalcore, series
 
 # Selected with --hypothesis-profile=ci: the same examples on every run, and
 # a failure prints the blob that replays it.
@@ -29,6 +29,18 @@ def ctx4() -> sg.EvalContext:
 @pytest.fixture(scope="session")
 def pi4() -> sg.PiRecord:
     return sg.compute_pi(4)
+
+
+@pytest.fixture
+def cold_evaluators():
+    """Clears evalcore's evaluators memo before and after the test.
+
+    The test's first evaluation at each p builds the evaluators, and what it
+    builds, from patched nodes say, is not left to later tests.
+    """
+    evalcore._evaluators.cache_clear()
+    yield
+    evalcore._evaluators.cache_clear()
 
 
 @pytest.fixture

@@ -464,7 +464,7 @@ def test_sq_cq_fold_exactly_the_context_tables(p):
     # for [0, mid], and past the quarter, where the reflection swaps their
     # roles: below mid = q / 2, where node tables fold from q / 2 on.
     ctx = sg.build_context(p)
-    nodes = evalcore._nodes(ctx)
+    nodes = evalcore._nodes(ctx.p)
     sq_table, cq_table = nodes.sq_prefix, nodes.cq_prefix
     mid = ctx.quarter / 2.0
     assert sq_table == _deep_end_cut(ctx.sq_table, mid, ctx.epsilon)
@@ -519,13 +519,13 @@ def test_sq_cq_against_the_exact_numerator_sum(p):
 def test_replaced_context_folds_the_tables_it_holds(ctx4):
     # replace makes the context again from (p, epsilon): a looser epsilon
     # gives build_context's context at it, its tables cut for that epsilon,
-    # with evaluators of its own that answer as that context's do, bit for bit.
+    # with the evaluators of p that ctx4 has too.
     sg.sq(ctx4, 0.3)  # the evaluators of ctx4 exist before the replace
     looser, built = dataclasses.replace(ctx4, epsilon=1e-6), sg.build_context(4, 1e-6)
     assert looser == built and looser != ctx4
     assert (looser.sq_table, looser.cq_table) == (built.sq_table, built.cq_table)
     assert len(looser.sq_table.floats) < len(ctx4.sq_table.floats)
-    assert looser.evaluators.sq is not ctx4.evaluators.sq
+    assert looser.evaluators is ctx4.evaluators
     for t in (0.3, 0.9, 2.5, -7.0, 0.8 * ctx4.quarter):
         assert sg.sq(looser, t).hex() == sg.sq(built, t).hex()
         assert sg.cq(looser, t).hex() == sg.cq(built, t).hex()
@@ -636,7 +636,7 @@ def _node_loop(entries, mid: float, scale: float, s: float) -> float:
 def _loop_fold(ctx):
     # (sq, cq) at s in [0, pi_p / 4] by the reference loops: horner_sparse over
     # the prefixes below mid = q / 2 and the node loop from it.
-    nodes, mid = evalcore._nodes(ctx), ctx.quarter / 2.0
+    nodes, mid = evalcore._nodes(ctx.p), ctx.quarter / 2.0
 
     def fold(s):
         if s < mid:
@@ -648,7 +648,7 @@ def _loop_fold(ctx):
 
 def _node_edges(ctx) -> tuple[float, ...]:
     # Each boundary between two nodes and its neighbours.
-    nodes = evalcore._nodes(ctx)
+    nodes = evalcore._nodes(ctx.p)
     edges = [ctx.quarter / 2.0 + k / nodes.scale for k in range(1, len(nodes.sq) - 1)]
     return tuple(x for e in edges for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)))
 
@@ -686,27 +686,23 @@ def _assert_folds_like_the_loop(ctx, points) -> None:
 @pytest.mark.parametrize("p", range(2, 11))
 def test_context_folds_match_the_loop_bit_for_bit(p):
     # The contexts fold the prefixes below q / 2 and node tables from it,
-    # each like its loop.
+    # each like its loop; every epsilon shares these evaluators (the test
+    # below).
     rng = random.Random(300 + p)
-    for eps in FOLD_EPS:
-        ctx = sg.build_context(p, eps)
-        points = _fold_points(ctx.quarter) + _node_edges(ctx)
-        points += tuple(rng.uniform(0.0, ctx.quarter) for _ in range(20))
-        _assert_folds_like_the_loop(ctx, points)
+    ctx = sg.build_context(p)
+    points = _fold_points(ctx.quarter) + _node_edges(ctx)
+    points += tuple(rng.uniform(0.0, ctx.quarter) for _ in range(20))
+    _assert_folds_like_the_loop(ctx, points)
 
 
 @pytest.mark.parametrize("p", [*range(2, 11), 16, 64])
 def test_one_source_per_p_at_every_epsilon(p):
     # Evaluation depends on p alone: at every epsilon, down to the least one
-    # the table cap allows, a context's node data are those of EPS_DEFAULT
-    # and its evaluators' source is byte for byte the EPS_DEFAULT context's.
-    default = sg.build_context(p)
-    nodes = evalcore._nodes(default)
-    want = evalcore._source(default, nodes)
+    # the table cap allows, a context's evaluators are the very ones of the
+    # EPS_DEFAULT context, built from one source once per p.
+    default = sg.build_context(p).evaluators
     for eps in FOLD_EPS + ((1e-300, 5e-324) if p < 64 else ()):
-        ctx = sg.build_context(p, eps)
-        got = evalcore._nodes(ctx)
-        assert got == nodes and evalcore._source(ctx, got) == want, eps
+        assert sg.build_context(p, eps).evaluators is default, eps
 
 
 @pytest.mark.parametrize("p", [*range(2, 11), 64])
@@ -717,7 +713,7 @@ def test_record_table_folds_match_the_loop_bit_for_bit(p):
     # 5e-324 passes the table cap, EPS_DEFAULT and 517 nodes.
     eps = sg.EPS_DEFAULT if p == 64 else 5e-324
     ctx = sg.build_context(p, eps)
-    nodes = evalcore._nodes(ctx)
+    nodes = evalcore._nodes(ctx.p)
     rng = random.Random(400 + p)
     points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(10))
     _assert_folds_like_the_loop(ctx, points)
@@ -738,19 +734,20 @@ def test_rebuilt_context_is_bit_identical(p):
     assert [sg.build_context(p, eps) for eps in epsilons] == first
 
 
-def test_threads_building_nodes_on_one_record_agree():
-    # Equal contexts share one compute_pi record, and the first evaluation of
-    # each builds its own nodes.  Six threads started from one barrier each
-    # build them at once, with a switch interval short enough to interleave
-    # them, in three trials: each thread gets the node data of a
-    # single-thread build.
+def test_threads_building_nodes_on_one_record_agree(cold_evaluators):
+    # Equal contexts share one compute_pi record, and with the evaluators
+    # memo cleared the first evaluation of each may build the nodes.  Six
+    # threads started from one barrier each evaluate at once, with a switch
+    # interval short enough to interleave them, in three trials: each thread
+    # gets the node data of a single-thread build.
     sg.compute_pi.cache_clear()
-    want = evalcore._nodes(sg.build_context(10, 1e-6))
+    want = evalcore._nodes(10)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
             sg.compute_pi.cache_clear()
+            evalcore._evaluators.cache_clear()
             contexts = [sg.build_context(10, 1e-6) for _ in range(6)]
             start, got, errors = threading.Barrier(len(contexts)), [], []
 
@@ -816,7 +813,7 @@ def test_node_data_are_the_triangle_rows_at_the_node(p, node_values):
     # as the nodes are made, summed exactly and rounded once, the rows give
     # every node entry bit for bit.
     degree = evalcore._NODE_DEGREE
-    nodes = evalcore._nodes(sg.build_context(p))
+    nodes = evalcore._nodes(p)
     rows = [sg.build_triangle(sg.SquigParams(p, m, 1 - m), degree).rows for m in (0, 1)]
     assert len(node_values) == len(nodes.sq) - 1  # the last node is listed twice
     for sq_node, cq_node, (t0, (cq0, sq0, *_)) in zip(nodes.sq, nodes.cq, node_values):
@@ -848,13 +845,15 @@ def test_hand_made_context_is_validated(ctx4):
 
 
 @pytest.mark.parametrize("p", [2, 4, 10, 16])
-def test_rebuilt_context_evaluates_bit_identically(p):
-    # sq and cq of a context built again, after the compute_pi memo is
-    # cleared, repeat the first context's values bit for bit.
+def test_rebuilt_context_evaluates_bit_identically(p, cold_evaluators):
+    # sq and cq of a context built again, after the compute_pi and
+    # evaluators memos are cleared, repeat the first context's values bit
+    # for bit.
     points = [-8.0 + 16.0 * i / 99.0 for i in range(100)]
     first = sg.build_context(p)
     want = [(sg.sq(first, t).hex(), sg.cq(first, t).hex()) for t in points]
     sg.compute_pi.cache_clear()
+    evalcore._evaluators.cache_clear()
     again = sg.build_context(p)
     assert [(sg.sq(again, t).hex(), sg.cq(again, t).hex()) for t in points] == want
 
@@ -930,22 +929,22 @@ def test_evaluators_read_no_number_from_their_globals(p):
 
 
 def test_equal_contexts_share_their_evaluator_code():
-    # Equal contexts write equal sources, which are compiled once; each
-    # context still makes its own functions.
+    # The evaluators are a function of p: contexts of one p share the same
+    # functions, and another p has its own.
     first, again, other = sg.build_context(6, 1e-9), sg.EvalContext(6, 1e-9), sg.build_context(7, 1e-9)
-    assert first is not again
+    assert first is not again and first.evaluators is again.evaluators
     for name in ("sq", "cq", "pair", "reduce"):
         mine, twin = getattr(first.evaluators, name), getattr(again.evaluators, name)
-        assert mine is not twin and mine.__code__ is twin.__code__
+        assert mine is twin
         assert getattr(other.evaluators, name).__code__ is not mine.__code__
 
 
 @pytest.mark.parametrize("p", [2, 3, 10, 64])
-def test_build_context_makes_no_evaluators_or_nodes(p, monkeypatch):
+def test_build_context_makes_no_evaluators_or_nodes(p, monkeypatch, cold_evaluators):
     # Node data and generated code are made at the first evaluation, so
     # build_context costs what it did before nodes (constants-cold builds
     # contexts and never evaluates).
-    def refuse(ctx):
+    def refuse(p):
         raise AssertionError("node data built before the first evaluation")
 
     monkeypatch.setattr(evalcore, "_nodes", refuse)
@@ -958,13 +957,13 @@ def test_build_context_makes_no_evaluators_or_nodes(p, monkeypatch):
 
 def test_contexts_equal_to_build_context_fold_nodes():
     # A context is (p, epsilon): EvalContext(6) is build_context(6), with the
-    # same hash, repr and nodes.  p and epsilon are its only fields; nodes
-    # and the derived tables add none.
+    # same hash, repr and evaluators.  p and epsilon are its only fields;
+    # nodes and the derived tables add none.
     ctx = sg.build_context(6)
     direct = sg.EvalContext(6)
     assert direct == ctx and hash(direct) == hash(ctx) and repr(direct) == repr(ctx)
     assert [f.name for f in dataclasses.fields(ctx)] == ["p", "epsilon"]
-    assert evalcore._nodes(direct) == evalcore._nodes(ctx) is not None
+    assert direct.evaluators is ctx.evaluators
     s = 0.8 * ctx.quarter
     assert sg.sq(direct, s) == sg.sq(ctx, s) and sg.cq(direct, s) == sg.cq(ctx, s)
     assert "evaluators" not in repr(ctx) and "SQN" not in repr(ctx)

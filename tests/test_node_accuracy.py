@@ -27,7 +27,7 @@ ACC_P = [2, 3, 4, 6, 10, 16, 32, 64]
 def _sweep(p: int) -> tuple[float, list[tuple[float, Decimal, Decimal]]]:
     # (q / 2, [(s, sq(s), cq(s)), ...]) over the points the module describes.
     ctx = sg.build_context(p)
-    nodes = evalcore._nodes(ctx)
+    nodes = evalcore._nodes(ctx.p)
     mid, q = ctx.quarter / 2.0, ctx.quarter
     edges = [mid] + [mid + k / nodes.scale for k in range(1, len(nodes.sq) - 1)]
     rng = random.Random(2600 + p)
@@ -64,7 +64,7 @@ def test_node_values_within_2_to_the_minus_100_of_the_decimal_reference(p, node_
     # Each node's (cq(t0), sq(t0)) in 128-bit fixed point, read as the nodes
     # are made: one Newton step on the binomial series of arcsq from a start
     # within about 2^-50 lands within 2^-100 of the reference.
-    evalcore._nodes(sg.build_context(p))
+    evalcore._nodes(p)
     assert len(node_values) > 10
     with localcontext() as dec:
         dec.prec = 60

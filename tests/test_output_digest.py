@@ -26,7 +26,7 @@ def _flip_last_bit(x: float) -> float:
     return flipped
 
 
-def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
+def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch, cold_evaluators):
     # The sq sweep reproduces its stored digest; with the last bit of a_0 in
     # the sq prefix the p = 4 contexts fold flipped, the same sweep digests
     # differently.
@@ -38,16 +38,17 @@ def test_sq_digest_matches_golden_and_sees_one_flipped_bit(monkeypatch):
 
     real = evalcore._nodes
 
-    def flipped(ctx):
-        nodes = real(ctx)
-        if ctx.p != 4:
+    def flipped(p):
+        nodes = real(p)
+        if p != 4:
             return nodes
         floats = list(nodes.sq_prefix.floats)
         floats[0] = _flip_last_bit(floats[0])
         return nodes._replace(sq_prefix=sg.MacLaurinTable(nodes.sq_prefix.params, tuple(floats)))
 
     monkeypatch.setattr(evalcore, "_nodes", flipped)
-    assert evalcore._nodes(sg.build_context(4)).sq_prefix != real(sg.build_context(4)).sq_prefix
+    evalcore._evaluators.cache_clear()  # the sweep makes the evaluators again, from flipped nodes
+    assert evalcore._nodes(4).sq_prefix != real(4).sq_prefix
     changed = tool.digest("sq")
     assert changed["outputs"] == golden["sq"]["outputs"]
     assert changed["sha256"] != golden["sq"]["sha256"]
@@ -77,7 +78,7 @@ def test_evaluation_sweep_straddles_every_node_boundary(p):
     # index the evaluators compute steps by one at each of those points.
     tool = _load_tool()
     ctx = sg.build_context(p)
-    nodes, mid = sg.evalcore._nodes(ctx), ctx.quarter / 2.0
+    nodes, mid = sg.evalcore._nodes(ctx.p), ctx.quarter / 2.0
     seams = tool._seams(ctx)
     triples = [seams[i:i + 3] for i in range(0, len(seams) - 1, 3)]
     assert len(triples) == len(nodes.sq) - 1 and seams[-1] == ctx.quarter

@@ -111,7 +111,7 @@ def _context_tables(p: int, eps: float):
     # The context's own tables, cut for [0, q], then the lengths of the
     # prefixes its evaluators fold and the count of node entries.
     ctx = sg.build_context(p, eps)
-    nodes = sg.evalcore._nodes(ctx)
+    nodes = sg.evalcore._nodes(p)
     shape = (len(nodes.sq_prefix.floats), len(nodes.cq_prefix.floats), len(nodes.sq))
     return ctx.sq_table.floats, ctx.cq_table.floats, shape
 
@@ -125,7 +125,7 @@ def sweep_nodes() -> Iterator[str]:
     # Node by node, the sq and cq entries each node folds: t0, hi and
     # b_1..b_8, with lo, the last bits of the node's value, left out.
     for p in (2, 3, 4, 6, 10, 16, 32, 64):
-        nodes = sg.evalcore._nodes(sg.build_context(p))
+        nodes = sg.evalcore._nodes(p)
         for i, pair in enumerate(zip(nodes.sq, nodes.cq)):
             yield call(lambda *a, pair=pair: tuple(e[:2] + e[3:] for e in pair), p, i)
 
