@@ -464,7 +464,7 @@ def test_sq_cq_fold_exactly_the_context_tables(p):
     # for [0, mid], and past the quarter, where the reflection swaps their
     # roles: below mid = q / 2, where node tables fold from q / 2 on.
     ctx = sg.build_context(p)
-    nodes = evalcore._nodes(ctx.p)
+    nodes = evalcore._nodes(p)
     sq_table, cq_table = nodes.sq_prefix, nodes.cq_prefix
     mid = ctx.quarter / 2.0
     assert sq_table == _deep_end_cut(ctx.sq_table, mid, ctx.epsilon)
@@ -713,7 +713,7 @@ def test_record_table_folds_match_the_loop_bit_for_bit(p):
     # 5e-324 passes the table cap, EPS_DEFAULT and 517 nodes.
     eps = sg.EPS_DEFAULT if p == 64 else 5e-324
     ctx = sg.build_context(p, eps)
-    nodes = evalcore._nodes(ctx.p)
+    nodes = evalcore._nodes(p)
     rng = random.Random(400 + p)
     points = _fold_points(ctx.quarter) + tuple(rng.uniform(0.0, ctx.quarter) for _ in range(10))
     _assert_folds_like_the_loop(ctx, points)

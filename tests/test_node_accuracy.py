@@ -27,7 +27,7 @@ ACC_P = [2, 3, 4, 6, 10, 16, 32, 64]
 def _sweep(p: int) -> tuple[float, list[tuple[float, Decimal, Decimal]]]:
     # (q / 2, [(s, sq(s), cq(s)), ...]) over the points the module describes.
     ctx = sg.build_context(p)
-    nodes = evalcore._nodes(ctx.p)
+    nodes = evalcore._nodes(p)
     mid, q = ctx.quarter / 2.0, ctx.quarter
     edges = [mid] + [mid + k / nodes.scale for k in range(1, len(nodes.sq) - 1)]
     rng = random.Random(2600 + p)

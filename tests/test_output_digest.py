@@ -78,7 +78,7 @@ def test_evaluation_sweep_straddles_every_node_boundary(p):
     # index the evaluators compute steps by one at each of those points.
     tool = _load_tool()
     ctx = sg.build_context(p)
-    nodes, mid = sg.evalcore._nodes(ctx.p), ctx.quarter / 2.0
+    nodes, mid = sg.evalcore._nodes(p), ctx.quarter / 2.0
     seams = tool._seams(ctx)
     triples = [seams[i:i + 3] for i in range(0, len(seams) - 1, 3)]
     assert len(triples) == len(nodes.sq) - 1 and seams[-1] == ctx.quarter

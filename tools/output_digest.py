@@ -22,8 +22,9 @@ outputs a change moved.
 The sweep takes about 15 s on one core of a shared 2-vCPU Xeon (CPython
 3.11.7), about 7 s of it in the compute_pi sweep, which builds each record's
 sq and cq tables of length J_used at tolerances down to 5e-324 from one
-series per record, and 3 s in the pow_general sweep; it uses the standard library only, and the digests are meant to be
-identical on CPython 3.10-3.13.
+series per record, and 3 s in the pow_general sweep; it uses the standard
+library only, and the digests are meant to be identical on CPython
+3.10-3.13.
 """
 
 from __future__ import annotations
@@ -174,8 +175,7 @@ def _evaluations(fn: Callable) -> Iterator[str]:
     # points pi_p / 2, pi_p and 2 pi_p.
     for p, eps in _CONTEXTS:
         ctx = sg.build_context(p, eps)
-        q = ctx.quarter
-        ends = [math.nextafter(q, 0.0), math.nextafter(q, 2.0), ctx.half, ctx.pi_p, ctx.period]
+        ends = [math.nextafter(ctx.quarter, 0.0), math.nextafter(ctx.quarter, 2.0), ctx.half, ctx.pi_p, ctx.period]
         for t in _points(1000 * p) + _seams(ctx) + ends:
             yield call(lambda *a, ctx=ctx: fn(ctx, a[2]), p, eps, t)
 
